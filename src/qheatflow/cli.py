@@ -40,7 +40,6 @@ def _build_parser() -> _Parser:
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override a config key (repeatable)",
     )
-    p_sweep.add_argument("--threads", type=int, default=None)
 
     p_point = sub.add_parser("point", help="analyze a single configuration")
     p_point.add_argument("configfile")
@@ -60,7 +59,7 @@ def _build_parser() -> _Parser:
 def _cmd_sweep(args) -> int:
     cfg = apply_overrides(load_config(args.configfile), args.set)
     spec = SweepSpec.from_config(cfg)
-    result = run_sweep(spec, threads=args.threads)
+    result = run_sweep(spec)
     csv_text = result.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -83,21 +82,10 @@ def _cmd_point(args) -> int:
         return 2
     print(report.render())
     if args.out:
-        from .sweeps import probe_row_csv
-        from .sweeps import _build_cell  # same construction as the report
-
-        sys_, u, _ = _build_cell(report.config.get("scenario", "custom"), report.config)
         for suffix, text in (
             ("_mh.csv", report.mh_csv),
             ("_tpm.csv", report.tpm_csv),
-            (
-                "_probe.csv",
-                probe_row_csv(
-                    sys_, u, report.probe_target, report.probe_eps,
-                    shots=int(report.config.get("probe.shots", 0)),
-                    seed=int(report.config.get("probe.seed", 7)),
-                ),
-            ),
+            ("_probe.csv", report.probe_csv),
         ):
             path = args.out + suffix
             with open(path, "w", encoding="utf-8") as fh:

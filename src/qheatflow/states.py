@@ -134,19 +134,16 @@ class BipartiteSystem:
             raise InfeasibleStateError("psd", f"min eigenvalue {min_eig:.3e}")
         if self.beta_c is not None:
             target = thermal_populations(self.spectrum_c, self.beta_c)
-            got = np.real(np.diag(partial_trace(rho, self.dims_of(rho), "H")))
+            got = np.real(np.diag(partial_trace(rho, self.dims, "H")))
             if np.max(np.abs(got - target)) > THERMAL_TOL:
                 raise InfeasibleStateError("thermal_marginal_C")
         if self.beta_h is not None:
             target = thermal_populations(self.spectrum_h, self.beta_h)
-            got = np.real(np.diag(partial_trace(rho, self.dims_of(rho), "C")))
+            got = np.real(np.diag(partial_trace(rho, self.dims, "C")))
             if np.max(np.abs(got - target)) > THERMAL_TOL:
                 raise InfeasibleStateError("thermal_marginal_H")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
-
-    def dims_of(self, rho) -> tuple[int, int]:
-        return (self.spectrum_c.dim, self.spectrum_h.dim)
 
     @property
     def dims(self) -> tuple[int, int]:

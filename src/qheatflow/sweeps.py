@@ -6,27 +6,28 @@ never dropped: cells whose state construction fails carry a status code
 ``infeasible:<constraint>``; witness columns use the encoding
 
     1  violated        0  not violated
-   -1  a precondition failed        -2  evaluation error (divergence)
+   -1  witness not applicable or a precondition failed
+   -2  evaluation error (divergence)
 
-Scenarios:
-  experiment-time    resonant qubit pair with a gamma coherence driven by
-                     the XY coupling; axis ``t`` (seconds).
-  qubit-theta-eta    two-qubit family at fixed P00; axes ``theta``, ``eta``.
-  qutrit-theta-grid  two-qutrit family; axes ``theta01``, ``theta02``
+Scenarios (state kind + unitary kind):
+  experiment-time    gamma + xy, resonant and driven by the XY coupling;
+                     axis ``t`` (seconds).
+  qubit-theta-eta    two-qubit + exchange at fixed P00; axes ``theta``, ``eta``.
+  qutrit-theta-grid  two-qutrit + exchange; axes ``theta01``, ``theta02``
                      (theta12 follows theta02 unless set explicitly).
-  nonideal-eps-delta detuned qubits plus a work-injecting perturbation;
-                     axes ``eps`` (unitary distance) and ``Delta``
-                     (relative detuning).
+  nonideal-eps-delta gamma + perturbed-xy; axes ``eps`` (unitary distance,
+                     sets unitary.Jx) and ``Delta`` (relative detuning).
   custom             state.kind / unitary.kind chosen by keys; axis names
                      are full config keys.
+A named scenario accepts the keys of its defaults and axes, ``custom`` every
+key its two kinds read; any other key, axis or output raises ConfigError.
 """
 
 from __future__ import annotations
 
 import datetime
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,7 @@ from .fluctuations import (
     DivergenceError,
     flow_decomposition,
     heat_exp_correction,
+    marginal_check,
     mh_distribution,
     table_heat,
     tpm_distribution,
@@ -73,77 +75,174 @@ from .witnesses import (
 
 NEGATIVITY_THRESHOLD = -1e-12
 
-SCENARIO_DEFAULTS: dict[str, dict] = {
-    "experiment-time": {
-        "state.beta_C": 1.13,
-        "state.beta_H": 0.9618,
-        "state.gamma": -0.19,
-        "state.E": 1.0,
-        "unitary.J": 215.1,
-        "unitary.t": 0.0,
-    },
-    "qubit-theta-eta": {
-        "state.beta_C": 1.13,
-        "state.beta_H": 0.962,
-        "state.P00": 0.547,
-        "state.eta": 0.0,
-        "state.xi": 0.0,
-        "state.E": 1.0,
-        "unitary.theta": 0.0,
-    },
-    "qutrit-theta-grid": {
-        "state.beta_C": 1.3,
-        "state.beta_H": 0.3,
-        "state.E1": 1.0,
-        "state.E2": 1.15,
-        "state.rho_0": 0.3,
-        "state.rho_5": 0.03,
-        "state.rho_7": 0.07,
-        "state.rho_8": 0.06,
-        "state.eta": 1.0,
-        "state.xi": 0.0,
-        "unitary.theta01": 0.0,
-        "unitary.theta02": 0.0,
-    },
-    "nonideal-eps-delta": {
-        "state.beta_C": 1.13,
-        "state.beta_H": 0.9618,
-        "state.gamma": -0.19,
-        "unitary.J": 220.0,
-        "unitary.t": 0.004,
-        "eps": 0.0,
-        "Delta": 0.0,
-    },
-    "custom": {},
+# Config keys each state kind reads (see _build_state for the defaults).
+STATE_KEYS: dict[str, tuple[str, ...]] = {
+    "gamma": ("state.gamma", "state.beta_C", "state.beta_H", "state.E", "state.E_H"),
+    "two-qubit": ("state.beta_C", "state.beta_H", "state.P00", "state.eta", "state.xi", "state.E"),
+    "two-qutrit": (
+        "state.beta_C", "state.beta_H", "state.E1", "state.E2",
+        "state.rho_0", "state.rho_5", "state.rho_7", "state.rho_8",
+        "state.eta", "state.eta_13", "state.eta_26", "state.eta_57",
+        "state.xi", "state.xi_13", "state.xi_26", "state.xi_57",
+    ),
 }
 
-# short axis names per scenario -> config key
-AXIS_ALIASES: dict[str, dict[str, str]] = {
-    "experiment-time": {"t": "unitary.t"},
-    "qubit-theta-eta": {"theta": "unitary.theta", "eta": "state.eta", "P00": "state.P00"},
-    "qutrit-theta-grid": {
-        "theta01": "unitary.theta01",
-        "theta02": "unitary.theta02",
-        "theta12": "unitary.theta12",
-        "eta": "state.eta",
-    },
-    "nonideal-eps-delta": {"eps": "eps", "Delta": "Delta"},
-    "custom": {},
+# unitary kind -> (config keys it reads, output columns it adds); exchange
+# on a qutrit reads the manifold angles in QUTRIT_ANGLES and adds no column
+UNITARY_KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "exchange": (("unitary.theta", "unitary.kappa", "unitary.lam", "unitary.phi"), ("theta",)),
+    "xy": (("unitary.J", "unitary.t"), ("theta",)),
+    "perturbed-xy": (("unitary.J", "unitary.Jx", "unitary.t"), ("eps_actual",)),
+}
+QUTRIT_ANGLES = {(0, 1): "unitary.theta01", (0, 2): "unitary.theta02", (1, 2): "unitary.theta12"}
+
+WITNESS_NAMES = ("t1", "t2", "t3", "i4", "t4_lower", "t4_upper", "strong_backflow")
+FLAG_COLUMNS = tuple(f"{w}_violated" for w in WITNESS_NAMES)
+CELL_OUTPUTS = (
+    "Q", "Q_tpm", "Q_back", "Q_direct", "min_pw", "negativity", "min_pt_eig",
+    "chi_bar", "xft_lhs", "avg_delta_I", "j_term",
+) + FLAG_COLUMNS + tuple(f"{w}_bound" for w in WITNESS_NAMES)
+
+AXIS_KEYS = tuple(f"sweep.axis{k}.{f}" for k in (1, 2) for f in ("name", "min", "max", "points"))
+SWEEP_KEYS = ("scenario", "outputs", *AXIS_KEYS)
+PROBE_KEYS = ("probe.i_C", "probe.i_H", "probe.eps", "probe.shots", "probe.seed")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One row of the scenario table; kinds of None are read from the config.
+
+    ``derived`` keys are computed from the key they map to when unset (see
+    ``_derive``).  ``columns`` are extra output columns copied from config keys.
+    """
+
+    state: str | None
+    unitary: str | None
+    defaults: dict
+    axes: dict[str, str]  # short axis name -> config key
+    outputs: tuple[str, ...]  # default output columns
+    derived: dict[str, str] = field(default_factory=dict)
+    columns: dict[str, str] = field(default_factory=dict)
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "experiment-time": Scenario(
+        "gamma", "xy",
+        defaults={
+            "state.beta_C": 1.13,
+            "state.beta_H": 0.9618,
+            "state.gamma": -0.19,
+            "state.E": 1.0,
+            "unitary.J": 215.1,
+            "unitary.t": 0.0,
+        },
+        axes={"t": "unitary.t"},
+        outputs=(
+            "theta", "Q", "Q_tpm", "min_pw", "negativity",
+            "t1_violated", "strong_backflow_violated", "min_pt_eig",
+        ),
+    ),
+    "qubit-theta-eta": Scenario(
+        "two-qubit", "exchange",
+        defaults={
+            "state.beta_C": 1.13,
+            "state.beta_H": 0.962,
+            "state.P00": 0.547,
+            "state.eta": 0.0,
+            "state.xi": 0.0,
+            "state.E": 1.0,
+            "unitary.theta": 0.0,
+        },
+        axes={"theta": "unitary.theta", "eta": "state.eta", "P00": "state.P00"},
+        outputs=("Q", "Q_tpm", "min_pw", "negativity", "t1_violated"),
+    ),
+    "qutrit-theta-grid": Scenario(
+        "two-qutrit", "exchange",
+        defaults={
+            "state.beta_C": 1.3,
+            "state.beta_H": 0.3,
+            "state.E1": 1.0,
+            "state.E2": 1.15,
+            "state.rho_0": 0.3,
+            "state.rho_5": 0.03,
+            "state.rho_7": 0.07,
+            "state.rho_8": 0.06,
+            "state.eta": 1.0,
+            "state.xi": 0.0,
+            "unitary.theta01": 0.0,
+            "unitary.theta02": 0.0,
+        },
+        axes={
+            "theta01": "unitary.theta01",
+            "theta02": "unitary.theta02",
+            "theta12": "unitary.theta12",
+            "eta": "state.eta",
+        },
+        outputs=(
+            "Q", "Q_tpm", "min_pw", "negativity",
+            "t3_violated", "i4_violated", "t4_lower_violated", "t4_upper_violated",
+        ),
+        derived={"unitary.theta12": "unitary.theta02"},
+    ),
+    "nonideal-eps-delta": Scenario(
+        "gamma", "perturbed-xy",
+        defaults={
+            "state.beta_C": 1.13,
+            "state.beta_H": 0.9618,
+            "state.gamma": -0.19,
+            "unitary.J": 220.0,
+            "unitary.t": 0.004,
+            "eps": 0.0,
+            "Delta": 0.0,
+        },
+        axes={"eps": "eps", "Delta": "Delta"},
+        outputs=("Q", "Q_tpm", "eps_actual", "jx", "t2_violated", "negativity"),
+        derived={"state.E_H": "Delta", "unitary.Jx": "eps"},
+        columns={"jx": "unitary.Jx", "Delta": "Delta"},
+    ),
+    "custom": Scenario(None, None, {}, {}, ("Q", "Q_tpm", "min_pw", "negativity")),
 }
 
-DEFAULT_OUTPUTS: dict[str, tuple[str, ...]] = {
-    "experiment-time": (
-        "theta", "Q", "Q_tpm", "min_pw", "negativity",
-        "t1_violated", "strong_backflow_violated", "min_pt_eig",
-    ),
-    "qubit-theta-eta": ("Q", "Q_tpm", "min_pw", "negativity", "t1_violated"),
-    "qutrit-theta-grid": (
-        "Q", "Q_tpm", "min_pw", "negativity",
-        "t3_violated", "i4_violated", "t4_lower_violated", "t4_upper_violated",
-    ),
-    "nonideal-eps-delta": ("Q", "Q_tpm", "eps_actual", "jx", "t2_violated", "negativity"),
-    "custom": ("Q", "Q_tpm", "min_pw", "negativity"),
-}
+
+def _require_known(scenario: str, what: str, names, valid, noun: str = "parameter") -> None:
+    """Raise ConfigError for the first name not in ``valid``, listing the valid ones."""
+    for name in names:
+        if name not in valid:
+            raise ConfigError(
+                f"{what} {name!r} is not a known {noun} of {scenario}; "
+                f"valid: {', '.join(sorted(valid))}"
+            )
+
+
+def _kinds(name: str, cfg: dict) -> tuple[str, str]:
+    """(state kind, unitary kind) of a config; ``_check_keys`` validates them."""
+    scenario = SCENARIOS[name]
+    return (
+        scenario.state or cfg.get("state.kind", "two-qubit"),
+        scenario.unitary or cfg.get("unitary.kind", "exchange"),
+    )
+
+
+def _check_keys(name: str, cfg: dict) -> tuple[dict[str, str], set[str]]:
+    """Reject unknown keys in ``cfg``; returns the axes (name -> key) and outputs it may name."""
+    if name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}; valid: {', '.join(SCENARIOS)}")
+    scenario = SCENARIOS[name]
+    state, unitary = _kinds(name, cfg)
+    _require_known(name, "state.kind", [state], STATE_KEYS, noun="kind")
+    _require_known(name, "unitary.kind", [unitary], UNITARY_KINDS, noun="kind")
+    unitary_keys, columns = UNITARY_KINDS[unitary]
+    if unitary == "exchange" and state == "two-qutrit":
+        unitary_keys, columns = QUTRIT_ANGLES.values(), ()
+    valid = {*SWEEP_KEYS, *PROBE_KEYS}
+    if scenario.state is None:
+        params = {*STATE_KEYS[state], *unitary_keys}
+        valid |= {"state.kind", "unitary.kind"}
+    else:
+        params = {*scenario.defaults, *scenario.axes.values()}
+    _require_known(name, "key", cfg, params | valid)
+    axes = {key: key for key in params} | scenario.axes
+    return axes, {*CELL_OUTPUTS, *columns, *scenario.columns}
 
 
 @dataclass(frozen=True)
@@ -171,17 +270,11 @@ class SweepSpec:
     outputs: tuple[str, ...]
 
     def __post_init__(self):
-        if self.scenario not in SCENARIO_DEFAULTS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not 1 <= len(self.axes) <= 2:
             raise ConfigError("a sweep needs one or two axes")
-        aliases = AXIS_ALIASES[self.scenario]
-        known = set(SCENARIO_DEFAULTS[self.scenario]) | set(self.fixed)
-        for axis in self.axes:
-            if self.scenario != "custom" and axis.name not in aliases and axis.name not in known:
-                raise ConfigError(
-                    f"axis {axis.name!r} is not a known parameter of {self.scenario}"
-                )
+        axes, outputs = _check_keys(self.scenario, self.fixed)
+        _require_known(self.scenario, "axis", [a.name for a in self.axes], axes)
+        _require_known(self.scenario, "output", self.outputs, outputs, noun="output column")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SweepSpec":
@@ -205,19 +298,11 @@ class SweepSpec:
                     raise ConfigError(f"{k} is missing {exc}") from None
         outputs_raw = cfg.pop("outputs", None)
         if outputs_raw is None:
-            outputs = DEFAULT_OUTPUTS.get(str(scenario), DEFAULT_OUTPUTS["custom"])
+            outputs = SCENARIOS.get(str(scenario), SCENARIOS["custom"]).outputs
         else:
             outputs = tuple(s.strip() for s in str(outputs_raw).split(",") if s.strip())
-        fixed = {k: v for k, v in cfg.items() if not k.startswith("sweep.")}
+        fixed = {k: v for k, v in cfg.items() if k not in AXIS_KEYS}
         return cls(scenario=str(scenario), fixed=fixed, axes=tuple(axes), outputs=outputs)
-
-    def resolved_fixed(self) -> dict:
-        params = dict(SCENARIO_DEFAULTS[self.scenario])
-        params.update(self.fixed)
-        return params
-
-    def axis_key(self, axis_name: str) -> str:
-        return AXIS_ALIASES[self.scenario].get(axis_name, axis_name)
 
 
 @dataclass
@@ -256,8 +341,6 @@ def _format_cell(value) -> str:
 
 
 def _flag(verdict) -> int:
-    if verdict is None:
-        return -2
     if not verdict.preconditions_ok:
         return -1
     return 1 if verdict.violated else 0
@@ -279,151 +362,108 @@ def _solve_jx_for_eps(j_hz: float, t: float, eps_target: float, jx_hi: float = 4
     return 0.5 * (lo + hi)
 
 
-def _build_cell(scenario: str, params: dict):
-    """Construct (system, unitary_report, cell_extras) for one grid point."""
-    extras: dict = {}
-    if scenario == "experiment-time":
-        sys = gamma_correlated_state(
-            params["state.gamma"], params["state.beta_C"], params["state.beta_H"],
-            gap=params["state.E"],
-        )
-        u = xy_exchange_unitary(params["unitary.J"], params["unitary.t"], gap=params["state.E"])
-        extras["theta"] = rotation_angle(u)
-    elif scenario == "qubit-theta-eta":
-        sys = two_qubit_state(
-            TwoQubitParams(
-                beta_c=params["state.beta_C"],
-                beta_h=params["state.beta_H"],
-                p00=params["state.P00"],
-                eta=params["state.eta"],
-                xi=params["state.xi"],
-                gap=params["state.E"],
-            )
-        )
-        u = two_qubit_exchange_unitary(params["unitary.theta"], gap=params["state.E"])
-        extras["theta"] = params["unitary.theta"]
-    elif scenario == "qutrit-theta-grid":
-        eta = params["state.eta"]
-        xi = params["state.xi"]
-        sys = two_qutrit_state(
-            QutritStateParams(
-                beta_c=params["state.beta_C"],
-                beta_h=params["state.beta_H"],
-                e1=params["state.E1"],
-                e2=params["state.E2"],
-                rho_0=params["state.rho_0"],
-                rho_5=params["state.rho_5"],
-                rho_7=params["state.rho_7"],
-                rho_8=params["state.rho_8"],
-                eta_13=eta, eta_26=eta, eta_57=eta,
-                xi_13=xi, xi_26=xi, xi_57=xi,
-            )
-        )
-        theta12 = params.get("unitary.theta12", params["unitary.theta02"])
-        rots = [
-            ManifoldRotation((0, 1), params["unitary.theta01"]),
-            ManifoldRotation((0, 2), params["unitary.theta02"]),
-            ManifoldRotation((1, 2), theta12),
-        ]
-        u = energy_preserving_unitary(sys.spectrum_c, rots)
-    elif scenario == "nonideal-eps-delta":
-        delta = params["Delta"]
-        if not 0.0 <= delta < 1.0:
-            raise ConfigError(f"Delta must lie in [0, 1), got {delta}")
-        gap_h = (1.0 + delta) / (1.0 - delta)
-        sys = gamma_correlated_state(
-            params["state.gamma"], params["state.beta_C"], params["state.beta_H"],
-            gap=1.0, gap_h=gap_h,
-        )
-        jx = _solve_jx_for_eps(params["unitary.J"], params["unitary.t"], params["eps"])
-        u = perturbed_xy_unitary(params["unitary.J"], jx, params["unitary.t"])
-        extras["jx"] = jx
-        extras["eps_actual"] = u.epsilon if u.epsilon is not None else 0.0
-        extras["Delta"] = delta
-    elif scenario == "custom":
-        sys, u, extras = _build_custom(params)
-    else:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    return sys, u, extras
+def _derive(scenario: Scenario, params: dict, prefix: str) -> None:
+    """Fill in the unset derived keys that start with ``prefix``."""
+    for key, source in scenario.derived.items():
+        if not key.startswith(prefix) or key in params:
+            continue
+        value = params[source]
+        if key == "state.E_H":  # relative detuning -> hot gap
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"Delta must lie in [0, 1), got {value}")
+            value = (1.0 + value) / (1.0 - value)
+        elif key == "unitary.Jx":  # unitary distance -> perturbation strength
+            value = _solve_jx_for_eps(params["unitary.J"], params["unitary.t"], value)
+        params[key] = value
 
 
-def _build_custom(params: dict):
-    extras: dict = {}
-    kind = params.get("state.kind", "two-qubit")
-    if kind == "two-qubit":
-        sys = two_qubit_state(
-            TwoQubitParams(
-                beta_c=params["state.beta_C"],
-                beta_h=params["state.beta_H"],
-                p00=params["state.P00"],
-                eta=params.get("state.eta", 0.0),
-                xi=params.get("state.xi", 0.0),
-                gap=params.get("state.E", 1.0),
-            )
-        )
-    elif kind == "gamma":
-        sys = gamma_correlated_state(
+def _build_state(kind: str, params: dict) -> BipartiteSystem:
+    """The state of one kind; unset optional keys take the defaults below."""
+    if kind == "gamma":
+        return gamma_correlated_state(
             params["state.gamma"], params["state.beta_C"], params["state.beta_H"],
             gap=params.get("state.E", 1.0), gap_h=params.get("state.E_H"),
         )
-    elif kind == "two-qutrit":
-        sys = two_qutrit_state(
-            QutritStateParams(
+    eta = params.get("state.eta", 0.0)
+    xi = params.get("state.xi", 0.0)
+    if kind == "two-qubit":
+        return two_qubit_state(
+            TwoQubitParams(
                 beta_c=params["state.beta_C"],
                 beta_h=params["state.beta_H"],
-                e1=params.get("state.E1", 1.0),
-                e2=params.get("state.E2", 1.15),
-                rho_0=params["state.rho_0"],
-                rho_5=params["state.rho_5"],
-                rho_7=params["state.rho_7"],
-                rho_8=params["state.rho_8"],
-                eta_13=params.get("state.eta_13", params.get("state.eta", 0.0)),
-                eta_26=params.get("state.eta_26", params.get("state.eta", 0.0)),
-                eta_57=params.get("state.eta_57", params.get("state.eta", 0.0)),
-                xi_13=params.get("state.xi_13", params.get("state.xi", 0.0)),
-                xi_26=params.get("state.xi_26", params.get("state.xi", 0.0)),
-                xi_57=params.get("state.xi_57", params.get("state.xi", 0.0)),
-            )
-        )
-    else:
-        raise ConfigError(f"unknown state.kind {kind!r}")
-
-    ukind = params.get("unitary.kind", "exchange")
-    if ukind == "exchange":
-        if sys.d_c == 2:
-            u = two_qubit_exchange_unitary(
-                params["unitary.theta"],
-                kappa=params.get("unitary.kappa", 0.0),
-                lam=params.get("unitary.lam", 0.0),
-                phi=params.get("unitary.phi", 0.0),
+                p00=params["state.P00"],
+                eta=eta,
+                xi=xi,
                 gap=params.get("state.E", 1.0),
             )
-            extras["theta"] = params["unitary.theta"]
-        else:
-            rots = []
-            d = sys.d_c
-            for n in range(d):
-                for m in range(n + 1, d):
-                    key = f"unitary.theta{n}{m}"
-                    if key in params:
-                        rots.append(ManifoldRotation((n, m), params[key]))
-            u = energy_preserving_unitary(sys.spectrum_c, rots)
-    elif ukind == "xy":
-        u = xy_exchange_unitary(params["unitary.J"], params["unitary.t"])
-        extras["theta"] = rotation_angle(u)
-    elif ukind == "perturbed-xy":
+        )
+    return two_qutrit_state(
+        QutritStateParams(
+            beta_c=params["state.beta_C"],
+            beta_h=params["state.beta_H"],
+            e1=params.get("state.E1", 1.0),
+            e2=params.get("state.E2", 1.15),
+            rho_0=params["state.rho_0"],
+            rho_5=params["state.rho_5"],
+            rho_7=params["state.rho_7"],
+            rho_8=params["state.rho_8"],
+            eta_13=params.get("state.eta_13", eta),
+            eta_26=params.get("state.eta_26", eta),
+            eta_57=params.get("state.eta_57", eta),
+            xi_13=params.get("state.xi_13", xi),
+            xi_26=params.get("state.xi_26", xi),
+            xi_57=params.get("state.xi_57", xi),
+        )
+    )
+
+
+def _build_unitary(kind: str, params: dict, sys: BipartiteSystem):
+    """(unitary report, extra output columns) of one kind acting on ``sys``."""
+    if kind == "xy":
+        u = xy_exchange_unitary(
+            params["unitary.J"], params["unitary.t"], gap=params.get("state.E", 1.0)
+        )
+        return u, {"theta": rotation_angle(u)}
+    if kind == "perturbed-xy":
         u = perturbed_xy_unitary(
             params["unitary.J"], params.get("unitary.Jx", 0.0), params["unitary.t"]
         )
-        extras["eps_actual"] = u.epsilon if u.epsilon is not None else 0.0
-    else:
-        raise ConfigError(f"unknown unitary.kind {ukind!r}")
+        return u, {"eps_actual": u.epsilon}
+    if sys.d_c == 2:
+        u = two_qubit_exchange_unitary(
+            params["unitary.theta"],
+            kappa=params.get("unitary.kappa", 0.0),
+            lam=params.get("unitary.lam", 0.0),
+            phi=params.get("unitary.phi", 0.0),
+            gap=params.get("state.E", 1.0),
+        )
+        return u, {"theta": params["unitary.theta"]}
+    rots = [
+        ManifoldRotation(pair, params[key]) for pair, key in QUTRIT_ANGLES.items() if key in params
+    ]
+    return energy_preserving_unitary(sys.spectrum_c, rots), {}
+
+
+def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
+    """Construct (system, unitary_report, cell_extras) for one grid point."""
+    row = SCENARIOS[scenario]
+    state, unitary = kinds
+    params = dict(params)
+    _derive(row, params, "state.")
+    sys = _build_state(state, params)
+    _derive(row, params, "unitary.")  # after the state: infeasible cells skip the J_x solve
+    u, extras = _build_unitary(unitary, params, sys)
+    extras.update((column, params[key]) for column, key in row.columns.items())
     return sys, u, extras
 
 
-def evaluate_cell(sys: BipartiteSystem, u, params: dict, extras: dict | None = None) -> dict:
-    """All derived quantities and verdict flags for one (state, protocol) cell."""
+def evaluate_cell(sys: BipartiteSystem, u, extras: dict | None = None) -> dict:
+    """All derived quantities and verdict flags for one (state, protocol) cell.
+
+    A witness that does not apply to the cell is flagged -1 with no bound.
+    """
     row: dict = dict(extras or {})
+    row.update(dict.fromkeys(FLAG_COLUMNS, -1))
     beta_c, beta_h = sys.beta_c, sys.beta_h
     mh = mh_distribution(sys, u)
     tpm = tpm_distribution(sys, u)
@@ -440,10 +480,8 @@ def evaluate_cell(sys: BipartiteSystem, u, params: dict, extras: dict | None = N
         min_pt_eig=min_partial_transpose_eigenvalue(sys),
     )
 
-    resonant_qubits = (
-        sys.dims == (2, 2) and sys.spectrum_c == sys.spectrum_h
-    )
-    if resonant_qubits and beta_c is not None and beta_c != beta_h:
+    unequal_betas = beta_c is not None and beta_h is not None and beta_c != beta_h
+    if unequal_betas and sys.dims == (2, 2) and sys.spectrum_c == sys.spectrum_h:
         v1 = two_qubit_flow_witness(
             q, q_tpm, beta_c, beta_h,
             gap=sys.spectrum_c.levels[1], commutator_norm=u.commutator_norm,
@@ -451,7 +489,7 @@ def evaluate_cell(sys: BipartiteSystem, u, params: dict, extras: dict | None = N
         row["t1_violated"] = _flag(v1)
         row["t1_bound"] = v1.bound
 
-    if "eps_actual" in row and beta_c is not None and beta_c != beta_h:
+    if unequal_betas and "eps_actual" in row:
         v2 = nonideal_flow_witness(
             q, q_tpm, beta_c, beta_h,
             e_c=sys.spectrum_c.levels[1], e_h=sys.spectrum_h.levels[1],
@@ -460,7 +498,7 @@ def evaluate_cell(sys: BipartiteSystem, u, params: dict, extras: dict | None = N
         row["t2_violated"] = _flag(v2)
         row["t2_bound"] = v2.bound
 
-    if beta_c is not None and beta_h is not None and beta_c != beta_h:
+    if unequal_betas:
         try:
             chi = xft_coherence_term(sys, u)
             xft = xft_average(mh, sys).with_chi(chi)
@@ -492,47 +530,31 @@ def evaluate_cell(sys: BipartiteSystem, u, params: dict, extras: dict | None = N
             row["t4_lower_bound"] = lower.bound
             row["t4_upper_bound"] = upper.bound
         except ValueError:
-            row["t4_lower_violated"] = -2
-            row["t4_upper_violated"] = -2
+            row["t4_lower_violated"] = row["t4_upper_violated"] = -2
     return row
 
 
-def _infeasible_row(reason: str) -> dict:
-    return {"status": f"infeasible:{reason}"}
-
-
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid cell; rows are ordered by grid index."""
-    params_base = spec.resolved_fixed()
-    axes_values = [axis.values() for axis in spec.axes]
-    grid: list[tuple] = []
-    if len(axes_values) == 1:
-        grid = [(v,) for v in axes_values[0]]
-    else:
-        grid = [(a, b) for a in axes_values[0] for b in axes_values[1]]
-
-    def one(cell_values: tuple) -> dict:
+    scenario = SCENARIOS[spec.scenario]
+    params_base = {**scenario.defaults, **spec.fixed}
+    kinds = _kinds(spec.scenario, params_base)
+    keys = [scenario.axes.get(axis.name, axis.name) for axis in spec.axes]
+    rows = []
+    for cell in itertools.product(*(axis.values() for axis in spec.axes)):
         params = dict(params_base)
-        for axis, value in zip(spec.axes, cell_values):
-            params[spec.axis_key(axis.name)] = float(value)
-        row = {axis.name: float(v) for axis, v in zip(spec.axes, cell_values)}
+        row = {}
+        for axis, key, value in zip(spec.axes, keys, cell):
+            params[key] = row[axis.name] = float(value)
         try:
-            sys, u, extras = _build_cell(spec.scenario, params)
-            row.update(evaluate_cell(sys, u, params, extras))
+            sys, u, extras = _build_cell(spec.scenario, kinds, params)
+            row.update(evaluate_cell(sys, u, extras))
             row["status"] = "ok"
         except InfeasibleStateError as exc:
-            row.update(_infeasible_row(exc.constraint))
-        return row
+            row["status"] = f"infeasible:{exc.constraint}"
+        rows.append(row)
 
-    if threads is None:
-        threads = int(os.environ.get("QHEATFLOW_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(cell) for cell in grid]
-
-    infeasible = sum(1 for r in rows if r.get("status", "").startswith("infeasible"))
+    infeasible = sum(1 for r in rows if r["status"].startswith("infeasible"))
     columns = tuple(a.name for a in spec.axes) + tuple(spec.outputs) + ("status",)
     meta = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -547,7 +569,6 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
 class PointReport:
     """Everything the single-point analysis produces."""
 
-    config: dict
     system: BipartiteSystem
     row: dict
     mh_csv: str
@@ -556,6 +577,7 @@ class PointReport:
     probe_eps: float
     probe_values: np.ndarray
     probe_stderr: np.ndarray | None
+    probe_csv: str
     marginal_deviation: float
 
     def render(self) -> str:
@@ -575,14 +597,14 @@ class PointReport:
         ):
             if key in self.row:
                 lines.append(f"{key}: {self.row[key]:.12g}")
-        for key in sorted(self.row):
-            if key.endswith("_violated"):
-                flag = {1: "VIOLATED", 0: "satisfied", -1: "precondition failed", -2: "not evaluable"}[
-                    self.row[key]
-                ]
-                bound_key = key.replace("_violated", "_bound")
-                extra = f" (bound {self.row[bound_key]:.6g})" if bound_key in self.row else ""
-                lines.append(f"{key[:-9]}: {flag}{extra}")
+        for key in sorted(FLAG_COLUMNS):
+            flag = {
+                1: "VIOLATED", 0: "satisfied",
+                -1: "not applicable or precondition failed", -2: "not evaluable",
+            }[self.row[key]]
+            bound_key = key.replace("_violated", "_bound")
+            extra = f" (bound {self.row[bound_key]:.6g})" if bound_key in self.row else ""
+            lines.append(f"{key[:-9]}: {flag}{extra}")
         lines.append(
             f"probe reconstruction at target {self.probe_target}, eps={self.probe_eps:g}:"
         )
@@ -595,20 +617,18 @@ class PointReport:
 def analyze_point(cfg: dict) -> PointReport:
     """Evaluate a single fully-specified configuration.
 
-    Raises InfeasibleStateError when the state cannot be constructed (the
-    CLI maps that to exit code 2).
+    Sweep keys (axes, outputs) are accepted and ignored.  Raises
+    InfeasibleStateError when the state cannot be constructed (the CLI
+    maps that to exit code 2).
     """
     scenario = cfg.get("scenario", "custom")
-    if scenario not in SCENARIO_DEFAULTS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    params = dict(SCENARIO_DEFAULTS[scenario])
-    params.update({k: v for k, v in cfg.items() if k != "scenario"})
-    sys, u, extras = _build_cell(scenario, params)
-    params["scenario"] = scenario
-    row = evaluate_cell(sys, u, params, extras)
+    given = {k: v for k, v in cfg.items() if k not in SWEEP_KEYS}
+    _check_keys(scenario, given)
+    params = {**SCENARIOS[scenario].defaults, **given}
+    sys, u, extras = _build_cell(scenario, _kinds(scenario, params), params)
+    row = evaluate_cell(sys, u, extras)
     mh = mh_distribution(sys, u)
     tpm = tpm_distribution(sys, u)
-    from .fluctuations import marginal_check  # local to avoid cycle at import time
 
     target = (
         int(params.get("probe.i_C", 0)),
@@ -623,7 +643,6 @@ def analyze_point(cfg: dict) -> PointReport:
     else:
         probe_values, probe_stderr = reconstruct_quasiprobability(stats), None
     return PointReport(
-        config=params,
         system=sys,
         row=row,
         mh_csv=mh.to_csv(),
@@ -632,29 +651,24 @@ def analyze_point(cfg: dict) -> PointReport:
         probe_eps=eps,
         probe_values=probe_values,
         probe_stderr=probe_stderr,
+        probe_csv=probe_row_csv(stats, probe_values, probe_stderr),
         marginal_deviation=marginal_check(mh, sys, u),
     )
 
 
-def probe_row_csv(
-    sys: BipartiteSystem, u, target: tuple[int, int], eps: float, shots: int = 0, seed: int = 7
-) -> str:
-    """Targeted-row reconstruction in the transition-table CSV schema."""
-    stats = probe_statistics(sys, u, target, eps)
-    if shots > 0:
-        sampled = sampled_reconstruction(stats, shots, seed)
-        values, stderr = sampled.values, sampled.stderr
-    else:
-        values, stderr = reconstruct_quasiprobability(stats), np.zeros_like(stats.q_plus)
-    i_c, i_h = target
+def probe_row_csv(stats, values: np.ndarray, stderr: np.ndarray | None = None) -> str:
+    """Targeted-row reconstruction from ``probe_statistics`` output, in the
+    transition-table CSV schema; a shot-free reconstruction has no stderr (0)."""
+    if stderr is None:
+        stderr = np.zeros_like(values)
+    i_c, i_h = stats.target
     buf = io.StringIO()
     buf.write("i_C,i_H,f_C,f_H,value,dE_C,dE_H,stderr\n")
-    for f_c in range(values.shape[0]):
-        for f_h in range(values.shape[1]):
-            de_c = stats.energies_c[i_c] - stats.energies_c[f_c]
-            de_h = stats.energies_h[i_h] - stats.energies_h[f_h]
-            buf.write(
-                f"{i_c},{i_h},{f_c},{f_h},{values[f_c, f_h]:.17g},"
-                f"{de_c:.17g},{de_h:.17g},{stderr[f_c, f_h]:.17g}\n"
-            )
+    for f_c, f_h in np.ndindex(values.shape):
+        de_c = stats.energies_c[i_c] - stats.energies_c[f_c]
+        de_h = stats.energies_h[i_h] - stats.energies_h[f_h]
+        buf.write(
+            f"{i_c},{i_h},{f_c},{f_h},{values[f_c, f_h]:.17g},"
+            f"{de_c:.17g},{de_h:.17g},{stderr[f_c, f_h]:.17g}\n"
+        )
     return buf.getvalue()

@@ -1,5 +1,6 @@
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ import pytest
 import qheatflow.fluctuations as fluct
 import qheatflow.properties as properties
 from qheatflow.cli import main as cli_main
-from qheatflow.config import ConfigError, apply_overrides, parse_config
+from qheatflow.config import ConfigError, apply_overrides, load_config, parse_config
 from qheatflow.fluctuations import TransitionTable
 from qheatflow.sweeps import SweepSpec, analyze_point, run_sweep
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _spec(text: str) -> SweepSpec:
@@ -152,16 +156,31 @@ def test_infeasible_cells_are_status_coded_not_dropped():
     assert {r["status"] for r in bad} == {"infeasible:eta_cap"}
 
 
-def test_sweep_determinism_and_thread_independence():
+def test_sweep_determinism():
     spec = _spec(EXPERIMENT_CFG)
-    a = run_sweep(spec, threads=1).to_csv()
-    b = run_sweep(spec, threads=1).to_csv()
-    c = run_sweep(spec, threads=4).to_csv()
+    a = run_sweep(spec).to_csv()
+    b = run_sweep(spec).to_csv()
 
     def strip_timestamp(text):
         return [l for l in text.splitlines() if not l.startswith("# timestamp")]
 
-    assert strip_timestamp(a) == strip_timestamp(b) == strip_timestamp(c)
+    assert strip_timestamp(a) == strip_timestamp(b)
+
+
+def test_inapplicable_witnesses_are_flagged_not_nan():
+    # equal temperatures: no witness with a 1/dBeta bound applies
+    equal_betas = _rows(run_sweep(_spec(
+        EXPERIMENT_CFG + "state.beta_H = 1.13\nstate.gamma = -0.05\noutputs = t1_violated,t1_bound,"
+        "strong_backflow_violated,strong_backflow_bound\n"
+    )))
+    # T1 needs a resonant qubit pair
+    qutrit = _rows(run_sweep(_spec(QUTRIT_CFG + "outputs = t1_violated,t4_lower_violated\n")))
+    assert all(r["status"] == "ok" for r in equal_betas + qutrit)
+    for r in equal_betas:
+        assert r["t1_violated"] == r["strong_backflow_violated"] == "-1"
+        assert r["t1_bound"] == r["strong_backflow_bound"] == "nan"
+    assert all(r["t1_violated"] == "-1" for r in qutrit)
+    assert {r["t4_lower_violated"] for r in qutrit} <= {"0", "1"}
 
 
 def test_csv_headers_and_metadata_block():
@@ -283,6 +302,66 @@ def test_cli_point_writes_tables(tmp_path, capsys):
         assert (tmp_path / ("pt" + suffix)).exists()
     probe_lines = (tmp_path / "pt_probe.csv").read_text().splitlines()
     assert probe_lines[0] == "i_C,i_H,f_C,f_H,value,dE_C,dE_H,stderr"
+
+
+CUSTOM_CFG = """
+scenario = custom
+state.kind = two-qubit
+state.beta_C = 1.13
+state.beta_H = 0.962
+state.P00 = 0.547
+unitary.theta = 0.5
+sweep.axis1.name = state.eta
+sweep.axis1.min = -0.1
+sweep.axis1.max = 0.1
+sweep.axis1.points = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "text, overrides, named, valid",
+    [
+        (EXPERIMENT_CFG, ["outputs=Q,Qtmp"], "Qtmp", "Q_tpm"),
+        (EXPERIMENT_CFG, ["state.bogus=1"], "state.bogus", "state.gamma"),
+        (EXPERIMENT_CFG, ["state.E_H=1.2"], "state.E_H", "state.E"),
+        (QUTRIT_CFG, ["state.eta_13=0.5"], "state.eta_13", "state.eta"),
+        (EXPERIMENT_CFG, ["sweep.axis3.name=state.gamma"], "sweep.axis3.name", "unitary.t"),
+        (CUSTOM_CFG, ["sweep.axis1.name=unitary.thetaa"], "unitary.thetaa", "unitary.theta"),
+        (CUSTOM_CFG, ["unitary.kind=swap"], "swap", "perturbed-xy"),
+    ],
+    ids=["output", "key", "gamma-key", "qutrit-key", "axis3", "custom-axis", "kind"],
+)
+def test_cli_rejects_unknown_names(tmp_path, capsys, text, overrides, named, valid):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    argv = ["sweep", str(cfg)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert repr(named) in err
+    assert valid in [name.strip() for name in err.split("valid:")[1].split(",")]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_run_with_honest_flags(tmp_path, path):
+    cfg = load_config(str(path))
+    if "sweep.axis1.name" not in cfg:
+        assert cli_main(["point", str(path), "--out", str(tmp_path / "pt")]) == 0
+        return
+    out = tmp_path / "out.csv"
+    argv = ["sweep", str(path), "--out", str(out)]
+    for k in (1, 2):
+        if f"sweep.axis{k}.name" in cfg:
+            argv += ["--set", f"sweep.axis{k}.points=3"]
+    assert cli_main(argv) == 0
+    rows = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+    requested = [c for c in rows[0] if c != "status"]
+    ok = [r for r in rows if r["status"] == "ok"]
+    assert ok
+    for r in ok:
+        assert all(r[c] != "nan" for c in requested)
+        assert all(r[c] in {"1", "0", "-1", "-2"} for c in requested if c.endswith("_violated"))
 
 
 def test_cli_check_passes_and_is_seed_stable(capsys):
