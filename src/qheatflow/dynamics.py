@@ -74,10 +74,13 @@ def commutator_norm(u, h_total: np.ndarray) -> float:
     return spectral_norm(u @ h_total - h_total @ u)
 
 
-def _total_hamiltonian(spectrum: EnergySpectrum) -> np.ndarray:
-    h = spectrum.hamiltonian()
-    eye = np.eye(spectrum.dim)
-    return kron(h, eye) + kron(eye, h)
+def _total_hamiltonian(
+    spectrum: EnergySpectrum, spectrum_h: EnergySpectrum | None = None
+) -> np.ndarray:
+    """H_C + H_H; the hot spectrum defaults to the cold one."""
+    h_c = spectrum.hamiltonian()
+    h_h = h_c if spectrum_h is None else spectrum_h.hamiltonian()
+    return kron(h_c, np.eye(h_h.shape[0])) + kron(np.eye(h_c.shape[0]), h_h)
 
 
 def energy_preserving_unitary(
@@ -142,23 +145,42 @@ def xy_exchange_unitary(j_hz: float, t: float, gap: float = 1.0) -> UnitaryRepor
     return UnitaryReport(u, cnorm)
 
 
+def _xy_perturbation(j_hz: float, t: float):
+    """J_x -> (U, epsilon) for the XY coupling J plus J_x sigma_x sigma_x.
+
+    U = exp(-i (H_xy + J_x sigma_x sigma_x) t) and epsilon = ||U - U_ref||
+    with U_ref the J_x = 0 unitary.  H_xy and U_ref are built once, so
+    repeated evaluations (the J_x bisection) cost one exponential each.
+    """
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    h_xy = _xy_hamiltonian(j_hz)
+    xx = kron(SIGMA_X, SIGMA_X)
+    u_ref = matrix_exp(-1j * h_xy * t)
+
+    def perturbed(j_x: float) -> tuple[np.ndarray, float]:
+        u = matrix_exp(-1j * (h_xy + j_x * xx) * t)
+        return u, spectral_norm(u - u_ref)
+
+    return perturbed
+
+
 def perturbed_xy_unitary(
-    j_hz: float, j_x: float, t: float, gap: float = 1.0
+    j_hz: float, j_x: float, t: float, gap: float = 1.0, gap_h: float | None = None
 ) -> UnitaryReport:
     """XY coupling plus a J_x sigma_x sigma_x term that injects work.
 
     epsilon is the spectral-norm distance to the unperturbed member of
     the same family (the J_x = 0 unitary), which is the explicit
     energy-preserving reference used by the nonideal witness.
+    ``commutator_norm`` is taken against H_C + H_H with gaps ``gap`` and
+    ``gap_h`` (default: ``gap``).
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    h = _xy_hamiltonian(j_hz) + j_x * kron(SIGMA_X, SIGMA_X)
-    u = matrix_exp(-1j * h * t)
-    u_ref = matrix_exp(-1j * _xy_hamiltonian(j_hz) * t)
-    eps = spectral_norm(u - u_ref)
-    cnorm = commutator_norm(u, _total_hamiltonian(EnergySpectrum.two_level(gap)))
-    return UnitaryReport(u, cnorm, epsilon=eps)
+    u, eps = _xy_perturbation(j_hz, t)(j_x)
+    h_total = _total_hamiltonian(
+        EnergySpectrum.two_level(gap), EnergySpectrum.two_level(gap if gap_h is None else gap_h)
+    )
+    return UnitaryReport(u, commutator_norm(u, h_total), epsilon=eps)
 
 
 def rotation_angle(u) -> float:

@@ -13,7 +13,6 @@ dense and double precision.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-10
 
@@ -91,7 +90,8 @@ def matrix_exp(m) -> np.ndarray:
 
     Hermitian and anti-Hermitian generators (every use in this package is
     exp(-i H t) with H Hermitian) go through an eigendecomposition; any
-    other square input falls back to scipy's expm.
+    other square input falls back to scipy's expm, imported only then
+    (importing scipy costs more than the rest of the package).
     """
     m = _square(m)
     if hermiticity_defect(m) <= HERMITICITY_TOL:
@@ -101,4 +101,6 @@ def matrix_exp(m) -> np.ndarray:
     if hermiticity_defect(k) <= HERMITICITY_TOL:
         w, v = np.linalg.eigh(0.5 * (k + k.conj().T))
         return (v * np.exp(-1j * w)) @ v.conj().T
+    import scipy.linalg
+
     return scipy.linalg.expm(m)

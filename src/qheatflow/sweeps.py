@@ -36,6 +36,7 @@ from . import __version__
 from .config import ConfigError, format_config
 from .dynamics import (
     ManifoldRotation,
+    _xy_perturbation,
     energy_preserving_unitary,
     perturbed_xy_unitary,
     rotation_angle,
@@ -347,23 +348,32 @@ def _flag(verdict) -> int:
 
 
 def _solve_jx_for_eps(j_hz: float, t: float, eps_target: float, jx_hi: float = 4000.0) -> float:
-    """Invert eps(J_x) for the perturbed XY family by bisection."""
+    """Invert eps(J_x) for the perturbed XY family by bisection.
+
+    eps(J_x) is the ``epsilon`` of ``perturbed_xy_unitary`` (one shared
+    code path), evaluated without building a report per step.
+    """
     if eps_target <= 0.0:
         return 0.0
-    if perturbed_xy_unitary(j_hz, jx_hi, t).epsilon < eps_target:
+    perturbed = _xy_perturbation(j_hz, t)
+    if perturbed(jx_hi)[1] < eps_target:
         raise ConfigError(f"eps = {eps_target} not reachable below J_x = {jx_hi}")
     lo, hi = 0.0, jx_hi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if perturbed_xy_unitary(j_hz, mid, t).epsilon < eps_target:
+        if perturbed(mid)[1] < eps_target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _derive(scenario: Scenario, params: dict, prefix: str) -> None:
-    """Fill in the unset derived keys that start with ``prefix``."""
+def _derive(scenario: Scenario, params: dict, prefix: str, solved_jx: dict) -> None:
+    """Fill in the unset derived keys that start with ``prefix``.
+
+    ``solved_jx`` memoises J_x by (J, t, eps); its owner decides how long
+    a solve is reused (one sweep).
+    """
     for key, source in scenario.derived.items():
         if not key.startswith(prefix) or key in params:
             continue
@@ -373,7 +383,10 @@ def _derive(scenario: Scenario, params: dict, prefix: str) -> None:
                 raise ConfigError(f"Delta must lie in [0, 1), got {value}")
             value = (1.0 + value) / (1.0 - value)
         elif key == "unitary.Jx":  # unitary distance -> perturbation strength
-            value = _solve_jx_for_eps(params["unitary.J"], params["unitary.t"], value)
+            args = (params["unitary.J"], params["unitary.t"], value)
+            if args not in solved_jx:
+                solved_jx[args] = _solve_jx_for_eps(*args)
+            value = solved_jx[args]
         params[key] = value
 
 
@@ -426,7 +439,8 @@ def _build_unitary(kind: str, params: dict, sys: BipartiteSystem):
         return u, {"theta": rotation_angle(u)}
     if kind == "perturbed-xy":
         u = perturbed_xy_unitary(
-            params["unitary.J"], params.get("unitary.Jx", 0.0), params["unitary.t"]
+            params["unitary.J"], params.get("unitary.Jx", 0.0), params["unitary.t"],
+            gap=sys.spectrum_c.levels[1], gap_h=sys.spectrum_h.levels[1],
         )
         return u, {"eps_actual": u.epsilon}
     if sys.d_c == 2:
@@ -444,14 +458,18 @@ def _build_unitary(kind: str, params: dict, sys: BipartiteSystem):
     return energy_preserving_unitary(sys.spectrum_c, rots), {}
 
 
-def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
-    """Construct (system, unitary_report, cell_extras) for one grid point."""
+def _build_cell(scenario: str, kinds: tuple[str, str], params: dict, solved_jx: dict):
+    """Construct (system, unitary_report, cell_extras) for one grid point.
+
+    ``solved_jx`` is the J_x memo of ``_derive``.
+    """
     row = SCENARIOS[scenario]
     state, unitary = kinds
     params = dict(params)
-    _derive(row, params, "state.")
+    _derive(row, params, "state.", solved_jx)
     sys = _build_state(state, params)
-    _derive(row, params, "unitary.")  # after the state: infeasible cells skip the J_x solve
+    # after the state: infeasible cells skip the J_x solve
+    _derive(row, params, "unitary.", solved_jx)
     u, extras = _build_unitary(unitary, params, sys)
     extras.update((column, params[key]) for column, key in row.columns.items())
     return sys, u, extras
@@ -540,6 +558,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     params_base = {**scenario.defaults, **spec.fixed}
     kinds = _kinds(spec.scenario, params_base)
     keys = [scenario.axes.get(axis.name, axis.name) for axis in spec.axes]
+    solved_jx: dict = {}  # one J_x solve per distinct (J, t, eps) of this sweep
     rows = []
     for cell in itertools.product(*(axis.values() for axis in spec.axes)):
         params = dict(params_base)
@@ -547,7 +566,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for axis, key, value in zip(spec.axes, keys, cell):
             params[key] = row[axis.name] = float(value)
         try:
-            sys, u, extras = _build_cell(spec.scenario, kinds, params)
+            sys, u, extras = _build_cell(spec.scenario, kinds, params, solved_jx)
             row.update(evaluate_cell(sys, u, extras))
             row["status"] = "ok"
         except InfeasibleStateError as exc:
@@ -625,7 +644,7 @@ def analyze_point(cfg: dict) -> PointReport:
     given = {k: v for k, v in cfg.items() if k not in SWEEP_KEYS}
     _check_keys(scenario, given)
     params = {**SCENARIOS[scenario].defaults, **given}
-    sys, u, extras = _build_cell(scenario, _kinds(scenario, params), params)
+    sys, u, extras = _build_cell(scenario, _kinds(scenario, params), params, {})
     row = evaluate_cell(sys, u, extras)
     mh = mh_distribution(sys, u)
     tpm = tpm_distribution(sys, u)

@@ -181,3 +181,16 @@ def test_perturbed_commutator_strictly_positive():
 
 def test_perturbation_operator_norm_is_one():
     assert spectral_norm(kron(SIGMA_X, SIGMA_X)) == pytest.approx(1.0)
+
+
+def test_perturbed_commutator_uses_both_gaps_on_detuned_pair():
+    jx, t, e_c, e_h = 40.0, 3e-3, 1.0, 1.25
+    u = perturbed_xy_unitary(J_HZ, jx, t, gap=e_c, gap_h=e_h)
+    # C-major product basis |i_C i_H>: energies 0, E_H, E_C, E_C + E_H
+    h = np.diag([0.0, e_h, e_c, e_c + e_h]).astype(complex)
+    explicit = np.linalg.norm(u.matrix @ h - h @ u.matrix, 2)
+    assert u.commutator_norm == pytest.approx(explicit, rel=1e-12, abs=1e-12)
+    resonant = perturbed_xy_unitary(J_HZ, jx, t, gap=e_c)
+    assert abs(u.commutator_norm - resonant.commutator_norm) > 1e-3
+    same_gaps = perturbed_xy_unitary(J_HZ, jx, t, gap=e_c, gap_h=e_c)
+    assert resonant.commutator_norm == same_gaps.commutator_norm

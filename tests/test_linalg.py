@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qheatflow
 from qheatflow.linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -217,3 +223,15 @@ def test_matrix_exp_unitary_for_anti_hermitian():
 def test_matrix_exp_general_fallback():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent, not (anti-)Hermitian
     assert np.max(np.abs(matrix_exp(m) - np.array([[1.0, 1.0], [0.0, 1.0]]))) < 1e-12
+
+
+def test_import_does_not_load_scipy():
+    # scipy backs only the general matrix_exp fallback and is imported there
+    code = (
+        "import sys\n"
+        "import qheatflow, qheatflow.cli, qheatflow.sweeps, qheatflow.properties, qheatflow.probe\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported at package import'\n"
+    )
+    src = str(Path(qheatflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)

@@ -7,10 +7,12 @@ import pytest
 
 import qheatflow.fluctuations as fluct
 import qheatflow.properties as properties
+import qheatflow.sweeps as sweeps
 from qheatflow.cli import main as cli_main
 from qheatflow.config import ConfigError, apply_overrides, load_config, parse_config
+from qheatflow.dynamics import perturbed_xy_unitary
 from qheatflow.fluctuations import TransitionTable
-from qheatflow.sweeps import SweepSpec, analyze_point, run_sweep
+from qheatflow.sweeps import SweepSpec, _build_cell, _solve_jx_for_eps, analyze_point, run_sweep
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -193,6 +195,118 @@ def test_csv_headers_and_metadata_block():
     assert lines[4].startswith("# cells: 31 infeasible: 0")
     assert lines[5].split(",")[0] == "t"
     assert lines[5].split(",")[-1] == "status"
+
+
+# ---------------------------------------------------------------------------
+# nonideal J_x solve
+# ---------------------------------------------------------------------------
+
+def _reference_jx(j_hz, t, eps, jx_hi=4000.0):
+    """The bisection on full unitary reports that the solver must reproduce."""
+    if eps <= 0.0:
+        return 0.0
+    if perturbed_xy_unitary(j_hz, jx_hi, t).epsilon < eps:
+        raise ConfigError("not reachable")
+    lo, hi = 0.0, jx_hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if perturbed_xy_unitary(j_hz, mid, t).epsilon < eps:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# the shipped config, the benchmark's ~1% jitter of J and t, and larger targets
+JX_CASES = [
+    (220.0, 0.004, 1e-4),
+    (220.0, 0.004, 0.0015),
+    (217.9, 0.00396, 7.3e-4),
+    (222.1, 0.00404, 0.00149),
+    (215.1, 0.003, 0.05),
+    (220.0, 0.004, 0.9),
+]
+
+
+@pytest.mark.parametrize("j_hz,t,eps", JX_CASES)
+def test_solve_jx_matches_report_bisection_bit_for_bit(j_hz, t, eps):
+    jx = _solve_jx_for_eps(j_hz, t, eps)
+    assert jx == _reference_jx(j_hz, t, eps)
+    # eps of the returned J_x hits the target, and a billionth of J_x to
+    # either side (far above rounding noise in eps) brackets it
+    step = 1e-9 * jx
+    assert perturbed_xy_unitary(j_hz, jx - step, t).epsilon < eps
+    assert perturbed_xy_unitary(j_hz, jx + step, t).epsilon >= eps
+    assert perturbed_xy_unitary(j_hz, jx, t).epsilon == pytest.approx(eps, rel=1e-9)
+
+
+def test_solve_jx_zero_and_unreachable_targets():
+    assert _solve_jx_for_eps(220.0, 0.004, 0.0) == 0.0
+    assert _solve_jx_for_eps(220.0, 0.004, -1e-3) == 0.0
+    with pytest.raises(ConfigError, match="not reachable"):
+        _solve_jx_for_eps(220.0, 0.004, 2.5)  # eps <= 2 for any pair of unitaries
+
+
+def _nonideal_spec(**overrides) -> SweepSpec:
+    cfg = load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg"))
+    cfg.update({"sweep.axis1.points": 4, "sweep.axis2.points": 4, **overrides})
+    return SweepSpec.from_config(cfg)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = sweeps._solve_jx_for_eps
+
+    def counting(j_hz, t, eps):
+        calls.append((j_hz, t, eps))
+        return solve(j_hz, t, eps)
+
+    monkeypatch.setattr(sweeps, "_solve_jx_for_eps", counting)
+    return calls
+
+
+def test_nonideal_sweep_solves_each_eps_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    result = run_sweep(_nonideal_spec())
+    ok = [r for r in result.rows if r["status"] == "ok"]
+    assert ok and len(ok) < len(result.rows)  # Delta = 0.03 lies past the positivity edge
+    for r in ok:
+        assert r["jx"] == _solve_jx_for_eps(220.0, 0.004, r["eps"])
+    solved_eps = [eps for _, _, eps in calls]
+    assert len(solved_eps) == len(set(solved_eps))
+    assert {e for e in solved_eps if e > 0} == {r["eps"] for r in ok if r["eps"] > 0}
+    assert len({r["eps"] for r in ok if r["eps"] > 0}) == 3
+
+    calls.clear()
+    infeasible = run_sweep(_nonideal_spec(**{"sweep.axis2.min": 0.025}))
+    assert all(r["status"].startswith("infeasible") for r in infeasible.rows)
+    assert calls == []  # infeasible cells skip the solve
+
+
+def test_nonideal_jx_memo_does_not_outlive_a_sweep(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    first = run_sweep(_nonideal_spec())
+    n_first = len(calls)
+    second = run_sweep(_nonideal_spec(**{"unitary.t": 0.003}))
+    assert len(calls) == 2 * n_first
+    for a, b in zip(first.rows, second.rows):
+        if a["status"] == "ok" and a["eps"] > 0:
+            assert b["jx"] == _solve_jx_for_eps(220.0, 0.003, b["eps"]) != a["jx"]
+    run_sweep(_nonideal_spec())  # a repeated sweep solves again
+    assert len(calls) == 3 * n_first
+
+
+def test_perturbed_cell_commutator_uses_the_state_gaps():
+    params = {
+        "state.gamma": -0.1, "state.beta_C": 1.13, "state.beta_H": 0.9618,
+        "state.E": 1.0, "state.E_H": 1.05,
+        "unitary.J": 220.0, "unitary.Jx": 30.0, "unitary.t": 0.004,
+    }
+    sys, u, _ = _build_cell("custom", ("gamma", "perturbed-xy"), params, {})
+    h_c, h_h = sys.spectrum_c.hamiltonian(), sys.spectrum_h.hamiltonian()
+    h = np.kron(h_c, np.eye(2)) + np.kron(np.eye(2), h_h)
+    explicit = np.linalg.norm(u.matrix @ h - h @ u.matrix, 2)
+    assert u.commutator_norm == pytest.approx(explicit, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
