@@ -31,6 +31,15 @@ def _parse_value(raw: str):
     return text
 
 
+def integer(key: str, value) -> int:
+    """An integral config value as an int; ConfigError names ``key`` otherwise."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def parse_config(text: str) -> dict:
     """Parse config text into a flat {key: value} dict."""
     out: dict = {}

@@ -14,10 +14,19 @@ so the phase-free rotation (kappa = lam = phi = 0) is the default.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, kron, matrix_exp, spectral_norm
+from .linalg import (
+    SIGMA_X,
+    SIGMA_Y,
+    kron,
+    matrix_exp,
+    matrix_exp_stack,
+    spectral_norm,
+    spectral_norms,
+)
 from .states import EnergySpectrum
 
 UNITARITY_TOL = 1e-10
@@ -187,3 +196,75 @@ def rotation_angle(u) -> float:
     """Extract the |01>/|10> rotation angle from a two-qubit exchange unitary."""
     u = unwrap(u)
     return float(np.arctan2(np.real(u[2, 1]), np.real(u[1, 1])))
+
+
+class UnitaryStack(NamedTuple):
+    """An (n, D, D) stack of unitaries with what ``UnitaryReport`` records
+    for each: the commutator norm and, for the perturbed family, epsilon."""
+
+    matrix: np.ndarray
+    commutator_norm: np.ndarray
+    epsilon: np.ndarray | None = None
+
+
+def _stack_report(u: np.ndarray, h_total: np.ndarray, epsilon=None) -> UnitaryStack:
+    """Take each matrix's commutator norm and check it as ``UnitaryReport`` does."""
+    defect = spectral_norms(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]))
+    bad = np.flatnonzero(defect > UNITARITY_TOL)
+    if bad.size:
+        raise ValueError(f"matrix is not unitary (defect {defect[bad[0]]:.3e})")
+    return UnitaryStack(u, spectral_norms(u @ h_total - h_total @ u), epsilon)
+
+
+def exchange_unitary_stack(spectrum: EnergySpectrum, n: int, angles: dict) -> UnitaryStack:
+    """``energy_preserving_unitary`` for each of n cells.
+
+    ``angles`` maps a manifold (n, m), n < m, to per-cell arrays
+    (theta, phi, lam, kappa); every block entry is the closed form of the
+    single-cell constructor, evaluated elementwise.
+    """
+    if not spectrum.bohr_nondegenerate():
+        raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
+    d = spectrum.dim
+    u = np.zeros((n, d * d, d * d), dtype=complex)
+    u[:] = np.eye(d * d)
+    for (lo, hi), (theta, phi, lam, kappa) in angles.items():
+        if not 0 <= lo < hi < d:
+            raise ValueError(f"manifold {(lo, hi)} invalid for dimension {d}")
+        a, b = lo * d + hi, hi * d + lo
+        ct, st = np.cos(theta), np.sin(theta)
+        u[:, a, a] = np.exp(1j * (kappa + lam)) * ct
+        u[:, a, b] = -np.exp(1j * (kappa - phi)) * st
+        u[:, b, a] = np.exp(1j * (kappa + phi)) * st
+        u[:, b, b] = np.exp(1j * (kappa - lam)) * ct
+    return _stack_report(u, _total_hamiltonian(spectrum))
+
+
+def _xy_generators(j_hz: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell H_xy and t as (n, 1, 1)-broadcastable stacks; rejects t < 0."""
+    if (t < 0).any():
+        raise ValueError("time must be nonnegative")
+    return _xy_hamiltonian(j_hz[:, None, None]), t[:, None, None]
+
+
+def xy_unitary_stack(j_hz: np.ndarray, t: np.ndarray, gap: float = 1.0) -> UnitaryStack:
+    """``xy_exchange_unitary`` for per-cell arrays of J and t."""
+    h_xy, t = _xy_generators(j_hz, t)
+    u = matrix_exp_stack(-1j * h_xy * t)
+    return _stack_report(u, _total_hamiltonian(EnergySpectrum.two_level(gap)))
+
+
+def perturbed_xy_unitary_stack(
+    j_hz: np.ndarray, j_x: np.ndarray, t: np.ndarray, gap: float, gap_h: float
+) -> UnitaryStack:
+    """``perturbed_xy_unitary`` for per-cell arrays of J, J_x and t."""
+    h_xy, t = _xy_generators(j_hz, t)
+    u_ref = matrix_exp_stack(-1j * h_xy * t)
+    u = matrix_exp_stack(-1j * (h_xy + j_x[:, None, None] * kron(SIGMA_X, SIGMA_X)) * t)
+    h_total = _total_hamiltonian(EnergySpectrum.two_level(gap), EnergySpectrum.two_level(gap_h))
+    return _stack_report(u, h_total, epsilon=spectral_norms(u - u_ref))
+
+
+def rotation_angles(u: np.ndarray) -> np.ndarray:
+    """``rotation_angle`` of each matrix of an (n, 4, 4) stack."""
+    return np.arctan2(np.real(u[:, 2, 1]), np.real(u[:, 1, 1]))

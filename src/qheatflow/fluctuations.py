@@ -34,6 +34,15 @@ class DivergenceError(ValueError):
     """A fluctuation functional hit a vanishing population or domain edge."""
 
 
+def energy_changes(energies_c, energies_h) -> tuple[np.ndarray, np.ndarray]:
+    """(dE_C, dE_H) at each entry [i_C, i_H, f_C, f_H] of a transition table."""
+    ec, eh = np.asarray(energies_c), np.asarray(energies_h)
+    shape = (len(ec), len(eh)) * 2
+    de_c = ec[:, None, None, None] - ec[None, None, :, None]
+    de_h = eh[None, :, None, None] - eh[None, None, None, :]
+    return np.broadcast_to(de_c, shape), np.broadcast_to(de_h, shape)
+
+
 @dataclass(frozen=True)
 class TransitionTable:
     """Dense table of transition weights with the local spectra attached.
@@ -87,16 +96,10 @@ class TransitionTable:
         return self.values.sum(axis=(0, 1))
 
     def delta_e_c(self) -> np.ndarray:
-        ec = np.asarray(self.energies_c)
-        d_c, d_h = self.dims
-        out = ec[:, None, None, None] - ec[None, None, :, None]
-        return np.broadcast_to(out, (d_c, d_h, d_c, d_h))
+        return energy_changes(self.energies_c, self.energies_h)[0]
 
     def delta_e_h(self) -> np.ndarray:
-        eh = np.asarray(self.energies_h)
-        d_c, d_h = self.dims
-        out = eh[None, :, None, None] - eh[None, None, None, :]
-        return np.broadcast_to(out, (d_c, d_h, d_c, d_h))
+        return energy_changes(self.energies_c, self.energies_h)[1]
 
     def negative_entries(self) -> list[tuple[tuple[int, int, int, int], float]]:
         out = []
@@ -507,9 +510,9 @@ class HeatExpCorrection:
         return self.population_norm + self.coherence_norm
 
 
-def heat_exp_correction(sys: BipartiteSystem, u) -> HeatExpCorrection:
-    """J = Re tr{ U^dag (rho_C x rho_H) U (c + q) } for energy-preserving U."""
-    u = unwrap(u)
+def _correction_operators(sys: BipartiteSystem):
+    """(product populations, c, q) of the correction J; raises
+    DivergenceError when a product-marginal population vanishes."""
     pops = np.real(np.diag(sys.rho))
     pc = np.real(np.diag(sys.marginal_c()))
     ph = np.real(np.diag(sys.marginal_h()))
@@ -519,6 +522,13 @@ def heat_exp_correction(sys: BipartiteSystem, u) -> HeatExpCorrection:
     c_mat = np.diag((pops / qpop - 1.0).astype(complex))
     q_mat = np.asarray(sys.rho / qpop[:, None])
     np.fill_diagonal(q_mat, 0.0)
+    return qpop, c_mat, q_mat
+
+
+def heat_exp_correction(sys: BipartiteSystem, u) -> HeatExpCorrection:
+    """J = Re tr{ U^dag (rho_C x rho_H) U (c + q) } for energy-preserving U."""
+    u = unwrap(u)
+    qpop, c_mat, q_mat = _correction_operators(sys)
     evolved_product = u.conj().T @ (qpop[:, None] * u)
     j = float(np.real(np.trace(evolved_product @ (c_mat + q_mat))))
     return HeatExpCorrection(
@@ -544,3 +554,154 @@ def max_heat_coherence_shift(sys: BipartiteSystem) -> float:
             a, b = n * d + m, m * d + n
             total += abs(sys.rho[a, b]) * (levels[n] - levels[m])
     return float(total)
+
+
+# --- stacks of cells ------------------------------------------------------
+# The functions below evaluate one state against an (n, D, D) stack of
+# unitaries.  Each one follows its single-cell counterpart above operation
+# by operation, so every value equals the single-cell one bit for bit: an
+# elementwise op, a stacked matmul/trace and a reduction over a contiguous
+# last axis all compute per cell exactly what the single-matrix call does.
+
+
+def masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per cell k, ``x[k][mask[k]].sum()``, adding the same elements in the
+    same order; ``mask`` is one mask for every cell or one per cell.
+
+    The selected entries of a cell form one C-contiguous row, summed as
+    the 1-D selection is (``x[:, mask]`` comes out column-major and sums
+    in another order).  Per-cell masks are grouped by pattern: zero-filling
+    the unselected entries would move elements between the pairwise
+    partial sums and change the rounding.
+    """
+    n = len(x)
+    flat = x.reshape(n, -1)
+    if mask.shape == x.shape[1:]:
+        return np.compress(mask.reshape(-1), flat, axis=1).sum(axis=-1)
+    mask = mask.reshape(n, -1)
+    packed = np.packbits(mask, axis=1)
+    raw, width = packed.tobytes(), packed.shape[1]
+    groups: dict[bytes, list[int]] = {}
+    for k in range(n):
+        groups.setdefault(raw[k * width : (k + 1) * width], []).append(k)
+    out = np.empty(n)
+    for cells in groups.values():
+        out[cells] = np.compress(mask[cells[0]], flat[cells], axis=1).sum(axis=-1)
+    return out
+
+
+def table_stack(kind: str, sys: BipartiteSystem, u: np.ndarray) -> np.ndarray:
+    """MH or TPM values of each unitary of a stack, shape (n, d_C, d_H, d_C, d_H).
+
+    Every table gets ``TransitionTable``'s sum and range checks.
+    """
+    if u.shape[-1] != sys.d_c * sys.d_h:
+        raise ValueError("unitary dimension does not match the system")
+    ut = u.swapaxes(-1, -2)
+    if kind == "MH":
+        vals = np.real(ut * (sys.rho @ u.conj().swapaxes(-1, -2)))
+    else:
+        vals = np.clip((np.abs(ut) ** 2) * sys.populations()[:, None], 0.0, None)
+    vals = vals.reshape(len(u), *sys.dims, *sys.dims)
+    flat = vals.reshape(len(u), -1)
+    floor = MH_LOWER_BOUND - 1e-10 if kind == "MH" else -1e-12
+    bad = (
+        (np.abs(flat.sum(axis=-1) - 1.0) > 1e-10)
+        | (flat.min(axis=-1) < floor)
+        | (flat.max(axis=-1) > 1.0 + 1e-10)
+    )
+    if bad.any():  # raise the single-cell error of the first bad cell
+        TransitionTable(kind, vals[np.argmax(bad)], sys.spectrum_c.levels, sys.spectrum_h.levels)
+    return vals
+
+
+def table_heat_stack(values: np.ndarray, energies_c) -> np.ndarray:
+    """``table_heat`` of each table of a stack."""
+    m = values.sum(axis=(2, 4))
+    ec = np.asarray(energies_c)
+    return (m * (ec[:, None] - ec[None, :])).reshape(len(values), -1).sum(axis=-1)
+
+
+def flow_decomposition_stack(values: np.ndarray, energies_c, energies_h):
+    """(Q_back, Q_direct) of ``flow_decomposition`` for each table of a stack.
+
+    The dE_C > 0 mask depends on the spectra only, so it is the same for
+    every cell.
+    """
+    pos = np.clip(values, 0.0, None)
+    neg = np.clip(values, None, 0.0)
+    pos_rev = pos.transpose(0, 3, 4, 1, 2)
+    neg_rev = neg.transpose(0, 3, 4, 1, 2)
+    de = energy_changes(energies_c, energies_h)[0]
+    mask = de > 1e-12
+    q_back = masked_sums((pos - neg_rev) * de, mask)
+    q_direct = masked_sums((pos_rev - neg) * de, mask)
+    return q_back, q_direct
+
+
+def xft_coherence_stack(sys: BipartiteSystem, u: np.ndarray):
+    """(chi_bar, starved) of ``xft_coherence_term`` for each unitary of a stack.
+
+    ``starved`` marks the cells where the single-cell function raises
+    DivergenceError; their chi_bar is meaningless.
+    """
+    pops = sys.populations()
+    w = u.conj().swapaxes(-1, -2) @ (pops[:, None] * u)
+    num = sys.rho * w.swapaxes(-1, -2)
+    diag = np.arange(num.shape[-1])
+    num[:, diag, diag] = 0.0
+    needed = np.abs(num) > 1e-15
+    starved = (needed & (pops[:, None] <= NEGLIGIBLE_WEIGHT)).any(axis=(1, 2))
+    safe = np.where(pops > NEGLIGIBLE_WEIGHT, pops, 1.0)
+    chi = np.real(num / safe[:, None]).reshape(len(u), -1).sum(axis=-1)
+    return chi, starved
+
+
+def xft_average_stack(values: np.ndarray, sys: BipartiteSystem):
+    """(lhs, avg_delta_i, resonance_ok, divergent) of ``xft_average`` for
+    each MH table of a stack.
+
+    ``divergent`` marks the cells where the single-cell function raises
+    DivergenceError.  The |p| > 1e-12 mask differs from cell to cell, so
+    its sums go through ``masked_sums``.
+    """
+    n = len(values)
+    d_c, d_h = sys.dims
+    p = values
+    mask = np.abs(p) > NEGLIGIBLE_WEIGHT
+
+    pops = sys.populations().reshape(d_c, d_h)
+    pc = np.real(np.diag(sys.marginal_c()))
+    ph = np.real(np.diag(sys.marginal_h()))
+    needed = mask.any(axis=(3, 4)) | mask.any(axis=(1, 2))
+    divergent = (
+        (needed & (pops <= 0.0)).any(axis=(1, 2))
+        | (needed.any(axis=2) & (pc <= 0.0)).any(axis=1)
+        | (needed.any(axis=1) & (ph <= 0.0)).any(axis=1)
+    )
+    log_pop, log_pc, log_ph = (np.log(np.where(x > 0.0, x, 1.0)) for x in (pops, pc, ph))
+    info = log_pop - log_pc[:, None] - log_ph[None, :]
+
+    delta_i = info[None, None, :, :] - info[:, :, None, None]
+    de_c, de_h = energy_changes(sys.spectrum_c.levels, sys.spectrum_h.levels)
+    mismatch = np.abs(de_c + de_h)
+    energy_scale = max(1.0, max(abs(e) for e in sys.spectrum_c.levels + sys.spectrum_h.levels))
+    max_mismatch = np.where(mask, mismatch, 0.0).reshape(n, -1).max(axis=-1)
+    resonance_ok = max_mismatch <= 1e-9 * energy_scale
+
+    delta_beta = sys.beta_c - sys.beta_h
+    weight = np.exp(np.where(mask, delta_i + delta_beta * de_c, 0.0))
+    lhs = masked_sums(p * weight, mask)
+    avg_di = masked_sums(p * np.where(mask, delta_i, 0.0), mask)
+    return lhs, avg_di, resonance_ok, divergent
+
+
+def heat_exp_j_stack(sys: BipartiteSystem, u: np.ndarray) -> np.ndarray:
+    """``heat_exp_correction(sys, u).j`` for each unitary of a stack.
+
+    Raises DivergenceError, as the single-cell function does, when a
+    product-marginal population vanishes (a property of the state alone).
+    """
+    qpop, c_mat, q_mat = _correction_operators(sys)
+    evolved_product = u.conj().swapaxes(-1, -2) @ (qpop[:, None] * u)
+    return np.real(np.trace(evolved_product @ (c_mat + q_mat), axis1=-2, axis2=-1))

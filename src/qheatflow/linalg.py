@@ -104,3 +104,39 @@ def matrix_exp(m) -> np.ndarray:
     import scipy.linalg
 
     return scipy.linalg.expm(m)
+
+
+def hermiticity_defects(m: np.ndarray) -> np.ndarray:
+    """``hermiticity_defect`` of each matrix of an (n, D, D) stack."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def spectral_norms(m: np.ndarray) -> np.ndarray:
+    """``spectral_norm`` of each matrix of an (n, D, D) stack."""
+    return np.linalg.norm(m, 2, axis=(-2, -1))
+
+
+def matrix_exp_stack(m) -> np.ndarray:
+    """``matrix_exp`` of each matrix of an (n, D, D) stack.
+
+    Each matrix takes the branch ``matrix_exp`` takes for it, through the
+    same formula; stacked ``eigh`` and matmul make the same LAPACK/BLAS
+    call per matrix, so every result equals the single-matrix one bit for
+    bit.
+    """
+    m = np.asarray(m, dtype=complex)
+    out = np.empty_like(m)
+    herm = hermiticity_defects(m) <= HERMITICITY_TOL
+    if herm.any():
+        x = m[herm]
+        w, v = np.linalg.eigh(0.5 * (x + x.conj().swapaxes(-1, -2)))
+        out[herm] = (v * np.exp(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    k = 1j * m
+    anti = ~herm & (hermiticity_defects(k) <= HERMITICITY_TOL)
+    if anti.any():
+        x = k[anti]
+        w, v = np.linalg.eigh(0.5 * (x + x.conj().swapaxes(-1, -2)))
+        out[anti] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    for i in np.flatnonzero(~(herm | anti)):
+        out[i] = matrix_exp(m[i])
+    return out

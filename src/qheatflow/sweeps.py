@@ -1,9 +1,13 @@
 """Parameter sweeps, single-point analysis and CSV emission.
 
 A sweep is a scenario name, fixed parameters, one or two axes and a list
-of output columns.  Every grid cell is evaluated independently and is
-never dropped: cells whose state construction fails carry a status code
-``infeasible:<constraint>``; witness columns use the encoding
+of output columns.  ``run_sweep`` groups the grid cells by the state they
+read, builds and validates each distinct state once, and evaluates each
+group's unitaries as (n, D, D) stacks.  ``evaluate_cell`` is the scalar
+reference for one cell (``analyze_point`` uses it); every stacked value
+equals its result bit for bit.  No cell is dropped: cells whose state
+construction fails carry a status code ``infeasible:<constraint>``;
+witness columns use the encoding
 
     1  violated        0  not violated
    -1  witness not applicable or a precondition failed
@@ -33,30 +37,42 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, format_config
+from .config import ConfigError, format_config, integer
 from .dynamics import (
     ManifoldRotation,
+    UnitaryStack,
     _xy_perturbation,
     energy_preserving_unitary,
+    exchange_unitary_stack,
     perturbed_xy_unitary,
+    perturbed_xy_unitary_stack,
     rotation_angle,
+    rotation_angles,
     two_qubit_exchange_unitary,
     xy_exchange_unitary,
+    xy_unitary_stack,
 )
 from .fluctuations import (
     DivergenceError,
     flow_decomposition,
+    flow_decomposition_stack,
     heat_exp_correction,
+    heat_exp_j_stack,
     marginal_check,
     mh_distribution,
     table_heat,
+    table_heat_stack,
+    table_stack,
     tpm_distribution,
     xft_average,
+    xft_average_stack,
+    xft_coherence_stack,
     xft_coherence_term,
 )
 from .probe import probe_statistics, reconstruct_quasiprobability, sampled_reconstruction
 from .states import (
     BipartiteSystem,
+    EnergySpectrum,
     InfeasibleStateError,
     QutritStateParams,
     TwoQubitParams,
@@ -66,15 +82,22 @@ from .states import (
     two_qutrit_state,
 )
 from .witnesses import (
+    correlation_flow_stack,
     correlation_flow_witness,
+    nonideal_flow_stack,
     nonideal_flow_witness,
+    strong_backflow_stack,
     strong_backflow_witness,
+    tpm_band_stack,
     tpm_band_witness,
+    two_qubit_flow_stack,
     two_qubit_flow_witness,
+    xft_flow_stack,
     xft_flow_witness,
 )
 
 NEGATIVITY_THRESHOLD = -1e-12
+STACK_CELLS = 128  # cells per stacked evaluation; bounds the stacks' memory on any grid
 
 # Config keys each state kind reads (see _build_state for the defaults).
 STATE_KEYS: dict[str, tuple[str, ...]] = {
@@ -106,7 +129,8 @@ CELL_OUTPUTS = (
 
 AXIS_KEYS = tuple(f"sweep.axis{k}.{f}" for k in (1, 2) for f in ("name", "min", "max", "points"))
 SWEEP_KEYS = ("scenario", "outputs", *AXIS_KEYS)
-PROBE_KEYS = ("probe.i_C", "probe.i_H", "probe.eps", "probe.shots", "probe.seed")
+PROBE_INT_KEYS = ("probe.i_C", "probe.i_H", "probe.shots", "probe.seed")
+PROBE_KEYS = ("probe.eps", *PROBE_INT_KEYS)
 
 
 @dataclass(frozen=True)
@@ -292,7 +316,7 @@ class SweepSpec:
                             name=str(cfg.pop(f"{k}.name")),
                             lo=float(cfg.pop(f"{k}.min")),
                             hi=float(cfg.pop(f"{k}.max")),
-                            points=int(cfg.pop(f"{k}.points")),
+                            points=integer(f"{k}.points", cfg.pop(f"{k}.points")),
                         )
                     )
                 except KeyError as exc:
@@ -552,26 +576,166 @@ def evaluate_cell(sys: BipartiteSystem, u, extras: dict | None = None) -> dict:
     return row
 
 
+def _build_unitary_stack(kind: str, cells: list[dict], sys: BipartiteSystem):
+    """``_build_unitary`` for cells acting on one state, as one stack.
+
+    Returns the stack and the extra output columns as per-cell lists.
+    """
+    def values(key, default=None):
+        return np.array([p[key] if default is None else p.get(key, default) for p in cells], float)
+
+    gap = cells[0].get("state.E", 1.0)  # a state key: one value per group
+    if kind == "xy":
+        u = xy_unitary_stack(values("unitary.J"), values("unitary.t"), gap=gap)
+        return u, {"theta": rotation_angles(u.matrix).tolist()}
+    if kind == "perturbed-xy":
+        u = perturbed_xy_unitary_stack(
+            values("unitary.J"), values("unitary.Jx", 0.0), values("unitary.t"),
+            gap=sys.spectrum_c.levels[1], gap_h=sys.spectrum_h.levels[1],
+        )
+        return u, {"eps_actual": u.epsilon.tolist()}
+    if sys.d_c == 2:
+        phases = [values(f"unitary.{k}", 0.0) for k in ("phi", "lam", "kappa")]
+        angles = {(0, 1): (values("unitary.theta"), *phases)}
+        u = exchange_unitary_stack(EnergySpectrum.two_level(gap), len(cells), angles)
+        return u, {"theta": [p["unitary.theta"] for p in cells]}
+    zero = np.zeros(len(cells))
+    angles = {
+        pair: (values(key), zero, zero, zero)
+        for pair, key in QUTRIT_ANGLES.items()
+        if key in cells[0]
+    }
+    return exchange_unitary_stack(sys.spectrum_c, len(cells), angles), {}
+
+
+def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack) -> tuple[dict, dict]:
+    """``evaluate_cell`` for every unitary of a stack acting on one state.
+
+    Returns (columns, present): per-cell arrays by output column and, for
+    the columns ``evaluate_cell`` sets on some cells only, a mask of the
+    cells that have them.  Rule for rule the same as ``evaluate_cell``,
+    and every value equals its result bit for bit.
+    """
+    n = len(u.matrix)
+    beta_c, beta_h = sys.beta_c, sys.beta_h
+    e_c, e_h = sys.spectrum_c.levels, sys.spectrum_h.levels
+    mh = table_stack("MH", sys, u.matrix)
+    tpm = table_stack("TPM", sys, u.matrix)
+    q = table_heat_stack(mh, e_c)
+    q_tpm = table_heat_stack(tpm, e_c)
+    q_back, q_direct = flow_decomposition_stack(mh, e_c, e_h)
+    min_pw = mh.reshape(n, -1).min(axis=-1)
+    col = dict.fromkeys(FLAG_COLUMNS, np.full(n, -1))
+    col.update(
+        Q=q,
+        Q_tpm=q_tpm,
+        Q_back=q_back,
+        Q_direct=q_direct,
+        min_pw=min_pw,
+        negativity=(min_pw < NEGATIVITY_THRESHOLD).astype(int),
+        min_pt_eig=np.full(n, min_partial_transpose_eigenvalue(sys)),
+    )
+    present: dict = {}
+
+    def put(name, verdict, cells=None):
+        col[f"{name}_violated"] = verdict.flags()
+        col[f"{name}_bound"] = verdict.bound
+        if cells is not None:  # the others are -2 and have no bound
+            col[f"{name}_violated"] = np.where(cells, col[f"{name}_violated"], -2)
+            present[f"{name}_bound"] = cells
+
+    unequal_betas = beta_c is not None and beta_h is not None and beta_c != beta_h
+    if unequal_betas and sys.dims == (2, 2) and sys.spectrum_c == sys.spectrum_h:
+        put("t1", two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, e_c[1], u.commutator_norm))
+
+    if unequal_betas and u.epsilon is not None:
+        put("t2", nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c[1], e_h[1], u.epsilon))
+
+    if unequal_betas:
+        chi, starved = xft_coherence_stack(sys, u.matrix)
+        lhs, avg_di, resonance_ok, divergent = xft_average_stack(mh, sys)
+        has_xft = ~(starved | divergent)
+        col.update(chi_bar=chi, xft_lhs=lhs, avg_delta_I=avg_di)
+        present.update(chi_bar=has_xft, xft_lhs=has_xft, avg_delta_I=has_xft)
+        finite = has_xft & (1.0 + chi > 0.0)  # else 1 + chi_bar <= 0: -2
+        chi = np.where(finite, chi, 0.0)
+        put("t3", xft_flow_stack(q, chi, lhs, avg_di, resonance_ok, beta_c, beta_h), finite)
+        try:
+            j = heat_exp_j_stack(sys, u.matrix)
+        except DivergenceError:
+            col["i4_violated"] = np.full(n, -2)
+        else:
+            col["j_term"] = j
+            finite = 1.0 + j > 0.0  # else 1 + J <= 0: -2
+            put("i4", correlation_flow_stack(q, np.where(finite, j, 0.0), beta_c, beta_h), finite)
+        put("strong_backflow", strong_backflow_stack(q, beta_c, beta_h, sys.d_c))
+
+    if sys.spectrum_c == sys.spectrum_h and sys.spectrum_c.bohr_nondegenerate():
+        try:
+            lower, upper = tpm_band_stack(q, q_tpm, tpm, e_c, e_h)
+        except ValueError:
+            col["t4_lower_violated"] = col["t4_upper_violated"] = np.full(n, -2)
+        else:
+            put("t4_lower", lower)
+            put("t4_upper", upper)
+    return col, present
+
+
+def _evaluate_group(unitary: str, scenario: Scenario, sys: BipartiteSystem, cells) -> None:
+    """Fill in the rows of (row, params) cells that share the state ``sys``."""
+    params = [p for _, p in cells]
+    u, extras = _build_unitary_stack(unitary, params, sys)
+    for column, key in scenario.columns.items():
+        extras[column] = [p[key] for p in params]
+    col, present = _evaluate_stack(sys, u)
+    lists = extras | {name: values.tolist() for name, values in col.items() if name not in present}
+    partial = {name: (col[name].tolist(), mask.tolist()) for name, mask in present.items()}
+    for k, (row, _) in enumerate(cells):
+        row.update({name: values[k] for name, values in lists.items()})
+        row.update({name: values[k] for name, (values, has) in partial.items() if has[k]})
+        row["status"] = "ok"
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid cell; rows are ordered by grid index."""
+    """Evaluate every grid cell; rows are ordered by grid index.
+
+    Cells are grouped by the values of the state keys their state kind
+    reads.  Each distinct state is built and validated once; an infeasible
+    one marks its cells ``infeasible:<constraint>`` and skips their J_x
+    solves, and a feasible one is evaluated with its cells' unitaries as
+    stacks of at most STACK_CELLS.
+    """
     scenario = SCENARIOS[spec.scenario]
     params_base = {**scenario.defaults, **spec.fixed}
-    kinds = _kinds(spec.scenario, params_base)
+    state, unitary = _kinds(spec.scenario, params_base)
     keys = [scenario.axes.get(axis.name, axis.name) for axis in spec.axes]
     solved_jx: dict = {}  # one J_x solve per distinct (J, t, eps) of this sweep
+    # the state keys that can differ between cells: axes and derived keys
+    varying = [key for key in STATE_KEYS[state] if key in keys or key in scenario.derived]
+    groups: dict[tuple, tuple] = {}  # their values (repr) -> (state or status, cells)
     rows = []
     for cell in itertools.product(*(axis.values() for axis in spec.axes)):
         params = dict(params_base)
         row = {}
         for axis, key, value in zip(spec.axes, keys, cell):
             params[key] = row[axis.name] = float(value)
-        try:
-            sys, u, extras = _build_cell(spec.scenario, kinds, params, solved_jx)
-            row.update(evaluate_cell(sys, u, extras))
-            row["status"] = "ok"
-        except InfeasibleStateError as exc:
-            row["status"] = f"infeasible:{exc.constraint}"
+        _derive(scenario, params, "state.", solved_jx)
+        group_key = tuple(repr(params.get(key)) for key in varying)
+        if group_key not in groups:
+            try:
+                groups[group_key] = (_build_state(state, params), [])
+            except InfeasibleStateError as exc:
+                groups[group_key] = (f"infeasible:{exc.constraint}", None)
+        sys, cells = groups[group_key]
+        if cells is None:
+            row["status"] = sys
+        else:
+            _derive(scenario, params, "unitary.", solved_jx)
+            cells.append((row, params))
         rows.append(row)
+    for sys, cells in groups.values():
+        for start in range(0, len(cells or ()), STACK_CELLS):
+            _evaluate_group(unitary, scenario, sys, cells[start : start + STACK_CELLS])
 
     infeasible = sum(1 for r in rows if r["status"].startswith("infeasible"))
     columns = tuple(a.name for a in spec.axes) + tuple(spec.outputs) + ("status",)
@@ -644,20 +808,22 @@ def analyze_point(cfg: dict) -> PointReport:
     given = {k: v for k, v in cfg.items() if k not in SWEEP_KEYS}
     _check_keys(scenario, given)
     params = {**SCENARIOS[scenario].defaults, **given}
+    probe = {key: integer(key, params[key]) for key in PROBE_INT_KEYS if key in params}
+    if probe.get("probe.shots", 0) < 0:
+        raise ConfigError(
+            f"probe.shots must be >= 0 (0 is the exact reconstruction), got {probe['probe.shots']}"
+        )
     sys, u, extras = _build_cell(scenario, _kinds(scenario, params), params, {})
     row = evaluate_cell(sys, u, extras)
     mh = mh_distribution(sys, u)
     tpm = tpm_distribution(sys, u)
 
-    target = (
-        int(params.get("probe.i_C", 0)),
-        int(params.get("probe.i_H", min(1, sys.d_h - 1))),
-    )
+    target = (probe.get("probe.i_C", 0), probe.get("probe.i_H", min(1, sys.d_h - 1)))
     eps = float(params.get("probe.eps", 0.2))
     stats = probe_statistics(sys, u, target, eps)
-    shots = int(params.get("probe.shots", 0))
+    shots = probe.get("probe.shots", 0)
     if shots > 0:
-        sampled = sampled_reconstruction(stats, shots, int(params.get("probe.seed", 7)))
+        sampled = sampled_reconstruction(stats, shots, probe.get("probe.seed", 7))
         probe_values, probe_stderr = sampled.values, sampled.stderr
     else:
         probe_values, probe_stderr = reconstruct_quasiprobability(stats), None

@@ -14,10 +14,18 @@ strong-backflow (entanglement threshold log(d) / dBeta).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .fluctuations import DivergenceError, TransitionTable, XftReport, table_heat
+from .fluctuations import (
+    DivergenceError,
+    TransitionTable,
+    XftReport,
+    energy_changes,
+    masked_sums,
+    table_heat,
+)
 
 VIOLATION_MARGIN = 1e-12
 ENERGY_PRESERVING_TOL = 1e-10
@@ -213,6 +221,13 @@ def correlation_flow_witness(
     return _resolve("I4", float(bound), q, pre, q > bound + VIOLATION_MARGIN)
 
 
+def _require_bohr_nondegenerate(energies_c, energies_h) -> None:
+    for label, arr in (("C", energies_c), ("H", energies_h)):
+        gaps = sorted(abs(a - b) for i, a in enumerate(arr) for b in arr[:i])
+        if any(b - a <= 1e-9 for a, b in zip(gaps, gaps[1:])):
+            raise ValueError(f"degenerate Bohr spectrum on {label}")
+
+
 def tpm_band_witness(
     q: float, tpm_table: TransitionTable
 ) -> tuple[WitnessVerdict, WitnessVerdict]:
@@ -226,10 +241,7 @@ def tpm_band_witness(
     """
     if tpm_table.kind != "TPM":
         raise ValueError("band witness needs a TPM table")
-    for label, arr in (("C", tpm_table.energies_c), ("H", tpm_table.energies_h)):
-        gaps = sorted(abs(a - b) for i, a in enumerate(arr) for b in arr[:i])
-        if any(b - a <= 1e-9 for a, b in zip(gaps, gaps[1:])):
-            raise ValueError(f"degenerate Bohr spectrum on {label}")
+    _require_bohr_nondegenerate(tpm_table.energies_c, tpm_table.energies_h)
     de = tpm_table.delta_e_c()
     mismatch = np.abs(de + tpm_table.delta_e_h())
     off_weight = float(tpm_table.values[mismatch > 1e-9].sum())
@@ -264,3 +276,105 @@ def strong_backflow_witness(
     return _resolve(
         "strong-backflow", float(bound), q, pre, q > bound + VIOLATION_MARGIN
     )
+
+
+# --- stacks of cells ------------------------------------------------------
+# The same inequalities for arrays of per-cell observables sharing one
+# state.  Each bound is the single-cell expression evaluated elementwise,
+# so bounds and verdicts equal the single-cell ones bit for bit.
+
+
+class StackVerdict(NamedTuple):
+    """Per-cell bound, precondition status and verdict of one witness."""
+
+    bound: np.ndarray
+    preconditions_ok: np.ndarray
+    violated: np.ndarray
+
+    def flags(self) -> np.ndarray:
+        """1 violated, 0 not violated, -1 a precondition failed."""
+        return np.where(self.preconditions_ok, self.violated.astype(int), -1)
+
+
+def _resolve_stack(bound, preconditions, exceeds: np.ndarray) -> StackVerdict:
+    ok = np.ones(exceeds.shape, dtype=bool)
+    for flag in preconditions:
+        ok = ok & flag
+    return StackVerdict(np.broadcast_to(np.asarray(bound, dtype=float), exceeds.shape), ok, ok & exceeds)
+
+
+def two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, gap, commutator_norm) -> StackVerdict:
+    """``two_qubit_flow_witness`` per cell."""
+    a = np.exp(beta_h * gap)
+    b = np.exp(beta_c * gap)
+    pre = [beta_c > beta_h, commutator_norm < ENERGY_PRESERVING_TOL]
+    bound = (2.0 + a + b) / (b - a) * np.abs(q_tpm) if beta_c > beta_h else np.inf
+    observed = np.abs(q)
+    return _resolve_stack(bound, pre, observed > bound + VIOLATION_MARGIN)
+
+
+def nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c, e_h, epsilon) -> StackVerdict:
+    """``nonideal_flow_witness`` per cell."""
+    ebar = 0.5 * (e_c + e_h)
+    delta = abs(e_c - e_h) / (2.0 * ebar)
+    r = (1.0 + np.exp(beta_h * e_h)) / (1.0 + np.exp(beta_c * e_c))
+    den = 1.0 - r - delta * (1.0 + r)
+    observed = np.abs(q)
+    pre = [beta_c > beta_h, den > 0, (epsilon == 0.0) | (observed > 2.0 * epsilon * ebar)]
+    if den <= 0:
+        return _resolve_stack(np.inf, pre, np.zeros(len(q), dtype=bool))
+    slack = delta * (1.0 + r)
+    sym_bound = ((1.0 + r + slack) * np.abs(q_tpm) + 4.0 * ebar * epsilon * (2.0 + slack)) / den
+    direct_floor = ((1.0 + r - slack) * q_tpm - 4.0 * ebar * epsilon * (2.0 + slack)) / den
+    back_ceiling = (
+        -(1.0 + r + slack) * q_tpm + 4.0 * ebar * epsilon * (2.0 - r + slack)
+    ) / den
+    # min(a, b) keeps a unless b < a, as the builtin does
+    bound = np.where(
+        q < 0,
+        np.where(-direct_floor < sym_bound, -direct_floor, sym_bound),
+        np.where((q > 0) & (back_ceiling < sym_bound), back_ceiling, sym_bound),
+    )
+    return _resolve_stack(bound, pre, observed > bound + VIOLATION_MARGIN)
+
+
+def xft_flow_stack(q, chi, lhs, avg_delta_i, resonance_ok, beta_c, beta_h) -> StackVerdict:
+    """``xft_flow_witness`` (no work slack) per cell; the caller flags cells
+    with 1 + chi_bar <= 0, where the single-cell function raises."""
+    delta_beta = beta_c - beta_h
+    pre = [delta_beta > 0, resonance_ok, np.isfinite(lhs) & np.isfinite(avg_delta_i)]
+    # "+ 0.0" is the zero work slack of the single-cell bound (it maps -0.0 to 0.0)
+    bound = (-avg_delta_i + np.log1p(chi)) / delta_beta + 0.0
+    return _resolve_stack(bound, pre, q > bound + VIOLATION_MARGIN)
+
+
+def correlation_flow_stack(q, j_value, beta_c, beta_h) -> StackVerdict:
+    """``correlation_flow_witness`` per cell; the caller flags cells with
+    1 + J <= 0, where the single-cell function raises."""
+    delta_beta = beta_c - beta_h
+    bound = np.log1p(j_value) / delta_beta
+    return _resolve_stack(bound, [delta_beta > 0], q > bound + VIOLATION_MARGIN)
+
+
+def tpm_band_stack(q, q_tpm, tpm_values, energies_c, energies_h):
+    """(lower, upper) verdicts of ``tpm_band_witness`` per cell."""
+    _require_bohr_nondegenerate(energies_c, energies_h)
+    de_c, de_h = energy_changes(energies_c, energies_h)
+    v = tpm_values
+    off_weight = masked_sums(v, np.abs(de_c + de_h) > 1e-9)
+    pre = [off_weight < ENERGY_PRESERVING_TOL]
+    lam_minus = masked_sums(v * de_c, de_c > 1e-12)
+    lam_plus = masked_sums(v * (-de_c), de_c < -1e-12)
+    lower = q_tpm - 2.0 * lam_minus
+    upper = q_tpm + 2.0 * lam_plus
+    return (
+        _resolve_stack(lower, pre, q < lower - VIOLATION_MARGIN),
+        _resolve_stack(upper, pre, q > upper + VIOLATION_MARGIN),
+    )
+
+
+def strong_backflow_stack(q, beta_c, beta_h, d: int) -> StackVerdict:
+    """``strong_backflow_witness`` per cell."""
+    delta_beta = beta_c - beta_h
+    bound = np.log(d) / delta_beta if delta_beta > 0 else np.inf
+    return _resolve_stack(bound, [delta_beta > 0], q > bound + VIOLATION_MARGIN)

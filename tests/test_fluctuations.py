@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from qheatflow.dynamics import (
     ManifoldRotation,
     energy_preserving_unitary,
+    exchange_unitary_stack,
     two_qubit_exchange_unitary,
     xy_exchange_unitary,
 )
@@ -16,17 +17,24 @@ from qheatflow.fluctuations import (
     exchange_manifold_pw,
     exchange_manifold_tpm,
     flow_decomposition,
+    flow_decomposition_stack,
     heat_exp_correction,
+    heat_exp_j_stack,
     heat_report,
     marginal_check,
+    masked_sums,
     max_heat_coherence_shift,
     mh_distribution,
     table_heat,
+    table_heat_stack,
+    table_stack,
     tpm_distribution,
     two_qubit_exchange_probs,
     two_qubit_heat,
     two_qubit_tpm_heat,
     xft_average,
+    xft_average_stack,
+    xft_coherence_stack,
     xft_coherence_term,
 )
 from qheatflow.properties import (
@@ -406,3 +414,56 @@ def test_j_term_divergence_for_vanishing_marginal():
     sys = gamma_correlated_state(0.0, 800.0, 700.0)  # marginals flush to (1, 0)
     with pytest.raises(DivergenceError):
         heat_exp_correction(sys, two_qubit_exchange_unitary(0.4))
+
+
+# ---------------------------------------------------------------------------
+# stacks of cells
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacks_equal_single_cell_functions_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    sys, _, _ = random_system_and_unitary(rng, d)
+    draws = [random_rotations(rng, sys.spectrum_c) for _ in range(7)]
+    fields = ("theta", "phi", "lam", "kappa")
+    angles = {
+        rot.level_pair: tuple(np.array([getattr(rots[i], f) for rots in draws]) for f in fields)
+        for i, rot in enumerate(draws[0])
+    }
+    stack = exchange_unitary_stack(sys.spectrum_c, len(draws), angles)
+    u = stack.matrix
+    levels = (sys.spectrum_c.levels, sys.spectrum_h.levels)
+    mh, tpm = table_stack("MH", sys, u), table_stack("TPM", sys, u)
+    q_back, q_direct = flow_decomposition_stack(mh, *levels)
+    chi, starved = xft_coherence_stack(sys, u)
+    lhs, avg_di, resonance_ok, divergent = xft_average_stack(mh, sys)
+    got = zip(
+        table_heat_stack(mh, levels[0]), table_heat_stack(tpm, levels[0]), q_back, q_direct,
+        chi, lhs, avg_di, resonance_ok, heat_exp_j_stack(sys, u),
+    )
+    assert not (starved | divergent).any()
+    for k, (rots, values) in enumerate(zip(draws, got)):
+        unit = energy_preserving_unitary(sys.spectrum_c, rots)
+        assert np.array_equal(u[k], unit.matrix)
+        assert stack.commutator_norm[k] == unit.commutator_norm
+        m, t = mh_distribution(sys, unit), tpm_distribution(sys, unit)
+        assert np.array_equal(mh[k], m.values) and np.array_equal(tpm[k], t.values)
+        report = flow_decomposition(m)
+        xft = xft_average(m, sys)
+        want = (
+            table_heat(m), table_heat(t), report.q_back, report.q_direct,
+            xft_coherence_term(sys, unit), xft.lhs, xft.avg_delta_i, xft.resonance_ok,
+            heat_exp_correction(sys, unit).j,
+        )
+        assert [repr(float(x)) for x in values] == [repr(float(x)) for x in want]
+
+
+def test_masked_sums_add_like_the_single_cell_sum():
+    rng = np.random.default_rng(11)
+    n, shape = 40, (3, 3, 3, 3)
+    x = rng.standard_normal((n, *shape)) * 10.0 ** rng.integers(-6, 3, size=(n, *shape))
+    shared = rng.random(shape) < 0.6
+    per_cell = rng.random((n, *shape)) < 0.7
+    per_cell[::5] = per_cell[0]  # cells with one pattern are summed together
+    assert masked_sums(x, shared).tolist() == [x[k][shared].sum() for k in range(n)]
+    assert masked_sums(x, per_cell).tolist() == [x[k][per_cell[k]].sum() for k in range(n)]

@@ -15,6 +15,7 @@ from qheatflow.linalg import (
     hermitian_eigenvalues,
     kron,
     matrix_exp,
+    matrix_exp_stack,
     partial_trace,
     partial_transpose,
     spectral_norm,
@@ -235,3 +236,18 @@ def test_import_does_not_load_scipy():
     src = str(Path(qheatflow.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_matrix_exp_stack_equals_matrix_exp_per_matrix():
+    rng = np.random.default_rng(5)
+    h1, h2 = (a + a.conj().T for a in (_rand_complex(rng, 4), _rand_complex(rng, 4)))
+    stack = np.array([
+        -1j * h1,  # anti-Hermitian branch
+        h2,  # Hermitian branch
+        np.zeros((4, 4)),  # both: Hermitian branch first
+        -1e-12j * h1,  # anti-Hermitian but within the Hermiticity tolerance
+        0.3 * _rand_complex(rng, 4),  # neither: the expm fallback
+    ])
+    out = matrix_exp_stack(stack)
+    for m, got in zip(stack, out):
+        assert np.array_equal(got, matrix_exp(m))

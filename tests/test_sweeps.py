@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,15 @@ from qheatflow.cli import main as cli_main
 from qheatflow.config import ConfigError, apply_overrides, load_config, parse_config
 from qheatflow.dynamics import perturbed_xy_unitary
 from qheatflow.fluctuations import TransitionTable
-from qheatflow.sweeps import SweepSpec, _build_cell, _solve_jx_for_eps, analyze_point, run_sweep
+from qheatflow.states import InfeasibleStateError
+from qheatflow.sweeps import (
+    SweepSpec,
+    _build_cell,
+    _solve_jx_for_eps,
+    analyze_point,
+    evaluate_cell,
+    run_sweep,
+)
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -195,6 +204,177 @@ def test_csv_headers_and_metadata_block():
     assert lines[4].startswith("# cells: 31 infeasible: 0")
     assert lines[5].split(",")[0] == "t"
     assert lines[5].split(",")[-1] == "status"
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation against the scalar reference
+# ---------------------------------------------------------------------------
+
+def _reference_rows(spec: SweepSpec) -> list[dict]:
+    """Every cell of ``spec`` built alone with _build_cell + evaluate_cell."""
+    scenario = sweeps.SCENARIOS[spec.scenario]
+    params_base = {**scenario.defaults, **spec.fixed}
+    kinds = sweeps._kinds(spec.scenario, params_base)
+    keys = [scenario.axes.get(axis.name, axis.name) for axis in spec.axes]
+    solved_jx: dict = {}
+    rows = []
+    for cell in itertools.product(*(axis.values() for axis in spec.axes)):
+        params = dict(params_base)
+        row = {}
+        for axis, key, value in zip(spec.axes, keys, cell):
+            params[key] = row[axis.name] = float(value)
+        try:
+            sys, u, extras = _build_cell(spec.scenario, kinds, params, solved_jx)
+            row.update(evaluate_cell(sys, u, extras))
+            row["status"] = "ok"
+        except InfeasibleStateError as exc:
+            row["status"] = f"infeasible:{exc.constraint}"
+        rows.append(row)
+    return rows
+
+
+def _assert_rows_equal_reference(spec: SweepSpec) -> list[dict]:
+    """Every key of every row, compared by repr: nan equals nan, and the
+    sign of a zero, the last bit and the type all count."""
+    rows = run_sweep(spec).rows
+    reference = _reference_rows(spec)
+    assert len(rows) == len(reference)
+    for k, (row, ref) in enumerate(zip(rows, reference)):
+        got = {key: repr(v) for key, v in row.items()}
+        want = {key: repr(v) for key, v in ref.items()}
+        assert got == want, f"cell {k}: " + ", ".join(
+            f"{key}: {got.get(key)} != {want.get(key)}"
+            for key in sorted(got.keys() | want.keys())
+            if got.get(key) != want.get(key)
+        )
+    return rows
+
+
+def _with_points(path: Path, points: int) -> SweepSpec:
+    cfg = load_config(str(path))
+    for k in (1, 2):
+        if f"sweep.axis{k}.name" in cfg:
+            cfg[f"sweep.axis{k}.points"] = points
+    return SweepSpec.from_config(cfg)
+
+
+SWEEP_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.cfg") if "sweep.axis1.name" in load_config(str(p)))
+
+
+@pytest.mark.parametrize("path", SWEEP_CONFIGS, ids=lambda p: p.name)
+def test_stacked_sweep_equals_scalar_reference_on_shipped_configs(path):
+    rows = _assert_rows_equal_reference(_with_points(path, 13))
+    assert any(r["status"] == "ok" for r in rows)
+
+
+CUSTOM_STATES = {
+    # kind: (fixed keys, axis over a state key); the two-qubit eta range
+    # passes the coherence cap, so some groups are infeasible
+    "gamma": ({"state.beta_C": 1.13, "state.beta_H": 0.9618}, ("state.gamma", -0.15, 0.15)),
+    "two-qubit": (
+        {"state.beta_C": 1.13, "state.beta_H": 0.962, "state.P00": 0.547, "state.xi": 0.3},
+        ("state.eta", -0.25, 0.25),
+    ),
+    "two-qutrit": (
+        {**sweeps.SCENARIOS["qutrit-theta-grid"].defaults, "state.xi": 0.2},
+        ("state.eta", 0.0, 1.0),
+    ),
+}
+CUSTOM_UNITARIES = {
+    "exchange": (
+        {"unitary.phi": 0.3, "unitary.lam": -0.2, "unitary.kappa": 0.1},
+        ("unitary.theta", 0.0, 3.14159265358979),
+    ),
+    "xy": ({"unitary.J": 215.1}, ("unitary.t", 0.0, 0.0093)),
+    "perturbed-xy": ({"unitary.J": 220.0, "unitary.t": 0.004}, ("unitary.Jx", 0.0, 200.0)),
+}
+QUTRIT_EXCHANGE = (
+    {"unitary.theta01": 0.4, "unitary.theta12": 1.1},
+    ("unitary.theta02", 0.0, 3.14159265358979),
+)
+
+
+def _custom_spec(state: str, unitary: str) -> SweepSpec:
+    state_keys, state_axis = CUSTOM_STATES[state]
+    unitary_keys, unitary_axis = CUSTOM_UNITARIES[unitary]
+    if (state, unitary) == ("two-qutrit", "exchange"):
+        unitary_keys, unitary_axis = QUTRIT_EXCHANGE
+    cfg = {"scenario": "custom", "state.kind": state, "unitary.kind": unitary}
+    cfg.update({k: v for k, v in state_keys.items() if k not in ("unitary.theta01", "unitary.theta02")})
+    cfg.update(unitary_keys)
+    for k, (name, lo, hi) in enumerate((unitary_axis, state_axis), start=1):
+        cfg.update({f"sweep.axis{k}.name": name, f"sweep.axis{k}.min": lo, f"sweep.axis{k}.max": hi})
+        cfg[f"sweep.axis{k}.points"] = 7 if k == 1 else 5
+    return SweepSpec.from_config(cfg)
+
+
+@pytest.mark.parametrize("state", CUSTOM_STATES)
+@pytest.mark.parametrize("unitary", CUSTOM_UNITARIES)
+def test_stacked_sweep_equals_scalar_reference_on_custom_kinds(state, unitary):
+    spec = _custom_spec(state, unitary)
+    if state == "two-qutrit" and unitary != "exchange":  # a 4x4 unitary on a 9-dim state
+        with pytest.raises(ValueError, match="unitary dimension"):
+            run_sweep(spec)
+        with pytest.raises(ValueError, match="unitary dimension"):
+            _reference_rows(spec)
+        return
+    rows = _assert_rows_equal_reference(spec)
+    assert any(r["status"] == "ok" for r in rows)
+    if state == "two-qubit":
+        assert {r["status"] for r in rows} == {"ok", "infeasible:eta_cap"}
+
+
+def test_stacked_sweep_equals_scalar_reference_on_edge_cells():
+    # equal temperatures: every witness with a 1/dBeta bound is -1
+    equal = _assert_rows_equal_reference(_spec(
+        EXPERIMENT_CFG + "state.beta_H = 1.13\nstate.gamma = -0.05\n"
+    ))
+    for flag in ("t1", "t2", "t3", "i4", "strong_backflow"):
+        assert {r[f"{flag}_violated"] for r in equal} == {-1}
+    # a vanishing population that the MH table needs: T3 diverges (-2) on
+    # the cells that rotate it, and is evaluated on the others
+    starved = _assert_rows_equal_reference(_spec(QUTRIT_CFG + "state.rho_5 = 0.0\n"))
+    t3 = [r["t3_violated"] for r in starved]
+    assert -2 in t3 and {0, 1} & set(t3)
+    assert all(("chi_bar" in r) == (f != -2) for r, f in zip(starved, t3))
+    # a sweep whose every state is infeasible
+    infeasible = _assert_rows_equal_reference(_nonideal_spec(**{"sweep.axis2.min": 0.025}))
+    assert {r["status"] for r in infeasible} == {"infeasible:psd"}
+
+
+def test_sweep_csv_is_independent_of_the_stack_size(monkeypatch):
+    specs = [_with_points(CONFIG_DIR / name, 9) for name in ("qutrit_xft.cfg", "qubit_grid.cfg")]
+    specs.append(_spec(QUTRIT_CFG + "state.rho_5 = 0.0\n"))
+
+    def bodies():
+        return [
+            [line for line in run_sweep(spec).to_csv().splitlines() if not line.startswith("#")]
+            for spec in specs
+        ]
+
+    default = bodies()
+    for size in (1, 7):
+        monkeypatch.setattr(sweeps, "STACK_CELLS", size)
+        assert bodies() == default
+
+
+def test_sweep_builds_each_distinct_state_once(monkeypatch):
+    built = []
+    build_state = sweeps._build_state
+
+    def counting(kind, params):
+        built.append(params["state.eta"])
+        return build_state(kind, params)
+
+    monkeypatch.setattr(sweeps, "_build_state", counting)
+    spec = _spec(
+        "scenario = qubit-theta-eta\n"
+        "sweep.axis1.name = theta\nsweep.axis1.min = 0.5\nsweep.axis1.max = 1.0\nsweep.axis1.points = 4\n"
+        "sweep.axis2.name = eta\nsweep.axis2.min = 0.0\nsweep.axis2.max = 0.5\nsweep.axis2.points = 5\n"
+    )
+    rows = run_sweep(spec).rows
+    assert len(rows) == 20
+    assert sorted(built) == sorted(set(r["eta"] for r in rows))  # infeasible ones too
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +635,41 @@ def test_cli_rejects_unknown_names(tmp_path, capsys, text, overrides, named, val
     err = capsys.readouterr().err
     assert repr(named) in err
     assert valid in [name.strip() for name in err.split("valid:")[1].split(",")]
+
+
+POINT_CFG = "scenario = experiment-time\nunitary.t = 0.0006\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, override",
+    [
+        ("sweep", EXPERIMENT_CFG, "sweep.axis1.points=2.9"),
+        ("sweep", EXPERIMENT_CFG, "sweep.axis1.points=many"),
+        ("point", POINT_CFG, "probe.i_C=0.5"),
+        ("point", POINT_CFG, "probe.i_H=1.7"),
+        ("point", POINT_CFG, "probe.shots=100.9"),
+        ("point", POINT_CFG, "probe.seed=7.5"),
+        ("point", POINT_CFG, "probe.shots=-5"),
+    ],
+    ids=["points", "points-text", "i_C", "i_H", "shots", "seed", "negative-shots"],
+)
+def test_cli_rejects_fractional_or_negative_counts(tmp_path, capsys, command, text, override):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main([command, str(cfg), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and override.split("=")[0] in err
+
+
+def test_integral_counts_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(POINT_CFG)
+    argv = ["point", str(cfg), "--set", "probe.shots=0", "--set", "probe.i_H=1.0"]
+    assert cli_main(argv) == 0
+    assert "stderr" not in capsys.readouterr().out  # 0 shots: the exact reconstruction
+    cfg.write_text(EXPERIMENT_CFG)
+    assert cli_main(["sweep", str(cfg), "--set", "sweep.axis1.points=3.0"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3 + 6
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)

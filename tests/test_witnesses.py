@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,17 @@ from qheatflow.fluctuations import (
 from qheatflow.properties import random_system_and_unitary
 from qheatflow.states import TwoQubitParams, gamma_correlated_state, two_qubit_state
 from qheatflow.witnesses import (
+    correlation_flow_stack,
     correlation_flow_witness,
+    nonideal_flow_stack,
     nonideal_flow_witness,
+    strong_backflow_stack,
     strong_backflow_witness,
+    tpm_band_stack,
     tpm_band_witness,
+    two_qubit_flow_stack,
     two_qubit_flow_witness,
+    xft_flow_stack,
     xft_flow_witness,
 )
 
@@ -305,3 +313,60 @@ def test_t1_violation_implies_stronger_flow_and_negativity(qubit_ensemble):
             assert abs(q) > abs(q_tpm)
             assert mh.min_entry() < 0.0
     assert seen > 0
+
+
+# ---------------------------------------------------------------------------
+# stacks of cells
+# ---------------------------------------------------------------------------
+
+EDGE_VALUES = (0.0, -0.0, 1e-13, 1e-3, -1e-3, 0.05, -0.2, 1.5)
+
+
+def _assert_stack_matches(stack, verdicts):
+    """Flags, and bounds by repr (the sign of a zero counts), per cell."""
+    assert stack.flags().tolist() == [-1 if not v.preconditions_ok else int(v.violated) for v in verdicts]
+    assert [repr(b) for b in stack.bound.tolist()] == [repr(float(v.bound)) for v in verdicts]
+
+
+@pytest.mark.parametrize("beta_c, beta_h", [(BC, BH), (BH, BC)])
+def test_witness_stacks_equal_single_cell_verdicts(beta_c, beta_h):
+    pairs = list(itertools.product(EDGE_VALUES, repeat=2))
+    q, other = (np.array(c) for c in zip(*pairs))
+    _assert_stack_matches(
+        two_qubit_flow_stack(q, other, beta_c, beta_h, 1.0, np.abs(other) * 1e-8),
+        [two_qubit_flow_witness(a, b, beta_c, beta_h, 1.0, abs(b) * 1e-8) for a, b in pairs],
+    )
+    for e_h in (1.0, 1.02, 1.3):  # 1.3 detunes past the critical gap
+        _assert_stack_matches(
+            nonideal_flow_stack(q, other, beta_c, beta_h, 1.0, e_h, np.abs(other) / 10),
+            [nonideal_flow_witness(a, b, beta_c, beta_h, 1.0, e_h, abs(b) / 10) for a, b in pairs],
+        )
+    resonant = other >= 0
+    _assert_stack_matches(
+        xft_flow_stack(q, other, 1.0 + other, np.abs(other), resonant, beta_c, beta_h),
+        [
+            xft_flow_witness(a, XftReport(1.0 + b, abs(b), b >= 0, 0.0, chi_bar=b), beta_c, beta_h)
+            for a, b in pairs
+        ],
+    )
+    _assert_stack_matches(
+        correlation_flow_stack(q, other, beta_c, beta_h),
+        [correlation_flow_witness(a, b, beta_c, beta_h) for a, b in pairs],
+    )
+    _assert_stack_matches(
+        strong_backflow_stack(q, beta_c, beta_h, 3),
+        [strong_backflow_witness(a, beta_c, beta_h, 3) for a, _ in pairs],
+    )
+
+
+def test_tpm_band_stack_equals_single_cell_verdicts():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        sys, u, _ = random_system_and_unitary(rng, 3)
+        tpm, mh = tpm_distribution(sys, u), mh_distribution(sys, u)
+        q, q_tpm = table_heat(mh), table_heat(tpm)
+        stacks = tpm_band_stack(
+            np.array([q]), np.array([q_tpm]), tpm.values[None], tpm.energies_c, tpm.energies_h
+        )
+        for stack, verdict in zip(stacks, tpm_band_witness(q, tpm)):
+            _assert_stack_matches(stack, [verdict])
