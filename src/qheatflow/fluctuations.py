@@ -15,7 +15,7 @@ Only the real part of the Margenau-Hill expression is computed.
 
 from __future__ import annotations
 
-import io
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +41,37 @@ def energy_changes(energies_c, energies_h) -> tuple[np.ndarray, np.ndarray]:
     de_c = ec[:, None, None, None] - ec[None, None, :, None]
     de_h = eh[None, :, None, None] - eh[None, None, None, :]
     return np.broadcast_to(de_c, shape), np.broadcast_to(de_h, shape)
+
+
+def transition_csv(energies_c, energies_h, initial, values, stderr=None) -> str:
+    """Transition-table CSV of the rows with initial levels ``initial``.
+
+    ``values`` (and ``stderr``, which adds a last column) hold each initial
+    pair's weights over the final levels (f_C, f_H) in C order, pair after
+    pair.  Every number is written with 17 significant digits; each is
+    formatted once, and the index and dE strings once per level pair.
+    """
+    fmt = "{:.17g}".format
+    de_c = [[fmt(e_i - e_f) for e_f in energies_c] for e_i in energies_c]
+    de_h = [[fmt(e_i - e_f) for e_f in energies_h] for e_i in energies_h]
+    finals = [(f"{f_c},{f_h},", f_c, f_h) for f_c, f_h in np.ndindex(len(de_c), len(de_h))]
+    cells = map(fmt, np.ravel(values).tolist())
+    if stderr is None:
+        ends = itertools.repeat("")
+        header = CSV_HEADER
+    else:
+        ends = map(",{:.17g}".format, np.ravel(stderr).tolist())
+        header = CSV_HEADER + ",stderr"
+    lines = [header]
+    for i_c, i_h in initial:
+        head, dc, dh = f"{i_c},{i_h},", de_c[i_c], de_h[i_h]
+        # zip draws from ``finals`` first, so each pair takes len(finals) cells
+        lines += [
+            f"{head}{final}{cell},{dc[f_c]},{dh[f_h]}{end}"
+            for (final, f_c, f_h), cell, end in zip(finals, cells, ends)
+        ]
+    lines.append("")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -108,30 +139,9 @@ class TransitionTable:
             out.append((key, float(self.values[key])))
         return out
 
-    def to_csv(self, extra: dict[str, np.ndarray] | None = None) -> str:
+    def to_csv(self) -> str:
         """CSV serialization, 17 significant digits per value."""
-        header = CSV_HEADER
-        extra = extra or {}
-        for name in extra:
-            header += f",{name}"
-        buf = io.StringIO()
-        buf.write(header + "\n")
-        d_c, d_h = self.dims
-        for i_c in range(d_c):
-            for i_h in range(d_h):
-                for f_c in range(d_c):
-                    for f_h in range(d_h):
-                        de_c = self.energies_c[i_c] - self.energies_c[f_c]
-                        de_h = self.energies_h[i_h] - self.energies_h[f_h]
-                        row = (
-                            f"{i_c},{i_h},{f_c},{f_h},"
-                            f"{self.values[i_c, i_h, f_c, f_h]:.17g},"
-                            f"{de_c:.17g},{de_h:.17g}"
-                        )
-                        for name in extra:
-                            row += f",{extra[name][i_c, i_h, f_c, f_h]:.17g}"
-                        buf.write(row + "\n")
-        return buf.getvalue()
+        return transition_csv(self.energies_c, self.energies_h, np.ndindex(self.dims), self.values)
 
 
 @dataclass(frozen=True)

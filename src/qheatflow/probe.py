@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import unwrap
-from .linalg import SIGMA_Z, kron
+from .linalg import kron
 from .states import BipartiteSystem
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -68,15 +68,16 @@ def probe_statistics(
         raise ValueError(f"target {target} out of range for dims {sys.dims}")
     idx = i_c * d_h + i_h
 
-    pi_op = np.zeros((dim, dim), dtype=complex)
-    pi_op[idx, idx] = 1.0
-    pi_perp = np.eye(dim, dtype=complex) - pi_op
-    v = kron(pi_perp, np.eye(2)) + kron(pi_op, SIGMA_Z)
-
     ancilla = np.array([np.cos(eps), -np.sin(eps)], dtype=complex)
     joint = kron(sys.rho, np.outer(ancilla, ancilla.conj()))
+    # V = Pi_perp x I + Pi x sigma_z is diagonal with its one -1 at (target,
+    # ancilla |1>), so V joint V^dag flips the sign of that row and column;
+    # the result equals the dense products bit for bit
+    flip = 2 * idx + 1
+    joint[flip, :] *= -1.0
+    joint[:, flip] *= -1.0
     u_joint = kron(u, np.eye(2))
-    evolved = u_joint @ v @ joint @ v.conj().T @ u_joint.conj().T
+    evolved = u_joint @ joint @ u_joint.conj().T
 
     blocks = evolved.reshape(dim, 2, dim, 2)
     q_plus = np.empty(dim)

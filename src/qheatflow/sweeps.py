@@ -64,6 +64,7 @@ from .fluctuations import (
     table_heat_stack,
     table_stack,
     tpm_distribution,
+    transition_csv,
     xft_average,
     xft_average_stack,
     xft_coherence_stack,
@@ -414,8 +415,25 @@ def _derive(scenario: Scenario, params: dict, prefix: str, solved_jx: dict) -> N
         params[key] = value
 
 
+def _unset(key: str, kind: str) -> ConfigError:
+    return ConfigError(f"{key} is not set; the {kind} needs it")
+
+
+class _KindParams(dict):
+    """The config values one state or unitary kind reads: looking up an unset
+    key is a ConfigError naming the key and the kind, not a KeyError."""
+
+    def __init__(self, kind: str, params: dict):
+        super().__init__(params)
+        self.kind = kind
+
+    def __missing__(self, key):
+        raise _unset(key, self.kind)
+
+
 def _build_state(kind: str, params: dict) -> BipartiteSystem:
     """The state of one kind; unset optional keys take the defaults below."""
+    params = _KindParams(f"{kind} state", params)
     if kind == "gamma":
         return gamma_correlated_state(
             params["state.gamma"], params["state.beta_C"], params["state.beta_H"],
@@ -456,6 +474,7 @@ def _build_state(kind: str, params: dict) -> BipartiteSystem:
 
 def _build_unitary(kind: str, params: dict, sys: BipartiteSystem):
     """(unitary report, extra output columns) of one kind acting on ``sys``."""
+    params = _KindParams(f"{kind} unitary", params)
     if kind == "xy":
         u = xy_exchange_unitary(
             params["unitary.J"], params["unitary.t"], gap=params.get("state.E", 1.0)
@@ -582,6 +601,8 @@ def _build_unitary_stack(kind: str, cells: list[dict], sys: BipartiteSystem):
     Returns the stack and the extra output columns as per-cell lists.
     """
     def values(key, default=None):
+        if default is None and key not in cells[0]:  # every cell sets the same keys
+            raise _unset(key, f"{kind} unitary")
         return np.array([p[key] if default is None else p.get(key, default) for p in cells], float)
 
     gap = cells[0].get("state.E", 1.0)  # a state key: one value per group
@@ -846,14 +867,4 @@ def probe_row_csv(stats, values: np.ndarray, stderr: np.ndarray | None = None) -
     transition-table CSV schema; a shot-free reconstruction has no stderr (0)."""
     if stderr is None:
         stderr = np.zeros_like(values)
-    i_c, i_h = stats.target
-    buf = io.StringIO()
-    buf.write("i_C,i_H,f_C,f_H,value,dE_C,dE_H,stderr\n")
-    for f_c, f_h in np.ndindex(values.shape):
-        de_c = stats.energies_c[i_c] - stats.energies_c[f_c]
-        de_h = stats.energies_h[i_h] - stats.energies_h[f_h]
-        buf.write(
-            f"{i_c},{i_h},{f_c},{f_h},{values[f_c, f_h]:.17g},"
-            f"{de_c:.17g},{de_h:.17g},{stderr[f_c, f_h]:.17g}\n"
-        )
-    return buf.getvalue()
+    return transition_csv(stats.energies_c, stats.energies_h, [stats.target], values, stderr)

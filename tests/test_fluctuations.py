@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from qheatflow.dynamics import (
 from qheatflow.fluctuations import (
     DivergenceError,
     MH_LOWER_BOUND,
+    TransitionTable,
     average_heat,
     exchange_heat_shift,
     exchange_manifold_pw,
@@ -37,6 +40,7 @@ from qheatflow.fluctuations import (
     xft_coherence_stack,
     xft_coherence_term,
 )
+from qheatflow.probe import probe_statistics, reconstruct_quasiprobability, sampled_reconstruction
 from qheatflow.properties import (
     random_rotations,
     random_system_and_unitary,
@@ -50,6 +54,7 @@ from qheatflow.states import (
     gamma_correlated_state,
     two_qubit_state,
 )
+from qheatflow.sweeps import probe_row_csv
 
 BC, BH = 1.13, 0.9618
 
@@ -120,6 +125,75 @@ def test_csv_round_trip_precision():
         parts = line.split(",")
         i_c, i_h, f_c, f_h = (int(p) for p in parts[:4])
         assert float(parts[4]) == mh.entry(i_c, i_h, f_c, f_h)  # 17 digits: lossless
+
+
+def _row_loop_csv(table: TransitionTable) -> str:
+    """Reference writer: one f-string per row, the three floats formatted per row."""
+    buf = io.StringIO()
+    buf.write("i_C,i_H,f_C,f_H,value,dE_C,dE_H\n")
+    d_c, d_h = table.dims
+    for i_c in range(d_c):
+        for i_h in range(d_h):
+            for f_c in range(d_c):
+                for f_h in range(d_h):
+                    de_c = table.energies_c[i_c] - table.energies_c[f_c]
+                    de_h = table.energies_h[i_h] - table.energies_h[f_h]
+                    buf.write(
+                        f"{i_c},{i_h},{f_c},{f_h},"
+                        f"{table.values[i_c, i_h, f_c, f_h]:.17g},"
+                        f"{de_c:.17g},{de_h:.17g}\n"
+                    )
+    return buf.getvalue()
+
+
+def _probe_loop_csv(stats, values, stderr=None) -> str:
+    """Reference writer for one reconstructed row, with its stderr column."""
+    if stderr is None:
+        stderr = np.zeros_like(values)
+    i_c, i_h = stats.target
+    buf = io.StringIO()
+    buf.write("i_C,i_H,f_C,f_H,value,dE_C,dE_H,stderr\n")
+    for f_c, f_h in np.ndindex(values.shape):
+        de_c = stats.energies_c[i_c] - stats.energies_c[f_c]
+        de_h = stats.energies_h[i_h] - stats.energies_h[f_h]
+        buf.write(
+            f"{i_c},{i_h},{f_c},{f_h},{values[f_c, f_h]:.17g},"
+            f"{de_c:.17g},{de_h:.17g},{stderr[f_c, f_h]:.17g}\n"
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["MH", "TPM"])
+@pytest.mark.parametrize("d_c, d_h", [(2, 2), (2, 3), (3, 2), (4, 4), (8, 8)])
+def test_table_csv_equals_row_loop_byte_for_byte(kind, d_c, d_h):
+    rng = np.random.default_rng(100 * d_c + d_h)
+    # irregular gaps, so every dE is a distinct non-trivial double
+    energies_c = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, d_c - 1))])
+    energies_h = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, d_h - 1)) / 3.0])
+    values = rng.uniform(0.0, 1.0, (d_c, d_h) * 2)
+    values /= values.sum()
+    flat = values.reshape(-1)
+    special = [-0.0, 0.0, 5e-324, 1e-300, -1e-17] + ([-0.0625, -1e-3] if kind == "MH" else [])
+    flat[: len(special)] = special
+    flat[-1] += 1.0 - values.sum()
+    table = TransitionTable(kind, values, tuple(energies_c), tuple(energies_h))
+    assert np.signbit(table.values.reshape(-1)[0])
+    assert table.to_csv() == _row_loop_csv(table)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_probe_row_csv_equals_row_loop_byte_for_byte(rng, dim):
+    sys, u, _ = random_system_and_unitary(rng, dim)
+    for target in [(0, 0), (sys.d_c - 1, 1)]:
+        stats = probe_statistics(sys, u, target, 0.3)
+        exact = reconstruct_quasiprobability(stats)
+        sampled = sampled_reconstruction(stats, 500, 11)
+        signed = exact.copy()
+        signed[0, 0] = -0.0
+        for values, stderr in [
+            (exact, None), (signed, None), (sampled.values, sampled.stderr), (exact, sampled.stderr)
+        ]:
+            assert probe_row_csv(stats, values, stderr) == _probe_loop_csv(stats, values, stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qheatflow.dynamics import xy_exchange_unitary
+from qheatflow.dynamics import ManifoldRotation, energy_preserving_unitary, xy_exchange_unitary
 from qheatflow.fluctuations import mh_distribution, tpm_distribution
+from qheatflow.linalg import SIGMA_Z, kron
 from qheatflow.probe import (
     probe_effects,
     probe_statistics,
@@ -10,7 +11,7 @@ from qheatflow.probe import (
     sampled_reconstruction,
 )
 from qheatflow.properties import random_system_and_unitary
-from qheatflow.states import gamma_correlated_state
+from qheatflow.states import QutritStateParams, gamma_correlated_state, two_qutrit_state
 
 BC, BH = 1.13, 0.9618
 
@@ -88,6 +89,60 @@ def test_eps_range_validation():
     for bad in (0.0, -0.1, np.pi / 2, 2.0):
         with pytest.raises(ValueError):
             probe_statistics(sys, u, (0, 1), bad)
+
+
+def _dense_coupling_statistics(sys, u, target, eps):
+    """Reference: V = Pi_perp x I + Pi x sigma_z applied as dense matrices."""
+    dim = sys.d_c * sys.d_h
+    idx = target[0] * sys.d_h + target[1]
+    pi_op = np.zeros((dim, dim), dtype=complex)
+    pi_op[idx, idx] = 1.0
+    v = kron(np.eye(dim, dtype=complex) - pi_op, np.eye(2)) + kron(pi_op, SIGMA_Z)
+    ancilla = np.array([np.cos(eps), -np.sin(eps)], dtype=complex)
+    joint = kron(sys.rho, np.outer(ancilla, ancilla.conj()))
+    u_joint = kron(u, np.eye(2))
+    blocks = (u_joint @ v @ joint @ v.conj().T @ u_joint.conj().T).reshape(dim, 2, dim, 2)
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+    q_plus = np.array([np.real(plus.conj() @ blocks[f, :, f, :] @ plus) for f in range(dim)])
+    q_minus = np.array([np.real(minus.conj() @ blocks[f, :, f, :] @ minus) for f in range(dim)])
+    p_free = np.real(np.diag(u @ sys.rho @ u.conj().T))
+    return q_plus, q_minus, p_free
+
+
+def _random_dense_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_sign_flip_coupling_equals_dense_products_bit_for_bit(rng, dim):
+    for _ in range(4):
+        sys, u, _ = random_system_and_unitary(rng, dim)
+        eps = float(rng.uniform(0.02, np.pi / 2 - 0.02))
+        for unitary in (u.matrix, _random_dense_unitary(rng, sys.d_c * sys.d_h)):
+            for target in [(0, 0), (sys.d_c - 1, sys.d_h - 1), (int(rng.integers(sys.d_c)), 1)]:
+                stats = probe_statistics(sys, unitary, target, eps)
+                ref = _dense_coupling_statistics(sys, unitary, target, eps)
+                got = (stats.q_plus.ravel(), stats.q_minus.ravel(), stats.p_undisturbed.ravel())
+                for a, b in zip(got, ref):
+                    assert a.tobytes() == b.tobytes()  # also compares the signs of zeros
+
+
+def test_sign_flip_coupling_keeps_the_signs_of_zero_outcomes(rng):
+    # rho_5 = 0 empties a level, so some outcome probabilities are exact zeros
+    sys = two_qutrit_state(QutritStateParams(1.3, 0.3, 1.0, 1.15, 0.3, 0.0, 0.07, 0.06, eta_13=1.0))
+    zeros = 0
+    for angles in [(0.0, 0.0), tuple(rng.uniform(0.0, 3.0, 2))]:
+        rots = [ManifoldRotation((0, 1), angles[0]), ManifoldRotation((0, 2), angles[1])]
+        u = energy_preserving_unitary(sys.spectrum_c, rots)
+        for target in np.ndindex(sys.dims):
+            stats = probe_statistics(sys, u, target, 0.3)
+            ref = _dense_coupling_statistics(sys, u.matrix, target, 0.3)
+            for a, b in zip((stats.q_plus, stats.q_minus, stats.p_undisturbed), ref):
+                assert a.ravel().tobytes() == b.tobytes()
+                zeros += int(np.count_nonzero(a == 0.0))
+    assert zeros > 0
 
 
 def test_probe_statistics_normalization():

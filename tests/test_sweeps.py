@@ -661,6 +661,42 @@ def test_cli_rejects_fractional_or_negative_counts(tmp_path, capsys, command, te
     assert err.startswith("error: ") and override.split("=")[0] in err
 
 
+CUSTOM_QUTRIT_CFG = """
+scenario = custom
+state.kind = two-qutrit
+state.beta_C = 1.3
+state.beta_H = 0.3
+state.rho_0 = 0.3
+state.rho_5 = 0.03
+state.rho_7 = 0.07
+state.rho_8 = 0.06
+unitary.theta01 = 0.4
+sweep.axis1.name = unitary.theta02
+sweep.axis1.min = 0
+sweep.axis1.max = 1
+sweep.axis1.points = 3
+"""
+
+
+@pytest.mark.parametrize("command", ["point", "sweep"])
+@pytest.mark.parametrize(
+    "text, key, kind",
+    [
+        (CUSTOM_CFG, "state.P00", "two-qubit state"),
+        (CUSTOM_QUTRIT_CFG, "state.rho_5", "two-qutrit state"),
+        (CUSTOM_CFG, "unitary.theta", "exchange unitary"),
+    ],
+    ids=["two-qubit-P00", "qutrit-rho_5", "exchange-theta"],
+)
+def test_cli_names_a_missing_required_key(tmp_path, capsys, command, text, key, kind):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line for line in text.splitlines(True) if not line.startswith(key + " ")))
+    assert cli_main([command, str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {key} is not set; the {kind} needs it\n"
+    assert "Traceback" not in captured.out
+
+
 def test_integral_counts_are_accepted(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(POINT_CFG)
