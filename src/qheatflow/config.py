@@ -2,8 +2,9 @@
 
 One plain-text file per run: ``key = value`` lines, ``#`` comments,
 dotted namespaces (state.beta_C, unitary.theta, sweep.axis1.name).
-Values are parsed as int, float, bool or string; command-line overrides
-use the same ``key=value`` syntax and take precedence over the file.
+A file may set each key once.  Values are parsed as int, float, bool or
+string; command-line overrides use the same ``key=value`` syntax and take
+precedence over the file.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ def integer(key: str, value) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
-def parse_config(text: str) -> dict:
-    """Parse config text into a flat {key: value} dict."""
-    out: dict = {}
+def _settings(text: str):
+    """(line number, key, value) of each ``key = value`` line of config text."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -53,13 +53,26 @@ def parse_config(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        out[key] = _parse_value(raw)
-    return out
+        yield lineno, key, _parse_value(raw)
+
+
+def parse_config(text: str) -> dict:
+    """Parse config text into a flat {key: value} dict; a later line wins."""
+    return {key: value for _, key, value in _settings(text)}
 
 
 def load_config(path: str) -> dict:
+    """Read a config file; a key set on two of its lines is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        text = fh.read()
+    out: dict = {}
+    first_line: dict = {}
+    for lineno, key, value in _settings(text):
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value
+    return out
 
 
 def apply_overrides(cfg: dict, overrides: list[str] | None) -> dict:

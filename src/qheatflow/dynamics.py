@@ -65,11 +65,26 @@ class UnitaryReport:
 
     def __post_init__(self):
         u = np.array(self.matrix, dtype=complex)
-        defect = spectral_norm(u @ u.conj().T - np.eye(u.shape[0]))
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        _check_unitary(u)
         u.setflags(write=False)
         object.__setattr__(self, "matrix", u)
+
+
+def _check_unitary(u: np.ndarray) -> None:
+    """Raise unless ||U U^dag - I|| <= UNITARITY_TOL, for U or each matrix of
+    an (n, D, D) stack.
+
+    The Frobenius norm bounds the spectral norm from above, so a Frobenius
+    defect within half the tolerance settles the check; only the other
+    matrices (and any with nan entries) take the SVD.
+    """
+    r = u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])
+    unsure = ~(np.linalg.norm(r, axis=(-2, -1)) <= 0.5 * UNITARITY_TOL)
+    if unsure.any():
+        defect = spectral_norms(r[unsure])  # a 0-d mask indexes a single matrix as a stack of one
+        bad = np.flatnonzero(defect > UNITARITY_TOL)
+        if bad.size:
+            raise ValueError(f"matrix is not unitary (defect {defect[bad[0]]:.3e})")
 
 
 def unwrap(u) -> np.ndarray:
@@ -77,9 +92,30 @@ def unwrap(u) -> np.ndarray:
     return u.matrix if isinstance(u, UnitaryReport) else np.asarray(u, dtype=complex)
 
 
+def _commutes_exactly(u: np.ndarray, h_total: np.ndarray) -> np.ndarray:
+    """Is U H - H U the exact zero matrix by structure?  For U or per matrix
+    of an (n, D, D) stack.
+
+    True when H is diagonal and real, and U_ij != 0 only where
+    H_ii == H_jj: then (U H)_ij and (H U)_ij are the same single rounded
+    product (every other term of the matrix product is an exact zero), so
+    the dense difference is exactly zero and its norm exactly 0.0.  The
+    entries and their products must be finite.
+    """
+    h_total = np.asarray(h_total)
+    h = h_total.diagonal()
+    if np.count_nonzero(h_total) != np.count_nonzero(h) or h.imag.any():
+        return np.zeros(u.shape[:-2], dtype=bool)
+    finite = np.isfinite(np.abs(u).max(axis=(-2, -1)) * np.abs(h).max())
+    return finite & ~((u != 0) & (h[:, None] != h)).any(axis=(-2, -1))
+
+
 def commutator_norm(u, h_total: np.ndarray) -> float:
-    """|| U H - H U ||."""
+    """|| U H - H U ||; exactly 0.0 without the products when U only
+    connects levels of equal energy (``_commutes_exactly``)."""
     u = unwrap(u)
+    if _commutes_exactly(u, h_total):
+        return 0.0
     return spectral_norm(u @ h_total - h_total @ u)
 
 
@@ -208,12 +244,14 @@ class UnitaryStack(NamedTuple):
 
 
 def _stack_report(u: np.ndarray, h_total: np.ndarray, epsilon=None) -> UnitaryStack:
-    """Take each matrix's commutator norm and check it as ``UnitaryReport`` does."""
-    defect = spectral_norms(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]))
-    bad = np.flatnonzero(defect > UNITARITY_TOL)
-    if bad.size:
-        raise ValueError(f"matrix is not unitary (defect {defect[bad[0]]:.3e})")
-    return UnitaryStack(u, spectral_norms(u @ h_total - h_total @ u), epsilon)
+    """Take each matrix's commutator norm, by the rule of ``commutator_norm``,
+    and check it as ``UnitaryReport`` does."""
+    _check_unitary(u)
+    cnorm = np.zeros(len(u))
+    dense = ~_commutes_exactly(u, h_total)
+    x = u[dense]
+    cnorm[dense] = spectral_norms(x @ h_total - h_total @ x)
+    return UnitaryStack(u, cnorm, epsilon)
 
 
 def exchange_unitary_stack(spectrum: EnergySpectrum, n: int, angles: dict) -> UnitaryStack:

@@ -15,8 +15,7 @@ Only the real part of the Margenau-Hill expression is computed.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,35 +42,42 @@ def energy_changes(energies_c, energies_h) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(de_c, shape), np.broadcast_to(de_h, shape)
 
 
+def _formatted(x, template: str = "{:.17g}") -> np.ndarray:
+    """``template`` applied to each entry of ``x``, as an object array of the
+    same shape; each distinct bit pattern (so -0.0 apart from 0.0) is
+    formatted once."""
+    x = np.ascontiguousarray(x, dtype=float)
+    bits, index = np.unique(x.reshape(-1).view(np.int64), return_inverse=True)
+    text = np.array(list(map(template.format, bits.view(float).tolist())), dtype=object)
+    return text[index].reshape(x.shape)
+
+
 def transition_csv(energies_c, energies_h, initial, values, stderr=None) -> str:
     """Transition-table CSV of the rows with initial levels ``initial``.
 
     ``values`` (and ``stderr``, which adds a last column) hold each initial
     pair's weights over the final levels (f_C, f_H) in C order, pair after
-    pair.  Every number is written with 17 significant digits; each is
-    formatted once, and the index and dE strings once per level pair.
+    pair.  Every number is written with 17 significant digits.  Each
+    distinct value is formatted once, and each index and dE string once
+    per level pair; the rows are laid out as an object array of those
+    strings, one column per field, and joined once.
     """
     fmt = "{:.17g}".format
-    de_c = [[fmt(e_i - e_f) for e_f in energies_c] for e_i in energies_c]
-    de_h = [[fmt(e_i - e_f) for e_f in energies_h] for e_i in energies_h]
-    finals = [(f"{f_c},{f_h},", f_c, f_h) for f_c, f_h in np.ndindex(len(de_c), len(de_h))]
-    cells = map(fmt, np.ravel(values).tolist())
-    if stderr is None:
-        ends = itertools.repeat("")
-        header = CSV_HEADER
-    else:
-        ends = map(",{:.17g}".format, np.ravel(stderr).tolist())
-        header = CSV_HEADER + ",stderr"
-    lines = [header]
-    for i_c, i_h in initial:
-        head, dc, dh = f"{i_c},{i_h},", de_c[i_c], de_h[i_h]
-        # zip draws from ``finals`` first, so each pair takes len(finals) cells
-        lines += [
-            f"{head}{final}{cell},{dc[f_c]},{dh[f_h]}{end}"
-            for (final, f_c, f_h), cell, end in zip(finals, cells, ends)
-        ]
-    lines.append("")
-    return "\n".join(lines)
+    d_c, d_h = len(energies_c), len(energies_h)
+    i_c, i_h = np.array(list(initial), dtype=int).reshape(-1, 2).T
+    end, header = ("\n", CSV_HEADER) if stderr is None else ("", CSV_HEADER + ",stderr")
+    pairs = np.array([[f"{a},{b}," for b in range(d_h)] for a in range(d_c)], dtype=object)
+    parts = np.empty((len(i_c), d_c, d_h, 5 if stderr is None else 6), dtype=object)
+    parts[..., 0] = pairs[i_c, i_h][:, None, None]
+    parts[..., 1] = pairs
+    parts[..., 2] = _formatted(values).reshape(-1, d_c, d_h)
+    de_c = np.array([[f",{fmt(e - f)}," for f in energies_c] for e in energies_c], dtype=object)
+    de_h = np.array([[f"{fmt(e - f)}{end}" for f in energies_h] for e in energies_h], dtype=object)
+    parts[..., 3] = de_c[i_c][:, :, None]
+    parts[..., 4] = de_h[i_h][:, None, :]
+    if stderr is not None:
+        parts[..., 5] = _formatted(stderr, ",{:.17g}\n").reshape(-1, d_c, d_h)
+    return header + "\n" + "".join(parts.reshape(-1).tolist())
 
 
 @dataclass(frozen=True)
@@ -508,12 +514,23 @@ class HeatExpCorrection:
 
     J splits into a population part (zero when the joint populations are
     the product of the marginals) and a coherence part (zero for states
-    diagonal in the energy basis).
+    diagonal in the energy basis).  ``c`` and ``q`` are the operators of
+    the two parts; their spectral norms (``population_norm``,
+    ``coherence_norm``) are computed on access, since most callers read
+    only ``j``.
     """
 
     j: float
-    population_norm: float
-    coherence_norm: float
+    c: np.ndarray = field(repr=False, compare=False)
+    q: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def population_norm(self) -> float:
+        return float(np.linalg.norm(self.c, 2))
+
+    @property
+    def coherence_norm(self) -> float:
+        return float(np.linalg.norm(self.q, 2))
 
     @property
     def norm_bound(self) -> float:
@@ -541,11 +558,7 @@ def heat_exp_correction(sys: BipartiteSystem, u) -> HeatExpCorrection:
     qpop, c_mat, q_mat = _correction_operators(sys)
     evolved_product = u.conj().T @ (qpop[:, None] * u)
     j = float(np.real(np.trace(evolved_product @ (c_mat + q_mat))))
-    return HeatExpCorrection(
-        j=j,
-        population_norm=float(np.linalg.norm(c_mat, 2)),
-        coherence_norm=float(np.linalg.norm(q_mat, 2)),
-    )
+    return HeatExpCorrection(j=j, c=c_mat, q=q_mat)
 
 
 def max_heat_coherence_shift(sys: BipartiteSystem) -> float:

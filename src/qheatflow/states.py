@@ -33,6 +33,7 @@ PSD_TOL = 1e-10
 THERMAL_TOL = 1e-9
 BOHR_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
+EIGVALSH_MAX_SIDE = 16
 
 
 class InfeasibleStateError(ValueError):
@@ -101,6 +102,31 @@ def thermal_state(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
     return np.diag(thermal_populations(spectrum, beta).astype(complex))
 
 
+def _min_eigenvalue_bound(rho: np.ndarray) -> float:
+    """A lower bound on the smallest eigenvalue of the matrix ``eigvalsh``
+    reads: the Hermitian completion H of rho's lower triangle.
+
+    A row without off-diagonal entries is an eigenvalue of its own.  The
+    other rows need H_ii > 0 (else -inf); with D = diag(H_ii^-1/2),
+    Gershgorin's theorem bounds the smallest eigenvalue of D H D from below
+    by mu = min_i (1 - sum_{j != i} |H_ij| / sqrt(H_ii H_jj)), so that of H
+    by min(mu, 0) * max_i H_ii.  Unscaled, the bound fails on an exchange
+    pair whose coherence exceeds its smaller population; scaled, it holds
+    for every eta <= 1.  nan stays nan.
+    """
+    h = rho.diagonal().real
+    off = np.abs(np.tril(rho, -1))
+    off += off.T
+    coupled = off.any(axis=1)
+    alone = h[~coupled].min(initial=np.inf)
+    h, off = h[coupled], off[np.ix_(coupled, coupled)]
+    if not (h > 0).all():
+        return -np.inf
+    s = 1.0 / np.sqrt(h)
+    mu = 1.0 - (s[:, None] * off * s[None, :]).sum(axis=1).max(initial=0.0)
+    return float(np.minimum(alone, np.minimum(mu, 0.0) * h.max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class BipartiteSystem:
     """A joint density matrix together with the two local spectra.
@@ -129,9 +155,12 @@ class BipartiteSystem:
         defect = float(np.max(np.abs(rho - rho.conj().T)))
         if defect > HERM_TOL:
             raise InfeasibleStateError("hermiticity", f"defect {defect:.3e}")
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < -PSD_TOL:
-            raise InfeasibleStateError("psd", f"min eigenvalue {min_eig:.3e}")
+        # a bound within half the tolerance settles positivity (nan does not);
+        # up to EIGVALSH_MAX_SIDE, eigvalsh costs less than the bound
+        if d <= EIGVALSH_MAX_SIDE or not _min_eigenvalue_bound(rho) >= -0.5 * PSD_TOL:
+            min_eig = float(np.linalg.eigvalsh(rho)[0])
+            if min_eig < -PSD_TOL:
+                raise InfeasibleStateError("psd", f"min eigenvalue {min_eig:.3e}")
         if self.beta_c is not None:
             target = thermal_populations(self.spectrum_c, self.beta_c)
             got = np.real(np.diag(partial_trace(rho, self.dims, "H")))

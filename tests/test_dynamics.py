@@ -3,12 +3,19 @@ import pytest
 
 from qheatflow.dynamics import (
     ManifoldRotation,
+    UnitaryReport,
+    _commutes_exactly,
+    _stack_report,
+    _total_hamiltonian,
     commutator_norm,
     energy_preserving_unitary,
+    exchange_unitary_stack,
     perturbed_xy_unitary,
+    perturbed_xy_unitary_stack,
     rotation_angle,
     two_qubit_exchange_unitary,
     xy_exchange_unitary,
+    xy_unitary_stack,
 )
 from qheatflow.linalg import SIGMA_X, kron, spectral_norm
 from qheatflow.states import EnergySpectrum
@@ -194,3 +201,118 @@ def test_perturbed_commutator_uses_both_gaps_on_detuned_pair():
     assert abs(u.commutator_norm - resonant.commutator_norm) > 1e-3
     same_gaps = perturbed_xy_unitary(J_HZ, jx, t, gap=e_c, gap_h=e_c)
     assert resonant.commutator_norm == same_gaps.commutator_norm
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the dense reference
+# ---------------------------------------------------------------------------
+
+def _dense_norm_bytes(u, h) -> bytes:
+    """The dense commutator norm, as bits."""
+    return np.float64(spectral_norm(u @ h - h @ u)).tobytes()
+
+
+def _random_spectrum(rng, d) -> EnergySpectrum:
+    return EnergySpectrum(tuple(np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.7, d - 1))])))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 12, 16])
+def test_exchange_commutator_norm_equals_dense_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    spec = _random_spectrum(rng, d)
+    h = _total_hamiltonian(spec)
+    pairs = [(n, m) for n in range(d) for m in range(n + 1, d)]
+    rots = [ManifoldRotation(pair, *rng.uniform(-np.pi, np.pi, 4)) for pair in pairs]
+    u = energy_preserving_unitary(spec, rots)
+    assert _commutes_exactly(u.matrix, h)  # the structural path is the one taken
+    dense = _dense_norm_bytes(u.matrix, h)
+    assert np.float64(u.commutator_norm).tobytes() == dense
+    assert np.float64(commutator_norm(u, h)).tobytes() == dense
+    n = 3
+    angles = {pair: tuple(rng.uniform(-np.pi, np.pi, (4, n))) for pair in pairs}
+    stack = exchange_unitary_stack(spec, n, angles)
+    assert _commutes_exactly(stack.matrix, h).all()
+    for k in range(n):
+        assert stack.commutator_norm[k].tobytes() == _dense_norm_bytes(stack.matrix[k], h)
+
+
+def test_non_exchange_commutator_norms_take_the_dense_path():
+    rng = np.random.default_rng(5)
+    resonant = _total_hamiltonian(EnergySpectrum.two_level(1.0))
+    detuned = np.diag([0.0, 1.25, 1.0, 2.25]).astype(complex)
+    exchange = two_qubit_exchange_unitary(0.7, kappa=0.2, lam=-0.4, phi=1.1).matrix
+    cases = [
+        (perturbed_xy_unitary(J_HZ, 40.0, 3e-3).matrix, resonant),
+        (perturbed_xy_unitary(J_HZ, 40.0, 3e-3, gap=1.0, gap_h=1.25).matrix, detuned),
+        (exchange, detuned),  # a detuned pair: |01> and |10> differ in energy
+        (exchange, resonant + 0.1 * kron(SIGMA_X, SIGMA_X)),  # H not diagonal
+    ]
+    for u, h in cases:
+        assert not _commutes_exactly(u, h)
+        assert np.float64(commutator_norm(u, h)).tobytes() == _dense_norm_bytes(u, h)
+        assert commutator_norm(u, h) > 1e-3
+    complex_h = (1.0 + 0.5j) * resonant  # a complex diagonal: the two products may round apart
+    assert not _commutes_exactly(exchange, complex_h)
+    assert np.float64(commutator_norm(exchange, complex_h)).tobytes() == _dense_norm_bytes(exchange, complex_h)
+    # one stack mixing both paths: each cell equals its own dense norm
+    mixed = np.stack([exchange, cases[0][0], np.eye(4, dtype=complex), cases[1][0]])
+    report = _stack_report(mixed, resonant)
+    assert list(_commutes_exactly(mixed, resonant)) == [True, False, True, False]
+    for k in range(len(mixed)):
+        assert report.commutator_norm[k].tobytes() == _dense_norm_bytes(mixed[k], resonant)
+    # xy unitaries have exact zeros outside the |01>/|10> block, so they take
+    # the structural path; either way the value is the dense one
+    j_hz, t = rng.uniform(100.0, 300.0, 5), rng.uniform(0.0, 5e-3, 5)
+    j_x = rng.uniform(1.0, 60.0, 5)
+    for stack, h in [
+        (xy_unitary_stack(j_hz, t), resonant),
+        (perturbed_xy_unitary_stack(j_hz, j_x, t, 1.0, 1.0), resonant),
+        (perturbed_xy_unitary_stack(j_hz, j_x, t, 1.0, 1.25), detuned),
+    ]:
+        for k in range(5):
+            assert stack.commutator_norm[k].tobytes() == _dense_norm_bytes(stack.matrix[k], h)
+    for k in range(5):
+        u = xy_exchange_unitary(j_hz[k], t[k])
+        assert np.float64(u.commutator_norm).tobytes() == _dense_norm_bytes(u.matrix, resonant)
+
+
+def _near_unitary(size: int, defects: list[float]) -> np.ndarray:
+    """A diagonal matrix with U U^dag - I = diag(defects, 0, ...) up to rounding."""
+    u = np.eye(size, dtype=complex)
+    u[np.arange(len(defects)), np.arange(len(defects))] = np.sqrt(1.0 + np.asarray(defects))
+    return u
+
+
+def _spectral_defect(u) -> float:
+    return spectral_norm(u @ u.conj().T - np.eye(u.shape[0]))
+
+
+@pytest.mark.parametrize("size", [4, 16])
+def test_unitarity_defect_above_tolerance_raises_the_unchanged_message(size):
+    h = np.diag(np.arange(size, dtype=float)).astype(complex)
+    for defects in ([2e-10], [1.5e-10], [2e-10] * 3, [1.1e-10] * size):
+        u = _near_unitary(size, defects)
+        message = f"matrix is not unitary (defect {_spectral_defect(u):.3e})"
+        assert _spectral_defect(u) > 1e-10
+        with pytest.raises(ValueError) as single:
+            UnitaryReport(u, 0.0)
+        with pytest.raises(ValueError) as stacked:
+            _stack_report(np.stack([np.eye(size, dtype=complex), u, u]), h)
+        assert str(single.value) == str(stacked.value) == message
+
+
+@pytest.mark.parametrize("size", [4, 16])
+def test_unitarity_defect_below_tolerance_passes(size):
+    h = np.diag(np.arange(size, dtype=float)).astype(complex)
+    # rank one: the Frobenius bound settles it; spread over the diagonal:
+    # the Frobenius norm exceeds the tolerance and the SVD decides
+    for defects in ([5e-11], [5e-11] * size, [9e-11] * size):
+        u = _near_unitary(size, defects)
+        assert _spectral_defect(u) <= 1e-10
+        assert UnitaryReport(u, 0.0).matrix.tobytes() == u.tobytes()
+        assert _stack_report(np.stack([u, np.eye(size, dtype=complex)]), h).matrix[0].tobytes() == u.tobytes()
+
+
+def test_unitarity_check_of_a_nan_matrix_fails_as_the_svd_does():
+    with pytest.raises(np.linalg.LinAlgError):
+        UnitaryReport(np.full((4, 4), np.nan, dtype=complex), 0.0)

@@ -181,6 +181,33 @@ def test_table_csv_equals_row_loop_byte_for_byte(kind, d_c, d_h):
     assert table.to_csv() == _row_loop_csv(table)
 
 
+@pytest.mark.parametrize("kind", ["MH", "TPM"])
+@pytest.mark.parametrize("d_c, d_h", [(2, 2), (2, 3), (4, 4), (8, 8)])
+def test_table_csv_of_repeated_values_equals_row_loop_byte_for_byte(kind, d_c, d_h):
+    # few distinct values, each many times: the writer formats each once
+    rng = np.random.default_rng(7 * d_c + d_h)
+    energies_c = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, d_c - 1))])
+    energies_h = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, d_h - 1))])
+    pool = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, 1e-4, 2.0**-14, 1.0 / 30000.0]
+    pool += [-1e-17, -3e-5] if kind == "MH" else []
+    values = rng.choice(np.array(pool), size=(d_c, d_h) * 2)
+    values.reshape(-1)[-1] = 0.0
+    values.reshape(-1)[-1] = 1.0 - values.sum()
+    table = TransitionTable(kind, values, tuple(energies_c), tuple(energies_h))
+    flat = table.values.reshape(-1)
+    assert np.signbit(flat[flat == 0.0]).any() and not np.signbit(flat[flat == 0.0]).all()
+    assert table.to_csv() == _row_loop_csv(table)
+
+
+def test_probe_row_csv_of_repeated_values_equals_row_loop_byte_for_byte(rng):
+    sys, u, _ = random_system_and_unitary(rng, 4)
+    stats = probe_statistics(sys, u, (1, 2), 0.3)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 0.25, -1e-17])
+    for _ in range(5):
+        values, stderr = rng.choice(pool, size=(2, 4, 4))
+        assert probe_row_csv(stats, values, stderr) == _probe_loop_csv(stats, values, stderr)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_probe_row_csv_equals_row_loop_byte_for_byte(rng, dim):
     sys, u, _ = random_system_and_unitary(rng, dim)
@@ -482,6 +509,23 @@ def test_j_term_identity(qubit_ensemble):
         )
         assert 1.0 + corr.j == pytest.approx(direct, abs=1e-10)
         assert corr.j <= corr.norm_bound + 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_j_term_norms_equal_the_dense_spectral_norms_bit_for_bit(rng, dim):
+    for _ in range(3):
+        sys, u, _ = random_system_and_unitary(rng, dim)
+        corr = heat_exp_correction(sys, u)
+        # the correction operators, written out independently
+        pops = np.real(np.diag(sys.rho))
+        qpop = np.kron(np.real(np.diag(sys.marginal_c())), np.real(np.diag(sys.marginal_h())))
+        c_mat = np.diag((pops / qpop - 1.0).astype(complex))
+        q_mat = sys.rho / qpop[:, None]
+        np.fill_diagonal(q_mat, 0.0)
+        pop, coh = np.linalg.norm(c_mat, 2), np.linalg.norm(q_mat, 2)
+        assert np.float64(corr.population_norm).tobytes() == np.float64(pop).tobytes()
+        assert np.float64(corr.coherence_norm).tobytes() == np.float64(coh).tobytes()
+        assert np.float64(corr.norm_bound).tobytes() == np.float64(float(pop) + float(coh)).tobytes()
 
 
 def test_j_term_divergence_for_vanishing_marginal():

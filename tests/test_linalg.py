@@ -70,6 +70,30 @@ def test_kron_bilinear_and_associative(seed):
     assert np.max(np.abs(asc)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "shape_a, shape_b", [((2, 2), (3, 3)), ((2, 3), (4, 1)), ((1, 5), (3, 2)), ((4, 4), (4, 4))]
+)
+@pytest.mark.parametrize(
+    "complex_a, complex_b", [(False, False), (True, False), (False, True), (True, True)]
+)
+def test_kron_equals_numpy_kron_bit_for_bit(shape_a, shape_b, complex_a, complex_b):
+    rng = np.random.default_rng(sum(shape_a) * 10 + sum(shape_b))
+
+    def draw(shape, cplx):
+        m = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cplx else 0.0)
+        # signed zeros, a subnormal and a huge entry; complex zeros with mixed signs
+        specials = [-0.0, 0.0, 5e-324, -1e300] + ([complex(-0.0, 0.0), complex(0.0, -0.0)] if cplx else [])
+        m.flat[: len(specials)] = specials[: m.size]
+        return m
+
+    a, b = draw(shape_a, complex_a), draw(shape_b, complex_b)
+    with np.errstate(over="ignore", invalid="ignore"):  # -1e300 * -1e300 overflows in both
+        got = kron(a, b)
+        expected = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # partial trace / transpose
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 from qheatflow.linalg import kron, partial_trace
 from qheatflow.properties import random_two_qubit_system, random_two_qutrit_system
 from qheatflow.states import (
+    EIGVALSH_MAX_SIDE,
+    PSD_TOL,
     BipartiteSystem,
     EnergySpectrum,
     InfeasibleStateError,
@@ -17,6 +19,7 @@ from qheatflow.states import (
     thermal_state,
     two_qubit_state,
     two_qutrit_state,
+    _min_eigenvalue_bound,
 )
 
 BC, BH = 1.13, 0.9618  # the resonant-pair working point used throughout
@@ -292,3 +295,93 @@ def test_system_rho_is_immutable():
     sys = gamma_correlated_state(-0.19, BC, BH)
     with pytest.raises(ValueError):
         sys.rho[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the positivity check: a bound first, eigvalsh when it does not decide
+# ---------------------------------------------------------------------------
+
+def _state_with_min_eigenvalue(d: int, target: float) -> np.ndarray:
+    """A d^2 x d^2 unit-trace matrix, diagonal apart from one exchange-pair
+    block whose smaller eigenvalue is ``target``."""
+    pops = np.linspace(1.0, 2.0, d * d)
+    pops /= pops.sum()
+    rho = np.diag(pops).astype(complex)
+    a, b = 1, d  # the |0 1>, |1 0> pair
+    mean, half = (pops[a] + pops[b]) / 2, (pops[b] - pops[a]) / 2
+    c = np.sqrt((mean - target) ** 2 - half**2) * np.exp(0.3j)
+    rho[a, b], rho[b, a] = c, np.conj(c)
+    return rho
+
+
+def _spectrum(d: int) -> EnergySpectrum:
+    return EnergySpectrum(tuple(np.cumsum([0.0] + [1.0 + 0.1 * k * k for k in range(d - 1)])))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_psd_check_rejects_min_eigenvalue_below_tolerance_with_unchanged_message(d):
+    rho = _state_with_min_eigenvalue(d, -2e-10)
+    min_eig = np.linalg.eigvalsh(rho)[0]
+    assert min_eig < -PSD_TOL
+    with pytest.raises(InfeasibleStateError) as err:
+        BipartiteSystem(_spectrum(d), _spectrum(d), rho)
+    assert err.value.constraint == "psd"
+    assert str(err.value) == f"min eigenvalue {min_eig:.3e}"
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_psd_check_accepts_min_eigenvalue_within_tolerance(d):
+    rho = _state_with_min_eigenvalue(d, -5e-11)
+    assert -PSD_TOL < np.linalg.eigvalsh(rho)[0] < 0.0
+    assert BipartiteSystem(_spectrum(d), _spectrum(d), rho).rho.tobytes() == rho.tobytes()
+
+
+def test_psd_bound_settles_states_at_the_eta_cap():
+    # eta = 1 on pairs with very unequal populations: the plain Gershgorin
+    # bound is far below zero, the scaled one is not, and the state is valid
+    d = 5
+    spec = _spectrum(d)
+    product = np.outer(thermal_populations(spec, 2.0), thermal_populations(spec, 0.1)).ravel()
+    free = {k: product[k] for k in [0] + [n * d + m for n in range(1, d) for m in range(1, d)] if k != d + 1}
+    eta = {(n, m): 1.0 for n in range(d) for m in range(n + 1, d)}
+    sys_ = qudit_locally_thermal(spec, 2.0, 0.1, free, eta, {(0, 1): 0.7})
+    rho = sys_.rho
+    off = np.abs(np.tril(rho, -1))
+    plain = np.min(rho.diagonal().real - off.sum(axis=0) - off.sum(axis=1))
+    assert plain < -PSD_TOL
+    assert d * d > EIGVALSH_MAX_SIDE and _min_eigenvalue_bound(rho) >= -0.5 * PSD_TOL
+    assert np.linalg.eigvalsh(rho)[0] >= -PSD_TOL
+
+
+def test_psd_check_falls_back_to_eigvalsh_when_the_bound_does_not_decide():
+    # a pure state: every row is coupled to all others, so the bound is
+    # negative while the smallest eigenvalue is zero up to rounding
+    d = 5
+    v = np.sqrt(np.linspace(1.0, 3.0, d * d)) * np.exp(1j * np.arange(d * d))
+    rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+    assert _min_eigenvalue_bound(rho) < -0.5 * PSD_TOL
+    assert abs(np.linalg.eigvalsh(rho)[0]) <= PSD_TOL
+    assert BipartiteSystem(_spectrum(d), _spectrum(d), rho).rho.tobytes() == rho.tobytes()
+
+
+@pytest.mark.parametrize("entry", [(3, 1), (2, 2)], ids=["off-diagonal", "diagonal"])
+def test_psd_check_of_a_nan_state_fails_as_eigvalsh_does(entry):
+    rho = np.eye(25, dtype=complex) / 25
+    rho[entry] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        BipartiteSystem(_spectrum(5), _spectrum(5), rho)
+
+
+def test_min_eigenvalue_bound_is_a_lower_bound():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 30))
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m *= rng.random((n, n)) < rng.uniform(0.0, 0.5)  # sparse couplings
+        diag = rng.uniform(-0.2, 3.0, n) * (rng.random(n) < 0.9)  # zeros and negatives
+        h = np.tril(m, -1)
+        h = h + h.conj().T + np.diag(diag)
+        if trial % 3 == 0:
+            h = h @ h.conj().T  # positive semidefinite
+        upper_noise = np.triu(rng.standard_normal((n, n)), 1)  # eigvalsh reads the lower triangle
+        assert _min_eigenvalue_bound(h + upper_noise) <= np.linalg.eigvalsh(h)[0] + 1e-9

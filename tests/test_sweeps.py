@@ -697,6 +697,25 @@ def test_cli_names_a_missing_required_key(tmp_path, capsys, command, text, key, 
     assert "Traceback" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "command, text, key, value",
+    [("sweep", EXPERIMENT_CFG, "state.beta_C", "2.0"), ("point", POINT_CFG, "unitary.t", "0.001")],
+    ids=["sweep", "point"],
+)
+def test_cli_rejects_a_key_set_twice_in_one_file(tmp_path, capsys, command, text, key, value):
+    lines = text.splitlines()
+    first = next(k for k, line in enumerate(lines, start=1) if line.startswith(key + " "))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines + ["# a second value", f"{key} = {value}", ""]))
+    assert cli_main([command, str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line {len(lines) + 2}: {key} is already set on line {first}\n"
+    assert "Traceback" not in captured.out
+    # set once in the file, the key can still be overridden on the command line
+    cfg.write_text(text)
+    assert cli_main([command, str(cfg), "--set", f"{key}={value}"]) == 0
+
+
 def test_integral_counts_are_accepted(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(POINT_CFG)
