@@ -185,15 +185,6 @@ class XftReport:
         return abs(self.lhs - 1.0 - self.chi_bar)
 
 
-def _table_values(sys: BipartiteSystem, u, dephased: bool) -> np.ndarray:
-    u = unwrap(u)
-    rho = np.diag(np.diag(sys.rho)) if dephased else sys.rho
-    # entry [i, f] = Re[ U_{f,i} (rho U^dag)_{i,f} ]
-    vals = np.real(u.T * (rho @ u.conj().T))
-    d_c, d_h = sys.dims
-    return vals.reshape(d_c, d_h, d_c, d_h)
-
-
 def tpm_distribution(sys: BipartiteSystem, u) -> TransitionTable:
     """Two-point-measurement transition probabilities."""
     u = unwrap(u)
@@ -215,11 +206,11 @@ def mh_distribution(sys: BipartiteSystem, u) -> TransitionTable:
     u = unwrap(u)
     if u.shape[0] != sys.d_c * sys.d_h:
         raise ValueError("unitary dimension does not match the system")
+    # entry [i, f] = Re[ U_{f,i} (rho U^dag)_{i,f} ]
+    vals = np.real(u.T * (sys.rho @ u.conj().T))
+    d_c, d_h = sys.dims
     return TransitionTable(
-        "MH",
-        _table_values(sys, u, dephased=False),
-        sys.spectrum_c.levels,
-        sys.spectrum_h.levels,
+        "MH", vals.reshape(d_c, d_h, d_c, d_h), sys.spectrum_c.levels, sys.spectrum_h.levels
     )
 
 

@@ -3,11 +3,12 @@
 A sweep is a scenario name, fixed parameters, one or two axes and a list
 of output columns.  ``run_sweep`` groups the grid cells by the state they
 read, builds and validates each distinct state once, and evaluates each
-group's unitaries as (n, D, D) stacks.  ``evaluate_cell`` is the scalar
-reference for one cell (``analyze_point`` uses it); every stacked value
-equals its result bit for bit.  No cell is dropped: cells whose state
-construction fails carry a status code ``infeasible:<constraint>``;
-witness columns use the encoding
+group's unitaries as (n, D, D) stacks.  There is one unitary builder and
+one evaluator: ``evaluate_cell`` and ``analyze_point`` run them at n = 1.
+The scalar reference that every value is checked against, bit for bit,
+lives in the tests.  No cell is dropped: cells whose state construction
+fails carry a status code ``infeasible:<constraint>``; witness columns
+use the encoding
 
     1  violated        0  not violated
    -1  witness not applicable or a precondition failed
@@ -38,15 +39,15 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, format_config, integer
+# perfbench/tracing.py wraps the scalar witnesses and unitary constructors here; keep them bound.
 from .dynamics import (
-    ManifoldRotation,
+    UnitaryReport,
     UnitaryStack,
     _xy_perturbation,
     energy_preserving_unitary,
     exchange_unitary_stack,
     perturbed_xy_unitary,
     perturbed_xy_unitary_stack,
-    rotation_angle,
     rotation_angles,
     two_qubit_exchange_unitary,
     xy_exchange_unitary,
@@ -54,21 +55,15 @@ from .dynamics import (
 )
 from .fluctuations import (
     DivergenceError,
-    flow_decomposition,
+    TransitionTable,
     flow_decomposition_stack,
-    heat_exp_correction,
     heat_exp_j_stack,
     marginal_check,
-    mh_distribution,
-    table_heat,
     table_heat_stack,
     table_stack,
-    tpm_distribution,
     transition_csv,
-    xft_average,
     xft_average_stack,
     xft_coherence_stack,
-    xft_coherence_term,
 )
 from .probe import probe_statistics, reconstruct_quasiprobability, sampled_reconstruction
 from .states import (
@@ -366,12 +361,6 @@ def _format_cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _flag(verdict) -> int:
-    if not verdict.preconditions_ok:
-        return -1
-    return 1 if verdict.violated else 0
-
-
 def _solve_jx_for_eps(j_hz: float, t: float, eps_target: float, jx_hi: float = 4000.0) -> float:
     """Invert eps(J_x) for the perturbed XY family by bisection.
 
@@ -472,38 +461,10 @@ def _build_state(kind: str, params: dict) -> BipartiteSystem:
     )
 
 
-def _build_unitary(kind: str, params: dict, sys: BipartiteSystem):
-    """(unitary report, extra output columns) of one kind acting on ``sys``."""
-    params = _KindParams(f"{kind} unitary", params)
-    if kind == "xy":
-        u = xy_exchange_unitary(
-            params["unitary.J"], params["unitary.t"], gap=params.get("state.E", 1.0)
-        )
-        return u, {"theta": rotation_angle(u)}
-    if kind == "perturbed-xy":
-        u = perturbed_xy_unitary(
-            params["unitary.J"], params.get("unitary.Jx", 0.0), params["unitary.t"],
-            gap=sys.spectrum_c.levels[1], gap_h=sys.spectrum_h.levels[1],
-        )
-        return u, {"eps_actual": u.epsilon}
-    if sys.d_c == 2:
-        u = two_qubit_exchange_unitary(
-            params["unitary.theta"],
-            kappa=params.get("unitary.kappa", 0.0),
-            lam=params.get("unitary.lam", 0.0),
-            phi=params.get("unitary.phi", 0.0),
-            gap=params.get("state.E", 1.0),
-        )
-        return u, {"theta": params["unitary.theta"]}
-    rots = [
-        ManifoldRotation(pair, params[key]) for pair, key in QUTRIT_ANGLES.items() if key in params
-    ]
-    return energy_preserving_unitary(sys.spectrum_c, rots), {}
-
-
 def _build_cell(scenario: str, kinds: tuple[str, str], params: dict, solved_jx: dict):
     """Construct (system, unitary_report, cell_extras) for one grid point.
 
+    The unitary is the one-cell stack of ``_build_unitary_stack``.
     ``solved_jx`` is the J_x memo of ``_derive``.
     """
     row = SCENARIOS[scenario]
@@ -513,90 +474,15 @@ def _build_cell(scenario: str, kinds: tuple[str, str], params: dict, solved_jx: 
     sys = _build_state(state, params)
     # after the state: infeasible cells skip the J_x solve
     _derive(row, params, "unitary.", solved_jx)
-    u, extras = _build_unitary(unitary, params, sys)
+    u, extras = _build_unitary_stack(unitary, [params], sys)
+    extras = {column: values[0] for column, values in extras.items()}
     extras.update((column, params[key]) for column, key in row.columns.items())
-    return sys, u, extras
-
-
-def evaluate_cell(sys: BipartiteSystem, u, extras: dict | None = None) -> dict:
-    """All derived quantities and verdict flags for one (state, protocol) cell.
-
-    A witness that does not apply to the cell is flagged -1 with no bound.
-    """
-    row: dict = dict(extras or {})
-    row.update(dict.fromkeys(FLAG_COLUMNS, -1))
-    beta_c, beta_h = sys.beta_c, sys.beta_h
-    mh = mh_distribution(sys, u)
-    tpm = tpm_distribution(sys, u)
-    q = table_heat(mh)
-    q_tpm = table_heat(tpm)
-    report = flow_decomposition(mh, q_tpm=q_tpm)
-    row.update(
-        Q=q,
-        Q_tpm=q_tpm,
-        Q_back=report.q_back,
-        Q_direct=report.q_direct,
-        min_pw=mh.min_entry(),
-        negativity=int(mh.min_entry() < NEGATIVITY_THRESHOLD),
-        min_pt_eig=min_partial_transpose_eigenvalue(sys),
-    )
-
-    unequal_betas = beta_c is not None and beta_h is not None and beta_c != beta_h
-    if unequal_betas and sys.dims == (2, 2) and sys.spectrum_c == sys.spectrum_h:
-        v1 = two_qubit_flow_witness(
-            q, q_tpm, beta_c, beta_h,
-            gap=sys.spectrum_c.levels[1], commutator_norm=u.commutator_norm,
-        )
-        row["t1_violated"] = _flag(v1)
-        row["t1_bound"] = v1.bound
-
-    if unequal_betas and "eps_actual" in row:
-        v2 = nonideal_flow_witness(
-            q, q_tpm, beta_c, beta_h,
-            e_c=sys.spectrum_c.levels[1], e_h=sys.spectrum_h.levels[1],
-            epsilon=row["eps_actual"],
-        )
-        row["t2_violated"] = _flag(v2)
-        row["t2_bound"] = v2.bound
-
-    if unequal_betas:
-        try:
-            chi = xft_coherence_term(sys, u)
-            xft = xft_average(mh, sys).with_chi(chi)
-            row["chi_bar"] = chi
-            row["xft_lhs"] = xft.lhs
-            row["avg_delta_I"] = xft.avg_delta_i
-            v3 = xft_flow_witness(q, xft, beta_c, beta_h)
-            row["t3_violated"] = _flag(v3)
-            row["t3_bound"] = v3.bound
-        except DivergenceError:
-            row["t3_violated"] = -2
-        try:
-            corr = heat_exp_correction(sys, u)
-            row["j_term"] = corr.j
-            v4 = correlation_flow_witness(q, corr.j, beta_c, beta_h)
-            row["i4_violated"] = _flag(v4)
-            row["i4_bound"] = v4.bound
-        except DivergenceError:
-            row["i4_violated"] = -2
-        vs = strong_backflow_witness(q, beta_c, beta_h, sys.d_c)
-        row["strong_backflow_violated"] = _flag(vs)
-        row["strong_backflow_bound"] = vs.bound
-
-    if sys.spectrum_c == sys.spectrum_h and sys.spectrum_c.bohr_nondegenerate():
-        try:
-            lower, upper = tpm_band_witness(q, tpm)
-            row["t4_lower_violated"] = _flag(lower)
-            row["t4_upper_violated"] = _flag(upper)
-            row["t4_lower_bound"] = lower.bound
-            row["t4_upper_bound"] = upper.bound
-        except ValueError:
-            row["t4_lower_violated"] = row["t4_upper_violated"] = -2
-    return row
+    epsilon = None if u.epsilon is None else float(u.epsilon[0])
+    return sys, UnitaryReport(u.matrix[0], float(u.commutator_norm[0]), epsilon), extras
 
 
 def _build_unitary_stack(kind: str, cells: list[dict], sys: BipartiteSystem):
-    """``_build_unitary`` for cells acting on one state, as one stack.
+    """The unitaries of one kind for cells acting on one state, as one stack.
 
     Returns the stack and the extra output columns as per-cell lists.
     """
@@ -629,13 +515,14 @@ def _build_unitary_stack(kind: str, cells: list[dict], sys: BipartiteSystem):
     return exchange_unitary_stack(sys.spectrum_c, len(cells), angles), {}
 
 
-def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack) -> tuple[dict, dict]:
-    """``evaluate_cell`` for every unitary of a stack acting on one state.
+def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack, extras: dict):
+    """All derived quantities and verdict flags for every unitary of a
+    stack acting on one state.
 
-    Returns (columns, present): per-cell arrays by output column and, for
-    the columns ``evaluate_cell`` sets on some cells only, a mask of the
-    cells that have them.  Rule for rule the same as ``evaluate_cell``,
-    and every value equals its result bit for bit.
+    ``extras`` holds per-cell lists of extra output columns.  Returns one
+    row per cell (its extras, then the outputs; a witness that does not
+    apply to the cell is flagged -1 with no bound) and the MH and TPM
+    value stacks.  T2 applies where the stack has an ``epsilon``.
     """
     n = len(u.matrix)
     beta_c, beta_h = sys.beta_c, sys.beta_h
@@ -656,7 +543,7 @@ def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack) -> tuple[dict, dict]:
         negativity=(min_pw < NEGATIVITY_THRESHOLD).astype(int),
         min_pt_eig=np.full(n, min_partial_transpose_eigenvalue(sys)),
     )
-    present: dict = {}
+    present: dict = {}  # column -> mask of the cells that have it (other columns: every cell)
 
     def put(name, verdict, cells=None):
         col[f"{name}_violated"] = verdict.flags()
@@ -699,7 +586,36 @@ def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack) -> tuple[dict, dict]:
         else:
             put("t4_lower", lower)
             put("t4_upper", upper)
-    return col, present
+    lists = extras | {name: values.tolist() for name, values in col.items() if name not in present}
+    partial = {name: (col[name].tolist(), mask.tolist()) for name, mask in present.items()}
+    rows = [
+        {name: values[k] for name, values in lists.items()}
+        | {name: values[k] for name, (values, has) in partial.items() if has[k]}
+        for k in range(n)
+    ]
+    return rows, mh, tpm
+
+
+def _evaluate_one(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None):
+    """``_evaluate_stack`` at n = 1: (row, MH values, TPM values) of one cell.
+
+    T2 applies when ``extras`` carries ``eps_actual``.
+    """
+    extras = extras or {}
+    epsilon = np.array([extras["eps_actual"]], float) if "eps_actual" in extras else None
+    stack = UnitaryStack(u.matrix[None], np.array([u.commutator_norm], float), epsilon)
+    rows, mh, tpm = _evaluate_stack(sys, stack, {name: [value] for name, value in extras.items()})
+    return rows[0], mh[0], tpm[0]
+
+
+def evaluate_cell(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None = None) -> dict:
+    """All derived quantities and verdict flags for one (state, protocol)
+    cell, by the stacked evaluation at n = 1.
+
+    A witness that does not apply to the cell is flagged -1 with no bound;
+    T2 applies when ``extras`` carries ``eps_actual``.
+    """
+    return _evaluate_one(sys, u, extras)[0]
 
 
 def _evaluate_group(unitary: str, scenario: Scenario, sys: BipartiteSystem, cells) -> None:
@@ -708,13 +624,8 @@ def _evaluate_group(unitary: str, scenario: Scenario, sys: BipartiteSystem, cell
     u, extras = _build_unitary_stack(unitary, params, sys)
     for column, key in scenario.columns.items():
         extras[column] = [p[key] for p in params]
-    col, present = _evaluate_stack(sys, u)
-    lists = extras | {name: values.tolist() for name, values in col.items() if name not in present}
-    partial = {name: (col[name].tolist(), mask.tolist()) for name, mask in present.items()}
-    for k, (row, _) in enumerate(cells):
-        row.update({name: values[k] for name, values in lists.items()})
-        row.update({name: values[k] for name, (values, has) in partial.items() if has[k]})
-        row["status"] = "ok"
+    for (row, _), values in zip(cells, _evaluate_stack(sys, u, extras)[0]):
+        row.update(values, status="ok")
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -835,9 +746,9 @@ def analyze_point(cfg: dict) -> PointReport:
             f"probe.shots must be >= 0 (0 is the exact reconstruction), got {probe['probe.shots']}"
         )
     sys, u, extras = _build_cell(scenario, _kinds(scenario, params), params, {})
-    row = evaluate_cell(sys, u, extras)
-    mh = mh_distribution(sys, u)
-    tpm = tpm_distribution(sys, u)
+    row, mh, tpm = _evaluate_one(sys, u, extras)
+    levels = (sys.spectrum_c.levels, sys.spectrum_h.levels)
+    mh, tpm = TransitionTable("MH", mh, *levels), TransitionTable("TPM", tpm, *levels)
 
     target = (probe.get("probe.i_C", 0), probe.get("probe.i_H", min(1, sys.d_h - 1)))
     eps = float(params.get("probe.eps", 0.2))

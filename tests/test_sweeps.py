@@ -11,9 +11,14 @@ import qheatflow.properties as properties
 import qheatflow.sweeps as sweeps
 from qheatflow.cli import main as cli_main
 from qheatflow.config import ConfigError, apply_overrides, load_config, parse_config
-from qheatflow.dynamics import perturbed_xy_unitary
 from qheatflow.fluctuations import TransitionTable
-from qheatflow.states import InfeasibleStateError
+from qheatflow.dynamics import (
+    ManifoldRotation,
+    UnitaryReport,
+    energy_preserving_unitary,
+    perturbed_xy_unitary,
+)
+from qheatflow.states import EnergySpectrum, InfeasibleStateError, qudit_locally_thermal, thermal_populations
 from qheatflow.sweeps import (
     SweepSpec,
     _build_cell,
@@ -23,6 +28,7 @@ from qheatflow.sweeps import (
     run_sweep,
 )
 
+import reference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -210,22 +216,28 @@ def test_csv_headers_and_metadata_block():
 # stacked evaluation against the scalar reference
 # ---------------------------------------------------------------------------
 
-def _reference_rows(spec: SweepSpec) -> list[dict]:
-    """Every cell of ``spec`` built alone with _build_cell + evaluate_cell."""
+def _spec_cells(spec: SweepSpec):
+    """(kinds, params, row with the axis values) of every cell of ``spec``, in grid order."""
     scenario = sweeps.SCENARIOS[spec.scenario]
     params_base = {**scenario.defaults, **spec.fixed}
     kinds = sweeps._kinds(spec.scenario, params_base)
     keys = [scenario.axes.get(axis.name, axis.name) for axis in spec.axes]
-    solved_jx: dict = {}
-    rows = []
     for cell in itertools.product(*(axis.values() for axis in spec.axes)):
         params = dict(params_base)
         row = {}
         for axis, key, value in zip(spec.axes, keys, cell):
             params[key] = row[axis.name] = float(value)
+        yield kinds, params, row
+
+
+def _reference_rows(spec: SweepSpec) -> list[dict]:
+    """Every cell of ``spec`` built and evaluated alone by the scalar reference."""
+    solved_jx: dict = {}
+    rows = []
+    for kinds, params, row in _spec_cells(spec):
         try:
-            sys, u, extras = _build_cell(spec.scenario, kinds, params, solved_jx)
-            row.update(evaluate_cell(sys, u, extras))
+            sys, u, extras = reference.build_cell(spec.scenario, kinds, params, solved_jx)
+            row.update(reference.evaluate_cell(sys, u, extras))
             row["status"] = "ok"
         except InfeasibleStateError as exc:
             row["status"] = f"infeasible:{exc.constraint}"
@@ -375,6 +387,120 @@ def test_sweep_builds_each_distinct_state_once(monkeypatch):
     rows = run_sweep(spec).rows
     assert len(rows) == 20
     assert sorted(built) == sorted(set(r["eta"] for r in rows))  # infeasible ones too
+
+
+def _reprs(row: dict) -> dict:
+    return {key: repr(value) for key, value in row.items()}
+
+
+# a shipped config of each named scenario, then every custom kind pair
+CELL_SPECS = ["experiment_time.cfg", "qubit_grid.cfg", "qutrit_xft.cfg", "nonideal_tolerance.cfg"] + [
+    f"{state}+{unitary}" for state in CUSTOM_STATES for unitary in CUSTOM_UNITARIES
+]
+
+
+def _cell_spec(name: str) -> SweepSpec:
+    if name.endswith(".cfg"):
+        return _with_points(CONFIG_DIR / name, 7)
+    return _custom_spec(*name.split("+"))
+
+
+def _evaluated(evaluate, sys, u, extras):
+    """The row's reprs, or the error that a unitary of the wrong size raises."""
+    try:
+        return _reprs(evaluate(sys, u, extras))
+    except ValueError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("name", CELL_SPECS)
+def test_build_cell_and_evaluate_cell_equal_scalar_reference_bit_for_bit(name):
+    # the one-cell stack against the single-matrix constructors and the
+    # scalar evaluation, on every feasible cell of a named scenario's grid
+    # or a custom kind pair
+    spec = _cell_spec(name)
+    memo, reference_memo = {}, {}
+    built = 0
+    for kinds, params, _ in _spec_cells(spec):
+        try:
+            sys, u, extras = _build_cell(spec.scenario, kinds, params, memo)
+        except InfeasibleStateError:
+            continue
+        _, ref, ref_extras = reference.build_cell(spec.scenario, kinds, params, reference_memo)
+        assert isinstance(u, UnitaryReport)
+        assert u.matrix.tobytes() == ref.matrix.tobytes()
+        assert repr(u.commutator_norm) == repr(ref.commutator_norm)
+        assert repr(u.epsilon) == repr(ref.epsilon)
+        assert _reprs(extras) == _reprs(ref_extras)
+        assert _evaluated(evaluate_cell, sys, u, extras) == _evaluated(
+            reference.evaluate_cell, sys, ref, ref_extras
+        )
+        built += 1
+    assert built
+
+
+# the keys each unitary kind needs; an exchange on a qutrit needs none
+REQUIRED_UNITARY_KEYS = {
+    "exchange": ("unitary.theta",),
+    "xy": ("unitary.J", "unitary.t"),
+    "perturbed-xy": ("unitary.J", "unitary.t"),
+}
+
+
+@pytest.mark.parametrize(
+    "state,unitary",
+    [(s, u) for s in CUSTOM_STATES for u in CUSTOM_UNITARIES if (s, u) != ("two-qutrit", "exchange")],
+)
+def test_build_cell_names_a_missing_key_as_the_reference_does(state, unitary):
+    state_keys, (state_key, lo, hi) = CUSTOM_STATES[state]
+    unitary_keys, (unitary_key, _, end) = CUSTOM_UNITARIES[unitary]
+    params = {**state_keys, state_key: 0.5 * (lo + hi), **unitary_keys, unitary_key: end}
+    for key in REQUIRED_UNITARY_KEYS[unitary]:
+        given = {k: v for k, v in params.items() if k != key}
+        with pytest.raises(ConfigError) as got:
+            _build_cell("custom", (state, unitary), given, {})
+        with pytest.raises(ConfigError) as want:
+            reference.build_cell("custom", (state, unitary), given, {})
+        assert str(got.value) == str(want.value) == f"{key} is not set; the {unitary} unitary needs it"
+
+
+# optimal Golomb rulers: every level difference is distinct, so the
+# scaled spectra are Bohr-nondegenerate
+GOLOMB = {
+    4: (0, 1, 4, 6),
+    8: (0, 1, 4, 9, 15, 22, 32, 34),
+    12: (0, 2, 6, 24, 29, 40, 43, 55, 68, 75, 76, 85),
+    16: (0, 1, 4, 11, 26, 32, 56, 68, 76, 115, 117, 134, 150, 163, 168, 177),
+}
+
+
+def _qudit_cell(d: int, rng):
+    """A feasible coherent locally thermal qudit state and an exchange unitary."""
+    spec = EnergySpectrum(tuple(4.0 * m / GOLOMB[d][-1] for m in GOLOMB[d]))
+    product = np.outer(thermal_populations(spec, 1.2), thermal_populations(spec, 0.5)).ravel()
+    pairs = [(n, m) for n in range(d) for m in range(n + 1, d)]
+    free_keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
+    for _ in range(100):
+        free = {k: product[k] * rng.uniform(0.95, 1.05) for k in free_keys}
+        eta = dict(zip(pairs, rng.uniform(0.2, 0.95, len(pairs))))
+        xi = dict(zip(pairs, rng.uniform(0.0, 2.0 * np.pi, len(pairs))))
+        try:
+            sys_ = qudit_locally_thermal(spec, 1.2, 0.5, free, eta, xi)
+        except InfeasibleStateError:
+            continue
+        rots = [ManifoldRotation(pair, theta) for pair, theta in zip(pairs, rng.uniform(0, np.pi, len(pairs)))]
+        return sys_, energy_preserving_unitary(spec, rots)
+    raise AssertionError(f"no feasible d = {d} draw in 100 attempts")
+
+
+@pytest.mark.parametrize("d", sorted(GOLOMB))
+def test_evaluate_cell_equals_scalar_reference_on_qudits(d):
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(2):
+        sys_, u = _qudit_cell(d, rng)
+        got = _reprs(evaluate_cell(sys_, u, {}))
+        assert got == _reprs(reference.evaluate_cell(sys_, u, {}))
+        assert {"chi_bar", "t4_lower_bound", "i4_bound"} <= got.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +677,27 @@ def test_point_analysis_probe_row_matches_mh():
     }
     for (f_c, f_h), val in mh_row.items():
         assert report.probe_values[f_c, f_h] == pytest.approx(val, abs=1e-10)
+
+
+def test_point_analysis_builds_each_table_once(monkeypatch):
+    built = []
+
+    def counting(ns, name, kind=None):
+        original = getattr(ns, name)
+
+        def wrapper(*args, **kwargs):
+            built.append(kind or args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ns, name, wrapper)
+
+    for ns in (sweeps, fluct):
+        for name, kind in (("mh_distribution", "MH"), ("tpm_distribution", "TPM"), ("table_stack", None)):
+            if hasattr(ns, name):
+                counting(ns, name, kind)
+    report = analyze_point({"scenario": "qutrit-theta-grid", "unitary.theta01": 0.3, "unitary.theta02": 0.6})
+    assert sorted(built) == ["MH", "TPM"]
+    assert report.mh_csv.count("\n") == report.tpm_csv.count("\n") == 3**4 + 1
 
 
 # ---------------------------------------------------------------------------
