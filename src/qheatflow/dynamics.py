@@ -191,11 +191,15 @@ def xy_exchange_unitary(j_hz: float, t: float, gap: float = 1.0) -> UnitaryRepor
 
 
 def _xy_perturbation(j_hz: float, t: float):
-    """J_x -> (U, epsilon) for the XY coupling J plus J_x sigma_x sigma_x.
+    """J_x -> (U, epsilon) for the XY coupling J plus J_x sigma_x sigma_x,
+    for a 1-D array of n values of J_x at once.
 
-    U = exp(-i (H_xy + J_x sigma_x sigma_x) t) and epsilon = ||U - U_ref||
-    with U_ref the J_x = 0 unitary.  H_xy and U_ref are built once, so
-    repeated evaluations (the J_x bisection) cost one exponential each.
+    U = exp(-i (H_xy + J_x sigma_x sigma_x) t), as an (n, 4, 4) stack, and
+    epsilon = ||U - U_ref|| per matrix, with U_ref the J_x = 0 unitary.
+    H_xy and U_ref are built once, so repeated evaluations (the J_x
+    bisection) cost one stacked exponential and norm each.  By the
+    contract of ``matrix_exp_stack`` each matrix and epsilon equal the
+    single-value ones bit for bit.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -203,9 +207,9 @@ def _xy_perturbation(j_hz: float, t: float):
     xx = kron(SIGMA_X, SIGMA_X)
     u_ref = matrix_exp(-1j * h_xy * t)
 
-    def perturbed(j_x: float) -> tuple[np.ndarray, float]:
-        u = matrix_exp(-1j * (h_xy + j_x * xx) * t)
-        return u, spectral_norm(u - u_ref)
+    def perturbed(j_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = matrix_exp_stack(-1j * (h_xy + j_x[:, None, None] * xx) * t)
+        return u, spectral_norms(u - u_ref)
 
     return perturbed
 
@@ -221,7 +225,8 @@ def perturbed_xy_unitary(
     ``commutator_norm`` is taken against H_C + H_H with gaps ``gap`` and
     ``gap_h`` (default: ``gap``).
     """
-    u, eps = _xy_perturbation(j_hz, t)(j_x)
+    u, eps = _xy_perturbation(j_hz, t)(np.array([j_x], dtype=float))
+    u, eps = u[0], float(eps[0])
     h_total = _total_hamiltonian(
         EnergySpectrum.two_level(gap), EnergySpectrum.two_level(gap if gap_h is None else gap_h)
     )

@@ -18,6 +18,7 @@ from qheatflow.dynamics import (
     energy_preserving_unitary,
     perturbed_xy_unitary,
 )
+from qheatflow.linalg import SIGMA_X, SIGMA_Y, matrix_exp, spectral_norm
 from qheatflow.states import EnergySpectrum, InfeasibleStateError, qudit_locally_thermal, thermal_populations
 from qheatflow.sweeps import (
     SweepSpec,
@@ -553,18 +554,92 @@ def test_solve_jx_zero_and_unreachable_targets():
         _solve_jx_for_eps(220.0, 0.004, 2.5)  # eps <= 2 for any pair of unitaries
 
 
+def _single_matrix_jx(j_hz, t, eps, jx_hi=4000.0):
+    """The one-target bisection with a single-matrix exponential and norm
+    per step, the kernels the batched solve must reproduce."""
+    if eps <= 0.0:
+        return 0.0
+    h_xy = 0.5 * np.pi * j_hz * (np.kron(SIGMA_Y, SIGMA_X) - np.kron(SIGMA_X, SIGMA_Y))
+    u_ref = matrix_exp(-1j * h_xy * t)
+
+    def eps_of(j_x):
+        return spectral_norm(matrix_exp(-1j * (h_xy + j_x * np.kron(SIGMA_X, SIGMA_X)) * t) - u_ref)
+
+    assert eps_of(jx_hi) >= eps
+    lo, hi = 0.0, jx_hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if eps_of(mid) < eps:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("j_hz,t", sorted({(j_hz, t) for j_hz, t, _ in JX_CASES}))
+def test_batched_solve_jx_equals_one_target_solves_bit_for_bit(j_hz, t):
+    eps_hi = perturbed_xy_unitary(j_hz, 4000.0, t).epsilon
+    rng = np.random.default_rng(round(j_hz * t * 1e6))
+    targets = np.concatenate([
+        [e for j, tt, e in JX_CASES if (j, tt) == (j_hz, t)],
+        rng.uniform(0.0, eps_hi, 50),
+        [0.0, -1e-3, -np.inf, 0.0015, 0.0015, 0.9, 0.9],  # zero, negatives, duplicates
+        [eps_hi, np.nextafter(eps_hi, 0.0), eps_hi * (1 - 1e-9)],  # at and just below eps(4000)
+    ])
+    batched = _solve_jx_for_eps(j_hz, t, targets)
+    assert batched.shape == targets.shape
+    for eps, jx in zip(targets.tolist(), batched.tolist()):
+        one = _solve_jx_for_eps(j_hz, t, eps)
+        assert type(one) is float
+        assert jx.hex() == one.hex() == float(_single_matrix_jx(j_hz, t, eps)).hex()
+
+
+def test_batched_solve_jx_names_the_first_unreachable_target():
+    eps_hi = perturbed_xy_unitary(220.0, 4000.0, 0.004).epsilon
+    above = np.nextafter(eps_hi, 3.0)
+    for targets, first in (
+        ([1e-3, 2.5, 0.5, 2.1], 2.5),
+        ([0.0, eps_hi, above, 2.5], above),
+        ([-1.0, np.inf, 2.5], np.inf),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            _solve_jx_for_eps(220.0, 0.004, np.array(targets))
+        assert str(exc.value) == f"eps = {first} not reachable below J_x = 4000.0"
+    with pytest.raises(ConfigError, match=r"^eps = inf not reachable below J_x = 4000.0$"):
+        _solve_jx_for_eps(220.0, 0.004, np.inf)
+    assert _solve_jx_for_eps(220.0, 0.004, -np.inf) == 0.0
+
+
+def test_solve_jx_rejects_a_nan_target():
+    for targets in (np.nan, np.array([1e-3, np.nan, 2.5]), [np.nan]):
+        with pytest.raises(ConfigError, match=r"^eps must be finite, got nan$"):
+            _solve_jx_for_eps(220.0, 0.004, targets)
+
+
+def test_cli_point_rejects_a_nan_eps(tmp_path, capsys):
+    cfg = tmp_path / "pt.cfg"
+    cfg.write_text("scenario = nonideal-eps-delta\neps = nan\n")
+    assert cli_main(["point", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: eps must be finite, got nan\n" and captured.out == ""
+
+
 def _nonideal_spec(**overrides) -> SweepSpec:
     cfg = load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg"))
     cfg.update({"sweep.axis1.points": 4, "sweep.axis2.points": 4, **overrides})
     return SweepSpec.from_config(cfg)
 
 
-def _count_solves(monkeypatch):
+def _count_solves(monkeypatch, batches=None):
+    """Record one (J, t, eps) triple per target of each solve call, and the
+    (J, t) of each call in ``batches`` when given."""
     calls = []
     solve = sweeps._solve_jx_for_eps
 
     def counting(j_hz, t, eps):
-        calls.append((j_hz, t, eps))
+        calls.extend((j_hz, t, e) for e in np.atleast_1d(eps).tolist())
+        if batches is not None:
+            batches.append((j_hz, t))
         return solve(j_hz, t, eps)
 
     monkeypatch.setattr(sweeps, "_solve_jx_for_eps", counting)
@@ -587,6 +662,23 @@ def test_nonideal_sweep_solves_each_eps_once(monkeypatch):
     infeasible = run_sweep(_nonideal_spec(**{"sweep.axis2.min": 0.025}))
     assert all(r["status"].startswith("infeasible") for r in infeasible.rows)
     assert calls == []  # infeasible cells skip the solve
+
+
+def test_nonideal_sweep_solves_once_per_j_and_t(monkeypatch):
+    batches = []
+    _count_solves(monkeypatch, batches)
+    run_sweep(_nonideal_spec())
+    assert batches == [(220.0, 0.004)]
+
+    batches.clear()
+    by_t = run_sweep(_nonideal_spec(**{
+        "sweep.axis2.name": "unitary.t", "sweep.axis2.min": 0.003, "sweep.axis2.max": 0.004,
+    }))
+    assert len(batches) == len(set(batches)) == 4
+    assert {t for _, t in batches} == {r["unitary.t"] for r in by_t.rows}
+    for r in by_t.rows:
+        assert r["status"] == "ok"
+        assert r["jx"] == _solve_jx_for_eps(220.0, r["unitary.t"], r["eps"])
 
 
 def test_nonideal_jx_memo_does_not_outlive_a_sweep(monkeypatch):
