@@ -190,22 +190,20 @@ def xy_exchange_unitary(j_hz: float, t: float, gap: float = 1.0) -> UnitaryRepor
     return UnitaryReport(u, cnorm)
 
 
-def _xy_perturbation(j_hz: float, t: float):
+def _xy_perturbation(j_hz: np.ndarray, t: np.ndarray):
     """J_x -> (U, epsilon) for the XY coupling J plus J_x sigma_x sigma_x,
-    for a 1-D array of n values of J_x at once.
+    for per-cell arrays of n values of J, t and (per call) J_x.
 
     U = exp(-i (H_xy + J_x sigma_x sigma_x) t), as an (n, 4, 4) stack, and
     epsilon = ||U - U_ref|| per matrix, with U_ref the J_x = 0 unitary.
     H_xy and U_ref are built once, so repeated evaluations (the J_x
     bisection) cost one stacked exponential and norm each.  By the
     contract of ``matrix_exp_stack`` each matrix and epsilon equal the
-    single-value ones bit for bit.
+    single-cell ones bit for bit.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    h_xy = _xy_hamiltonian(j_hz)
+    h_xy, t = _xy_generators(j_hz, t)
     xx = kron(SIGMA_X, SIGMA_X)
-    u_ref = matrix_exp(-1j * h_xy * t)
+    u_ref = matrix_exp_stack(-1j * h_xy * t)
 
     def perturbed(j_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = matrix_exp_stack(-1j * (h_xy + j_x[:, None, None] * xx) * t)
@@ -225,7 +223,9 @@ def perturbed_xy_unitary(
     ``commutator_norm`` is taken against H_C + H_H with gaps ``gap`` and
     ``gap_h`` (default: ``gap``).
     """
-    u, eps = _xy_perturbation(j_hz, t)(np.array([j_x], dtype=float))
+    u, eps = _xy_perturbation(np.array([j_hz], dtype=float), np.array([t], dtype=float))(
+        np.array([j_x], dtype=float)
+    )
     u, eps = u[0], float(eps[0])
     h_total = _total_hamiltonian(
         EnergySpectrum.two_level(gap), EnergySpectrum.two_level(gap if gap_h is None else gap_h)
@@ -301,11 +301,9 @@ def perturbed_xy_unitary_stack(
     j_hz: np.ndarray, j_x: np.ndarray, t: np.ndarray, gap: float, gap_h: float
 ) -> UnitaryStack:
     """``perturbed_xy_unitary`` for per-cell arrays of J, J_x and t."""
-    h_xy, t = _xy_generators(j_hz, t)
-    u_ref = matrix_exp_stack(-1j * h_xy * t)
-    u = matrix_exp_stack(-1j * (h_xy + j_x[:, None, None] * kron(SIGMA_X, SIGMA_X)) * t)
+    u, epsilon = _xy_perturbation(j_hz, t)(j_x)
     h_total = _total_hamiltonian(EnergySpectrum.two_level(gap), EnergySpectrum.two_level(gap_h))
-    return _stack_report(u, h_total, epsilon=spectral_norms(u - u_ref))
+    return _stack_report(u, h_total, epsilon=epsilon)
 
 
 def rotation_angles(u: np.ndarray) -> np.ndarray:

@@ -361,55 +361,58 @@ def _format_cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _solve_jx_for_eps(j_hz: float, t: float, eps_target, jx_hi: float = 4000.0):
+def _solve_jx_for_eps(j_hz, t, eps_target, jx_hi: float = 4000.0):
     """Invert eps(J_x) for the perturbed XY family by bisection on
-    [0, jx_hi], for one target or a 1-D array of targets; returns the same
-    shape.
+    [0, jx_hi], for one (J, t, eps) or for a 1-D array of targets with
+    scalar or per-target J and t; returns the shape of ``eps_target``.
 
     eps(J_x) is the ``epsilon`` of ``perturbed_xy_unitary`` (one shared
     code path).  All targets take the same 60 halvings in lockstep, each
     one stacked exponential and norm over the targets, so every result
     equals the single-target bisection bit for bit.  eps(J_x) is not
     monotone on [0, 4000], so the result is the crossing the bisection
-    finds, not necessarily the smallest root.  Targets <= 0 give 0.0; a
-    nan target, or one above eps(jx_hi), raises ConfigError naming the
-    first such target.
+    finds, not necessarily the smallest root.  Targets <= 0 give 0.0.  The
+    first target that has no solution raises: a nan target or one above
+    eps(jx_hi) a ConfigError, a negative t a ValueError.
     """
     targets = np.asarray(eps_target, dtype=float)
-    flat = targets.reshape(-1)
+    want = targets.reshape(-1)
+    j_hz, t = (np.broadcast_to(np.asarray(x, dtype=float), targets.shape).reshape(-1) for x in (j_hz, t))
     shown = [eps_target] if targets.ndim == 0 else eps_target  # as given, for messages
-    nan = np.flatnonzero(np.isnan(flat))
-    if nan.size:
-        raise ConfigError(f"eps must be finite, got {shown[nan[0]]}")
-    jx = np.zeros(flat.shape)
-    todo = np.flatnonzero(flat > 0.0)
+    jx = np.zeros(want.shape)
+    todo = np.flatnonzero(~(want <= 0.0))  # nan included, to be rejected
     if todo.size:
-        want = flat[todo]
-        perturbed = _xy_perturbation(j_hz, t)
-        far = np.flatnonzero(perturbed(np.array([jx_hi]))[1] < want)
-        if far.size:
-            raise ConfigError(f"eps = {shown[todo[far[0]]]} not reachable below J_x = {jx_hi}")
-        lo, hi = np.zeros(want.shape), np.full(want.shape, jx_hi)
+        bad = np.isnan(want[todo]) | (t[todo] < 0)
+        todo, failed = todo[~bad], todo[bad]
+        perturbed = _xy_perturbation(j_hz[todo], t[todo])
+        failed = np.union1d(failed, todo[perturbed(np.full(todo.size, jx_hi))[1] < want[todo]])
+        if failed.size:  # the first one in order
+            i = failed[0]
+            if np.isnan(want[i]):
+                raise ConfigError(f"eps must be finite, got {shown[i]}")
+            if t[i] < 0:
+                raise ValueError("time must be nonnegative")
+            raise ConfigError(f"eps = {shown[i]} not reachable below J_x = {jx_hi}")
+        lo, hi = np.zeros(todo.size), np.full(todo.size, jx_hi)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            below = perturbed(mid)[1] < want
+            below = perturbed(mid)[1] < want[todo]
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         jx[todo] = 0.5 * (lo + hi)
     return float(jx[0]) if targets.ndim == 0 else jx
 
 
-def _solve_jx_batches(scenario: Scenario, cells: list[dict], solved_jx: dict) -> None:
-    """Fill the memo of ``_derive`` with the J_x of every (J, t, eps) these
-    cells derive: one batched ``_solve_jx_for_eps`` per (J, t), its targets
-    in cell order."""
+def _solve_all_jx(scenario: Scenario, cells: list[dict], solved_jx: dict) -> None:
+    """Fill the memo of ``_derive`` with the J_x of every distinct (J, t, eps)
+    these cells derive, in one ``_solve_jx_for_eps`` call over them in cell
+    order (so an error names the first cell's target)."""
     source = scenario.derived["unitary.Jx"]
-    targets: dict[tuple, dict] = {}  # (J, t) -> distinct eps, in first-seen order
-    for p in cells:
-        if "unitary.Jx" not in p:
-            targets.setdefault((p["unitary.J"], p["unitary.t"]), {})[p[source]] = None
-    for (j_hz, t), eps in targets.items():
-        jx = _solve_jx_for_eps(j_hz, t, list(eps)).tolist()
-        solved_jx.update(((j_hz, t, e), x) for e, x in zip(eps, jx))
+    args = list(dict.fromkeys(
+        (p["unitary.J"], p["unitary.t"], p[source]) for p in cells if "unitary.Jx" not in p
+    ))
+    if args:
+        j_hz, t, eps = zip(*args)
+        solved_jx.update(zip(args, _solve_jx_for_eps(j_hz, t, list(eps)).tolist()))
 
 
 def _derive(scenario: Scenario, params: dict, prefix: str, solved_jx: dict) -> None:
@@ -665,20 +668,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     reads.  Each distinct state is built and validated once; an infeasible
     one marks its cells ``infeasible:<constraint>`` and skips their J_x
     solves, and a feasible one is evaluated with its cells' unitaries as
-    stacks of at most STACK_CELLS.  The J_x of all feasible cells that
-    share (J, t) are bisected together, in one ``_solve_jx_for_eps`` call.
+    stacks of at most STACK_CELLS.  The unitary keys are derived after the
+    cell loop, so the J_x of all feasible cells are bisected together, in
+    one ``_solve_jx_for_eps`` call.
     """
     scenario = SCENARIOS[spec.scenario]
     params_base = {**scenario.defaults, **spec.fixed}
     state, unitary = _kinds(spec.scenario, params_base)
     keys = [scenario.axes.get(axis.name, axis.name) for axis in spec.axes]
     solved_jx: dict = {}  # one J_x per distinct (J, t, eps) of this sweep
-    # feasible cells whose unitary.Jx is solved from eps, after the cell loop
-    jx_cells = [] if "unitary.Jx" in scenario.derived else None
     # the state keys that can differ between cells: axes and derived keys
     varying = [key for key in STATE_KEYS[state] if key in keys or key in scenario.derived]
     groups: dict[tuple, tuple] = {}  # their values (repr) -> (state or status, cells)
-    rows = []
+    rows, feasible = [], []  # feasible: the params of the cells to evaluate
     for cell in itertools.product(*(axis.values() for axis in spec.axes)):
         params = dict(params_base)
         row = {}
@@ -695,16 +697,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if cells is None:
             row["status"] = sys
         else:
-            if jx_cells is None:
-                _derive(scenario, params, "unitary.", solved_jx)
-            else:
-                jx_cells.append(params)
             cells.append((row, params))
+            feasible.append(params)
         rows.append(row)
-    if jx_cells:  # all J_x of a (J, t) in one bisection, then the unitary keys
-        _solve_jx_batches(scenario, jx_cells, solved_jx)
-        for params in jx_cells:
-            _derive(scenario, params, "unitary.", solved_jx)
+    if "unitary.Jx" in scenario.derived:  # every J_x of the sweep in one bisection
+        _solve_all_jx(scenario, feasible, solved_jx)
+    for params in feasible:
+        _derive(scenario, params, "unitary.", solved_jx)
     for sys, cells in groups.values():
         for start in range(0, len(cells or ()), STACK_CELLS):
             _evaluate_group(unitary, scenario, sys, cells[start : start + STACK_CELLS])

@@ -616,6 +616,17 @@ def test_solve_jx_rejects_a_nan_target():
             _solve_jx_for_eps(220.0, 0.004, targets)
 
 
+def test_solve_jx_names_the_first_failing_target_across_j_and_t():
+    # per-target t: a negative t and an unreachable eps fail in target order
+    with pytest.raises(ValueError, match=r"^time must be nonnegative$"):
+        _solve_jx_for_eps(220.0, [0.004, -1.0, 0.004], [1e-3, 0.2, 2.5])
+    with pytest.raises(ConfigError, match=r"^eps = 2.5 not reachable below J_x = 4000.0$"):
+        _solve_jx_for_eps(220.0, [0.004, 0.004, -1.0], [1e-3, 2.5, 0.2])
+    with pytest.raises(ConfigError, match=r"^eps = 1.6 not reachable below J_x = 4000.0$"):
+        _solve_jx_for_eps([220.0, 220.0, 215.1], [0.001, 0.002, 0.001], [1.6, 1.6, 1.9])
+    assert _solve_jx_for_eps(220.0, -1.0, [0.0, -1.0]).tolist() == [0.0, 0.0]
+
+
 def test_cli_point_rejects_a_nan_eps(tmp_path, capsys):
     cfg = tmp_path / "pt.cfg"
     cfg.write_text("scenario = nonideal-eps-delta\neps = nan\n")
@@ -632,14 +643,15 @@ def _nonideal_spec(**overrides) -> SweepSpec:
 
 def _count_solves(monkeypatch, batches=None):
     """Record one (J, t, eps) triple per target of each solve call, and the
-    (J, t) of each call in ``batches`` when given."""
+    triples of each call as one list in ``batches`` when given."""
     calls = []
     solve = sweeps._solve_jx_for_eps
 
     def counting(j_hz, t, eps):
-        calls.extend((j_hz, t, e) for e in np.atleast_1d(eps).tolist())
+        triples = list(zip(*(np.broadcast_to(x, np.shape(eps)).reshape(-1).tolist() for x in (j_hz, t, eps))))
+        calls.extend(triples)
         if batches is not None:
-            batches.append((j_hz, t))
+            batches.append(triples)
         return solve(j_hz, t, eps)
 
     monkeypatch.setattr(sweeps, "_solve_jx_for_eps", counting)
@@ -664,21 +676,33 @@ def test_nonideal_sweep_solves_each_eps_once(monkeypatch):
     assert calls == []  # infeasible cells skip the solve
 
 
-def test_nonideal_sweep_solves_once_per_j_and_t(monkeypatch):
+def test_nonideal_sweep_solves_in_one_call(monkeypatch):
     batches = []
     _count_solves(monkeypatch, batches)
     run_sweep(_nonideal_spec())
-    assert batches == [(220.0, 0.004)]
+    assert len(batches) == 1 and {(j, t) for j, t, _ in batches[0]} == {(220.0, 0.004)}
 
     batches.clear()
     by_t = run_sweep(_nonideal_spec(**{
         "sweep.axis2.name": "unitary.t", "sweep.axis2.min": 0.003, "sweep.axis2.max": 0.004,
     }))
-    assert len(batches) == len(set(batches)) == 4
-    assert {t for _, t in batches} == {r["unitary.t"] for r in by_t.rows}
+    assert len(batches) == 1  # every (J, t, eps) of the sweep, in cell order
+    assert batches[0] == [(220.0, r["unitary.t"], r["eps"]) for r in by_t.rows]
     for r in by_t.rows:
         assert r["status"] == "ok"
         assert r["jx"] == _solve_jx_for_eps(220.0, r["unitary.t"], r["eps"])
+
+
+def test_nonideal_sweep_names_the_first_unreachable_cell():
+    # eps(4000) is ~1.82 at t = 0.001 and ~1.51 at t = 0.002: eps = 1.6
+    # fails in the second cell, eps = 1.9 in the third (at the first t)
+    spec = _nonideal_spec(**{
+        "sweep.axis1.min": 1.6, "sweep.axis1.max": 1.9, "sweep.axis1.points": 2,
+        "sweep.axis2.name": "unitary.t", "sweep.axis2.min": 0.001, "sweep.axis2.max": 0.002,
+        "sweep.axis2.points": 2,
+    })
+    with pytest.raises(ConfigError, match=r"^eps = 1.6 not reachable below J_x = 4000.0$"):
+        run_sweep(spec)
 
 
 def test_nonideal_jx_memo_does_not_outlive_a_sweep(monkeypatch):
