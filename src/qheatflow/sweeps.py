@@ -4,11 +4,16 @@ A sweep is a scenario name, fixed parameters, one or two axes and a list
 of output columns.  ``run_sweep`` groups the grid cells by the state they
 read, builds and validates each distinct state once, and evaluates each
 group's unitaries as (n, D, D) stacks.  There is one unitary builder and
-one evaluator: ``evaluate_cell`` and ``analyze_point`` run them at n = 1.
-The scalar reference that every value is checked against, bit for bit,
-lives in the tests.  No cell is dropped: cells whose state construction
-fails carry a status code ``infeasible:<constraint>``; witness columns
-use the encoding
+one evaluator: ``evaluate_cell`` and ``analyze_point`` run them at n = 1
+and ask for every column, while a sweep runs only the kernel groups
+(``COLUMN_GROUPS``) that its requested outputs read; both tables, with
+their checks, are built for every cell.  A ``SweepResult`` holds the CSV's
+columns (the axes, the requested outputs, ``status``) as per-cell arrays,
+formatted one column at a time; its ``rows`` are those columns, one dict
+per cell.  The scalar reference that every value is checked against, bit
+for bit, lives in the tests.  No cell is dropped: cells whose state
+construction fails carry a status code ``infeasible:<constraint>``;
+witness columns use the encoding
 
     1  violated        0  not violated
    -1  witness not applicable or a precondition failed
@@ -25,14 +30,16 @@ Scenarios (state kind + unitary kind):
   custom             state.kind / unitary.kind chosen by keys; axis names
                      are full config keys.
 A named scenario accepts the keys of its defaults and axes, ``custom`` every
-key its two kinds read; any other key, axis or output raises ConfigError.
+key its two kinds read; any other key, axis or output, an output listed
+twice, or a non-finite ``state.*``/``unitary.*`` value or axis bound raises
+ConfigError.
 """
 
 from __future__ import annotations
 
 import datetime
-import io
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +63,7 @@ from .dynamics import (
 from .fluctuations import (
     DivergenceError,
     TransitionTable,
+    _formatted,
     flow_decomposition_stack,
     heat_exp_j_stack,
     marginal_check,
@@ -116,12 +124,37 @@ UNITARY_KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 QUTRIT_ANGLES = {(0, 1): "unitary.theta01", (0, 2): "unitary.theta02", (1, 2): "unitary.theta12"}
 
-WITNESS_NAMES = ("t1", "t2", "t3", "i4", "t4_lower", "t4_upper", "strong_backflow")
+# witness -> the kernel groups that produce its flag and bound
+WITNESS_GROUPS = {
+    "t1": ("t1",),
+    "t2": ("t2",),
+    "t3": ("xft", "t3"),
+    "i4": ("j", "i4"),
+    "t4_lower": ("t4",),
+    "t4_upper": ("t4",),
+    "strong_backflow": ("strong_backflow",),
+}
+WITNESS_NAMES = tuple(WITNESS_GROUPS)
 FLAG_COLUMNS = tuple(f"{w}_violated" for w in WITNESS_NAMES)
-CELL_OUTPUTS = (
-    "Q", "Q_tpm", "Q_back", "Q_direct", "min_pw", "negativity", "min_pt_eig",
-    "chi_bar", "xft_lhs", "avg_delta_I", "j_term",
-) + FLAG_COLUMNS + tuple(f"{w}_bound" for w in WITNESS_NAMES)
+# output column -> the kernel groups that produce it.  ``_evaluate_stack``
+# runs a group only when a requested column needs it; the MH and TPM
+# tables, with their sum and range checks, are built for every cell.
+COLUMN_GROUPS: dict[str, tuple[str, ...]] = {
+    "Q": ("tables",),
+    "Q_tpm": ("tables",),
+    "Q_back": ("flow",),
+    "Q_direct": ("flow",),
+    "min_pw": ("tables",),
+    "negativity": ("tables",),
+    "min_pt_eig": ("min_pt_eig",),
+    "chi_bar": ("xft",),
+    "xft_lhs": ("xft",),
+    "avg_delta_I": ("xft",),
+    "j_term": ("j",),
+    **{f"{w}_violated": groups for w, groups in WITNESS_GROUPS.items()},
+    **{f"{w}_bound": groups for w, groups in WITNESS_GROUPS.items()},
+}
+CELL_OUTPUTS = tuple(COLUMN_GROUPS)
 
 AXIS_KEYS = tuple(f"sweep.axis{k}.{f}" for k in (1, 2) for f in ("name", "min", "max", "points"))
 SWEEP_KEYS = ("scenario", "outputs", *AXIS_KEYS)
@@ -266,6 +299,15 @@ def _check_keys(name: str, cfg: dict) -> tuple[dict[str, str], set[str]]:
     return axes, {*CELL_OUTPUTS, *columns, *scenario.columns}
 
 
+def _require_finite(cfg: dict) -> None:
+    """Reject a non-finite float ``state.*`` or ``unitary.*`` value or axis
+    bound; ``eps`` and ``Delta`` have their own checks."""
+    for key, value in cfg.items():
+        checked = key.startswith(("state.", "unitary.")) or key in AXIS_KEYS and key.endswith(("min", "max"))
+        if checked and isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     name: str
@@ -296,6 +338,9 @@ class SweepSpec:
         axes, outputs = _check_keys(self.scenario, self.fixed)
         _require_known(self.scenario, "axis", [a.name for a in self.axes], axes)
         _require_known(self.scenario, "output", self.outputs, outputs, noun="output column")
+        for k, name in enumerate(self.outputs):
+            if name in self.outputs[:k]:
+                raise ConfigError(f"output column {name!r} is listed twice in outputs")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SweepSpec":
@@ -303,6 +348,7 @@ class SweepSpec:
         scenario = cfg.pop("scenario", None)
         if scenario is None:
             raise ConfigError("config must set 'scenario'")
+        _require_finite(cfg)
         axes = []
         for k in ("sweep.axis1", "sweep.axis2"):
             if f"{k}.name" in cfg:
@@ -328,37 +374,59 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
+    """A sweep's CSV columns, as per-cell arrays in grid order.
+
+    ``values`` maps each distinct name in ``columns`` (the axes, the
+    requested outputs, ``status``) to (values, has): ``has`` masks the
+    cells that have a value, None meaning every cell.
+    """
+
     spec: SweepSpec
-    rows: list[dict]
     columns: tuple[str, ...]
+    values: dict[str, tuple[np.ndarray, np.ndarray | None]]
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def rows(self) -> list[dict]:
+        """One dict per cell: its value in each column that it has one in."""
+        lists = [
+            (name, values.tolist(), None if has is None else has.tolist())
+            for name, (values, has) in self.values.items()
+        ]
+        return [
+            {name: values[k] for name, values, has in lists if has is None or has[k]}
+            for k in range(len(self.values["status"][0]))
+        ]
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# qheatflow {__version__} sweep\n")
-        buf.write(f"# timestamp: {self.metadata.get('timestamp', '')}\n")
-        buf.write(f"# scenario: {self.spec.scenario}\n")
-        buf.write(f"# config: {self.metadata.get('config', '')}\n")
-        buf.write(
-            f"# cells: {self.metadata.get('cells', len(self.rows))}"
-            f" infeasible: {self.metadata.get('infeasible', 0)}\n"
-        )
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_format_cell(row.get(c)) for c in self.columns) + "\n")
-        return buf.getvalue()
+        text = {name: _format_column(values, has) for name, (values, has) in self.values.items()}
+        lines = [
+            f"# qheatflow {__version__} sweep",
+            f"# timestamp: {self.metadata.get('timestamp', '')}",
+            f"# scenario: {self.spec.scenario}",
+            f"# config: {self.metadata.get('config', '')}",
+            f"# cells: {self.metadata.get('cells', len(text['status']))}"
+            f" infeasible: {self.metadata.get('infeasible', 0)}",
+            ",".join(self.columns),
+            *map(",".join, zip(*(text[name] for name in self.columns))),
+        ]
+        return "\n".join(lines) + "\n"
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _format_column(values: np.ndarray, has: np.ndarray | None) -> list[str]:
+    """The CSV text of one column: floats with 17 significant digits (each
+    distinct value formatted once), ints and bools as integers, strings as
+    they are, and "nan" where ``has`` is False."""
+    kind = values.dtype.kind
+    if kind == "b":
+        values = values.astype(int)
+    if kind == "f":
+        text = _formatted(values).tolist()
+    else:  # integers, and the status strings
+        text = list(map(str, values.tolist()))
+    if has is not None:
+        text = [t if h else "nan" for t, h in zip(text, has.tolist())]
+    return text
 
 
 def _solve_jx_for_eps(j_hz, t, eps_target, jx_hi: float = 4000.0):
@@ -508,7 +576,7 @@ def _build_cell(scenario: str, kinds: tuple[str, str], params: dict, solved_jx: 
     # after the state: infeasible cells skip the J_x solve
     _derive(row, params, "unitary.", solved_jx)
     u, extras = _build_unitary_stack(unitary, [params], sys)
-    extras = {column: values[0] for column, values in extras.items()}
+    extras = {column: values.tolist()[0] for column, values in extras.items()}
     extras.update((column, params[key]) for column, key in row.columns.items())
     epsilon = None if u.epsilon is None else float(u.epsilon[0])
     return sys, UnitaryReport(u.matrix[0], float(u.commutator_norm[0]), epsilon), extras
@@ -517,7 +585,7 @@ def _build_cell(scenario: str, kinds: tuple[str, str], params: dict, solved_jx: 
 def _build_unitary_stack(kind: str, cells: list[dict], sys: BipartiteSystem):
     """The unitaries of one kind for cells acting on one state, as one stack.
 
-    Returns the stack and the extra output columns as per-cell lists.
+    Returns the stack and the extra output columns as per-cell arrays.
     """
     def values(key, default=None):
         if default is None and key not in cells[0]:  # every cell sets the same keys
@@ -527,18 +595,18 @@ def _build_unitary_stack(kind: str, cells: list[dict], sys: BipartiteSystem):
     gap = cells[0].get("state.E", 1.0)  # a state key: one value per group
     if kind == "xy":
         u = xy_unitary_stack(values("unitary.J"), values("unitary.t"), gap=gap)
-        return u, {"theta": rotation_angles(u.matrix).tolist()}
+        return u, {"theta": rotation_angles(u.matrix)}
     if kind == "perturbed-xy":
         u = perturbed_xy_unitary_stack(
             values("unitary.J"), values("unitary.Jx", 0.0), values("unitary.t"),
             gap=sys.spectrum_c.levels[1], gap_h=sys.spectrum_h.levels[1],
         )
-        return u, {"eps_actual": u.epsilon.tolist()}
+        return u, {"eps_actual": u.epsilon}
     if sys.d_c == 2:
         phases = [values(f"unitary.{k}", 0.0) for k in ("phi", "lam", "kappa")]
         angles = {(0, 1): (values("unitary.theta"), *phases)}
         u = exchange_unitary_stack(EnergySpectrum.two_level(gap), len(cells), angles)
-        return u, {"theta": [p["unitary.theta"] for p in cells]}
+        return u, {"theta": np.array([p["unitary.theta"] for p in cells])}
     zero = np.zeros(len(cells))
     angles = {
         pair: (values(key), zero, zero, zero)
@@ -548,15 +616,20 @@ def _build_unitary_stack(kind: str, cells: list[dict], sys: BipartiteSystem):
     return exchange_unitary_stack(sys.spectrum_c, len(cells), angles), {}
 
 
-def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack, extras: dict):
-    """All derived quantities and verdict flags for every unitary of a
-    stack acting on one state.
+def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack, extras: dict, outputs=None):
+    """The output columns of every unitary of a stack acting on one state.
 
-    ``extras`` holds per-cell lists of extra output columns.  Returns one
-    row per cell (its extras, then the outputs; a witness that does not
-    apply to the cell is flagged -1 with no bound) and the MH and TPM
-    value stacks.  T2 applies where the stack has an ``epsilon``.
+    ``extras`` holds per-cell arrays of extra output columns.  Only the
+    kernel groups (``COLUMN_GROUPS``) that the ``outputs`` columns need
+    are run; None asks for every column.  Returns {column: (values, has)}
+    for each requested column the cells have, where ``has`` masks the
+    cells that have a value (None: every cell; a witness that does not
+    apply to a cell is flagged -1 with no bound), and the MH and TPM value
+    stacks.  T2 applies where the stack has an ``epsilon``.
     """
+    if outputs is None:
+        outputs = (*extras, *CELL_OUTPUTS)
+    need = {group for name in outputs for group in COLUMN_GROUPS.get(name, ())}
     n = len(u.matrix)
     beta_c, beta_h = sys.beta_c, sys.beta_h
     e_c, e_h = sys.spectrum_c.levels, sys.spectrum_h.levels
@@ -564,18 +637,14 @@ def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack, extras: dict):
     tpm = table_stack("TPM", sys, u.matrix)
     q = table_heat_stack(mh, e_c)
     q_tpm = table_heat_stack(tpm, e_c)
-    q_back, q_direct = flow_decomposition_stack(mh, e_c, e_h)
     min_pw = mh.reshape(n, -1).min(axis=-1)
-    col = dict.fromkeys(FLAG_COLUMNS, np.full(n, -1))
-    col.update(
-        Q=q,
-        Q_tpm=q_tpm,
-        Q_back=q_back,
-        Q_direct=q_direct,
-        min_pw=min_pw,
-        negativity=(min_pw < NEGATIVITY_THRESHOLD).astype(int),
-        min_pt_eig=np.full(n, min_partial_transpose_eigenvalue(sys)),
-    )
+    col = dict(extras)
+    col.update(dict.fromkeys(FLAG_COLUMNS, np.full(n, -1)))
+    col.update(Q=q, Q_tpm=q_tpm, min_pw=min_pw, negativity=(min_pw < NEGATIVITY_THRESHOLD).astype(int))
+    if "flow" in need:
+        col["Q_back"], col["Q_direct"] = flow_decomposition_stack(mh, e_c, e_h)
+    if "min_pt_eig" in need:
+        col["min_pt_eig"] = np.full(n, min_partial_transpose_eigenvalue(sys))
     present: dict = {}  # column -> mask of the cells that have it (other columns: every cell)
 
     def put(name, verdict, cells=None):
@@ -586,32 +655,38 @@ def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack, extras: dict):
             present[f"{name}_bound"] = cells
 
     unequal_betas = beta_c is not None and beta_h is not None and beta_c != beta_h
-    if unequal_betas and sys.dims == (2, 2) and sys.spectrum_c == sys.spectrum_h:
+    if "t1" in need and unequal_betas and sys.dims == (2, 2) and sys.spectrum_c == sys.spectrum_h:
         put("t1", two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, e_c[1], u.commutator_norm))
 
-    if unequal_betas and u.epsilon is not None:
+    if "t2" in need and unequal_betas and u.epsilon is not None:
         put("t2", nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c[1], e_h[1], u.epsilon))
 
-    if unequal_betas:
+    if "xft" in need and unequal_betas:
         chi, starved = xft_coherence_stack(sys, u.matrix)
         lhs, avg_di, resonance_ok, divergent = xft_average_stack(mh, sys)
         has_xft = ~(starved | divergent)
         col.update(chi_bar=chi, xft_lhs=lhs, avg_delta_I=avg_di)
         present.update(chi_bar=has_xft, xft_lhs=has_xft, avg_delta_I=has_xft)
-        finite = has_xft & (1.0 + chi > 0.0)  # else 1 + chi_bar <= 0: -2
-        chi = np.where(finite, chi, 0.0)
-        put("t3", xft_flow_stack(q, chi, lhs, avg_di, resonance_ok, beta_c, beta_h), finite)
+        if "t3" in need:
+            finite = has_xft & (1.0 + chi > 0.0)  # else 1 + chi_bar <= 0: -2
+            chi = np.where(finite, chi, 0.0)
+            put("t3", xft_flow_stack(q, chi, lhs, avg_di, resonance_ok, beta_c, beta_h), finite)
+
+    if "j" in need and unequal_betas:
         try:
             j = heat_exp_j_stack(sys, u.matrix)
         except DivergenceError:
             col["i4_violated"] = np.full(n, -2)
         else:
             col["j_term"] = j
-            finite = 1.0 + j > 0.0  # else 1 + J <= 0: -2
-            put("i4", correlation_flow_stack(q, np.where(finite, j, 0.0), beta_c, beta_h), finite)
+            if "i4" in need:
+                finite = 1.0 + j > 0.0  # else 1 + J <= 0: -2
+                put("i4", correlation_flow_stack(q, np.where(finite, j, 0.0), beta_c, beta_h), finite)
+
+    if "strong_backflow" in need and unequal_betas:
         put("strong_backflow", strong_backflow_stack(q, beta_c, beta_h, sys.d_c))
 
-    if sys.spectrum_c == sys.spectrum_h and sys.spectrum_c.bohr_nondegenerate():
+    if "t4" in need and sys.spectrum_c == sys.spectrum_h and sys.spectrum_c.bohr_nondegenerate():
         try:
             lower, upper = tpm_band_stack(q, q_tpm, tpm, e_c, e_h)
         except ValueError:
@@ -619,26 +694,22 @@ def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack, extras: dict):
         else:
             put("t4_lower", lower)
             put("t4_upper", upper)
-    lists = extras | {name: values.tolist() for name, values in col.items() if name not in present}
-    partial = {name: (col[name].tolist(), mask.tolist()) for name, mask in present.items()}
-    rows = [
-        {name: values[k] for name, values in lists.items()}
-        | {name: values[k] for name, (values, has) in partial.items() if has[k]}
-        for k in range(n)
-    ]
-    return rows, mh, tpm
+    columns = {name: (col[name], present.get(name)) for name in outputs if name in col}
+    return columns, mh, tpm
 
 
 def _evaluate_one(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None):
-    """``_evaluate_stack`` at n = 1: (row, MH values, TPM values) of one cell.
+    """``_evaluate_stack`` at n = 1, every column: (row, MH values, TPM
+    values) of one cell.
 
     T2 applies when ``extras`` carries ``eps_actual``.
     """
     extras = extras or {}
     epsilon = np.array([extras["eps_actual"]], float) if "eps_actual" in extras else None
     stack = UnitaryStack(u.matrix[None], np.array([u.commutator_norm], float), epsilon)
-    rows, mh, tpm = _evaluate_stack(sys, stack, {name: [value] for name, value in extras.items()})
-    return rows[0], mh[0], tpm[0]
+    columns, mh, tpm = _evaluate_stack(sys, stack, {name: np.array([value]) for name, value in extras.items()})
+    row = {name: values.tolist()[0] for name, (values, has) in columns.items() if has is None or has[0]}
+    return row, mh[0], tpm[0]
 
 
 def evaluate_cell(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None = None) -> dict:
@@ -651,26 +722,25 @@ def evaluate_cell(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None = 
     return _evaluate_one(sys, u, extras)[0]
 
 
-def _evaluate_group(unitary: str, scenario: Scenario, sys: BipartiteSystem, cells) -> None:
-    """Fill in the rows of (row, params) cells that share the state ``sys``."""
-    params = [p for _, p in cells]
-    u, extras = _build_unitary_stack(unitary, params, sys)
+def _evaluate_group(unitary: str, scenario: Scenario, sys: BipartiteSystem, cells: list[dict], outputs):
+    """The ``outputs`` columns, as ``_evaluate_stack`` returns them, of the
+    cells (their params) that share the state ``sys``."""
+    u, extras = _build_unitary_stack(unitary, cells, sys)
     for column, key in scenario.columns.items():
-        extras[column] = [p[key] for p in params]
-    for (row, _), values in zip(cells, _evaluate_stack(sys, u, extras)[0]):
-        row.update(values, status="ok")
+        extras[column] = np.array([p[key] for p in cells])
+    return _evaluate_stack(sys, u, extras, outputs)[0]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid cell; rows are ordered by grid index.
+    """Evaluate every grid cell; the result's columns are in grid order.
 
     Cells are grouped by the values of the state keys their state kind
     reads.  Each distinct state is built and validated once; an infeasible
     one marks its cells ``infeasible:<constraint>`` and skips their J_x
     solves, and a feasible one is evaluated with its cells' unitaries as
-    stacks of at most STACK_CELLS.  The unitary keys are derived after the
-    cell loop, so the J_x of all feasible cells are bisected together, in
-    one ``_solve_jx_for_eps`` call.
+    stacks of at most STACK_CELLS, computing only the requested outputs.
+    The unitary keys are derived after the cell loop, so the J_x of all
+    feasible cells are bisected together, in one ``_solve_jx_for_eps`` call.
     """
     scenario = SCENARIOS[spec.scenario]
     params_base = {**scenario.defaults, **spec.fixed}
@@ -679,13 +749,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     solved_jx: dict = {}  # one J_x per distinct (J, t, eps) of this sweep
     # the state keys that can differ between cells: axes and derived keys
     varying = [key for key in STATE_KEYS[state] if key in keys or key in scenario.derived]
-    groups: dict[tuple, tuple] = {}  # their values (repr) -> (state or status, cells)
-    rows, feasible = [], []  # feasible: the params of the cells to evaluate
-    for cell in itertools.product(*(axis.values() for axis in spec.axes)):
+    grid = list(itertools.product(*(axis.values().tolist() for axis in spec.axes)))
+    n = len(grid)
+    status = np.full(n, "ok", dtype=object)
+    groups: dict[tuple, tuple] = {}  # their values (repr) -> (state or status, [(cell index, params)])
+    feasible = []  # the params of the cells to evaluate
+    for k, cell in enumerate(grid):
         params = dict(params_base)
-        row = {}
-        for axis, key, value in zip(spec.axes, keys, cell):
-            params[key] = row[axis.name] = float(value)
+        params.update(zip(keys, cell))
         _derive(scenario, params, "state.", solved_jx)
         group_key = tuple(repr(params.get(key)) for key in varying)
         if group_key not in groups:
@@ -695,28 +766,40 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 groups[group_key] = (f"infeasible:{exc.constraint}", None)
         sys, cells = groups[group_key]
         if cells is None:
-            row["status"] = sys
+            status[k] = sys
         else:
-            cells.append((row, params))
+            cells.append((k, params))
             feasible.append(params)
-        rows.append(row)
     if "unitary.Jx" in scenario.derived:  # every J_x of the sweep in one bisection
         _solve_all_jx(scenario, feasible, solved_jx)
     for params in feasible:
         _derive(scenario, params, "unitary.", solved_jx)
+    outputs: dict[str, tuple] = {}  # column -> (values, has) over the grid
     for sys, cells in groups.values():
         for start in range(0, len(cells or ()), STACK_CELLS):
-            _evaluate_group(unitary, scenario, sys, cells[start : start + STACK_CELLS])
+            chunk = cells[start : start + STACK_CELLS]
+            index = [k for k, _ in chunk]
+            evaluated = _evaluate_group(unitary, scenario, sys, [p for _, p in chunk], spec.outputs)
+            for name, (chunk_values, has) in evaluated.items():
+                if name not in outputs:
+                    outputs[name] = (np.zeros(n, chunk_values.dtype), np.zeros(n, bool))
+                outputs[name][0][index] = chunk_values
+                outputs[name][1][index] = True if has is None else has
 
-    infeasible = sum(1 for r in rows if r["status"].startswith("infeasible"))
+    values = {axis.name: (np.array([cell[i] for cell in grid]), None) for i, axis in enumerate(spec.axes)}
+    for name in spec.outputs:  # an output named like an axis (theta, Delta) copies that axis's key
+        if name not in values:
+            column, has = outputs.get(name, (np.zeros(n), np.zeros(n, bool)))
+            values[name] = (column, None if has.all() else has)
+    values["status"] = (status, None)
     columns = tuple(a.name for a in spec.axes) + tuple(spec.outputs) + ("status",)
     meta = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": format_config({**{f"axis.{a.name}": f"[{a.lo},{a.hi}]x{a.points}" for a in spec.axes}, **params_base}),
-        "cells": len(rows),
-        "infeasible": infeasible,
+        "cells": n,
+        "infeasible": int((status != "ok").sum()),
     }
-    return SweepResult(spec=spec, rows=rows, columns=columns, metadata=meta)
+    return SweepResult(spec=spec, columns=columns, values=values, metadata=meta)
 
 
 @dataclass
@@ -777,6 +860,7 @@ def analyze_point(cfg: dict) -> PointReport:
     """
     scenario = cfg.get("scenario", "custom")
     given = {k: v for k, v in cfg.items() if k not in SWEEP_KEYS}
+    _require_finite(given)
     _check_keys(scenario, given)
     params = {**SCENARIOS[scenario].defaults, **given}
     probe = {key: integer(key, params[key]) for key in PROBE_INT_KEYS if key in params}

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 from pathlib import Path
@@ -246,10 +247,47 @@ def _reference_rows(spec: SweepSpec) -> list[dict]:
     return rows
 
 
+def _reprs(row: dict) -> dict:
+    return {key: repr(value) for key, value in row.items()}
+
+
+def _body(csv_text: str) -> list[str]:
+    return [line for line in csv_text.splitlines() if not line.startswith("#")]
+
+
+def _cell_text(value) -> str:
+    """The CSV text of one value: "nan" when absent, 17 significant digits
+    for a float."""
+    if value is None:
+        return "nan"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int)):
+        return str(int(value))
+    return f"{value:.17g}"
+
+
 def _assert_rows_equal_reference(spec: SweepSpec) -> list[dict]:
-    """Every key of every row, compared by repr: nan equals nan, and the
-    sign of a zero, the last bit and the type all count."""
-    rows = run_sweep(spec).rows
+    """``spec`` run with every output its scenario accepts: every key of
+    every row, compared by repr (nan equals nan, and the sign of a zero,
+    the last bit and the type all count), and each row's CSV line.
+    ``spec``'s own rows and CSV body are that run cut down to its
+    columns.  Returns the full rows."""
+    full = run_sweep(dataclasses.replace(spec, outputs=tuple(sorted(
+        sweeps._check_keys(spec.scenario, spec.fixed)[1]
+    ))))
+    header, *lines = _body(full.to_csv())
+    assert header == ",".join(full.columns)
+    assert lines == [",".join(_cell_text(row.get(name)) for name in full.columns) for row in full.rows]
+    own = run_sweep(spec)
+    assert [_reprs(row) for row in own.rows] == [
+        _reprs({key: row[key] for key in own.columns if key in row}) for row in full.rows
+    ]
+    where = {name: header.split(",").index(name) for name in own.columns}
+    assert _body(own.to_csv()) == [",".join(own.columns)] + [
+        ",".join(line.split(",")[where[name]] for name in own.columns) for line in lines
+    ]
+    rows = full.rows
     reference = _reference_rows(spec)
     assert len(rows) == len(reference)
     for k, (row, ref) in enumerate(zip(rows, reference)):
@@ -371,6 +409,60 @@ def test_sweep_csv_is_independent_of_the_stack_size(monkeypatch):
         assert bodies() == default
 
 
+# the kernels a sweep runs only for the columns that read them
+DEMAND_KERNELS = (
+    "xft_average_stack",
+    "xft_coherence_stack",
+    "heat_exp_j_stack",
+    "tpm_band_stack",
+    "flow_decomposition_stack",
+    "min_partial_transpose_eigenvalue",
+)
+
+
+def _count_kernels(monkeypatch) -> list[str]:
+    called = []
+    for name in DEMAND_KERNELS:
+        def counting(*args, _name=name, _kernel=getattr(sweeps, name), **kwargs):
+            called.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, name, counting)
+    return called
+
+
+def test_sweep_runs_only_the_kernels_its_outputs_read(monkeypatch):
+    called = _count_kernels(monkeypatch)
+    result = run_sweep(SweepSpec.from_config(load_config(str(CONFIG_DIR / "qubit_grid.cfg"))))
+    assert result.metadata["cells"] == 2501
+    assert called == []
+    # each kernel runs once a column that reads it is asked for
+    outputs = ("chi_bar", "j_term", "t4_lower_bound", "Q_back", "min_pt_eig")
+    spec = dataclasses.replace(_with_points(CONFIG_DIR / "qubit_grid.cfg", 3), outputs=outputs)
+    run_sweep(spec)
+    assert set(called) == set(DEMAND_KERNELS)
+
+
+def test_sweep_rows_hold_the_csv_columns():
+    result = run_sweep(_spec(
+        "scenario = qubit-theta-eta\n"
+        "sweep.axis1.name = theta\nsweep.axis1.min = 0.5\nsweep.axis1.max = 1.0\nsweep.axis1.points = 2\n"
+        "sweep.axis2.name = eta\nsweep.axis2.min = 0.0\nsweep.axis2.max = 0.5\nsweep.axis2.points = 5\n"
+        "outputs = Q,t1_violated,t1_bound,theta\n"
+    ))
+    assert result.columns == ("theta", "eta", "Q", "t1_violated", "t1_bound", "theta", "status")
+    statuses = set()
+    for row, line in zip(result.rows, _body(result.to_csv())[1:]):
+        statuses.add(row["status"])
+        if row["status"] == "ok":
+            assert list(row) == ["theta", "eta", "Q", "t1_violated", "t1_bound", "status"]
+        else:  # an infeasible cell keeps its axis values, and an output named like an axis
+            assert list(row) == ["theta", "eta", "status"]
+            assert line.split(",")[2:5] == ["nan"] * 3
+        assert line.split(",")[0] == line.split(",")[5] == f"{row['theta']:.17g}"
+    assert statuses == {"ok", "infeasible:eta_cap"}
+
+
 def test_sweep_builds_each_distinct_state_once(monkeypatch):
     built = []
     build_state = sweeps._build_state
@@ -388,10 +480,6 @@ def test_sweep_builds_each_distinct_state_once(monkeypatch):
     rows = run_sweep(spec).rows
     assert len(rows) == 20
     assert sorted(built) == sorted(set(r["eta"] for r in rows))  # infeasible ones too
-
-
-def _reprs(row: dict) -> dict:
-    return {key: repr(value) for key, value in row.items()}
 
 
 # a shipped config of each named scenario, then every custom kind pair
@@ -977,6 +1065,53 @@ def test_cli_rejects_a_key_set_twice_in_one_file(tmp_path, capsys, command, text
     # set once in the file, the key can still be overridden on the command line
     cfg.write_text(text)
     assert cli_main([command, str(cfg), "--set", f"{key}={value}"]) == 0
+
+
+def test_cli_rejects_a_repeated_output_column(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EXPERIMENT_CFG)
+    for outputs, named in (("Q,Q", "Q"), ("theta,Q,negativity,Q_tpm,negativity", "negativity")):
+        assert cli_main(["sweep", str(cfg), "--set", f"outputs={outputs}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output column {named!r} is listed twice in outputs\n"
+        assert captured.out == ""
+
+
+NON_FINITE = [
+    (command, text, override)
+    for command, text in (("sweep", EXPERIMENT_CFG), ("point", POINT_CFG))
+    for override in ("unitary.J=nan", "unitary.t=inf", "state.E=nan", "state.gamma=-inf")
+] + [
+    ("sweep", EXPERIMENT_CFG, "sweep.axis1.max=inf"),
+    ("sweep", EXPERIMENT_CFG, "sweep.axis1.min=nan"),
+    ("sweep", CUSTOM_CFG, "unitary.theta=nan"),
+    ("point", CUSTOM_CFG, "state.eta=inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, override", NON_FINITE, ids=[f"{c}-{o}" for c, _, o in NON_FINITE]
+)
+def test_cli_rejects_a_non_finite_value(tmp_path, capsys, command, text, override):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main([command, str(cfg), "--set", override]) == 1
+    captured = capsys.readouterr()
+    key, value = override.split("=")
+    assert captured.err == f"error: {key} must be finite, got {value}\n"
+    assert captured.out == ""
+
+
+def test_non_finite_eps_and_delta_keep_their_messages(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = nonideal-eps-delta\n")
+    for override, message in (
+        ("eps=nan", "eps must be finite, got nan"),
+        ("eps=inf", "eps = inf not reachable below J_x = 4000.0"),
+        ("Delta=nan", "Delta must lie in [0, 1), got nan"),
+    ):
+        assert cli_main(["point", str(cfg), "--set", override]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_integral_counts_are_accepted(tmp_path, capsys):
