@@ -1,9 +1,10 @@
 """Parameter sweeps, single-point analysis and CSV emission.
 
 A sweep is a scenario name, fixed parameters, one or two axes and a list
-of output columns.  ``run_sweep`` groups the grid cells by the state they
-read, builds and validates each distinct state once, and evaluates each
-group's unitaries as (n, D, D) stacks.  There is one unitary builder and
+of output columns.  ``run_sweep`` carries the params as columns (a scalar
+per fixed key, a per-cell array per axis key), builds and validates each
+distinct state once, solves each distinct J_x once, and evaluates each
+state's unitaries as (n, D, D) stacks.  There is one unitary builder and
 one evaluator: ``evaluate_cell`` and ``analyze_point`` run them at n = 1
 and ask for every column, while a sweep runs only the kernel groups
 (``COLUMN_GROUPS``) that its requested outputs read; both tables, with
@@ -31,14 +32,13 @@ Scenarios (state kind + unitary kind):
                      are full config keys.
 A named scenario accepts the keys of its defaults and axes, ``custom`` every
 key its two kinds read; any other key, axis or output, an output listed
-twice, or a non-finite ``state.*``/``unitary.*`` value or axis bound raises
-ConfigError.
+twice, a non-numeric value of a numeric key, or a non-finite
+``state.*``/``unitary.*`` value or axis bound raises ConfigError.
 """
 
 from __future__ import annotations
 
 import datetime
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -300,11 +300,16 @@ def _check_keys(name: str, cfg: dict) -> tuple[dict[str, str], set[str]]:
 
 
 def _require_finite(cfg: dict) -> None:
-    """Reject a non-finite float ``state.*`` or ``unitary.*`` value or axis
-    bound; ``eps`` and ``Delta`` have their own checks."""
+    """Reject a value that is not a number in a numeric key (a ``state.*`` or
+    ``unitary.*`` key other than the kinds, an axis bound, ``eps``, ``Delta``,
+    ``probe.eps``), and a non-finite float in a ``state.*``/``unitary.*`` key
+    or axis bound; ``eps`` and ``Delta`` have their own finite checks."""
     for key, value in cfg.items():
-        checked = key.startswith(("state.", "unitary.")) or key in AXIS_KEYS and key.endswith(("min", "max"))
-        if checked and isinstance(value, float) and not math.isfinite(value):
+        bound = key in AXIS_KEYS and key.endswith(("min", "max"))
+        finite = bound or key.startswith(("state.", "unitary.")) and not key.endswith(".kind")
+        if (finite or key in ("eps", "Delta", "probe.eps")) and not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        if finite and isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
 
 
@@ -470,43 +475,50 @@ def _solve_jx_for_eps(j_hz, t, eps_target, jx_hi: float = 4000.0):
     return float(jx[0]) if targets.ndim == 0 else jx
 
 
-def _solve_all_jx(scenario: Scenario, cells: list[dict], solved_jx: dict) -> None:
-    """Fill the memo of ``_derive`` with the J_x of every distinct (J, t, eps)
-    these cells derive, in one ``_solve_jx_for_eps`` call over them in cell
-    order (so an error names the first cell's target)."""
-    source = scenario.derived["unitary.Jx"]
-    args = list(dict.fromkeys(
-        (p["unitary.J"], p["unitary.t"], p[source]) for p in cells if "unitary.Jx" not in p
-    ))
-    if args:
-        j_hz, t, eps = zip(*args)
-        solved_jx.update(zip(args, _solve_jx_for_eps(j_hz, t, list(eps)).tolist()))
+def _distinct(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the rows of n cells' 1-D ``columns``, compared by
+    float64 bits (-0.0 is not 0.0): each distinct row's first cell, in cell
+    order, and each cell's index into ``first``; no columns make one row."""
+    if not columns:
+        return np.zeros(1, np.intp), np.zeros(n, np.intp)
+    bits = np.stack([np.asarray(c, float) for c in columns], axis=1).view(np.int64)
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]  # the inverse's shape varies across numpy versions
 
 
-def _derive(scenario: Scenario, params: dict, prefix: str, solved_jx: dict) -> None:
+def _take(params: dict, index: np.ndarray) -> dict:
+    """The params of the cells at ``index``: per-cell arrays indexed, scalars as they are."""
+    return {key: value[index] if isinstance(value, np.ndarray) else value for key, value in params.items()}
+
+
+def _derive(scenario: Scenario, params: dict, prefix: str) -> None:
     """Fill in the unset derived keys that start with ``prefix``.
 
-    ``solved_jx`` memoises J_x by (J, t, eps); its owner decides how long
-    a solve is reused (one sweep).
+    Each value is a scalar or a per-cell array, elementwise.  A Delta
+    outside [0, 1) names the first bad cell's value as given.  J_x takes one
+    ``_solve_jx_for_eps`` call, over each distinct (J, t, eps) in cell order
+    (so an error names the first cell's target); nothing is memoised.
     """
     for key, source in scenario.derived.items():
         if not key.startswith(prefix) or key in params:
             continue
         value = params[source]
         if key == "state.E_H":  # relative detuning -> hot gap
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"Delta must lie in [0, 1), got {value}")
+            delta = np.ravel(value)
+            bad = ~((0.0 <= delta) & (delta < 1.0))
+            if bad.any():
+                raise ConfigError(f"Delta must lie in [0, 1), got {delta[bad.argmax()].item()}")
             value = (1.0 + value) / (1.0 - value)
         elif key == "unitary.Jx":  # unitary distance -> perturbation strength
             args = (params["unitary.J"], params["unitary.t"], value)
-            if args not in solved_jx:
-                solved_jx[args] = _solve_jx_for_eps(*args)
-            value = solved_jx[args]
+            columns = np.broadcast_arrays(*args)
+            if columns[0].ndim:
+                first, inverse = _distinct(columns, columns[0].size)
+                value = _solve_jx_for_eps(*(c[first] for c in columns))[inverse]
+            else:
+                value = _solve_jx_for_eps(*args)
         params[key] = value
-
-
-def _unset(key: str, kind: str) -> ConfigError:
-    return ConfigError(f"{key} is not set; the {kind} needs it")
 
 
 class _KindParams(dict):
@@ -518,7 +530,7 @@ class _KindParams(dict):
         self.kind = kind
 
     def __missing__(self, key):
-        raise _unset(key, self.kind)
+        raise ConfigError(f"{key} is not set; the {self.kind} needs it")
 
 
 def _build_state(kind: str, params: dict) -> BipartiteSystem:
@@ -562,37 +574,38 @@ def _build_state(kind: str, params: dict) -> BipartiteSystem:
     )
 
 
-def _build_cell(scenario: str, kinds: tuple[str, str], params: dict, solved_jx: dict):
+def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
     """Construct (system, unitary_report, cell_extras) for one grid point.
 
-    The unitary is the one-cell stack of ``_build_unitary_stack``.
-    ``solved_jx`` is the J_x memo of ``_derive``.
+    The sweep's path on all-scalar params, with the unitary as the one-cell
+    stack of ``_build_unitary_stack``.
     """
     row = SCENARIOS[scenario]
     state, unitary = kinds
     params = dict(params)
-    _derive(row, params, "state.", solved_jx)
+    _derive(row, params, "state.")
     sys = _build_state(state, params)
     # after the state: infeasible cells skip the J_x solve
-    _derive(row, params, "unitary.", solved_jx)
-    u, extras = _build_unitary_stack(unitary, [params], sys)
+    _derive(row, params, "unitary.")
+    u, extras = _build_unitary_stack(unitary, params, 1, sys)
     extras = {column: values.tolist()[0] for column, values in extras.items()}
     extras.update((column, params[key]) for column, key in row.columns.items())
     epsilon = None if u.epsilon is None else float(u.epsilon[0])
     return sys, UnitaryReport(u.matrix[0], float(u.commutator_norm[0]), epsilon), extras
 
 
-def _build_unitary_stack(kind: str, cells: list[dict], sys: BipartiteSystem):
-    """The unitaries of one kind for cells acting on one state, as one stack.
+def _build_unitary_stack(kind: str, cells: dict, n: int, sys: BipartiteSystem):
+    """The unitaries of one kind for n cells acting on one state, as one stack.
 
-    Returns the stack and the extra output columns as per-cell arrays.
+    ``cells`` maps each key to a scalar or an n-array.  Returns the stack and
+    the extra output columns as n-arrays (a copied one keeps its dtype).
     """
-    def values(key, default=None):
-        if default is None and key not in cells[0]:  # every cell sets the same keys
-            raise _unset(key, f"{kind} unitary")
-        return np.array([p[key] if default is None else p.get(key, default) for p in cells], float)
+    cells = _KindParams(f"{kind} unitary", cells)
 
-    gap = cells[0].get("state.E", 1.0)  # a state key: one value per group
+    def values(key, default=None):
+        return np.full(n, cells[key] if default is None else cells.get(key, default), float)
+
+    gap = np.ravel(cells.get("state.E", 1.0))[0].item()  # a state key: one value per state
     if kind == "xy":
         u = xy_unitary_stack(values("unitary.J"), values("unitary.t"), gap=gap)
         return u, {"theta": rotation_angles(u.matrix)}
@@ -605,15 +618,15 @@ def _build_unitary_stack(kind: str, cells: list[dict], sys: BipartiteSystem):
     if sys.d_c == 2:
         phases = [values(f"unitary.{k}", 0.0) for k in ("phi", "lam", "kappa")]
         angles = {(0, 1): (values("unitary.theta"), *phases)}
-        u = exchange_unitary_stack(EnergySpectrum.two_level(gap), len(cells), angles)
-        return u, {"theta": np.array([p["unitary.theta"] for p in cells])}
-    zero = np.zeros(len(cells))
+        u = exchange_unitary_stack(EnergySpectrum.two_level(gap), n, angles)
+        return u, {"theta": np.full(n, cells["unitary.theta"])}
+    zero = np.zeros(n)
     angles = {
         pair: (values(key), zero, zero, zero)
         for pair, key in QUTRIT_ANGLES.items()
-        if key in cells[0]
+        if key in cells
     }
-    return exchange_unitary_stack(sys.spectrum_c, len(cells), angles), {}
+    return exchange_unitary_stack(sys.spectrum_c, n, angles), {}
 
 
 def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack, extras: dict, outputs=None):
@@ -722,71 +735,54 @@ def evaluate_cell(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None = 
     return _evaluate_one(sys, u, extras)[0]
 
 
-def _evaluate_group(unitary: str, scenario: Scenario, sys: BipartiteSystem, cells: list[dict], outputs):
-    """The ``outputs`` columns, as ``_evaluate_stack`` returns them, of the
-    cells (their params) that share the state ``sys``."""
-    u, extras = _build_unitary_stack(unitary, cells, sys)
-    for column, key in scenario.columns.items():
-        extras[column] = np.array([p[key] for p in cells])
-    return _evaluate_stack(sys, u, extras, outputs)[0]
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid cell; the result's columns are in grid order.
 
-    Cells are grouped by the values of the state keys their state kind
-    reads.  Each distinct state is built and validated once; an infeasible
-    one marks its cells ``infeasible:<constraint>`` and skips their J_x
-    solves, and a feasible one is evaluated with its cells' unitaries as
-    stacks of at most STACK_CELLS, computing only the requested outputs.
-    The unitary keys are derived after the cell loop, so the J_x of all
-    feasible cells are bisected together, in one ``_solve_jx_for_eps`` call.
+    The params are columns: a scalar per fixed key, a per-cell array per
+    axis key (in ``itertools.product`` order).  Cells are grouped by the
+    value bits of their varying state keys; each distinct state is built
+    once, and an infeasible one marks its cells ``infeasible:<constraint>``
+    and skips their J_x solves.  The feasible cells' unitary keys are then
+    derived together (one J_x solve per sweep), and each state's cells are
+    evaluated as stacks of at most STACK_CELLS, computing only the
+    requested outputs.
     """
     scenario = SCENARIOS[spec.scenario]
     params_base = {**scenario.defaults, **spec.fixed}
     state, unitary = _kinds(spec.scenario, params_base)
-    keys = [scenario.axes.get(axis.name, axis.name) for axis in spec.axes]
-    solved_jx: dict = {}  # one J_x per distinct (J, t, eps) of this sweep
-    # the state keys that can differ between cells: axes and derived keys
-    varying = [key for key in STATE_KEYS[state] if key in keys or key in scenario.derived]
-    grid = list(itertools.product(*(axis.values().tolist() for axis in spec.axes)))
-    n = len(grid)
+    grid = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
+    axes = {axis.name: column.reshape(-1) for axis, column in zip(spec.axes, grid)}
+    n = grid[0].size
+    params = {**params_base, **{scenario.axes.get(name, name): column for name, column in axes.items()}}
+    _derive(scenario, params, "state.")
+    varying = [key for key in STATE_KEYS[state] if isinstance(params.get(key), np.ndarray)]
+    first, group = _distinct([params[key] for key in varying], n)
     status = np.full(n, "ok", dtype=object)
-    groups: dict[tuple, tuple] = {}  # their values (repr) -> (state or status, [(cell index, params)])
-    feasible = []  # the params of the cells to evaluate
-    for k, cell in enumerate(grid):
-        params = dict(params_base)
-        params.update(zip(keys, cell))
-        _derive(scenario, params, "state.", solved_jx)
-        group_key = tuple(repr(params.get(key)) for key in varying)
-        if group_key not in groups:
-            try:
-                groups[group_key] = (_build_state(state, params), [])
-            except InfeasibleStateError as exc:
-                groups[group_key] = (f"infeasible:{exc.constraint}", None)
-        sys, cells = groups[group_key]
-        if cells is None:
-            status[k] = sys
-        else:
-            cells.append((k, params))
-            feasible.append(params)
-    if "unitary.Jx" in scenario.derived:  # every J_x of the sweep in one bisection
-        _solve_all_jx(scenario, feasible, solved_jx)
-    for params in feasible:
-        _derive(scenario, params, "unitary.", solved_jx)
+    states = {}  # group -> its state, for the feasible groups
+    for g, k in enumerate(first.tolist()):
+        try:
+            states[g] = _build_state(state, {**params, **{key: params[key][k].item() for key in varying}})
+        except InfeasibleStateError as exc:
+            status[group == g] = f"infeasible:{exc.constraint}"
+    ok = np.flatnonzero(status == "ok")
     outputs: dict[str, tuple] = {}  # column -> (values, has) over the grid
-    for sys, cells in groups.values():
-        for start in range(0, len(cells or ()), STACK_CELLS):
-            chunk = cells[start : start + STACK_CELLS]
-            index = [k for k, _ in chunk]
-            evaluated = _evaluate_group(unitary, scenario, sys, [p for _, p in chunk], spec.outputs)
-            for name, (chunk_values, has) in evaluated.items():
-                if name not in outputs:
-                    outputs[name] = (np.zeros(n, chunk_values.dtype), np.zeros(n, bool))
-                outputs[name][0][index] = chunk_values
-                outputs[name][1][index] = True if has is None else has
+    if ok.size:
+        feasible = _take(params, ok)
+        _derive(scenario, feasible, "unitary.")
+        for g, sys in states.items():
+            members = np.flatnonzero(group[ok] == g)  # positions in ``feasible``
+            for start in range(0, members.size, STACK_CELLS):
+                at = members[start : start + STACK_CELLS]
+                cells = _take(feasible, at)
+                u, extras = _build_unitary_stack(unitary, cells, at.size, sys)
+                extras.update((column, np.full(at.size, cells[key])) for column, key in scenario.columns.items())
+                for name, (chunk_values, has) in _evaluate_stack(sys, u, extras, spec.outputs)[0].items():
+                    if name not in outputs:
+                        outputs[name] = (np.zeros(n, chunk_values.dtype), np.zeros(n, bool))
+                    outputs[name][0][ok[at]] = chunk_values
+                    outputs[name][1][ok[at]] = True if has is None else has
 
-    values = {axis.name: (np.array([cell[i] for cell in grid]), None) for i, axis in enumerate(spec.axes)}
+    values = {name: (column, None) for name, column in axes.items()}
     for name in spec.outputs:  # an output named like an axis (theta, Delta) copies that axis's key
         if name not in values:
             column, has = outputs.get(name, (np.zeros(n), np.zeros(n, bool)))
@@ -868,7 +864,7 @@ def analyze_point(cfg: dict) -> PointReport:
         raise ConfigError(
             f"probe.shots must be >= 0 (0 is the exact reconstruction), got {probe['probe.shots']}"
         )
-    sys, u, extras = _build_cell(scenario, _kinds(scenario, params), params, {})
+    sys, u, extras = _build_cell(scenario, _kinds(scenario, params), params)
     row, mh, tpm = _evaluate_one(sys, u, extras)
     levels = (sys.spectrum_c.levels, sys.spectrum_h.levels)
     mh, tpm = TransitionTable("MH", mh, *levels), TransitionTable("TPM", tpm, *levels)

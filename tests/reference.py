@@ -83,14 +83,15 @@ def build_unitary(kind: str, params: dict, sys: BipartiteSystem):
     return energy_preserving_unitary(sys.spectrum_c, rots), {}
 
 
-def build_cell(scenario: str, kinds: tuple[str, str], params: dict, solved_jx: dict):
-    """(system, unitary report, cell extras) of one grid point."""
+def build_cell(scenario: str, kinds: tuple[str, str], params: dict):
+    """(system, unitary report, cell extras) of one grid point; J_x is
+    solved for this cell alone, by the scalar call."""
     row = SCENARIOS[scenario]
     state, unitary = kinds
     params = dict(params)
-    _derive(row, params, "state.", solved_jx)
+    _derive(row, params, "state.")
     sys = _build_state(state, params)
-    _derive(row, params, "unitary.", solved_jx)
+    _derive(row, params, "unitary.")
     u, extras = build_unitary(unitary, params, sys)
     extras.update((column, params[key]) for column, key in row.columns.items())
     return sys, u, extras

@@ -234,11 +234,10 @@ def _spec_cells(spec: SweepSpec):
 
 def _reference_rows(spec: SweepSpec) -> list[dict]:
     """Every cell of ``spec`` built and evaluated alone by the scalar reference."""
-    solved_jx: dict = {}
     rows = []
     for kinds, params, row in _spec_cells(spec):
         try:
-            sys, u, extras = reference.build_cell(spec.scenario, kinds, params, solved_jx)
+            sys, u, extras = reference.build_cell(spec.scenario, kinds, params)
             row.update(reference.evaluate_cell(sys, u, extras))
             row["status"] = "ok"
         except InfeasibleStateError as exc:
@@ -508,14 +507,13 @@ def test_build_cell_and_evaluate_cell_equal_scalar_reference_bit_for_bit(name):
     # scalar evaluation, on every feasible cell of a named scenario's grid
     # or a custom kind pair
     spec = _cell_spec(name)
-    memo, reference_memo = {}, {}
     built = 0
     for kinds, params, _ in _spec_cells(spec):
         try:
-            sys, u, extras = _build_cell(spec.scenario, kinds, params, memo)
+            sys, u, extras = _build_cell(spec.scenario, kinds, params)
         except InfeasibleStateError:
             continue
-        _, ref, ref_extras = reference.build_cell(spec.scenario, kinds, params, reference_memo)
+        _, ref, ref_extras = reference.build_cell(spec.scenario, kinds, params)
         assert isinstance(u, UnitaryReport)
         assert u.matrix.tobytes() == ref.matrix.tobytes()
         assert repr(u.commutator_norm) == repr(ref.commutator_norm)
@@ -547,9 +545,9 @@ def test_build_cell_names_a_missing_key_as_the_reference_does(state, unitary):
     for key in REQUIRED_UNITARY_KEYS[unitary]:
         given = {k: v for k, v in params.items() if k != key}
         with pytest.raises(ConfigError) as got:
-            _build_cell("custom", (state, unitary), given, {})
+            _build_cell("custom", (state, unitary), given)
         with pytest.raises(ConfigError) as want:
-            reference.build_cell("custom", (state, unitary), given, {})
+            reference.build_cell("custom", (state, unitary), given)
         assert str(got.value) == str(want.value) == f"{key} is not set; the {unitary} unitary needs it"
 
 
@@ -793,6 +791,42 @@ def test_nonideal_sweep_names_the_first_unreachable_cell():
         run_sweep(spec)
 
 
+def test_a_sweep_derives_once_per_column_not_per_cell(monkeypatch):
+    prefixes = []
+    derive = sweeps._derive
+
+    def counting(*args):
+        prefixes.append(args[2])
+        return derive(*args)
+
+    monkeypatch.setattr(sweeps, "_derive", counting)
+    path = CONFIG_DIR / "qubit_grid.cfg"
+    for spec, cells in ((_with_points(path, 3), 9), (SweepSpec.from_config(load_config(str(path))), 2501)):
+        prefixes.clear()
+        assert len(run_sweep(spec).rows) == cells
+        assert prefixes == ["state.", "unitary."]
+
+    batches = []
+    _count_solves(monkeypatch, batches)
+    prefixes.clear()
+    result = run_sweep(_nonideal_spec())
+    assert prefixes == ["state.", "unitary."]
+    feasible = {(220.0, 0.004, r["eps"]) for r in result.rows if r["status"] == "ok"}
+    assert len(batches) == 1 and sorted(batches[0]) == sorted(feasible)  # each distinct triple once
+
+    prefixes.clear()
+    run_sweep(_nonideal_spec(**{"sweep.axis2.min": 0.025}))  # every cell infeasible
+    assert prefixes == ["state."] and len(batches) == 1
+
+
+def test_cells_group_by_value_bits_in_first_appearance_order():
+    columns = [np.array([1.0, 0.0, -0.0, 1.0, 0.0]), np.array([2.0, 3.0, 3.0, 2.0, 3.0])]
+    first, inverse = sweeps._distinct(columns, 5)
+    assert first.tolist() == [0, 1, 2] and inverse.tolist() == [0, 1, 2, 0, 1]  # -0.0 is not 0.0
+    first, inverse = sweeps._distinct([], 4)
+    assert first.tolist() == [0] and inverse.tolist() == [0, 0, 0, 0]
+
+
 def test_nonideal_jx_memo_does_not_outlive_a_sweep(monkeypatch):
     calls = _count_solves(monkeypatch)
     first = run_sweep(_nonideal_spec())
@@ -812,7 +846,7 @@ def test_perturbed_cell_commutator_uses_the_state_gaps():
         "state.E": 1.0, "state.E_H": 1.05,
         "unitary.J": 220.0, "unitary.Jx": 30.0, "unitary.t": 0.004,
     }
-    sys, u, _ = _build_cell("custom", ("gamma", "perturbed-xy"), params, {})
+    sys, u, _ = _build_cell("custom", ("gamma", "perturbed-xy"), params)
     h_c, h_h = sys.spectrum_c.hamiltonian(), sys.spectrum_h.hamiltonian()
     h = np.kron(h_c, np.eye(2)) + np.kron(np.eye(2), h_h)
     explicit = np.linalg.norm(u.matrix @ h - h @ u.matrix, 2)
@@ -1112,6 +1146,32 @@ def test_non_finite_eps_and_delta_keep_their_messages(tmp_path, capsys):
     ):
         assert cli_main(["point", str(cfg), "--set", override]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+NON_NUMERIC = [
+    ("sweep", "nonideal_tolerance.cfg", (
+        "sweep.axis2.name=unitary.t", "sweep.axis2.min=0.003", "sweep.axis2.max=0.004", "Delta=abc",
+    )),
+    ("sweep", "nonideal_tolerance.cfg", ("eps=abc",)),
+    ("point", "point_backflow.cfg", ("state.gamma=abc",)),
+    ("sweep", "qubit_grid.cfg", ("state.P00=abc",)),
+    ("sweep", "qubit_grid.cfg", ("sweep.axis1.min=abc",)),
+    ("point", "point_backflow.cfg", ("probe.eps=abc",)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, overrides", NON_NUMERIC, ids=[f"{c}-{o[-1]}" for c, _, o in NON_NUMERIC]
+)
+def test_cli_rejects_a_non_numeric_value(capsys, command, config, overrides):
+    argv = [command, str(CONFIG_DIR / config)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    key = overrides[-1].split("=")[0]
+    assert captured.err == f"error: {key} must be a number, got 'abc'\n"
+    assert captured.out == ""
 
 
 def test_integral_counts_are_accepted(tmp_path, capsys):
