@@ -70,15 +70,18 @@ class UnitaryReport:
         object.__setattr__(self, "matrix", u)
 
 
-def _check_unitary(u: np.ndarray) -> None:
+def _check_unitary(u: np.ndarray, adjoint: np.ndarray | None = None) -> None:
     """Raise unless ||U U^dag - I|| <= UNITARITY_TOL, for U or each matrix of
-    an (n, D, D) stack.
+    an (n, D, D) stack; ``adjoint`` is U^dag when the caller has it.
 
     The Frobenius norm bounds the spectral norm from above, so a Frobenius
     defect within half the tolerance settles the check; only the other
     matrices (and any with nan entries) take the SVD.
     """
-    r = u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])
+    if adjoint is None:
+        adjoint = u.conj().swapaxes(-1, -2)
+    r = u @ adjoint
+    r -= np.eye(u.shape[-1])
     unsure = ~(np.linalg.norm(r, axis=(-2, -1)) <= 0.5 * UNITARITY_TOL)
     if unsure.any():
         defect = spectral_norms(r[unsure])  # a 0-d mask indexes a single matrix as a stack of one
@@ -94,7 +97,7 @@ def unwrap(u) -> np.ndarray:
 
 def _commutes_exactly(u: np.ndarray, h_total: np.ndarray) -> np.ndarray:
     """Is U H - H U the exact zero matrix by structure?  For U or per matrix
-    of an (n, D, D) stack.
+    of an (n, D, D) stack, against one H or one per matrix.
 
     True when H is diagonal and real, and U_ij != 0 only where
     H_ii == H_jj: then (U H)_ij and (H U)_ij are the same single rounded
@@ -103,11 +106,10 @@ def _commutes_exactly(u: np.ndarray, h_total: np.ndarray) -> np.ndarray:
     entries and their products must be finite.
     """
     h_total = np.asarray(h_total)
-    h = h_total.diagonal()
-    if np.count_nonzero(h_total) != np.count_nonzero(h) or h.imag.any():
-        return np.zeros(u.shape[:-2], dtype=bool)
-    finite = np.isfinite(np.abs(u).max(axis=(-2, -1)) * np.abs(h).max())
-    return finite & ~((u != 0) & (h[:, None] != h)).any(axis=(-2, -1))
+    h = h_total.diagonal(axis1=-2, axis2=-1)
+    diagonal = (np.count_nonzero(h_total, axis=(-2, -1)) == np.count_nonzero(h, axis=-1)) & ~h.imag.any(axis=-1)
+    finite = np.isfinite(np.abs(u).max(axis=(-2, -1)) * np.abs(h).max(axis=-1))
+    return diagonal & finite & ~((u != 0) & (h[..., :, None] != h[..., None, :])).any(axis=(-2, -1))
 
 
 def commutator_norm(u, h_total: np.ndarray) -> float:
@@ -119,13 +121,27 @@ def commutator_norm(u, h_total: np.ndarray) -> float:
     return spectral_norm(u @ h_total - h_total @ u)
 
 
-def _total_hamiltonian(
-    spectrum: EnergySpectrum, spectrum_h: EnergySpectrum | None = None
-) -> np.ndarray:
-    """H_C + H_H; the hot spectrum defaults to the cold one."""
-    h_c = spectrum.hamiltonian()
-    h_h = h_c if spectrum_h is None else spectrum_h.hamiltonian()
-    return kron(h_c, np.eye(h_h.shape[0])) + kron(np.eye(h_c.shape[0]), h_h)
+def _two_level(gap) -> np.ndarray:
+    """The levels (0, gap) of ``EnergySpectrum.two_level``, per cell for an array of gaps."""
+    gap = np.asarray(gap, dtype=float)
+    return np.stack([np.zeros_like(gap), gap], axis=-1)
+
+
+def _total_hamiltonian(levels_c, levels_h=None) -> np.ndarray:
+    """H_C + H_H of local levels (d,), or per cell of (n, d) levels; the hot
+    levels default to the cold ones.
+
+    The diagonal matrix of E_C(i) + E_H(j) at row i * d_H + j, which is
+    kron(H_C, I) + kron(I, H_H) bit for bit: every product with an entry
+    of the identity is exact, and every zero comes out +0.0.
+    """
+    e_c = np.asarray(levels_c, dtype=float)
+    e_h = e_c if levels_h is None else np.asarray(levels_h, dtype=float)
+    e = (e_c[..., :, None] + e_h[..., None, :]).reshape(*np.broadcast_shapes(e_c.shape[:-1], e_h.shape[:-1]), -1)
+    h = np.zeros(e.shape + e.shape[-1:], dtype=complex)
+    diag = np.arange(e.shape[-1])
+    h[..., diag, diag] = e
+    return h
 
 
 def energy_preserving_unitary(
@@ -154,7 +170,7 @@ def energy_preserving_unitary(
         u[a, b] = -np.exp(1j * (rot.kappa - rot.phi)) * st
         u[b, a] = np.exp(1j * (rot.kappa + rot.phi)) * st
         u[b, b] = np.exp(1j * (rot.kappa - rot.lam)) * ct
-    cnorm = commutator_norm(u, _total_hamiltonian(spectrum))
+    cnorm = commutator_norm(u, _total_hamiltonian(spectrum.levels))
     return UnitaryReport(u, cnorm)
 
 
@@ -186,7 +202,7 @@ def xy_exchange_unitary(j_hz: float, t: float, gap: float = 1.0) -> UnitaryRepor
     if t < 0:
         raise ValueError("time must be nonnegative")
     u = matrix_exp(-1j * _xy_hamiltonian(j_hz) * t)
-    cnorm = commutator_norm(u, _total_hamiltonian(EnergySpectrum.two_level(gap)))
+    cnorm = commutator_norm(u, _total_hamiltonian(_two_level(gap)))
     return UnitaryReport(u, cnorm)
 
 
@@ -227,9 +243,7 @@ def perturbed_xy_unitary(
         np.array([j_x], dtype=float)
     )
     u, eps = u[0], float(eps[0])
-    h_total = _total_hamiltonian(
-        EnergySpectrum.two_level(gap), EnergySpectrum.two_level(gap if gap_h is None else gap_h)
-    )
+    h_total = _total_hamiltonian(_two_level(gap), _two_level(gap if gap_h is None else gap_h))
     return UnitaryReport(u, commutator_norm(u, h_total), epsilon=eps)
 
 
@@ -241,34 +255,45 @@ def rotation_angle(u) -> float:
 
 class UnitaryStack(NamedTuple):
     """An (n, D, D) stack of unitaries with what ``UnitaryReport`` records
-    for each: the commutator norm and, for the perturbed family, epsilon."""
+    for each: the commutator norm and, for the perturbed family, epsilon.
+    ``adjoint`` is the stack's U^dag, a conjugated copy seen through
+    ``swapaxes(-1, -2)``, made once and shared by every product with it."""
 
     matrix: np.ndarray
     commutator_norm: np.ndarray
+    adjoint: np.ndarray
     epsilon: np.ndarray | None = None
 
 
 def _stack_report(u: np.ndarray, h_total: np.ndarray, epsilon=None) -> UnitaryStack:
     """Take each matrix's commutator norm, by the rule of ``commutator_norm``,
-    and check it as ``UnitaryReport`` does."""
-    _check_unitary(u)
+    and check it as ``UnitaryReport`` does; ``h_total`` is one H or one per
+    matrix."""
+    adjoint = u.conj().swapaxes(-1, -2)
+    _check_unitary(u, adjoint)
     cnorm = np.zeros(len(u))
     dense = ~_commutes_exactly(u, h_total)
-    x = u[dense]
-    cnorm[dense] = spectral_norms(x @ h_total - h_total @ x)
-    return UnitaryStack(u, cnorm, epsilon)
+    if dense.any():
+        x, h = u[dense], np.broadcast_to(h_total, u.shape)[dense]
+        cnorm[dense] = spectral_norms(x @ h - h @ x)
+    return UnitaryStack(u, cnorm, adjoint, epsilon)
 
 
-def exchange_unitary_stack(spectrum: EnergySpectrum, n: int, angles: dict) -> UnitaryStack:
+def exchange_unitary_stack(levels, n: int, angles: dict) -> UnitaryStack:
     """``energy_preserving_unitary`` for each of n cells.
 
-    ``angles`` maps a manifold (n, m), n < m, to per-cell arrays
-    (theta, phi, lam, kappa); every block entry is the closed form of the
-    single-cell constructor, evaluated elementwise.
+    ``levels`` are the local levels, one spectrum (d,) for every cell or
+    one per cell (n, d).  ``angles`` maps a manifold (n, m), n < m, to
+    per-cell arrays (theta, phi, lam, kappa); every block entry is the
+    closed form of the single-cell constructor, evaluated elementwise.
     """
-    if not spectrum.bohr_nondegenerate():
-        raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
-    d = spectrum.dim
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim == 2 and (levels == levels[:1]).all():
+        levels = levels[0]  # one spectrum: one H for the stack
+    for row in set(map(tuple, np.atleast_2d(levels).tolist())):
+        if not EnergySpectrum(row).bohr_nondegenerate():
+            raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
+    d = levels.shape[-1]
     u = np.zeros((n, d * d, d * d), dtype=complex)
     u[:] = np.eye(d * d)
     for (lo, hi), (theta, phi, lam, kappa) in angles.items():
@@ -280,7 +305,7 @@ def exchange_unitary_stack(spectrum: EnergySpectrum, n: int, angles: dict) -> Un
         u[:, a, b] = -np.exp(1j * (kappa - phi)) * st
         u[:, b, a] = np.exp(1j * (kappa + phi)) * st
         u[:, b, b] = np.exp(1j * (kappa - lam)) * ct
-    return _stack_report(u, _total_hamiltonian(spectrum))
+    return _stack_report(u, _total_hamiltonian(levels))
 
 
 def _xy_generators(j_hz: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,19 +315,19 @@ def _xy_generators(j_hz: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _xy_hamiltonian(j_hz[:, None, None]), t[:, None, None]
 
 
-def xy_unitary_stack(j_hz: np.ndarray, t: np.ndarray, gap: float = 1.0) -> UnitaryStack:
-    """``xy_exchange_unitary`` for per-cell arrays of J and t."""
+def xy_unitary_stack(j_hz: np.ndarray, t: np.ndarray, gap=1.0) -> UnitaryStack:
+    """``xy_exchange_unitary`` for per-cell arrays of J and t; ``gap`` is one
+    gap or one per cell."""
     h_xy, t = _xy_generators(j_hz, t)
     u = matrix_exp_stack(-1j * h_xy * t)
-    return _stack_report(u, _total_hamiltonian(EnergySpectrum.two_level(gap)))
+    return _stack_report(u, _total_hamiltonian(_two_level(gap)))
 
 
-def perturbed_xy_unitary_stack(
-    j_hz: np.ndarray, j_x: np.ndarray, t: np.ndarray, gap: float, gap_h: float
-) -> UnitaryStack:
-    """``perturbed_xy_unitary`` for per-cell arrays of J, J_x and t."""
+def perturbed_xy_unitary_stack(j_hz: np.ndarray, j_x: np.ndarray, t: np.ndarray, gap, gap_h) -> UnitaryStack:
+    """``perturbed_xy_unitary`` for per-cell arrays of J, J_x and t; each gap
+    is one value or one per cell."""
     u, epsilon = _xy_perturbation(j_hz, t)(j_x)
-    h_total = _total_hamiltonian(EnergySpectrum.two_level(gap), EnergySpectrum.two_level(gap_h))
+    h_total = _total_hamiltonian(_two_level(gap), _two_level(gap_h))
     return _stack_report(u, h_total, epsilon=epsilon)
 
 

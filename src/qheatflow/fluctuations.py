@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import unwrap
-from .states import BipartiteSystem
+from .states import BipartiteSystem, StateStack
 
 MH_LOWER_BOUND = -0.125
 NEGLIGIBLE_WEIGHT = 1e-12
@@ -34,11 +34,12 @@ class DivergenceError(ValueError):
 
 
 def energy_changes(energies_c, energies_h) -> tuple[np.ndarray, np.ndarray]:
-    """(dE_C, dE_H) at each entry [i_C, i_H, f_C, f_H] of a transition table."""
+    """(dE_C, dE_H) at each entry [i_C, i_H, f_C, f_H] of a transition table;
+    per cell for (n, d) level arrays."""
     ec, eh = np.asarray(energies_c), np.asarray(energies_h)
-    shape = (len(ec), len(eh)) * 2
-    de_c = ec[:, None, None, None] - ec[None, None, :, None]
-    de_h = eh[None, :, None, None] - eh[None, None, None, :]
+    shape = ec.shape[:-1] + (ec.shape[-1], eh.shape[-1]) * 2
+    de_c = ec[..., :, None, None, None] - ec[..., None, None, :, None]
+    de_h = eh[..., None, :, None, None] - eh[..., None, None, None, :]
     return np.broadcast_to(de_c, shape), np.broadcast_to(de_h, shape)
 
 
@@ -571,16 +572,23 @@ def max_heat_coherence_shift(sys: BipartiteSystem) -> float:
 
 
 # --- stacks of cells ------------------------------------------------------
-# The functions below evaluate one state against an (n, D, D) stack of
-# unitaries.  Each one follows its single-cell counterpart above operation
-# by operation, so every value equals the single-cell one bit for bit: an
-# elementwise op, a stacked matmul/trace and a reduction over a contiguous
-# last axis all compute per cell exactly what the single-matrix call does.
+# The functions below evaluate an (n, D, D) stack of unitaries, each on
+# its own cell's state: they read a ``StateStack`` (or per-cell level
+# arrays) where the single-cell functions above read a BipartiteSystem.
+# Each one follows its single-cell counterpart operation by operation, so
+# every value equals the single-cell one bit for bit: an elementwise op, a
+# per-slice matmul/trace and a reduction over a contiguous last axis all
+# compute per cell exactly what the single-matrix call does.  Where a
+# single-cell function raises for its cell, the stack marks the cell
+# instead.  ``uh`` is the stack's U^dag, conjugated once per stack and seen
+# through ``swapaxes(-1, -2)`` as ``u.conj().swapaxes(-1, -2)`` would be, so
+# each product makes the BLAS call the single-cell one makes.
 
 
 def masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per cell k, ``x[k][mask[k]].sum()``, adding the same elements in the
-    same order; ``mask`` is one mask for every cell or one per cell.
+    same order; ``mask`` is one mask for every cell (with or without a
+    leading axis of 1) or one per cell.
 
     The selected entries of a cell form one C-contiguous row, summed as
     the 1-D selection is (``x[:, mask]`` comes out column-major and sums
@@ -590,9 +598,9 @@ def masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """
     n = len(x)
     flat = x.reshape(n, -1)
-    if mask.shape == x.shape[1:]:
-        return np.compress(mask.reshape(-1), flat, axis=1).sum(axis=-1)
-    mask = mask.reshape(n, -1)
+    mask = mask.reshape(-1, flat.shape[1])
+    if (mask == mask[:1]).all():  # one pattern (one shared mask, or per-cell masks that agree)
+        return np.compress(mask[0], flat, axis=1).sum(axis=-1)
     packed = np.packbits(mask, axis=1)
     raw, width = packed.tobytes(), packed.shape[1]
     groups: dict[bytes, list[int]] = {}
@@ -604,19 +612,25 @@ def masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def table_stack(kind: str, sys: BipartiteSystem, u: np.ndarray) -> np.ndarray:
+def table_stack(kind: str, states: StateStack, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
     """MH or TPM values of each unitary of a stack, shape (n, d_C, d_H, d_C, d_H).
 
-    Every table gets ``TransitionTable``'s sum and range checks.
+    Every table gets ``TransitionTable``'s sum and range checks.  MH reads
+    ``uh``, the stack's U^dag.
     """
-    if u.shape[-1] != sys.d_c * sys.d_h:
+    if u.shape[-1] != states.rho.shape[-1]:
         raise ValueError("unitary dimension does not match the system")
     ut = u.swapaxes(-1, -2)
+    # each product is formed in place (the same ufuncs, operands and order
+    # as the single-cell expression), and MH keeps only its real part
     if kind == "MH":
-        vals = np.real(ut * (sys.rho @ u.conj().swapaxes(-1, -2)))
+        vals = states.rho @ uh
+        vals = np.multiply(ut, vals, out=vals).real.copy()
     else:
-        vals = np.clip((np.abs(ut) ** 2) * sys.populations()[:, None], 0.0, None)
-    vals = vals.reshape(len(u), *sys.dims, *sys.dims)
+        vals = np.square(np.abs(ut))
+        np.multiply(vals, states.populations[:, :, None], out=vals)
+        np.clip(vals, 0.0, None, out=vals)
+    vals = vals.reshape(len(u), *states.dims, *states.dims)
     flat = vals.reshape(len(u), -1)
     floor = MH_LOWER_BOUND - 1e-10 if kind == "MH" else -1e-12
     bad = (
@@ -625,23 +639,22 @@ def table_stack(kind: str, sys: BipartiteSystem, u: np.ndarray) -> np.ndarray:
         | (flat.max(axis=-1) > 1.0 + 1e-10)
     )
     if bad.any():  # raise the single-cell error of the first bad cell
-        TransitionTable(kind, vals[np.argmax(bad)], sys.spectrum_c.levels, sys.spectrum_h.levels)
+        k = np.argmax(bad)
+        levels = (np.broadcast_to(x, (len(u), x.shape[-1]))[k] for x in (states.levels_c, states.levels_h))
+        TransitionTable(kind, vals[k], *levels)
     return vals
 
 
 def table_heat_stack(values: np.ndarray, energies_c) -> np.ndarray:
-    """``table_heat`` of each table of a stack."""
+    """``table_heat`` of each table of a stack; one spectrum or one per cell."""
     m = values.sum(axis=(2, 4))
     ec = np.asarray(energies_c)
-    return (m * (ec[:, None] - ec[None, :])).reshape(len(values), -1).sum(axis=-1)
+    return (m * (ec[..., :, None] - ec[..., None, :])).reshape(len(values), -1).sum(axis=-1)
 
 
 def flow_decomposition_stack(values: np.ndarray, energies_c, energies_h):
-    """(Q_back, Q_direct) of ``flow_decomposition`` for each table of a stack.
-
-    The dE_C > 0 mask depends on the spectra only, so it is the same for
-    every cell.
-    """
+    """(Q_back, Q_direct) of ``flow_decomposition`` for each table of a
+    stack; one pair of spectra or one per cell."""
     pos = np.clip(values, 0.0, None)
     neg = np.clip(values, None, 0.0)
     pos_rev = pos.transpose(0, 3, 4, 1, 2)
@@ -653,25 +666,24 @@ def flow_decomposition_stack(values: np.ndarray, energies_c, energies_h):
     return q_back, q_direct
 
 
-def xft_coherence_stack(sys: BipartiteSystem, u: np.ndarray):
+def xft_coherence_stack(states: StateStack, u: np.ndarray, uh: np.ndarray):
     """(chi_bar, starved) of ``xft_coherence_term`` for each unitary of a stack.
 
     ``starved`` marks the cells where the single-cell function raises
     DivergenceError; their chi_bar is meaningless.
     """
-    pops = sys.populations()
-    w = u.conj().swapaxes(-1, -2) @ (pops[:, None] * u)
-    num = sys.rho * w.swapaxes(-1, -2)
+    pops = states.populations
+    num = states.rho * (uh @ (pops[:, :, None] * u)).swapaxes(-1, -2)
     diag = np.arange(num.shape[-1])
     num[:, diag, diag] = 0.0
     needed = np.abs(num) > 1e-15
-    starved = (needed & (pops[:, None] <= NEGLIGIBLE_WEIGHT)).any(axis=(1, 2))
+    starved = (needed & (pops[:, :, None] <= NEGLIGIBLE_WEIGHT)).any(axis=(1, 2))
     safe = np.where(pops > NEGLIGIBLE_WEIGHT, pops, 1.0)
-    chi = np.real(num / safe[:, None]).reshape(len(u), -1).sum(axis=-1)
+    chi = np.real(np.divide(num, safe[:, :, None], out=num)).reshape(len(u), -1).sum(axis=-1)
     return chi, starved
 
 
-def xft_average_stack(values: np.ndarray, sys: BipartiteSystem):
+def xft_average_stack(values: np.ndarray, states: StateStack):
     """(lhs, avg_delta_i, resonance_ok, divergent) of ``xft_average`` for
     each MH table of a stack.
 
@@ -680,13 +692,12 @@ def xft_average_stack(values: np.ndarray, sys: BipartiteSystem):
     its sums go through ``masked_sums``.
     """
     n = len(values)
-    d_c, d_h = sys.dims
+    d_c, d_h = states.dims
     p = values
     mask = np.abs(p) > NEGLIGIBLE_WEIGHT
 
-    pops = sys.populations().reshape(d_c, d_h)
-    pc = np.real(np.diag(sys.marginal_c()))
-    ph = np.real(np.diag(sys.marginal_h()))
+    pops = states.populations.reshape(-1, d_c, d_h)
+    pc, ph = states.marginal_c, states.marginal_h
     needed = mask.any(axis=(3, 4)) | mask.any(axis=(1, 2))
     divergent = (
         (needed & (pops <= 0.0)).any(axis=(1, 2))
@@ -694,28 +705,41 @@ def xft_average_stack(values: np.ndarray, sys: BipartiteSystem):
         | (needed.any(axis=1) & (ph <= 0.0)).any(axis=1)
     )
     log_pop, log_pc, log_ph = (np.log(np.where(x > 0.0, x, 1.0)) for x in (pops, pc, ph))
-    info = log_pop - log_pc[:, None] - log_ph[None, :]
+    info = log_pop - log_pc[:, :, None] - log_ph[:, None, :]
 
-    delta_i = info[None, None, :, :] - info[:, :, None, None]
-    de_c, de_h = energy_changes(sys.spectrum_c.levels, sys.spectrum_h.levels)
+    delta_i = info[:, None, None, :, :] - info[:, :, :, None, None]
+    de_c, de_h = energy_changes(states.levels_c, states.levels_h)
     mismatch = np.abs(de_c + de_h)
-    energy_scale = max(1.0, max(abs(e) for e in sys.spectrum_c.levels + sys.spectrum_h.levels))
+    levels = np.concatenate([states.levels_c, states.levels_h], axis=-1)
+    energy_scale = np.maximum(1.0, np.abs(levels).max(axis=-1))
     max_mismatch = np.where(mask, mismatch, 0.0).reshape(n, -1).max(axis=-1)
     resonance_ok = max_mismatch <= 1e-9 * energy_scale
 
-    delta_beta = sys.beta_c - sys.beta_h
+    delta_beta = (states.beta_c - states.beta_h)[:, None, None, None, None]
     weight = np.exp(np.where(mask, delta_i + delta_beta * de_c, 0.0))
     lhs = masked_sums(p * weight, mask)
     avg_di = masked_sums(p * np.where(mask, delta_i, 0.0), mask)
     return lhs, avg_di, resonance_ok, divergent
 
 
-def heat_exp_j_stack(sys: BipartiteSystem, u: np.ndarray) -> np.ndarray:
-    """``heat_exp_correction(sys, u).j`` for each unitary of a stack.
+def heat_exp_j_stack(states: StateStack, u: np.ndarray, uh: np.ndarray):
+    """(j, divergent) of ``heat_exp_correction(sys, u).j`` for each unitary
+    of a stack.
 
-    Raises DivergenceError, as the single-cell function does, when a
-    product-marginal population vanishes (a property of the state alone).
+    ``divergent`` marks the cells where the single-cell function raises
+    DivergenceError, as a product-marginal population vanishes; their j
+    is meaningless.  c + q is built per cell with the entries
+    ``_correction_operators`` gives it.
     """
-    qpop, c_mat, q_mat = _correction_operators(sys)
-    evolved_product = u.conj().swapaxes(-1, -2) @ (qpop[:, None] * u)
-    return np.real(np.trace(evolved_product @ (c_mat + q_mat), axis1=-2, axis2=-1))
+    n, side = u.shape[:2]
+    qpop = (states.marginal_c[:, :, None] * states.marginal_h[:, None, :]).reshape(-1, side)
+    divergent = qpop.min(axis=-1) <= NEGLIGIBLE_WEIGHT
+    qpop = np.where(divergent[:, None], 1.0, qpop)
+    # c + q: q off the diagonal and c on it, each plus the other's +0.0
+    c_plus_q = states.rho / qpop[:, :, None]
+    diag = np.arange(side)
+    c_plus_q[:, diag, diag] = states.populations / qpop - 1.0
+    c_plus_q += 0.0
+    evolved_product = uh @ (qpop[:, :, None] * u)
+    j = np.real(np.trace(evolved_product @ c_plus_q, axis1=-2, axis2=-1))
+    return j, np.broadcast_to(divergent, (n,))

@@ -67,6 +67,7 @@ def probe_statistics(
     if not (0 <= i_c < d_c and 0 <= i_h < d_h):
         raise ValueError(f"target {target} out of range for dims {sys.dims}")
     idx = i_c * d_h + i_h
+    p_free = np.real(np.diag(u @ sys.rho @ u.conj().T))
 
     ancilla = np.array([np.cos(eps), -np.sin(eps)], dtype=complex)
     joint = kron(sys.rho, np.outer(ancilla, ancilla.conj()))
@@ -77,7 +78,13 @@ def probe_statistics(
     joint[flip, :] *= -1.0
     joint[:, flip] *= -1.0
     u_joint = kron(u, np.eye(2))
-    evolved = u_joint @ joint @ u_joint.conj().T
+    # the 2D x 2D operands are freed or reused as soon as they are spent:
+    # U_joint^dag is U_joint conjugated in place and seen transposed, the
+    # same operand (and BLAS call) as u_joint.conj().T
+    evolved = u_joint @ joint
+    del joint
+    np.conjugate(u_joint, out=u_joint)
+    evolved = evolved @ u_joint.T
 
     blocks = evolved.reshape(dim, 2, dim, 2)
     q_plus = np.empty(dim)
@@ -87,7 +94,6 @@ def probe_statistics(
         q_plus[f] = np.real(_PLUS.conj() @ block @ _PLUS)
         q_minus[f] = np.real(_MINUS.conj() @ block @ _MINUS)
 
-    p_free = np.real(np.diag(u @ sys.rho @ u.conj().T))
     return ProbeOutcomeStats(
         target=(i_c, i_h),
         eps=float(eps),

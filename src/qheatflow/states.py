@@ -17,6 +17,7 @@ gap for a two-level system with E = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,6 +214,57 @@ class BipartiteSystem:
             beta_c=self.beta_c if keep_betas else None,
             beta_h=self.beta_h if keep_betas else None,
         )
+
+
+class StateStack(NamedTuple):
+    """Per-cell state data of an (n, D, D) evaluation stack: the arrays the
+    stacked kernels read where a single-cell function reads a
+    ``BipartiteSystem``.
+
+    Each row is made from its system's own arrays and methods, so it holds
+    the values the single-cell functions read, bit for bit.  Build one row
+    per distinct state with ``of`` and gather per-cell rows with ``take``.
+    A stack has one row per cell, or one row that every cell shares and
+    that broadcasts against the cells' arrays.
+    """
+
+    rho: np.ndarray  # (n, D, D)
+    populations: np.ndarray  # (n, D), the real diagonal of rho
+    marginal_c: np.ndarray  # (n, d_C), the real diagonal of the C marginal
+    marginal_h: np.ndarray  # (n, d_H)
+    levels_c: np.ndarray  # (n, d_C)
+    levels_h: np.ndarray  # (n, d_H)
+    beta_c: np.ndarray  # (n,), nan for a state without one
+    beta_h: np.ndarray
+    unequal_betas: np.ndarray  # (n,) bool: both betas set and different
+    equal_spectra: np.ndarray  # (n,) bool
+    bohr_nondegenerate: np.ndarray  # (n,) bool, of the C spectrum
+
+    @classmethod
+    def of(cls, systems) -> "StateStack":
+        """One row per system; the systems share their dimensions."""
+        rows = [
+            (
+                s.rho, s.populations(), np.real(np.diag(s.marginal_c())), np.real(np.diag(s.marginal_h())),
+                s.spectrum_c.levels, s.spectrum_h.levels,
+                np.nan if s.beta_c is None else s.beta_c, np.nan if s.beta_h is None else s.beta_h,
+                s.beta_c is not None and s.beta_h is not None and s.beta_c != s.beta_h,
+                s.spectrum_c == s.spectrum_h, s.spectrum_c.bohr_nondegenerate(),
+            )
+            for s in systems
+        ]
+        return cls(*(np.array(column) for column in zip(*rows)))
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return (self.levels_c.shape[-1], self.levels_h.shape[-1])
+
+    def take(self, index) -> "StateStack":
+        """The rows at ``index``, an index array or a slice; one row when
+        every index names the same state."""
+        if isinstance(index, np.ndarray) and index.size and (index == index[0]).all():
+            index = index[:1]
+        return StateStack(*(column[index] for column in self))
 
 
 def _manifold_indices(n: int, m: int, d: int) -> tuple[int, int]:

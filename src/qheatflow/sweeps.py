@@ -3,8 +3,9 @@
 A sweep is a scenario name, fixed parameters, one or two axes and a list
 of output columns.  ``run_sweep`` carries the params as columns (a scalar
 per fixed key, a per-cell array per axis key), builds and validates each
-distinct state once, solves each distinct J_x once, and evaluates each
-state's unitaries as (n, D, D) stacks.  There is one unitary builder and
+distinct state once, solves each distinct J_x once, and evaluates all
+feasible cells as (n, D, D) stacks in byte-bounded chunks, each cell with
+its own state's data (``StateStack``).  There is one unitary builder and
 one evaluator: ``evaluate_cell`` and ``analyze_point`` run them at n = 1
 and ask for every column, while a sweep runs only the kernel groups
 (``COLUMN_GROUPS``) that its requested outputs read; both tables, with
@@ -61,7 +62,6 @@ from .dynamics import (
     xy_unitary_stack,
 )
 from .fluctuations import (
-    DivergenceError,
     TransitionTable,
     _formatted,
     flow_decomposition_stack,
@@ -76,9 +76,9 @@ from .fluctuations import (
 from .probe import probe_statistics, reconstruct_quasiprobability, sampled_reconstruction
 from .states import (
     BipartiteSystem,
-    EnergySpectrum,
     InfeasibleStateError,
     QutritStateParams,
+    StateStack,
     TwoQubitParams,
     gamma_correlated_state,
     min_partial_transpose_eigenvalue,
@@ -101,7 +101,9 @@ from .witnesses import (
 )
 
 NEGATIVITY_THRESHOLD = -1e-12
-STACK_CELLS = 128  # cells per stacked evaluation; bounds the stacks' memory on any grid
+# bytes of one (n, D, D) complex stack of a chunk: 128 cells of 9x9
+# (two qutrits), 648 of 4x4, and always at least one cell
+STACK_BYTES = 128 * 9**2 * 16
 
 # Config keys each state kind reads (see _build_state for the defaults).
 STATE_KEYS: dict[str, tuple[str, ...]] = {
@@ -587,38 +589,44 @@ def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
     sys = _build_state(state, params)
     # after the state: infeasible cells skip the J_x solve
     _derive(row, params, "unitary.")
-    u, extras = _build_unitary_stack(unitary, params, 1, sys)
+    u, extras = _build_unitary_stack(unitary, params, 1, [sys.spectrum_c.levels], [sys.spectrum_h.levels])
     extras = {column: values.tolist()[0] for column, values in extras.items()}
     extras.update((column, params[key]) for column, key in row.columns.items())
     epsilon = None if u.epsilon is None else float(u.epsilon[0])
     return sys, UnitaryReport(u.matrix[0], float(u.commutator_norm[0]), epsilon), extras
 
 
-def _build_unitary_stack(kind: str, cells: dict, n: int, sys: BipartiteSystem):
-    """The unitaries of one kind for n cells acting on one state, as one stack.
+def _build_unitary_stack(kind: str, cells: dict, n: int, levels_c, levels_h):
+    """The unitaries of one kind for n cells, as one stack.
 
-    ``cells`` maps each key to a scalar or an n-array.  Returns the stack and
-    the extra output columns as n-arrays (a copied one keeps its dtype).
+    ``cells`` maps each key to a scalar or an n-array, and ``levels_c``,
+    ``levels_h`` are the cells' local levels, (n, d) or one (1, d) row for
+    all.  Each commutator norm is taken against its own cell's H_C + H_H:
+    the XY and qubit exchange kinds use the two-level spectrum of the
+    cell's cold gap on both sides, as their single-cell constructors do.
+    Returns the stack and the extra output columns as n-arrays (a copied
+    one keeps its dtype).
     """
     cells = _KindParams(f"{kind} unitary", cells)
 
     def values(key, default=None):
         return np.full(n, cells[key] if default is None else cells.get(key, default), float)
 
-    gap = np.ravel(cells.get("state.E", 1.0))[0].item()  # a state key: one value per state
+    levels_c, levels_h = np.asarray(levels_c, dtype=float), np.asarray(levels_h, dtype=float)
+    gap = levels_c[:, 1]
     if kind == "xy":
         u = xy_unitary_stack(values("unitary.J"), values("unitary.t"), gap=gap)
         return u, {"theta": rotation_angles(u.matrix)}
     if kind == "perturbed-xy":
         u = perturbed_xy_unitary_stack(
             values("unitary.J"), values("unitary.Jx", 0.0), values("unitary.t"),
-            gap=sys.spectrum_c.levels[1], gap_h=sys.spectrum_h.levels[1],
+            gap=gap, gap_h=levels_h[:, 1],
         )
         return u, {"eps_actual": u.epsilon}
-    if sys.d_c == 2:
+    if levels_c.shape[-1] == 2:
         phases = [values(f"unitary.{k}", 0.0) for k in ("phi", "lam", "kappa")]
         angles = {(0, 1): (values("unitary.theta"), *phases)}
-        u = exchange_unitary_stack(EnergySpectrum.two_level(gap), n, angles)
+        u = exchange_unitary_stack(levels_c, n, angles)
         return u, {"theta": np.full(n, cells["unitary.theta"])}
     zero = np.zeros(n)
     angles = {
@@ -626,87 +634,102 @@ def _build_unitary_stack(kind: str, cells: dict, n: int, sys: BipartiteSystem):
         for pair, key in QUTRIT_ANGLES.items()
         if key in cells
     }
-    return exchange_unitary_stack(sys.spectrum_c, n, angles), {}
+    return exchange_unitary_stack(levels_c, n, angles), {}
 
 
-def _evaluate_stack(sys: BipartiteSystem, u: UnitaryStack, extras: dict, outputs=None):
-    """The output columns of every unitary of a stack acting on one state.
+def _chunk_cells(side: int) -> int:
+    """Cells per chunk: as many (side, side) complex matrices as fit in
+    STACK_BYTES, and at least one."""
+    return max(1, STACK_BYTES // (16 * side * side))
 
-    ``extras`` holds per-cell arrays of extra output columns.  Only the
-    kernel groups (``COLUMN_GROUPS``) that the ``outputs`` columns need
-    are run; None asks for every column.  Returns {column: (values, has)}
-    for each requested column the cells have, where ``has`` masks the
-    cells that have a value (None: every cell; a witness that does not
-    apply to a cell is flagged -1 with no bound), and the MH and TPM value
-    stacks.  T2 applies where the stack has an ``epsilon``.
+
+def _evaluate_stack(states: StateStack, u: UnitaryStack, extras: dict, outputs):
+    """The output columns of every unitary of a stack, each acting on its
+    own cell's state: ``states`` has a row per cell, or one row for all.
+
+    ``extras`` holds per-cell arrays of extra output columns, and of the
+    per-state ``min_pt_eig`` when it is asked for.  Only the kernel groups
+    (``COLUMN_GROUPS``) that the ``outputs`` columns need are run, each on
+    the cells its preconditions hold for.  Returns {column: (values, has)} for each requested column
+    the cells have, where ``has`` masks the cells that have a value (None:
+    every cell; a witness that does not apply to a cell is flagged -1 with
+    no bound), and the MH and TPM value stacks.  T2 applies where the
+    stack has an ``epsilon``.
     """
-    if outputs is None:
-        outputs = (*extras, *CELL_OUTPUTS)
     need = {group for name in outputs for group in COLUMN_GROUPS.get(name, ())}
     n = len(u.matrix)
-    beta_c, beta_h = sys.beta_c, sys.beta_h
-    e_c, e_h = sys.spectrum_c.levels, sys.spectrum_h.levels
-    mh = table_stack("MH", sys, u.matrix)
-    tpm = table_stack("TPM", sys, u.matrix)
+    beta_c, beta_h = states.beta_c, states.beta_h
+    e_c, e_h = states.levels_c, states.levels_h
+    mh = table_stack("MH", states, u.matrix, u.adjoint)
+    tpm = table_stack("TPM", states, u.matrix, u.adjoint)
     q = table_heat_stack(mh, e_c)
     q_tpm = table_heat_stack(tpm, e_c)
     min_pw = mh.reshape(n, -1).min(axis=-1)
     col = dict(extras)
-    col.update(dict.fromkeys(FLAG_COLUMNS, np.full(n, -1)))
+    col.update((name, np.full(n, -1)) for name in FLAG_COLUMNS)
     col.update(Q=q, Q_tpm=q_tpm, min_pw=min_pw, negativity=(min_pw < NEGATIVITY_THRESHOLD).astype(int))
     if "flow" in need:
         col["Q_back"], col["Q_direct"] = flow_decomposition_stack(mh, e_c, e_h)
-    if "min_pt_eig" in need:
-        col["min_pt_eig"] = np.full(n, min_partial_transpose_eigenvalue(sys))
     present: dict = {}  # column -> mask of the cells that have it (other columns: every cell)
 
-    def put(name, verdict, cells=None):
-        col[f"{name}_violated"] = verdict.flags()
-        col[f"{name}_bound"] = verdict.bound
-        if cells is not None:  # the others are -2 and have no bound
-            col[f"{name}_violated"] = np.where(cells, col[f"{name}_violated"], -2)
-            present[f"{name}_bound"] = cells
+    def cells(mask):
+        """The cells where ``mask`` holds: every cell (a full slice), some
+        (an index array) or none (None)."""
+        return slice(None) if mask.all() else np.flatnonzero(mask) if mask.any() else None
 
-    unequal_betas = beta_c is not None and beta_h is not None and beta_c != beta_h
-    if "t1" in need and unequal_betas and sys.dims == (2, 2) and sys.spectrum_c == sys.spectrum_h:
-        put("t1", two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, e_c[1], u.commutator_norm))
+    def value(name, values, at, has=None):
+        """``values`` of the cells ``at`` into column ``name``; ``has`` masks the ones that have a value."""
+        if name not in present:
+            col[name], present[name] = np.zeros(n, values.dtype), np.zeros(n, bool)
+        col[name][at] = values
+        present[name][at] = True if has is None else has
 
-    if "t2" in need and unequal_betas and u.epsilon is not None:
-        put("t2", nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c[1], e_h[1], u.epsilon))
+    def adjoint(at):
+        """U^dag of the cells ``at``, laid out as the stack's (a transposed
+        view of a conjugated copy), so each product makes the same BLAS call."""
+        return u.adjoint.swapaxes(-1, -2)[at].swapaxes(-1, -2)
 
-    if "xft" in need and unequal_betas:
-        chi, starved = xft_coherence_stack(sys, u.matrix)
-        lhs, avg_di, resonance_ok, divergent = xft_average_stack(mh, sys)
+    def put(name, verdict, at, finite=None):
+        """A witness's flags and bounds on the cells ``at``; where ``finite``
+        is False the flag is -2 and there is no bound."""
+        flags = verdict.flags()
+        col[f"{name}_violated"][at] = flags if finite is None else np.where(finite, flags, -2)
+        value(f"{name}_bound", verdict.bound, at, finite)
+
+    unequal = states.unequal_betas
+    if "t1" in need and states.dims == (2, 2) and (at := cells(unequal & states.equal_spectra)) is not None:
+        put("t1", two_qubit_flow_stack(q[at], q_tpm[at], beta_c[at], beta_h[at], e_c[at, 1], u.commutator_norm[at]), at)
+
+    if "t2" in need and u.epsilon is not None and (at := cells(unequal)) is not None:
+        put("t2", nonideal_flow_stack(
+            q[at], q_tpm[at], beta_c[at], beta_h[at], e_c[at, 1], e_h[at, 1], u.epsilon[at]
+        ), at)
+
+    if "xft" in need and (at := cells(unequal)) is not None:
+        chi, starved = xft_coherence_stack(states.take(at), u.matrix[at], adjoint(at))
+        lhs, avg_di, resonance_ok, divergent = xft_average_stack(mh[at], states.take(at))
         has_xft = ~(starved | divergent)
-        col.update(chi_bar=chi, xft_lhs=lhs, avg_delta_I=avg_di)
-        present.update(chi_bar=has_xft, xft_lhs=has_xft, avg_delta_I=has_xft)
+        for name, values in (("chi_bar", chi), ("xft_lhs", lhs), ("avg_delta_I", avg_di)):
+            value(name, values, at, has_xft)
         if "t3" in need:
             finite = has_xft & (1.0 + chi > 0.0)  # else 1 + chi_bar <= 0: -2
             chi = np.where(finite, chi, 0.0)
-            put("t3", xft_flow_stack(q, chi, lhs, avg_di, resonance_ok, beta_c, beta_h), finite)
+            put("t3", xft_flow_stack(q[at], chi, lhs, avg_di, resonance_ok, beta_c[at], beta_h[at]), at, finite)
 
-    if "j" in need and unequal_betas:
-        try:
-            j = heat_exp_j_stack(sys, u.matrix)
-        except DivergenceError:
-            col["i4_violated"] = np.full(n, -2)
-        else:
-            col["j_term"] = j
-            if "i4" in need:
-                finite = 1.0 + j > 0.0  # else 1 + J <= 0: -2
-                put("i4", correlation_flow_stack(q, np.where(finite, j, 0.0), beta_c, beta_h), finite)
+    if "j" in need and (at := cells(unequal)) is not None:
+        j, divergent = heat_exp_j_stack(states.take(at), u.matrix[at], adjoint(at))
+        value("j_term", j, at, ~divergent)
+        if "i4" in need:
+            finite = ~divergent & (1.0 + j > 0.0)  # else J diverges or 1 + J <= 0: -2
+            put("i4", correlation_flow_stack(q[at], np.where(finite, j, 0.0), beta_c[at], beta_h[at]), at, finite)
 
-    if "strong_backflow" in need and unequal_betas:
-        put("strong_backflow", strong_backflow_stack(q, beta_c, beta_h, sys.d_c))
+    if "strong_backflow" in need and (at := cells(unequal)) is not None:
+        put("strong_backflow", strong_backflow_stack(q[at], beta_c[at], beta_h[at], states.dims[0]), at)
 
-    if "t4" in need and sys.spectrum_c == sys.spectrum_h and sys.spectrum_c.bohr_nondegenerate():
-        try:
-            lower, upper = tpm_band_stack(q, q_tpm, tpm, e_c, e_h)
-        except ValueError:
-            col["t4_lower_violated"] = col["t4_upper_violated"] = np.full(n, -2)
-        else:
-            put("t4_lower", lower)
-            put("t4_upper", upper)
+    if "t4" in need and (at := cells(states.equal_spectra & states.bohr_nondegenerate)) is not None:
+        lower, upper = tpm_band_stack(q[at], q_tpm[at], tpm[at], e_c[at], e_h[at])
+        put("t4_lower", lower, at)
+        put("t4_upper", upper, at)
     columns = {name: (col[name], present.get(name)) for name in outputs if name in col}
     return columns, mh, tpm
 
@@ -719,8 +742,11 @@ def _evaluate_one(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None):
     """
     extras = extras or {}
     epsilon = np.array([extras["eps_actual"]], float) if "eps_actual" in extras else None
-    stack = UnitaryStack(u.matrix[None], np.array([u.commutator_norm], float), epsilon)
-    columns, mh, tpm = _evaluate_stack(sys, stack, {name: np.array([value]) for name, value in extras.items()})
+    matrix = u.matrix[None]
+    stack = UnitaryStack(matrix, np.array([u.commutator_norm], float), matrix.conj().swapaxes(-1, -2), epsilon)
+    cells = {name: np.array([value]) for name, value in extras.items()}
+    cells["min_pt_eig"] = np.array([min_partial_transpose_eigenvalue(sys)])
+    columns, mh, tpm = _evaluate_stack(StateStack.of([sys]), stack, cells, (*extras, *CELL_OUTPUTS))
     row = {name: values.tolist()[0] for name, (values, has) in columns.items() if has is None or has[0]}
     return row, mh[0], tpm[0]
 
@@ -735,17 +761,36 @@ def evaluate_cell(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None = 
     return _evaluate_one(sys, u, extras)[0]
 
 
+def _evaluate_chunk(
+    spec: SweepSpec, unitary: str, cells: dict, states: StateStack, index: np.ndarray, per_state: dict
+) -> dict:
+    """The requested columns of one chunk of feasible cells, ``index``
+    naming each cell's row of ``states``: their unitaries built and
+    evaluated as one stack.  The cells' state rows are gathered after the
+    unitaries are built, and every stack is freed on return, before the
+    next chunk's is built."""
+    n = len(index)
+    u, extras = _build_unitary_stack(unitary, cells, n, states.levels_c[index], states.levels_h[index])
+    extras.update((column, np.full(n, cells[key])) for column, key in SCENARIOS[spec.scenario].columns.items())
+    extras.update((name, values[index]) for name, values in per_state.items())
+    return _evaluate_stack(states.take(index), u, extras, spec.outputs)[0]
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid cell; the result's columns are in grid order.
 
     The params are columns: a scalar per fixed key, a per-cell array per
     axis key (in ``itertools.product`` order).  Cells are grouped by the
     value bits of their varying state keys; each distinct state is built
-    once, and an infeasible one marks its cells ``infeasible:<constraint>``
-    and skips their J_x solves.  The feasible cells' unitary keys are then
-    derived together (one J_x solve per sweep), and each state's cells are
-    evaluated as stacks of at most STACK_CELLS, computing only the
-    requested outputs.
+    and validated once, and an infeasible one marks its cells
+    ``infeasible:<constraint>`` and skips their J_x solves.  The feasible
+    cells' unitary keys are then derived together (one J_x solve per
+    sweep), and the feasible cells, whatever their state, are evaluated in
+    grid order as chunks of at most STACK_BYTES per (n, D, D) stack.  A
+    chunk gathers each cell's state data (``StateStack.take``) by the
+    cell's state index, and per-state results (``min_pt_eig``) are
+    computed once per distinct state.  Only the requested outputs are
+    computed.
     """
     scenario = SCENARIOS[spec.scenario]
     params_base = {**scenario.defaults, **spec.fixed}
@@ -757,30 +802,34 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     _derive(scenario, params, "state.")
     varying = [key for key in STATE_KEYS[state] if isinstance(params.get(key), np.ndarray)]
     first, group = _distinct([params[key] for key in varying], n)
-    status = np.full(n, "ok", dtype=object)
-    states = {}  # group -> its state, for the feasible groups
+    group_status = np.full(len(first), "ok", dtype=object)
+    systems = []  # the feasible distinct states, in group order
     for g, k in enumerate(first.tolist()):
         try:
-            states[g] = _build_state(state, {**params, **{key: params[key][k].item() for key in varying}})
+            systems.append(_build_state(state, {**params, **{key: params[key][k].item() for key in varying}}))
         except InfeasibleStateError as exc:
-            status[group == g] = f"infeasible:{exc.constraint}"
-    ok = np.flatnonzero(status == "ok")
+            group_status[g] = f"infeasible:{exc.constraint}"
+    feasible = group_status == "ok"
+    status = group_status[group]
+    ok = np.flatnonzero(feasible[group])
     outputs: dict[str, tuple] = {}  # column -> (values, has) over the grid
     if ok.size:
-        feasible = _take(params, ok)
-        _derive(scenario, feasible, "unitary.")
-        for g, sys in states.items():
-            members = np.flatnonzero(group[ok] == g)  # positions in ``feasible``
-            for start in range(0, members.size, STACK_CELLS):
-                at = members[start : start + STACK_CELLS]
-                cells = _take(feasible, at)
-                u, extras = _build_unitary_stack(unitary, cells, at.size, sys)
-                extras.update((column, np.full(at.size, cells[key])) for column, key in scenario.columns.items())
-                for name, (chunk_values, has) in _evaluate_stack(sys, u, extras, spec.outputs)[0].items():
-                    if name not in outputs:
-                        outputs[name] = (np.zeros(n, chunk_values.dtype), np.zeros(n, bool))
-                    outputs[name][0][ok[at]] = chunk_values
-                    outputs[name][1][ok[at]] = True if has is None else has
+        cells = _take(params, ok)
+        _derive(scenario, cells, "unitary.")
+        state_of = (np.cumsum(feasible) - 1)[group[ok]]  # each feasible cell's index into ``systems``
+        states = StateStack.of(systems)
+        per_state = {}
+        if "min_pt_eig" in spec.outputs:
+            per_state["min_pt_eig"] = np.array([min_partial_transpose_eigenvalue(s) for s in systems])
+        size = _chunk_cells(states.rho.shape[-1])
+        for start in range(0, ok.size, size):
+            at = slice(start, start + size)  # positions in ``cells``
+            chunk = _evaluate_chunk(spec, unitary, _take(cells, at), states, state_of[at], per_state)
+            for name, (chunk_values, has) in chunk.items():
+                if name not in outputs:
+                    outputs[name] = (np.zeros(n, chunk_values.dtype), np.zeros(n, bool))
+                outputs[name][0][ok[at]] = chunk_values
+                outputs[name][1][ok[at]] = True if has is None else has
 
     values = {name: (column, None) for name, column in axes.items()}
     for name in spec.outputs:  # an output named like an axis (theta, Delta) copies that axis's key

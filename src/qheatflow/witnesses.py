@@ -279,9 +279,11 @@ def strong_backflow_witness(
 
 
 # --- stacks of cells ------------------------------------------------------
-# The same inequalities for arrays of per-cell observables sharing one
-# state.  Each bound is the single-cell expression evaluated elementwise,
-# so bounds and verdicts equal the single-cell ones bit for bit.
+# The same inequalities for arrays of per-cell observables; betas, gaps
+# and epsilon are one value or one per cell.  Each bound is the
+# single-cell expression evaluated elementwise, and a single-cell branch
+# is a per-cell choice, so bounds and verdicts equal the single-cell ones
+# bit for bit.
 
 
 class StackVerdict(NamedTuple):
@@ -307,22 +309,24 @@ def two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, gap, commutator_norm) -> Stac
     """``two_qubit_flow_witness`` per cell."""
     a = np.exp(beta_h * gap)
     b = np.exp(beta_c * gap)
-    pre = [beta_c > beta_h, commutator_norm < ENERGY_PRESERVING_TOL]
-    bound = (2.0 + a + b) / (b - a) * np.abs(q_tpm) if beta_c > beta_h else np.inf
+    ordered = beta_c > beta_h
+    pre = [ordered, commutator_norm < ENERGY_PRESERVING_TOL]
+    bound = np.where(ordered, (2.0 + a + b) / (b - a) * np.abs(q_tpm), np.inf)
     observed = np.abs(q)
     return _resolve_stack(bound, pre, observed > bound + VIOLATION_MARGIN)
 
 
 def nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c, e_h, epsilon) -> StackVerdict:
-    """``nonideal_flow_witness`` per cell."""
+    """``nonideal_flow_witness`` per cell; a cell whose denominator is not
+    positive gets the infinite bound and no violation, as there."""
     ebar = 0.5 * (e_c + e_h)
-    delta = abs(e_c - e_h) / (2.0 * ebar)
+    delta = np.abs(e_c - e_h) / (2.0 * ebar)
     r = (1.0 + np.exp(beta_h * e_h)) / (1.0 + np.exp(beta_c * e_c))
     den = 1.0 - r - delta * (1.0 + r)
     observed = np.abs(q)
     pre = [beta_c > beta_h, den > 0, (epsilon == 0.0) | (observed > 2.0 * epsilon * ebar)]
-    if den <= 0:
-        return _resolve_stack(np.inf, pre, np.zeros(len(q), dtype=bool))
+    cut = den <= 0
+    den = np.where(cut, 1.0, den)
     slack = delta * (1.0 + r)
     sym_bound = ((1.0 + r + slack) * np.abs(q_tpm) + 4.0 * ebar * epsilon * (2.0 + slack)) / den
     direct_floor = ((1.0 + r - slack) * q_tpm - 4.0 * ebar * epsilon * (2.0 + slack)) / den
@@ -331,9 +335,13 @@ def nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c, e_h, epsilon) -> StackVer
     ) / den
     # min(a, b) keeps a unless b < a, as the builtin does
     bound = np.where(
-        q < 0,
-        np.where(-direct_floor < sym_bound, -direct_floor, sym_bound),
-        np.where((q > 0) & (back_ceiling < sym_bound), back_ceiling, sym_bound),
+        cut,
+        np.inf,
+        np.where(
+            q < 0,
+            np.where(-direct_floor < sym_bound, -direct_floor, sym_bound),
+            np.where((q > 0) & (back_ceiling < sym_bound), back_ceiling, sym_bound),
+        ),
     )
     return _resolve_stack(bound, pre, observed > bound + VIOLATION_MARGIN)
 
@@ -357,8 +365,9 @@ def correlation_flow_stack(q, j_value, beta_c, beta_h) -> StackVerdict:
 
 
 def tpm_band_stack(q, q_tpm, tpm_values, energies_c, energies_h):
-    """(lower, upper) verdicts of ``tpm_band_witness`` per cell."""
-    _require_bohr_nondegenerate(energies_c, energies_h)
+    """(lower, upper) verdicts of ``tpm_band_witness`` per cell, on one pair
+    of spectra or one per cell.  The spectra must be Bohr-nondegenerate
+    (the single-cell function raises otherwise); the caller checks that."""
     de_c, de_h = energy_changes(energies_c, energies_h)
     v = tpm_values
     off_weight = masked_sums(v, np.abs(de_c + de_h) > 1e-9)
@@ -376,5 +385,6 @@ def tpm_band_stack(q, q_tpm, tpm_values, energies_c, energies_h):
 def strong_backflow_stack(q, beta_c, beta_h, d: int) -> StackVerdict:
     """``strong_backflow_witness`` per cell."""
     delta_beta = beta_c - beta_h
-    bound = np.log(d) / delta_beta if delta_beta > 0 else np.inf
-    return _resolve_stack(bound, [delta_beta > 0], q > bound + VIOLATION_MARGIN)
+    ordered = delta_beta > 0
+    bound = np.where(ordered, np.log(d) / np.where(ordered, delta_beta, 1.0), np.inf)
+    return _resolve_stack(bound, [ordered], q > bound + VIOLATION_MARGIN)

@@ -216,11 +216,29 @@ def _random_spectrum(rng, d) -> EnergySpectrum:
     return EnergySpectrum(tuple(np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.7, d - 1))])))
 
 
+def test_total_hamiltonian_is_the_kron_sum_bit_for_bit():
+    rng = np.random.default_rng(3)
+    cases = [(_random_spectrum(rng, d_c), _random_spectrum(rng, d_h)) for d_c, d_h in [(2, 2), (2, 3), (3, 3), (4, 2)]]
+    cases.append((EnergySpectrum((-0.0, 1.0)), EnergySpectrum((0.0, 1.3))))  # a -0.0 ground level
+    for spec_c, spec_h in cases:
+        d_c, d_h = spec_c.dim, spec_h.dim
+        kron_sum = kron(spec_c.hamiltonian(), np.eye(d_h)) + kron(np.eye(d_c), spec_h.hamiltonian())
+        assert _total_hamiltonian(spec_c.levels, spec_h.levels).tobytes() == kron_sum.tobytes()
+        if d_c == d_h:
+            same = kron(spec_c.hamiltonian(), np.eye(d_c)) + kron(np.eye(d_c), spec_c.hamiltonian())
+            assert _total_hamiltonian(spec_c.levels).tobytes() == same.tobytes()
+    # one H per cell: each equals its own cell's
+    specs = [_random_spectrum(rng, 3) for _ in range(4)]
+    stack = _total_hamiltonian(np.array([s.levels for s in specs]), np.array([s.levels for s in specs[::-1]]))
+    for k, (spec_c, spec_h) in enumerate(zip(specs, specs[::-1])):
+        assert stack[k].tobytes() == _total_hamiltonian(spec_c.levels, spec_h.levels).tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 12, 16])
 def test_exchange_commutator_norm_equals_dense_bit_for_bit(d):
     rng = np.random.default_rng(d)
     spec = _random_spectrum(rng, d)
-    h = _total_hamiltonian(spec)
+    h = _total_hamiltonian(spec.levels)
     pairs = [(n, m) for n in range(d) for m in range(n + 1, d)]
     rots = [ManifoldRotation(pair, *rng.uniform(-np.pi, np.pi, 4)) for pair in pairs]
     u = energy_preserving_unitary(spec, rots)
@@ -230,7 +248,7 @@ def test_exchange_commutator_norm_equals_dense_bit_for_bit(d):
     assert np.float64(commutator_norm(u, h)).tobytes() == dense
     n = 3
     angles = {pair: tuple(rng.uniform(-np.pi, np.pi, (4, n))) for pair in pairs}
-    stack = exchange_unitary_stack(spec, n, angles)
+    stack = exchange_unitary_stack(spec.levels, n, angles)
     assert _commutes_exactly(stack.matrix, h).all()
     for k in range(n):
         assert stack.commutator_norm[k].tobytes() == _dense_norm_bytes(stack.matrix[k], h)
@@ -238,7 +256,7 @@ def test_exchange_commutator_norm_equals_dense_bit_for_bit(d):
 
 def test_non_exchange_commutator_norms_take_the_dense_path():
     rng = np.random.default_rng(5)
-    resonant = _total_hamiltonian(EnergySpectrum.two_level(1.0))
+    resonant = _total_hamiltonian((0.0, 1.0))
     detuned = np.diag([0.0, 1.25, 1.0, 2.25]).astype(complex)
     exchange = two_qubit_exchange_unitary(0.7, kappa=0.2, lam=-0.4, phi=1.1).matrix
     cases = [
@@ -274,6 +292,14 @@ def test_non_exchange_commutator_norms_take_the_dense_path():
     for k in range(5):
         u = xy_exchange_unitary(j_hz[k], t[k])
         assert np.float64(u.commutator_norm).tobytes() == _dense_norm_bytes(u.matrix, resonant)
+    # one gap pair per cell: each norm is taken against the cell's own H
+    gap, gap_h = rng.uniform(0.8, 1.2, 5), rng.uniform(0.8, 1.2, 5)
+    per_cell = perturbed_xy_unitary_stack(j_hz, j_x, t, gap, gap_h)
+    assert len(set(per_cell.commutator_norm.tolist())) == 5
+    for k in range(5):
+        u = perturbed_xy_unitary(j_hz[k], j_x[k], t[k], gap=gap[k], gap_h=gap_h[k])
+        assert per_cell.matrix[k].tobytes() == u.matrix.tobytes()
+        assert per_cell.commutator_norm[k].tobytes() == np.float64(u.commutator_norm).tobytes()
 
 
 def _near_unitary(size: int, defects: list[float]) -> np.ndarray:

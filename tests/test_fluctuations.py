@@ -49,6 +49,7 @@ from qheatflow.properties import (
 )
 from qheatflow.states import (
     EnergySpectrum,
+    StateStack,
     TwoQubitParams,
     dephase,
     gamma_correlated_state,
@@ -540,27 +541,32 @@ def test_j_term_divergence_for_vanishing_marginal():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_stacks_equal_single_cell_functions_bit_for_bit(d):
+    # three states with their own spectra, cells of each interleaved in one stack
     rng = np.random.default_rng(40 + d)
-    sys, _, _ = random_system_and_unitary(rng, d)
-    draws = [random_rotations(rng, sys.spectrum_c) for _ in range(7)]
+    systems = [random_system_and_unitary(rng, d)[0] for _ in range(3)]
+    state_of = np.array([0, 1, 2, 0, 0, 2, 1])
+    draws = [random_rotations(rng, systems[i].spectrum_c) for i in state_of]
     fields = ("theta", "phi", "lam", "kappa")
     angles = {
         rot.level_pair: tuple(np.array([getattr(rots[i], f) for rots in draws]) for f in fields)
         for i, rot in enumerate(draws[0])
     }
-    stack = exchange_unitary_stack(sys.spectrum_c, len(draws), angles)
+    states = StateStack.of(systems).take(state_of)
+    stack = exchange_unitary_stack(states.levels_c, len(draws), angles)
     u = stack.matrix
-    levels = (sys.spectrum_c.levels, sys.spectrum_h.levels)
-    mh, tpm = table_stack("MH", sys, u), table_stack("TPM", sys, u)
+    levels = (states.levels_c, states.levels_h)
+    mh, tpm = table_stack("MH", states, u, stack.adjoint), table_stack("TPM", states, u, stack.adjoint)
     q_back, q_direct = flow_decomposition_stack(mh, *levels)
-    chi, starved = xft_coherence_stack(sys, u)
-    lhs, avg_di, resonance_ok, divergent = xft_average_stack(mh, sys)
+    chi, starved = xft_coherence_stack(states, u, stack.adjoint)
+    lhs, avg_di, resonance_ok, divergent = xft_average_stack(mh, states)
+    j, j_divergent = heat_exp_j_stack(states, u, stack.adjoint)
     got = zip(
         table_heat_stack(mh, levels[0]), table_heat_stack(tpm, levels[0]), q_back, q_direct,
-        chi, lhs, avg_di, resonance_ok, heat_exp_j_stack(sys, u),
+        chi, lhs, avg_di, resonance_ok, j,
     )
-    assert not (starved | divergent).any()
+    assert not (starved | divergent | j_divergent).any()
     for k, (rots, values) in enumerate(zip(draws, got)):
+        sys = systems[state_of[k]]
         unit = energy_preserving_unitary(sys.spectrum_c, rots)
         assert np.array_equal(u[k], unit.matrix)
         assert stack.commutator_norm[k] == unit.commutator_norm
@@ -574,6 +580,20 @@ def test_stacks_equal_single_cell_functions_bit_for_bit(d):
             heat_exp_correction(sys, unit).j,
         )
         assert [repr(float(x)) for x in values] == [repr(float(x)) for x in want]
+
+
+def test_stacks_mark_the_cells_where_the_single_cell_function_diverges():
+    # a state whose hot marginal is flush to (1, 0) beside a regular one
+    flush = gamma_correlated_state(0.0, 800.0, 700.0)
+    regular = gamma_correlated_state(-0.1, 1.13, 0.9618)
+    states = StateStack.of([regular, flush]).take(np.array([0, 1, 0]))
+    stack = exchange_unitary_stack(states.levels_c, 3, {(0, 1): (np.array([0.4, 0.4, 0.9]), *np.zeros((3, 3)))})
+    j, divergent = heat_exp_j_stack(states, stack.matrix, stack.adjoint)
+    assert divergent.tolist() == [False, True, False]
+    with pytest.raises(DivergenceError):
+        heat_exp_correction(flush, stack.matrix[1])
+    for k in (0, 2):
+        assert repr(float(j[k])) == repr(heat_exp_correction(regular, stack.matrix[k]).j)
 
 
 def test_masked_sums_add_like_the_single_cell_sum():

@@ -20,7 +20,13 @@ from qheatflow.dynamics import (
     perturbed_xy_unitary,
 )
 from qheatflow.linalg import SIGMA_X, SIGMA_Y, matrix_exp, spectral_norm
-from qheatflow.states import EnergySpectrum, InfeasibleStateError, qudit_locally_thermal, thermal_populations
+from qheatflow.states import (
+    EnergySpectrum,
+    InfeasibleStateError,
+    min_partial_transpose_eigenvalue,
+    qudit_locally_thermal,
+    thermal_populations,
+)
 from qheatflow.sweeps import (
     SweepSpec,
     _build_cell,
@@ -392,9 +398,19 @@ def test_stacked_sweep_equals_scalar_reference_on_edge_cells():
     assert {r["status"] for r in infeasible} == {"infeasible:psd"}
 
 
+# a two-qubit eta sweep past the coherence cap: some of its states are infeasible
+ETA_CFG = (
+    "scenario = qubit-theta-eta\n"
+    "sweep.axis1.name = theta\nsweep.axis1.min = 0.5\nsweep.axis1.max = 1.0\nsweep.axis1.points = 4\n"
+    "sweep.axis2.name = eta\nsweep.axis2.min = 0.0\nsweep.axis2.max = 0.5\nsweep.axis2.points = 5\n"
+)
+
+
 def test_sweep_csv_is_independent_of_the_stack_size(monkeypatch):
-    specs = [_with_points(CONFIG_DIR / name, 9) for name in ("qutrit_xft.cfg", "qubit_grid.cfg")]
+    names = ("qutrit_xft.cfg", "qubit_grid.cfg", "nonideal_tolerance.cfg")
+    specs = [_with_points(CONFIG_DIR / name, 9) for name in names]
     specs.append(_spec(QUTRIT_CFG + "state.rho_5 = 0.0\n"))
+    specs.append(_spec(ETA_CFG + "outputs = Q,Q_tpm,min_pw,t1_violated,t1_bound,t4_lower_bound,min_pt_eig\n"))
 
     def bodies():
         return [
@@ -403,9 +419,93 @@ def test_sweep_csv_is_independent_of_the_stack_size(monkeypatch):
         ]
 
     default = bodies()
-    for size in (1, 7):
-        monkeypatch.setattr(sweeps, "STACK_CELLS", size)
+    # one cell per chunk; 7 cells of 4x4 (chunks that split one state's
+    # cells and chunks that span two states of the qubit grid and the
+    # nonideal map, whose states differ in their hot spectrum); 40 qutrit
+    # or 202 qubit-pair cells, which hold several states of each grid
+    for budget in (1, 7 * 16 * 4**2, 40 * 16 * 9**2):
+        monkeypatch.setattr(sweeps, "STACK_BYTES", budget)
         assert bodies() == default
+
+
+def test_stack_chunks_stay_within_the_byte_budget():
+    assert sweeps._chunk_cells(9) == 128 and sweeps._chunk_cells(4) == 648
+    for side in (4, 9, 16, 64, 144, 256):  # up to two d = 16 qudits
+        cells = sweeps._chunk_cells(side)
+        assert cells >= 1
+        assert cells == 1 or cells * 16 * side**2 <= sweeps.STACK_BYTES < (cells + 1) * 16 * side**2
+    assert sweeps._chunk_cells(256) == 1
+
+
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Count the calls of each ``sweeps`` function named."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(sweeps, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, name, counting)
+    return counts
+
+
+def test_a_sweep_evaluates_chunks_that_span_states(monkeypatch):
+    counts = _count_calls(monkeypatch, "_build_unitary_stack", "_evaluate_stack", "_build_state")
+    nonideal = run_sweep(SweepSpec.from_config(load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg"))))
+    assert sum(r["status"] == "ok" for r in nonideal.rows) == 160
+    assert counts == {"_build_unitary_stack": 1, "_evaluate_stack": 1, "_build_state": 13}
+    counts.update(dict.fromkeys(counts, 0))
+    run_sweep(SweepSpec.from_config(load_config(str(CONFIG_DIR / "qubit_grid.cfg"))))  # 41 states of 61 cells
+    assert counts == {"_build_unitary_stack": 4, "_evaluate_stack": 4, "_build_state": 41}
+
+
+def test_per_state_kernels_run_once_per_distinct_feasible_state(monkeypatch):
+    counts = _count_calls(monkeypatch, "min_partial_transpose_eigenvalue", "_build_state")
+    rows = run_sweep(_spec(ETA_CFG + "outputs = Q,min_pt_eig,t1_violated\n")).rows
+    feasible = {r["eta"] for r in rows if r["status"] == "ok"}
+    assert 1 < len(feasible) < len({r["eta"] for r in rows})
+    assert counts == {"min_partial_transpose_eigenvalue": len(feasible), "_build_state": 5}
+    for r in rows:  # each cell carries its own state's value
+        if r["status"] == "ok":
+            params = {**sweeps.SCENARIOS["qubit-theta-eta"].defaults, "state.eta": r["eta"]}
+            sys = reference.build_cell("qubit-theta-eta", ("two-qubit", "exchange"), params)[0]
+            assert repr(r["min_pt_eig"]) == repr(min_partial_transpose_eigenvalue(sys))
+
+
+def test_a_chunk_mixing_equal_and_unequal_betas_equals_the_scalar_reference():
+    # beta_H reaches beta_C on the last row of the grid: the kernels with a
+    # 1/dBeta bound run on the other cells of the same chunk only
+    spec = _spec(
+        "scenario = custom\nstate.kind = gamma\nunitary.kind = xy\n"
+        "state.beta_C = 1.13\nstate.gamma = -0.05\nunitary.J = 215.1\n"
+        "sweep.axis1.name = unitary.t\nsweep.axis1.min = 0.0\nsweep.axis1.max = 0.0093\nsweep.axis1.points = 6\n"
+        "sweep.axis2.name = state.beta_H\nsweep.axis2.min = 0.9\nsweep.axis2.max = 1.13\nsweep.axis2.points = 5\n"
+    )
+    rows = _assert_rows_equal_reference(spec)
+    equal = [r for r in rows if r["state.beta_H"] == 1.13]
+    assert len(equal) == 6 and all(r["status"] == "ok" for r in rows)
+    for r in rows:
+        evaluated = r["state.beta_H"] != 1.13
+        assert ("chi_bar" in r) == ("j_term" in r) == ("t3_bound" in r) == evaluated
+        assert (r["strong_backflow_violated"] == -1) != evaluated
+
+
+@pytest.mark.parametrize("state,unitary", [("two-qubit", "exchange"), ("gamma", "xy"), ("gamma", "perturbed-xy")])
+def test_a_state_gap_axis_equals_the_scalar_reference(state, unitary):
+    # state.E changes both gaps cell by cell (the gamma state's hot gap
+    # follows it unless state.E_H is set): the unitaries' commutator
+    # norms, the tables and the spectrum preconditions of T1 and T4 vary
+    # inside each chunk
+    state_keys, _ = CUSTOM_STATES[state]
+    unitary_keys, unitary_axis = CUSTOM_UNITARIES[unitary]
+    cfg = {"scenario": "custom", "state.kind": state, "unitary.kind": unitary, **state_keys, **unitary_keys}
+    if state == "gamma":
+        cfg["state.gamma"] = -0.1
+    for k, (name, lo, hi, points) in enumerate((unitary_axis + (5,), ("state.E", 0.8, 1.2, 5)), start=1):
+        cfg.update({f"sweep.axis{k}.name": name, f"sweep.axis{k}.min": lo, f"sweep.axis{k}.max": hi})
+        cfg[f"sweep.axis{k}.points"] = points
+    rows = _assert_rows_equal_reference(SweepSpec.from_config(cfg))
+    assert len({r["Q"] for r in rows if r["status"] == "ok"}) > 10
 
 
 # the kernels a sweep runs only for the columns that read them

@@ -359,6 +359,30 @@ def test_witness_stacks_equal_single_cell_verdicts(beta_c, beta_h):
     )
 
 
+def test_witness_stacks_take_per_cell_betas_and_gaps():
+    # one call over cells of both beta orders and of gaps on both sides of
+    # the critical detuning: each cell takes its own single-cell branch
+    pairs = list(itertools.product(EDGE_VALUES, repeat=2))
+    q, other = (np.array(c) for c in zip(*pairs))
+    n = len(pairs)
+    beta_c = np.where(np.arange(n) % 2 == 0, BC, BH)
+    beta_h = np.where(np.arange(n) % 2 == 0, BH, BC)
+    e_h = np.array([1.0, 1.02, 1.3])[np.arange(n) % 3]
+    cells = list(zip(pairs, beta_c.tolist(), beta_h.tolist(), e_h.tolist()))
+    _assert_stack_matches(
+        two_qubit_flow_stack(q, other, beta_c, beta_h, 1.0, np.abs(other) * 1e-8),
+        [two_qubit_flow_witness(a, b, bc, bh, 1.0, abs(b) * 1e-8) for (a, b), bc, bh, _ in cells],
+    )
+    _assert_stack_matches(
+        nonideal_flow_stack(q, other, beta_c, beta_h, 1.0, e_h, np.abs(other) / 10),
+        [nonideal_flow_witness(a, b, bc, bh, 1.0, eh, abs(b) / 10) for (a, b), bc, bh, eh in cells],
+    )
+    _assert_stack_matches(
+        strong_backflow_stack(q, beta_c, beta_h, 3),
+        [strong_backflow_witness(a, bc, bh, 3) for (a, _), bc, bh, _ in cells],
+    )
+
+
 def test_tpm_band_stack_equals_single_cell_verdicts():
     rng = np.random.default_rng(17)
     for _ in range(20):
