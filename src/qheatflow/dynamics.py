@@ -76,13 +76,16 @@ def _check_unitary(u: np.ndarray, adjoint: np.ndarray | None = None) -> None:
 
     The Frobenius norm bounds the spectral norm from above, so a Frobenius
     defect within half the tolerance settles the check; only the other
-    matrices (and any with nan entries) take the SVD.
+    matrices (and any with nan entries) take the SVD.  The squared
+    Frobenius norm is summed over a real view of the defect, with no
+    temporary arrays.
     """
     if adjoint is None:
         adjoint = u.conj().swapaxes(-1, -2)
     r = u @ adjoint
     r -= np.eye(u.shape[-1])
-    unsure = ~(np.linalg.norm(r, axis=(-2, -1)) <= 0.5 * UNITARITY_TOL)
+    x = r.view(float)
+    unsure = ~(np.einsum("...ij,...ij->...", x, x) <= (0.5 * UNITARITY_TOL) ** 2)
     if unsure.any():
         defect = spectral_norms(r[unsure])  # a 0-d mask indexes a single matrix as a stack of one
         bad = np.flatnonzero(defect > UNITARITY_TOL)

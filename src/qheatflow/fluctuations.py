@@ -251,9 +251,7 @@ def average_heat(sys: BipartiteSystem, u) -> float:
 
 def table_heat(table: TransitionTable) -> float:
     """Q = sum of entry * (E_iC - E_fC)."""
-    m = table.values.sum(axis=(1, 3))
-    ec = np.asarray(table.energies_c)
-    return float((m * (ec[:, None] - ec[None, :])).sum())
+    return float(table_heat_stack(table.values[None], table.energies_c)[0])
 
 
 def flow_decomposition(table: TransitionTable, q_tpm: float | None = None) -> HeatReport:
@@ -268,19 +266,11 @@ def flow_decomposition(table: TransitionTable, q_tpm: float | None = None) -> He
     so a negative entry contributes to the flow *opposite* to its
     transition direction.  Q_back - Q_direct equals the table heat.
     """
-    v = table.values
-    pos = np.clip(v, 0.0, None)
-    neg = np.clip(v, None, 0.0)
-    pos_rev = pos.transpose(2, 3, 0, 1)
-    neg_rev = neg.transpose(2, 3, 0, 1)
-    de = table.delta_e_c()
-    mask = de > 1e-12
-    q_back = float(((pos - neg_rev) * de)[mask].sum())
-    q_direct = float(((pos_rev - neg) * de)[mask].sum())
+    q_back, q_direct = flow_decomposition_stack(table.values[None], table.energies_c, table.energies_h)
     return HeatReport(
         q=table_heat(table),
-        q_back=q_back,
-        q_direct=q_direct,
+        q_back=float(q_back[0]),
+        q_direct=float(q_direct[0]),
         q_tpm=q_tpm,
         negative_entries=tuple(table.negative_entries()),
     )
@@ -425,28 +415,14 @@ def xft_coherence_term(sys: BipartiteSystem, u) -> float:
     Diverges when a population rho_kk vanishes while its coherence row
     still carries weight; that case raises DivergenceError.
     """
-    u = unwrap(u)
-    pops = sys.populations()
-    w = u.conj().T @ (pops[:, None] * u)  # (U^dag diag(pops) U)
-    num = np.asarray(sys.rho * w.T)  # term[k, m] = rho_km * w[m, k]
-    np.fill_diagonal(num, 0.0)
-    needed = np.abs(num) > 1e-15
-    starved = needed & (pops[:, None] <= NEGLIGIBLE_WEIGHT)
+    states, u, uh = _one_cell(sys, u)
+    chi, starved = xft_coherence_stack(states, u, uh)
     if starved.any():
-        k = int(np.argwhere(starved)[0][0])
+        k = int(np.argmax(starved[0]))
         raise DivergenceError(
-            f"population rho_{k}{k} = {pops[k]:.3e} divides a nonzero coherence term"
+            f"population rho_{k}{k} = {states.populations[0, k]:.3e} divides a nonzero coherence term"
         )
-    safe = np.where(pops > NEGLIGIBLE_WEIGHT, pops, 1.0)
-    return float(np.real(num / safe[:, None]).sum())
-
-
-def _log_or_raise(values: np.ndarray, label: str, needed: np.ndarray) -> np.ndarray:
-    bad = needed & (values <= 0.0)
-    if bad.any():
-        idx = np.argwhere(bad)[0]
-        raise DivergenceError(f"{label}{tuple(int(i) for i in idx)} vanishes inside a log")
-    return np.log(np.where(values > 0.0, values, 1.0))
+    return float(chi[0])
 
 
 def xft_average(table: TransitionTable, sys: BipartiteSystem) -> XftReport:
@@ -457,46 +433,23 @@ def xft_average(table: TransitionTable, sys: BipartiteSystem) -> XftReport:
     convention); a vanishing population or marginal that is actually
     needed raises DivergenceError instead of being clamped.  The report
     flags whether every contributing entry conserves energy (the regime
-    in which the identity lhs = 1 + chi_bar applies).
+    in which the identity lhs = 1 + chi_bar applies).  The table's spectra
+    are the system's.
     """
     if table.kind != "MH":
         raise ValueError("the exchange-fluctuation average is defined on MH tables")
     if sys.beta_c is None or sys.beta_h is None:
         raise ValueError("system must carry its inverse temperatures")
-    d_c, d_h = sys.dims
-    p = table.values
-    mask = np.abs(p) > NEGLIGIBLE_WEIGHT
-
-    pops = sys.populations().reshape(d_c, d_h)
-    pc = np.real(np.diag(sys.marginal_c()))
-    ph = np.real(np.diag(sys.marginal_h()))
-    needed_joint = mask.any(axis=(2, 3)) | mask.any(axis=(0, 1))
-    log_pop = _log_or_raise(pops, "population", needed_joint)
-    log_pc = _log_or_raise(pc, "marginal_C", needed_joint.any(axis=1))
-    log_ph = _log_or_raise(ph, "marginal_H", needed_joint.any(axis=0))
-    info = log_pop - log_pc[:, None] - log_ph[None, :]  # I at each (c, h)
-
-    delta_i = (
-        info[None, None, :, :] - info[:, :, None, None]
-    )  # [i_C, i_H, f_C, f_H] = I_f - I_i
-    de_c = table.delta_e_c()
-    de_h = table.delta_e_h()
-    mismatch = np.abs(de_c + de_h)
-    energy_scale = max(
-        1.0, max(abs(e) for e in table.energies_c + table.energies_h)
-    )
-    max_mismatch = float(mismatch[mask].max()) if mask.any() else 0.0
-    resonance_ok = max_mismatch <= 1e-9 * energy_scale
-
-    delta_beta = sys.beta_c - sys.beta_h
-    weight = np.exp(np.where(mask, delta_i + delta_beta * de_c, 0.0))
-    lhs = float((p * weight)[mask].sum())
-    avg_di = float((p * np.where(mask, delta_i, 0.0))[mask].sum())
+    lhs, avg_di, resonance_ok, max_mismatch, vanishing = xft_average_stack(table.values[None], StateStack.of([sys]))
+    for label, bad in vanishing.items():  # the first vanishing value, in this order
+        if bad.any():
+            idx = np.argwhere(bad[0])[0]
+            raise DivergenceError(f"{label}{tuple(int(i) for i in idx)} vanishes inside a log")
     return XftReport(
-        lhs=lhs,
-        avg_delta_i=avg_di,
-        resonance_ok=resonance_ok,
-        max_energy_mismatch=max_mismatch,
+        lhs=float(lhs[0]),
+        avg_delta_i=float(avg_di[0]),
+        resonance_ok=bool(resonance_ok[0]),
+        max_energy_mismatch=float(max_mismatch[0]),
     )
 
 
@@ -529,28 +482,15 @@ class HeatExpCorrection:
         return self.population_norm + self.coherence_norm
 
 
-def _correction_operators(sys: BipartiteSystem):
-    """(product populations, c, q) of the correction J; raises
-    DivergenceError when a product-marginal population vanishes."""
-    pops = np.real(np.diag(sys.rho))
-    pc = np.real(np.diag(sys.marginal_c()))
-    ph = np.real(np.diag(sys.marginal_h()))
-    qpop = np.kron(pc, ph)
-    if qpop.min() <= NEGLIGIBLE_WEIGHT:
-        raise DivergenceError("a product-marginal population vanishes")
-    c_mat = np.diag((pops / qpop - 1.0).astype(complex))
-    q_mat = np.asarray(sys.rho / qpop[:, None])
-    np.fill_diagonal(q_mat, 0.0)
-    return qpop, c_mat, q_mat
-
-
 def heat_exp_correction(sys: BipartiteSystem, u) -> HeatExpCorrection:
-    """J = Re tr{ U^dag (rho_C x rho_H) U (c + q) } for energy-preserving U."""
-    u = unwrap(u)
-    qpop, c_mat, q_mat = _correction_operators(sys)
-    evolved_product = u.conj().T @ (qpop[:, None] * u)
-    j = float(np.real(np.trace(evolved_product @ (c_mat + q_mat))))
-    return HeatExpCorrection(j=j, c=c_mat, q=q_mat)
+    """J = Re tr{ U^dag (rho_C x rho_H) U (c + q) } for energy-preserving U;
+    raises DivergenceError when a product-marginal population vanishes."""
+    states, u, uh = _one_cell(sys, u)
+    j, divergent = heat_exp_j_stack(states, u, uh)
+    if divergent[0]:
+        raise DivergenceError("a product-marginal population vanishes")
+    _, c, q, _ = _correction_operators(states)
+    return HeatExpCorrection(j=float(j[0]), c=np.diag(c[0].astype(complex)), q=q[0])
 
 
 def max_heat_coherence_shift(sys: BipartiteSystem) -> float:
@@ -575,14 +515,23 @@ def max_heat_coherence_shift(sys: BipartiteSystem) -> float:
 # The functions below evaluate an (n, D, D) stack of unitaries, each on
 # its own cell's state: they read a ``StateStack`` (or per-cell level
 # arrays) where the single-cell functions above read a BipartiteSystem.
-# Each one follows its single-cell counterpart operation by operation, so
-# every value equals the single-cell one bit for bit: an elementwise op, a
-# per-slice matmul/trace and a reduction over a contiguous last axis all
-# compute per cell exactly what the single-matrix call does.  Where a
-# single-cell function raises for its cell, the stack marks the cell
-# instead.  ``uh`` is the stack's U^dag, conjugated once per stack and seen
-# through ``swapaxes(-1, -2)`` as ``u.conj().swapaxes(-1, -2)`` would be, so
-# each product makes the BLAS call the single-cell one makes.
+# They are the one implementation of the heat split, chi_bar, the XFT
+# average and J: ``table_heat``, ``flow_decomposition``,
+# ``xft_coherence_term``, ``xft_average`` and ``heat_exp_correction`` check
+# their arguments, run their kernel on a stack of one cell and raise where
+# the kernel marks that cell.  Every value equals the scalar reference
+# kept in the tests bit for bit: an elementwise op, a per-slice
+# matmul/trace and a reduction over a contiguous last axis all compute per
+# cell exactly what the single-matrix call does.  ``uh`` is the stack's
+# U^dag, conjugated once per stack and seen through ``swapaxes(-1, -2)``
+# as ``u.conj().swapaxes(-1, -2)`` would be, so each product makes the
+# BLAS call a single-matrix one makes.
+
+
+def _one_cell(sys: BipartiteSystem, u):
+    """(state stack, unitary stack, its U^dag) of one cell."""
+    u = unwrap(u)[None]
+    return StateStack.of([sys]), u, u.conj().swapaxes(-1, -2)
 
 
 def masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -669,27 +618,33 @@ def flow_decomposition_stack(values: np.ndarray, energies_c, energies_h):
 def xft_coherence_stack(states: StateStack, u: np.ndarray, uh: np.ndarray):
     """(chi_bar, starved) of ``xft_coherence_term`` for each unitary of a stack.
 
-    ``starved`` marks the cells where the single-cell function raises
-    DivergenceError; their chi_bar is meaningless.
+    ``starved`` (n, D) marks each population rho_kk that is negligible but
+    divides a nonzero coherence term: the cells with one are those where
+    ``xft_coherence_term`` raises DivergenceError, and their chi_bar is
+    meaningless.
     """
     pops = states.populations
+    # term[k, m] = rho_km (U^dag diag(pops) U)_mk
     num = states.rho * (uh @ (pops[:, :, None] * u)).swapaxes(-1, -2)
     diag = np.arange(num.shape[-1])
     num[:, diag, diag] = 0.0
     needed = np.abs(num) > 1e-15
-    starved = (needed & (pops[:, :, None] <= NEGLIGIBLE_WEIGHT)).any(axis=(1, 2))
+    starved = (needed & (pops[:, :, None] <= NEGLIGIBLE_WEIGHT)).any(axis=2)
     safe = np.where(pops > NEGLIGIBLE_WEIGHT, pops, 1.0)
     chi = np.real(np.divide(num, safe[:, :, None], out=num)).reshape(len(u), -1).sum(axis=-1)
     return chi, starved
 
 
 def xft_average_stack(values: np.ndarray, states: StateStack):
-    """(lhs, avg_delta_i, resonance_ok, divergent) of ``xft_average`` for
-    each MH table of a stack.
+    """(lhs, avg_delta_i, resonance_ok, max_energy_mismatch, vanishing) of
+    ``xft_average`` for each MH table of a stack.
 
-    ``divergent`` marks the cells where the single-cell function raises
-    DivergenceError.  The |p| > 1e-12 mask differs from cell to cell, so
-    its sums go through ``masked_sums``.
+    ``vanishing`` maps "population", "marginal_C" and "marginal_H" to
+    per-cell masks, (n, d_C, d_H), (n, d_C) and (n, d_H), of the values
+    that vanish although a contributing entry needs their log: the cells
+    with one are those where ``xft_average`` raises DivergenceError.  The
+    |p| > 1e-12 mask differs from cell to cell, so its sums go through
+    ``masked_sums``.
     """
     n = len(values)
     d_c, d_h = states.dims
@@ -699,14 +654,15 @@ def xft_average_stack(values: np.ndarray, states: StateStack):
     pops = states.populations.reshape(-1, d_c, d_h)
     pc, ph = states.marginal_c, states.marginal_h
     needed = mask.any(axis=(3, 4)) | mask.any(axis=(1, 2))
-    divergent = (
-        (needed & (pops <= 0.0)).any(axis=(1, 2))
-        | (needed.any(axis=2) & (pc <= 0.0)).any(axis=1)
-        | (needed.any(axis=1) & (ph <= 0.0)).any(axis=1)
-    )
+    vanishing = {
+        "population": needed & (pops <= 0.0),
+        "marginal_C": needed.any(axis=2) & (pc <= 0.0),
+        "marginal_H": needed.any(axis=1) & (ph <= 0.0),
+    }
     log_pop, log_pc, log_ph = (np.log(np.where(x > 0.0, x, 1.0)) for x in (pops, pc, ph))
-    info = log_pop - log_pc[:, :, None] - log_ph[:, None, :]
+    info = log_pop - log_pc[:, :, None] - log_ph[:, None, :]  # I at each (c, h)
 
+    # [k, i_C, i_H, f_C, f_H] = I_f - I_i
     delta_i = info[:, None, None, :, :] - info[:, :, :, None, None]
     de_c, de_h = energy_changes(states.levels_c, states.levels_h)
     mismatch = np.abs(de_c + de_h)
@@ -719,27 +675,38 @@ def xft_average_stack(values: np.ndarray, states: StateStack):
     weight = np.exp(np.where(mask, delta_i + delta_beta * de_c, 0.0))
     lhs = masked_sums(p * weight, mask)
     avg_di = masked_sums(p * np.where(mask, delta_i, 0.0), mask)
-    return lhs, avg_di, resonance_ok, divergent
+    return lhs, avg_di, resonance_ok, max_mismatch, vanishing
+
+
+def _correction_operators(states: StateStack):
+    """(product populations, diagonal of c, q, divergent) of the correction
+    J, per state row: c = diag(rho_ii / (p_C p_H) - 1) and q is rho / (p_C
+    p_H) off the diagonal.  ``divergent`` marks the rows where a
+    product-marginal population vanishes; their operators are
+    meaningless."""
+    side = states.rho.shape[-1]
+    qpop = (states.marginal_c[:, :, None] * states.marginal_h[:, None, :]).reshape(-1, side)
+    divergent = qpop.min(axis=-1) <= NEGLIGIBLE_WEIGHT
+    qpop = np.where(divergent[:, None], 1.0, qpop)
+    q = states.rho / qpop[:, :, None]
+    diag = np.arange(side)
+    q[:, diag, diag] = 0.0
+    return qpop, states.populations / qpop - 1.0, q, divergent
 
 
 def heat_exp_j_stack(states: StateStack, u: np.ndarray, uh: np.ndarray):
     """(j, divergent) of ``heat_exp_correction(sys, u).j`` for each unitary
     of a stack.
 
-    ``divergent`` marks the cells where the single-cell function raises
+    ``divergent`` marks the cells where ``heat_exp_correction`` raises
     DivergenceError, as a product-marginal population vanishes; their j
-    is meaningless.  c + q is built per cell with the entries
-    ``_correction_operators`` gives it.
+    is meaningless.
     """
-    n, side = u.shape[:2]
-    qpop = (states.marginal_c[:, :, None] * states.marginal_h[:, None, :]).reshape(-1, side)
-    divergent = qpop.min(axis=-1) <= NEGLIGIBLE_WEIGHT
-    qpop = np.where(divergent[:, None], 1.0, qpop)
-    # c + q: q off the diagonal and c on it, each plus the other's +0.0
-    c_plus_q = states.rho / qpop[:, :, None]
-    diag = np.arange(side)
-    c_plus_q[:, diag, diag] = states.populations / qpop - 1.0
-    c_plus_q += 0.0
+    qpop, c, q, divergent = _correction_operators(states)
+    # c + q, each entry plus the other operator's +0.0 (c is never -0.0)
+    c_plus_q = q + 0.0
+    diag = np.arange(q.shape[-1])
+    c_plus_q[:, diag, diag] = c
     evolved_product = uh @ (qpop[:, :, None] * u)
     j = np.real(np.trace(evolved_product @ c_plus_q, axis1=-2, axis2=-1))
-    return j, np.broadcast_to(divergent, (n,))
+    return j, np.broadcast_to(divergent, (len(u),))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
+NOT_A_GENERATOR = "matrix_exp needs a Hermitian or anti-Hermitian matrix"
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,12 +94,11 @@ def spectral_norm(m) -> float:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential.
+    """Matrix exponential of a Hermitian or anti-Hermitian generator.
 
-    Hermitian and anti-Hermitian generators (every use in this package is
-    exp(-i H t) with H Hermitian) go through an eigendecomposition; any
-    other square input falls back to scipy's expm, imported only then
-    (importing scipy costs more than the rest of the package).
+    Every use in this package is exp(-i H t) with H Hermitian.  Both kinds
+    go through an eigendecomposition; any other square input raises
+    ValueError.
     """
     m = _square(m)
     if hermiticity_defect(m) <= HERMITICITY_TOL:
@@ -108,9 +108,7 @@ def matrix_exp(m) -> np.ndarray:
     if hermiticity_defect(k) <= HERMITICITY_TOL:
         w, v = np.linalg.eigh(0.5 * (k + k.conj().T))
         return (v * np.exp(-1j * w)) @ v.conj().T
-    import scipy.linalg
-
-    return scipy.linalg.expm(m)
+    raise ValueError(NOT_A_GENERATOR)
 
 
 def hermiticity_defects(m: np.ndarray) -> np.ndarray:
@@ -129,21 +127,22 @@ def matrix_exp_stack(m) -> np.ndarray:
     Each matrix takes the branch ``matrix_exp`` takes for it, through the
     same formula; stacked ``eigh`` and matmul make the same LAPACK/BLAS
     call per matrix, so every result equals the single-matrix one bit for
-    bit.
+    bit.  A matrix that is neither Hermitian nor anti-Hermitian raises
+    ValueError, as in ``matrix_exp``.
     """
     m = np.asarray(m, dtype=complex)
-    out = np.empty_like(m)
+    k = 1j * m
     herm = hermiticity_defects(m) <= HERMITICITY_TOL
+    anti = ~herm & (hermiticity_defects(k) <= HERMITICITY_TOL)
+    if not (herm | anti).all():
+        raise ValueError(NOT_A_GENERATOR)
+    out = np.empty_like(m)
     if herm.any():
         x = m[herm]
         w, v = np.linalg.eigh(0.5 * (x + x.conj().swapaxes(-1, -2)))
         out[herm] = (v * np.exp(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    k = 1j * m
-    anti = ~herm & (hermiticity_defects(k) <= HERMITICITY_TOL)
     if anti.any():
         x = k[anti]
         w, v = np.linalg.eigh(0.5 * (x + x.conj().swapaxes(-1, -2)))
         out[anti] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    for i in np.flatnonzero(~(herm | anti)):
-        out[i] = matrix_exp(m[i])
     return out

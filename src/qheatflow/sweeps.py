@@ -577,9 +577,9 @@ def _build_state(kind: str, params: dict) -> BipartiteSystem:
 
 
 def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
-    """Construct (system, unitary_report, cell_extras) for one grid point.
+    """Construct (system, unitary stack, cell_extras) for one grid point.
 
-    The sweep's path on all-scalar params, with the unitary as the one-cell
+    The sweep's path on all-scalar params: the unitary is the one-cell
     stack of ``_build_unitary_stack``.
     """
     row = SCENARIOS[scenario]
@@ -592,8 +592,7 @@ def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
     u, extras = _build_unitary_stack(unitary, params, 1, [sys.spectrum_c.levels], [sys.spectrum_h.levels])
     extras = {column: values.tolist()[0] for column, values in extras.items()}
     extras.update((column, params[key]) for column, key in row.columns.items())
-    epsilon = None if u.epsilon is None else float(u.epsilon[0])
-    return sys, UnitaryReport(u.matrix[0], float(u.commutator_norm[0]), epsilon), extras
+    return sys, u, extras
 
 
 def _build_unitary_stack(kind: str, cells: dict, n: int, levels_c, levels_h):
@@ -707,8 +706,10 @@ def _evaluate_stack(states: StateStack, u: UnitaryStack, extras: dict, outputs):
 
     if "xft" in need and (at := cells(unequal)) is not None:
         chi, starved = xft_coherence_stack(states.take(at), u.matrix[at], adjoint(at))
-        lhs, avg_di, resonance_ok, divergent = xft_average_stack(mh[at], states.take(at))
-        has_xft = ~(starved | divergent)
+        lhs, avg_di, resonance_ok, _, vanishing = xft_average_stack(mh[at], states.take(at))
+        has_xft = ~starved.any(axis=1)
+        for bad in vanishing.values():
+            has_xft &= ~bad.reshape(len(bad), -1).any(axis=1)
         for name, values in (("chi_bar", chi), ("xft_lhs", lhs), ("avg_delta_I", avg_di)):
             value(name, values, at, has_xft)
         if "t3" in need:
@@ -734,19 +735,12 @@ def _evaluate_stack(states: StateStack, u: UnitaryStack, extras: dict, outputs):
     return columns, mh, tpm
 
 
-def _evaluate_one(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None):
-    """``_evaluate_stack`` at n = 1, every column: (row, MH values, TPM
-    values) of one cell.
-
-    T2 applies when ``extras`` carries ``eps_actual``.
-    """
-    extras = extras or {}
-    epsilon = np.array([extras["eps_actual"]], float) if "eps_actual" in extras else None
-    matrix = u.matrix[None]
-    stack = UnitaryStack(matrix, np.array([u.commutator_norm], float), matrix.conj().swapaxes(-1, -2), epsilon)
+def _evaluate_one(sys: BipartiteSystem, u: UnitaryStack, extras: dict):
+    """``_evaluate_stack`` on a one-cell stack, every column: (row, MH
+    values, TPM values) of one cell."""
     cells = {name: np.array([value]) for name, value in extras.items()}
     cells["min_pt_eig"] = np.array([min_partial_transpose_eigenvalue(sys)])
-    columns, mh, tpm = _evaluate_stack(StateStack.of([sys]), stack, cells, (*extras, *CELL_OUTPUTS))
+    columns, mh, tpm = _evaluate_stack(StateStack.of([sys]), u, cells, (*extras, *CELL_OUTPUTS))
     row = {name: values.tolist()[0] for name, (values, has) in columns.items() if has is None or has[0]}
     return row, mh[0], tpm[0]
 
@@ -758,7 +752,11 @@ def evaluate_cell(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None = 
     A witness that does not apply to the cell is flagged -1 with no bound;
     T2 applies when ``extras`` carries ``eps_actual``.
     """
-    return _evaluate_one(sys, u, extras)[0]
+    extras = extras or {}
+    epsilon = np.array([extras["eps_actual"]], float) if "eps_actual" in extras else None
+    matrix = u.matrix[None]
+    stack = UnitaryStack(matrix, np.array([u.commutator_norm], float), matrix.conj().swapaxes(-1, -2), epsilon)
+    return _evaluate_one(sys, stack, extras)[0]
 
 
 def _evaluate_chunk(
@@ -920,7 +918,7 @@ def analyze_point(cfg: dict) -> PointReport:
 
     target = (probe.get("probe.i_C", 0), probe.get("probe.i_H", min(1, sys.d_h - 1)))
     eps = float(params.get("probe.eps", 0.2))
-    stats = probe_statistics(sys, u, target, eps)
+    stats = probe_statistics(sys, u.matrix[0], target, eps)
     shots = probe.get("probe.shots", 0)
     if shots > 0:
         sampled = sampled_reconstruction(stats, shots, probe.get("probe.seed", 7))
@@ -937,7 +935,7 @@ def analyze_point(cfg: dict) -> PointReport:
         probe_values=probe_values,
         probe_stderr=probe_stderr,
         probe_csv=probe_row_csv(stats, probe_values, probe_stderr),
-        marginal_deviation=marginal_check(mh, sys, u),
+        marginal_deviation=marginal_check(mh, sys, u.matrix[0]),
     )
 
 

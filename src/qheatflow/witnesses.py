@@ -9,6 +9,11 @@ Identifiers: T1 (resonant two-qubit), T2 (nonideal two-qubit), T3 /
 T3-nonideal (exchange-fluctuation bound, any dimension), I4 (alternative
 correlation bound), T4-lower / T4-upper (TPM band, projective data only),
 strong-backflow (entanglement threshold log(d) / dBeta).
+
+Each inequality has one implementation, a ``*_stack`` kernel over arrays
+of per-cell observables (see "stacks of cells" below).  The single-cell
+``*_witness`` functions check their arguments, run their kernel on plain
+floats and wrap its one cell as a WitnessVerdict.
 """
 
 from __future__ import annotations
@@ -42,35 +47,22 @@ class WitnessVerdict:
     extras: tuple[tuple[str, float], ...] = ()
 
     def precondition(self, name: str) -> bool:
-        for key, ok in self.preconditions:
-            if key == name:
-                return ok
-        raise KeyError(name)
+        return dict(self.preconditions)[name]
 
     def extra(self, name: str) -> float:
-        for key, val in self.extras:
-            if key == name:
-                return val
-        raise KeyError(name)
+        return dict(self.extras)[name]
 
 
-def _resolve(
-    inequality_id: str,
-    bound: float,
-    observed: float,
-    preconditions: list[tuple[str, bool]],
-    exceeds: bool,
-    extras: tuple[tuple[str, float], ...] = (),
-) -> WitnessVerdict:
-    ok = all(flag for _, flag in preconditions)
+def _verdict(inequality_id: str, v: StackVerdict, observed, with_extras=True) -> WitnessVerdict:
+    """The WitnessVerdict of a one-cell StackVerdict."""
     return WitnessVerdict(
         inequality_id=inequality_id,
-        bound=bound,
+        bound=v.bound.item(),
         observed=observed,
-        violated=bool(ok and exceeds),
-        preconditions_ok=ok,
-        preconditions=tuple(preconditions),
-        extras=extras,
+        violated=v.violated.item(),
+        preconditions_ok=v.preconditions_ok.item(),
+        preconditions=tuple((name, np.asarray(ok).item()) for name, ok in v.preconditions),
+        extras=tuple((name, np.asarray(x).item()) for name, x in v.extras) if with_extras else (),
     )
 
 
@@ -90,14 +82,7 @@ def two_qubit_flow_witness(
     """
     if beta_c == beta_h:
         raise ValueError("bound undefined for equal inverse temperatures")
-    a = np.exp(beta_h * gap)
-    b = np.exp(beta_c * gap)
-    pre = [("beta_order", beta_c > beta_h)]
-    if commutator_norm is not None:
-        pre.append(("energy_preserving", commutator_norm < ENERGY_PRESERVING_TOL))
-    bound = (2.0 + a + b) / (b - a) * abs(q_tpm) if beta_c > beta_h else np.inf
-    observed = abs(q)
-    return _resolve("T1", float(bound), observed, pre, observed > bound + VIOLATION_MARGIN)
+    return _verdict("T1", two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, gap, commutator_norm), abs(q))
 
 
 def nonideal_flow_witness(
@@ -122,47 +107,13 @@ def nonideal_flow_witness(
     observed flow direction; at eps = Delta = 0 everything reduces to the
     resonant witness.  Preconditions: the detuning is below the critical
     value (the denominator stays positive) and the flow is large enough
-    to be distinguishable from injected work, |Q| > 2 eps Ebar.
+    to be distinguishable from injected work, |Q| > 2 eps Ebar.  Past the
+    critical detuning the bound is infinite and there are no extras.
     """
     if beta_c == beta_h:
         raise ValueError("bound undefined for equal inverse temperatures")
-    ebar = 0.5 * (e_c + e_h)
-    delta = abs(e_c - e_h) / (2.0 * ebar)
-    r = (1.0 + np.exp(beta_h * e_h)) / (1.0 + np.exp(beta_c * e_c))
-    den = 1.0 - r - delta * (1.0 + r)
-    pre = [
-        ("beta_order", beta_c > beta_h),
-        ("gap_subcritical", den > 0),
-        ("flow_above_work", epsilon == 0.0 or abs(q) > 2.0 * epsilon * ebar),
-    ]
-    if den <= 0:
-        return _resolve("T2", np.inf, abs(q), pre, False)
-    slack = delta * (1.0 + r)
-    sym_bound = ((1.0 + r + slack) * abs(q_tpm) + 4.0 * ebar * epsilon * (2.0 + slack)) / den
-    direct_floor = ((1.0 + r - slack) * q_tpm - 4.0 * ebar * epsilon * (2.0 + slack)) / den
-    back_ceiling = (
-        -(1.0 + r + slack) * q_tpm + 4.0 * ebar * epsilon * (2.0 - r + slack)
-    ) / den
-    bound = sym_bound
-    if q < 0:
-        bound = min(sym_bound, -direct_floor)
-    elif q > 0:
-        bound = min(sym_bound, back_ceiling)
-    observed = abs(q)
-    return _resolve(
-        "T2",
-        float(bound),
-        observed,
-        pre,
-        observed > bound + VIOLATION_MARGIN,
-        extras=(
-            ("symmetric_bound", float(sym_bound)),
-            ("direct_floor", float(direct_floor)),
-            ("back_ceiling", float(back_ceiling)),
-            ("delta", float(delta)),
-            ("ratio_r", float(r)),
-        ),
-    )
+    v = nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c, e_h, epsilon)
+    return _verdict("T2", v, abs(q), with_extras=dict(v.preconditions)["gap_subcritical"])
 
 
 def xft_flow_witness(
@@ -184,41 +135,26 @@ def xft_flow_witness(
     """
     if xft.chi_bar is None:
         raise ValueError("attach chi_bar to the XftReport first")
-    delta_beta = beta_c - beta_h
-    if delta_beta == 0:
+    if beta_c - beta_h == 0:
         raise ValueError("bound undefined for equal inverse temperatures")
     if 1.0 + xft.chi_bar <= 0.0:
         raise DivergenceError(f"1 + chi_bar = {1.0 + xft.chi_bar:.3e} <= 0")
-    if epsilon_work is None:
-        ident = "T3"
-        resonance_ok = xft.resonance_ok
-        slack = 0.0
-    else:
-        ident = "T3-nonideal"
-        resonance_ok = xft.max_energy_mismatch <= epsilon_work + 1e-15
-        # Jensen with per-entry mismatch <= eps gives +beta_H eps / dBeta.
-        slack = beta_h * epsilon_work / delta_beta
-    pre = [
-        ("beta_order", delta_beta > 0),
-        ("resonance", resonance_ok),
-        ("finite", bool(np.isfinite(xft.lhs) and np.isfinite(xft.avg_delta_i))),
-    ]
-    bound = (-xft.avg_delta_i + np.log1p(xft.chi_bar)) / delta_beta + slack
-    return _resolve(ident, float(bound), q, pre, q > bound + VIOLATION_MARGIN)
+    v = xft_flow_stack(
+        q, xft.chi_bar, xft.lhs, xft.avg_delta_i, xft.resonance_ok, beta_c, beta_h,
+        epsilon_work, xft.max_energy_mismatch,
+    )
+    return _verdict("T3" if epsilon_work is None else "T3-nonideal", v, q)
 
 
 def correlation_flow_witness(
     q: float, j_value: float, beta_c: float, beta_h: float
 ) -> WitnessVerdict:
     """Q <= log(1 + J) / dBeta with J the correlation correction."""
-    delta_beta = beta_c - beta_h
-    if delta_beta == 0:
+    if beta_c - beta_h == 0:
         raise ValueError("bound undefined for equal inverse temperatures")
     if 1.0 + j_value <= 0.0:
         raise DivergenceError(f"1 + J = {1.0 + j_value:.3e} <= 0")
-    pre = [("beta_order", delta_beta > 0)]
-    bound = np.log1p(j_value) / delta_beta
-    return _resolve("I4", float(bound), q, pre, q > bound + VIOLATION_MARGIN)
+    return _verdict("I4", correlation_flow_stack(q, j_value, beta_c, beta_h), q)
 
 
 def _require_bohr_nondegenerate(energies_c, energies_h) -> None:
@@ -242,75 +178,64 @@ def tpm_band_witness(
     if tpm_table.kind != "TPM":
         raise ValueError("band witness needs a TPM table")
     _require_bohr_nondegenerate(tpm_table.energies_c, tpm_table.energies_h)
-    de = tpm_table.delta_e_c()
-    mismatch = np.abs(de + tpm_table.delta_e_h())
-    off_weight = float(tpm_table.values[mismatch > 1e-9].sum())
-    pre = [("energy_preserving", off_weight < ENERGY_PRESERVING_TOL)]
-    v = tpm_table.values
-    lam_minus = float((v * de)[de > 1e-12].sum())
-    lam_plus = float((v * (-de))[de < -1e-12].sum())
-    q_tpm = table_heat(tpm_table)
-    lower = q_tpm - 2.0 * lam_minus
-    upper = q_tpm + 2.0 * lam_plus
-    extras = (
-        ("lambda_minus", lam_minus),
-        ("lambda_plus", lam_plus),
-        ("q_tpm", q_tpm),
+    lower, upper = tpm_band_stack(
+        q, table_heat(tpm_table), tpm_table.values[None], tpm_table.energies_c, tpm_table.energies_h
     )
-    lower_verdict = _resolve(
-        "T4-lower", float(lower), q, pre, q < lower - VIOLATION_MARGIN, extras
-    )
-    upper_verdict = _resolve(
-        "T4-upper", float(upper), q, pre, q > upper + VIOLATION_MARGIN, extras
-    )
-    return lower_verdict, upper_verdict
+    return _verdict("T4-lower", lower, q), _verdict("T4-upper", upper, q)
 
 
 def strong_backflow_witness(
     q: float, beta_c: float, beta_h: float, d: int
 ) -> WitnessVerdict:
     """Backflow beyond log(d) / dBeta is impossible for separable states."""
-    delta_beta = beta_c - beta_h
-    pre = [("beta_order", delta_beta > 0)]
-    bound = np.log(d) / delta_beta if delta_beta > 0 else np.inf
-    return _resolve(
-        "strong-backflow", float(bound), q, pre, q > bound + VIOLATION_MARGIN
-    )
+    return _verdict("strong-backflow", strong_backflow_stack(q, beta_c, beta_h, d), q)
 
 
 # --- stacks of cells ------------------------------------------------------
-# The same inequalities for arrays of per-cell observables; betas, gaps
-# and epsilon are one value or one per cell.  Each bound is the
-# single-cell expression evaluated elementwise, and a single-cell branch
-# is a per-cell choice, so bounds and verdicts equal the single-cell ones
-# bit for bit.
+# The one implementation of each inequality, for arrays of per-cell
+# observables or plain floats; betas, gaps and epsilon are one value or
+# one per cell.  A single-cell branch is a per-cell choice, and each
+# single-cell function above is its kernel on floats, so one cell of a
+# stack equals its single-cell verdict bit for bit.  The scalar reference
+# the kernels are checked against lives in the tests.
 
 
 class StackVerdict(NamedTuple):
-    """Per-cell bound, precondition status and verdict of one witness."""
+    """Per-cell bound, precondition status and verdict of one witness.
+
+    ``preconditions`` names each precondition's mask, in the order the
+    verdict lists them, and ``extras`` the side values the verdict
+    reports; each is per cell, or one value that holds for every cell.
+    """
 
     bound: np.ndarray
     preconditions_ok: np.ndarray
     violated: np.ndarray
+    preconditions: tuple[tuple[str, np.ndarray], ...] = ()
+    extras: tuple[tuple[str, np.ndarray], ...] = ()
 
     def flags(self) -> np.ndarray:
         """1 violated, 0 not violated, -1 a precondition failed."""
         return np.where(self.preconditions_ok, self.violated.astype(int), -1)
 
 
-def _resolve_stack(bound, preconditions, exceeds: np.ndarray) -> StackVerdict:
-    ok = np.ones(exceeds.shape, dtype=bool)
-    for flag in preconditions:
+def _resolve_stack(bound, preconditions, exceeds, extras=()) -> StackVerdict:
+    ok = np.ones(np.shape(exceeds), dtype=bool)
+    for _, flag in preconditions:
         ok = ok & flag
-    return StackVerdict(np.broadcast_to(np.asarray(bound, dtype=float), exceeds.shape), ok, ok & exceeds)
+    bound = np.broadcast_to(np.asarray(bound, dtype=float), ok.shape)
+    return StackVerdict(bound, ok, ok & exceeds, tuple(preconditions), tuple(extras))
 
 
-def two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, gap, commutator_norm) -> StackVerdict:
-    """``two_qubit_flow_witness`` per cell."""
+def two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, gap=1.0, commutator_norm=None) -> StackVerdict:
+    """``two_qubit_flow_witness`` per cell; the energy-preserving
+    precondition is checked when ``commutator_norm`` is given."""
     a = np.exp(beta_h * gap)
     b = np.exp(beta_c * gap)
     ordered = beta_c > beta_h
-    pre = [ordered, commutator_norm < ENERGY_PRESERVING_TOL]
+    pre = [("beta_order", ordered)]
+    if commutator_norm is not None:
+        pre.append(("energy_preserving", commutator_norm < ENERGY_PRESERVING_TOL))
     bound = np.where(ordered, (2.0 + a + b) / (b - a) * np.abs(q_tpm), np.inf)
     observed = np.abs(q)
     return _resolve_stack(bound, pre, observed > bound + VIOLATION_MARGIN)
@@ -318,13 +243,17 @@ def two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, gap, commutator_norm) -> Stac
 
 def nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c, e_h, epsilon) -> StackVerdict:
     """``nonideal_flow_witness`` per cell; a cell whose denominator is not
-    positive gets the infinite bound and no violation, as there."""
+    positive gets the infinite bound and no violation."""
     ebar = 0.5 * (e_c + e_h)
     delta = np.abs(e_c - e_h) / (2.0 * ebar)
     r = (1.0 + np.exp(beta_h * e_h)) / (1.0 + np.exp(beta_c * e_c))
     den = 1.0 - r - delta * (1.0 + r)
     observed = np.abs(q)
-    pre = [beta_c > beta_h, den > 0, (epsilon == 0.0) | (observed > 2.0 * epsilon * ebar)]
+    pre = [
+        ("beta_order", beta_c > beta_h),
+        ("gap_subcritical", den > 0),
+        ("flow_above_work", (epsilon == 0.0) | (observed > 2.0 * epsilon * ebar)),
+    ]
     cut = den <= 0
     den = np.where(cut, 1.0, den)
     slack = delta * (1.0 + r)
@@ -333,7 +262,7 @@ def nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c, e_h, epsilon) -> StackVer
     back_ceiling = (
         -(1.0 + r + slack) * q_tpm + 4.0 * ebar * epsilon * (2.0 - r + slack)
     ) / den
-    # min(a, b) keeps a unless b < a, as the builtin does
+    # the tightest bound of the flow direction; min(a, b) keeps a unless b < a
     bound = np.where(
         cut,
         np.inf,
@@ -343,16 +272,36 @@ def nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c, e_h, epsilon) -> StackVer
             np.where((q > 0) & (back_ceiling < sym_bound), back_ceiling, sym_bound),
         ),
     )
-    return _resolve_stack(bound, pre, observed > bound + VIOLATION_MARGIN)
+    extras = (
+        ("symmetric_bound", sym_bound),
+        ("direct_floor", direct_floor),
+        ("back_ceiling", back_ceiling),
+        ("delta", delta),
+        ("ratio_r", r),
+    )
+    return _resolve_stack(bound, pre, observed > bound + VIOLATION_MARGIN, extras)
 
 
-def xft_flow_stack(q, chi, lhs, avg_delta_i, resonance_ok, beta_c, beta_h) -> StackVerdict:
-    """``xft_flow_witness`` (no work slack) per cell; the caller flags cells
-    with 1 + chi_bar <= 0, where the single-cell function raises."""
+def xft_flow_stack(
+    q, chi, lhs, avg_delta_i, resonance_ok, beta_c, beta_h, epsilon_work=None, max_energy_mismatch=None
+) -> StackVerdict:
+    """``xft_flow_witness`` per cell.  With ``epsilon_work`` (T3-nonideal)
+    the resonance precondition reads ``max_energy_mismatch`` in place of
+    ``resonance_ok``.  The caller flags cells with 1 + chi_bar <= 0,
+    where the single-cell function raises."""
     delta_beta = beta_c - beta_h
-    pre = [delta_beta > 0, resonance_ok, np.isfinite(lhs) & np.isfinite(avg_delta_i)]
-    # "+ 0.0" is the zero work slack of the single-cell bound (it maps -0.0 to 0.0)
-    bound = (-avg_delta_i + np.log1p(chi)) / delta_beta + 0.0
+    if epsilon_work is None:
+        slack = 0.0  # "+ 0.0" maps a -0.0 bound to 0.0
+    else:
+        resonance_ok = max_energy_mismatch <= epsilon_work + 1e-15
+        # Jensen with per-entry mismatch <= eps gives +beta_H eps / dBeta.
+        slack = beta_h * epsilon_work / delta_beta
+    pre = [
+        ("beta_order", delta_beta > 0),
+        ("resonance", resonance_ok),
+        ("finite", np.isfinite(lhs) & np.isfinite(avg_delta_i)),
+    ]
+    bound = (-avg_delta_i + np.log1p(chi)) / delta_beta + slack
     return _resolve_stack(bound, pre, q > bound + VIOLATION_MARGIN)
 
 
@@ -361,7 +310,7 @@ def correlation_flow_stack(q, j_value, beta_c, beta_h) -> StackVerdict:
     1 + J <= 0, where the single-cell function raises."""
     delta_beta = beta_c - beta_h
     bound = np.log1p(j_value) / delta_beta
-    return _resolve_stack(bound, [delta_beta > 0], q > bound + VIOLATION_MARGIN)
+    return _resolve_stack(bound, [("beta_order", delta_beta > 0)], q > bound + VIOLATION_MARGIN)
 
 
 def tpm_band_stack(q, q_tpm, tpm_values, energies_c, energies_h):
@@ -371,14 +320,15 @@ def tpm_band_stack(q, q_tpm, tpm_values, energies_c, energies_h):
     de_c, de_h = energy_changes(energies_c, energies_h)
     v = tpm_values
     off_weight = masked_sums(v, np.abs(de_c + de_h) > 1e-9)
-    pre = [off_weight < ENERGY_PRESERVING_TOL]
+    pre = [("energy_preserving", off_weight < ENERGY_PRESERVING_TOL)]
     lam_minus = masked_sums(v * de_c, de_c > 1e-12)
     lam_plus = masked_sums(v * (-de_c), de_c < -1e-12)
     lower = q_tpm - 2.0 * lam_minus
     upper = q_tpm + 2.0 * lam_plus
+    extras = (("lambda_minus", lam_minus), ("lambda_plus", lam_plus), ("q_tpm", q_tpm))
     return (
-        _resolve_stack(lower, pre, q < lower - VIOLATION_MARGIN),
-        _resolve_stack(upper, pre, q > upper + VIOLATION_MARGIN),
+        _resolve_stack(lower, pre, q < lower - VIOLATION_MARGIN, extras),
+        _resolve_stack(upper, pre, q > upper + VIOLATION_MARGIN, extras),
     )
 
 
@@ -387,4 +337,4 @@ def strong_backflow_stack(q, beta_c, beta_h, d: int) -> StackVerdict:
     delta_beta = beta_c - beta_h
     ordered = delta_beta > 0
     bound = np.where(ordered, np.log(d) / np.where(ordered, delta_beta, 1.0), np.inf)
-    return _resolve_stack(bound, [ordered], q > bound + VIOLATION_MARGIN)
+    return _resolve_stack(bound, [("beta_order", ordered)], q > bound + VIOLATION_MARGIN)

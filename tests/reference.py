@@ -1,7 +1,11 @@
 """The scalar per-cell reference that every fast path is checked against.
 
 One cell is built and evaluated alone, with the single-matrix
-constructors, tables and witnesses.  ``qheatflow.sweeps`` has one unitary
+constructors and tables and the scalar heat functionals and witnesses
+below.  ``qheatflow`` computes each of those quantities once, as a kernel
+over stacks of cells (``fluctuations.*_stack``, ``witnesses.*_stack``),
+and its single-cell names run that kernel on one cell; these are the
+scalar bodies they replaced.  ``qheatflow.sweeps`` has one unitary
 builder and one evaluator, both on (n, D, D) stacks; a sweep runs them
 on chunks of cells, and ``_build_cell``, ``evaluate_cell`` and
 ``analyze_point`` run them at n = 1.  Every value they produce equals
@@ -10,23 +14,25 @@ this reference's bit for bit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from qheatflow.dynamics import (
     ManifoldRotation,
     energy_preserving_unitary,
     perturbed_xy_unitary,
     rotation_angle,
     two_qubit_exchange_unitary,
+    unwrap,
     xy_exchange_unitary,
 )
 from qheatflow.fluctuations import (
+    NEGLIGIBLE_WEIGHT,
     DivergenceError,
-    flow_decomposition,
-    heat_exp_correction,
+    HeatExpCorrection,
+    HeatReport,
+    XftReport,
     mh_distribution,
-    table_heat,
     tpm_distribution,
-    xft_average,
-    xft_coherence_term,
 )
 from qheatflow.states import BipartiteSystem, min_partial_transpose_eigenvalue
 from qheatflow.sweeps import (
@@ -39,13 +45,219 @@ from qheatflow.sweeps import (
     _KindParams,
 )
 from qheatflow.witnesses import (
-    correlation_flow_witness,
-    nonideal_flow_witness,
-    strong_backflow_witness,
-    tpm_band_witness,
-    two_qubit_flow_witness,
-    xft_flow_witness,
+    ENERGY_PRESERVING_TOL,
+    VIOLATION_MARGIN,
+    WitnessVerdict,
+    _require_bohr_nondegenerate,
 )
+
+
+# --- heat functionals -----------------------------------------------------
+
+def table_heat(table) -> float:
+    m = table.values.sum(axis=(1, 3))
+    ec = np.asarray(table.energies_c)
+    return float((m * (ec[:, None] - ec[None, :])).sum())
+
+
+def flow_decomposition(table, q_tpm=None) -> HeatReport:
+    v = table.values
+    pos = np.clip(v, 0.0, None)
+    neg = np.clip(v, None, 0.0)
+    pos_rev = pos.transpose(2, 3, 0, 1)
+    neg_rev = neg.transpose(2, 3, 0, 1)
+    de = table.delta_e_c()
+    mask = de > 1e-12
+    return HeatReport(
+        q=table_heat(table),
+        q_back=float(((pos - neg_rev) * de)[mask].sum()),
+        q_direct=float(((pos_rev - neg) * de)[mask].sum()),
+        q_tpm=q_tpm,
+        negative_entries=tuple(table.negative_entries()),
+    )
+
+
+def xft_coherence_term(sys, u) -> float:
+    u = unwrap(u)
+    pops = sys.populations()
+    w = u.conj().T @ (pops[:, None] * u)  # (U^dag diag(pops) U)
+    num = np.asarray(sys.rho * w.T)  # term[k, m] = rho_km * w[m, k]
+    np.fill_diagonal(num, 0.0)
+    needed = np.abs(num) > 1e-15
+    starved = needed & (pops[:, None] <= NEGLIGIBLE_WEIGHT)
+    if starved.any():
+        k = int(np.argwhere(starved)[0][0])
+        raise DivergenceError(f"population rho_{k}{k} = {pops[k]:.3e} divides a nonzero coherence term")
+    safe = np.where(pops > NEGLIGIBLE_WEIGHT, pops, 1.0)
+    return float(np.real(num / safe[:, None]).sum())
+
+
+def _log_or_raise(values, label: str, needed):
+    bad = needed & (values <= 0.0)
+    if bad.any():
+        idx = np.argwhere(bad)[0]
+        raise DivergenceError(f"{label}{tuple(int(i) for i in idx)} vanishes inside a log")
+    return np.log(np.where(values > 0.0, values, 1.0))
+
+
+def xft_average(table, sys) -> XftReport:
+    if table.kind != "MH":
+        raise ValueError("the exchange-fluctuation average is defined on MH tables")
+    if sys.beta_c is None or sys.beta_h is None:
+        raise ValueError("system must carry its inverse temperatures")
+    d_c, d_h = sys.dims
+    p = table.values
+    mask = np.abs(p) > NEGLIGIBLE_WEIGHT
+    needed = mask.any(axis=(2, 3)) | mask.any(axis=(0, 1))
+    log_pop = _log_or_raise(sys.populations().reshape(d_c, d_h), "population", needed)
+    log_pc = _log_or_raise(np.real(np.diag(sys.marginal_c())), "marginal_C", needed.any(axis=1))
+    log_ph = _log_or_raise(np.real(np.diag(sys.marginal_h())), "marginal_H", needed.any(axis=0))
+    info = log_pop - log_pc[:, None] - log_ph[None, :]
+    delta_i = info[None, None, :, :] - info[:, :, None, None]  # [i_C, i_H, f_C, f_H] = I_f - I_i
+    de_c = table.delta_e_c()
+    mismatch = np.abs(de_c + table.delta_e_h())
+    energy_scale = max(1.0, max(abs(e) for e in table.energies_c + table.energies_h))
+    max_mismatch = float(mismatch[mask].max()) if mask.any() else 0.0
+    weight = np.exp(np.where(mask, delta_i + (sys.beta_c - sys.beta_h) * de_c, 0.0))
+    return XftReport(
+        lhs=float((p * weight)[mask].sum()),
+        avg_delta_i=float((p * np.where(mask, delta_i, 0.0))[mask].sum()),
+        resonance_ok=max_mismatch <= 1e-9 * energy_scale,
+        max_energy_mismatch=max_mismatch,
+    )
+
+
+def heat_exp_correction(sys, u) -> HeatExpCorrection:
+    u = unwrap(u)
+    pops = np.real(np.diag(sys.rho))
+    qpop = np.kron(np.real(np.diag(sys.marginal_c())), np.real(np.diag(sys.marginal_h())))
+    if qpop.min() <= NEGLIGIBLE_WEIGHT:
+        raise DivergenceError("a product-marginal population vanishes")
+    c_mat = np.diag((pops / qpop - 1.0).astype(complex))
+    q_mat = np.asarray(sys.rho / qpop[:, None])
+    np.fill_diagonal(q_mat, 0.0)
+    evolved_product = u.conj().T @ (qpop[:, None] * u)
+    j = float(np.real(np.trace(evolved_product @ (c_mat + q_mat))))
+    return HeatExpCorrection(j=j, c=c_mat, q=q_mat)
+
+
+# --- witnesses ------------------------------------------------------------
+
+def _resolve(inequality_id, bound, observed, preconditions, exceeds, extras=()) -> WitnessVerdict:
+    ok = all(flag for _, flag in preconditions)
+    return WitnessVerdict(
+        inequality_id, bound, observed, bool(ok and exceeds), ok, tuple(preconditions), extras
+    )
+
+
+def two_qubit_flow_witness(q, q_tpm, beta_c, beta_h, gap=1.0, commutator_norm=None) -> WitnessVerdict:
+    if beta_c == beta_h:
+        raise ValueError("bound undefined for equal inverse temperatures")
+    a = np.exp(beta_h * gap)
+    b = np.exp(beta_c * gap)
+    pre = [("beta_order", beta_c > beta_h)]
+    if commutator_norm is not None:
+        pre.append(("energy_preserving", commutator_norm < ENERGY_PRESERVING_TOL))
+    bound = (2.0 + a + b) / (b - a) * abs(q_tpm) if beta_c > beta_h else np.inf
+    observed = abs(q)
+    return _resolve("T1", float(bound), observed, pre, observed > bound + VIOLATION_MARGIN)
+
+
+def nonideal_flow_witness(q, q_tpm, beta_c, beta_h, e_c, e_h, epsilon) -> WitnessVerdict:
+    if beta_c == beta_h:
+        raise ValueError("bound undefined for equal inverse temperatures")
+    ebar = 0.5 * (e_c + e_h)
+    delta = abs(e_c - e_h) / (2.0 * ebar)
+    r = (1.0 + np.exp(beta_h * e_h)) / (1.0 + np.exp(beta_c * e_c))
+    den = 1.0 - r - delta * (1.0 + r)
+    pre = [
+        ("beta_order", beta_c > beta_h),
+        ("gap_subcritical", den > 0),
+        ("flow_above_work", epsilon == 0.0 or abs(q) > 2.0 * epsilon * ebar),
+    ]
+    if den <= 0:
+        return _resolve("T2", np.inf, abs(q), pre, False)
+    slack = delta * (1.0 + r)
+    sym_bound = ((1.0 + r + slack) * abs(q_tpm) + 4.0 * ebar * epsilon * (2.0 + slack)) / den
+    direct_floor = ((1.0 + r - slack) * q_tpm - 4.0 * ebar * epsilon * (2.0 + slack)) / den
+    back_ceiling = (-(1.0 + r + slack) * q_tpm + 4.0 * ebar * epsilon * (2.0 - r + slack)) / den
+    bound = sym_bound
+    if q < 0:
+        bound = min(sym_bound, -direct_floor)
+    elif q > 0:
+        bound = min(sym_bound, back_ceiling)
+    observed = abs(q)
+    extras = tuple(
+        (name, float(x))
+        for name, x in zip(
+            ("symmetric_bound", "direct_floor", "back_ceiling", "delta", "ratio_r"),
+            (sym_bound, direct_floor, back_ceiling, delta, r),
+        )
+    )
+    return _resolve("T2", float(bound), observed, pre, observed > bound + VIOLATION_MARGIN, extras)
+
+
+def xft_flow_witness(q, xft, beta_c, beta_h, epsilon_work=None) -> WitnessVerdict:
+    if xft.chi_bar is None:
+        raise ValueError("attach chi_bar to the XftReport first")
+    delta_beta = beta_c - beta_h
+    if delta_beta == 0:
+        raise ValueError("bound undefined for equal inverse temperatures")
+    if 1.0 + xft.chi_bar <= 0.0:
+        raise DivergenceError(f"1 + chi_bar = {1.0 + xft.chi_bar:.3e} <= 0")
+    if epsilon_work is None:
+        ident, resonance_ok, slack = "T3", xft.resonance_ok, 0.0
+    else:
+        ident = "T3-nonideal"
+        resonance_ok = xft.max_energy_mismatch <= epsilon_work + 1e-15
+        slack = beta_h * epsilon_work / delta_beta
+    pre = [
+        ("beta_order", delta_beta > 0),
+        ("resonance", resonance_ok),
+        ("finite", bool(np.isfinite(xft.lhs) and np.isfinite(xft.avg_delta_i))),
+    ]
+    bound = (-xft.avg_delta_i + np.log1p(xft.chi_bar)) / delta_beta + slack
+    return _resolve(ident, float(bound), q, pre, q > bound + VIOLATION_MARGIN)
+
+
+def correlation_flow_witness(q, j_value, beta_c, beta_h) -> WitnessVerdict:
+    delta_beta = beta_c - beta_h
+    if delta_beta == 0:
+        raise ValueError("bound undefined for equal inverse temperatures")
+    if 1.0 + j_value <= 0.0:
+        raise DivergenceError(f"1 + J = {1.0 + j_value:.3e} <= 0")
+    bound = np.log1p(j_value) / delta_beta
+    return _resolve("I4", float(bound), q, [("beta_order", delta_beta > 0)], q > bound + VIOLATION_MARGIN)
+
+
+def tpm_band_witness(q, tpm_table) -> tuple[WitnessVerdict, WitnessVerdict]:
+    if tpm_table.kind != "TPM":
+        raise ValueError("band witness needs a TPM table")
+    _require_bohr_nondegenerate(tpm_table.energies_c, tpm_table.energies_h)
+    de = tpm_table.delta_e_c()
+    mismatch = np.abs(de + tpm_table.delta_e_h())
+    off_weight = float(tpm_table.values[mismatch > 1e-9].sum())
+    pre = [("energy_preserving", off_weight < ENERGY_PRESERVING_TOL)]
+    v = tpm_table.values
+    lam_minus = float((v * de)[de > 1e-12].sum())
+    lam_plus = float((v * (-de))[de < -1e-12].sum())
+    q_tpm = table_heat(tpm_table)
+    lower = q_tpm - 2.0 * lam_minus
+    upper = q_tpm + 2.0 * lam_plus
+    extras = (("lambda_minus", lam_minus), ("lambda_plus", lam_plus), ("q_tpm", q_tpm))
+    return (
+        _resolve("T4-lower", float(lower), q, pre, q < lower - VIOLATION_MARGIN, extras),
+        _resolve("T4-upper", float(upper), q, pre, q > upper + VIOLATION_MARGIN, extras),
+    )
+
+
+def strong_backflow_witness(q, beta_c, beta_h, d) -> WitnessVerdict:
+    delta_beta = beta_c - beta_h
+    bound = np.log(d) / delta_beta if delta_beta > 0 else np.inf
+    return _resolve("strong-backflow", float(bound), q, [("beta_order", delta_beta > 0)], q > bound + VIOLATION_MARGIN)
+
+
+# --- one cell -------------------------------------------------------------
 
 
 def flag(verdict) -> int:

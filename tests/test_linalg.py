@@ -245,13 +245,16 @@ def test_matrix_exp_unitary_for_anti_hermitian():
     assert spectral_norm(u @ matrix_exp(1j * 0.8 * k) - np.eye(4)) < 1e-10
 
 
-def test_matrix_exp_general_fallback():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent, not (anti-)Hermitian
-    assert np.max(np.abs(matrix_exp(m) - np.array([[1.0, 1.0], [0.0, 1.0]]))) < 1e-12
+def test_matrix_exp_rejects_a_general_generator():
+    m = np.array([[0.0, 1.0], [0.0, 0.0]])  # Jordan block, not (anti-)Hermitian
+    with pytest.raises(ValueError, match="Hermitian or anti-Hermitian"):
+        matrix_exp(m)
+    with pytest.raises(ValueError, match="Hermitian or anti-Hermitian"):
+        matrix_exp_stack(np.array([np.eye(2), m]))
 
 
 def test_import_does_not_load_scipy():
-    # scipy backs only the general matrix_exp fallback and is imported there
+    # qheatflow does not depend on scipy
     code = (
         "import sys\n"
         "import qheatflow, qheatflow.cli, qheatflow.sweeps, qheatflow.properties, qheatflow.probe\n"
@@ -270,7 +273,6 @@ def test_matrix_exp_stack_equals_matrix_exp_per_matrix():
         h2,  # Hermitian branch
         np.zeros((4, 4)),  # both: Hermitian branch first
         -1e-12j * h1,  # anti-Hermitian but within the Hermiticity tolerance
-        0.3 * _rand_complex(rng, 4),  # neither: the expm fallback
     ])
     out = matrix_exp_stack(stack)
     for m, got in zip(stack, out):

@@ -15,7 +15,7 @@ from qheatflow.config import ConfigError, apply_overrides, load_config, parse_co
 from qheatflow.fluctuations import TransitionTable
 from qheatflow.dynamics import (
     ManifoldRotation,
-    UnitaryReport,
+    UnitaryStack,
     energy_preserving_unitary,
     perturbed_xy_unitary,
 )
@@ -30,6 +30,7 @@ from qheatflow.states import (
 from qheatflow.sweeps import (
     SweepSpec,
     _build_cell,
+    _evaluate_one,
     _solve_jx_for_eps,
     analyze_point,
     evaluate_cell,
@@ -605,7 +606,8 @@ def _evaluated(evaluate, sys, u, extras):
 def test_build_cell_and_evaluate_cell_equal_scalar_reference_bit_for_bit(name):
     # the one-cell stack against the single-matrix constructors and the
     # scalar evaluation, on every feasible cell of a named scenario's grid
-    # or a custom kind pair
+    # or a custom kind pair: the point path evaluates the stack, and
+    # evaluate_cell the reference's UnitaryReport
     spec = _cell_spec(name)
     built = 0
     for kinds, params, _ in _spec_cells(spec):
@@ -614,14 +616,14 @@ def test_build_cell_and_evaluate_cell_equal_scalar_reference_bit_for_bit(name):
         except InfeasibleStateError:
             continue
         _, ref, ref_extras = reference.build_cell(spec.scenario, kinds, params)
-        assert isinstance(u, UnitaryReport)
-        assert u.matrix.tobytes() == ref.matrix.tobytes()
-        assert repr(u.commutator_norm) == repr(ref.commutator_norm)
-        assert repr(u.epsilon) == repr(ref.epsilon)
+        assert isinstance(u, UnitaryStack) and len(u.matrix) == 1
+        assert u.matrix[0].tobytes() == ref.matrix.tobytes()
+        assert repr(u.commutator_norm[0].item()) == repr(ref.commutator_norm)
+        assert repr(u.epsilon if u.epsilon is None else u.epsilon[0].item()) == repr(ref.epsilon)
         assert _reprs(extras) == _reprs(ref_extras)
-        assert _evaluated(evaluate_cell, sys, u, extras) == _evaluated(
-            reference.evaluate_cell, sys, ref, ref_extras
-        )
+        want = _evaluated(reference.evaluate_cell, sys, ref, ref_extras)
+        assert _evaluated(lambda *args: _evaluate_one(*args)[0], sys, u, extras) == want
+        assert _evaluated(evaluate_cell, sys, ref, extras) == want
         built += 1
     assert built
 
@@ -949,8 +951,8 @@ def test_perturbed_cell_commutator_uses_the_state_gaps():
     sys, u, _ = _build_cell("custom", ("gamma", "perturbed-xy"), params)
     h_c, h_h = sys.spectrum_c.hamiltonian(), sys.spectrum_h.hamiltonian()
     h = np.kron(h_c, np.eye(2)) + np.kron(np.eye(2), h_h)
-    explicit = np.linalg.norm(u.matrix @ h - h @ u.matrix, 2)
-    assert u.commutator_norm == pytest.approx(explicit, rel=1e-12)
+    explicit = np.linalg.norm(u.matrix[0] @ h - h @ u.matrix[0], 2)
+    assert u.commutator_norm[0] == pytest.approx(explicit, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from qheatflow.dynamics import two_qubit_exchange_unitary, xy_exchange_unitary
+from qheatflow import fluctuations, witnesses
+from qheatflow.dynamics import (
+    ManifoldRotation,
+    energy_preserving_unitary,
+    two_qubit_exchange_unitary,
+    unwrap,
+    xy_exchange_unitary,
+)
 from qheatflow.fluctuations import (
     DivergenceError,
+    HeatExpCorrection,
+    TransitionTable,
     XftReport,
     mh_distribution,
     table_heat,
@@ -16,8 +25,17 @@ from qheatflow.fluctuations import (
     xft_coherence_term,
 )
 from qheatflow.properties import random_system_and_unitary
-from qheatflow.states import TwoQubitParams, gamma_correlated_state, two_qubit_state
+from qheatflow.linalg import matrix_exp
+from qheatflow.states import (
+    BipartiteSystem,
+    EnergySpectrum,
+    TwoQubitParams,
+    gamma_correlated_state,
+    thermal_state,
+    two_qubit_state,
+)
 from qheatflow.witnesses import (
+    WitnessVerdict,
     correlation_flow_stack,
     correlation_flow_witness,
     nonideal_flow_stack,
@@ -31,6 +49,8 @@ from qheatflow.witnesses import (
     xft_flow_stack,
     xft_flow_witness,
 )
+
+import reference
 
 BC, BH = 1.13, 0.9618
 
@@ -211,8 +231,6 @@ def test_t4_zero_angle_not_violated(rng):
 
 
 def test_t4_rejects_degenerate_bohr_spectrum():
-    from qheatflow.fluctuations import TransitionTable
-
     values = np.zeros((3, 3, 3, 3))
     for i in range(3):
         for j in range(3):
@@ -316,16 +334,28 @@ def test_t1_violation_implies_stronger_flow_and_negativity(qubit_ensemble):
 
 
 # ---------------------------------------------------------------------------
-# stacks of cells
+# stacks of cells, against the scalar reference
 # ---------------------------------------------------------------------------
 
 EDGE_VALUES = (0.0, -0.0, 1e-13, 1e-3, -1e-3, 0.05, -0.2, 1.5)
 
 
 def _assert_stack_matches(stack, verdicts):
-    """Flags, and bounds by repr (the sign of a zero counts), per cell."""
+    """Flags, and bounds and extras by repr (the sign of a zero counts), and
+    the named preconditions, per cell; a cell without extras has none."""
     assert stack.flags().tolist() == [-1 if not v.preconditions_ok else int(v.violated) for v in verdicts]
     assert [repr(b) for b in stack.bound.tolist()] == [repr(float(v.bound)) for v in verdicts]
+    def cell(x, k):
+        return np.broadcast_to(x, stack.bound.shape)[k].item()
+
+    for k, v in enumerate(verdicts):
+        assert [(name, cell(ok, k)) for name, ok in stack.preconditions] == [
+            (name, bool(ok)) for name, ok in v.preconditions
+        ]
+        if v.extras:
+            assert [(name, repr(float(cell(x, k)))) for name, x in stack.extras] == [
+                (name, repr(x)) for name, x in v.extras
+            ]
 
 
 @pytest.mark.parametrize("beta_c, beta_h", [(BC, BH), (BH, BC)])
@@ -334,28 +364,35 @@ def test_witness_stacks_equal_single_cell_verdicts(beta_c, beta_h):
     q, other = (np.array(c) for c in zip(*pairs))
     _assert_stack_matches(
         two_qubit_flow_stack(q, other, beta_c, beta_h, 1.0, np.abs(other) * 1e-8),
-        [two_qubit_flow_witness(a, b, beta_c, beta_h, 1.0, abs(b) * 1e-8) for a, b in pairs],
+        [reference.two_qubit_flow_witness(a, b, beta_c, beta_h, 1.0, abs(b) * 1e-8) for a, b in pairs],
     )
     for e_h in (1.0, 1.02, 1.3):  # 1.3 detunes past the critical gap
         _assert_stack_matches(
             nonideal_flow_stack(q, other, beta_c, beta_h, 1.0, e_h, np.abs(other) / 10),
-            [nonideal_flow_witness(a, b, beta_c, beta_h, 1.0, e_h, abs(b) / 10) for a, b in pairs],
+            [reference.nonideal_flow_witness(a, b, beta_c, beta_h, 1.0, e_h, abs(b) / 10) for a, b in pairs],
         )
     resonant = other >= 0
     _assert_stack_matches(
         xft_flow_stack(q, other, 1.0 + other, np.abs(other), resonant, beta_c, beta_h),
         [
-            xft_flow_witness(a, XftReport(1.0 + b, abs(b), b >= 0, 0.0, chi_bar=b), beta_c, beta_h)
+            reference.xft_flow_witness(a, XftReport(1.0 + b, abs(b), b >= 0, 0.0, chi_bar=b), beta_c, beta_h)
+            for a, b in pairs
+        ],
+    )
+    _assert_stack_matches(
+        xft_flow_stack(q, other, 1.0 + other, np.abs(other), resonant, beta_c, beta_h, 0.02, np.abs(other)),
+        [
+            reference.xft_flow_witness(a, XftReport(1.0 + b, abs(b), b >= 0, abs(b), chi_bar=b), beta_c, beta_h, 0.02)
             for a, b in pairs
         ],
     )
     _assert_stack_matches(
         correlation_flow_stack(q, other, beta_c, beta_h),
-        [correlation_flow_witness(a, b, beta_c, beta_h) for a, b in pairs],
+        [reference.correlation_flow_witness(a, b, beta_c, beta_h) for a, b in pairs],
     )
     _assert_stack_matches(
         strong_backflow_stack(q, beta_c, beta_h, 3),
-        [strong_backflow_witness(a, beta_c, beta_h, 3) for a, _ in pairs],
+        [reference.strong_backflow_witness(a, beta_c, beta_h, 3) for a, _ in pairs],
     )
 
 
@@ -371,15 +408,15 @@ def test_witness_stacks_take_per_cell_betas_and_gaps():
     cells = list(zip(pairs, beta_c.tolist(), beta_h.tolist(), e_h.tolist()))
     _assert_stack_matches(
         two_qubit_flow_stack(q, other, beta_c, beta_h, 1.0, np.abs(other) * 1e-8),
-        [two_qubit_flow_witness(a, b, bc, bh, 1.0, abs(b) * 1e-8) for (a, b), bc, bh, _ in cells],
+        [reference.two_qubit_flow_witness(a, b, bc, bh, 1.0, abs(b) * 1e-8) for (a, b), bc, bh, _ in cells],
     )
     _assert_stack_matches(
         nonideal_flow_stack(q, other, beta_c, beta_h, 1.0, e_h, np.abs(other) / 10),
-        [nonideal_flow_witness(a, b, bc, bh, 1.0, eh, abs(b) / 10) for (a, b), bc, bh, eh in cells],
+        [reference.nonideal_flow_witness(a, b, bc, bh, 1.0, eh, abs(b) / 10) for (a, b), bc, bh, eh in cells],
     )
     _assert_stack_matches(
         strong_backflow_stack(q, beta_c, beta_h, 3),
-        [strong_backflow_witness(a, bc, bh, 3) for (a, _), bc, bh, _ in cells],
+        [reference.strong_backflow_witness(a, bc, bh, 3) for (a, _), bc, bh, _ in cells],
     )
 
 
@@ -388,9 +425,118 @@ def test_tpm_band_stack_equals_single_cell_verdicts():
     for _ in range(20):
         sys, u, _ = random_system_and_unitary(rng, 3)
         tpm, mh = tpm_distribution(sys, u), mh_distribution(sys, u)
-        q, q_tpm = table_heat(mh), table_heat(tpm)
+        q, q_tpm = reference.table_heat(mh), reference.table_heat(tpm)
         stacks = tpm_band_stack(
             np.array([q]), np.array([q_tpm]), tpm.values[None], tpm.energies_c, tpm.energies_h
         )
-        for stack, verdict in zip(stacks, tpm_band_witness(q, tpm)):
+        for stack, verdict in zip(stacks, reference.tpm_band_witness(q, tpm)):
             _assert_stack_matches(stack, [verdict])
+
+
+# ---------------------------------------------------------------------------
+# single-cell names: their kernel on one cell, against the scalar reference
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, args) -> str:
+    """What ``fn(*args)`` returns, by repr, or the error it raises.  A
+    verdict shows its id, bound, flag, observed value, named preconditions
+    (as bools) and extras; a J correction its j, c and q."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:  # DivergenceError included
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, HeatExpCorrection):
+        return repr((out.j, out.c.tobytes(), out.q.tobytes()))
+    if isinstance(out, (WitnessVerdict, tuple)):
+        return repr([
+            (
+                v.inequality_id, v.bound, -1 if not v.preconditions_ok else int(v.violated), v.observed,
+                [(name, bool(ok)) for name, ok in v.preconditions], v.extras,
+            )
+            for v in (out if isinstance(out, tuple) else (out,))
+        ])
+    return repr(out)
+
+
+def _single_cell_calls(d: int) -> list[tuple[str, tuple]]:
+    """(name, args) of calls of every public single-cell name on random
+    cells of local dimension d, plus the calls where each one raises."""
+    rng = np.random.default_rng(60 + d)
+    spec = EnergySpectrum((0.0, 1.0, 4.0, 6.0)[:d])  # Bohr-nondegenerate
+    cells = [random_system_and_unitary(rng, d)[:2] for _ in range(4)]
+    # an energy-nonconserving unitary on the last cell: resonance and T4 preconditions fail
+    sys, u = cells[-1]
+    kick = rng.standard_normal((d * d, d * d))
+    cells.append((sys, unwrap(u) @ matrix_exp(-0.05j * (kick + kick.T))))
+    calls = []
+    for sys, u in cells:
+        bc, bh = sys.beta_c, sys.beta_h
+        mh, tpm = mh_distribution(sys, u), tpm_distribution(sys, u)
+        q, q_tpm = reference.table_heat(mh), reference.table_heat(tpm)
+        chi, j = reference.xft_coherence_term(sys, u), reference.heat_exp_correction(sys, u).j
+        xft = reference.xft_average(mh, sys).with_chi(chi)
+        calls += [
+            ("table_heat", (mh,)), ("table_heat", (tpm,)), ("flow_decomposition", (mh, q_tpm)),
+            ("xft_coherence_term", (sys, u)), ("xft_average", (mh, sys)), ("heat_exp_correction", (sys, u)),
+            ("two_qubit_flow_witness", (q, q_tpm, bc, bh)),
+            ("two_qubit_flow_witness", (q, q_tpm, bh, bc, 1.1, 1e-3)),
+            ("xft_flow_witness", (q, xft, bc, bh)),
+            ("xft_flow_witness", (q, xft, bh, bc, 1e-3)),
+            ("correlation_flow_witness", (q, j, bc, bh)),
+            ("tpm_band_witness", (q, tpm)),
+            ("strong_backflow_witness", (q, bc, bh, d)),
+            ("strong_backflow_witness", (q, bh, bc, d)),
+        ]
+        calls += [
+            ("nonideal_flow_witness", (q, q_tpm, bc, bh, 1.0, e_h, eps))
+            for e_h in (1.0, 1.02, 1.3) for eps in (0.0, 1e-4, 0.1)
+        ]
+    # every raising case
+    flush = BipartiteSystem(spec, spec, np.kron(thermal_state(spec, 800.0), thermal_state(spec, 0.5)), 800.0, 0.5)
+    rotation = energy_preserving_unitary(spec, [ManifoldRotation((0, 1), 0.7)])
+    rho = np.diag(np.full(d * d, 1.0 / (d * d - 1))).astype(complex)
+    rho[1, 1], rho[1, d], rho[d, 1] = 0.0, 1e-8, 1e-8  # |0 1> empty, its coherence with |1 0> not
+    starved = BipartiteSystem(spec, spec, rho)
+    calls += [
+        ("xft_coherence_term", (starved, rotation)),
+        ("xft_average", (mh_distribution(flush, rotation), flush)),
+        ("xft_average", (tpm, sys)),
+        ("xft_average", (mh, sys.with_rho(sys.rho, keep_betas=False))),
+        ("heat_exp_correction", (flush, rotation)),
+        ("two_qubit_flow_witness", (q, q_tpm, bc, bc)),
+        ("nonideal_flow_witness", (q, q_tpm, bc, bc, 1.0, 1.0, 0.0)),
+        ("xft_flow_witness", (q, XftReport(1.0, 0.0, True, 0.0), bc, bh)),
+        ("xft_flow_witness", (q, xft, bc, bc)),
+        ("xft_flow_witness", (q, xft.with_chi(-1.5), bc, bh)),
+        ("correlation_flow_witness", (q, j, bh, bh)),
+        ("correlation_flow_witness", (q, -1.0, bc, bh)),
+        ("tpm_band_witness", (q, mh)),
+    ]
+    if d > 2:  # equally spaced levels repeat a gap
+        levels = tuple(map(float, range(d)))
+        calls.append(("tpm_band_witness", (q, TransitionTable("TPM", tpm.values, levels, levels))))
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_single_cell_names_equal_the_scalar_reference(d):
+    raised = set()
+    for name, args in _single_cell_calls(d):
+        module = witnesses if name.endswith("_witness") else fluctuations
+        got = _outcome(getattr(module, name), args)
+        assert got == _outcome(getattr(reference, name), args), name
+        if "Error: " in got:
+            raised.add((name, got.split(":")[0]))
+    assert raised == {
+        ("xft_coherence_term", "DivergenceError"),
+        ("xft_average", "DivergenceError"),
+        ("xft_average", "ValueError"),
+        ("heat_exp_correction", "DivergenceError"),
+        ("two_qubit_flow_witness", "ValueError"),
+        ("nonideal_flow_witness", "ValueError"),
+        ("xft_flow_witness", "ValueError"),
+        ("xft_flow_witness", "DivergenceError"),
+        ("correlation_flow_witness", "ValueError"),
+        ("correlation_flow_witness", "DivergenceError"),
+        ("tpm_band_witness", "ValueError"),
+    }
