@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
+# perfbench/tracing.py wraps dynamics.matrix_exp and dynamics.spectral_norm; keep them bound.
+from .linalg import (  # noqa: F401
     SIGMA_X,
     SIGMA_Y,
     kron,
@@ -27,7 +28,7 @@ from .linalg import (
     spectral_norm,
     spectral_norms,
 )
-from .states import EnergySpectrum
+from .states import EnergySpectrum, bohr_nondegenerate
 
 UNITARITY_TOL = 1e-10
 
@@ -69,6 +70,16 @@ class UnitaryReport:
         u.setflags(write=False)
         object.__setattr__(self, "matrix", u)
 
+    @classmethod
+    def _of_stack(cls, stack: "UnitaryStack") -> "UnitaryReport":
+        """The report of a one-matrix stack ``_stack_report`` checked, built without checking again."""
+        report = object.__new__(cls)
+        u = stack.matrix[0]
+        u.setflags(write=False)
+        epsilon = None if stack.epsilon is None else float(stack.epsilon[0])
+        report.__dict__.update(matrix=u, commutator_norm=float(stack.commutator_norm[0]), epsilon=epsilon)
+        return report
+
 
 def _check_unitary(u: np.ndarray, adjoint: np.ndarray | None = None) -> None:
     """Raise unless ||U U^dag - I|| <= UNITARITY_TOL, for U or each matrix of
@@ -83,7 +94,7 @@ def _check_unitary(u: np.ndarray, adjoint: np.ndarray | None = None) -> None:
     if adjoint is None:
         adjoint = u.conj().swapaxes(-1, -2)
     r = u @ adjoint
-    r -= np.eye(u.shape[-1])
+    _diagonal(r)[...] -= 1.0
     x = r.view(float)
     unsure = ~(np.einsum("...ij,...ij->...", x, x) <= (0.5 * UNITARITY_TOL) ** 2)
     if unsure.any():
@@ -91,6 +102,12 @@ def _check_unitary(u: np.ndarray, adjoint: np.ndarray | None = None) -> None:
         bad = np.flatnonzero(defect > UNITARITY_TOL)
         if bad.size:
             raise ValueError(f"matrix is not unitary (defect {defect[bad[0]]:.3e})")
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of each matrix of a C-contiguous stack."""
+    side = m.shape[-1]
+    return m.reshape(*m.shape[:-2], side * side)[..., :: side + 1]
 
 
 def unwrap(u) -> np.ndarray:
@@ -110,18 +127,29 @@ def _commutes_exactly(u: np.ndarray, h_total: np.ndarray) -> np.ndarray:
     """
     h_total = np.asarray(h_total)
     h = h_total.diagonal(axis1=-2, axis2=-1)
-    diagonal = (np.count_nonzero(h_total, axis=(-2, -1)) == np.count_nonzero(h, axis=-1)) & ~h.imag.any(axis=-1)
+    diagonal = ((h_total != 0).sum(axis=(-2, -1)) == (h != 0).sum(axis=-1)) & ~h.imag.any(axis=-1)
     finite = np.isfinite(np.abs(u).max(axis=(-2, -1)) * np.abs(h).max(axis=-1))
     return diagonal & finite & ~((u != 0) & (h[..., :, None] != h[..., None, :])).any(axis=(-2, -1))
 
 
-def commutator_norm(u, h_total: np.ndarray) -> float:
-    """|| U H - H U ||; exactly 0.0 without the products when U only
+def _commutator_norms(u: np.ndarray, h_total: np.ndarray) -> np.ndarray:
+    """|| U H - H U || of U or each matrix of an (n, D, D) stack, against one
+    H or one per matrix; exactly 0.0 without the products where U only
     connects levels of equal energy (``_commutes_exactly``)."""
-    u = unwrap(u)
-    if _commutes_exactly(u, h_total):
-        return 0.0
-    return spectral_norm(u @ h_total - h_total @ u)
+    exact = _commutes_exactly(u, h_total)
+    if exact.all():
+        return np.zeros(u.shape[:-2])
+    if not exact.any():  # every matrix dense: no gather
+        return spectral_norms(u @ h_total - h_total @ u)
+    cnorm, dense = np.zeros(len(u)), ~exact
+    x, h = u[dense], np.broadcast_to(h_total, u.shape)[dense]
+    cnorm[dense] = spectral_norms(x @ h - h @ x)
+    return cnorm
+
+
+def commutator_norm(u, h_total: np.ndarray) -> float:
+    """|| U H - H U ||, by the rule of ``_commutator_norms``."""
+    return float(_commutator_norms(unwrap(u), h_total))
 
 
 def _two_level(gap) -> np.ndarray:
@@ -140,10 +168,10 @@ def _total_hamiltonian(levels_c, levels_h=None) -> np.ndarray:
     """
     e_c = np.asarray(levels_c, dtype=float)
     e_h = e_c if levels_h is None else np.asarray(levels_h, dtype=float)
-    e = (e_c[..., :, None] + e_h[..., None, :]).reshape(*np.broadcast_shapes(e_c.shape[:-1], e_h.shape[:-1]), -1)
+    e = e_c[..., :, None] + e_h[..., None, :]
+    e = e.reshape(*e.shape[:-2], e.shape[-2] * e.shape[-1])
     h = np.zeros(e.shape + e.shape[-1:], dtype=complex)
-    diag = np.arange(e.shape[-1])
-    h[..., diag, diag] = e
+    _diagonal(h)[...] = e
     return h
 
 
@@ -155,26 +183,8 @@ def energy_preserving_unitary(
     Requires a nondegenerate Bohr spectrum (equal local Hamiltonians) and
     at most one rotation per manifold.
     """
-    if not spectrum.bohr_nondegenerate():
-        raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
-    d = spectrum.dim
-    u = np.eye(d * d, dtype=complex)
-    seen: set[tuple[int, int]] = set()
-    for rot in rotations:
-        n, m = rot.level_pair
-        if not 0 <= n < m < d:
-            raise ValueError(f"manifold {rot.level_pair} invalid for dimension {d}")
-        if (n, m) in seen:
-            raise ValueError(f"duplicate rotation for manifold ({n}, {m})")
-        seen.add((n, m))
-        a, b = n * d + m, m * d + n
-        ct, st = np.cos(rot.theta), np.sin(rot.theta)
-        u[a, a] = np.exp(1j * (rot.kappa + rot.lam)) * ct
-        u[a, b] = -np.exp(1j * (rot.kappa - rot.phi)) * st
-        u[b, a] = np.exp(1j * (rot.kappa + rot.phi)) * st
-        u[b, b] = np.exp(1j * (rot.kappa - rot.lam)) * ct
-    cnorm = commutator_norm(u, _total_hamiltonian(spectrum.levels))
-    return UnitaryReport(u, cnorm)
+    blocks = [(rot.level_pair, (rot.theta, rot.phi, rot.lam, rot.kappa)) for rot in rotations]
+    return UnitaryReport._of_stack(exchange_unitary_stack(spectrum.levels, 1, blocks))
 
 
 def two_qubit_exchange_unitary(
@@ -185,9 +195,8 @@ def two_qubit_exchange_unitary(
     gap: float = 1.0,
 ) -> UnitaryReport:
     """4x4 exchange unitary rotating the |01>/|10> manifold by theta."""
-    spec = EnergySpectrum.two_level(gap)
-    rot = ManifoldRotation((0, 1), theta, phi=phi, lam=lam, kappa=kappa)
-    return energy_preserving_unitary(spec, [rot])
+    levels = EnergySpectrum.two_level(gap).levels
+    return UnitaryReport._of_stack(exchange_unitary_stack(levels, 1, [((0, 1), (theta, phi, lam, kappa))]))
 
 
 def _xy_hamiltonian(j_hz: float) -> np.ndarray:
@@ -202,11 +211,7 @@ def xy_exchange_unitary(j_hz: float, t: float, gap: float = 1.0) -> UnitaryRepor
     The block rotation angle grows linearly in time; tests read it off
     the matrix rather than assuming the slope.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    u = matrix_exp(-1j * _xy_hamiltonian(j_hz) * t)
-    cnorm = commutator_norm(u, _total_hamiltonian(_two_level(gap)))
-    return UnitaryReport(u, cnorm)
+    return UnitaryReport._of_stack(xy_unitary_stack(np.array([j_hz], float), np.array([t], float), gap))
 
 
 def _xy_perturbation(j_hz: np.ndarray, t: np.ndarray):
@@ -242,18 +247,13 @@ def perturbed_xy_unitary(
     ``commutator_norm`` is taken against H_C + H_H with gaps ``gap`` and
     ``gap_h`` (default: ``gap``).
     """
-    u, eps = _xy_perturbation(np.array([j_hz], dtype=float), np.array([t], dtype=float))(
-        np.array([j_x], dtype=float)
-    )
-    u, eps = u[0], float(eps[0])
-    h_total = _total_hamiltonian(_two_level(gap), _two_level(gap if gap_h is None else gap_h))
-    return UnitaryReport(u, commutator_norm(u, h_total), epsilon=eps)
+    cells = (np.array([x], float) for x in (j_hz, j_x, t))
+    return UnitaryReport._of_stack(perturbed_xy_unitary_stack(*cells, gap, gap if gap_h is None else gap_h))
 
 
 def rotation_angle(u) -> float:
     """Extract the |01>/|10> rotation angle from a two-qubit exchange unitary."""
-    u = unwrap(u)
-    return float(np.arctan2(np.real(u[2, 1]), np.real(u[1, 1])))
+    return float(rotation_angles(unwrap(u)[None])[0])
 
 
 class UnitaryStack(NamedTuple):
@@ -269,45 +269,44 @@ class UnitaryStack(NamedTuple):
 
 
 def _stack_report(u: np.ndarray, h_total: np.ndarray, epsilon=None) -> UnitaryStack:
-    """Take each matrix's commutator norm, by the rule of ``commutator_norm``,
-    and check it as ``UnitaryReport`` does; ``h_total`` is one H or one per
-    matrix."""
+    """Check each matrix as ``UnitaryReport`` does and take its commutator
+    norm (``_commutator_norms``); ``h_total`` is one H or one per matrix."""
     adjoint = u.conj().swapaxes(-1, -2)
     _check_unitary(u, adjoint)
-    cnorm = np.zeros(len(u))
-    dense = ~_commutes_exactly(u, h_total)
-    if dense.any():
-        x, h = u[dense], np.broadcast_to(h_total, u.shape)[dense]
-        cnorm[dense] = spectral_norms(x @ h - h @ x)
-    return UnitaryStack(u, cnorm, adjoint, epsilon)
+    return UnitaryStack(u, _commutator_norms(u, h_total), adjoint, epsilon)
 
 
-def exchange_unitary_stack(levels, n: int, angles: dict) -> UnitaryStack:
+def exchange_unitary_stack(levels, n: int, blocks) -> UnitaryStack:
     """``energy_preserving_unitary`` for each of n cells.
 
     ``levels`` are the local levels, one spectrum (d,) for every cell or
-    one per cell (n, d).  ``angles`` maps a manifold (n, m), n < m, to
-    per-cell arrays (theta, phi, lam, kappa); every block entry is the
-    closed form of the single-cell constructor, evaluated elementwise.
+    one per cell (n, d).  ``blocks`` lists (manifold (n, m) with n < m,
+    angles (theta, phi, lam, kappa)), each angle one value for every cell
+    or a per-cell array; every block entry is the closed form of the
+    module docstring, evaluated elementwise.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim == 2 and (levels == levels[:1]).all():
         levels = levels[0]  # one spectrum: one H for the stack
-    for row in set(map(tuple, np.atleast_2d(levels).tolist())):
-        if not EnergySpectrum(row).bohr_nondegenerate():
-            raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
+    if not all(map(bohr_nondegenerate, {tuple(row) for row in levels.reshape(-1, levels.shape[-1]).tolist()})):
+        raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
     d = levels.shape[-1]
     u = np.zeros((n, d * d, d * d), dtype=complex)
-    u[:] = np.eye(d * d)
-    for (lo, hi), (theta, phi, lam, kappa) in angles.items():
+    _diagonal(u)[...] = 1.0
+    cells = u[0] if n == 1 else u  # a lone matrix takes its entries as scalar stores
+    seen = set()
+    for (lo, hi), (theta, phi, lam, kappa) in blocks:
         if not 0 <= lo < hi < d:
             raise ValueError(f"manifold {(lo, hi)} invalid for dimension {d}")
+        if (lo, hi) in seen:
+            raise ValueError(f"duplicate rotation for manifold ({lo}, {hi})")
+        seen.add((lo, hi))
         a, b = lo * d + hi, hi * d + lo
         ct, st = np.cos(theta), np.sin(theta)
-        u[:, a, a] = np.exp(1j * (kappa + lam)) * ct
-        u[:, a, b] = -np.exp(1j * (kappa - phi)) * st
-        u[:, b, a] = np.exp(1j * (kappa + phi)) * st
-        u[:, b, b] = np.exp(1j * (kappa - lam)) * ct
+        cells[..., a, a] = np.exp(1j * (kappa + lam)) * ct
+        cells[..., a, b] = -np.exp(1j * (kappa - phi)) * st
+        cells[..., b, a] = np.exp(1j * (kappa + phi)) * st
+        cells[..., b, b] = np.exp(1j * (kappa - lam)) * ct
     return _stack_report(u, _total_hamiltonian(levels))
 
 

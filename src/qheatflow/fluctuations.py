@@ -100,20 +100,19 @@ class TransitionTable:
         d_c, d_h = len(self.energies_c), len(self.energies_h)
         if v.shape != (d_c, d_h, d_c, d_h):
             raise ValueError(f"values shape {v.shape} does not match spectra")
-        total = v.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"table sums to {total}, expected 1")
-        lo = v.min()
-        if self.kind == "TPM" and lo < -1e-12:
-            raise ValueError(f"TPM entry {lo} below 0")
-        if self.kind == "MH" and lo < MH_LOWER_BOUND - 1e-10:
-            raise ValueError(f"MH entry {lo} below -1/8")
-        if v.max() > 1.0 + 1e-10:
-            raise ValueError(f"entry {v.max()} above 1")
+        check_tables(self.kind, v[None])
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "energies_c", tuple(float(e) for e in self.energies_c))
         object.__setattr__(self, "energies_h", tuple(float(e) for e in self.energies_h))
+
+    @classmethod
+    def _checked(cls, kind: str, values: np.ndarray, energies_c, energies_h) -> "TransitionTable":
+        """The table of values ``check_tables`` passed (levels: tuples of floats), built without checking again."""
+        table = object.__new__(cls)
+        values.setflags(write=False)
+        table.__dict__.update(kind=kind, values=values, energies_c=energies_c, energies_h=energies_h)
+        return table
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -188,31 +187,12 @@ class XftReport:
 
 def tpm_distribution(sys: BipartiteSystem, u) -> TransitionTable:
     """Two-point-measurement transition probabilities."""
-    u = unwrap(u)
-    if u.shape[0] != sys.d_c * sys.d_h:
-        raise ValueError("unitary dimension does not match the system")
-    pops = sys.populations()
-    vals = (np.abs(u.T) ** 2) * pops[:, None]
-    d_c, d_h = sys.dims
-    return TransitionTable(
-        "TPM",
-        np.clip(vals, 0.0, None).reshape(d_c, d_h, d_c, d_h),
-        sys.spectrum_c.levels,
-        sys.spectrum_h.levels,
-    )
+    return _one_table("TPM", sys, u)
 
 
 def mh_distribution(sys: BipartiteSystem, u) -> TransitionTable:
     """Margenau-Hill quasiprobability table (real part only)."""
-    u = unwrap(u)
-    if u.shape[0] != sys.d_c * sys.d_h:
-        raise ValueError("unitary dimension does not match the system")
-    # entry [i, f] = Re[ U_{f,i} (rho U^dag)_{i,f} ]
-    vals = np.real(u.T * (sys.rho @ u.conj().T))
-    d_c, d_h = sys.dims
-    return TransitionTable(
-        "MH", vals.reshape(d_c, d_h, d_c, d_h), sys.spectrum_c.levels, sys.spectrum_h.levels
-    )
+    return _one_table("MH", sys, u)
 
 
 def marginal_check(
@@ -440,7 +420,7 @@ def xft_average(table: TransitionTable, sys: BipartiteSystem) -> XftReport:
         raise ValueError("the exchange-fluctuation average is defined on MH tables")
     if sys.beta_c is None or sys.beta_h is None:
         raise ValueError("system must carry its inverse temperatures")
-    lhs, avg_di, resonance_ok, max_mismatch, vanishing = xft_average_stack(table.values[None], StateStack.of([sys]))
+    lhs, avg_di, resonance_ok, max_mismatch, vanishing = xft_average_stack(table.values[None], sys.stack)
     for label, bad in vanishing.items():  # the first vanishing value, in this order
         if bad.any():
             idx = np.argwhere(bad[0])[0]
@@ -486,10 +466,11 @@ def heat_exp_correction(sys: BipartiteSystem, u) -> HeatExpCorrection:
     """J = Re tr{ U^dag (rho_C x rho_H) U (c + q) } for energy-preserving U;
     raises DivergenceError when a product-marginal population vanishes."""
     states, u, uh = _one_cell(sys, u)
-    j, divergent = heat_exp_j_stack(states, u, uh)
+    operators = _correction_operators(states)
+    _, c, q, divergent = operators
     if divergent[0]:
         raise DivergenceError("a product-marginal population vanishes")
-    _, c, q, _ = _correction_operators(states)
+    j = _correction_j(operators, u, uh)
     return HeatExpCorrection(j=float(j[0]), c=np.diag(c[0].astype(complex)), q=q[0])
 
 
@@ -515,12 +496,11 @@ def max_heat_coherence_shift(sys: BipartiteSystem) -> float:
 # The functions below evaluate an (n, D, D) stack of unitaries, each on
 # its own cell's state: they read a ``StateStack`` (or per-cell level
 # arrays) where the single-cell functions above read a BipartiteSystem.
-# They are the one implementation of the heat split, chi_bar, the XFT
-# average and J: ``table_heat``, ``flow_decomposition``,
-# ``xft_coherence_term``, ``xft_average`` and ``heat_exp_correction`` check
-# their arguments, run their kernel on a stack of one cell and raise where
-# the kernel marks that cell.  Every value equals the scalar reference
-# kept in the tests bit for bit: an elementwise op, a per-slice
+# They are the one implementation of the MH and TPM tables, the heat
+# split, chi_bar, the XFT average and J: the single-cell names above check
+# their arguments, run their kernel on the system's one-row ``stack`` and
+# raise where the kernel marks that cell.  Every value equals the scalar
+# reference kept in the tests bit for bit: an elementwise op, a per-slice
 # matmul/trace and a reduction over a contiguous last axis all compute per
 # cell exactly what the single-matrix call does.  ``uh`` is the stack's
 # U^dag, conjugated once per stack and seen through ``swapaxes(-1, -2)``
@@ -531,7 +511,13 @@ def max_heat_coherence_shift(sys: BipartiteSystem) -> float:
 def _one_cell(sys: BipartiteSystem, u):
     """(state stack, unitary stack, its U^dag) of one cell."""
     u = unwrap(u)[None]
-    return StateStack.of([sys]), u, u.conj().swapaxes(-1, -2)
+    return sys.stack, u, u.conj().swapaxes(-1, -2)
+
+
+def _one_table(kind: str, sys: BipartiteSystem, u) -> TransitionTable:
+    """The MH or TPM table of one cell, by ``table_stack``."""
+    values = table_stack(kind, *_one_cell(sys, u))[0]
+    return TransitionTable._checked(kind, values, sys.spectrum_c.levels, sys.spectrum_h.levels)
 
 
 def masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -551,21 +537,44 @@ def masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if (mask == mask[:1]).all():  # one pattern (one shared mask, or per-cell masks that agree)
         return np.compress(mask[0], flat, axis=1).sum(axis=-1)
     packed = np.packbits(mask, axis=1)
-    raw, width = packed.tobytes(), packed.shape[1]
-    groups: dict[bytes, list[int]] = {}
-    for k in range(n):
-        groups.setdefault(raw[k * width : (k + 1) * width], []).append(k)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]  # one bytes key per cell
+    order = np.argsort(keys, kind="stable")
     out = np.empty(n)
-    for cells in groups.values():
+    for cells in np.split(order, np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1):
         out[cells] = np.compress(mask[cells[0]], flat[cells], axis=1).sum(axis=-1)
     return out
+
+
+def check_tables(kind: str, values: np.ndarray) -> None:
+    """Raise unless each MH or TPM table of an (n, d_C, d_H, d_C, d_H) stack
+    sums to 1 and has its entries in range; the error names the first bad
+    table's first failed check."""
+    flat = values.reshape(len(values), -1)
+    total = flat.sum(axis=-1)
+    floor, ceiling = (MH_LOWER_BOUND - 1e-10 if kind == "MH" else -1e-12), 1.0 + 1e-10
+    # a screen of every table at once passes when every table does (rounding
+    # is monotone; fmax and fmin skip nan, and a table with a nan passes)
+    if (
+        np.fmax.reduce(total, initial=-np.inf) - 1.0 <= 1e-10
+        and 1.0 - np.fmin.reduce(total, initial=np.inf) <= 1e-10
+        and np.fmin.reduce(flat, axis=None, initial=np.inf) >= floor
+        and np.fmax.reduce(flat, axis=None, initial=-np.inf) <= ceiling
+    ):
+        return
+    for table_total, lo, hi in zip(total, flat.min(axis=-1), flat.max(axis=-1)):
+        if abs(table_total - 1.0) > 1e-10:
+            raise ValueError(f"table sums to {table_total}, expected 1")
+        if lo < floor:
+            raise ValueError(f"MH entry {lo} below -1/8" if kind == "MH" else f"TPM entry {lo} below 0")
+        if hi > ceiling:
+            raise ValueError(f"entry {hi} above 1")
 
 
 def table_stack(kind: str, states: StateStack, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
     """MH or TPM values of each unitary of a stack, shape (n, d_C, d_H, d_C, d_H).
 
-    Every table gets ``TransitionTable``'s sum and range checks.  MH reads
-    ``uh``, the stack's U^dag.
+    Every table gets the checks of ``check_tables``.  MH reads ``uh``, the
+    stack's U^dag.
     """
     if u.shape[-1] != states.rho.shape[-1]:
         raise ValueError("unitary dimension does not match the system")
@@ -579,18 +588,8 @@ def table_stack(kind: str, states: StateStack, u: np.ndarray, uh: np.ndarray) ->
         vals = np.square(np.abs(ut))
         np.multiply(vals, states.populations[:, :, None], out=vals)
         np.clip(vals, 0.0, None, out=vals)
-    vals = vals.reshape(len(u), *states.dims, *states.dims)
-    flat = vals.reshape(len(u), -1)
-    floor = MH_LOWER_BOUND - 1e-10 if kind == "MH" else -1e-12
-    bad = (
-        (np.abs(flat.sum(axis=-1) - 1.0) > 1e-10)
-        | (flat.min(axis=-1) < floor)
-        | (flat.max(axis=-1) > 1.0 + 1e-10)
-    )
-    if bad.any():  # raise the single-cell error of the first bad cell
-        k = np.argmax(bad)
-        levels = (np.broadcast_to(x, (len(u), x.shape[-1]))[k] for x in (states.levels_c, states.levels_h))
-        TransitionTable(kind, vals[k], *levels)
+    vals = vals.reshape(len(u), *states.dims * 2)
+    check_tables(kind, vals)
     return vals
 
 
@@ -694,6 +693,17 @@ def _correction_operators(states: StateStack):
     return qpop, states.populations / qpop - 1.0, q, divergent
 
 
+def _correction_j(operators, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
+    """J of each unitary of a stack, from its state's ``_correction_operators``."""
+    qpop, c, q, _ = operators
+    # c + q, each entry plus the other operator's +0.0 (c is never -0.0)
+    c_plus_q = q + 0.0
+    diag = np.arange(q.shape[-1])
+    c_plus_q[:, diag, diag] = c
+    evolved_product = uh @ (qpop[:, :, None] * u)
+    return np.real(np.trace(evolved_product @ c_plus_q, axis1=-2, axis2=-1))
+
+
 def heat_exp_j_stack(states: StateStack, u: np.ndarray, uh: np.ndarray):
     """(j, divergent) of ``heat_exp_correction(sys, u).j`` for each unitary
     of a stack.
@@ -702,11 +712,5 @@ def heat_exp_j_stack(states: StateStack, u: np.ndarray, uh: np.ndarray):
     DivergenceError, as a product-marginal population vanishes; their j
     is meaningless.
     """
-    qpop, c, q, divergent = _correction_operators(states)
-    # c + q, each entry plus the other operator's +0.0 (c is never -0.0)
-    c_plus_q = q + 0.0
-    diag = np.arange(q.shape[-1])
-    c_plus_q[:, diag, diag] = c
-    evolved_product = uh @ (qpop[:, :, None] * u)
-    j = np.real(np.trace(evolved_product @ c_plus_q, axis1=-2, axis2=-1))
-    return j, np.broadcast_to(divergent, (len(u),))
+    operators = _correction_operators(states)
+    return _correction_j(operators, u, uh), np.broadcast_to(operators[3], (len(u),))

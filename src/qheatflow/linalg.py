@@ -97,23 +97,19 @@ def matrix_exp(m) -> np.ndarray:
     """Matrix exponential of a Hermitian or anti-Hermitian generator.
 
     Every use in this package is exp(-i H t) with H Hermitian.  Both kinds
-    go through an eigendecomposition; any other square input raises
-    ValueError.
+    go through the eigendecomposition of ``matrix_exp_stack`` (``_eigh_exp``
+    on the one matrix); any other square input raises ValueError.
     """
     m = _square(m)
-    if hermiticity_defect(m) <= HERMITICITY_TOL:
-        w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-        return (v * np.exp(w)) @ v.conj().T
-    k = 1j * m
-    if hermiticity_defect(k) <= HERMITICITY_TOL:
-        w, v = np.linalg.eigh(0.5 * (k + k.conj().T))
-        return (v * np.exp(-1j * w)) @ v.conj().T
+    for x, phase in ((m, 1.0), (1j * m, -1j)):  # the branches of matrix_exp_stack, in its order
+        if hermiticity_defects(x) <= HERMITICITY_TOL:
+            return _eigh_exp(x, phase)
     raise ValueError(NOT_A_GENERATOR)
 
 
 def hermiticity_defects(m: np.ndarray) -> np.ndarray:
     """``hermiticity_defect`` of each matrix of an (n, D, D) stack."""
-    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return np.abs(m - m.conj().swapaxes(-1, -2)).reshape(*m.shape[:-2], m.shape[-1] ** 2).max(axis=-1)
 
 
 def spectral_norms(m: np.ndarray) -> np.ndarray:
@@ -121,28 +117,31 @@ def spectral_norms(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, 2, axis=(-2, -1))
 
 
+def _eigh_exp(x: np.ndarray, phase) -> np.ndarray:
+    """exp(phase * H) of the Hermitian part H of a matrix, or of each matrix of a stack."""
+    w, v = np.linalg.eigh(0.5 * (x + x.conj().swapaxes(-1, -2)))
+    return (v * np.exp(phase * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def matrix_exp_stack(m) -> np.ndarray:
     """``matrix_exp`` of each matrix of an (n, D, D) stack.
 
     Each matrix takes the branch ``matrix_exp`` takes for it, through the
-    same formula; stacked ``eigh`` and matmul make the same LAPACK/BLAS
-    call per matrix, so every result equals the single-matrix one bit for
-    bit.  A matrix that is neither Hermitian nor anti-Hermitian raises
-    ValueError, as in ``matrix_exp``.
+    same formula (exp(1.0 * w) is exp(w) bit for bit); stacked ``eigh``
+    and matmul make the same LAPACK/BLAS call per matrix, so every result
+    equals the single-matrix one bit for bit.  A matrix that is neither
+    Hermitian nor anti-Hermitian raises ValueError, as in ``matrix_exp``.
     """
     m = np.asarray(m, dtype=complex)
-    k = 1j * m
     herm = hermiticity_defects(m) <= HERMITICITY_TOL
+    if herm.all():
+        return _eigh_exp(m, 1.0)
+    k = 1j * m
     anti = ~herm & (hermiticity_defects(k) <= HERMITICITY_TOL)
+    if anti.all():
+        return _eigh_exp(k, -1j)
     if not (herm | anti).all():
         raise ValueError(NOT_A_GENERATOR)
     out = np.empty_like(m)
-    if herm.any():
-        x = m[herm]
-        w, v = np.linalg.eigh(0.5 * (x + x.conj().swapaxes(-1, -2)))
-        out[herm] = (v * np.exp(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    if anti.any():
-        x = k[anti]
-        w, v = np.linalg.eigh(0.5 * (x + x.conj().swapaxes(-1, -2)))
-        out[anti] = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    out[herm], out[anti] = _eigh_exp(m[herm], 1.0), _eigh_exp(k[anti], -1j)
     return out

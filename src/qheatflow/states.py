@@ -17,6 +17,7 @@ gap for a two-level system with E = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,13 @@ THERMAL_TOL = 1e-9
 BOHR_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
 EIGVALSH_MAX_SIDE = 16
+
+
+def bohr_nondegenerate(levels, tol: float = BOHR_TOL) -> bool:
+    """True when the gaps |E_n - E_m| of the levels, n > m, are distinct
+    within tol; the levels may come in any order."""
+    gaps = sorted(abs(a - b) for i, a in enumerate(levels) for b in levels[:i])
+    return all(b - a > tol for a, b in zip(gaps, gaps[1:]))
 
 
 class InfeasibleStateError(ValueError):
@@ -73,18 +81,9 @@ class EnergySpectrum:
     def dim(self) -> int:
         return len(self.levels)
 
-    def gaps(self) -> list[tuple[float, int, int]]:
-        """All gaps E_n - E_m for n > m, as (gap, n, m)."""
-        return [
-            (self.levels[n] - self.levels[m], n, m)
-            for n in range(self.dim)
-            for m in range(n)
-        ]
-
     def bohr_nondegenerate(self, tol: float = BOHR_TOL) -> bool:
         """True when all pairwise gaps are distinct within tol."""
-        gaps = sorted(g for g, _, _ in self.gaps())
-        return all(b - a > tol for a, b in zip(gaps, gaps[1:]))
+        return bohr_nondegenerate(self.levels, tol)
 
     def hamiltonian(self) -> np.ndarray:
         return np.diag(np.asarray(self.levels, dtype=complex))
@@ -151,8 +150,8 @@ class BipartiteSystem:
             raise InfeasibleStateError(
                 "dimension", f"rho has shape {rho.shape}, expected {(d, d)}"
             )
-        if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-            raise InfeasibleStateError("trace", f"tr(rho) = {np.trace(rho)}")
+        if abs((tr := np.trace(rho)).real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
+            raise InfeasibleStateError("trace", f"tr(rho) = {tr}")
         defect = float(np.max(np.abs(rho - rho.conj().T)))
         if defect > HERM_TOL:
             raise InfeasibleStateError("hermiticity", f"defect {defect:.3e}")
@@ -162,18 +161,14 @@ class BipartiteSystem:
             min_eig = float(np.linalg.eigvalsh(rho)[0])
             if min_eig < -PSD_TOL:
                 raise InfeasibleStateError("psd", f"min eigenvalue {min_eig:.3e}")
-        if self.beta_c is not None:
-            target = thermal_populations(self.spectrum_c, self.beta_c)
-            got = np.real(np.diag(partial_trace(rho, self.dims, "H")))
-            if np.max(np.abs(got - target)) > THERMAL_TOL:
-                raise InfeasibleStateError("thermal_marginal_C")
-        if self.beta_h is not None:
-            target = thermal_populations(self.spectrum_h, self.beta_h)
-            got = np.real(np.diag(partial_trace(rho, self.dims, "C")))
-            if np.max(np.abs(got - target)) > THERMAL_TOL:
-                raise InfeasibleStateError("thermal_marginal_H")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+        # the real diagonals of the C and H marginals, checked here and read by ``stack``
+        marginals = tuple(partial_trace(rho, self.dims, side).diagonal().real for side in ("H", "C"))
+        object.__setattr__(self, "_marginal_populations", marginals)
+        for side, spectrum, beta, got in zip("CH", (self.spectrum_c, self.spectrum_h), (self.beta_c, self.beta_h), marginals):
+            if beta is not None and np.max(np.abs(got - thermal_populations(spectrum, beta))) > THERMAL_TOL:
+                raise InfeasibleStateError(f"thermal_marginal_{side}")
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -194,7 +189,7 @@ class BipartiteSystem:
         return partial_trace(self.rho, self.dims, "C")
 
     def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.rho)).copy()
+        return self.rho.diagonal().real.copy()
 
     def h_total(self) -> np.ndarray:
         """H_C (x) I + I (x) H_H on the joint space."""
@@ -206,6 +201,19 @@ class BipartiteSystem:
         ec = np.asarray(self.spectrum_c.levels)
         eh = np.asarray(self.spectrum_h.levels)
         return (ec[:, None] + eh[None, :]).reshape(-1)
+
+    @cached_property
+    def stack(self) -> "StateStack":
+        """This system as a one-row ``StateStack``, built on first use from
+        its own arrays and methods."""
+        (b_c, b_h), (marginal_c, marginal_h) = (self.beta_c, self.beta_h), self._marginal_populations
+        return StateStack(
+            self.rho[None], self.populations()[None], marginal_c[None], marginal_h[None],
+            np.array([self.spectrum_c.levels]), np.array([self.spectrum_h.levels]),
+            np.array([np.nan if b_c is None else b_c]), np.array([np.nan if b_h is None else b_h]),
+            np.array([b_c is not None and b_h is not None and b_c != b_h]),
+            np.array([self.spectrum_c == self.spectrum_h]), np.array([self.spectrum_c.bohr_nondegenerate()]),
+        )
 
     def with_rho(self, rho: np.ndarray, keep_betas: bool = True) -> "BipartiteSystem":
         return replace(
@@ -221,9 +229,10 @@ class StateStack(NamedTuple):
     stacked kernels read where a single-cell function reads a
     ``BipartiteSystem``.
 
-    Each row is made from its system's own arrays and methods, so it holds
-    the values the single-cell functions read, bit for bit.  Build one row
-    per distinct state with ``of`` and gather per-cell rows with ``take``.
+    Each row is a system's own one-row ``BipartiteSystem.stack``, made from
+    its arrays and methods, so it holds the values the single-cell
+    functions read, bit for bit.  Stack one row per distinct state with
+    ``of`` and gather per-cell rows with ``take``.
     A stack has one row per cell, or one row that every cell shares and
     that broadcasts against the cells' arrays.
     """
@@ -242,18 +251,9 @@ class StateStack(NamedTuple):
 
     @classmethod
     def of(cls, systems) -> "StateStack":
-        """One row per system; the systems share their dimensions."""
-        rows = [
-            (
-                s.rho, s.populations(), np.real(np.diag(s.marginal_c())), np.real(np.diag(s.marginal_h())),
-                s.spectrum_c.levels, s.spectrum_h.levels,
-                np.nan if s.beta_c is None else s.beta_c, np.nan if s.beta_h is None else s.beta_h,
-                s.beta_c is not None and s.beta_h is not None and s.beta_c != s.beta_h,
-                s.spectrum_c == s.spectrum_h, s.spectrum_c.bohr_nondegenerate(),
-            )
-            for s in systems
-        ]
-        return cls(*(np.array(column) for column in zip(*rows)))
+        """One row per system, each system's ``stack``; the systems share
+        their dimensions."""
+        return cls(*map(np.concatenate, zip(*(s.stack for s in systems))))
 
     @property
     def dims(self) -> tuple[int, int]:

@@ -624,16 +624,11 @@ def _build_unitary_stack(kind: str, cells: dict, n: int, levels_c, levels_h):
         return u, {"eps_actual": u.epsilon}
     if levels_c.shape[-1] == 2:
         phases = [values(f"unitary.{k}", 0.0) for k in ("phi", "lam", "kappa")]
-        angles = {(0, 1): (values("unitary.theta"), *phases)}
-        u = exchange_unitary_stack(levels_c, n, angles)
+        u = exchange_unitary_stack(levels_c, n, [((0, 1), (values("unitary.theta"), *phases))])
         return u, {"theta": np.full(n, cells["unitary.theta"])}
     zero = np.zeros(n)
-    angles = {
-        pair: (values(key), zero, zero, zero)
-        for pair, key in QUTRIT_ANGLES.items()
-        if key in cells
-    }
-    return exchange_unitary_stack(levels_c, n, angles), {}
+    blocks = [(pair, (values(key), zero, zero, zero)) for pair, key in QUTRIT_ANGLES.items() if key in cells]
+    return exchange_unitary_stack(levels_c, n, blocks), {}
 
 
 def _chunk_cells(side: int) -> int:
@@ -740,7 +735,7 @@ def _evaluate_one(sys: BipartiteSystem, u: UnitaryStack, extras: dict):
     values, TPM values) of one cell."""
     cells = {name: np.array([value]) for name, value in extras.items()}
     cells["min_pt_eig"] = np.array([min_partial_transpose_eigenvalue(sys)])
-    columns, mh, tpm = _evaluate_stack(StateStack.of([sys]), u, cells, (*extras, *CELL_OUTPUTS))
+    columns, mh, tpm = _evaluate_stack(sys.stack, u, cells, (*extras, *CELL_OUTPUTS))
     row = {name: values.tolist()[0] for name, (values, has) in columns.items() if has is None or has[0]}
     return row, mh[0], tpm[0]
 
@@ -914,7 +909,7 @@ def analyze_point(cfg: dict) -> PointReport:
     sys, u, extras = _build_cell(scenario, _kinds(scenario, params), params)
     row, mh, tpm = _evaluate_one(sys, u, extras)
     levels = (sys.spectrum_c.levels, sys.spectrum_h.levels)
-    mh, tpm = TransitionTable("MH", mh, *levels), TransitionTable("TPM", tpm, *levels)
+    mh, tpm = TransitionTable._checked("MH", mh, *levels), TransitionTable._checked("TPM", tpm, *levels)
 
     target = (probe.get("probe.i_C", 0), probe.get("probe.i_H", min(1, sys.d_h - 1)))
     eps = float(params.get("probe.eps", 0.2))

@@ -31,6 +31,7 @@ from .fluctuations import (
     masked_sums,
     table_heat,
 )
+from .states import bohr_nondegenerate
 
 VIOLATION_MARGIN = 1e-12
 ENERGY_PRESERVING_TOL = 1e-10
@@ -158,9 +159,8 @@ def correlation_flow_witness(
 
 
 def _require_bohr_nondegenerate(energies_c, energies_h) -> None:
-    for label, arr in (("C", energies_c), ("H", energies_h)):
-        gaps = sorted(abs(a - b) for i, a in enumerate(arr) for b in arr[:i])
-        if any(b - a <= 1e-9 for a, b in zip(gaps, gaps[1:])):
+    for label, levels in (("C", energies_c), ("H", energies_h)):
+        if not bohr_nondegenerate(levels):
             raise ValueError(f"degenerate Bohr spectrum on {label}")
 
 
@@ -223,7 +223,9 @@ def _resolve_stack(bound, preconditions, exceeds, extras=()) -> StackVerdict:
     ok = np.ones(np.shape(exceeds), dtype=bool)
     for _, flag in preconditions:
         ok = ok & flag
-    bound = np.broadcast_to(np.asarray(bound, dtype=float), ok.shape)
+    bound = np.asarray(bound, dtype=float)
+    if bound.shape != ok.shape:
+        bound = np.broadcast_to(bound, ok.shape)
     return StackVerdict(bound, ok, ok & exceeds, tuple(preconditions), tuple(extras))
 
 

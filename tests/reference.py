@@ -1,12 +1,13 @@
 """The scalar per-cell reference that every fast path is checked against.
 
 One cell is built and evaluated alone, with the single-matrix
-constructors and tables and the scalar heat functionals and witnesses
-below.  ``qheatflow`` computes each of those quantities once, as a kernel
-over stacks of cells (``fluctuations.*_stack``, ``witnesses.*_stack``),
-and its single-cell names run that kernel on one cell; these are the
-scalar bodies they replaced.  ``qheatflow.sweeps`` has one unitary
-builder and one evaluator, both on (n, D, D) stacks; a sweep runs them
+constructors, tables, heat functionals and witnesses below.  ``qheatflow``
+computes each of those quantities once, as a kernel over stacks of cells
+(``dynamics.*_stack``, ``linalg.matrix_exp_stack``,
+``fluctuations.*_stack``, ``witnesses.*_stack``), and its single-cell
+names run that kernel on one cell; these are the scalar bodies they
+replaced.  ``qheatflow.sweeps`` has one unitary builder and one
+evaluator, both on (n, D, D) stacks; a sweep runs them
 on chunks of cells, and ``_build_cell``, ``evaluate_cell`` and
 ``analyze_point`` run them at n = 1.  Every value they produce equals
 this reference's bit for bit.
@@ -16,25 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from qheatflow.dynamics import (
-    ManifoldRotation,
-    energy_preserving_unitary,
-    perturbed_xy_unitary,
-    rotation_angle,
-    two_qubit_exchange_unitary,
-    unwrap,
-    xy_exchange_unitary,
-)
+from qheatflow.dynamics import ManifoldRotation, UnitaryReport, _xy_hamiltonian, unwrap
 from qheatflow.fluctuations import (
+    MH_LOWER_BOUND,
     NEGLIGIBLE_WEIGHT,
     DivergenceError,
     HeatExpCorrection,
     HeatReport,
+    TransitionTable,
     XftReport,
-    mh_distribution,
-    tpm_distribution,
 )
-from qheatflow.states import BipartiteSystem, min_partial_transpose_eigenvalue
+from qheatflow.linalg import HERMITICITY_TOL, NOT_A_GENERATOR, SIGMA_X, _square, hermiticity_defect, spectral_norm
+from qheatflow.states import BipartiteSystem, EnergySpectrum, min_partial_transpose_eigenvalue
 from qheatflow.sweeps import (
     FLAG_COLUMNS,
     NEGATIVITY_THRESHOLD,
@@ -50,6 +44,118 @@ from qheatflow.witnesses import (
     WitnessVerdict,
     _require_bohr_nondegenerate,
 )
+
+
+# --- tables and unitaries ------------------------------------------------
+
+def _check_table(kind, v) -> None:
+    total = v.sum()
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"table sums to {total}, expected 1")
+    lo = v.min()
+    if kind == "TPM" and lo < -1e-12:
+        raise ValueError(f"TPM entry {lo} below 0")
+    if kind == "MH" and lo < MH_LOWER_BOUND - 1e-10:
+        raise ValueError(f"MH entry {lo} below -1/8")
+    if v.max() > 1.0 + 1e-10:
+        raise ValueError(f"entry {v.max()} above 1")
+
+
+def tpm_distribution(sys, u) -> TransitionTable:
+    u = unwrap(u)
+    if u.shape[0] != sys.d_c * sys.d_h:
+        raise ValueError("unitary dimension does not match the system")
+    pops = sys.populations()
+    vals = (np.abs(u.T) ** 2) * pops[:, None]
+    d_c, d_h = sys.dims
+    vals = np.clip(vals, 0.0, None).reshape(d_c, d_h, d_c, d_h)
+    _check_table("TPM", vals)
+    return TransitionTable("TPM", vals, sys.spectrum_c.levels, sys.spectrum_h.levels)
+
+
+def mh_distribution(sys, u) -> TransitionTable:
+    u = unwrap(u)
+    if u.shape[0] != sys.d_c * sys.d_h:
+        raise ValueError("unitary dimension does not match the system")
+    # entry [i, f] = Re[ U_{f,i} (rho U^dag)_{i,f} ]
+    vals = np.real(u.T * (sys.rho @ u.conj().T))
+    d_c, d_h = sys.dims
+    vals = vals.reshape(d_c, d_h, d_c, d_h)
+    _check_table("MH", vals)
+    return TransitionTable("MH", vals, sys.spectrum_c.levels, sys.spectrum_h.levels)
+
+
+def matrix_exp(m) -> np.ndarray:
+    m = _square(m)
+    if hermiticity_defect(m) <= HERMITICITY_TOL:
+        w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+        return (v * np.exp(w)) @ v.conj().T
+    k = 1j * m
+    if hermiticity_defect(k) <= HERMITICITY_TOL:
+        w, v = np.linalg.eigh(0.5 * (k + k.conj().T))
+        return (v * np.exp(-1j * w)) @ v.conj().T
+    raise ValueError(NOT_A_GENERATOR)
+
+
+def commutator_norm(u, h_total) -> float:
+    """The dense || U H - H U ||, also where it is exactly zero."""
+    u = unwrap(u)
+    return spectral_norm(u @ h_total - h_total @ u)
+
+
+def total_hamiltonian(levels_c, levels_h) -> np.ndarray:
+    """kron(H_C, I) + kron(I, H_H)."""
+    h_c, h_h = (np.diag(np.asarray(levels, dtype=complex)) for levels in (levels_c, levels_h))
+    return np.kron(h_c, np.eye(len(levels_h))) + np.kron(np.eye(len(levels_c)), h_h)
+
+
+def energy_preserving_unitary(spectrum, rotations=()) -> UnitaryReport:
+    if not spectrum.bohr_nondegenerate():
+        raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
+    d = spectrum.dim
+    u = np.eye(d * d, dtype=complex)
+    seen = set()
+    for rot in rotations:
+        n, m = rot.level_pair
+        if not 0 <= n < m < d:
+            raise ValueError(f"manifold {rot.level_pair} invalid for dimension {d}")
+        if (n, m) in seen:
+            raise ValueError(f"duplicate rotation for manifold ({n}, {m})")
+        seen.add((n, m))
+        a, b = n * d + m, m * d + n
+        ct, st = np.cos(rot.theta), np.sin(rot.theta)
+        u[a, a] = np.exp(1j * (rot.kappa + rot.lam)) * ct
+        u[a, b] = -np.exp(1j * (rot.kappa - rot.phi)) * st
+        u[b, a] = np.exp(1j * (rot.kappa + rot.phi)) * st
+        u[b, b] = np.exp(1j * (rot.kappa - rot.lam)) * ct
+    return UnitaryReport(u, commutator_norm(u, total_hamiltonian(spectrum.levels, spectrum.levels)))
+
+
+def two_qubit_exchange_unitary(theta, kappa=0.0, lam=0.0, phi=0.0, gap=1.0) -> UnitaryReport:
+    spec = EnergySpectrum.two_level(gap)
+    return energy_preserving_unitary(spec, [ManifoldRotation((0, 1), theta, phi=phi, lam=lam, kappa=kappa)])
+
+
+def xy_exchange_unitary(j_hz, t, gap=1.0) -> UnitaryReport:
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    u = matrix_exp(-1j * _xy_hamiltonian(j_hz) * t)
+    return UnitaryReport(u, commutator_norm(u, total_hamiltonian((0.0, gap), (0.0, gap))))
+
+
+def perturbed_xy_unitary(j_hz, j_x, t, gap=1.0, gap_h=None) -> UnitaryReport:
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    h_xy = _xy_hamiltonian(j_hz)
+    u = matrix_exp(-1j * (h_xy + j_x * np.kron(SIGMA_X, SIGMA_X)) * t)
+    epsilon = spectral_norm(u - matrix_exp(-1j * h_xy * t))
+    h_total = total_hamiltonian((0.0, gap), (0.0, gap if gap_h is None else gap_h))
+    return UnitaryReport(u, commutator_norm(u, h_total), epsilon=epsilon)
+
+
+def rotation_angle(u) -> float:
+    u = unwrap(u)
+    return float(np.arctan2(np.real(u[2, 1]), np.real(u[1, 1])))
 
 
 # --- heat functionals -----------------------------------------------------

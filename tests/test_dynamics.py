@@ -20,6 +20,8 @@ from qheatflow.dynamics import (
 from qheatflow.linalg import SIGMA_X, kron, spectral_norm
 from qheatflow.states import EnergySpectrum
 
+import reference
+
 J_HZ = 215.1
 
 
@@ -248,7 +250,7 @@ def test_exchange_commutator_norm_equals_dense_bit_for_bit(d):
     assert np.float64(commutator_norm(u, h)).tobytes() == dense
     n = 3
     angles = {pair: tuple(rng.uniform(-np.pi, np.pi, (4, n))) for pair in pairs}
-    stack = exchange_unitary_stack(spec.levels, n, angles)
+    stack = exchange_unitary_stack(spec.levels, n, angles.items())
     assert _commutes_exactly(stack.matrix, h).all()
     for k in range(n):
         assert stack.commutator_norm[k].tobytes() == _dense_norm_bytes(stack.matrix[k], h)
@@ -297,7 +299,7 @@ def test_non_exchange_commutator_norms_take_the_dense_path():
     per_cell = perturbed_xy_unitary_stack(j_hz, j_x, t, gap, gap_h)
     assert len(set(per_cell.commutator_norm.tolist())) == 5
     for k in range(5):
-        u = perturbed_xy_unitary(j_hz[k], j_x[k], t[k], gap=gap[k], gap_h=gap_h[k])
+        u = reference.perturbed_xy_unitary(j_hz[k], j_x[k], t[k], gap=gap[k], gap_h=gap_h[k])
         assert per_cell.matrix[k].tobytes() == u.matrix.tobytes()
         assert per_cell.commutator_norm[k].tobytes() == np.float64(u.commutator_norm).tobytes()
 

@@ -3,10 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from qheatflow import fluctuations, witnesses
+from qheatflow import dynamics, fluctuations, linalg, witnesses
 from qheatflow.dynamics import (
     ManifoldRotation,
+    UnitaryReport,
+    _total_hamiltonian,
     energy_preserving_unitary,
+    perturbed_xy_unitary,
     two_qubit_exchange_unitary,
     unwrap,
     xy_exchange_unitary,
@@ -440,13 +443,20 @@ def test_tpm_band_stack_equals_single_cell_verdicts():
 def _outcome(fn, args) -> str:
     """What ``fn(*args)`` returns, by repr, or the error it raises.  A
     verdict shows its id, bound, flag, observed value, named preconditions
-    (as bools) and extras; a J correction its j, c and q."""
+    (as bools) and extras; a J correction its j, c and q; a table, a
+    unitary report and an array their bytes and types."""
     try:
         out = fn(*args)
     except ValueError as exc:  # DivergenceError included
         return f"{type(exc).__name__}: {exc}"
     if isinstance(out, HeatExpCorrection):
         return repr((out.j, out.c.tobytes(), out.q.tobytes()))
+    if isinstance(out, TransitionTable):
+        return repr((out.kind, out.values.dtype, out.values.shape, out.values.tobytes(), out.energies_c, out.energies_h))
+    if isinstance(out, UnitaryReport):
+        return repr((out.matrix.dtype, out.matrix.shape, out.matrix.tobytes(), out.commutator_norm, out.epsilon))
+    if isinstance(out, np.ndarray):
+        return repr((out.dtype, out.shape, out.tobytes()))
     if isinstance(out, (WitnessVerdict, tuple)):
         return repr([
             (
@@ -515,19 +525,90 @@ def _single_cell_calls(d: int) -> list[tuple[str, tuple]]:
     if d > 2:  # equally spaced levels repeat a gap
         levels = tuple(map(float, range(d)))
         calls.append(("tpm_band_witness", (q, TransitionTable("TPM", tpm.values, levels, levels))))
+    return calls + _table_and_unitary_calls(d, rng, spec, cells)
+
+
+def _table_and_unitary_calls(d: int, rng, spec, cells) -> list[tuple[str, tuple]]:
+    """(name, args) of calls of the tables, the unitary constructors,
+    ``commutator_norm``, ``rotation_angle`` and ``matrix_exp``, plus the
+    calls where each of them raises."""
+    calls = []
+    for sys, u in cells:
+        h = _total_hamiltonian(sys.spectrum_c.levels, sys.spectrum_h.levels)
+        calls += [
+            ("mh_distribution", (sys, u)), ("tpm_distribution", (sys, u)),
+            ("mh_distribution", (sys, unwrap(u))), ("commutator_norm", (u, h)),
+        ]
+    pairs = [(n, m) for n in range(d) for m in range(n + 1, d)]
+    for with_phases in (False, True):
+        rots = [ManifoldRotation(pair, *rng.uniform(0.0, 2.0 * np.pi, 4 if with_phases else 1)) for pair in pairs]
+        calls.append(("energy_preserving_unitary", (spec, rots)))
+    calls.append(("energy_preserving_unitary", (spec, rots[:1])))
+    calls.append(("energy_preserving_unitary", (spec, ())))
+    for theta, kappa, lam, phi, gap in rng.uniform(0.0, 2.0 * np.pi, (3, 5)):
+        two_qubit = two_qubit_exchange_unitary(theta, kappa, lam, phi, 0.2 + gap)
+        calls += [
+            ("two_qubit_exchange_unitary", (theta, kappa, lam, phi, 0.2 + gap)),
+            ("two_qubit_exchange_unitary", (theta,)),
+            ("xy_exchange_unitary", (theta, kappa, 0.2 + gap)),
+            ("xy_exchange_unitary", (theta, 0.0)),
+            ("perturbed_xy_unitary", (theta, lam, kappa, 0.2 + gap, 0.2 + phi)),
+            ("perturbed_xy_unitary", (theta, lam, kappa)),
+            ("rotation_angle", (two_qubit,)),
+            ("rotation_angle", (xy_exchange_unitary(theta, kappa).matrix,)),
+            ("commutator_norm", (perturbed_xy_unitary(theta, lam, kappa), _total_hamiltonian((0.0, 1.0)))),
+        ]
+    generator = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    hermitian = generator + generator.conj().T
+    calls += [
+        ("matrix_exp", (hermitian,)), ("matrix_exp", (-0.3j * hermitian,)), ("matrix_exp", (np.zeros((d, d)),)),
+        ("matrix_exp", (-1e-12j * hermitian,)),  # anti-Hermitian within the Hermiticity tolerance: Hermitian branch
+        ("commutator_norm", (cells[0][1], hermitian)),
+    ]
+    # every raising case
+    sys, u = cells[0]
+    levels = tuple(map(float, range(d)))
+    calls += [
+        ("mh_distribution", (sys, np.eye(d * d + 1))),
+        ("tpm_distribution", (sys, np.eye(d * d + 1))),
+        ("mh_distribution", (sys, 2.0 * unwrap(u))),
+        ("tpm_distribution", (sys, 2.0 * unwrap(u))),
+        ("mh_distribution", (sys, 0.5 * unwrap(u))),
+        ("tpm_distribution", (sys, 0.5 * unwrap(u))),
+        ("energy_preserving_unitary", (spec, [ManifoldRotation((0, d), 0.3)])),
+        ("energy_preserving_unitary", (spec, [ManifoldRotation((0, 1), 0.3), ManifoldRotation((1, 0), 0.2)])),
+        ("two_qubit_exchange_unitary", (0.3, 0.0, 0.0, 0.0, -1.0)),
+        ("xy_exchange_unitary", (1.0, -0.1)),
+        ("perturbed_xy_unitary", (1.0, 0.1, -0.1)),
+        ("matrix_exp", (generator,)),
+    ]
+    if d > 2:  # equally spaced levels repeat a gap
+        calls.append(("energy_preserving_unitary", (EnergySpectrum(levels), [ManifoldRotation((0, 1), 0.3)])))
     return calls
+
+
+def _package_name(name: str):
+    """The package's single-cell function of that name."""
+    modules = (witnesses, fluctuations, dynamics, linalg)
+    return next(getattr(m, name) for m in modules if name in vars(m) and callable(vars(m)[name]))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_single_cell_names_equal_the_scalar_reference(d):
     raised = set()
     for name, args in _single_cell_calls(d):
-        module = witnesses if name.endswith("_witness") else fluctuations
-        got = _outcome(getattr(module, name), args)
+        got = _outcome(_package_name(name), args)
         assert got == _outcome(getattr(reference, name), args), name
         if "Error: " in got:
             raised.add((name, got.split(":")[0]))
     assert raised == {
+        ("mh_distribution", "ValueError"),
+        ("tpm_distribution", "ValueError"),
+        ("energy_preserving_unitary", "ValueError"),
+        ("two_qubit_exchange_unitary", "ValueError"),
+        ("xy_exchange_unitary", "ValueError"),
+        ("perturbed_xy_unitary", "ValueError"),
+        ("matrix_exp", "ValueError"),
         ("xft_coherence_term", "DivergenceError"),
         ("xft_average", "DivergenceError"),
         ("xft_average", "ValueError"),
@@ -540,3 +621,30 @@ def test_single_cell_names_equal_the_scalar_reference(d):
         ("correlation_flow_witness", "DivergenceError"),
         ("tpm_band_witness", "ValueError"),
     }
+
+
+def test_each_single_cell_table_and_unitary_is_checked_once(monkeypatch):
+    calls = []
+    for module, name in ((fluctuations, "check_tables"), (dynamics, "_check_unitary"), (fluctuations, "_correction_operators")):
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _check=check, _name=name: calls.append(_name) or _check(*args))
+
+    def checks(fn, *args):
+        calls.clear()
+        fn(*args)
+        return list(calls)
+
+    rng = np.random.default_rng(5)
+    for d in (2, 3):
+        sys, u, rots = random_system_and_unitary(rng, d)
+        assert checks(mh_distribution, sys, u) == ["check_tables"]
+        assert checks(tpm_distribution, sys, u) == ["check_tables"]
+        assert checks(energy_preserving_unitary, sys.spectrum_c, rots) == ["_check_unitary"]
+        assert checks(fluctuations.heat_exp_correction, sys, u) == ["_correction_operators"]  # built once per J
+        # built directly, a table or a report is checked
+        values = mh_distribution(sys, u).values
+        assert checks(TransitionTable, "MH", values, sys.spectrum_c.levels, sys.spectrum_h.levels) == ["check_tables"]
+        assert checks(UnitaryReport, unwrap(u), 0.0) == ["_check_unitary"]
+    assert checks(two_qubit_exchange_unitary, 0.4) == ["_check_unitary"]
+    assert checks(xy_exchange_unitary, 2.0, 0.1) == ["_check_unitary"]
+    assert checks(perturbed_xy_unitary, 2.0, 0.3, 0.1) == ["_check_unitary"]
