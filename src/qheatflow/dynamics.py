@@ -220,20 +220,46 @@ def _xy_perturbation(j_hz: np.ndarray, t: np.ndarray):
 
     U = exp(-i (H_xy + J_x sigma_x sigma_x) t), as an (n, 4, 4) stack, and
     epsilon = ||U - U_ref|| per matrix, with U_ref the J_x = 0 unitary.
-    H_xy and U_ref are built once, so repeated evaluations (the J_x
-    bisection) cost one stacked exponential and norm each.  By the
-    contract of ``matrix_exp_stack`` each matrix and epsilon equal the
-    single-cell ones bit for bit.
+    H_xy and U_ref are built once; each evaluation is one stacked
+    exponential and norm, over the cells at ``index`` (J_x then holds one
+    value per such cell).  By the contract of ``matrix_exp_stack`` each
+    matrix and epsilon equal the single-cell ones bit for bit, whichever
+    cells are evaluated together.
     """
     h_xy, t = _xy_generators(j_hz, t)
     xx = kron(SIGMA_X, SIGMA_X)
     u_ref = matrix_exp_stack(-1j * h_xy * t)
 
-    def perturbed(j_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = matrix_exp_stack(-1j * (h_xy + j_x[:, None, None] * xx) * t)
-        return u, spectral_norms(u - u_ref)
+    def perturbed(j_x: np.ndarray, index=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        u = matrix_exp_stack(-1j * (h_xy[index] + j_x[:, None, None] * xx) * t[index])
+        return u, spectral_norms(u - u_ref[index])
 
     return perturbed
+
+
+def _xy_perturbation_epsilon(j_hz: np.ndarray, j_x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(epsilon, margin): the epsilon of ``_xy_perturbation`` in closed form,
+    elementwise, and a bound on its distance to the stacked epsilon.
+
+    H_xy + J_x sigma_x sigma_x is J_x sigma_x on {|00>, |11>} and
+    J_x sigma_x + pi J sigma_y on {|01>, |10>}, where H_xy alone is
+    pi J sigma_y.  On the first block U - U_ref has norm 2|sin(J_x t / 2)|;
+    on the second it is a - i v.sigma, of norm |(a, v)|, with r = |(J_x, pi J)|,
+    phi = pi J t, a = cos(r t) - cos(phi) and
+    v = (sin(r t) J_x / r, sin(r t) pi J / r - sin(phi)).  sin(r t) / r is
+    t sinc, finite at r = 0.  Both forms round to within a few ulps of the
+    phases, which ``margin`` covers with room to spare (the tests hold the
+    two to margin / 8).  A nan epsilon or margin is to count as a near tie.
+    """
+    pi_j = np.pi * j_hz
+    r = np.hypot(j_x, pi_j)
+    phi = pi_j * t
+    sin_rt_over_r = t * np.sinc(r * t / np.pi)
+    a = np.cos(r * t) - np.cos(phi)
+    v = np.hypot(sin_rt_over_r * j_x, sin_rt_over_r * pi_j - np.sin(phi))
+    epsilon = np.maximum(2.0 * np.abs(np.sin(0.5 * j_x * t)), np.hypot(a, v))
+    margin = 64 * np.finfo(float).eps * (1.0 + (np.abs(j_x) + np.abs(pi_j)) * t)
+    return epsilon, margin
 
 
 def perturbed_xy_unitary(

@@ -52,6 +52,7 @@ from .dynamics import (
     UnitaryReport,
     UnitaryStack,
     _xy_perturbation,
+    _xy_perturbation_epsilon,
     energy_preserving_unitary,
     exchange_unitary_stack,
     perturbed_xy_unitary,
@@ -442,13 +443,16 @@ def _solve_jx_for_eps(j_hz, t, eps_target, jx_hi: float = 4000.0):
     scalar or per-target J and t; returns the shape of ``eps_target``.
 
     eps(J_x) is the ``epsilon`` of ``perturbed_xy_unitary`` (one shared
-    code path).  All targets take the same 60 halvings in lockstep, each
-    one stacked exponential and norm over the targets, so every result
-    equals the single-target bisection bit for bit.  eps(J_x) is not
-    monotone on [0, 4000], so the result is the crossing the bisection
-    finds, not necessarily the smallest root.  Targets <= 0 give 0.0.  The
-    first target that has no solution raises: a nan target or one above
-    eps(jx_hi) a ConfigError, a negative t a ValueError.
+    code path).  All targets take the reachability test at ``jx_hi`` and
+    the same 60 halvings in lockstep.  Each comparison eps(J_x) < target
+    is read from the closed form of eps where it lies outside that form's
+    error margin; the near ties left take one stacked exponential and norm
+    over just those targets.  So every comparison, and every result,
+    equals the single-target bisection on the exact eps bit for bit.
+    eps(J_x) is not monotone on [0, 4000], so the result is the crossing
+    the bisection finds, not necessarily the smallest root.  Targets <= 0
+    give 0.0.  The first target that has no solution raises: a nan target
+    or one above eps(jx_hi) a ConfigError, a negative t a ValueError.
     """
     targets = np.asarray(eps_target, dtype=float)
     want = targets.reshape(-1)
@@ -459,8 +463,18 @@ def _solve_jx_for_eps(j_hz, t, eps_target, jx_hi: float = 4000.0):
     if todo.size:
         bad = np.isnan(want[todo]) | (t[todo] < 0)
         todo, failed = todo[~bad], todo[bad]
-        perturbed = _xy_perturbation(j_hz[todo], t[todo])
-        failed = np.union1d(failed, todo[perturbed(np.full(todo.size, jx_hi))[1] < want[todo]])
+        j_todo, t_todo, goal = j_hz[todo], t[todo], want[todo]
+        perturbed = _xy_perturbation(j_todo, t_todo)
+
+        def below(j_x):  # eps(j_x) < goal; a nan closed form is a near tie
+            epsilon, margin = _xy_perturbation_epsilon(j_todo, j_x, t_todo)
+            out = epsilon < goal
+            near = np.flatnonzero(~(np.abs(epsilon - goal) > margin))
+            if near.size:
+                out[near] = perturbed(j_x[near], near)[1] < goal[near]
+            return out
+
+        failed = np.union1d(failed, todo[below(np.full(todo.size, jx_hi))])
         if failed.size:  # the first one in order
             i = failed[0]
             if np.isnan(want[i]):
@@ -471,8 +485,8 @@ def _solve_jx_for_eps(j_hz, t, eps_target, jx_hi: float = 4000.0):
         lo, hi = np.zeros(todo.size), np.full(todo.size, jx_hi)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            below = perturbed(mid)[1] < want[todo]
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            is_below = below(mid)
+            lo, hi = np.where(is_below, mid, lo), np.where(is_below, hi, mid)
         jx[todo] = 0.5 * (lo + hi)
     return float(jx[0]) if targets.ndim == 0 else jx
 

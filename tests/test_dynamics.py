@@ -7,6 +7,8 @@ from qheatflow.dynamics import (
     _commutes_exactly,
     _stack_report,
     _total_hamiltonian,
+    _xy_perturbation,
+    _xy_perturbation_epsilon,
     commutator_norm,
     energy_preserving_unitary,
     exchange_unitary_stack,
@@ -181,6 +183,26 @@ def test_perturbed_epsilon_matches_singular_value_oracle(rng):
     diff = u.matrix - ref.matrix
     largest_sv = np.sqrt(np.linalg.eigvalsh(diff.conj().T @ diff)[-1])
     assert u.epsilon == pytest.approx(largest_sv, abs=1e-12)
+
+
+@pytest.mark.parametrize("j_hz", [0.0, 1.0, 220.0, 400.0])
+@pytest.mark.parametrize("t", [0.0, 1e-4, 0.004, 1.0])
+def test_closed_form_epsilon_is_within_its_margin_of_the_stacked_one(j_hz, t):
+    # t = 1 takes the phases r t into the thousands of radians
+    j_x = np.concatenate([np.linspace(0.0, 4000.0, 4001), [1e-300, 5e-324, 0.5, 4000.0 - 1e-9]])
+    j_hz, t = np.full(j_x.size, j_hz), np.full(j_x.size, t)
+    epsilon, margin = _xy_perturbation_epsilon(j_hz, j_x, t)
+    exact = _xy_perturbation(j_hz, t)(j_x)[1]
+    assert np.all(np.abs(epsilon - exact) <= margin / 8)
+
+
+def test_perturbed_epsilon_of_a_subset_equals_the_full_stack_bit_for_bit(rng):
+    j_hz, t, j_x = rng.uniform(50.0, 400.0, 12), rng.uniform(0.0, 1e-2, 12), rng.uniform(0.0, 4000.0, 12)
+    perturbed = _xy_perturbation(j_hz, t)
+    u, epsilon = perturbed(j_x)
+    index = np.array([0, 5, 11])
+    u_sub, epsilon_sub = perturbed(j_x[index], index)
+    assert u_sub.tobytes() == u[index].tobytes() and epsilon_sub.tobytes() == epsilon[index].tobytes()
 
 
 def test_perturbed_commutator_strictly_positive():

@@ -20,6 +20,7 @@ from qheatflow.linalg import (
     partial_trace,
     partial_transpose,
     spectral_norm,
+    spectral_norms,
 )
 
 
@@ -194,6 +195,14 @@ def test_unitary_distance_at_most_two():
         u, v = _rand_unitary(rng, 4), _rand_unitary(rng, 4)
         assert spectral_norm(u - v) <= 2.0 + 1e-12
         assert np.isclose(spectral_norm(u), 1.0)
+
+
+@pytest.mark.parametrize("n,dim", [(500, 4), (1, 4), (20, 9)])
+def test_spectral_norms_equal_the_numpy_matrix_two_norm_bit_for_bit(n, dim):
+    rng = np.random.default_rng(dim * 1000 + n)
+    stack = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    stack[n // 2] = 0.0
+    assert spectral_norms(stack).tobytes() == np.linalg.norm(stack, 2, axis=(-2, -1)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -881,6 +881,26 @@ def test_nonideal_sweep_solves_in_one_call(monkeypatch):
         assert r["jx"] == _solve_jx_for_eps(220.0, r["unitary.t"], r["eps"])
 
 
+def test_shipped_nonideal_sweep_screens_most_comparisons_by_the_closed_form(monkeypatch):
+    # the unscreened bisection makes 61 stacked evaluations: eps(4000) and 60 halvings
+    evaluated = []
+    perturbation = sweeps._xy_perturbation
+
+    def counting(j_hz, t):
+        perturbed = perturbation(j_hz, t)
+
+        def counted(j_x, index=slice(None)):
+            evaluated.append(j_x.size)
+            return perturbed(j_x, index)
+
+        return counted
+
+    monkeypatch.setattr(sweeps, "_xy_perturbation", counting)
+    result = run_sweep(SweepSpec.from_config(load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg"))))
+    assert any(r["status"] == "ok" and r["eps"] > 0 for r in result.rows)
+    assert 0 < len(evaluated) <= 20
+
+
 def test_nonideal_sweep_names_the_first_unreachable_cell():
     # eps(4000) is ~1.82 at t = 0.001 and ~1.51 at t = 0.002: eps = 1.6
     # fails in the second cell, eps = 1.9 in the third (at the first t)
