@@ -73,9 +73,9 @@ def partial_transpose(m, dims: tuple[int, int], which: str) -> np.ndarray:
 
 
 def hermiticity_defect(m) -> float:
-    """Max absolute entry of M - M†."""
+    """Max absolute entry of M - M† (0.0 for an empty matrix)."""
     m = _square(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(hermiticity_defects(m[None])[0]) if m.size else 0.0
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -96,15 +96,11 @@ def spectral_norm(m) -> float:
 def matrix_exp(m) -> np.ndarray:
     """Matrix exponential of a Hermitian or anti-Hermitian generator.
 
-    Every use in this package is exp(-i H t) with H Hermitian.  Both kinds
-    go through the eigendecomposition of ``matrix_exp_stack`` (``_eigh_exp``
-    on the one matrix); any other square input raises ValueError.
+    Every use in this package is exp(-i H t) with H Hermitian.  It is
+    ``matrix_exp_stack`` on a one-matrix stack; any other square input
+    raises ValueError.
     """
-    m = _square(m)
-    for x, phase in ((m, 1.0), (1j * m, -1j)):  # the branches of matrix_exp_stack, in its order
-        if hermiticity_defects(x) <= HERMITICITY_TOL:
-            return _eigh_exp(x, phase)
-    raise ValueError(NOT_A_GENERATOR)
+    return matrix_exp_stack(_square(m)[None])[0]
 
 
 def hermiticity_defects(m: np.ndarray) -> np.ndarray:
@@ -131,11 +127,11 @@ def _eigh_exp(x: np.ndarray, phase) -> np.ndarray:
 def matrix_exp_stack(m) -> np.ndarray:
     """``matrix_exp`` of each matrix of an (n, D, D) stack.
 
-    Each matrix takes the branch ``matrix_exp`` takes for it, through the
-    same formula (exp(1.0 * w) is exp(w) bit for bit); stacked ``eigh``
-    and matmul make the same LAPACK/BLAS call per matrix, so every result
-    equals the single-matrix one bit for bit.  A matrix that is neither
-    Hermitian nor anti-Hermitian raises ValueError, as in ``matrix_exp``.
+    Each matrix takes its own branch, Hermitian first, through the one
+    formula of ``_eigh_exp`` (exp(1.0 * w) is exp(w) bit for bit); stacked
+    ``eigh`` and matmul make the same LAPACK/BLAS call per matrix, so every
+    result equals ``matrix_exp`` of that matrix alone bit for bit.  A
+    matrix that is neither Hermitian nor anti-Hermitian raises ValueError.
     """
     m = np.asarray(m, dtype=complex)
     herm = hermiticity_defects(m) <= HERMITICITY_TOL

@@ -5,6 +5,11 @@ seed, evaluates ``n_trials`` instances (or a grid of comparable size)
 and reports the failure count plus the worst deviation seen.  The same
 generators back the pytest property tests, so `qheatflow check` is the
 packaged, CI-friendly way to re-run them.
+
+A property maps ``(rng, n)`` to ``(failures, max_dev, note)``.  Most are
+one trial ``(rng, k) -> (deviation, failures)`` that ``_trials`` runs for
+k = 0..n-1 in order: the failures summed, max_dev the largest deviation
+floored at 0.0.  The others set their own trial count, start or note.
 """
 
 from __future__ import annotations
@@ -16,12 +21,16 @@ import numpy as np
 from . import dynamics, fluctuations, linalg, probe, states, witnesses
 from .dynamics import ManifoldRotation
 
+MIN_POPULATION = 1e-3  # the least joint population of a drawn two-qubit or two-qutrit state
+QUDIT_MIN_POPULATION = 5e-4  # ... and of a drawn d x d state
+NONNEG_MAX_DRAWS = 200  # draws ``_nonneg_instance`` makes before it gives up
+
 
 # ---------------------------------------------------------------------------
 # random instance generators
 # ---------------------------------------------------------------------------
 
-def random_two_qubit_system(rng, coherent: bool = True, min_pop: float = 1e-3):
+def random_two_qubit_system(rng, coherent: bool = True):
     """Locally thermal two-qubit state with beta_C > beta_H."""
     while True:
         beta_h = rng.uniform(0.1, 1.2)
@@ -34,11 +43,11 @@ def random_two_qubit_system(rng, coherent: bool = True, min_pop: float = 1e-3):
         xi = rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0
         params = states.TwoQubitParams(beta_c, beta_h, p00, eta, xi)
         sys = states.two_qubit_state(params)
-        if sys.populations().min() >= min_pop:
+        if sys.populations().min() >= MIN_POPULATION:
             return sys, params
 
 
-def random_two_qutrit_system(rng, coherent: bool = True, min_pop: float = 1e-3):
+def random_two_qutrit_system(rng, coherent: bool = True):
     """Feasible two-qutrit instance; free populations jittered around product values."""
     while True:
         e1 = rng.uniform(0.7, 1.3)
@@ -66,11 +75,11 @@ def random_two_qutrit_system(rng, coherent: bool = True, min_pop: float = 1e-3):
             sys = states.two_qutrit_state(params)
         except states.InfeasibleStateError:
             continue
-        if sys.populations().min() >= min_pop:
+        if sys.populations().min() >= MIN_POPULATION:
             return sys, params
 
 
-def random_qudit_system(rng, d: int = 4, min_pop: float = 5e-4):
+def random_qudit_system(rng, d: int = 4):
     """Locally thermal d x d instance via the general constructor."""
     while True:
         levels = [0.0]
@@ -98,7 +107,7 @@ def random_qudit_system(rng, d: int = 4, min_pop: float = 5e-4):
             sys = states.qudit_locally_thermal(spec, beta_c, beta_h, free, eta_map, xi_map)
         except states.InfeasibleStateError:
             continue
-        if sys.populations().min() >= min_pop:
+        if sys.populations().min() >= QUDIT_MIN_POPULATION:
             return sys
 
 
@@ -151,123 +160,115 @@ class PropertyResult:
         return self.failures == 0
 
 
-def _prop_kron_algebra(rng, n):
-    failures = 0
-    worst = 0.0
-    for _ in range(n):
-        a, b, c = (_random_complex(rng, k) for k in (2, 3, 2))
-        dev = np.max(
-            np.abs(linalg.kron(linalg.kron(a, b), c) - linalg.kron(a, linalg.kron(b, c)))
-        )
-        s, t = rng.standard_normal(2)
-        dev = max(
-            dev,
-            np.max(np.abs(linalg.kron(s * a + t * c, b) - (s * linalg.kron(a, b) + t * linalg.kron(c, b)))),
-        )
-        worst = max(worst, dev)
-        failures += dev >= 1e-12
-    return failures, worst, "associativity + bilinearity"
+def _trials(note: str):
+    """The property ``(rng, n) -> (failures, max_dev, note)`` of a trial
+    ``(rng, k) -> (deviation, failures)``: k = 0..n-1 in order, the failures
+    summed, max_dev the largest deviation from 0.0 (a nan is never kept)."""
+    def wrap(trial):
+        def prop(rng, n):
+            failures, worst = 0, 0.0
+            for k in range(n):
+                dev, bad = trial(rng, k)
+                failures += bad
+                worst = max(worst, dev)
+            return failures, worst, note
+        return prop
+    return wrap
 
 
-def _prop_partial_ops(rng, n):
-    failures = 0
-    worst = 0.0
-    for _ in range(n):
-        d_c, d_h = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        a, b = _random_complex(rng, d_c), _random_complex(rng, d_h)
-        m = linalg.kron(a, b)
-        dev = np.max(np.abs(linalg.partial_trace(m, (d_c, d_h), "H") - np.trace(b) * a))
-        dev = max(dev, np.max(np.abs(linalg.partial_trace(m, (d_c, d_h), "C") - np.trace(a) * b)))
-        pt = linalg.partial_transpose(m, (d_c, d_h), "H")
-        dev = max(dev, np.max(np.abs(linalg.partial_transpose(pt, (d_c, d_h), "H") - m)))
-        # spectrum of a product state is preserved under partial transposition
-        rho = a @ a.conj().T
-        sig = b @ b.conj().T
-        rho /= np.trace(rho).real
-        sig /= np.trace(sig).real
-        prod = linalg.kron(rho, sig)
-        ev1 = linalg.hermitian_eigenvalues(prod)
-        ev2 = linalg.hermitian_eigenvalues(linalg.partial_transpose(prod, (d_c, d_h), "H"))
-        dev = max(dev, np.max(np.abs(ev1 - ev2)))
-        worst = max(worst, dev)
-        failures += dev >= 1e-10
-    return failures, worst, "partial trace/transpose identities"
+@_trials("associativity + bilinearity")
+def _prop_kron_algebra(rng, k):
+    a, b, c = (_random_complex(rng, side) for side in (2, 3, 2))
+    dev = np.max(
+        np.abs(linalg.kron(linalg.kron(a, b), c) - linalg.kron(a, linalg.kron(b, c)))
+    )
+    s, t = rng.standard_normal(2)
+    dev = max(
+        dev,
+        np.max(np.abs(linalg.kron(s * a + t * c, b) - (s * linalg.kron(a, b) + t * linalg.kron(c, b)))),
+    )
+    return dev, dev >= 1e-12
 
 
-def _prop_unitarity(rng, n):
-    failures = 0
-    worst = 0.0
-    for _ in range(n):
-        dim = int(rng.integers(2, 5))
-        sys, u, rots = random_system_and_unitary(rng, dim if dim <= 3 else 4)
-        mat = u.matrix
-        dev = linalg.spectral_norm(mat @ mat.conj().T - np.eye(mat.shape[0]))
-        dev = max(dev, u.commutator_norm)
-        dev = max(dev, abs(linalg.spectral_norm(mat) - 1.0))
-        # identity outside the declared manifolds
-        d = sys.d_c
-        mask = np.eye(d * d, dtype=bool)
-        for rot in rots:
-            a, b = rot.level_pair[0] * d + rot.level_pair[1], rot.level_pair[1] * d + rot.level_pair[0]
-            mask[a, a] = mask[b, b] = mask[a, b] = mask[b, a] = False
-        off = np.abs(mat - np.eye(d * d))[mask].max()
-        dev = max(dev, off)
-        worst = max(worst, dev)
-        failures += dev >= 1e-10
-    return failures, worst, "unitarity, commutation, manifold confinement"
+@_trials("partial trace/transpose identities")
+def _prop_partial_ops(rng, k):
+    d_c, d_h = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    a, b = _random_complex(rng, d_c), _random_complex(rng, d_h)
+    m = linalg.kron(a, b)
+    dev = np.max(np.abs(linalg.partial_trace(m, (d_c, d_h), "H") - np.trace(b) * a))
+    dev = max(dev, np.max(np.abs(linalg.partial_trace(m, (d_c, d_h), "C") - np.trace(a) * b)))
+    pt = linalg.partial_transpose(m, (d_c, d_h), "H")
+    dev = max(dev, np.max(np.abs(linalg.partial_transpose(pt, (d_c, d_h), "H") - m)))
+    # spectrum of a product state is preserved under partial transposition
+    rho = a @ a.conj().T
+    sig = b @ b.conj().T
+    rho /= np.trace(rho).real
+    sig /= np.trace(sig).real
+    prod = linalg.kron(rho, sig)
+    ev1 = linalg.hermitian_eigenvalues(prod)
+    ev2 = linalg.hermitian_eigenvalues(linalg.partial_transpose(prod, (d_c, d_h), "H"))
+    dev = max(dev, np.max(np.abs(ev1 - ev2)))
+    return dev, dev >= 1e-10
 
 
-def _prop_state_validity(rng, n):
-    failures = 0
-    worst = 0.0
-    for k in range(n):
-        if k % 2 == 0:
-            sys, _ = random_two_qubit_system(rng)
-        else:
-            sys, _ = random_two_qutrit_system(rng)
-        target_c = states.thermal_populations(sys.spectrum_c, sys.beta_c)
-        target_h = states.thermal_populations(sys.spectrum_h, sys.beta_h)
-        dev = np.max(np.abs(np.diag(sys.marginal_c()).real - target_c))
-        dev = max(dev, np.max(np.abs(np.diag(sys.marginal_h()).real - target_h)))
-        dev = max(dev, abs(np.trace(sys.rho).real - 1.0))
-        dev = max(dev, max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])))
-        worst = max(worst, dev)
-        failures += dev >= 1e-9
-    return failures, worst, "constructed states stay thermal and positive"
+@_trials("unitarity, commutation, manifold confinement")
+def _prop_unitarity(rng, k):
+    dim = int(rng.integers(2, 5))
+    sys, u, rots = random_system_and_unitary(rng, dim if dim <= 3 else 4)
+    mat = u.matrix
+    dev = linalg.spectral_norm(mat @ mat.conj().T - np.eye(mat.shape[0]))
+    dev = max(dev, u.commutator_norm)
+    dev = max(dev, abs(linalg.spectral_norm(mat) - 1.0))
+    # identity outside the declared manifolds
+    d = sys.d_c
+    mask = np.eye(d * d, dtype=bool)
+    for rot in rots:
+        a, b = rot.level_pair[0] * d + rot.level_pair[1], rot.level_pair[1] * d + rot.level_pair[0]
+        mask[a, a] = mask[b, b] = mask[a, b] = mask[b, a] = False
+    off = np.abs(mat - np.eye(d * d))[mask].max()
+    dev = max(dev, off)
+    return dev, dev >= 1e-10
 
 
-def _prop_dephase(rng, n):
-    failures = 0
-    worst = 0.0
-    for _ in range(n):
+@_trials("constructed states stay thermal and positive")
+def _prop_state_validity(rng, k):
+    if k % 2 == 0:
+        sys, _ = random_two_qubit_system(rng)
+    else:
         sys, _ = random_two_qutrit_system(rng)
-        deph = states.dephase(sys)
-        twice = states.dephase(deph)
-        dev = np.max(np.abs(twice.rho - deph.rho))
-        dims = sys.dims
-        for which in ("C", "H"):
-            lhs = linalg.partial_trace(deph.rho, dims, which)
-            rhs = linalg.partial_trace(sys.rho, dims, which)
-            # local spectra are nondegenerate, so dephasing the joint state
-            # cannot move the marginals
-            dev = max(dev, np.max(np.abs(lhs - rhs)))
-        worst = max(worst, dev)
-        failures += dev >= 1e-12
-    return failures, worst, "dephasing idempotent, marginal-preserving"
+    target_c = states.thermal_populations(sys.spectrum_c, sys.beta_c)
+    target_h = states.thermal_populations(sys.spectrum_h, sys.beta_h)
+    dev = np.max(np.abs(np.diag(sys.marginal_c()).real - target_c))
+    dev = max(dev, np.max(np.abs(np.diag(sys.marginal_h()).real - target_h)))
+    dev = max(dev, abs(np.trace(sys.rho).real - 1.0))
+    dev = max(dev, max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])))
+    return dev, dev >= 1e-9
 
 
-def _prop_mh_marginals(rng, n):
-    failures = 0
-    worst = 0.0
-    for k in range(n):
-        sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-        mh = fluctuations.mh_distribution(sys, u)
-        dev = fluctuations.marginal_check(mh, sys, u)
-        tpm = fluctuations.tpm_distribution(sys, u)
-        dev = max(dev, fluctuations.marginal_check(tpm, sys, u))
-        worst = max(worst, dev)
-        failures += dev >= 1e-10
-    return failures, worst, "both marginal identities"
+@_trials("dephasing idempotent, marginal-preserving")
+def _prop_dephase(rng, k):
+    sys, _ = random_two_qutrit_system(rng)
+    deph = states.dephase(sys)
+    twice = states.dephase(deph)
+    dev = np.max(np.abs(twice.rho - deph.rho))
+    dims = sys.dims
+    for which in ("C", "H"):
+        lhs = linalg.partial_trace(deph.rho, dims, which)
+        rhs = linalg.partial_trace(sys.rho, dims, which)
+        # local spectra are nondegenerate, so dephasing the joint state
+        # cannot move the marginals
+        dev = max(dev, np.max(np.abs(lhs - rhs)))
+    return dev, dev >= 1e-12
+
+
+@_trials("both marginal identities")
+def _prop_mh_marginals(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+    mh = fluctuations.mh_distribution(sys, u)
+    dev = fluctuations.marginal_check(mh, sys, u)
+    tpm = fluctuations.tpm_distribution(sys, u)
+    dev = max(dev, fluctuations.marginal_check(tpm, sys, u))
+    return dev, dev >= 1e-10
 
 
 def _prop_table_norm_range(rng, n):
@@ -278,14 +279,11 @@ def _prop_table_norm_range(rng, n):
         sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
         mh = fluctuations.mh_distribution(sys, u)
         tpm = fluctuations.tpm_distribution(sys, u)
-        worst_sum = max(
-            worst_sum,
-            abs(mh.values.sum() - 1.0),
-            abs(tpm.values.sum() - 1.0),
-        )
+        sums = (abs(mh.values.sum() - 1.0), abs(tpm.values.sum() - 1.0))
+        worst_sum = max(worst_sum, *sums)
         lowest = min(lowest, mh.min_entry())
         bad = (
-            worst_sum >= 1e-10
+            max(sums) >= 1e-10
             or mh.min_entry() < fluctuations.MH_LOWER_BOUND - 1e-10
             or tpm.min_entry() < -1e-12
             or mh.values.max() > 1 + 1e-10
@@ -294,148 +292,124 @@ def _prop_table_norm_range(rng, n):
     return failures, worst_sum, f"sum=1; min MH entry seen {lowest:.4f} >= -1/8"
 
 
-def _prop_heat_identities(rng, n):
-    failures = 0
-    worst = 0.0
-    for k in range(n):
-        sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-        mh = fluctuations.mh_distribution(sys, u)
-        tpm = fluctuations.tpm_distribution(sys, u)
-        q = fluctuations.average_heat(sys, u)
-        dev = abs(fluctuations.table_heat(mh) - q)
-        diag = sys.with_rho(np.diag(np.diag(sys.rho)))
-        dev = max(dev, abs(fluctuations.table_heat(tpm) - fluctuations.average_heat(diag, u)))
-        rep = fluctuations.flow_decomposition(mh)
-        dev = max(dev, abs(rep.q_back - rep.q_direct - rep.q))
-        worst = max(worst, dev)
-        failures += dev >= 1e-10
-    return failures, worst, "table heat = operator heat; Q = Qback - Qdirect"
+@_trials("table heat = operator heat; Q = Qback - Qdirect")
+def _prop_heat_identities(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+    mh = fluctuations.mh_distribution(sys, u)
+    tpm = fluctuations.tpm_distribution(sys, u)
+    q = fluctuations.average_heat(sys, u)
+    dev = abs(fluctuations.table_heat(mh) - q)
+    diag = sys.with_rho(np.diag(np.diag(sys.rho)))
+    dev = max(dev, abs(fluctuations.table_heat(tpm) - fluctuations.average_heat(diag, u)))
+    rep = fluctuations.flow_decomposition(mh)
+    dev = max(dev, abs(rep.q_back - rep.q_direct - rep.q))
+    return dev, dev >= 1e-10
 
 
-def _prop_mh_tpm_dephased(rng, n):
-    failures = 0
-    worst = 0.0
-    for _ in range(n):
-        sys, u, _ = random_system_and_unitary(rng, 2)
-        diag = sys.with_rho(np.diag(np.diag(sys.rho)))
-        dev = np.max(
+@_trials("MH = TPM on dephased states")
+def _prop_mh_tpm_dephased(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2)
+    diag = sys.with_rho(np.diag(np.diag(sys.rho)))
+    dev = np.max(
+        np.abs(
+            fluctuations.mh_distribution(diag, u).values
+            - fluctuations.tpm_distribution(diag, u).values
+        )
+    )
+    # block dephasing never changes either table under energy-preserving U
+    deph = states.dephase(sys)
+    dev = max(
+        dev,
+        np.max(
             np.abs(
-                fluctuations.mh_distribution(diag, u).values
-                - fluctuations.tpm_distribution(diag, u).values
+                fluctuations.mh_distribution(deph, u).values
+                - fluctuations.mh_distribution(sys, u).values
             )
-        )
-        # block dephasing never changes either table under energy-preserving U
-        deph = states.dephase(sys)
-        dev = max(
-            dev,
-            np.max(
-                np.abs(
-                    fluctuations.mh_distribution(deph, u).values
-                    - fluctuations.mh_distribution(sys, u).values
-                )
-            ),
-        )
-        worst = max(worst, dev)
-        failures += dev >= 1e-12
-    return failures, worst, "MH = TPM on dephased states"
+        ),
+    )
+    return dev, dev >= 1e-12
 
 
-def _prop_two_qubit_closed_forms(rng, n):
-    failures = 0
-    worst = 0.0
-    for _ in range(n):
-        sys, params = random_two_qubit_system(rng)
-        theta = rng.uniform(0.0, np.pi)
-        phi, lam = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        u = dynamics.two_qubit_exchange_unitary(theta, lam=lam, phi=phi)
-        mh = fluctuations.mh_distribution(sys, u)
-        tpm = fluctuations.tpm_distribution(sys, u)
-        cf = fluctuations.two_qubit_exchange_probs(
-            theta, params.eta, params.xi, params.beta_c, params.beta_h, params.p00,
-            phi=phi, lam=lam,
-        )
-        dev = max(
-            abs(cf["mh_01_10"] - mh.entry(0, 1, 1, 0)),
-            abs(cf["mh_10_01"] - mh.entry(1, 0, 0, 1)),
-            abs(cf["tpm_01_10"] - tpm.entry(0, 1, 1, 0)),
-            abs(cf["tpm_10_01"] - tpm.entry(1, 0, 0, 1)),
-        )
-        dev = max(
-            dev,
-            abs(
-                fluctuations.two_qubit_heat(
-                    theta, params.eta, params.xi, params.beta_c, params.beta_h,
-                    phi=phi, lam=lam,
-                )
-                - fluctuations.average_heat(sys, u)
-            ),
-        )
-        dev = max(
-            dev,
-            abs(
-                fluctuations.two_qubit_tpm_heat(theta, params.beta_c, params.beta_h)
-                - fluctuations.table_heat(tpm)
-            ),
-        )
-        worst = max(worst, dev)
-        failures += dev >= 1e-12
-    return failures, worst, "exchange entries, Q, Q_TPM vs matrix route"
+@_trials("exchange entries, Q, Q_TPM vs matrix route")
+def _prop_two_qubit_closed_forms(rng, k):
+    sys, params = random_two_qubit_system(rng)
+    theta = rng.uniform(0.0, np.pi)
+    phi, lam = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    u = dynamics.two_qubit_exchange_unitary(theta, lam=lam, phi=phi)
+    mh = fluctuations.mh_distribution(sys, u)
+    tpm = fluctuations.tpm_distribution(sys, u)
+    cf = fluctuations.two_qubit_exchange_probs(
+        theta, params.eta, params.xi, params.beta_c, params.beta_h, params.p00,
+        phi=phi, lam=lam,
+    )
+    dev = max(
+        abs(cf["mh_01_10"] - mh.entry(0, 1, 1, 0)),
+        abs(cf["mh_10_01"] - mh.entry(1, 0, 0, 1)),
+        abs(cf["tpm_01_10"] - tpm.entry(0, 1, 1, 0)),
+        abs(cf["tpm_10_01"] - tpm.entry(1, 0, 0, 1)),
+    )
+    dev = max(
+        dev,
+        abs(
+            fluctuations.two_qubit_heat(
+                theta, params.eta, params.xi, params.beta_c, params.beta_h,
+                phi=phi, lam=lam,
+            )
+            - fluctuations.average_heat(sys, u)
+        ),
+    )
+    dev = max(
+        dev,
+        abs(
+            fluctuations.two_qubit_tpm_heat(theta, params.beta_c, params.beta_h)
+            - fluctuations.table_heat(tpm)
+        ),
+    )
+    return dev, dev >= 1e-12
 
 
-def _prop_qudit_closed_forms(rng, n):
-    failures = 0
-    worst = 0.0
-    for k in range(n):
-        if k % 2 == 0:
-            sys, _ = random_two_qutrit_system(rng)
-        else:
-            sys = random_qudit_system(rng, 4)
-        rots = random_rotations(rng, sys.spectrum_c)
-        u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
-        mh = fluctuations.mh_distribution(sys, u)
-        tpm = fluctuations.tpm_distribution(sys, u)
-        dev = 0.0
-        for key, val in fluctuations.exchange_manifold_pw(sys, rots).items():
-            dev = max(dev, abs(val - mh.entry(*key)))
-        for key, val in fluctuations.exchange_manifold_tpm(sys, rots).items():
-            dev = max(dev, abs(val - tpm.entry(*key)))
-        worst = max(worst, dev)
-        failures += dev >= 1e-12
-    return failures, worst, "manifold closed forms, d = 3 and 4"
+@_trials("manifold closed forms, d = 3 and 4")
+def _prop_qudit_closed_forms(rng, k):
+    if k % 2 == 0:
+        sys, _ = random_two_qutrit_system(rng)
+    else:
+        sys = random_qudit_system(rng, 4)
+    rots = random_rotations(rng, sys.spectrum_c)
+    u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
+    mh = fluctuations.mh_distribution(sys, u)
+    tpm = fluctuations.tpm_distribution(sys, u)
+    dev = 0.0
+    for key, val in fluctuations.exchange_manifold_pw(sys, rots).items():
+        dev = max(dev, abs(val - mh.entry(*key)))
+    for key, val in fluctuations.exchange_manifold_tpm(sys, rots).items():
+        dev = max(dev, abs(val - tpm.entry(*key)))
+    return dev, dev >= 1e-12
 
 
-def _prop_xft_identity(rng, n):
-    failures = 0
-    worst = 0.0
-    for k in range(n):
-        sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-        mh = fluctuations.mh_distribution(sys, u)
-        rep = fluctuations.xft_average(mh, sys).with_chi(
-            fluctuations.xft_coherence_term(sys, u)
-        )
-        dev = rep.identity_gap() if rep.resonance_ok else np.inf
-        worst = max(worst, dev)
-        failures += dev >= 1e-8
-    return failures, worst, "<e^{dI+dB dE}> = 1 + chi_bar"
+@_trials("<e^{dI+dB dE}> = 1 + chi_bar")
+def _prop_xft_identity(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+    mh = fluctuations.mh_distribution(sys, u)
+    rep = fluctuations.xft_average(mh, sys).with_chi(
+        fluctuations.xft_coherence_term(sys, u)
+    )
+    dev = rep.identity_gap() if rep.resonance_ok else np.inf
+    return dev, dev >= 1e-8
 
 
-def _prop_j_identity(rng, n):
-    failures = 0
-    worst = 0.0
-    for k in range(n):
-        sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-        mh = fluctuations.mh_distribution(sys, u)
-        corr = fluctuations.heat_exp_correction(sys, u)
-        dbeta = sys.beta_c - sys.beta_h
-        direct = float((mh.values * np.exp(dbeta * mh.delta_e_c())).sum())
-        dev = abs(1.0 + corr.j - direct)
-        failures += dev >= 1e-10 or corr.j > corr.norm_bound + 1e-10
-        worst = max(worst, dev)
-    return failures, worst, "1 + J = <e^{dB dE}>; J <= ||c|| + ||q||"
+@_trials("1 + J = <e^{dB dE}>; J <= ||c|| + ||q||")
+def _prop_j_identity(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+    mh = fluctuations.mh_distribution(sys, u)
+    corr = fluctuations.heat_exp_correction(sys, u)
+    dbeta = sys.beta_c - sys.beta_h
+    direct = float((mh.values * np.exp(dbeta * mh.delta_e_c())).sum())
+    dev = abs(1.0 + corr.j - direct)
+    return dev, dev >= 1e-10 or corr.j > corr.norm_bound + 1e-10
 
 
-def _nonneg_instance(rng, dim: int, max_draws: int = 200):
-    for _ in range(max_draws):
+def _nonneg_instance(rng, dim: int):
+    for _ in range(NONNEG_MAX_DRAWS):
         sys, u, rots = random_system_and_unitary(rng, dim)
         mh = fluctuations.mh_distribution(sys, u)
         if mh.min_entry() >= 0.0:
@@ -589,72 +563,65 @@ def _prop_all_negative_direction(rng, n):
     return failures, float(checked), note
 
 
-def _prop_delta_q_max(rng, n):
-    failures = 0
-    worst = 0.0
-    for _ in range(n):
-        sys, _ = random_two_qutrit_system(rng)
-        target = fluctuations.max_heat_coherence_shift(sys)
-        # phases tuned so cos(xi + phi + lam) = 1, theta = pi/4 on all manifolds
-        rots = []
-        for pair in ((0, 1), (0, 2), (1, 2)):
-            a, b = pair[0] * 3 + pair[1], pair[1] * 3 + pair[0]
-            xi = float(np.angle(sys.rho[a, b]))
-            rots.append(ManifoldRotation(pair, theta=np.pi / 4.0, phi=0.0, lam=-xi))
-        u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
-        q = fluctuations.average_heat(sys, u)
-        q_tpm = fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
-        dev = abs(abs(q - q_tpm) - target)
+@_trials("max |Q - Q_tpm| attained at quarter rotations")
+def _prop_delta_q_max(rng, k):
+    sys, _ = random_two_qutrit_system(rng)
+    target = fluctuations.max_heat_coherence_shift(sys)
+    # phases tuned so cos(xi + phi + lam) = 1, theta = pi/4 on all manifolds
+    rots = []
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        a, b = pair[0] * 3 + pair[1], pair[1] * 3 + pair[0]
+        xi = float(np.angle(sys.rho[a, b]))
+        rots.append(ManifoldRotation(pair, theta=np.pi / 4.0, phi=0.0, lam=-xi))
+    u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
+    q = fluctuations.average_heat(sys, u)
+    q_tpm = fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
+    dev = abs(abs(q - q_tpm) - target)
+    return dev, dev >= 1e-12
+
+
+@_trials("reconstruction exact for eps in {0.05, 0.2, pi/4}")
+def _prop_probe_exactness(rng, k):
+    dim = 2 if k % 2 == 0 else 3
+    sys, u, _ = random_system_and_unitary(rng, dim)
+    mh = fluctuations.mh_distribution(sys, u)
+    i_c = int(rng.integers(0, sys.d_c))
+    i_h = int(rng.integers(0, sys.d_h))
+    failures, worst = 0, 0.0
+    recs = []
+    for eps in (0.05, 0.2, np.pi / 4.0):
+        stats = probe.probe_statistics(sys, u, (i_c, i_h), eps)
+        rec = probe.reconstruct_quasiprobability(stats)
+        recs.append(rec)
+        dev = float(np.max(np.abs(rec - mh.values[i_c, i_h])))
         worst = max(worst, dev)
-        failures += dev >= 1e-12
-    return failures, worst, "max |Q - Q_tpm| attained at quarter rotations"
+        failures += dev >= 1e-10
+        e_plus, e_minus = probe.probe_effects(eps, sys.d_c * sys.d_h, i_c * sys.d_h + i_h)
+        pov = np.max(np.abs(e_plus + e_minus - np.eye(sys.d_c * sys.d_h)))
+        dq = stats.q_plus - stats.q_minus
+        ident = np.sin(2 * eps) * (2 * mh.values[i_c, i_h] - stats.p_undisturbed)
+        dev2 = max(pov, float(np.max(np.abs(dq - ident))))
+        worst = max(worst, dev2)
+        failures += dev2 >= 1e-12
+    failures += float(np.max(np.abs(recs[0] - recs[2]))) >= 1e-10
+    return worst, failures
 
 
-def _prop_probe_exactness(rng, n):
+@_trials("smaller coupling disturbs less")
+def _prop_probe_disturbance(rng, k):
+    sys, _ = random_two_qubit_system(rng)
+    idx = int(rng.integers(0, 4))
+    pi_op = np.zeros((4, 4), dtype=complex)
+    pi_op[idx, idx] = 1.0
+    flip = 2.0 * pi_op - np.eye(4)
     failures = 0
-    worst = 0.0
-    for k in range(n):
-        dim = 2 if k % 2 == 0 else 3
-        sys, u, _ = random_system_and_unitary(rng, dim)
-        mh = fluctuations.mh_distribution(sys, u)
-        i_c = int(rng.integers(0, sys.d_c))
-        i_h = int(rng.integers(0, sys.d_h))
-        recs = []
-        for eps in (0.05, 0.2, np.pi / 4.0):
-            stats = probe.probe_statistics(sys, u, (i_c, i_h), eps)
-            rec = probe.reconstruct_quasiprobability(stats)
-            recs.append(rec)
-            dev = float(np.max(np.abs(rec - mh.values[i_c, i_h])))
-            worst = max(worst, dev)
-            failures += dev >= 1e-10
-            e_plus, e_minus = probe.probe_effects(eps, sys.d_c * sys.d_h, i_c * sys.d_h + i_h)
-            pov = np.max(np.abs(e_plus + e_minus - np.eye(sys.d_c * sys.d_h)))
-            dq = stats.q_plus - stats.q_minus
-            ident = np.sin(2 * eps) * (2 * mh.values[i_c, i_h] - stats.p_undisturbed)
-            dev2 = max(pov, float(np.max(np.abs(dq - ident))))
-            worst = max(worst, dev2)
-            failures += dev2 >= 1e-12
-        failures += float(np.max(np.abs(recs[0] - recs[2]))) >= 1e-10
-    return failures, worst, "reconstruction exact for eps in {0.05, 0.2, pi/4}"
-
-
-def _prop_probe_disturbance(rng, n):
-    failures = 0
-    worst = 0.0
-    for _ in range(n):
-        sys, _ = random_two_qubit_system(rng)
-        idx = int(rng.integers(0, 4))
-        pi_op = np.zeros((4, 4), dtype=complex)
-        pi_op[idx, idx] = 1.0
-        flip = 2.0 * pi_op - np.eye(4)
-        prev = np.inf
-        for eps in (0.6, 0.3, 0.1, 0.02):
-            post = np.cos(eps) ** 2 * sys.rho + np.sin(eps) ** 2 * (flip @ sys.rho @ flip)
-            tdist = 0.5 * float(np.abs(linalg.hermitian_eigenvalues(sys.rho - post)).sum())
-            failures += tdist > prev + 1e-15
-            prev = tdist
-        worst = max(worst, prev)
-    return failures, worst, "smaller coupling disturbs less"
+    prev = np.inf
+    for eps in (0.6, 0.3, 0.1, 0.02):
+        post = np.cos(eps) ** 2 * sys.rho + np.sin(eps) ** 2 * (flip @ sys.rho @ flip)
+        tdist = 0.5 * float(np.abs(linalg.hermitian_eigenvalues(sys.rho - post)).sum())
+        failures += tdist > prev + 1e-15
+        prev = tdist
+    return prev, failures
 
 
 def _prop_probe_sampling(rng, n):
@@ -677,51 +644,45 @@ def _prop_probe_sampling(rng, n):
     return failures, worst, "deterministic seeding; 5-sigma agreement at 1e5 shots"
 
 
-def _prop_p00_bounds(rng, n):
+@_trials("PSD holds iff P00 bounds and eta cap hold")
+def _prop_p00_bounds(rng, k):
+    beta_h = rng.uniform(0.1, 1.2)
+    beta_c = beta_h + rng.uniform(0.1, 1.5)
+    base = states.TwoQubitParams(beta_c, beta_h, 0.0)
+    lo, hi = base.p00_bounds()
+    inside = lo + rng.uniform(0.0, 1.0) * (hi - lo)
+    states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside))
     failures = 0
-    worst = 0.0
-    for _ in range(n):
-        beta_h = rng.uniform(0.1, 1.2)
-        beta_c = beta_h + rng.uniform(0.1, 1.5)
-        base = states.TwoQubitParams(beta_c, beta_h, 0.0)
-        lo, hi = base.p00_bounds()
-        inside = lo + rng.uniform(0.0, 1.0) * (hi - lo)
-        states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside))
-        outside_hi = hi + max(1e-6, 0.05 * (hi - lo))
-        try:
-            states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, outside_hi))
-            failures += 1
-        except states.InfeasibleStateError:
-            pass
-        params = states.TwoQubitParams(beta_c, beta_h, inside)
-        cap = params.eta_cap()
-        try:
-            states.two_qubit_state(
-                states.TwoQubitParams(beta_c, beta_h, inside, eta=cap * 1.05 + 1e-6)
-            )
-            failures += 1
-        except states.InfeasibleStateError:
-            pass
-        # boundary eta is PSD up to tolerance
-        sys = states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside, eta=cap))
-        worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])))
-    return failures, worst, "PSD holds iff P00 bounds and eta cap hold"
+    outside_hi = hi + max(1e-6, 0.05 * (hi - lo))
+    try:
+        states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, outside_hi))
+        failures += 1
+    except states.InfeasibleStateError:
+        pass
+    params = states.TwoQubitParams(beta_c, beta_h, inside)
+    cap = params.eta_cap()
+    try:
+        states.two_qubit_state(
+            states.TwoQubitParams(beta_c, beta_h, inside, eta=cap * 1.05 + 1e-6)
+        )
+        failures += 1
+    except states.InfeasibleStateError:
+        pass
+    # boundary eta is PSD up to tolerance
+    sys = states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside, eta=cap))
+    return max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])), failures
 
 
-def _prop_strong_backflow(rng, n):
-    failures = 0
-    for _ in range(n):
-        beta_h = rng.uniform(0.1, 1.0)
-        beta_c = beta_h + rng.uniform(0.1, 1.0)
-        d = int(rng.integers(2, 5))
-        threshold = np.log(d) / (beta_c - beta_h)
-        above = witnesses.strong_backflow_witness(threshold * 1.001, beta_c, beta_h, d)
-        below = witnesses.strong_backflow_witness(threshold * 0.999, beta_c, beta_h, d)
-        zero = witnesses.strong_backflow_witness(0.0, beta_c, beta_h, d)
-        failures += not above.violated
-        failures += below.violated
-        failures += zero.violated
-    return failures, 0.0, "threshold log(d)/dBeta behaves"
+@_trials("threshold log(d)/dBeta behaves")
+def _prop_strong_backflow(rng, k):
+    beta_h = rng.uniform(0.1, 1.0)
+    beta_c = beta_h + rng.uniform(0.1, 1.0)
+    d = int(rng.integers(2, 5))
+    threshold = np.log(d) / (beta_c - beta_h)
+    above = witnesses.strong_backflow_witness(threshold * 1.001, beta_c, beta_h, d)
+    below = witnesses.strong_backflow_witness(threshold * 0.999, beta_c, beta_h, d)
+    zero = witnesses.strong_backflow_witness(0.0, beta_c, beta_h, d)
+    return 0.0, (not above.violated) + below.violated + zero.violated
 
 
 PROPERTIES = {

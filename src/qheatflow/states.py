@@ -24,6 +24,7 @@ import numpy as np
 
 from .linalg import (
     hermitian_eigenvalues,
+    hermiticity_defect,
     kron,
     partial_trace,
     partial_transpose,
@@ -152,7 +153,7 @@ class BipartiteSystem:
             )
         if abs((tr := np.trace(rho)).real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
             raise InfeasibleStateError("trace", f"tr(rho) = {tr}")
-        defect = float(np.max(np.abs(rho - rho.conj().T)))
+        defect = hermiticity_defect(rho)
         if defect > HERM_TOL:
             raise InfeasibleStateError("hermiticity", f"defect {defect:.3e}")
         # a bound within half the tolerance settles positivity (nan does not);

@@ -33,8 +33,8 @@ Scenarios (state kind + unitary kind):
                      are full config keys.
 A named scenario accepts the keys of its defaults and axes, ``custom`` every
 key its two kinds read; any other key, axis or output, an output listed
-twice, a non-numeric value of a numeric key, or a non-finite
-``state.*``/``unitary.*`` value or axis bound raises ConfigError.
+twice, two axes on one key, a non-numeric value of a numeric key, or a
+non-finite ``state.*``/``unitary.*`` value or axis bound raises ConfigError.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ NEGATIVITY_THRESHOLD = -1e-12
 # bytes of one (n, D, D) complex stack of a chunk: 128 cells of 9x9
 # (two qutrits), 648 of 4x4, and always at least one cell
 STACK_BYTES = 128 * 9**2 * 16
+# the upper end of the J_x bisection: a target eps above eps(JX_HI) is a ConfigError
+JX_HI = 4000.0
 
 # Config keys each state kind reads (see _build_state for the defaults).
 STATE_KEYS: dict[str, tuple[str, ...]] = {
@@ -345,6 +347,9 @@ class SweepSpec:
             raise ConfigError("a sweep needs one or two axes")
         axes, outputs = _check_keys(self.scenario, self.fixed)
         _require_known(self.scenario, "axis", [a.name for a in self.axes], axes)
+        keys = [axes[a.name] for a in self.axes]
+        if len(set(keys)) < len(keys):
+            raise ConfigError(f"axes {self.axes[0].name!r} and {self.axes[1].name!r} both set {keys[0]}")
         _require_known(self.scenario, "output", self.outputs, outputs, noun="output column")
         for k, name in enumerate(self.outputs):
             if name in self.outputs[:k]:
@@ -437,13 +442,13 @@ def _format_column(values: np.ndarray, has: np.ndarray | None) -> list[str]:
     return text
 
 
-def _solve_jx_for_eps(j_hz, t, eps_target, jx_hi: float = 4000.0):
+def _solve_jx_for_eps(j_hz, t, eps_target):
     """Invert eps(J_x) for the perturbed XY family by bisection on
-    [0, jx_hi], for one (J, t, eps) or for a 1-D array of targets with
+    [0, JX_HI], for one (J, t, eps) or for a 1-D array of targets with
     scalar or per-target J and t; returns the shape of ``eps_target``.
 
     eps(J_x) is the ``epsilon`` of ``perturbed_xy_unitary`` (one shared
-    code path).  All targets take the reachability test at ``jx_hi`` and
+    code path).  All targets take the reachability test at ``JX_HI`` and
     the same 60 halvings in lockstep.  Each comparison eps(J_x) < target
     is read from the closed form of eps where it lies outside that form's
     error margin; the near ties left take one stacked exponential and norm
@@ -452,7 +457,7 @@ def _solve_jx_for_eps(j_hz, t, eps_target, jx_hi: float = 4000.0):
     eps(J_x) is not monotone on [0, 4000], so the result is the crossing
     the bisection finds, not necessarily the smallest root.  Targets <= 0
     give 0.0.  The first target that has no solution raises: a nan target
-    or one above eps(jx_hi) a ConfigError, a negative t a ValueError.
+    or one above eps(JX_HI) a ConfigError, a negative t a ValueError.
     """
     targets = np.asarray(eps_target, dtype=float)
     want = targets.reshape(-1)
@@ -474,15 +479,15 @@ def _solve_jx_for_eps(j_hz, t, eps_target, jx_hi: float = 4000.0):
                 out[near] = perturbed(j_x[near], near)[1] < goal[near]
             return out
 
-        failed = np.union1d(failed, todo[below(np.full(todo.size, jx_hi))])
+        failed = np.union1d(failed, todo[below(np.full(todo.size, JX_HI))])
         if failed.size:  # the first one in order
             i = failed[0]
             if np.isnan(want[i]):
                 raise ConfigError(f"eps must be finite, got {shown[i]}")
             if t[i] < 0:
                 raise ValueError("time must be nonnegative")
-            raise ConfigError(f"eps = {shown[i]} not reachable below J_x = {jx_hi}")
-        lo, hi = np.zeros(todo.size), np.full(todo.size, jx_hi)
+            raise ConfigError(f"eps = {shown[i]} not reachable below J_x = {JX_HI}")
+        lo, hi = np.zeros(todo.size), np.full(todo.size, JX_HI)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             is_below = below(mid)

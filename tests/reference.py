@@ -27,7 +27,7 @@ from qheatflow.fluctuations import (
     TransitionTable,
     XftReport,
 )
-from qheatflow.linalg import HERMITICITY_TOL, NOT_A_GENERATOR, SIGMA_X, _square, hermiticity_defect, spectral_norm
+from qheatflow.linalg import HERMITICITY_TOL, NOT_A_GENERATOR, SIGMA_X, _square, spectral_norm
 from qheatflow.states import BipartiteSystem, EnergySpectrum, min_partial_transpose_eigenvalue
 from qheatflow.sweeps import (
     FLAG_COLUMNS,
@@ -83,6 +83,11 @@ def mh_distribution(sys, u) -> TransitionTable:
     vals = vals.reshape(d_c, d_h, d_c, d_h)
     _check_table("MH", vals)
     return TransitionTable("MH", vals, sys.spectrum_c.levels, sys.spectrum_h.levels)
+
+
+def hermiticity_defect(m) -> float:
+    """Max absolute entry of M - M†, one matrix at a time."""
+    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 def matrix_exp(m) -> np.ndarray:

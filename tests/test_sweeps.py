@@ -1233,6 +1233,50 @@ def test_cli_rejects_a_repeated_output_column(tmp_path, capsys):
         assert captured.out == ""
 
 
+CUSTOM_TWO_AXES_CFG = """
+scenario = custom
+state.kind = two-qubit
+unitary.kind = exchange
+state.beta_C = 1.13
+state.beta_H = 0.962
+state.P00 = 0.547
+sweep.axis1.name = unitary.theta
+sweep.axis1.min = 0.0
+sweep.axis1.max = 3.0
+sweep.axis1.points = 3
+sweep.axis2.name = state.eta
+sweep.axis2.min = -0.1
+sweep.axis2.max = 0.1
+sweep.axis2.points = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "config, override, first, second, key",
+    [
+        ("nonideal_tolerance.cfg", "sweep.axis1.name=Delta", "Delta", "Delta", "Delta"),  # one plain name twice
+        ("qubit_grid.cfg", "sweep.axis2.name=unitary.theta", "theta", "unitary.theta", "unitary.theta"),  # alias and key
+        (None, "sweep.axis2.name=unitary.theta", "unitary.theta", "unitary.theta", "unitary.theta"),  # custom
+    ],
+    ids=["plain-name", "alias-and-key", "custom-key"],
+)
+def test_cli_rejects_two_axes_on_one_key(tmp_path, capsys, config, override, first, second, key):
+    """Two axes that set one config key would leave one of them ignored:
+    the sweep exits 1 and writes nothing."""
+    if config is None:
+        path = tmp_path / "custom.cfg"
+        path.write_text(CUSTOM_TWO_AXES_CFG)
+        assert cli_main(["sweep", str(path), "--out", str(tmp_path / "ok.csv")]) == 0  # distinct keys run
+        capsys.readouterr()
+    else:
+        path = CONFIG_DIR / config
+    out = tmp_path / "out.csv"
+    assert cli_main(["sweep", str(path), "--set", override, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: axes {first!r} and {second!r} both set {key}\n"
+    assert captured.out == "" and not out.exists()
+
+
 NON_FINITE = [
     (command, text, override)
     for command, text in (("sweep", EXPERIMENT_CFG), ("point", POINT_CFG))
@@ -1356,6 +1400,46 @@ def test_property_suite_detects_sign_flip_mutant(monkeypatch):
         np.random.default_rng(0), 10
     )
     assert failures > 0 and max_dev > 1e-6
+
+
+def test_table_norm_range_counts_only_the_trial_that_fails(monkeypatch):
+    """One MH table of ten that sums to 1 + 1e-9 is one failure, not one
+    for it and each trial after it."""
+    true_mh = fluct.mh_distribution
+    calls = []
+
+    def mutant(sys, u):
+        table = true_mh(sys, u)
+        calls.append(None)
+        if len(calls) != 4:
+            return table
+        values = table.values.copy()
+        values.flat[0] += 1e-9  # past the sum check, bypassing the constructor's
+        bad = object.__new__(TransitionTable)
+        for name, value in (("kind", "MH"), ("values", values), ("energies_c", table.energies_c), ("energies_h", table.energies_h)):
+            object.__setattr__(bad, name, value)
+        return bad
+
+    monkeypatch.setattr(fluct, "mh_distribution", mutant)
+    failures, max_dev, _ = properties.PROPERTIES["table-norm-range"](np.random.default_rng(0), 10)
+    assert len(calls) == 10
+    assert failures == 1 and max_dev > 5e-10
+
+
+def test_trials_sums_failures_and_keeps_the_largest_deviation_in_trial_order():
+    seen = []
+    devs, fails = [np.nan, -1.0, 3e-3, np.nan, 2e-3], [0, True, 0, np.True_, 2]
+
+    @properties._trials("a note")
+    def prop(rng, k):
+        seen.append((rng, k))
+        return devs[k], fails[k]
+
+    rng = object()
+    assert prop(rng, 5) == (4, 3e-3, "a note")
+    assert seen == [(rng, k) for k in range(5)]
+    # max_dev starts at 0.0: negative and nan deviations never show
+    assert prop(rng, 2) == (1, 0.0, "a note")
 
 
 def test_cli_check_reports_failure_exit_code(monkeypatch, capsys):
