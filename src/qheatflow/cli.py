@@ -95,9 +95,7 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    names = None
-    if args.properties:
-        names = [s.strip() for s in args.properties.split(",") if s.strip()]
+    names = None if args.properties is None else [s.strip() for s in args.properties.split(",") if s.strip()]
     results = run_property_suite(seed=args.seed, n_trials=args.trials, names=names)
     any_fail = False
     for res in results:

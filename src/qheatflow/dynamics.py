@@ -57,7 +57,8 @@ class UnitaryReport:
 
     ``commutator_norm`` is ||[U, H_C + H_H]|| for the Hamiltonian the
     constructor was given; ``epsilon`` is ||U - U_ref|| against an ideal
-    reference when one exists.
+    reference when one exists.  ``stack`` is the checked one-matrix
+    ``UnitaryStack`` that ``matrix`` is a view of.
     """
 
     matrix: np.ndarray
@@ -65,10 +66,12 @@ class UnitaryReport:
     epsilon: float | None = None
 
     def __post_init__(self):
-        u = np.array(self.matrix, dtype=complex)
-        _check_unitary(u)
+        u = np.array(self.matrix, dtype=complex)[None]
+        adjoint = u.conj().swapaxes(-1, -2)
+        _check_unitary(u, adjoint)
         u.setflags(write=False)
-        object.__setattr__(self, "matrix", u)
+        epsilon = None if self.epsilon is None else np.array([self.epsilon])
+        self.__dict__.update(matrix=u[0], stack=UnitaryStack(u, np.array([self.commutator_norm]), adjoint, epsilon))
 
     @classmethod
     def _of_stack(cls, stack: "UnitaryStack") -> "UnitaryReport":
@@ -77,7 +80,7 @@ class UnitaryReport:
         u = stack.matrix[0]
         u.setflags(write=False)
         epsilon = None if stack.epsilon is None else float(stack.epsilon[0])
-        report.__dict__.update(matrix=u, commutator_norm=float(stack.commutator_norm[0]), epsilon=epsilon)
+        report.__dict__.update(matrix=u, commutator_norm=float(stack.commutator_norm[0]), epsilon=epsilon, stack=stack)
         return report
 
 
@@ -184,19 +187,15 @@ def energy_preserving_unitary(
     at most one rotation per manifold.
     """
     blocks = [(rot.level_pair, (rot.theta, rot.phi, rot.lam, rot.kappa)) for rot in rotations]
-    return UnitaryReport._of_stack(exchange_unitary_stack(spectrum.levels, 1, blocks))
+    return UnitaryReport._of_stack(exchange_unitary_stack(spectrum, 1, blocks))
 
 
 def two_qubit_exchange_unitary(
-    theta: float,
-    kappa: float = 0.0,
-    lam: float = 0.0,
-    phi: float = 0.0,
-    gap: float = 1.0,
+    theta: float, kappa: float = 0.0, lam: float = 0.0, phi: float = 0.0, gap: float = 1.0
 ) -> UnitaryReport:
     """4x4 exchange unitary rotating the |01>/|10> manifold by theta."""
-    levels = EnergySpectrum.two_level(gap).levels
-    return UnitaryReport._of_stack(exchange_unitary_stack(levels, 1, [((0, 1), (theta, phi, lam, kappa))]))
+    blocks = [((0, 1), (theta, phi, lam, kappa))]
+    return UnitaryReport._of_stack(exchange_unitary_stack(EnergySpectrum.two_level(gap), 1, blocks))
 
 
 def _xy_hamiltonian(j_hz: float) -> np.ndarray:
@@ -294,27 +293,34 @@ class UnitaryStack(NamedTuple):
     epsilon: np.ndarray | None = None
 
 
-def _stack_report(u: np.ndarray, h_total: np.ndarray, epsilon=None) -> UnitaryStack:
+def _stack_report(u: np.ndarray, h_total: np.ndarray | None, epsilon=None) -> UnitaryStack:
     """Check each matrix as ``UnitaryReport`` does and take its commutator
-    norm (``_commutator_norms``); ``h_total`` is one H or one per matrix."""
+    norm (``_commutator_norms``); ``h_total`` is one H or one per matrix,
+    or None when every matrix is known to commute exactly (norm 0.0)."""
     adjoint = u.conj().swapaxes(-1, -2)
     _check_unitary(u, adjoint)
-    return UnitaryStack(u, _commutator_norms(u, h_total), adjoint, epsilon)
+    cnorm = np.zeros(len(u)) if h_total is None else _commutator_norms(u, h_total)
+    return UnitaryStack(u, cnorm, adjoint, epsilon)
 
 
 def exchange_unitary_stack(levels, n: int, blocks) -> UnitaryStack:
     """``energy_preserving_unitary`` for each of n cells.
 
     ``levels`` are the local levels, one spectrum (d,) for every cell or
-    one per cell (n, d).  ``blocks`` lists (manifold (n, m) with n < m,
+    one per cell (n, d), or an ``EnergySpectrum`` for every cell (whose
+    Bohr flag is worked out once per spectrum).  ``blocks`` lists (manifold (n, m) with n < m,
     angles (theta, phi, lam, kappa)), each angle one value for every cell
     or a per-cell array; every block entry is the closed form of the
     module docstring, evaluated elementwise.
     """
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim == 2 and (levels == levels[:1]).all():
-        levels = levels[0]  # one spectrum: one H for the stack
-    if not all(map(bohr_nondegenerate, {tuple(row) for row in levels.reshape(-1, levels.shape[-1]).tolist()})):
+    if isinstance(levels, EnergySpectrum):
+        ok, levels = levels.bohr_nondegenerate(), np.asarray(levels.levels)
+    else:
+        levels = np.asarray(levels, dtype=float)
+        if levels.ndim == 2 and (levels == levels[:1]).all():
+            levels = levels[0]  # one spectrum: one H for the stack
+        ok = all(map(bohr_nondegenerate, {tuple(row) for row in levels.reshape(-1, levels.shape[-1]).tolist()}))
+    if not ok:
         raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
     d = levels.shape[-1]
     u = np.zeros((n, d * d, d * d), dtype=complex)
@@ -333,7 +339,12 @@ def exchange_unitary_stack(levels, n: int, blocks) -> UnitaryStack:
         cells[..., a, b] = -np.exp(1j * (kappa - phi)) * st
         cells[..., b, a] = np.exp(1j * (kappa + phi)) * st
         cells[..., b, b] = np.exp(1j * (kappa - lam)) * ct
-    return _stack_report(u, _total_hamiltonian(levels))
+    # U only connects levels of equal total energy (E_n + E_m both ways), so
+    # by the rule of ``_commutes_exactly`` it commutes exactly where its
+    # entries and the levels are finite; H is built only when one is not
+    energies = levels[..., :, None] + levels[..., None, :]
+    exact = np.isfinite(np.maximum.reduce(np.abs(u), axis=(-2, -1)) * np.abs(energies).max(axis=(-2, -1))).all()
+    return _stack_report(u, None if exact else _total_hamiltonian(levels))
 
 
 def _xy_generators(j_hz: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

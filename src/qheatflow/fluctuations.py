@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import unwrap
+from .dynamics import UnitaryReport, _diagonal, unwrap
 from .states import BipartiteSystem, StateStack
 
 MH_LOWER_BOUND = -0.125
@@ -195,12 +195,7 @@ def mh_distribution(sys: BipartiteSystem, u) -> TransitionTable:
     return _one_table("MH", sys, u)
 
 
-def marginal_check(
-    table: TransitionTable,
-    sys: BipartiteSystem,
-    u,
-    against_dephased: bool | None = None,
-) -> float:
+def marginal_check(table: TransitionTable, sys: BipartiteSystem, u, against_dephased: bool | None = None) -> float:
     """Max deviation of the table marginals from the state's energy statistics.
 
     The initial-index marginal is compared with diag(rho) and the
@@ -209,24 +204,13 @@ def marginal_check(
     pass against_dephased=False to quantify how far the TPM marginals
     sit from the undisturbed statistics.
     """
-    u = unwrap(u)
-    if against_dephased is None:
-        against_dephased = table.kind == "TPM"
-    rho = np.diag(np.diag(sys.rho)) if against_dephased else sys.rho
-    d_c, d_h = sys.dims
-    init = np.real(np.diag(rho)).reshape(d_c, d_h)
-    final = np.real(np.diag(u @ rho @ u.conj().T)).reshape(d_c, d_h)
-    dev_i = np.max(np.abs(table.initial_marginal() - init))
-    dev_f = np.max(np.abs(table.final_marginal() - final))
-    return float(max(dev_i, dev_f))
+    against_dephased = table.kind == "TPM" if against_dephased is None else against_dephased
+    return float(marginal_check_stack(table.values[None], *_one_cell(sys, u), against_dephased)[0])
 
 
 def average_heat(sys: BipartiteSystem, u) -> float:
     """Q = tr(rho H_C) - tr(U rho U^dag H_C); Q > 0 is backflow C -> H."""
-    u = unwrap(u)
-    h_c = np.kron(sys.spectrum_c.hamiltonian(), np.eye(sys.d_h))
-    rho_t = u @ sys.rho @ u.conj().T
-    return float(np.real(np.trace(sys.rho @ h_c) - np.trace(rho_t @ h_c)))
+    return float(average_heat_stack(*_one_cell(sys, u))[0])
 
 
 def table_heat(table: TransitionTable) -> float:
@@ -329,15 +313,8 @@ def exchange_manifold_tpm(sys: BipartiteSystem, rotations) -> dict[tuple, float]
 
 
 def two_qubit_exchange_probs(
-    theta: float,
-    eta: float,
-    xi: float,
-    beta_c: float,
-    beta_h: float,
-    p00: float,
-    gap: float = 1.0,
-    phi: float = 0.0,
-    lam: float = 0.0,
+    theta: float, eta: float, xi: float, beta_c: float, beta_h: float, p00: float,
+    gap: float = 1.0, phi: float = 0.0, lam: float = 0.0,
 ) -> dict[str, float]:
     """Closed-form two-qubit exchange entries.
 
@@ -359,14 +336,7 @@ def two_qubit_exchange_probs(
 
 
 def two_qubit_heat(
-    theta: float,
-    eta: float,
-    xi: float,
-    beta_c: float,
-    beta_h: float,
-    gap: float = 1.0,
-    phi: float = 0.0,
-    lam: float = 0.0,
+    theta: float, eta: float, xi: float, beta_c: float, beta_h: float, gap: float = 1.0, phi: float = 0.0, lam: float = 0.0
 ) -> float:
     """Closed-form net heat for the resonant two-qubit exchange.
 
@@ -378,9 +348,7 @@ def two_qubit_heat(
     return float(coherent + two_qubit_tpm_heat(theta, beta_c, beta_h, gap))
 
 
-def two_qubit_tpm_heat(
-    theta: float, beta_c: float, beta_h: float, gap: float = 1.0
-) -> float:
+def two_qubit_tpm_heat(theta: float, beta_c: float, beta_h: float, gap: float = 1.0) -> float:
     """Closed-form TPM heat; never positive when beta_C > beta_H."""
     diff = 1.0 / (1.0 + np.exp(beta_c * gap)) - 1.0 / (1.0 + np.exp(beta_h * gap))
     return float(np.sin(theta) ** 2 * gap * diff)
@@ -509,7 +477,10 @@ def max_heat_coherence_shift(sys: BipartiteSystem) -> float:
 
 
 def _one_cell(sys: BipartiteSystem, u):
-    """(state stack, unitary stack, its U^dag) of one cell."""
+    """(state stack, unitary stack, its U^dag) of one cell: a report's own
+    one-matrix stack, or a bare matrix's."""
+    if isinstance(u, UnitaryReport):
+        return sys.stack, u.stack.matrix, u.stack.adjoint
     u = unwrap(u)[None]
     return sys.stack, u, u.conj().swapaxes(-1, -2)
 
@@ -550,7 +521,7 @@ def check_tables(kind: str, values: np.ndarray) -> None:
     sums to 1 and has its entries in range; the error names the first bad
     table's first failed check."""
     flat = values.reshape(len(values), -1)
-    total = flat.sum(axis=-1)
+    total = np.add.reduce(flat, axis=-1)
     floor, ceiling = (MH_LOWER_BOUND - 1e-10 if kind == "MH" else -1e-12), 1.0 + 1e-10
     # a screen of every table at once passes when every table does (rounding
     # is monotone; fmax and fmin skip nan, and a table with a nan passes)
@@ -591,6 +562,34 @@ def table_stack(kind: str, states: StateStack, u: np.ndarray, uh: np.ndarray) ->
     vals = vals.reshape(len(u), *states.dims * 2)
     check_tables(kind, vals)
     return vals
+
+
+def diagonal_matrices(x: np.ndarray) -> np.ndarray:
+    """``np.diag(x.astype(complex))`` of each row of an (n, D) stack."""
+    out = np.zeros((*x.shape, x.shape[-1]), dtype=complex)
+    _diagonal(out)[...] = x
+    return out
+
+
+def marginal_check_stack(values: np.ndarray, states: StateStack, u: np.ndarray, uh: np.ndarray, dephased: bool):
+    """``marginal_check`` of each table of a stack against its cell, the
+    dephased state for ``dephased``."""
+    rho = diagonal_matrices(states.rho.diagonal(axis1=1, axis2=2)) if dephased else states.rho
+    n, shape = len(values), (-1, *states.dims)
+    init = rho.diagonal(axis1=1, axis2=2).real.reshape(shape)
+    final = (u @ rho @ uh).diagonal(axis1=1, axis2=2).real.reshape(shape)
+    dev_i = np.abs(values.sum(axis=(3, 4)) - init).reshape(n, -1).max(axis=-1)
+    dev_f = np.abs(values.sum(axis=(1, 2)) - final).reshape(n, -1).max(axis=-1)
+    return np.where(dev_f > dev_i, dev_f, dev_i)  # max(dev_i, dev_f)
+
+
+def average_heat_stack(states: StateStack, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
+    """``average_heat`` of each unitary of a stack on its cell's state;
+    H_C (x) I is the diagonal matrix ``kron`` makes, bit for bit."""
+    h_c = np.zeros_like(states.rho)
+    _diagonal(h_c)[...] = np.repeat(states.levels_c, states.dims[1], axis=-1)
+    rho_t = u @ states.rho @ uh
+    return np.real(np.trace(states.rho @ h_c, axis1=1, axis2=2) - np.trace(rho_t @ h_c, axis1=1, axis2=2))
 
 
 def table_heat_stack(values: np.ndarray, energies_c) -> np.ndarray:

@@ -105,7 +105,7 @@ def matrix_exp(m) -> np.ndarray:
 
 def hermiticity_defects(m: np.ndarray) -> np.ndarray:
     """``hermiticity_defect`` of each matrix of an (n, D, D) stack."""
-    return np.abs(m - m.conj().swapaxes(-1, -2)).reshape(*m.shape[:-2], m.shape[-1] ** 2).max(axis=-1)
+    return np.maximum.reduce(np.abs(m - m.conj().swapaxes(-1, -2)).reshape(*m.shape[:-2], m.shape[-1] ** 2), axis=-1)
 
 
 def spectral_norms(m: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ packaged, CI-friendly way to re-run them.
 
 A property maps ``(rng, n)`` to ``(failures, max_dev, note)``.  Most are
 one trial ``(rng, k) -> (deviation, failures)`` that ``_trials`` runs for
-k = 0..n-1 in order: the failures summed, max_dev the largest deviation
+k = 0..n-1 in order, or all n trials ``(rng, n) -> (deviations, failures)``
+that ``_stacked`` runs: the failures summed, max_dev the largest deviation
 floored at 0.0.  The others set their own trial count, start or note.
 """
 
@@ -24,6 +25,7 @@ from .dynamics import ManifoldRotation
 MIN_POPULATION = 1e-3  # the least joint population of a drawn two-qubit or two-qutrit state
 QUDIT_MIN_POPULATION = 5e-4  # ... and of a drawn d x d state
 NONNEG_MAX_DRAWS = 200  # draws ``_nonneg_instance`` makes before it gives up
+STACK_TRIALS = 64  # trials drawn and evaluated as one stack; even, so each stack starts on an even trial
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +59,11 @@ def random_two_qutrit_system(rng, coherent: bool = True):
         beta_h = rng.uniform(0.1, 0.8)
         beta_c = beta_h + rng.uniform(0.2, 1.0)
         spec = states.EnergySpectrum((0.0, e1, e2))
-        prod = np.outer(
-            states.thermal_populations(spec, beta_c),
-            states.thermal_populations(spec, beta_h),
-        ).ravel()
-        scale = lambda: rng.uniform(0.7, 1.3)  # noqa: E731
-        eta = (lambda: rng.uniform(0.2, 0.95)) if coherent else (lambda: 0.0)
-        xi = (lambda: rng.uniform(0.0, 2.0 * np.pi)) if coherent else (lambda: 0.0)
-        params = states.QutritStateParams(
-            beta_c, beta_h, e1, e2,
-            rho_0=prod[0] * scale(), rho_5=prod[5] * scale(),
-            rho_7=prod[7] * scale(), rho_8=prod[8] * scale(),
-            eta_13=eta(), eta_26=eta(), eta_57=eta(),
-            xi_13=xi(), xi_26=xi(), xi_57=xi(),
-        )
+        prod = np.outer(states.thermal_populations(spec, beta_c), states.thermal_populations(spec, beta_h)).ravel()
+        free = [prod[k] * rng.uniform(0.7, 1.3) for k in (0, 5, 7, 8)]  # rho_0, rho_5, rho_7, rho_8
+        eta = [rng.uniform(0.2, 0.95) if coherent else 0.0 for _ in range(3)]  # on (1,3), (2,6), (5,7)
+        xi = [rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0 for _ in range(3)]
+        params = states.QutritStateParams(beta_c, beta_h, e1, e2, *free, *eta, *xi)
         try:
             sys = states.two_qutrit_state(params)
         except states.InfeasibleStateError:
@@ -90,18 +83,10 @@ def random_qudit_system(rng, d: int = 4):
             continue
         beta_h = rng.uniform(0.1, 0.6)
         beta_c = beta_h + rng.uniform(0.2, 0.8)
-        prod = np.outer(
-            states.thermal_populations(spec, beta_c),
-            states.thermal_populations(spec, beta_h),
-        ).ravel()
-        free = {0: prod[0] * rng.uniform(0.8, 1.2)}
-        for n in range(1, d):
-            for m in range(1, d):
-                if (n, m) != (1, 1):
-                    free[n * d + m] = prod[n * d + m] * rng.uniform(0.8, 1.2)
-        eta_map = {
-            (n, m): rng.uniform(0.2, 0.95) for n in range(d) for m in range(n + 1, d)
-        }
+        prod = np.outer(states.thermal_populations(spec, beta_c), states.thermal_populations(spec, beta_h)).ravel()
+        keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
+        free = {k: prod[k] * rng.uniform(0.8, 1.2) for k in keys}
+        eta_map = {(n, m): rng.uniform(0.2, 0.95) for n in range(d) for m in range(n + 1, d)}
         xi_map = {pair: rng.uniform(0.0, 2.0 * np.pi) for pair in eta_map}
         try:
             sys = states.qudit_locally_thermal(spec, beta_c, beta_h, free, eta_map, xi_map)
@@ -112,31 +97,26 @@ def random_qudit_system(rng, d: int = 4):
 
 
 def random_rotations(rng, spec: states.EnergySpectrum, with_phases: bool = True):
-    rots = []
-    for n in range(spec.dim):
-        for m in range(n + 1, spec.dim):
-            rots.append(
-                ManifoldRotation(
-                    (n, m),
-                    theta=rng.uniform(0.0, np.pi),
-                    phi=rng.uniform(0.0, 2.0 * np.pi) if with_phases else 0.0,
-                    lam=rng.uniform(0.0, 2.0 * np.pi) if with_phases else 0.0,
-                    kappa=rng.uniform(0.0, 2.0 * np.pi) if with_phases else 0.0,
-                )
-            )
-    return rots
+    """One rotation per manifold (n, m), n < m: theta, then phi, lam and kappa."""
+    return [
+        ManifoldRotation((n, m), rng.uniform(0.0, np.pi), *(rng.uniform(0.0, 2.0 * np.pi) if with_phases else 0.0 for _ in range(3)))
+        for n in range(spec.dim) for m in range(n + 1, spec.dim)
+    ]
 
 
-def random_system_and_unitary(rng, dim: int):
+def _random_system_and_rotations(rng, dim: int):
     if dim == 2:
         sys, _ = random_two_qubit_system(rng)
     elif dim == 3:
         sys, _ = random_two_qutrit_system(rng)
     else:
         sys = random_qudit_system(rng, dim)
-    rots = random_rotations(rng, sys.spectrum_c)
-    u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
-    return sys, u, rots
+    return sys, random_rotations(rng, sys.spectrum_c)
+
+
+def random_system_and_unitary(rng, dim: int):
+    sys, rots = _random_system_and_rotations(rng, dim)
+    return sys, dynamics.energy_preserving_unitary(sys.spectrum_c, rots), rots
 
 
 def _random_complex(rng, n: int) -> np.ndarray:
@@ -176,17 +156,86 @@ def _trials(note: str):
     return wrap
 
 
+def _in_stacks(trials):
+    """``trials(rng, n)``, which makes the trial-by-trial draws in order and
+    evaluates them as one stack per local dimension (whose kernels give each
+    trial's values bit for bit) and returns per-trial arrays, run on
+    consecutive stacks of at most STACK_TRIALS trials and joined."""
+    def run(rng, n, *args):
+        stacks = (trials(rng, min(STACK_TRIALS, n - k), *args) for k in range(0, n, STACK_TRIALS))
+        return [np.concatenate(parts) for parts in zip(*stacks)]
+    return run
+
+
+def _stacked(note: str):
+    """The property of trials ``(rng, n) -> (deviations, failures)``, run
+    by ``_in_stacks`` and reduced as ``_trials`` reduces them."""
+    def wrap(trials):
+        def prop(rng, n):
+            dev, bad = prop.trials(rng, n)
+            return int(np.count_nonzero(bad)), float(np.fmax.reduce(dev, initial=0.0)), note
+        prop.trials = _in_stacks(trials)
+        return prop
+    return wrap
+
+
+def _pymax(a, b):
+    """Elementwise Python ``max(a, b)``: b where b > a, else a."""
+    return np.where(b > a, b, a)
+
+
+def _draw(rng, dims):
+    """(systems, rotations) that ``random_system_and_unitary`` draws for each of ``dims`` in turn."""
+    return tuple(zip(*(_random_system_and_rotations(rng, d) for d in dims)))
+
+
+def _groups(systems, rotations=None):
+    """(trial indices, their ``StateStack``, their ``_unitaries`` of ``rotations``) per local dimension."""
+    for d in sorted({sys.d_c for sys in systems}):
+        at = np.array([k for k, sys in enumerate(systems) if sys.d_c == d])
+        st = states.StateStack.of([systems[k] for k in at])
+        yield at, st, None if rotations is None else _unitaries(st, [rotations[k] for k in at])
+
+
+def _unitaries(st, rotations):
+    """``energy_preserving_unitary`` of each row's spectrum and rotations, as one stack."""
+    angles = np.array([[(r.theta, r.phi, r.lam, r.kappa) for r in rots] for rots in rotations])  # (n, manifold, 4)
+    blocks = [(rot.level_pair, tuple(angles[:, j].T)) for j, rot in enumerate(rotations[0])]
+    return dynamics.exchange_unitary_stack(st.levels_c, len(rotations), blocks)
+
+
+def _qubit_exchanges(theta, phi=0.0, lam=0.0):
+    """``two_qubit_exchange_unitary(theta, lam=lam, phi=phi)`` per trial, as one stack."""
+    return dynamics.exchange_unitary_stack((0.0, 1.0), len(theta), [((0, 1), (np.array(theta), phi, lam, 0.0))])
+
+
+def _tables(st, u):
+    """The MH and TPM values of each row under its unitary."""
+    return tuple(fluctuations.table_stack(kind, st, u.matrix, u.adjoint) for kind in ("MH", "TPM"))
+
+
+def _mh_tables(systems, at, u):
+    """The MH values of ``fluctuations.mh_distribution`` for the trials ``at``, one call each."""
+    return np.stack([fluctuations.mh_distribution(systems[k], m).values for k, m in zip(at, u.matrix)])
+
+
+def _with_rho(st, systems, rho):
+    """``sys.with_rho(rho)`` of each row's system."""
+    return st.with_rho(rho, [np.array([sys._gibbs[side] for sys in systems]) for side in (0, 1)])
+
+
+def _raise_first(diverged, systems, rotations, check):
+    """Run ``check(sys, u)``, the trial-by-trial path, which raises, on the first diverged trial."""
+    for k in np.flatnonzero(diverged)[:1]:
+        check(systems[k], dynamics.energy_preserving_unitary(systems[k].spectrum_c, rotations[k]))
+
+
 @_trials("associativity + bilinearity")
 def _prop_kron_algebra(rng, k):
     a, b, c = (_random_complex(rng, side) for side in (2, 3, 2))
-    dev = np.max(
-        np.abs(linalg.kron(linalg.kron(a, b), c) - linalg.kron(a, linalg.kron(b, c)))
-    )
+    dev = np.max(np.abs(linalg.kron(linalg.kron(a, b), c) - linalg.kron(a, linalg.kron(b, c))))
     s, t = rng.standard_normal(2)
-    dev = max(
-        dev,
-        np.max(np.abs(linalg.kron(s * a + t * c, b) - (s * linalg.kron(a, b) + t * linalg.kron(c, b)))),
-    )
+    dev = max(dev, np.max(np.abs(linalg.kron(s * a + t * c, b) - (s * linalg.kron(a, b) + t * linalg.kron(c, b)))))
     return dev, dev >= 1e-12
 
 
@@ -200,8 +249,7 @@ def _prop_partial_ops(rng, k):
     pt = linalg.partial_transpose(m, (d_c, d_h), "H")
     dev = max(dev, np.max(np.abs(linalg.partial_transpose(pt, (d_c, d_h), "H") - m)))
     # spectrum of a product state is preserved under partial transposition
-    rho = a @ a.conj().T
-    sig = b @ b.conj().T
+    rho, sig = a @ a.conj().T, b @ b.conj().T
     rho /= np.trace(rho).real
     sig /= np.trace(sig).real
     prod = linalg.kron(rho, sig)
@@ -211,31 +259,28 @@ def _prop_partial_ops(rng, k):
     return dev, dev >= 1e-10
 
 
-@_trials("unitarity, commutation, manifold confinement")
-def _prop_unitarity(rng, k):
-    dim = int(rng.integers(2, 5))
-    sys, u, rots = random_system_and_unitary(rng, dim if dim <= 3 else 4)
-    mat = u.matrix
-    dev = linalg.spectral_norm(mat @ mat.conj().T - np.eye(mat.shape[0]))
-    dev = max(dev, u.commutator_norm)
-    dev = max(dev, abs(linalg.spectral_norm(mat) - 1.0))
-    # identity outside the declared manifolds
-    d = sys.d_c
-    mask = np.eye(d * d, dtype=bool)
-    for rot in rots:
-        a, b = rot.level_pair[0] * d + rot.level_pair[1], rot.level_pair[1] * d + rot.level_pair[0]
-        mask[a, a] = mask[b, b] = mask[a, b] = mask[b, a] = False
-    off = np.abs(mat - np.eye(d * d))[mask].max()
-    dev = max(dev, off)
+@_stacked("unitarity, commutation, manifold confinement")
+def _prop_unitarity(rng, n):
+    systems, rotations = zip(*(_random_system_and_rotations(rng, min(int(rng.integers(2, 5)), 4)) for _ in range(n)))
+    dev = np.zeros(n)
+    for at, st, u in _groups(systems, rotations):
+        eye = np.eye(st.rho.shape[-1])
+        d = linalg.spectral_norms(u.matrix @ u.adjoint - eye)
+        d = _pymax(d, u.commutator_norm)
+        d = _pymax(d, np.abs(linalg.spectral_norms(u.matrix) - 1.0))
+        # identity outside the declared manifolds
+        side = st.dims[0]
+        mask = np.eye(side * side, dtype=bool)
+        for rot in rotations[at[0]]:
+            a, b = rot.level_pair[0] * side + rot.level_pair[1], rot.level_pair[1] * side + rot.level_pair[0]
+            mask[a, a] = mask[b, b] = mask[a, b] = mask[b, a] = False
+        dev[at] = _pymax(d, np.abs(u.matrix - eye)[:, mask].max(axis=-1))
     return dev, dev >= 1e-10
 
 
 @_trials("constructed states stay thermal and positive")
 def _prop_state_validity(rng, k):
-    if k % 2 == 0:
-        sys, _ = random_two_qubit_system(rng)
-    else:
-        sys, _ = random_two_qutrit_system(rng)
+    sys, _ = (random_two_qubit_system if k % 2 == 0 else random_two_qutrit_system)(rng)
     target_c = states.thermal_populations(sys.spectrum_c, sys.beta_c)
     target_h = states.thermal_populations(sys.spectrum_h, sys.beta_h)
     dev = np.max(np.abs(np.diag(sys.marginal_c()).real - target_c))
@@ -245,167 +290,143 @@ def _prop_state_validity(rng, k):
     return dev, dev >= 1e-9
 
 
-@_trials("dephasing idempotent, marginal-preserving")
-def _prop_dephase(rng, k):
-    sys, _ = random_two_qutrit_system(rng)
-    deph = states.dephase(sys)
-    twice = states.dephase(deph)
-    dev = np.max(np.abs(twice.rho - deph.rho))
-    dims = sys.dims
-    for which in ("C", "H"):
-        lhs = linalg.partial_trace(deph.rho, dims, which)
-        rhs = linalg.partial_trace(sys.rho, dims, which)
+@_stacked("dephasing idempotent, marginal-preserving")
+def _prop_dephase(rng, n):
+    systems = [random_two_qutrit_system(rng)[0] for _ in range(n)]
+    ((_, st, _),) = _groups(systems)
+    deph = _with_rho(st, systems, states.dephased_rho(st.rho, st.levels_c, st.levels_h))
+    twice = _with_rho(deph, systems, states.dephased_rho(deph.rho, deph.levels_c, deph.levels_h))
+    dev = np.abs(twice.rho - deph.rho).reshape(n, -1).max(axis=-1)
+    shape = (n, *st.dims, *st.dims)
+    for trace in ("nijil->njl", "nijkj->nik"):  # ``linalg.partial_trace`` over C, then over H
+        lhs, rhs = (np.einsum(trace, x.rho.reshape(shape)) for x in (deph, st))
         # local spectra are nondegenerate, so dephasing the joint state
         # cannot move the marginals
-        dev = max(dev, np.max(np.abs(lhs - rhs)))
+        dev = _pymax(dev, np.abs(lhs - rhs).reshape(n, -1).max(axis=-1))
     return dev, dev >= 1e-12
 
 
-@_trials("both marginal identities")
-def _prop_mh_marginals(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-    mh = fluctuations.mh_distribution(sys, u)
-    dev = fluctuations.marginal_check(mh, sys, u)
-    tpm = fluctuations.tpm_distribution(sys, u)
-    dev = max(dev, fluctuations.marginal_check(tpm, sys, u))
+@_stacked("both marginal identities")
+def _prop_mh_marginals(rng, n):
+    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    dev = np.zeros(n)
+    for at, st, u in _groups(systems, rotations):
+        mh = _mh_tables(systems, at, u)
+        tpm = fluctuations.table_stack("TPM", st, u.matrix, u.adjoint)
+        dev[at] = _pymax(*(fluctuations.marginal_check_stack(t, st, u.matrix, u.adjoint, dephase) for t, dephase in ((mh, False), (tpm, True))))
     return dev, dev >= 1e-10
+
+
+@_in_stacks
+def _table_norm_trials(rng, n):
+    """Per trial: |sum - 1| of the MH and the TPM table, the least MH and TPM entries, the largest MH entry."""
+    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    out = np.zeros((5, n))
+    for at, st, u in _groups(systems, rotations):
+        mh = _mh_tables(systems, at, u).reshape(len(at), -1)
+        tpm = fluctuations.table_stack("TPM", st, u.matrix, u.adjoint).reshape(len(at), -1)
+        out[:, at] = np.abs(mh.sum(axis=-1) - 1.0), np.abs(tpm.sum(axis=-1) - 1.0), mh.min(axis=-1), tpm.min(axis=-1), mh.max(axis=-1)
+    return out
 
 
 def _prop_table_norm_range(rng, n):
-    failures = 0
-    worst_sum = 0.0
-    lowest = 0.0
-    for k in range(n):
-        sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-        mh = fluctuations.mh_distribution(sys, u)
-        tpm = fluctuations.tpm_distribution(sys, u)
-        sums = (abs(mh.values.sum() - 1.0), abs(tpm.values.sum() - 1.0))
-        worst_sum = max(worst_sum, *sums)
-        lowest = min(lowest, mh.min_entry())
-        bad = (
-            max(sums) >= 1e-10
-            or mh.min_entry() < fluctuations.MH_LOWER_BOUND - 1e-10
-            or tpm.min_entry() < -1e-12
-            or mh.values.max() > 1 + 1e-10
-        )
-        failures += bad
-    return failures, worst_sum, f"sum=1; min MH entry seen {lowest:.4f} >= -1/8"
+    sum_mh, sum_tpm, mh_min, tpm_min, mh_max = _table_norm_trials(rng, n)
+    bad = (_pymax(sum_mh, sum_tpm) >= 1e-10) | (mh_min < fluctuations.MH_LOWER_BOUND - 1e-10) | (tpm_min < -1e-12)
+    failures = np.count_nonzero(bad | (mh_max > 1 + 1e-10))
+    note = f"sum=1; min MH entry seen {np.fmin.reduce(mh_min, initial=0.0):.4f} >= -1/8"
+    return int(failures), float(np.fmax.reduce([sum_mh, sum_tpm], axis=None, initial=0.0)), note
 
 
-@_trials("table heat = operator heat; Q = Qback - Qdirect")
-def _prop_heat_identities(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-    mh = fluctuations.mh_distribution(sys, u)
-    tpm = fluctuations.tpm_distribution(sys, u)
-    q = fluctuations.average_heat(sys, u)
-    dev = abs(fluctuations.table_heat(mh) - q)
-    diag = sys.with_rho(np.diag(np.diag(sys.rho)))
-    dev = max(dev, abs(fluctuations.table_heat(tpm) - fluctuations.average_heat(diag, u)))
-    rep = fluctuations.flow_decomposition(mh)
-    dev = max(dev, abs(rep.q_back - rep.q_direct - rep.q))
+@_stacked("table heat = operator heat; Q = Qback - Qdirect")
+def _prop_heat_identities(rng, n):
+    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    dev = np.zeros(n)
+    for at, st, u in _groups(systems, rotations):
+        mh, tpm = _tables(st, u)
+        q = fluctuations.table_heat_stack(mh, st.levels_c)
+        d = np.abs(q - fluctuations.average_heat_stack(st, u.matrix, u.adjoint))
+        diag = _with_rho(st, [systems[k] for k in at], fluctuations.diagonal_matrices(st.rho.diagonal(axis1=1, axis2=2)))
+        d = _pymax(d, np.abs(fluctuations.table_heat_stack(tpm, st.levels_c) - fluctuations.average_heat_stack(diag, u.matrix, u.adjoint)))
+        q_back, q_direct = fluctuations.flow_decomposition_stack(mh, st.levels_c, st.levels_h)
+        dev[at] = _pymax(d, np.abs(q_back - q_direct - q))
     return dev, dev >= 1e-10
 
 
-@_trials("MH = TPM on dephased states")
-def _prop_mh_tpm_dephased(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2)
-    diag = sys.with_rho(np.diag(np.diag(sys.rho)))
-    dev = np.max(
-        np.abs(
-            fluctuations.mh_distribution(diag, u).values
-            - fluctuations.tpm_distribution(diag, u).values
-        )
-    )
+@_stacked("MH = TPM on dephased states")
+def _prop_mh_tpm_dephased(rng, n):
+    systems, rotations = _draw(rng, [2] * n)
+    ((_, st, u),) = _groups(systems, rotations)
+    mh, tpm = _tables(_with_rho(st, systems, fluctuations.diagonal_matrices(st.rho.diagonal(axis1=1, axis2=2))), u)
+    dev = np.abs(mh - tpm).reshape(n, -1).max(axis=-1)
     # block dephasing never changes either table under energy-preserving U
-    deph = states.dephase(sys)
-    dev = max(
-        dev,
-        np.max(
-            np.abs(
-                fluctuations.mh_distribution(deph, u).values
-                - fluctuations.mh_distribution(sys, u).values
-            )
-        ),
-    )
+    deph = _with_rho(st, systems, states.dephased_rho(st.rho, st.levels_c, st.levels_h))
+    mh_deph, mh = (fluctuations.table_stack("MH", x, u.matrix, u.adjoint) for x in (deph, st))
+    dev = _pymax(dev, np.abs(mh_deph - mh).reshape(n, -1).max(axis=-1))
     return dev, dev >= 1e-12
 
 
-@_trials("exchange entries, Q, Q_TPM vs matrix route")
-def _prop_two_qubit_closed_forms(rng, k):
-    sys, params = random_two_qubit_system(rng)
-    theta = rng.uniform(0.0, np.pi)
-    phi, lam = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    u = dynamics.two_qubit_exchange_unitary(theta, lam=lam, phi=phi)
-    mh = fluctuations.mh_distribution(sys, u)
-    tpm = fluctuations.tpm_distribution(sys, u)
-    cf = fluctuations.two_qubit_exchange_probs(
-        theta, params.eta, params.xi, params.beta_c, params.beta_h, params.p00,
-        phi=phi, lam=lam,
-    )
-    dev = max(
-        abs(cf["mh_01_10"] - mh.entry(0, 1, 1, 0)),
-        abs(cf["mh_10_01"] - mh.entry(1, 0, 0, 1)),
-        abs(cf["tpm_01_10"] - tpm.entry(0, 1, 1, 0)),
-        abs(cf["tpm_10_01"] - tpm.entry(1, 0, 0, 1)),
-    )
-    dev = max(
-        dev,
-        abs(
-            fluctuations.two_qubit_heat(
-                theta, params.eta, params.xi, params.beta_c, params.beta_h,
-                phi=phi, lam=lam,
-            )
-            - fluctuations.average_heat(sys, u)
-        ),
-    )
-    dev = max(
-        dev,
-        abs(
-            fluctuations.two_qubit_tpm_heat(theta, params.beta_c, params.beta_h)
-            - fluctuations.table_heat(tpm)
-        ),
-    )
+@_stacked("exchange entries, Q, Q_TPM vs matrix route")
+def _prop_two_qubit_closed_forms(rng, n):
+    draws = ((*random_two_qubit_system(rng), rng.uniform(0.0, np.pi), *rng.uniform(0.0, 2.0 * np.pi, size=2)) for _ in range(n))
+    systems, params, theta, phi, lam = zip(*draws)  # phi, lam as drawn together
+    ((_, st, _),) = _groups(systems)
+    u = _qubit_exchanges(theta, np.array(phi), np.array(lam))
+    mh, tpm = _tables(st, u)
+    q, q_tpm = fluctuations.average_heat_stack(st, u.matrix, u.adjoint), fluctuations.table_heat_stack(tpm, st.levels_c)
+    dev = np.zeros(n)
+    for k, p in enumerate(params):
+        cf = fluctuations.two_qubit_exchange_probs(theta[k], p.eta, p.xi, p.beta_c, p.beta_h, p.p00, phi=phi[k], lam=lam[k])
+        # the MH, then the TPM entries 01 -> 10 and 10 -> 01
+        d = max(abs(cf[f"{name}_{a}{b}_{b}{a}"] - float(t[k, a, b, b, a])) for name, t in (("mh", mh), ("tpm", tpm)) for a, b in ((0, 1), (1, 0)))
+        closed = fluctuations.two_qubit_heat(theta[k], p.eta, p.xi, p.beta_c, p.beta_h, phi=phi[k], lam=lam[k])
+        d = max(d, abs(closed - float(q[k])))
+        dev[k] = max(d, abs(fluctuations.two_qubit_tpm_heat(theta[k], p.beta_c, p.beta_h) - float(q_tpm[k])))
     return dev, dev >= 1e-12
 
 
 @_trials("manifold closed forms, d = 3 and 4")
 def _prop_qudit_closed_forms(rng, k):
-    if k % 2 == 0:
-        sys, _ = random_two_qutrit_system(rng)
-    else:
-        sys = random_qudit_system(rng, 4)
-    rots = random_rotations(rng, sys.spectrum_c)
-    u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
-    mh = fluctuations.mh_distribution(sys, u)
-    tpm = fluctuations.tpm_distribution(sys, u)
-    dev = 0.0
-    for key, val in fluctuations.exchange_manifold_pw(sys, rots).items():
-        dev = max(dev, abs(val - mh.entry(*key)))
-    for key, val in fluctuations.exchange_manifold_tpm(sys, rots).items():
-        dev = max(dev, abs(val - tpm.entry(*key)))
+    sys, u, rots = random_system_and_unitary(rng, 3 + k % 2)
+    mh, tpm = fluctuations.mh_distribution(sys, u), fluctuations.tpm_distribution(sys, u)
+    pw, tp = fluctuations.exchange_manifold_pw(sys, rots), fluctuations.exchange_manifold_tpm(sys, rots)
+    dev = max([0.0, *(abs(v - mh.entry(*key)) for key, v in pw.items()), *(abs(v - tpm.entry(*key)) for key, v in tp.items())])
     return dev, dev >= 1e-12
 
 
-@_trials("<e^{dI+dB dE}> = 1 + chi_bar")
-def _prop_xft_identity(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-    mh = fluctuations.mh_distribution(sys, u)
-    rep = fluctuations.xft_average(mh, sys).with_chi(
+@_stacked("<e^{dI+dB dE}> = 1 + chi_bar")
+def _prop_xft_identity(rng, n):
+    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    dev, diverged = np.zeros(n), np.zeros(n, bool)
+    for at, st, u in _groups(systems, rotations):
+        lhs, _, resonance_ok, _, vanishing = fluctuations.xft_average_stack(_tables(st, u)[0], st)
+        chi, starved = fluctuations.xft_coherence_stack(st, u.matrix, u.adjoint)
+        dev[at] = np.where(resonance_ok, np.abs(lhs - 1.0 - chi), np.inf)
+        diverged[at] = starved.any(axis=1) | np.any([v.reshape(len(at), -1).any(axis=1) for v in vanishing.values()], axis=0)
+
+    def check(sys, u):
+        fluctuations.xft_average(fluctuations.mh_distribution(sys, u), sys)
         fluctuations.xft_coherence_term(sys, u)
-    )
-    dev = rep.identity_gap() if rep.resonance_ok else np.inf
+
+    _raise_first(diverged, systems, rotations, check)
     return dev, dev >= 1e-8
 
 
-@_trials("1 + J = <e^{dB dE}>; J <= ||c|| + ||q||")
-def _prop_j_identity(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-    mh = fluctuations.mh_distribution(sys, u)
-    corr = fluctuations.heat_exp_correction(sys, u)
-    dbeta = sys.beta_c - sys.beta_h
-    direct = float((mh.values * np.exp(dbeta * mh.delta_e_c())).sum())
-    dev = abs(1.0 + corr.j - direct)
-    return dev, dev >= 1e-10 or corr.j > corr.norm_bound + 1e-10
+@_stacked("1 + J = <e^{dB dE}>; J <= ||c|| + ||q||")
+def _prop_j_identity(rng, n):
+    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    dev, bad, diverged = np.zeros(n), np.zeros(n, bool), np.zeros(n, bool)
+    for at, st, u in _groups(systems, rotations):
+        mh = _tables(st, u)[0]
+        operators = fluctuations._correction_operators(st)
+        j = fluctuations._correction_j(operators, u.matrix, u.adjoint)
+        norm_bound = linalg.spectral_norms(fluctuations.diagonal_matrices(operators[1])) + linalg.spectral_norms(operators[2])
+        dbeta = (st.beta_c - st.beta_h)[:, None, None, None, None]
+        direct = (mh * np.exp(dbeta * fluctuations.energy_changes(st.levels_c, st.levels_h)[0])).reshape(len(at), -1).sum(axis=-1)
+        dev[at] = np.abs(1.0 + j - direct)
+        bad[at] = (dev[at] >= 1e-10) | (j > norm_bound + 1e-10)
+        diverged[at] = operators[3]
+    _raise_first(diverged, systems, rotations, fluctuations.heat_exp_correction)
+    return dev, bad
 
 
 def _nonneg_instance(rng, dim: int):
@@ -418,33 +439,20 @@ def _nonneg_instance(rng, dim: int):
 
 
 def _prop_witness_soundness(rng, n):
-    failures = 0
-    worst = 0.0
-    per_dim = max(1, n // 2)
+    failures, worst, per_dim = 0, 0.0, max(1, n // 2)
     for dim in (2, 3):
         for _ in range(per_dim):
             sys, u, rots, mh = _nonneg_instance(rng, dim)
             tpm = fluctuations.tpm_distribution(sys, u)
-            q = fluctuations.table_heat(mh)
-            q_tpm = fluctuations.table_heat(tpm)
+            q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(tpm)
             bc, bh = sys.beta_c, sys.beta_h
-            verdicts = []
-            if dim == 2:
-                verdicts.append(
-                    witnesses.two_qubit_flow_witness(q, q_tpm, bc, bh, commutator_norm=u.commutator_norm)
-                )
-                verdicts.append(
-                    witnesses.nonideal_flow_witness(q, q_tpm, bc, bh, 1.0, 1.0, 0.0)
-                )
-            rep = fluctuations.xft_average(mh, sys).with_chi(
-                fluctuations.xft_coherence_term(sys, u)
-            )
+            verdicts = [
+                witnesses.two_qubit_flow_witness(q, q_tpm, bc, bh, commutator_norm=u.commutator_norm),
+                witnesses.nonideal_flow_witness(q, q_tpm, bc, bh, 1.0, 1.0, 0.0),
+            ] if dim == 2 else []
+            rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
             verdicts.append(witnesses.xft_flow_witness(q, rep, bc, bh))
-            verdicts.append(
-                witnesses.correlation_flow_witness(
-                    q, fluctuations.heat_exp_correction(sys, u).j, bc, bh
-                )
-            )
+            verdicts.append(witnesses.correlation_flow_witness(q, fluctuations.heat_exp_correction(sys, u).j, bc, bh))
             verdicts.extend(witnesses.tpm_band_witness(q, tpm))
             verdicts.append(witnesses.strong_backflow_witness(q, bc, bh, dim))
             bad = sum(v.violated for v in verdicts)
@@ -454,107 +462,77 @@ def _prop_witness_soundness(rng, n):
 
 
 def _prop_witness_soundness_nonideal(rng, n):
-    failures = 0
-    worst = 0.0
-    kept = 0
+    failures, worst, kept = 0, 0.0, 0
     while kept < n:
         sys, _ = random_two_qubit_system(rng)
-        j_hz = rng.uniform(100.0, 400.0)
-        t = rng.uniform(0.0, 6e-3)
-        jx = rng.uniform(0.0, 60.0)
+        j_hz, t, jx = rng.uniform(100.0, 400.0), rng.uniform(0.0, 6e-3), rng.uniform(0.0, 60.0)
         u = dynamics.perturbed_xy_unitary(j_hz, jx, t)
         mh = fluctuations.mh_distribution(sys, u)
         if mh.min_entry() < 0.0:
             continue
         kept += 1
-        tpm = fluctuations.tpm_distribution(sys, u)
-        q = fluctuations.table_heat(mh)
-        q_tpm = fluctuations.table_heat(tpm)
-        v2 = witnesses.nonideal_flow_witness(
-            q, q_tpm, sys.beta_c, sys.beta_h, 1.0, 1.0, u.epsilon
-        )
-        failures += v2.violated
+        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
+        failures += witnesses.nonideal_flow_witness(q, q_tpm, sys.beta_c, sys.beta_h, 1.0, 1.0, u.epsilon).violated
         try:
-            rep = fluctuations.xft_average(mh, sys).with_chi(
-                fluctuations.xft_coherence_term(sys, u)
-            )
-            v3 = witnesses.xft_flow_witness(
-                q, rep, sys.beta_c, sys.beta_h,
-                epsilon_work=rep.max_energy_mismatch,
-            )
-            failures += v3.violated
+            rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
+            failures += witnesses.xft_flow_witness(
+                q, rep, sys.beta_c, sys.beta_h, epsilon_work=rep.max_energy_mismatch
+            ).violated
         except fluctuations.DivergenceError:
             pass
         worst = max(worst, float(failures))
     return failures, worst, "perturbed dynamics: T2 / nonideal T3 stay sound"
 
 
+@_in_stacks
+def _exchange_qubit_trials(rng, n, coherent=True):
+    """Per trial of a drawn qubit pair under the exchange by a drawn theta:
+    T1 violated, Q of the MH table and the operator, Q_tpm, the least MH entry."""
+    systems, params, theta = zip(*((*random_two_qubit_system(rng, coherent), rng.uniform(0.0, np.pi)) for _ in range(n)))
+    ((_, st, _),) = _groups(systems)
+    u = _qubit_exchanges(theta)
+    mh, tpm = _tables(st, u)
+    q, q_tpm = (fluctuations.table_heat_stack(t, st.levels_c) for t in (mh, tpm))
+    t1 = [  # read for coherent pairs only
+        witnesses.two_qubit_flow_witness(a, b, p.beta_c, p.beta_h).violated for a, b, p in zip(q.tolist(), q_tpm.tolist(), params)
+    ] if coherent else [False] * n
+    return np.array(t1, bool), q, fluctuations.average_heat_stack(st, u.matrix, u.adjoint), q_tpm, mh.reshape(n, -1).min(axis=-1)
+
+
 def _prop_t1_violation_implies_strong_flow(rng, n):
-    failures = 0
-    seen = 0
-    for _ in range(n):
-        sys, params = random_two_qubit_system(rng)
-        theta = rng.uniform(0.0, np.pi)
-        u = dynamics.two_qubit_exchange_unitary(theta)
-        mh = fluctuations.mh_distribution(sys, u)
-        tpm = fluctuations.tpm_distribution(sys, u)
-        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(tpm)
-        v = witnesses.two_qubit_flow_witness(q, q_tpm, params.beta_c, params.beta_h)
-        if v.violated:
-            seen += 1
-            failures += not abs(q) > abs(q_tpm)
-            failures += not mh.min_entry() < 0.0
-    return failures, float(seen), f"violations carry |Q| > |Q_tpm| ({seen} seen)"
+    t1, q, _, q_tpm, mh_min = _exchange_qubit_trials(rng, n)
+    failures = np.count_nonzero(t1 & ~(np.abs(q) > np.abs(q_tpm))) + np.count_nonzero(t1 & ~(mh_min < 0.0))
+    seen = int(np.count_nonzero(t1))
+    return int(failures), float(seen), f"violations carry |Q| > |Q_tpm| ({seen} seen)"
 
 
 def _prop_tpm_no_backflow(rng, n):
-    failures = 0
-    worst = -np.inf
-    for _ in range(n):
-        sys, params = random_two_qubit_system(rng, coherent=False)
-        theta = rng.uniform(0.0, np.pi)
-        u = dynamics.two_qubit_exchange_unitary(theta)
-        q_tpm = fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
-        q = fluctuations.average_heat(sys, u)
-        worst = max(worst, q_tpm)
-        failures += q_tpm > 1e-12 or abs(q - q_tpm) > 1e-12
-    return failures, worst, "Q_tpm <= 0 and Q(eta=0) = Q_tpm"
+    _, _, q, q_tpm, _ = _exchange_qubit_trials(rng, n, False)
+    failures = np.count_nonzero((q_tpm > 1e-12) | (np.abs(q - q_tpm) > 1e-12))
+    return int(failures), np.fmax.reduce(q_tpm, initial=-np.inf), "Q_tpm <= 0 and Q(eta=0) = Q_tpm"
 
 
 def _prop_all_negative_direction(rng, n):
-    failures = 0
-    checked = 0
+    failures = checked = 0
+    pairs = ((0, 1), (0, 2), (1, 2))
     for _ in range(n):
         sys, _ = random_two_qutrit_system(rng)
-        d = sys.d_c
         pops = sys.populations()
-        # pick each angle so the coherence term defeats the population term
-        rots = []
-        ok = True
-        for pair in ((0, 1), (0, 2), (1, 2)):
-            a, b = pair[0] * d + pair[1], pair[1] * d + pair[0]
-            coh = abs(sys.rho[a, b])
-            if coh < 1e-6:
-                ok = False
-                break
-            xi = float(np.angle(sys.rho[a, b]))
-            limit = np.arctan(coh / max(pops[a], 1e-12))
-            rots.append(
-                ManifoldRotation(pair, theta=np.pi - 0.5 * limit, phi=0.0, lam=-xi)
-            )
-        if not ok:
+        coh = [sys.rho[3 * lo + hi, 3 * hi + lo] for lo, hi in pairs]
+        if min(map(abs, coh)) < 1e-6:
             continue
+        # pick each angle so the coherence term defeats the population term
+        rots = [
+            ManifoldRotation(pair, theta=np.pi - 0.5 * np.arctan(abs(c) / max(pops[3 * pair[0] + pair[1]], 1e-12)),
+                             phi=0.0, lam=-float(np.angle(c)))
+            for pair, c in zip(pairs, coh)
+        ]
         u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
         mh = fluctuations.mh_distribution(sys, u)
-        exch = [
-            mh.entry(n_, m_, m_, n_)
-            for (n_, m_) in ((0, 1), (0, 2), (1, 2))
-        ]
-        if not all(v < 0.0 for v in exch):
+        if not all(mh.entry(lo, hi, hi, lo) < 0.0 for lo, hi in pairs):
             continue
         checked += 1
-        q = fluctuations.table_heat(mh)
-        q_tpm = fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
+        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
         failures += not abs(q) > abs(q_tpm)
     note = f"all-negative direction => |Q| > |Q_tpm| ({checked} instances)"
     if checked == 0:
@@ -568,11 +546,10 @@ def _prop_delta_q_max(rng, k):
     sys, _ = random_two_qutrit_system(rng)
     target = fluctuations.max_heat_coherence_shift(sys)
     # phases tuned so cos(xi + phi + lam) = 1, theta = pi/4 on all manifolds
-    rots = []
-    for pair in ((0, 1), (0, 2), (1, 2)):
-        a, b = pair[0] * 3 + pair[1], pair[1] * 3 + pair[0]
-        xi = float(np.angle(sys.rho[a, b]))
-        rots.append(ManifoldRotation(pair, theta=np.pi / 4.0, phi=0.0, lam=-xi))
+    rots = [
+        ManifoldRotation((lo, hi), theta=np.pi / 4.0, phi=0.0, lam=-float(np.angle(sys.rho[lo * 3 + hi, hi * 3 + lo])))
+        for lo, hi in ((0, 1), (0, 2), (1, 2))
+    ]
     u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
     q = fluctuations.average_heat(sys, u)
     q_tpm = fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
@@ -582,13 +559,10 @@ def _prop_delta_q_max(rng, k):
 
 @_trials("reconstruction exact for eps in {0.05, 0.2, pi/4}")
 def _prop_probe_exactness(rng, k):
-    dim = 2 if k % 2 == 0 else 3
-    sys, u, _ = random_system_and_unitary(rng, dim)
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
     mh = fluctuations.mh_distribution(sys, u)
-    i_c = int(rng.integers(0, sys.d_c))
-    i_h = int(rng.integers(0, sys.d_h))
-    failures, worst = 0, 0.0
-    recs = []
+    i_c, i_h = int(rng.integers(0, sys.d_c)), int(rng.integers(0, sys.d_h))
+    failures, worst, recs = 0, 0.0, []
     for eps in (0.05, 0.2, np.pi / 4.0):
         stats = probe.probe_statistics(sys, u, (i_c, i_h), eps)
         rec = probe.reconstruct_quasiprobability(stats)
@@ -614,8 +588,7 @@ def _prop_probe_disturbance(rng, k):
     pi_op = np.zeros((4, 4), dtype=complex)
     pi_op[idx, idx] = 1.0
     flip = 2.0 * pi_op - np.eye(4)
-    failures = 0
-    prev = np.inf
+    failures, prev = 0, np.inf
     for eps in (0.6, 0.3, 0.1, 0.02):
         post = np.cos(eps) ** 2 * sys.rho + np.sin(eps) ** 2 * (flip @ sys.rho @ flip)
         tdist = 0.5 * float(np.abs(linalg.hermitian_eigenvalues(sys.rho - post)).sum())
@@ -625,18 +598,14 @@ def _prop_probe_disturbance(rng, k):
 
 
 def _prop_probe_sampling(rng, n):
-    failures = 0
-    worst = 0.0
-    trials = max(1, min(n, 20))
-    for _ in range(trials):
+    failures, worst = 0, 0.0
+    for _ in range(max(1, min(n, 20))):
         sys, u, _ = random_system_and_unitary(rng, 2)
         stats = probe.probe_statistics(sys, u, (0, 1), 0.2)
         seed = int(rng.integers(0, 2**31))
         s1 = probe.sampled_reconstruction(stats, 10**5, seed)
         s2 = probe.sampled_reconstruction(stats, 10**5, seed)
-        failures += not (
-            np.array_equal(s1.values, s2.values) and np.array_equal(s1.stderr, s2.stderr)
-        )
+        failures += not (np.array_equal(s1.values, s2.values) and np.array_equal(s1.stderr, s2.stderr))
         exact = probe.reconstruct_quasiprobability(stats)
         dev = np.abs(s1.values - exact)
         failures += not bool((dev <= 5.0 * s1.stderr + 1e-12).all())
@@ -652,22 +621,14 @@ def _prop_p00_bounds(rng, k):
     lo, hi = base.p00_bounds()
     inside = lo + rng.uniform(0.0, 1.0) * (hi - lo)
     states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside))
+    cap = states.TwoQubitParams(beta_c, beta_h, inside).eta_cap()
     failures = 0
-    outside_hi = hi + max(1e-6, 0.05 * (hi - lo))
-    try:
-        states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, outside_hi))
-        failures += 1
-    except states.InfeasibleStateError:
-        pass
-    params = states.TwoQubitParams(beta_c, beta_h, inside)
-    cap = params.eta_cap()
-    try:
-        states.two_qubit_state(
-            states.TwoQubitParams(beta_c, beta_h, inside, eta=cap * 1.05 + 1e-6)
-        )
-        failures += 1
-    except states.InfeasibleStateError:
-        pass
+    for outside in ((hi + max(1e-6, 0.05 * (hi - lo)), 0.0), (inside, cap * 1.05 + 1e-6)):  # P00, then eta
+        try:
+            states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, *outside))
+            failures += 1
+        except states.InfeasibleStateError:
+            pass
     # boundary eta is PSD up to tolerance
     sys = states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside, eta=cap))
     return max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])), failures
@@ -686,55 +647,40 @@ def _prop_strong_backflow(rng, k):
 
 
 PROPERTIES = {
-    "kron-algebra": _prop_kron_algebra,
-    "partial-ops": _prop_partial_ops,
-    "unitarity": _prop_unitarity,
-    "state-validity": _prop_state_validity,
-    "dephase": _prop_dephase,
-    "mh-marginals": _prop_mh_marginals,
-    "table-norm-range": _prop_table_norm_range,
-    "heat-identities": _prop_heat_identities,
-    "mh-tpm-dephased": _prop_mh_tpm_dephased,
-    "two-qubit-closed-forms": _prop_two_qubit_closed_forms,
-    "qudit-closed-forms": _prop_qudit_closed_forms,
-    "xft-identity": _prop_xft_identity,
-    "j-identity": _prop_j_identity,
-    "witness-soundness": _prop_witness_soundness,
-    "witness-soundness-nonideal": _prop_witness_soundness_nonideal,
-    "t1-strong-flow": _prop_t1_violation_implies_strong_flow,
-    "tpm-no-backflow": _prop_tpm_no_backflow,
-    "all-negative-direction": _prop_all_negative_direction,
-    "delta-q-max": _prop_delta_q_max,
-    "probe-exactness": _prop_probe_exactness,
-    "probe-disturbance": _prop_probe_disturbance,
-    "probe-sampling": _prop_probe_sampling,
-    "p00-bounds": _prop_p00_bounds,
-    "strong-backflow-threshold": _prop_strong_backflow,
+    "kron-algebra": _prop_kron_algebra, "partial-ops": _prop_partial_ops, "unitarity": _prop_unitarity,
+    "state-validity": _prop_state_validity, "dephase": _prop_dephase, "mh-marginals": _prop_mh_marginals,
+    "table-norm-range": _prop_table_norm_range, "heat-identities": _prop_heat_identities,
+    "mh-tpm-dephased": _prop_mh_tpm_dephased, "two-qubit-closed-forms": _prop_two_qubit_closed_forms,
+    "qudit-closed-forms": _prop_qudit_closed_forms, "xft-identity": _prop_xft_identity, "j-identity": _prop_j_identity,
+    "witness-soundness": _prop_witness_soundness, "witness-soundness-nonideal": _prop_witness_soundness_nonideal,
+    "t1-strong-flow": _prop_t1_violation_implies_strong_flow, "tpm-no-backflow": _prop_tpm_no_backflow,
+    "all-negative-direction": _prop_all_negative_direction, "delta-q-max": _prop_delta_q_max,
+    "probe-exactness": _prop_probe_exactness, "probe-disturbance": _prop_probe_disturbance,
+    "probe-sampling": _prop_probe_sampling, "p00-bounds": _prop_p00_bounds, "strong-backflow-threshold": _prop_strong_backflow,
 }
 
 # heavier checks run a reduced number of trials relative to the suite setting
 TRIAL_SCALE = {
-    "witness-soundness": 0.5,
-    "witness-soundness-nonideal": 0.2,
-    "qudit-closed-forms": 0.3,
-    "probe-exactness": 0.2,
-    "probe-sampling": 0.04,
-    "delta-q-max": 0.3,
-    "all-negative-direction": 0.3,
-    "xft-identity": 0.6,
+    "witness-soundness": 0.5, "witness-soundness-nonideal": 0.2, "qudit-closed-forms": 0.3, "probe-exactness": 0.2,
+    "probe-sampling": 0.04, "delta-q-max": 0.3, "all-negative-direction": 0.3, "xft-identity": 0.6,
 }
 
 
 def run_property_suite(
     seed: int = 7, n_trials: int = 500, names: list[str] | None = None
 ) -> list[PropertyResult]:
-    """Run the registered properties with deterministic per-property streams."""
+    """Run the registered properties with deterministic per-property
+    streams: every one, or the ``names`` given, each once."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    selected = names or list(PROPERTIES)
+    selected = list(PROPERTIES) if names is None else list(names)
+    if not selected:
+        raise ValueError("no properties selected")
     unknown = [name for name in selected if name not in PROPERTIES]
     if unknown:
         raise ValueError(f"unknown properties: {unknown}")
+    if twice := sorted({name for name in selected if selected.count(name) > 1}):
+        raise ValueError(f"properties listed twice: {twice}")
     root = np.random.SeedSequence(seed)
     streams = root.spawn(len(PROPERTIES))
     order = {name: k for k, name in enumerate(PROPERTIES)}

@@ -16,7 +16,7 @@ gap for a two-level system with E = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import (
     hermitian_eigenvalues,
-    hermiticity_defect,
+    hermiticity_defects,
     kron,
     partial_trace,
     partial_transpose,
@@ -83,8 +83,13 @@ class EnergySpectrum:
         return len(self.levels)
 
     def bohr_nondegenerate(self, tol: float = BOHR_TOL) -> bool:
-        """True when all pairwise gaps are distinct within tol."""
-        return bohr_nondegenerate(self.levels, tol)
+        """True when all pairwise gaps are distinct within tol (at the
+        default tol, worked out once per spectrum)."""
+        return self._bohr_nondegenerate if tol == BOHR_TOL else bohr_nondegenerate(self.levels, tol)
+
+    @cached_property
+    def _bohr_nondegenerate(self) -> bool:
+        return bohr_nondegenerate(self.levels)
 
     def hamiltonian(self) -> np.ndarray:
         return np.diag(np.asarray(self.levels, dtype=complex))
@@ -95,7 +100,7 @@ def thermal_populations(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
     w = np.exp(-beta * np.asarray(spectrum.levels, dtype=float))
-    return w / w.sum()
+    return w / np.add.reduce(w)
 
 
 def thermal_state(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
@@ -128,14 +133,52 @@ def _min_eigenvalue_bound(rho: np.ndarray) -> float:
     return float(np.minimum(alone, np.minimum(mu, 0.0) * h.max(initial=0.0)))
 
 
+def validate_stack(rho: np.ndarray, dims: tuple[int, int], gibbs=(None, None)):
+    """The checks of ``BipartiteSystem`` on each rho of an (n, D, D) stack, in
+    the order trace, hermiticity, psd, thermal_marginal_C, thermal_marginal_H:
+    (each row's first failure, an ``InfeasibleStateError``, or None; the real
+    diagonals of the C and H marginals, bit for bit those of ``partial_trace``).
+    ``gibbs`` holds the Gibbs populations, (d,) or (n, d), that each marginal
+    must match, or None for a side without a temperature."""
+    n, side = len(rho), rho.shape[-1]
+    errors = [None] * n
+
+    def passing(keep=lambda k: True):  # the rows without a failure yet that ``keep``, and their matrices
+        rows = [k for k in range(n) if errors[k] is None and keep(k)]
+        return rows, rho[rows] if len(rows) < n else rho
+
+    traces = rho.trace(axis1=1, axis2=2)
+    for k, tr in enumerate(traces.tolist()):
+        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
+            errors[k] = InfeasibleStateError("trace", f"tr(rho) = {traces[k]}")
+    rows, matrices = passing()
+    for k, defect in zip(rows, hermiticity_defects(matrices).tolist()):
+        if defect > HERM_TOL:
+            errors[k] = InfeasibleStateError("hermiticity", f"defect {defect:.3e}")
+    # a bound within half the tolerance settles positivity (nan does not);
+    # up to EIGVALSH_MAX_SIDE, eigvalsh costs less than the bound
+    rows, matrices = passing(lambda k: side <= EIGVALSH_MAX_SIDE or not _min_eigenvalue_bound(rho[k]) >= -0.5 * PSD_TOL)
+    for k, min_eig in zip(rows, np.linalg.eigvalsh(matrices)[:, 0].tolist() if rows else ()):
+        if min_eig < -PSD_TOL:
+            errors[k] = InfeasibleStateError("psd", f"min eigenvalue {min_eig:.3e}")
+    r = rho.reshape(n, *dims, *dims)
+    marginals = np.einsum("nijkj->nik", r).diagonal(axis1=1, axis2=2).real, np.einsum("nijil->njl", r).diagonal(axis1=1, axis2=2).real
+    for name, got, target in zip("CH", marginals, gibbs):
+        if target is not None:
+            for k, dev in enumerate(np.maximum.reduce(np.abs(got - target), axis=-1).tolist()):
+                if errors[k] is None and dev > THERMAL_TOL:
+                    errors[k] = InfeasibleStateError(f"thermal_marginal_{name}")
+    return errors, marginals
+
+
 @dataclass(frozen=True)
 class BipartiteSystem:
     """A joint density matrix together with the two local spectra.
 
     Construction validates trace, Hermiticity and positivity, and (when
     the inverse temperatures are given) that both marginals are the
-    corresponding Gibbs states.  Instances are immutable; ``rho`` is
-    marked read-only.
+    corresponding Gibbs states (``validate_stack`` at n = 1).  Instances
+    are immutable; ``rho`` is marked read-only.
     """
 
     spectrum_c: EnergySpectrum
@@ -145,31 +188,28 @@ class BipartiteSystem:
     beta_h: float | None = None
 
     def __post_init__(self):
+        pairs = ((self.spectrum_c, self.beta_c), (self.spectrum_h, self.beta_h))
+        self._validate(tuple(None if beta is None else thermal_populations(s, beta) for s, beta in pairs))
+
+    @classmethod
+    def _with_gibbs(cls, spectrum_c, spectrum_h, rho, beta_c, beta_h, gibbs) -> "BipartiteSystem":
+        """The system of these fields, checked against the Gibbs populations (C, H) the caller holds."""
+        sys = object.__new__(cls)
+        sys.__dict__.update(spectrum_c=spectrum_c, spectrum_h=spectrum_h, rho=rho, beta_c=beta_c, beta_h=beta_h)
+        sys._validate(gibbs)
+        return sys
+
+    def _validate(self, gibbs) -> None:
         rho = np.array(self.rho, dtype=complex)
         d = self.spectrum_c.dim * self.spectrum_h.dim
         if rho.shape != (d, d):
-            raise InfeasibleStateError(
-                "dimension", f"rho has shape {rho.shape}, expected {(d, d)}"
-            )
-        if abs((tr := np.trace(rho)).real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
-            raise InfeasibleStateError("trace", f"tr(rho) = {tr}")
-        defect = hermiticity_defect(rho)
-        if defect > HERM_TOL:
-            raise InfeasibleStateError("hermiticity", f"defect {defect:.3e}")
-        # a bound within half the tolerance settles positivity (nan does not);
-        # up to EIGVALSH_MAX_SIDE, eigvalsh costs less than the bound
-        if d <= EIGVALSH_MAX_SIDE or not _min_eigenvalue_bound(rho) >= -0.5 * PSD_TOL:
-            min_eig = float(np.linalg.eigvalsh(rho)[0])
-            if min_eig < -PSD_TOL:
-                raise InfeasibleStateError("psd", f"min eigenvalue {min_eig:.3e}")
+            raise InfeasibleStateError("dimension", f"rho has shape {rho.shape}, expected {(d, d)}")
+        (error,), marginals = validate_stack(rho[None], self.dims, gibbs)
+        if error is not None:
+            raise error
         rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        # the real diagonals of the C and H marginals, checked here and read by ``stack``
-        marginals = tuple(partial_trace(rho, self.dims, side).diagonal().real for side in ("H", "C"))
-        object.__setattr__(self, "_marginal_populations", marginals)
-        for side, spectrum, beta, got in zip("CH", (self.spectrum_c, self.spectrum_h), (self.beta_c, self.beta_h), marginals):
-            if beta is not None and np.max(np.abs(got - thermal_populations(spectrum, beta))) > THERMAL_TOL:
-                raise InfeasibleStateError(f"thermal_marginal_{side}")
+        # the real diagonals of the C and H marginals and the Gibbs targets, read by ``stack`` and ``with_rho``
+        self.__dict__.update(rho=rho, _marginal_populations=marginals, _gibbs=gibbs)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -205,24 +245,13 @@ class BipartiteSystem:
 
     @cached_property
     def stack(self) -> "StateStack":
-        """This system as a one-row ``StateStack``, built on first use from
-        its own arrays and methods."""
-        (b_c, b_h), (marginal_c, marginal_h) = (self.beta_c, self.beta_h), self._marginal_populations
-        return StateStack(
-            self.rho[None], self.populations()[None], marginal_c[None], marginal_h[None],
-            np.array([self.spectrum_c.levels]), np.array([self.spectrum_h.levels]),
-            np.array([np.nan if b_c is None else b_c]), np.array([np.nan if b_h is None else b_h]),
-            np.array([b_c is not None and b_h is not None and b_c != b_h]),
-            np.array([self.spectrum_c == self.spectrum_h]), np.array([self.spectrum_c.bohr_nondegenerate()]),
-        )
+        """This system as a one-row ``StateStack``, each column built on
+        first read from its own arrays and methods."""
+        return _SystemRow(self)
 
     def with_rho(self, rho: np.ndarray, keep_betas: bool = True) -> "BipartiteSystem":
-        return replace(
-            self,
-            rho=rho,
-            beta_c=self.beta_c if keep_betas else None,
-            beta_h=self.beta_h if keep_betas else None,
-        )
+        betas, gibbs = ((self.beta_c, self.beta_h), self._gibbs) if keep_betas else ((None, None), (None, None))
+        return self._with_gibbs(self.spectrum_c, self.spectrum_h, rho, *betas, gibbs)
 
 
 class StateStack(NamedTuple):
@@ -266,6 +295,45 @@ class StateStack(NamedTuple):
         if isinstance(index, np.ndarray) and index.size and (index == index[0]).all():
             index = index[:1]
         return StateStack(*(column[index] for column in self))
+
+    def with_rho(self, rho: np.ndarray, gibbs) -> "StateStack":
+        """These rows with the states of ``rho`` (n, D, D), checked by
+        ``validate_stack`` against ``gibbs``; raises the first row's error."""
+        errors, (marginal_c, marginal_h) = validate_stack(rho, self.dims, gibbs)
+        for error in filter(None, errors):
+            raise error
+        populations = rho.diagonal(axis1=1, axis2=2).real.copy()
+        return self._replace(rho=rho, populations=populations, marginal_c=marginal_c, marginal_h=marginal_h)
+
+
+class _SystemRow:
+    """The one-row ``StateStack`` of a system, read as a StateStack is
+    (columns by name or in order, ``dims``, ``take``).  A table reads only
+    ``rho`` and ``populations``; the columns past the marginals are built
+    together on the first read of one."""
+
+    def __init__(self, sys: BipartiteSystem):
+        self.rho, self.dims = sys.rho[None], sys.dims
+        self.populations = self.rho.diagonal(axis1=1, axis2=2).real.copy()
+        self.marginal_c, self.marginal_h = sys._marginal_populations
+        self._rest = (sys.spectrum_c, sys.spectrum_h, sys.beta_c, sys.beta_h)
+
+    def __iter__(self):
+        return (getattr(self, name) for name in StateStack._fields)
+
+    take = StateStack.take
+
+    def __getattr__(self, name):
+        if name not in StateStack._fields:
+            raise AttributeError(name)
+        s_c, s_h, b_c, b_h = self._rest
+        self.__dict__.update(
+            levels_c=np.array([s_c.levels]), levels_h=np.array([s_h.levels]),
+            beta_c=np.array([np.nan if b_c is None else b_c]), beta_h=np.array([np.nan if b_h is None else b_h]),
+            unequal_betas=np.array([b_c is not None and b_h is not None and b_c != b_h]),
+            equal_spectra=np.array([s_c == s_h]), bohr_nondegenerate=np.array([s_c.bohr_nondegenerate()]),
+        )
+        return self.__dict__[name]
 
 
 def _manifold_indices(n: int, m: int, d: int) -> tuple[int, int]:
@@ -318,18 +386,12 @@ def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
     z_c, z_h = params.partition_values()
     lower, upper = params.p00_bounds()
     if params.p00 > upper + 1e-12:
-        raise InfeasibleStateError(
-            "p00_upper", f"P00 = {params.p00} exceeds upper bound {upper}"
-        )
+        raise InfeasibleStateError("p00_upper", f"P00 = {params.p00} exceeds upper bound {upper}")
     if params.p00 < lower - 1e-12:
-        raise InfeasibleStateError(
-            "p00_lower", f"P00 = {params.p00} below lower bound {lower}"
-        )
+        raise InfeasibleStateError("p00_lower", f"P00 = {params.p00} below lower bound {lower}")
     cap = params.eta_cap()
     if abs(params.eta) > cap + 1e-12:
-        raise InfeasibleStateError(
-            "eta_cap", f"|eta| = {abs(params.eta)} exceeds cap {cap}"
-        )
+        raise InfeasibleStateError("eta_cap", f"|eta| = {abs(params.eta)} exceeds cap {cap}")
     p00 = params.p00
     diag = [p00, 1.0 / z_c - p00, 1.0 / z_h - p00, 1.0 - 1.0 / z_c - 1.0 / z_h + p00]
     rho = np.diag(np.asarray(diag, dtype=complex))
@@ -341,11 +403,7 @@ def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
 
 
 def gamma_correlated_state(
-    gamma: complex,
-    beta_c: float,
-    beta_h: float,
-    gap: float = 1.0,
-    gap_h: float | None = None,
+    gamma: complex, beta_c: float, beta_h: float, gap: float = 1.0, gap_h: float | None = None
 ) -> BipartiteSystem:
     """Product of local Gibbs states plus a single exchange coherence.
 
@@ -361,7 +419,7 @@ def gamma_correlated_state(
     rho = kron(np.diag(pc), np.diag(ph)).astype(complex)
     rho[2, 1] += gamma
     rho[1, 2] += np.conj(gamma)
-    return BipartiteSystem(spec_c, spec_h, rho, beta_c=beta_c, beta_h=beta_h)
+    return BipartiteSystem._with_gibbs(spec_c, spec_h, rho, beta_c, beta_h, (pc, ph))
 
 
 @dataclass(frozen=True)
@@ -406,36 +464,32 @@ def two_qutrit_state(params: QutritStateParams) -> BipartiteSystem:
     p[4] = c[1] - p[3] - p[5]
     p[1] = h[1] - p[4] - p[7]
     p[2] = h[2] - p[5] - p[8]
-    for idx in (6, 3, 4, 1, 2, 0, 5, 7, 8):
+    coherences = [
+        ((0, 1), params.eta_13, params.xi_13), ((0, 2), params.eta_26, params.xi_26), ((1, 2), params.eta_57, params.xi_57)
+    ]
+    return _exchange_state(spec, p, (6, 3, 4, 1, 2, 0, 5, 7, 8), coherences, params.beta_c, params.beta_h, (c, h))
+
+
+def _exchange_state(spectrum, p, order, coherences, beta_c, beta_h, gibbs) -> BipartiteSystem:
+    """The state of joint populations ``p``, each checked >= 0 in ``order``,
+    with the coherence eta e^{i xi} sqrt(p_a p_b) of each (manifold, eta, xi)
+    of ``coherences``, validated against the Gibbs populations ``gibbs``."""
+    for idx in order:
         if p[idx] < -PSD_TOL:
-            raise InfeasibleStateError(
-                f"population_{idx}", f"implied population rho_{idx} = {p[idx]:.3e} < 0"
-            )
+            raise InfeasibleStateError(f"population_{idx}", f"implied population rho_{idx} = {p[idx]:.3e} < 0")
     rho = np.diag(np.clip(p, 0.0, None).astype(complex))
-    coherences = {
-        (0, 1): (params.eta_13, params.xi_13),
-        (0, 2): (params.eta_26, params.xi_26),
-        (1, 2): (params.eta_57, params.xi_57),
-    }
-    for (n, m), (eta, xi) in coherences.items():
+    for (n, m), eta, xi in coherences:
         if not 0.0 <= eta <= 1.0:
-            raise InfeasibleStateError(
-                f"eta_{n}{m}", f"eta for manifold ({n},{m}) must lie in [0, 1]"
-            )
-        a, b = _manifold_indices(n, m, 3)
-        val = eta * np.exp(1j * xi) * np.sqrt(max(p[a], 0.0) * max(p[b], 0.0))
-        rho[a, b] = val
+            raise InfeasibleStateError(f"eta_{n}{m}", f"eta for manifold ({n},{m}) must lie in [0, 1]")
+        a, b = _manifold_indices(n, m, spectrum.dim)
+        rho[a, b] = val = eta * np.exp(1j * xi) * np.sqrt(max(p[a], 0.0) * max(p[b], 0.0))
         rho[b, a] = np.conj(val)
-    return BipartiteSystem(spec, spec, rho, beta_c=params.beta_c, beta_h=params.beta_h)
+    return BipartiteSystem._with_gibbs(spectrum, spectrum, rho, beta_c, beta_h, gibbs)
 
 
 def qudit_locally_thermal(
-    spectrum: EnergySpectrum,
-    beta_c: float,
-    beta_h: float,
-    free_populations: dict[int, float],
-    eta_map: dict[tuple[int, int], float] | None = None,
-    xi_map: dict[tuple[int, int], float] | None = None,
+    spectrum: EnergySpectrum, beta_c: float, beta_h: float, free_populations: dict[int, float],
+    eta_map: dict[tuple[int, int], float] | None = None, xi_map: dict[tuple[int, int], float] | None = None,
 ) -> BipartiteSystem:
     """General d x d locally thermal state with manifold coherences.
 
@@ -449,13 +503,9 @@ def qudit_locally_thermal(
     if not spectrum.bohr_nondegenerate():
         raise InfeasibleStateError("bohr_degenerate", "spectrum has degenerate gaps")
     d = spectrum.dim
-    expected_free = {0} | {
-        n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)
-    }
+    expected_free = {0} | {n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)}
     if set(free_populations) != expected_free:
-        raise ValueError(
-            f"free populations must be exactly indices {sorted(expected_free)}"
-        )
+        raise ValueError(f"free populations must be exactly indices {sorted(expected_free)}")
     c = thermal_populations(spectrum, beta_c)
     h = thermal_populations(spectrum, beta_h)
     solved = sorted(set(range(d * d)) - expected_free)
@@ -491,24 +541,10 @@ def qudit_locally_thermal(
     resid = abs(p.reshape(d, d)[:, 0].sum() - h[0])
     if resid > 1e-9:
         raise InfeasibleStateError("marginal_consistency", f"residual {resid:.3e}")
-    for idx in range(d * d):
-        if p[idx] < -PSD_TOL:
-            raise InfeasibleStateError(
-                f"population_{idx}", f"implied population rho_{idx} = {p[idx]:.3e} < 0"
-            )
-    rho = np.diag(np.clip(p, 0.0, None).astype(complex))
-    eta_map = eta_map or {}
     xi_map = xi_map or {}
-    for (n, m), eta in eta_map.items():
-        n, m = min(n, m), max(n, m)
-        if not 0.0 <= eta <= 1.0:
-            raise InfeasibleStateError(f"eta_{n}{m}", "eta must lie in [0, 1]")
-        a, b = _manifold_indices(n, m, d)
-        xi = xi_map.get((n, m), xi_map.get((m, n), 0.0))
-        val = eta * np.exp(1j * xi) * np.sqrt(max(p[a], 0.0) * max(p[b], 0.0))
-        rho[a, b] = val
-        rho[b, a] = np.conj(val)
-    return BipartiteSystem(spectrum, spectrum, rho, beta_c=beta_c, beta_h=beta_h)
+    pairs = [((min(n, m), max(n, m)), eta) for (n, m), eta in (eta_map or {}).items()]
+    coherences = [(pair, eta, xi_map.get(pair, xi_map.get(pair[::-1], 0.0))) for pair, eta in pairs]
+    return _exchange_state(spectrum, p, range(d * d), coherences, beta_c, beta_h, (c, h))
 
 
 def dephase(sys: BipartiteSystem, tol: float = DEGENERACY_TOL) -> BipartiteSystem:
@@ -518,9 +554,15 @@ def dephase(sys: BipartiteSystem, tol: float = DEGENERACY_TOL) -> BipartiteSyste
     resonant pair, the |01>/|10> coherence); everything else is zeroed.
     Idempotent and trace preserving.
     """
-    energies = sys.total_energies()
-    same = np.abs(energies[:, None] - energies[None, :]) <= tol
-    return sys.with_rho(np.where(same, sys.rho, 0.0))
+    return sys.with_rho(dephased_rho(sys.rho, np.asarray(sys.spectrum_c.levels), np.asarray(sys.spectrum_h.levels), tol))
+
+
+def dephased_rho(rho: np.ndarray, levels_c, levels_h, tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """The rho of ``dephase``, of one state (levels (d,)) or of each of a
+    stack (rho (n, D, D), levels (n, d))."""
+    e = levels_c[..., :, None] + levels_h[..., None, :]
+    e = e.reshape(*e.shape[:-2], -1)  # the total energies, C-major
+    return np.where(np.abs(e[..., :, None] - e[..., None, :]) <= tol, rho, 0.0)
 
 
 def min_partial_transpose_eigenvalue(sys: BipartiteSystem) -> float:

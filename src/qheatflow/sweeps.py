@@ -768,9 +768,7 @@ def evaluate_cell(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None = 
     """
     extras = extras or {}
     epsilon = np.array([extras["eps_actual"]], float) if "eps_actual" in extras else None
-    matrix = u.matrix[None]
-    stack = UnitaryStack(matrix, np.array([u.commutator_norm], float), matrix.conj().swapaxes(-1, -2), epsilon)
-    return _evaluate_one(sys, stack, extras)[0]
+    return _evaluate_one(sys, u.stack._replace(epsilon=epsilon), extras)[0]
 
 
 def _evaluate_chunk(

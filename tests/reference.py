@@ -28,7 +28,22 @@ from qheatflow.fluctuations import (
     XftReport,
 )
 from qheatflow.linalg import HERMITICITY_TOL, NOT_A_GENERATOR, SIGMA_X, _square, spectral_norm
-from qheatflow.states import BipartiteSystem, EnergySpectrum, min_partial_transpose_eigenvalue
+from qheatflow import dynamics, fluctuations, states, witnesses
+from qheatflow import linalg as qlinalg
+from qheatflow.properties import random_system_and_unitary, random_two_qubit_system, random_two_qutrit_system
+from qheatflow.states import (
+    EIGVALSH_MAX_SIDE,
+    HERM_TOL,
+    PSD_TOL,
+    THERMAL_TOL,
+    TRACE_TOL,
+    BipartiteSystem,
+    EnergySpectrum,
+    _min_eigenvalue_bound,
+    bohr_nondegenerate,
+    min_partial_transpose_eigenvalue,
+    thermal_populations,
+)
 from qheatflow.sweeps import (
     FLAG_COLUMNS,
     NEGATIVITY_THRESHOLD,
@@ -164,6 +179,26 @@ def rotation_angle(u) -> float:
 
 
 # --- heat functionals -----------------------------------------------------
+
+def marginal_check(table, sys, u, against_dephased=None) -> float:
+    u = unwrap(u)
+    if against_dephased is None:
+        against_dephased = table.kind == "TPM"
+    rho = np.diag(np.diag(sys.rho)) if against_dephased else sys.rho
+    d_c, d_h = sys.dims
+    init = np.real(np.diag(rho)).reshape(d_c, d_h)
+    final = np.real(np.diag(u @ rho @ u.conj().T)).reshape(d_c, d_h)
+    dev_i = np.max(np.abs(table.initial_marginal() - init))
+    dev_f = np.max(np.abs(table.final_marginal() - final))
+    return float(max(dev_i, dev_f))
+
+
+def average_heat(sys, u) -> float:
+    u = unwrap(u)
+    h_c = np.kron(sys.spectrum_c.hamiltonian(), np.eye(sys.d_h))
+    rho_t = u @ sys.rho @ u.conj().T
+    return float(np.real(np.trace(sys.rho @ h_c) - np.trace(rho_t @ h_c)))
+
 
 def table_heat(table) -> float:
     m = table.values.sum(axis=(1, 3))
@@ -495,3 +530,234 @@ def evaluate_cell(sys: BipartiteSystem, u, extras: dict | None = None) -> dict:
         except ValueError:
             row["t4_lower_violated"] = row["t4_upper_violated"] = -2
     return row
+
+
+# --- states: the checks of BipartiteSystem, one system at a time ----------
+
+def validation_failure(spectrum_c, spectrum_h, rho, beta_c=None, beta_h=None):
+    """The constraint a ``BipartiteSystem`` of these fields fails first, or
+    None: the scalar checks that ``states.validate_stack`` replaced."""
+    rho = np.array(rho, dtype=complex)
+    d = spectrum_c.dim * spectrum_h.dim
+    if rho.shape != (d, d):
+        return "dimension"
+    tr = np.trace(rho)
+    if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
+        return "trace"
+    if hermiticity_defect(rho) > HERM_TOL:
+        return "hermiticity"
+    if d <= EIGVALSH_MAX_SIDE or not _min_eigenvalue_bound(rho) >= -0.5 * PSD_TOL:
+        if float(np.linalg.eigvalsh(rho)[0]) < -PSD_TOL:
+            return "psd"
+    dims = (spectrum_c.dim, spectrum_h.dim)
+    for side, trace_out, spectrum, beta in (("C", "H", spectrum_c, beta_c), ("H", "C", spectrum_h, beta_h)):
+        got = qlinalg.partial_trace(rho, dims, trace_out).diagonal().real
+        if beta is not None and np.max(np.abs(got - thermal_populations(spectrum, beta))) > THERMAL_TOL:
+            return f"thermal_marginal_{side}"
+    return None
+
+
+def eager_state_row(sys) -> tuple:
+    """The eleven columns of a system's one-row ``StateStack``, all built
+    at once from its arrays and methods."""
+    marginal_c, marginal_h = (qlinalg.partial_trace(sys.rho, sys.dims, side).diagonal().real for side in ("H", "C"))
+    b_c, b_h = sys.beta_c, sys.beta_h
+    return (
+        sys.rho[None], sys.populations()[None], marginal_c[None], marginal_h[None],
+        np.array([sys.spectrum_c.levels]), np.array([sys.spectrum_h.levels]),
+        np.array([np.nan if b_c is None else b_c]), np.array([np.nan if b_h is None else b_h]),
+        np.array([b_c is not None and b_h is not None and b_c != b_h]),
+        np.array([sys.spectrum_c == sys.spectrum_h]), np.array([bohr_nondegenerate(sys.spectrum_c.levels)]),
+    )
+
+
+# --- properties: the trial-by-trial bodies of the stacked ones ------------
+# A body of the form (rng, k) -> (deviation, failures) is one trial; the
+# others take (rng, n) -> (failures, max_dev, note).
+
+def prop_unitarity(rng, k):
+    dim = int(rng.integers(2, 5))
+    sys, u, rots = random_system_and_unitary(rng, dim if dim <= 3 else 4)
+    mat = u.matrix
+    dev = qlinalg.spectral_norm(mat @ mat.conj().T - np.eye(mat.shape[0]))
+    dev = max(dev, u.commutator_norm)
+    dev = max(dev, abs(qlinalg.spectral_norm(mat) - 1.0))
+    # identity outside the declared manifolds
+    d = sys.d_c
+    mask = np.eye(d * d, dtype=bool)
+    for rot in rots:
+        a, b = rot.level_pair[0] * d + rot.level_pair[1], rot.level_pair[1] * d + rot.level_pair[0]
+        mask[a, a] = mask[b, b] = mask[a, b] = mask[b, a] = False
+    off = np.abs(mat - np.eye(d * d))[mask].max()
+    dev = max(dev, off)
+    return dev, dev >= 1e-10
+
+
+def prop_dephase(rng, k):
+    sys, _ = random_two_qutrit_system(rng)
+    deph = states.dephase(sys)
+    twice = states.dephase(deph)
+    dev = np.max(np.abs(twice.rho - deph.rho))
+    dims = sys.dims
+    for which in ("C", "H"):
+        lhs = qlinalg.partial_trace(deph.rho, dims, which)
+        rhs = qlinalg.partial_trace(sys.rho, dims, which)
+        # local spectra are nondegenerate, so dephasing the joint state
+        # cannot move the marginals
+        dev = max(dev, np.max(np.abs(lhs - rhs)))
+    return dev, dev >= 1e-12
+
+
+def prop_mh_marginals(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+    mh = fluctuations.mh_distribution(sys, u)
+    dev = marginal_check(mh, sys, u)
+    tpm = fluctuations.tpm_distribution(sys, u)
+    dev = max(dev, marginal_check(tpm, sys, u))
+    return dev, dev >= 1e-10
+
+
+def prop_table_norm_range(rng, n):
+    failures = 0
+    worst_sum = 0.0
+    lowest = 0.0
+    for k in range(n):
+        sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+        mh = fluctuations.mh_distribution(sys, u)
+        tpm = fluctuations.tpm_distribution(sys, u)
+        sums = (abs(mh.values.sum() - 1.0), abs(tpm.values.sum() - 1.0))
+        worst_sum = max(worst_sum, *sums)
+        lowest = min(lowest, mh.min_entry())
+        bad = (
+            max(sums) >= 1e-10
+            or mh.min_entry() < fluctuations.MH_LOWER_BOUND - 1e-10
+            or tpm.min_entry() < -1e-12
+            or mh.values.max() > 1 + 1e-10
+        )
+        failures += bad
+    return failures, worst_sum, f"sum=1; min MH entry seen {lowest:.4f} >= -1/8"
+
+
+def prop_heat_identities(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+    mh = fluctuations.mh_distribution(sys, u)
+    tpm = fluctuations.tpm_distribution(sys, u)
+    q = average_heat(sys, u)
+    dev = abs(fluctuations.table_heat(mh) - q)
+    diag = sys.with_rho(np.diag(np.diag(sys.rho)))
+    dev = max(dev, abs(fluctuations.table_heat(tpm) - average_heat(diag, u)))
+    rep = fluctuations.flow_decomposition(mh)
+    dev = max(dev, abs(rep.q_back - rep.q_direct - rep.q))
+    return dev, dev >= 1e-10
+
+
+def prop_mh_tpm_dephased(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2)
+    diag = sys.with_rho(np.diag(np.diag(sys.rho)))
+    dev = np.max(
+        np.abs(
+            fluctuations.mh_distribution(diag, u).values
+            - fluctuations.tpm_distribution(diag, u).values
+        )
+    )
+    # block dephasing never changes either table under energy-preserving U
+    deph = states.dephase(sys)
+    dev = max(
+        dev,
+        np.max(
+            np.abs(
+                fluctuations.mh_distribution(deph, u).values
+                - fluctuations.mh_distribution(sys, u).values
+            )
+        ),
+    )
+    return dev, dev >= 1e-12
+
+
+def prop_two_qubit_closed_forms(rng, k):
+    sys, params = random_two_qubit_system(rng)
+    theta = rng.uniform(0.0, np.pi)
+    phi, lam = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    u = dynamics.two_qubit_exchange_unitary(theta, lam=lam, phi=phi)
+    mh = fluctuations.mh_distribution(sys, u)
+    tpm = fluctuations.tpm_distribution(sys, u)
+    cf = fluctuations.two_qubit_exchange_probs(
+        theta, params.eta, params.xi, params.beta_c, params.beta_h, params.p00,
+        phi=phi, lam=lam,
+    )
+    dev = max(
+        abs(cf["mh_01_10"] - mh.entry(0, 1, 1, 0)),
+        abs(cf["mh_10_01"] - mh.entry(1, 0, 0, 1)),
+        abs(cf["tpm_01_10"] - tpm.entry(0, 1, 1, 0)),
+        abs(cf["tpm_10_01"] - tpm.entry(1, 0, 0, 1)),
+    )
+    dev = max(
+        dev,
+        abs(
+            fluctuations.two_qubit_heat(
+                theta, params.eta, params.xi, params.beta_c, params.beta_h,
+                phi=phi, lam=lam,
+            )
+            - average_heat(sys, u)
+        ),
+    )
+    dev = max(
+        dev,
+        abs(
+            fluctuations.two_qubit_tpm_heat(theta, params.beta_c, params.beta_h)
+            - fluctuations.table_heat(tpm)
+        ),
+    )
+    return dev, dev >= 1e-12
+
+
+def prop_xft_identity(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+    mh = fluctuations.mh_distribution(sys, u)
+    rep = fluctuations.xft_average(mh, sys).with_chi(
+        fluctuations.xft_coherence_term(sys, u)
+    )
+    dev = rep.identity_gap() if rep.resonance_ok else np.inf
+    return dev, dev >= 1e-8
+
+
+def prop_j_identity(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+    mh = fluctuations.mh_distribution(sys, u)
+    corr = fluctuations.heat_exp_correction(sys, u)
+    dbeta = sys.beta_c - sys.beta_h
+    direct = float((mh.values * np.exp(dbeta * mh.delta_e_c())).sum())
+    dev = abs(1.0 + corr.j - direct)
+    return dev, dev >= 1e-10 or corr.j > corr.norm_bound + 1e-10
+
+
+def prop_t1_violation_implies_strong_flow(rng, n):
+    failures = 0
+    seen = 0
+    for _ in range(n):
+        sys, params = random_two_qubit_system(rng)
+        theta = rng.uniform(0.0, np.pi)
+        u = dynamics.two_qubit_exchange_unitary(theta)
+        mh = fluctuations.mh_distribution(sys, u)
+        tpm = fluctuations.tpm_distribution(sys, u)
+        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(tpm)
+        v = witnesses.two_qubit_flow_witness(q, q_tpm, params.beta_c, params.beta_h)
+        if v.violated:
+            seen += 1
+            failures += not abs(q) > abs(q_tpm)
+            failures += not mh.min_entry() < 0.0
+    return failures, float(seen), f"violations carry |Q| > |Q_tpm| ({seen} seen)"
+
+
+def prop_tpm_no_backflow(rng, n):
+    failures = 0
+    worst = -np.inf
+    for _ in range(n):
+        sys, params = random_two_qubit_system(rng, coherent=False)
+        theta = rng.uniform(0.0, np.pi)
+        u = dynamics.two_qubit_exchange_unitary(theta)
+        q_tpm = fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
+        q = average_heat(sys, u)
+        worst = max(worst, q_tpm)
+        failures += q_tpm > 1e-12 or abs(q - q_tpm) > 1e-12
+    return failures, worst, "Q_tpm <= 0 and Q(eta=0) = Q_tpm"

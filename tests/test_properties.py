@@ -1,0 +1,241 @@
+"""The property suite's stacked trials, the state validation kernel and
+the property selection."""
+
+from __future__ import annotations
+
+import re
+
+import numpy as np
+import pytest
+import reference
+
+import qheatflow.states as states
+from qheatflow import dynamics, fluctuations, properties
+from qheatflow.cli import main as cli_main
+from qheatflow.linalg import partial_trace
+from qheatflow.states import (
+    BipartiteSystem,
+    EnergySpectrum,
+    InfeasibleStateError,
+    StateStack,
+    gamma_correlated_state,
+    qudit_locally_thermal,
+    validate_stack,
+)
+
+# ---------------------------------------------------------------------------
+# the validation kernel
+# ---------------------------------------------------------------------------
+
+QUBIT = EnergySpectrum.two_level()
+
+
+def _valid_qubit_state():
+    return gamma_correlated_state(0.1 - 0.05j, 1.13, 0.9618)
+
+
+def _bad_rows():
+    """(name, rho, beta_c, beta_h) of two-qubit states that fail one
+    check each, or several (the first of which must win), plus a valid one."""
+    good = _valid_qubit_state()
+    rho, b_c, b_h = good.rho.copy(), good.beta_c, good.beta_h
+    trace = rho * 1.01
+    herm = rho.copy()
+    herm[0, 3] += 1e-6
+    psd = rho.copy()
+    psd[1, 2] = psd[2, 1] = 0.4  # a coherence past the populations' geometric mean
+    hot = np.diag(np.diag(rho))
+    hot[1, 1], hot[2, 2] = hot[2, 2], hot[1, 1]  # swaps the marginals
+    both = psd * 1.01  # trace and psd: trace comes first
+    return [
+        ("valid", rho, b_c, b_h),
+        ("trace", trace, b_c, b_h),
+        ("hermiticity", herm, b_c, b_h),
+        ("psd", psd, b_c, b_h),
+        ("thermal_marginal_C", hot, b_c, b_h),
+        ("thermal_marginal_H", hot, None, b_h),
+        ("trace+psd", both, b_c, b_h),
+        ("dephased", np.where(np.eye(4, dtype=bool), rho, 0.0), b_c, b_h),
+        ("infinite", np.diag([np.inf] * 4).astype(complex), b_c, b_h),  # fails the trace check; no later check runs on it
+    ]
+
+
+def test_each_constraint_keeps_its_name():
+    expected = {
+        "valid": None, "trace": "trace", "hermiticity": "hermiticity", "psd": "psd",
+        "thermal_marginal_C": "thermal_marginal_C", "thermal_marginal_H": "thermal_marginal_H",
+        "trace+psd": "trace", "dephased": None, "infinite": "trace",
+    }
+    for name, rho, b_c, b_h in _bad_rows():
+        assert reference.validation_failure(QUBIT, QUBIT, rho, b_c, b_h) == expected[name], name
+        if expected[name] is None:
+            BipartiteSystem(QUBIT, QUBIT, rho, b_c, b_h)
+            continue
+        with pytest.raises(InfeasibleStateError) as err:
+            BipartiteSystem(QUBIT, QUBIT, rho, b_c, b_h)
+        assert err.value.constraint == expected[name], name
+    with pytest.raises(InfeasibleStateError) as err:
+        BipartiteSystem(QUBIT, QUBIT, np.eye(3) / 3)
+    assert err.value.constraint == "dimension"
+    assert reference.validation_failure(QUBIT, QUBIT, np.eye(3) / 3) == "dimension"
+
+
+def test_a_mixed_stack_reports_each_rows_first_failure_as_one_row_does():
+    rows = _bad_rows()
+    gibbs = _valid_qubit_state()._gibbs
+    rho = np.stack([r[1] for r in rows])
+    # per-row targets: the rows without a C temperature skip that check
+    for targets in (gibbs, (None, gibbs[1])):
+        errors, _ = validate_stack(rho, (2, 2), targets)
+        for (name, one, _, _), error in zip(rows, errors):
+            (alone,), _ = validate_stack(one[None], (2, 2), targets)
+            assert (error and error.constraint) == (alone and alone.constraint), name
+            assert (error and str(error)) == (alone and str(alone)), name
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (8, 2), (5, 4)])
+def test_kernel_marginals_are_the_partial_trace_diagonals_bit_for_bit(dims):
+    rng = np.random.default_rng(sum(dims))
+    side = dims[0] * dims[1]
+    a = rng.standard_normal((6, side, side)) + 1j * rng.standard_normal((6, side, side))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    errors, (marginal_c, marginal_h) = validate_stack(rho, dims)
+    assert errors == [None] * 6
+    for k, m in enumerate(rho):
+        (_,), (alone_c, alone_h) = validate_stack(m[None], dims)
+        assert marginal_c[k].tobytes() == alone_c[0].tobytes() == partial_trace(m, dims, "H").diagonal().real.tobytes()
+        assert marginal_h[k].tobytes() == alone_h[0].tobytes() == partial_trace(m, dims, "C").diagonal().real.tobytes()
+
+
+def _systems():
+    rng = np.random.default_rng(5)
+    spec = EnergySpectrum((0.0, 1.0, 2.7))
+    free = {0: 0.4, 5: 0.02, 7: 0.005, 8: 0.004}
+    qutrit = qudit_locally_thermal(spec, 1.2, 0.5, free, {(0, 1): 0.4}, {(0, 1): 0.3})
+    return [
+        properties.random_system_and_unitary(rng, 2)[0],
+        properties.random_system_and_unitary(rng, 3)[0],
+        properties.random_system_and_unitary(rng, 4)[0],
+        qutrit,
+        BipartiteSystem(QUBIT, EnergySpectrum.two_level(1.3), np.eye(4) / 4),  # no betas, unequal spectra
+        _valid_qubit_state().with_rho(np.eye(4) / 4, keep_betas=False),
+    ]
+
+
+def test_a_systems_lazy_row_equals_the_eager_one_column_by_column():
+    for sys in _systems():
+        lazy, eager = tuple(sys.stack), reference.eager_state_row(sys)
+        assert len(lazy) == len(eager) == len(StateStack._fields)
+        for name, got, want in zip(StateStack._fields, lazy, eager):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        assert sys.stack.dims == sys.dims
+    stacked = StateStack.of(_systems()[:1] * 3)
+    assert all(len(column) == 3 for column in stacked)
+
+
+def test_with_rho_checks_against_the_systems_gibbs_populations():
+    sys = _valid_qubit_state()
+    diag = sys.with_rho(np.diag(np.diag(sys.rho)))
+    assert diag._gibbs is sys._gibbs and (diag.beta_c, diag.beta_h) == (sys.beta_c, sys.beta_h)
+    swapped = np.diag(np.diag(sys.rho)[[0, 2, 1, 3]])
+    with pytest.raises(InfeasibleStateError) as err:
+        sys.with_rho(swapped)
+    assert err.value.constraint == "thermal_marginal_C"
+    assert sys.with_rho(swapped, keep_betas=False).beta_c is None
+
+
+# ---------------------------------------------------------------------------
+# unitaries
+# ---------------------------------------------------------------------------
+
+def test_a_report_holds_its_stack_and_a_table_reads_it(monkeypatch):
+    spec = EnergySpectrum((0.0, 1.0, 2.7))
+    calls = []
+    monkeypatch.setattr(states, "bohr_nondegenerate", lambda levels, tol=1e-9: calls.append(levels) or True)
+    rots = [dynamics.ManifoldRotation((0, 1), 0.4), dynamics.ManifoldRotation((1, 2), 1.1)]
+    u = dynamics.energy_preserving_unitary(spec, rots)
+    dynamics.energy_preserving_unitary(spec, rots)
+    assert len(calls) == 1  # once per spectrum, not once per unitary
+    assert np.shares_memory(u.stack.matrix, u.matrix)
+    assert u.stack.commutator_norm[0] == u.commutator_norm and u.stack.epsilon is None
+    direct = dynamics.UnitaryReport(np.array(u.matrix), u.commutator_norm)
+    assert direct.stack.matrix.tobytes() == u.stack.matrix.tobytes()
+    assert direct.stack.adjoint.tobytes() == u.stack.adjoint.tobytes()
+    sys = properties.random_system_and_unitary(np.random.default_rng(1), 2)[0]
+    _, matrix, adjoint = fluctuations._one_cell(sys, u)
+    assert matrix is u.stack.matrix and adjoint is u.stack.adjoint
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_average_heat_and_marginal_check_equal_the_scalar_reference_bit_for_bit(d):
+    rng = np.random.default_rng(60 + d)
+    for _ in range(5):
+        sys, u, _ = properties.random_system_and_unitary(rng, d)
+        for unitary in (u, np.array(u.matrix)):  # a report, and a bare matrix
+            assert repr(fluctuations.average_heat(sys, unitary)) == repr(reference.average_heat(sys, unitary))
+            for table in (fluctuations.mh_distribution(sys, u), fluctuations.tpm_distribution(sys, u)):
+                for dephased in (None, True, False):
+                    got = fluctuations.marginal_check(table, sys, unitary, dephased)
+                    assert repr(got) == repr(reference.marginal_check(table, sys, unitary, dephased))
+        deph = states.dephase(sys)
+        energies = sys.total_energies()
+        want = np.where(np.abs(energies[:, None] - energies[None, :]) <= states.DEGENERACY_TOL, sys.rho, 0.0)
+        assert deph.rho.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the suite
+# ---------------------------------------------------------------------------
+
+STACKED = [name for name, prop in properties.PROPERTIES.items() if hasattr(prop, "trials")]
+WHOLE = {  # stacked without the per-trial form: (rng, n) -> (failures, max_dev, note)
+    "table-norm-range": reference.prop_table_norm_range,
+    "t1-strong-flow": reference.prop_t1_violation_implies_strong_flow,
+    "tpm-no-backflow": reference.prop_tpm_no_backflow,
+}
+
+
+@pytest.mark.parametrize("name", STACKED)
+@pytest.mark.parametrize("n", [1, 2, 9, 2 * properties.STACK_TRIALS + 3])
+def test_stacked_trials_equal_the_trial_by_trial_path_bit_for_bit(name, n):
+    one = getattr(reference, "prop_" + name.replace("-", "_"))
+    for seed in (0, 3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        dev, bad = properties.PROPERTIES[name].trials(rng, n)
+        want = [one(ref_rng, k) for k in range(n)]
+        assert [repr(float(x)) for x in dev] == [repr(float(d)) for d, _ in want]
+        assert [int(x) for x in bad] == [int(b) for _, b in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws, in order
+
+
+@pytest.mark.parametrize("name", WHOLE)
+@pytest.mark.parametrize("n", [1, 2, 9, 2 * properties.STACK_TRIALS + 3])
+def test_stacked_properties_equal_the_trial_by_trial_path(name, n):
+    for seed in (0, 3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = properties.PROPERTIES[name](rng, n), WHOLE[name](ref_rng, n)
+        assert (got[0], repr(float(got[1])), got[2]) == (want[0], repr(float(want[1])), want[2])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_the_suite_repeats_in_one_process_and_a_subset_matches_the_full_run():
+    first = properties.run_property_suite(seed=3, n_trials=8)
+    assert properties.run_property_suite(seed=3, n_trials=8) == first
+    by_name = {r.name: r for r in first}
+    subset = ["xft-identity", "dephase", "kron-algebra"]
+    assert properties.run_property_suite(seed=3, n_trials=8, names=subset) == [by_name[n] for n in subset]
+
+
+@pytest.mark.parametrize(
+    "selection, message",
+    [(",", "no properties selected"), ("", "no properties selected"),
+     ("dephase,dephase", "properties listed twice: ['dephase']"),
+     ("dephase, kron-algebra ,dephase", "properties listed twice: ['dephase']")],
+)
+def test_empty_or_repeated_selection_exits_1(selection, message, capsys):
+    assert cli_main(["check", "--trials", "2", "--properties", selection]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        properties.run_property_suite(n_trials=2, names=[s.strip() for s in selection.split(",") if s.strip()])
