@@ -72,16 +72,10 @@ def partial_transpose(m, dims: tuple[int, int], which: str) -> np.ndarray:
     return out.reshape(d, d)
 
 
-def hermiticity_defect(m) -> float:
-    """Max absolute entry of M - M† (0.0 for an empty matrix)."""
-    m = _square(m)
-    return float(hermiticity_defects(m[None])[0]) if m.size else 0.0
-
-
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending real eigenvalues; rejects non-Hermitian input."""
     m = _square(m)
-    defect = hermiticity_defect(m)
+    defect = hermiticity_defects(m[None])[0]
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return np.linalg.eigvalsh(m)
@@ -104,8 +98,9 @@ def matrix_exp(m) -> np.ndarray:
 
 
 def hermiticity_defects(m: np.ndarray) -> np.ndarray:
-    """``hermiticity_defect`` of each matrix of an (n, D, D) stack."""
-    return np.maximum.reduce(np.abs(m - m.conj().swapaxes(-1, -2)).reshape(*m.shape[:-2], m.shape[-1] ** 2), axis=-1)
+    """Max absolute entry of M - M† of each matrix of an (n, D, D) stack
+    (0.0 for an empty matrix)."""
+    return np.maximum.reduce(np.abs(m - m.conj().swapaxes(-1, -2)).reshape(*m.shape[:-2], m.shape[-1] ** 2), axis=-1, initial=0.0)
 
 
 def spectral_norms(m: np.ndarray) -> np.ndarray:

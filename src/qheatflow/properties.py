@@ -214,11 +214,6 @@ def _tables(st, u):
     return tuple(fluctuations.table_stack(kind, st, u.matrix, u.adjoint) for kind in ("MH", "TPM"))
 
 
-def _mh_tables(systems, at, u):
-    """The MH values of ``fluctuations.mh_distribution`` for the trials ``at``, one call each."""
-    return np.stack([fluctuations.mh_distribution(systems[k], m).values for k, m in zip(at, u.matrix)])
-
-
 def _with_rho(st, systems, rho):
     """``sys.with_rho(rho)`` of each row's system."""
     return st.with_rho(rho, [np.array([sys._gibbs[side] for sys in systems]) for side in (0, 1)])
@@ -311,8 +306,7 @@ def _prop_mh_marginals(rng, n):
     systems, rotations = _draw(rng, ([2, 3] * n)[:n])
     dev = np.zeros(n)
     for at, st, u in _groups(systems, rotations):
-        mh = _mh_tables(systems, at, u)
-        tpm = fluctuations.table_stack("TPM", st, u.matrix, u.adjoint)
+        mh, tpm = _tables(st, u)
         dev[at] = _pymax(*(fluctuations.marginal_check_stack(t, st, u.matrix, u.adjoint, dephase) for t, dephase in ((mh, False), (tpm, True))))
     return dev, dev >= 1e-10
 
@@ -323,8 +317,7 @@ def _table_norm_trials(rng, n):
     systems, rotations = _draw(rng, ([2, 3] * n)[:n])
     out = np.zeros((5, n))
     for at, st, u in _groups(systems, rotations):
-        mh = _mh_tables(systems, at, u).reshape(len(at), -1)
-        tpm = fluctuations.table_stack("TPM", st, u.matrix, u.adjoint).reshape(len(at), -1)
+        mh, tpm = (t.reshape(len(at), -1) for t in _tables(st, u))
         out[:, at] = np.abs(mh.sum(axis=-1) - 1.0), np.abs(tpm.sum(axis=-1) - 1.0), mh.min(axis=-1), tpm.min(axis=-1), mh.max(axis=-1)
     return out
 

@@ -452,36 +452,58 @@ class QutritStateParams:
 
 
 def two_qutrit_state(params: QutritStateParams) -> BipartiteSystem:
-    """Two-qutrit state; populations solved in closed form from marginals."""
+    """Two-qutrit state: the closed-form solve of ``qudit_locally_thermal``
+    at d = 3, whose five equations and nonnegativity checks, in the order
+    (6, 3, 4, 1, 2, 0, 5, 7, 8), are those of the qutrit construction."""
     spec = params.spectrum()
-    c = thermal_populations(spec, params.beta_c)
-    h = thermal_populations(spec, params.beta_h)
-    p = np.full(9, np.nan)
-    p[0], p[5], p[7], p[8] = params.rho_0, params.rho_5, params.rho_7, params.rho_8
-    # row/column sums: sum_m rho[3n+m] = c_n, sum_n rho[3n+m] = h_m
-    p[6] = c[2] - p[7] - p[8]
-    p[3] = h[0] - p[0] - p[6]
-    p[4] = c[1] - p[3] - p[5]
-    p[1] = h[1] - p[4] - p[7]
-    p[2] = h[2] - p[5] - p[8]
+    gibbs = thermal_populations(spec, params.beta_c), thermal_populations(spec, params.beta_h)
+    free = {0: params.rho_0, 5: params.rho_5, 7: params.rho_7, 8: params.rho_8}
     coherences = [
         ((0, 1), params.eta_13, params.xi_13), ((0, 2), params.eta_26, params.xi_26), ((1, 2), params.eta_57, params.xi_57)
     ]
-    return _exchange_state(spec, p, (6, 3, 4, 1, 2, 0, 5, 7, 8), coherences, params.beta_c, params.beta_h, (c, h))
+    return _locally_thermal(spec, params.beta_c, params.beta_h, gibbs, free, coherences)
 
 
-def _exchange_state(spectrum, p, order, coherences, beta_c, beta_h, gibbs) -> BipartiteSystem:
-    """The state of joint populations ``p``, each checked >= 0 in ``order``,
-    with the coherence eta e^{i xi} sqrt(p_a p_b) of each (manifold, eta, xi)
-    of ``coherences``, validated against the Gibbs populations ``gibbs``."""
-    for idx in order:
+def _locally_thermal(spectrum, beta_c, beta_h, gibbs, free, coherences) -> BipartiteSystem:
+    """The d x d state with the populations ``free`` ({joint index: value}
+    on {0} and {n*d+m : n, m >= 1, (n, m) != (1, 1)}), the marginals
+    ``gibbs`` = (c, h), and the coherence eta e^{i xi} sqrt(p_a p_b) of
+    each (manifold, eta, xi) of ``coherences``.
+
+    The other 2d - 1 populations follow by back-substitution, each a
+    left-to-right chain of subtractions on floats: rows n >= 2 give
+    p[n, 0] = c_n - p[n, 1] - ... - p[n, d-1], column 0 gives p[1, 0],
+    row 1 gives p[1, 1] and columns m >= 1 give p[0, m].  Row 0 is the
+    equation left out.  Each solved population is checked >= 0 in that
+    order, then the free ones by index.
+    """
+    d = spectrum.dim
+    c, h = (g.tolist() for g in gibbs)
+    p = [0.0] * (d * d)
+    for idx, value in free.items():
+        p[idx] = float(value)
+    solved = []
+
+    def solve(idx, total, others):
+        for k in others:
+            total -= p[k]
+        p[idx] = total
+        solved.append(idx)
+
+    for n in range(2, d):
+        solve(n * d, c[n], range(n * d + 1, n * d + d))
+    solve(d, h[0], [0, *range(2 * d, d * d, d)])
+    solve(d + 1, c[1], [d, *range(d + 2, 2 * d)])
+    for m in range(1, d):
+        solve(m, h[m], range(d + m, d * d, d))
+    for idx in solved + sorted(free):
         if p[idx] < -PSD_TOL:
             raise InfeasibleStateError(f"population_{idx}", f"implied population rho_{idx} = {p[idx]:.3e} < 0")
-    rho = np.diag(np.clip(p, 0.0, None).astype(complex))
+    rho = np.diag(np.clip(np.array(p), 0.0, None).astype(complex))
     for (n, m), eta, xi in coherences:
         if not 0.0 <= eta <= 1.0:
             raise InfeasibleStateError(f"eta_{n}{m}", f"eta for manifold ({n},{m}) must lie in [0, 1]")
-        a, b = _manifold_indices(n, m, spectrum.dim)
+        a, b = _manifold_indices(n, m, d)
         rho[a, b] = val = eta * np.exp(1j * xi) * np.sqrt(max(p[a], 0.0) * max(p[b], 0.0))
         rho[b, a] = np.conj(val)
     return BipartiteSystem._with_gibbs(spectrum, spectrum, rho, beta_c, beta_h, gibbs)
@@ -496,9 +518,10 @@ def qudit_locally_thermal(
     Generalizes the qutrit construction: the free populations are the
     joint indices {0} plus {n*d+m : n,m >= 1, (n,m) != (1,1)}; the
     remaining 2d-1 populations (row 0, column 0 and the (1,1) cell) are
-    obtained from a linear solve of the marginal constraints.  Requires a
-    nondegenerate Bohr spectrum so that exchange manifolds are the only
-    coherence carriers compatible with energy-preserving dynamics.
+    solved from the marginal constraints in closed form, the solve that
+    ``two_qutrit_state`` runs at d = 3.  Requires a nondegenerate Bohr
+    spectrum so that exchange manifolds are the only coherence carriers
+    compatible with energy-preserving dynamics.
     """
     if not spectrum.bohr_nondegenerate():
         raise InfeasibleStateError("bohr_degenerate", "spectrum has degenerate gaps")
@@ -506,45 +529,15 @@ def qudit_locally_thermal(
     expected_free = {0} | {n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)}
     if set(free_populations) != expected_free:
         raise ValueError(f"free populations must be exactly indices {sorted(expected_free)}")
-    c = thermal_populations(spectrum, beta_c)
-    h = thermal_populations(spectrum, beta_h)
-    solved = sorted(set(range(d * d)) - expected_free)
-    col = {idx: k for k, idx in enumerate(solved)}
-    # Row sums (d) plus column sums 1..d-1; column 0 is implied by the rest.
-    n_eq = 2 * d - 1
-    a_mat = np.zeros((n_eq, n_eq))
-    b_vec = np.zeros(n_eq)
-    for n in range(d):
-        b_vec[n] = c[n]
-        for m in range(d):
-            idx = n * d + m
-            if idx in col:
-                a_mat[n, col[idx]] = 1.0
-            else:
-                b_vec[n] -= free_populations[idx]
-    for m in range(1, d):
-        row = d + m - 1
-        b_vec[row] = h[m]
-        for n in range(d):
-            idx = n * d + m
-            if idx in col:
-                a_mat[row, col[idx]] = 1.0
-            else:
-                b_vec[row] -= free_populations[idx]
-    x = np.linalg.solve(a_mat, b_vec)
-    p = np.zeros(d * d)
-    for idx, val in free_populations.items():
-        p[idx] = val
-    for idx, k in col.items():
-        p[idx] = x[k]
-    # consistency of the dropped column-0 equation
-    resid = abs(p.reshape(d, d)[:, 0].sum() - h[0])
+    gibbs = c, h = thermal_populations(spectrum, beta_c), thermal_populations(spectrum, beta_h)
+    # the solve meets every row n >= 1 and every column; row 0 then reads c_0 + sum(h) - sum(c)
+    resid = abs(h.sum() - c.sum())
     if resid > 1e-9:
         raise InfeasibleStateError("marginal_consistency", f"residual {resid:.3e}")
     xi_map = xi_map or {}
     pairs = [((min(n, m), max(n, m)), eta) for (n, m), eta in (eta_map or {}).items()]
     coherences = [(pair, eta, xi_map.get(pair, xi_map.get(pair[::-1], 0.0))) for pair, eta in pairs]
-    return _exchange_state(spectrum, p, range(d * d), coherences, beta_c, beta_h, (c, h))
+    return _locally_thermal(spectrum, beta_c, beta_h, gibbs, free_populations, coherences)
 
 
 def dephase(sys: BipartiteSystem, tol: float = DEGENERACY_TOL) -> BipartiteSystem:

@@ -134,7 +134,7 @@ WITNESS_GROUPS = {
     "t1": ("t1",),
     "t2": ("t2",),
     "t3": ("xft", "t3"),
-    "i4": ("j", "i4"),
+    "i4": ("xft", "j", "i4"),  # I4 reads the xft group's resonance mask
     "t4_lower": ("t4",),
     "t4_upper": ("t4",),
     "strong_backflow": ("strong_backflow",),
@@ -736,7 +736,7 @@ def _evaluate_stack(states: StateStack, u: UnitaryStack, extras: dict, outputs):
         value("j_term", j, at, ~divergent)
         if "i4" in need:
             finite = ~divergent & (1.0 + j > 0.0)  # else J diverges or 1 + J <= 0: -2
-            put("i4", correlation_flow_stack(q[at], np.where(finite, j, 0.0), beta_c[at], beta_h[at]), at, finite)
+            put("i4", correlation_flow_stack(q[at], np.where(finite, j, 0.0), resonance_ok, beta_c[at], beta_h[at]), at, finite)
 
     if "strong_backflow" in need and (at := cells(unequal)) is not None:
         put("strong_backflow", strong_backflow_stack(q[at], beta_c[at], beta_h[at], states.dims[0]), at)

@@ -150,12 +150,17 @@ def xft_flow_witness(
 def correlation_flow_witness(
     q: float, j_value: float, beta_c: float, beta_h: float
 ) -> WitnessVerdict:
-    """Q <= log(1 + J) / dBeta with J the correlation correction."""
+    """Q <= log(1 + J) / dBeta with J the correlation correction.
+
+    Sound on a nonnegative MH table when the dynamics conserves energy, as
+    the identity 1 + J = <e^{dBeta dE_C}>_MH behind it needs; this function
+    takes that as given (its ``resonance`` precondition reads True).
+    """
     if beta_c - beta_h == 0:
         raise ValueError("bound undefined for equal inverse temperatures")
     if 1.0 + j_value <= 0.0:
         raise DivergenceError(f"1 + J = {1.0 + j_value:.3e} <= 0")
-    return _verdict("I4", correlation_flow_stack(q, j_value, beta_c, beta_h), q)
+    return _verdict("I4", correlation_flow_stack(q, j_value, True, beta_c, beta_h), q)
 
 
 def _require_bohr_nondegenerate(energies_c, energies_h) -> None:
@@ -307,12 +312,15 @@ def xft_flow_stack(
     return _resolve_stack(bound, pre, q > bound + VIOLATION_MARGIN)
 
 
-def correlation_flow_stack(q, j_value, beta_c, beta_h) -> StackVerdict:
-    """``correlation_flow_witness`` per cell; the caller flags cells with
-    1 + J <= 0, where the single-cell function raises."""
+def correlation_flow_stack(q, j_value, resonance_ok, beta_c, beta_h) -> StackVerdict:
+    """``correlation_flow_witness`` per cell, with the resonance
+    precondition ``resonance_ok`` (the mask of ``xft_average_stack``, as
+    ``xft_flow_stack`` takes it).  The caller flags cells with 1 + J <= 0,
+    where the single-cell function raises."""
     delta_beta = beta_c - beta_h
     bound = np.log1p(j_value) / delta_beta
-    return _resolve_stack(bound, [("beta_order", delta_beta > 0)], q > bound + VIOLATION_MARGIN)
+    pre = [("beta_order", delta_beta > 0), ("resonance", resonance_ok)]
+    return _resolve_stack(bound, pre, q > bound + VIOLATION_MARGIN)
 
 
 def tpm_band_stack(q, q_tpm, tpm_values, energies_c, energies_h):

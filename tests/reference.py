@@ -260,17 +260,24 @@ def xft_average(table, sys) -> XftReport:
     log_ph = _log_or_raise(np.real(np.diag(sys.marginal_h())), "marginal_H", needed.any(axis=0))
     info = log_pop - log_pc[:, None] - log_ph[None, :]
     delta_i = info[None, None, :, :] - info[:, :, None, None]  # [i_C, i_H, f_C, f_H] = I_f - I_i
-    de_c = table.delta_e_c()
-    mismatch = np.abs(de_c + table.delta_e_h())
-    energy_scale = max(1.0, max(abs(e) for e in table.energies_c + table.energies_h))
-    max_mismatch = float(mismatch[mask].max()) if mask.any() else 0.0
-    weight = np.exp(np.where(mask, delta_i + (sys.beta_c - sys.beta_h) * de_c, 0.0))
+    resonance_ok, max_mismatch = resonance(table)
+    weight = np.exp(np.where(mask, delta_i + (sys.beta_c - sys.beta_h) * table.delta_e_c(), 0.0))
     return XftReport(
         lhs=float((p * weight)[mask].sum()),
         avg_delta_i=float((p * np.where(mask, delta_i, 0.0))[mask].sum()),
-        resonance_ok=max_mismatch <= 1e-9 * energy_scale,
+        resonance_ok=resonance_ok,
         max_energy_mismatch=max_mismatch,
     )
+
+
+def resonance(table) -> tuple[bool, float]:
+    """(resonance_ok, max energy mismatch) of a table: whether every entry
+    with |p| > 1e-12 conserves H_C + H_H, and the largest mismatch."""
+    mask = np.abs(table.values) > NEGLIGIBLE_WEIGHT
+    mismatch = np.abs(table.delta_e_c() + table.delta_e_h())
+    energy_scale = max(1.0, max(abs(e) for e in table.energies_c + table.energies_h))
+    max_mismatch = float(mismatch[mask].max()) if mask.any() else 0.0
+    return max_mismatch <= 1e-9 * energy_scale, max_mismatch
 
 
 def heat_exp_correction(sys, u) -> HeatExpCorrection:
@@ -366,14 +373,15 @@ def xft_flow_witness(q, xft, beta_c, beta_h, epsilon_work=None) -> WitnessVerdic
     return _resolve(ident, float(bound), q, pre, q > bound + VIOLATION_MARGIN)
 
 
-def correlation_flow_witness(q, j_value, beta_c, beta_h) -> WitnessVerdict:
+def correlation_flow_witness(q, j_value, beta_c, beta_h, resonance_ok=True) -> WitnessVerdict:
     delta_beta = beta_c - beta_h
     if delta_beta == 0:
         raise ValueError("bound undefined for equal inverse temperatures")
     if 1.0 + j_value <= 0.0:
         raise DivergenceError(f"1 + J = {1.0 + j_value:.3e} <= 0")
     bound = np.log1p(j_value) / delta_beta
-    return _resolve("I4", float(bound), q, [("beta_order", delta_beta > 0)], q > bound + VIOLATION_MARGIN)
+    pre = [("beta_order", delta_beta > 0), ("resonance", resonance_ok)]
+    return _resolve("I4", float(bound), q, pre, q > bound + VIOLATION_MARGIN)
 
 
 def tpm_band_witness(q, tpm_table) -> tuple[WitnessVerdict, WitnessVerdict]:
@@ -511,7 +519,7 @@ def evaluate_cell(sys: BipartiteSystem, u, extras: dict | None = None) -> dict:
         try:
             corr = heat_exp_correction(sys, u)
             row["j_term"] = corr.j
-            v4 = correlation_flow_witness(q, corr.j, beta_c, beta_h)
+            v4 = correlation_flow_witness(q, corr.j, beta_c, beta_h, resonance(mh)[0])
             row["i4_violated"] = flag(v4)
             row["i4_bound"] = v4.bound
         except DivergenceError:
@@ -570,6 +578,74 @@ def eager_state_row(sys) -> tuple:
         np.array([sys.spectrum_c == sys.spectrum_h]), np.array([bohr_nondegenerate(sys.spectrum_c.levels)]),
     )
 
+
+
+# --- states: the populations the way the constructors used to solve them --
+
+def two_qutrit_state(params) -> BipartiteSystem:
+    """The two-qutrit state from its five hand-written marginal equations."""
+    spec = params.spectrum()
+    c = thermal_populations(spec, params.beta_c)
+    h = thermal_populations(spec, params.beta_h)
+    p = np.full(9, np.nan)
+    p[0], p[5], p[7], p[8] = params.rho_0, params.rho_5, params.rho_7, params.rho_8
+    # row/column sums: sum_m rho[3n+m] = c_n, sum_n rho[3n+m] = h_m
+    p[6] = c[2] - p[7] - p[8]
+    p[3] = h[0] - p[0] - p[6]
+    p[4] = c[1] - p[3] - p[5]
+    p[1] = h[1] - p[4] - p[7]
+    p[2] = h[2] - p[5] - p[8]
+    coherences = [
+        ((0, 1), params.eta_13, params.xi_13), ((0, 2), params.eta_26, params.xi_26), ((1, 2), params.eta_57, params.xi_57)
+    ]
+    return _exchange_state(spec, p, (6, 3, 4, 1, 2, 0, 5, 7, 8), coherences, params.beta_c, params.beta_h)
+
+
+def qudit_locally_thermal(spectrum, beta_c, beta_h, free_populations, eta_map=None, xi_map=None) -> BipartiteSystem:
+    """The d x d state whose solved populations come from ``np.linalg.solve``
+    on the assembled (2d - 1)^2 system of the row sums and the column sums
+    1..d-1; its dropped column-0 equation is checked, then each population
+    >= 0 in joint-index order."""
+    d = spectrum.dim
+    c = thermal_populations(spectrum, beta_c)
+    h = thermal_populations(spectrum, beta_h)
+    col = {idx: k for k, idx in enumerate(sorted(set(range(d * d)) - set(free_populations)))}
+    a_mat = np.zeros((2 * d - 1, 2 * d - 1))
+    b_vec = np.concatenate([c, h[1:]])
+    for row, cells in enumerate([range(n * d, n * d + d) for n in range(d)] + [range(m, d * d, d) for m in range(1, d)]):
+        for idx in cells:
+            if idx in col:
+                a_mat[row, col[idx]] = 1.0
+            else:
+                b_vec[row] -= free_populations[idx]
+    x = np.linalg.solve(a_mat, b_vec)
+    p = np.zeros(d * d)
+    for idx, val in free_populations.items():
+        p[idx] = val
+    for idx, k in col.items():
+        p[idx] = x[k]
+    if abs(p.reshape(d, d)[:, 0].sum() - h[0]) > 1e-9:
+        raise states.InfeasibleStateError("marginal_consistency")
+    xi_map = xi_map or {}
+    pairs = [((min(n, m), max(n, m)), eta) for (n, m), eta in (eta_map or {}).items()]
+    coherences = [(pair, eta, xi_map.get(pair, xi_map.get(pair[::-1], 0.0))) for pair, eta in pairs]
+    return _exchange_state(spectrum, p, range(d * d), coherences, beta_c, beta_h)
+
+
+def _exchange_state(spectrum, p, order, coherences, beta_c, beta_h) -> BipartiteSystem:
+    """The state of joint populations ``p``, each checked >= 0 in ``order``,
+    with the coherence eta e^{i xi} sqrt(p_a p_b) of each (manifold, eta, xi)."""
+    for idx in order:
+        if p[idx] < -PSD_TOL:
+            raise states.InfeasibleStateError(f"population_{idx}")
+    rho = np.diag(np.clip(p, 0.0, None).astype(complex))
+    for (n, m), eta, xi in coherences:
+        if not 0.0 <= eta <= 1.0:
+            raise states.InfeasibleStateError(f"eta_{n}{m}")
+        a, b = n * spectrum.dim + m, m * spectrum.dim + n
+        rho[a, b] = val = eta * np.exp(1j * xi) * np.sqrt(max(p[a], 0.0) * max(p[b], 0.0))
+        rho[b, a] = np.conj(val)
+    return BipartiteSystem(spectrum, spectrum, rho, beta_c, beta_h)
 
 # --- properties: the trial-by-trial bodies of the stacked ones ------------
 # A body of the form (rng, k) -> (deviation, failures) is one trial; the

@@ -14,7 +14,7 @@ from qheatflow.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     hermitian_eigenvalues,
-    hermiticity_defect,
+    hermiticity_defects,
     kron,
     matrix_exp,
     matrix_exp_stack,
@@ -293,12 +293,12 @@ def test_matrix_exp_stack_equals_matrix_exp_per_matrix():
 def test_hermiticity_defect_and_matrix_exp_equal_the_scalar_reference():
     """The n = 1 calls of the stacked kernels give the one-matrix bodies' bits."""
     rng = np.random.default_rng(11)
-    assert hermiticity_defect(np.zeros((0, 0))) == 0.0
+    assert hermiticity_defects(np.zeros((1, 0, 0)))[0] == 0.0
     for d in (1, 2, 4, 9):
         a = _rand_complex(rng, d)
         h = a + a.conj().T
         for m in (a, h, h + 1e-11j * a, np.full((d, d), np.nan)):
-            got, want = hermiticity_defect(m), reference.hermiticity_defect(m)
+            got, want = hermiticity_defects(m[None])[0], reference.hermiticity_defect(m)
             assert np.array_equal(got, want, equal_nan=True)
         for m in (h, -1j * h, np.zeros((d, d)), -1e-12j * h):
             assert matrix_exp(m).tobytes() == reference.matrix_exp(m).tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from qheatflow.linalg import kron, partial_trace
 from qheatflow.properties import random_two_qubit_system, random_two_qutrit_system
 from qheatflow.states import (
@@ -225,6 +226,68 @@ def test_qudit_dephased_state_is_diagonal():
     deph = dephase(via_general)
     assert np.max(np.abs(deph.rho - via_general.rho)) == 0.0
 
+
+
+def _outcome(build, *args):
+    """The rho a constructor builds, or the constraint it raises."""
+    try:
+        return build(*args).rho
+    except InfeasibleStateError as exc:
+        return exc.constraint
+
+
+def test_two_qutrit_state_equals_the_five_equation_reference_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        _, params = random_two_qutrit_system(rng)
+        assert two_qutrit_state(params).rho.tobytes() == reference.two_qutrit_state(params).rho.tobytes()
+    # wider draws, infeasible ones among them: the same rho or the same first failed check
+    outcomes = set()
+    for _ in range(300):
+        e1 = rng.uniform(0.7, 1.3)
+        spec = EnergySpectrum((0.0, e1, e1 + rng.uniform(0.2, 0.8)))
+        beta_h = rng.uniform(0.1, 0.8)
+        beta_c = beta_h + rng.uniform(0.2, 1.0)
+        prod = np.outer(thermal_populations(spec, beta_c), thermal_populations(spec, beta_h)).ravel()
+        free = prod[[0, 5, 7, 8]] * rng.uniform(0.3, 1.7, size=4)
+        params = QutritStateParams(beta_c, beta_h, *spec.levels[1:], *free, *rng.uniform(0.0, 1.02, size=3), *rng.uniform(0.0, 6.3, size=3))
+        got, want = _outcome(two_qutrit_state, params), _outcome(reference.two_qutrit_state, params)
+        outcomes.add(got if isinstance(got, str) else "ok")
+        assert got == want if isinstance(want, str) else got.tobytes() == want.tobytes()
+    assert "ok" in outcomes and len(outcomes) >= 4
+
+
+GOLOMB = {  # rulers whose marks have pairwise distinct differences: Bohr-nondegenerate levels
+    4: (0, 1, 4, 6),
+    8: (0, 1, 4, 9, 15, 22, 32, 34),
+    12: (0, 2, 6, 24, 29, 40, 43, 55, 68, 75, 76, 85),
+    16: (0, 1, 4, 11, 26, 32, 56, 68, 76, 115, 117, 134, 150, 163, 168, 177),
+}
+
+
+@pytest.mark.parametrize("d", sorted(GOLOMB))
+def test_qudit_populations_match_the_linear_solve(d):
+    """Populations within 1e-15 of ``np.linalg.solve`` on the assembled
+    system, and the same draws feasible, at jitters that keep every draw
+    feasible and ones that do not."""
+    spec = EnergySpectrum(tuple(4.0 * m / GOLOMB[d][-1] for m in GOLOMB[d]))
+    c, h = thermal_populations(spec, 1.2), thermal_populations(spec, 0.5)
+    keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
+    pairs = [(n, m) for n in range(d) for m in range(n + 1, d)]
+    rng = np.random.default_rng(d)
+    feasible = []
+    for draw in range(24):
+        jitter = 0.05 if draw % 2 else 0.6
+        free = {k: c[k // d] * h[k % d] * rng.uniform(1.0 - jitter, 1.0 + jitter) for k in keys}
+        eta, xi = dict(zip(pairs, rng.uniform(0.2, 0.95, len(pairs)))), dict(zip(pairs, rng.uniform(0.0, 6.3, len(pairs))))
+        got = _outcome(qudit_locally_thermal, spec, 1.2, 0.5, free, eta, xi)
+        want = _outcome(reference.qudit_locally_thermal, spec, 1.2, 0.5, free, eta, xi)
+        assert isinstance(got, str) == isinstance(want, str)
+        if not isinstance(got, str):
+            assert np.abs(got.diagonal() - want.diagonal()).max() <= 1e-15
+            assert np.abs(got - want).max() <= 1e-15
+        feasible.append(not isinstance(got, str))
+    assert all(feasible[1::2]) and not all(feasible[::2])
 
 # ---------------------------------------------------------------------------
 # dephasing and the partial-transpose check

@@ -1,5 +1,7 @@
+import collections
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 from pathlib import Path
@@ -12,7 +14,6 @@ import qheatflow.properties as properties
 import qheatflow.sweeps as sweeps
 from qheatflow.cli import main as cli_main
 from qheatflow.config import ConfigError, apply_overrides, load_config, parse_config
-from qheatflow.fluctuations import TransitionTable
 from qheatflow.dynamics import (
     ManifoldRotation,
     UnitaryStack,
@@ -323,6 +324,54 @@ def test_stacked_sweep_equals_scalar_reference_on_shipped_configs(path):
     rows = _assert_rows_equal_reference(_with_points(path, 13))
     assert any(r["status"] == "ok" for r in rows)
 
+
+def test_qutrit_xft_population_axes_keep_their_bytes_and_statuses():
+    """The shipped qutrit_xft config over two free populations: each cell's
+    first failed check, in the order (6, 3, 4, 1, 2, 0, 5, 7, 8), and the
+    CSV body are those of the five-equation construction."""
+    cfg = load_config(str(CONFIG_DIR / "qutrit_xft.cfg"))
+    for k, (name, hi, points) in enumerate((("state.rho_8", 0.4, 9), ("state.rho_5", 0.3, 7)), start=1):
+        cfg.update({f"sweep.axis{k}.name": name, f"sweep.axis{k}.min": 0.0, f"sweep.axis{k}.max": hi, f"sweep.axis{k}.points": points})
+    result = run_sweep(SweepSpec.from_config(cfg))
+    assert collections.Counter(row["status"] for row in result.rows) == {
+        "ok": 7, "infeasible:population_6": 49, "infeasible:population_4": 7,
+    }
+    body = "\n".join(_body(result.to_csv())).encode()
+    assert hashlib.sha256(body).hexdigest() == "c5741b2a1405288c578ac2d718585ce02d7868c56efe4a785a30fb4060470fad"
+
+
+I4_DETUNED = """
+scenario = custom
+state.kind = gamma
+state.beta_C = 1.13
+state.beta_H = 0.96
+state.gamma = 0
+state.E_H = 1.3
+"""
+I4_UNITARIES = ("unitary.kind = exchange\nunitary.theta = 0.4\n", "unitary.kind = xy\nunitary.J = 215.1\nunitary.t = 0.0006\n")
+
+
+def test_i4_does_not_apply_to_dynamics_that_do_not_conserve_the_cells_energy(tmp_path, capsys):
+    """The J identity behind I4 needs an energy-conserving U.  On a product
+    Gibbs pair detuned from the exchange, the MH table is nonnegative and
+    I4 reads -1 (it read 1), like T3, which gates on the same mask."""
+    cfg = tmp_path / "i4.cfg"
+    for unitary in I4_UNITARIES:
+        cfg.write_text(I4_DETUNED + unitary)
+        assert cli_main(["point", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "negativity: 0" in out and "i4: not applicable or precondition failed" in out
+    flags = ["t1", "t2", "t3", "i4", "t4_lower", "t4_upper", "strong_backflow"]
+    grid = (
+        "sweep.axis1.name = unitary.theta\nsweep.axis1.min = 0\nsweep.axis1.max = 3.1\nsweep.axis1.points = {}\n"
+        "sweep.axis2.name = state.gamma\nsweep.axis2.min = -0.15\nsweep.axis2.max = 0.15\nsweep.axis2.points = {}\n"
+        "outputs = Q,negativity," + ",".join(f"{w}_violated" for w in flags) + "\n"
+    )
+    rows = _rows(run_sweep(_spec(I4_DETUNED + I4_UNITARIES[0] + grid.format(60, 31))))
+    assert len(rows) == 1860 and all(row["status"] == "ok" for row in rows)
+    assert not [row for row in rows if row["negativity"] == "0" and "1" in (row[f"{w}_violated"] for w in flags)]
+    assert {row["i4_violated"] for row in rows} == {"-1", "0"}  # 0 at theta = 0, where U is the identity
+    _assert_rows_equal_reference(_spec(I4_DETUNED + I4_UNITARIES[0] + grid.format(5, 3)))
 
 CUSTOM_STATES = {
     # kind: (fixed keys, axis over a state key); the two-qubit eta range
@@ -1381,21 +1430,14 @@ def test_cli_check_passes_and_is_seed_stable(capsys):
 
 def test_property_suite_detects_sign_flip_mutant(monkeypatch):
     """A corrupted quasiprobability breaks the marginal identity."""
-    true_mh = fluct.mh_distribution
+    true_tables = fluct.table_stack
 
-    def mutant(sys, u):
-        table = true_mh(sys, u)
-        tpm = fluct.tpm_distribution(sys, u)
-        # flip the sign of the coherence correction without tripping the
-        # constructor's own validation
-        bad = object.__new__(TransitionTable)
-        object.__setattr__(bad, "kind", "MH")
-        object.__setattr__(bad, "values", 2.0 * tpm.values - table.values)
-        object.__setattr__(bad, "energies_c", table.energies_c)
-        object.__setattr__(bad, "energies_h", table.energies_h)
-        return bad
+    def mutant(kind, states, u, uh):
+        values = true_tables(kind, states, u, uh)
+        # flip the sign of the coherence correction: MH -> 2 TPM - MH
+        return 2.0 * true_tables("TPM", states, u, uh) - values if kind == "MH" else values
 
-    monkeypatch.setattr(fluct, "mh_distribution", mutant)
+    monkeypatch.setattr(fluct, "table_stack", mutant)
     failures, max_dev, _ = properties.PROPERTIES["mh-marginals"](
         np.random.default_rng(0), 10
     )
@@ -1405,24 +1447,23 @@ def test_property_suite_detects_sign_flip_mutant(monkeypatch):
 def test_table_norm_range_counts_only_the_trial_that_fails(monkeypatch):
     """One MH table of ten that sums to 1 + 1e-9 is one failure, not one
     for it and each trial after it."""
-    true_mh = fluct.mh_distribution
-    calls = []
+    true_tables = fluct.table_stack
+    seen = []  # the MH tables handed out, in order
 
-    def mutant(sys, u):
-        table = true_mh(sys, u)
-        calls.append(None)
-        if len(calls) != 4:
-            return table
-        values = table.values.copy()
-        values.flat[0] += 1e-9  # past the sum check, bypassing the constructor's
-        bad = object.__new__(TransitionTable)
-        for name, value in (("kind", "MH"), ("values", values), ("energies_c", table.energies_c), ("energies_h", table.energies_h)):
-            object.__setattr__(bad, name, value)
-        return bad
+    def mutant(kind, states, u, uh):
+        values = true_tables(kind, states, u, uh)
+        if kind != "MH":
+            return values
+        first = len(seen)
+        seen.extend(range(first, first + len(values)))
+        if first <= 3 < len(seen):
+            values = values.copy()
+            values[3 - first].flat[0] += 1e-9  # the 4th table, past the sum check
+        return values
 
-    monkeypatch.setattr(fluct, "mh_distribution", mutant)
+    monkeypatch.setattr(fluct, "table_stack", mutant)
     failures, max_dev, _ = properties.PROPERTIES["table-norm-range"](np.random.default_rng(0), 10)
-    assert len(calls) == 10
+    assert len(seen) == 10
     assert failures == 1 and max_dev > 5e-10
 
 

@@ -390,8 +390,8 @@ def test_witness_stacks_equal_single_cell_verdicts(beta_c, beta_h):
         ],
     )
     _assert_stack_matches(
-        correlation_flow_stack(q, other, beta_c, beta_h),
-        [reference.correlation_flow_witness(a, b, beta_c, beta_h) for a, b in pairs],
+        correlation_flow_stack(q, other, resonant, beta_c, beta_h),
+        [reference.correlation_flow_witness(a, b, beta_c, beta_h, b >= 0) for a, b in pairs],
     )
     _assert_stack_matches(
         strong_backflow_stack(q, beta_c, beta_h, 3),
