@@ -453,8 +453,8 @@ class QutritStateParams:
 
 def two_qutrit_state(params: QutritStateParams) -> BipartiteSystem:
     """Two-qutrit state: the closed-form solve of ``qudit_locally_thermal``
-    at d = 3, whose five equations and nonnegativity checks, in the order
-    (6, 3, 4, 1, 2, 0, 5, 7, 8), are those of the qutrit construction."""
+    at d = 3, five equations with the nonnegativity checks in the order
+    (6, 3, 4, 1, 2, 0, 5, 7, 8)."""
     spec = params.spectrum()
     gibbs = thermal_populations(spec, params.beta_c), thermal_populations(spec, params.beta_h)
     free = {0: params.rho_0, 5: params.rho_5, 7: params.rho_7, 8: params.rho_8}
