@@ -118,40 +118,14 @@ def unwrap(u) -> np.ndarray:
     return u.matrix if isinstance(u, UnitaryReport) else np.asarray(u, dtype=complex)
 
 
-def _commutes_exactly(u: np.ndarray, h_total: np.ndarray) -> np.ndarray:
-    """Is U H - H U the exact zero matrix by structure?  For U or per matrix
-    of an (n, D, D) stack, against one H or one per matrix.
-
-    True when H is diagonal and real, and U_ij != 0 only where
-    H_ii == H_jj: then (U H)_ij and (H U)_ij are the same single rounded
-    product (every other term of the matrix product is an exact zero), so
-    the dense difference is exactly zero and its norm exactly 0.0.  The
-    entries and their products must be finite.
-    """
-    h_total = np.asarray(h_total)
-    h = h_total.diagonal(axis1=-2, axis2=-1)
-    diagonal = ((h_total != 0).sum(axis=(-2, -1)) == (h != 0).sum(axis=-1)) & ~h.imag.any(axis=-1)
-    finite = np.isfinite(np.abs(u).max(axis=(-2, -1)) * np.abs(h).max(axis=-1))
-    return diagonal & finite & ~((u != 0) & (h[..., :, None] != h[..., None, :])).any(axis=(-2, -1))
-
-
 def _commutator_norms(u: np.ndarray, h_total: np.ndarray) -> np.ndarray:
     """|| U H - H U || of U or each matrix of an (n, D, D) stack, against one
-    H or one per matrix; exactly 0.0 without the products where U only
-    connects levels of equal energy (``_commutes_exactly``)."""
-    exact = _commutes_exactly(u, h_total)
-    if exact.all():
-        return np.zeros(u.shape[:-2])
-    if not exact.any():  # every matrix dense: no gather
-        return spectral_norms(u @ h_total - h_total @ u)
-    cnorm, dense = np.zeros(len(u)), ~exact
-    x, h = u[dense], np.broadcast_to(h_total, u.shape)[dense]
-    cnorm[dense] = spectral_norms(x @ h - h @ x)
-    return cnorm
+    H or one per matrix."""
+    return spectral_norms(u @ h_total - h_total @ u)
 
 
 def commutator_norm(u, h_total: np.ndarray) -> float:
-    """|| U H - H U ||, by the rule of ``_commutator_norms``."""
+    """|| U H - H U ||."""
     return float(_commutator_norms(unwrap(u), h_total))
 
 
@@ -187,7 +161,7 @@ def energy_preserving_unitary(
     at most one rotation per manifold.
     """
     blocks = [(rot.level_pair, (rot.theta, rot.phi, rot.lam, rot.kappa)) for rot in rotations]
-    return UnitaryReport._of_stack(exchange_unitary_stack(spectrum, 1, blocks))
+    return UnitaryReport._of_stack(exchange_unitary_stack(spectrum.levels, 1, blocks))
 
 
 def two_qubit_exchange_unitary(
@@ -195,7 +169,7 @@ def two_qubit_exchange_unitary(
 ) -> UnitaryReport:
     """4x4 exchange unitary rotating the |01>/|10> manifold by theta."""
     blocks = [((0, 1), (theta, phi, lam, kappa))]
-    return UnitaryReport._of_stack(exchange_unitary_stack(EnergySpectrum.two_level(gap), 1, blocks))
+    return UnitaryReport._of_stack(exchange_unitary_stack(EnergySpectrum.two_level(gap).levels, 1, blocks))
 
 
 def _xy_hamiltonian(j_hz: float) -> np.ndarray:
@@ -307,20 +281,15 @@ def exchange_unitary_stack(levels, n: int, blocks) -> UnitaryStack:
     """``energy_preserving_unitary`` for each of n cells.
 
     ``levels`` are the local levels, one spectrum (d,) for every cell or
-    one per cell (n, d), or an ``EnergySpectrum`` for every cell (whose
-    Bohr flag is worked out once per spectrum).  ``blocks`` lists (manifold (n, m) with n < m,
+    one per cell (n, d).  ``blocks`` lists (manifold (n, m) with n < m,
     angles (theta, phi, lam, kappa)), each angle one value for every cell
     or a per-cell array; every block entry is the closed form of the
     module docstring, evaluated elementwise.
     """
-    if isinstance(levels, EnergySpectrum):
-        ok, levels = levels.bohr_nondegenerate(), np.asarray(levels.levels)
-    else:
-        levels = np.asarray(levels, dtype=float)
-        if levels.ndim == 2 and (levels == levels[:1]).all():
-            levels = levels[0]  # one spectrum: one H for the stack
-        ok = all(map(bohr_nondegenerate, {tuple(row) for row in levels.reshape(-1, levels.shape[-1]).tolist()}))
-    if not ok:
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim == 2 and (levels == levels[:1]).all():
+        levels = levels[0]  # one spectrum: one H for the stack
+    if not all(map(bohr_nondegenerate, {tuple(row) for row in levels.reshape(-1, levels.shape[-1]).tolist()})):
         raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
     d = levels.shape[-1]
     u = np.zeros((n, d * d, d * d), dtype=complex)
@@ -339,9 +308,9 @@ def exchange_unitary_stack(levels, n: int, blocks) -> UnitaryStack:
         cells[..., a, b] = -np.exp(1j * (kappa - phi)) * st
         cells[..., b, a] = np.exp(1j * (kappa + phi)) * st
         cells[..., b, b] = np.exp(1j * (kappa - lam)) * ct
-    # U only connects levels of equal total energy (E_n + E_m both ways), so
-    # by the rule of ``_commutes_exactly`` it commutes exactly where its
-    # entries and the levels are finite; H is built only when one is not
+    # U connects only levels of equal total energy and H is diagonal and real,
+    # so U H - H U is exactly zero where the entries and levels are finite;
+    # H is built, and the dense norm taken, only when one is not
     energies = levels[..., :, None] + levels[..., None, :]
     exact = np.isfinite(np.maximum.reduce(np.abs(u), axis=(-2, -1)) * np.abs(energies).max(axis=(-2, -1))).all()
     return _stack_report(u, None if exact else _total_hamiltonian(levels))

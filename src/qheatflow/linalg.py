@@ -130,12 +130,8 @@ def matrix_exp_stack(m) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     herm = hermiticity_defects(m) <= HERMITICITY_TOL
-    if herm.all():
-        return _eigh_exp(m, 1.0)
     k = 1j * m
     anti = ~herm & (hermiticity_defects(k) <= HERMITICITY_TOL)
-    if anti.all():
-        return _eigh_exp(k, -1j)
     if not (herm | anti).all():
         raise ValueError(NOT_A_GENERATOR)
     out = np.empty_like(m)

@@ -119,12 +119,18 @@ def probe_effects(eps: float, dim: int, idx: int) -> tuple[np.ndarray, np.ndarra
     return e_plus, e_minus
 
 
-def reconstruct_quasiprobability(stats: ProbeOutcomeStats) -> np.ndarray:
-    """Exact reconstruction of the targeted MH row, any admissible eps."""
-    s2 = np.sin(2.0 * stats.eps)
+def _reconstruction(eps: float, plus, minus, free):
+    """(p_W, sin 2eps): the reconstruction formula of the module docstring,
+    elementwise over outcome probabilities or frequencies."""
+    s2 = np.sin(2.0 * eps)
     if s2 <= 1e-9:
         raise ValueError("sin(2 eps) too small; reconstruction ill-conditioned")
-    return (stats.q_plus - stats.q_minus) / (2.0 * s2) + stats.p_undisturbed / 2.0
+    return (plus - minus) / (2.0 * s2) + free / 2.0, s2
+
+
+def reconstruct_quasiprobability(stats: ProbeOutcomeStats) -> np.ndarray:
+    """Exact reconstruction of the targeted MH row, any admissible eps."""
+    return _reconstruction(stats.eps, stats.q_plus, stats.q_minus, stats.p_undisturbed)[0]
 
 
 def _counts(probs: np.ndarray, n_shots: int, bit_gen) -> np.ndarray:
@@ -171,10 +177,7 @@ def sampled_reconstruction(
     f_plus = probe_counts[:dim] / n_shots
     f_minus = probe_counts[dim:] / n_shots
     f_free = free_counts / n_shots
-    s2 = np.sin(2.0 * stats.eps)
-    if s2 <= 1e-9:
-        raise ValueError("sin(2 eps) too small; reconstruction ill-conditioned")
-    values = (f_plus - f_minus) / (2.0 * s2) + f_free / 2.0
+    values, s2 = _reconstruction(stats.eps, f_plus, f_minus, f_free)
 
     var_delta = (f_plus + f_minus - (f_plus - f_minus) ** 2) / n_shots
     var_free = f_free * (1.0 - f_free) / n_shots

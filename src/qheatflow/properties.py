@@ -445,7 +445,7 @@ def _prop_witness_soundness(rng, n):
             ] if dim == 2 else []
             rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
             verdicts.append(witnesses.xft_flow_witness(q, rep, bc, bh))
-            verdicts.append(witnesses.correlation_flow_witness(q, fluctuations.heat_exp_correction(sys, u).j, bc, bh))
+            verdicts.append(witnesses.correlation_flow_witness(q, fluctuations.heat_exp_correction(sys, u).j, rep, bc, bh))
             verdicts.extend(witnesses.tpm_band_witness(q, tpm))
             verdicts.append(witnesses.strong_backflow_witness(q, bc, bh, dim))
             bad = sum(v.violated for v in verdicts)

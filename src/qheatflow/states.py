@@ -83,13 +83,8 @@ class EnergySpectrum:
         return len(self.levels)
 
     def bohr_nondegenerate(self, tol: float = BOHR_TOL) -> bool:
-        """True when all pairwise gaps are distinct within tol (at the
-        default tol, worked out once per spectrum)."""
-        return self._bohr_nondegenerate if tol == BOHR_TOL else bohr_nondegenerate(self.levels, tol)
-
-    @cached_property
-    def _bohr_nondegenerate(self) -> bool:
-        return bohr_nondegenerate(self.levels)
+        """True when all pairwise gaps are distinct within tol."""
+        return bohr_nondegenerate(self.levels, tol)
 
     def hamiltonian(self) -> np.ndarray:
         return np.diag(np.asarray(self.levels, dtype=complex))
@@ -245,9 +240,16 @@ class BipartiteSystem:
 
     @cached_property
     def stack(self) -> "StateStack":
-        """This system as a one-row ``StateStack``, each column built on
-        first read from its own arrays and methods."""
-        return _SystemRow(self)
+        """This system as a one-row ``StateStack``, built on first use from
+        its own arrays and methods."""
+        (b_c, b_h), (marginal_c, marginal_h) = (self.beta_c, self.beta_h), self._marginal_populations
+        return StateStack(
+            self.rho[None], self.populations()[None], marginal_c, marginal_h,
+            np.array([self.spectrum_c.levels]), np.array([self.spectrum_h.levels]),
+            np.array([np.nan if b_c is None else b_c]), np.array([np.nan if b_h is None else b_h]),
+            np.array([b_c is not None and b_h is not None and b_c != b_h]),
+            np.array([self.spectrum_c == self.spectrum_h]), np.array([self.spectrum_c.bohr_nondegenerate()]),
+        )
 
     def with_rho(self, rho: np.ndarray, keep_betas: bool = True) -> "BipartiteSystem":
         betas, gibbs = ((self.beta_c, self.beta_h), self._gibbs) if keep_betas else ((None, None), (None, None))
@@ -304,36 +306,6 @@ class StateStack(NamedTuple):
             raise error
         populations = rho.diagonal(axis1=1, axis2=2).real.copy()
         return self._replace(rho=rho, populations=populations, marginal_c=marginal_c, marginal_h=marginal_h)
-
-
-class _SystemRow:
-    """The one-row ``StateStack`` of a system, read as a StateStack is
-    (columns by name or in order, ``dims``, ``take``).  A table reads only
-    ``rho`` and ``populations``; the columns past the marginals are built
-    together on the first read of one."""
-
-    def __init__(self, sys: BipartiteSystem):
-        self.rho, self.dims = sys.rho[None], sys.dims
-        self.populations = self.rho.diagonal(axis1=1, axis2=2).real.copy()
-        self.marginal_c, self.marginal_h = sys._marginal_populations
-        self._rest = (sys.spectrum_c, sys.spectrum_h, sys.beta_c, sys.beta_h)
-
-    def __iter__(self):
-        return (getattr(self, name) for name in StateStack._fields)
-
-    take = StateStack.take
-
-    def __getattr__(self, name):
-        if name not in StateStack._fields:
-            raise AttributeError(name)
-        s_c, s_h, b_c, b_h = self._rest
-        self.__dict__.update(
-            levels_c=np.array([s_c.levels]), levels_h=np.array([s_h.levels]),
-            beta_c=np.array([np.nan if b_c is None else b_c]), beta_h=np.array([np.nan if b_h is None else b_h]),
-            unequal_betas=np.array([b_c is not None and b_h is not None and b_c != b_h]),
-            equal_spectra=np.array([s_c == s_h]), bohr_nondegenerate=np.array([s_c.bohr_nondegenerate()]),
-        )
-        return self.__dict__[name]
 
 
 def _manifold_indices(n: int, m: int, d: int) -> tuple[int, int]:

@@ -619,9 +619,11 @@ def _build_unitary_stack(kind: str, cells: dict, n: int, levels_c, levels_h):
 
     ``cells`` maps each key to a scalar or an n-array, and ``levels_c``,
     ``levels_h`` are the cells' local levels, (n, d) or one (1, d) row for
-    all.  Each commutator norm is taken against its own cell's H_C + H_H:
-    the XY and qubit exchange kinds use the two-level spectrum of the
-    cell's cold gap on both sides, as their single-cell constructors do.
+    all.  The perturbed-XY kind takes each commutator norm against its
+    cell's own H_C + H_H; the XY and exchange kinds take it against the
+    cell's cold levels on both sides, as their single-cell constructors
+    do.  T1 is the norm's only reader, and it applies only where a cell's
+    two spectra are equal, so every norm it reads is the cell's own.
     Returns the stack and the extra output columns as n-arrays (a copied
     one keeps its dtype).
     """

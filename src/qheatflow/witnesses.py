@@ -148,19 +148,20 @@ def xft_flow_witness(
 
 
 def correlation_flow_witness(
-    q: float, j_value: float, beta_c: float, beta_h: float
+    q: float, j_value: float, xft: XftReport, beta_c: float, beta_h: float
 ) -> WitnessVerdict:
     """Q <= log(1 + J) / dBeta with J the correlation correction.
 
     Sound on a nonnegative MH table when the dynamics conserves energy, as
-    the identity 1 + J = <e^{dBeta dE_C}>_MH behind it needs; this function
-    takes that as given (its ``resonance`` precondition reads True).
+    the identity 1 + J = <e^{dBeta dE_C}>_MH behind it needs.  ``xft`` is
+    the ``XftReport`` of the same MH table, as ``xft_flow_witness`` takes
+    it; its ``resonance_ok`` is the ``resonance`` precondition.
     """
     if beta_c - beta_h == 0:
         raise ValueError("bound undefined for equal inverse temperatures")
     if 1.0 + j_value <= 0.0:
         raise DivergenceError(f"1 + J = {1.0 + j_value:.3e} <= 0")
-    return _verdict("I4", correlation_flow_stack(q, j_value, True, beta_c, beta_h), q)
+    return _verdict("I4", correlation_flow_stack(q, j_value, xft.resonance_ok, beta_c, beta_h), q)
 
 
 def _require_bohr_nondegenerate(energies_c, energies_h) -> None:

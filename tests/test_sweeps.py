@@ -1024,6 +1024,21 @@ def test_perturbed_cell_commutator_uses_the_state_gaps():
     assert u.commutator_norm[0] == pytest.approx(explicit, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "unitary,keys", [("exchange", {"unitary.theta": 0.4}), ("xy", {"unitary.J": 215.1, "unitary.t": 0.0006})]
+)
+def test_t1_does_not_read_a_detuned_cells_cold_gap_norm(unitary, keys):
+    # these kinds take the norm against the cold gap on both sides, which
+    # is not this cell's H_C + H_H; T1, the norm's only reader, does not apply
+    params = {"state.gamma": 0.0, "state.beta_C": 1.13, "state.beta_H": 0.96, "state.E_H": 1.3, **keys}
+    sys, u, extras = _build_cell("custom", ("gamma", unitary), params)
+    h = np.kron(sys.spectrum_c.hamiltonian(), np.eye(2)) + np.kron(np.eye(2), sys.spectrum_h.hamiltonian())
+    assert u.commutator_norm[0] == 0.0
+    assert spectral_norm(u.matrix[0] @ h - h @ u.matrix[0]) > 0.1
+    row = _evaluate_one(sys, u, extras)[0]
+    assert row["t1_violated"] == -1 and "t1_bound" not in row
+
+
 # ---------------------------------------------------------------------------
 # point analysis
 # ---------------------------------------------------------------------------
