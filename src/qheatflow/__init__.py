@@ -60,7 +60,6 @@ from .fluctuations import (
     average_heat,
     table_heat,
     flow_decomposition,
-    heat_report,
     exchange_heat_shift,
     exchange_manifold_pw,
     exchange_manifold_tpm,

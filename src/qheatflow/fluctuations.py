@@ -149,6 +149,11 @@ class TransitionTable:
         """CSV serialization, 17 significant digits per value."""
         return transition_csv(self.energies_c, self.energies_h, np.ndindex(self.dims), self.values)
 
+    def resonance(self) -> tuple[bool, float]:
+        """(resonance_ok, max energy mismatch) of the table, by ``resonance_stack``."""
+        ok, mismatch = resonance_stack(self.values[None], self.energies_c, self.energies_h)
+        return bool(ok[0]), float(mismatch[0])
+
 
 @dataclass(frozen=True)
 class HeatReport:
@@ -238,13 +243,6 @@ def flow_decomposition(table: TransitionTable, q_tpm: float | None = None) -> He
         q_tpm=q_tpm,
         negative_entries=tuple(table.negative_entries()),
     )
-
-
-def heat_report(sys: BipartiteSystem, u) -> HeatReport:
-    """Full heat bookkeeping for one state/protocol pair."""
-    mh = mh_distribution(sys, u)
-    tpm = tpm_distribution(sys, u)
-    return flow_decomposition(mh, q_tpm=table_heat(tpm))
 
 
 def exchange_manifold_pw(sys: BipartiteSystem, rotations) -> dict[tuple, float]:
@@ -381,24 +379,19 @@ def xft_average(table: TransitionTable, sys: BipartiteSystem) -> XftReport:
     convention); a vanishing population or marginal that is actually
     needed raises DivergenceError instead of being clamped.  The report
     flags whether every contributing entry conserves energy (the regime
-    in which the identity lhs = 1 + chi_bar applies).  The table's spectra
-    are the system's.
+    in which the identity lhs = 1 + chi_bar applies), by
+    ``table.resonance()``.  The table's spectra are the system's.
     """
     if table.kind != "MH":
         raise ValueError("the exchange-fluctuation average is defined on MH tables")
     if sys.beta_c is None or sys.beta_h is None:
         raise ValueError("system must carry its inverse temperatures")
-    lhs, avg_di, resonance_ok, max_mismatch, vanishing = xft_average_stack(table.values[None], sys.stack)
+    lhs, avg_di, vanishing = xft_average_stack(table.values[None], sys.stack)
     for label, bad in vanishing.items():  # the first vanishing value, in this order
         if bad.any():
             idx = np.argwhere(bad[0])[0]
             raise DivergenceError(f"{label}{tuple(int(i) for i in idx)} vanishes inside a log")
-    return XftReport(
-        lhs=float(lhs[0]),
-        avg_delta_i=float(avg_di[0]),
-        resonance_ok=bool(resonance_ok[0]),
-        max_energy_mismatch=float(max_mismatch[0]),
-    )
+    return XftReport(float(lhs[0]), float(avg_di[0]), *table.resonance())
 
 
 @dataclass(frozen=True)
@@ -465,8 +458,8 @@ def max_heat_coherence_shift(sys: BipartiteSystem) -> float:
 # its own cell's state: they read a ``StateStack`` (or per-cell level
 # arrays) where the single-cell functions above read a BipartiteSystem.
 # They are the one implementation of the MH and TPM tables, the heat
-# split, chi_bar, the XFT average and J: the single-cell names above check
-# their arguments, run their kernel on the system's one-row ``stack`` and
+# split, the resonance, chi_bar, the XFT average and J: the single-cell
+# names above check their arguments, run their kernel on one cell and
 # raise where the kernel marks that cell.  Every value equals the scalar
 # reference kept in the tests bit for bit: an elementwise op, a per-slice
 # matmul/trace and a reduction over a contiguous last axis all compute per
@@ -633,9 +626,20 @@ def xft_coherence_stack(states: StateStack, u: np.ndarray, uh: np.ndarray):
     return chi, starved
 
 
+def resonance_stack(values: np.ndarray, levels_c, levels_h):
+    """(resonance_ok, max_energy_mismatch) of each table of a stack, on one pair of spectra or one
+    per cell: whether every entry with |p| > 1e-12 has |dE_C + dE_H| <= 1e-9 * max(1, max |level|),
+    and the largest |dE_C + dE_H| of those entries.  It takes no log, so no population can void it."""
+    de_c, de_h = energy_changes(levels_c, levels_h)
+    mask = np.abs(values) > NEGLIGIBLE_WEIGHT
+    max_mismatch = np.where(mask, np.abs(de_c + de_h), 0.0).reshape(len(values), -1).max(axis=-1)
+    levels = np.concatenate([np.asarray(levels_c), np.asarray(levels_h)], axis=-1)
+    return max_mismatch <= 1e-9 * np.maximum(1.0, np.abs(levels).max(axis=-1)), max_mismatch
+
+
 def xft_average_stack(values: np.ndarray, states: StateStack):
-    """(lhs, avg_delta_i, resonance_ok, max_energy_mismatch, vanishing) of
-    ``xft_average`` for each MH table of a stack.
+    """(lhs, avg_delta_i, vanishing) of ``xft_average`` for each MH table
+    of a stack; ``resonance_stack`` gives the report's resonance.
 
     ``vanishing`` maps "population", "marginal_C" and "marginal_H" to
     per-cell masks, (n, d_C, d_H), (n, d_C) and (n, d_H), of the values
@@ -644,10 +648,8 @@ def xft_average_stack(values: np.ndarray, states: StateStack):
     |p| > 1e-12 mask differs from cell to cell, so its sums go through
     ``masked_sums``.
     """
-    n = len(values)
     d_c, d_h = states.dims
-    p = values
-    mask = np.abs(p) > NEGLIGIBLE_WEIGHT
+    mask = np.abs(values) > NEGLIGIBLE_WEIGHT
 
     pops = states.populations.reshape(-1, d_c, d_h)
     pc, ph = states.marginal_c, states.marginal_h
@@ -662,18 +664,12 @@ def xft_average_stack(values: np.ndarray, states: StateStack):
 
     # [k, i_C, i_H, f_C, f_H] = I_f - I_i
     delta_i = info[:, None, None, :, :] - info[:, :, :, None, None]
-    de_c, de_h = energy_changes(states.levels_c, states.levels_h)
-    mismatch = np.abs(de_c + de_h)
-    levels = np.concatenate([states.levels_c, states.levels_h], axis=-1)
-    energy_scale = np.maximum(1.0, np.abs(levels).max(axis=-1))
-    max_mismatch = np.where(mask, mismatch, 0.0).reshape(n, -1).max(axis=-1)
-    resonance_ok = max_mismatch <= 1e-9 * energy_scale
-
+    de_c = energy_changes(states.levels_c, states.levels_h)[0]
     delta_beta = (states.beta_c - states.beta_h)[:, None, None, None, None]
     weight = np.exp(np.where(mask, delta_i + delta_beta * de_c, 0.0))
-    lhs = masked_sums(p * weight, mask)
-    avg_di = masked_sums(p * np.where(mask, delta_i, 0.0), mask)
-    return lhs, avg_di, resonance_ok, max_mismatch, vanishing
+    lhs = masked_sums(values * weight, mask)
+    avg_di = masked_sums(values * np.where(mask, delta_i, 0.0), mask)
+    return lhs, avg_di, vanishing
 
 
 def _correction_operators(states: StateStack):

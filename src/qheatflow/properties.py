@@ -391,7 +391,9 @@ def _prop_xft_identity(rng, n):
     systems, rotations = _draw(rng, ([2, 3] * n)[:n])
     dev, diverged = np.zeros(n), np.zeros(n, bool)
     for at, st, u in _groups(systems, rotations):
-        lhs, _, resonance_ok, _, vanishing = fluctuations.xft_average_stack(_tables(st, u)[0], st)
+        mh = _tables(st, u)[0]
+        lhs, _, vanishing = fluctuations.xft_average_stack(mh, st)
+        resonance_ok = fluctuations.resonance_stack(mh, st.levels_c, st.levels_h)[0]
         chi, starved = fluctuations.xft_coherence_stack(st, u.matrix, u.adjoint)
         dev[at] = np.where(resonance_ok, np.abs(lhs - 1.0 - chi), np.inf)
         diverged[at] = starved.any(axis=1) | np.any([v.reshape(len(at), -1).any(axis=1) for v in vanishing.values()], axis=0)
@@ -445,7 +447,7 @@ def _prop_witness_soundness(rng, n):
             ] if dim == 2 else []
             rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
             verdicts.append(witnesses.xft_flow_witness(q, rep, bc, bh))
-            verdicts.append(witnesses.correlation_flow_witness(q, fluctuations.heat_exp_correction(sys, u).j, rep, bc, bh))
+            verdicts.append(witnesses.correlation_flow_witness(q, fluctuations.heat_exp_correction(sys, u).j, mh, bc, bh))
             verdicts.extend(witnesses.tpm_band_witness(q, tpm))
             verdicts.append(witnesses.strong_backflow_witness(q, bc, bh, dim))
             bad = sum(v.violated for v in verdicts)
@@ -671,7 +673,7 @@ def run_property_suite(
         raise ValueError("no properties selected")
     unknown = [name for name in selected if name not in PROPERTIES]
     if unknown:
-        raise ValueError(f"unknown properties: {unknown}")
+        raise ValueError(f"unknown properties: {unknown}; valid: {', '.join(PROPERTIES)}")
     if twice := sorted({name for name in selected if selected.count(name) > 1}):
         raise ValueError(f"properties listed twice: {twice}")
     root = np.random.SeedSequence(seed)

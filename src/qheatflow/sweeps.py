@@ -68,6 +68,7 @@ from .fluctuations import (
     flow_decomposition_stack,
     heat_exp_j_stack,
     marginal_check,
+    resonance_stack,
     table_heat_stack,
     table_stack,
     transition_csv,
@@ -129,12 +130,12 @@ UNITARY_KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 QUTRIT_ANGLES = {(0, 1): "unitary.theta01", (0, 2): "unitary.theta02", (1, 2): "unitary.theta12"}
 
-# witness -> the kernel groups that produce its flag and bound
+# witness -> the kernel groups that produce its flag and bound (T3 and I4 read one resonance mask)
 WITNESS_GROUPS = {
     "t1": ("t1",),
     "t2": ("t2",),
-    "t3": ("xft", "t3"),
-    "i4": ("xft", "j", "i4"),  # I4 reads the xft group's resonance mask
+    "t3": ("resonance", "xft", "t3"),
+    "i4": ("resonance", "j", "i4"),
     "t4_lower": ("t4",),
     "t4_upper": ("t4",),
     "strong_backflow": ("strong_backflow",),
@@ -720,9 +721,12 @@ def _evaluate_stack(states: StateStack, u: UnitaryStack, extras: dict, outputs):
             q[at], q_tpm[at], beta_c[at], beta_h[at], e_c[at, 1], e_h[at, 1], u.epsilon[at]
         ), at)
 
+    if "resonance" in need and (at := cells(unequal)) is not None:
+        resonance_ok = resonance_stack(mh[at], e_c[at], e_h[at])[0]
+
     if "xft" in need and (at := cells(unequal)) is not None:
         chi, starved = xft_coherence_stack(states.take(at), u.matrix[at], adjoint(at))
-        lhs, avg_di, resonance_ok, _, vanishing = xft_average_stack(mh[at], states.take(at))
+        lhs, avg_di, vanishing = xft_average_stack(mh[at], states.take(at))
         has_xft = ~starved.any(axis=1)
         for bad in vanishing.values():
             has_xft &= ~bad.reshape(len(bad), -1).any(axis=1)

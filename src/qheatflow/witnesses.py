@@ -148,20 +148,22 @@ def xft_flow_witness(
 
 
 def correlation_flow_witness(
-    q: float, j_value: float, xft: XftReport, beta_c: float, beta_h: float
+    q: float, j_value: float, mh_table: TransitionTable, beta_c: float, beta_h: float
 ) -> WitnessVerdict:
     """Q <= log(1 + J) / dBeta with J the correlation correction.
 
     Sound on a nonnegative MH table when the dynamics conserves energy, as
-    the identity 1 + J = <e^{dBeta dE_C}>_MH behind it needs.  ``xft`` is
-    the ``XftReport`` of the same MH table, as ``xft_flow_witness`` takes
-    it; its ``resonance_ok`` is the ``resonance`` precondition.
+    the identity 1 + J = <e^{dBeta dE_C}>_MH behind it needs.
+    ``mh_table.resonance()`` is the ``resonance`` precondition, so a cell
+    whose XFT average diverges still gets a verdict.
     """
+    if mh_table.kind != "MH":
+        raise ValueError("the correlation witness reads its resonance from an MH table")
     if beta_c - beta_h == 0:
         raise ValueError("bound undefined for equal inverse temperatures")
     if 1.0 + j_value <= 0.0:
         raise DivergenceError(f"1 + J = {1.0 + j_value:.3e} <= 0")
-    return _verdict("I4", correlation_flow_stack(q, j_value, xft.resonance_ok, beta_c, beta_h), q)
+    return _verdict("I4", correlation_flow_stack(q, j_value, mh_table.resonance()[0], beta_c, beta_h), q)
 
 
 def _require_bohr_nondegenerate(energies_c, energies_h) -> None:
@@ -315,7 +317,7 @@ def xft_flow_stack(
 
 def correlation_flow_stack(q, j_value, resonance_ok, beta_c, beta_h) -> StackVerdict:
     """``correlation_flow_witness`` per cell, with the resonance
-    precondition ``resonance_ok`` (the mask of ``xft_average_stack``, as
+    precondition ``resonance_ok`` (the mask of ``resonance_stack``, as
     ``xft_flow_stack`` takes it).  The caller flags cells with 1 + J <= 0,
     where the single-cell function raises."""
     delta_beta = beta_c - beta_h

@@ -373,14 +373,16 @@ def xft_flow_witness(q, xft, beta_c, beta_h, epsilon_work=None) -> WitnessVerdic
     return _resolve(ident, float(bound), q, pre, q > bound + VIOLATION_MARGIN)
 
 
-def correlation_flow_witness(q, j_value, xft, beta_c, beta_h) -> WitnessVerdict:
+def correlation_flow_witness(q, j_value, mh_table, beta_c, beta_h) -> WitnessVerdict:
+    if mh_table.kind != "MH":
+        raise ValueError("the correlation witness reads its resonance from an MH table")
     delta_beta = beta_c - beta_h
     if delta_beta == 0:
         raise ValueError("bound undefined for equal inverse temperatures")
     if 1.0 + j_value <= 0.0:
         raise DivergenceError(f"1 + J = {1.0 + j_value:.3e} <= 0")
     bound = np.log1p(j_value) / delta_beta
-    pre = [("beta_order", delta_beta > 0), ("resonance", xft.resonance_ok)]
+    pre = [("beta_order", delta_beta > 0), ("resonance", resonance(mh_table)[0])]
     return _resolve("I4", float(bound), q, pre, q > bound + VIOLATION_MARGIN)
 
 
@@ -519,8 +521,7 @@ def evaluate_cell(sys: BipartiteSystem, u, extras: dict | None = None) -> dict:
         try:
             corr = heat_exp_correction(sys, u)
             row["j_term"] = corr.j
-            # the table's resonance alone: its average may diverge where J does not
-            v4 = correlation_flow_witness(q, corr.j, XftReport(np.nan, np.nan, *resonance(mh)), beta_c, beta_h)
+            v4 = correlation_flow_witness(q, corr.j, mh, beta_c, beta_h)
             row["i4_violated"] = flag(v4)
             row["i4_bound"] = v4.bound
         except DivergenceError:

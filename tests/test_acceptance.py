@@ -226,7 +226,7 @@ def test_criterion_6_witness_soundness():
             verdicts.append(xft_flow_witness(q, rep, sys.beta_c, sys.beta_h))
             verdicts.append(
                 correlation_flow_witness(
-                    q, heat_exp_correction(sys, u).j, rep, sys.beta_c, sys.beta_h
+                    q, heat_exp_correction(sys, u).j, mh, sys.beta_c, sys.beta_h
                 )
             )
             verdicts.extend(tpm_band_witness(q, tpm))

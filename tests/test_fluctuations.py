@@ -23,11 +23,11 @@ from qheatflow.fluctuations import (
     flow_decomposition_stack,
     heat_exp_correction,
     heat_exp_j_stack,
-    heat_report,
     marginal_check,
     masked_sums,
     max_heat_coherence_shift,
     mh_distribution,
+    resonance_stack,
     table_heat,
     table_heat_stack,
     table_stack,
@@ -318,7 +318,7 @@ def test_flow_decomposition_all_positive_table():
 
 def test_heat_report_convenience():
     sys, u = _experiment_pair(t=6e-4)
-    report = heat_report(sys, u)
+    report = flow_decomposition(mh_distribution(sys, u), q_tpm=table_heat(tpm_distribution(sys, u)))
     assert report.q_tpm == pytest.approx(table_heat(tpm_distribution(sys, u)))
     assert report.q == pytest.approx(average_heat(sys, u), abs=1e-12)
 
@@ -484,6 +484,26 @@ def test_xft_resonance_flag_for_detuned_pair():
     assert rep.max_energy_mismatch == pytest.approx(0.2, abs=1e-12)
 
 
+def test_resonance_stack_equals_the_scalar_reference_per_cell():
+    # (C gap, H gap, t): resonant, detuned, detuned with no transition yet,
+    # mismatches just inside and outside 1e-9, and outside 1e-9 but inside
+    # 1e-9 times the level scale
+    cells = [(1.0, 1.0, 6e-4), (1.0, 1.2, 6e-4), (1.0, 1.2, 0.0), (1.0, 1.0 + 5e-10, 6e-4),
+             (1.0, 1.0 + 2e-9, 6e-4), (3.0, 3.0 + 2e-9, 6e-4)]
+    tables = []
+    for gap, gap_h, t in cells:
+        sys = gamma_correlated_state(-0.1 if gap == 1.0 else 0.0, BC, BH, gap=gap, gap_h=gap_h)
+        u = xy_exchange_unitary(215.1, t, gap=gap)
+        tables += [mh_distribution(sys, u), tpm_distribution(sys, u)]
+    levels = [np.array([getattr(t, side) for t in tables]) for side in ("energies_c", "energies_h")]
+    ok, mismatch = resonance_stack(np.stack([t.values for t in tables]), *levels)
+    assert ok.tolist() == [True, True, False, False, True, True, True, True, False, False, True, True]
+    for k, table in enumerate(tables):
+        want = reference.resonance(table)
+        assert table.resonance() == (ok[k].item(), mismatch[k].item()) == want
+        assert repr(mismatch[k].item()) == repr(want[1])
+
+
 def test_j_term_zero_for_product_diagonal():
     z_c = 1.0 + np.exp(-BC)
     z_h = 1.0 + np.exp(-BH)
@@ -560,7 +580,8 @@ def test_stacks_equal_single_cell_functions_bit_for_bit(d):
     mh, tpm = table_stack("MH", states, u, stack.adjoint), table_stack("TPM", states, u, stack.adjoint)
     q_back, q_direct = flow_decomposition_stack(mh, *levels)
     chi, starved = xft_coherence_stack(states, u, stack.adjoint)
-    lhs, avg_di, resonance_ok, max_mismatch, vanishing = xft_average_stack(mh, states)
+    lhs, avg_di, vanishing = xft_average_stack(mh, states)
+    resonance_ok, max_mismatch = resonance_stack(mh, *levels)
     j, j_divergent = heat_exp_j_stack(states, u, stack.adjoint)
     got = zip(
         table_heat_stack(mh, levels[0]), table_heat_stack(tpm, levels[0]), q_back, q_direct,
@@ -578,8 +599,8 @@ def test_stacks_equal_single_cell_functions_bit_for_bit(d):
         xft = reference.xft_average(m, sys)
         want = (
             reference.table_heat(m), reference.table_heat(t), report.q_back, report.q_direct,
-            reference.xft_coherence_term(sys, unit), xft.lhs, xft.avg_delta_i, xft.resonance_ok,
-            xft.max_energy_mismatch, reference.heat_exp_correction(sys, unit).j,
+            reference.xft_coherence_term(sys, unit), xft.lhs, xft.avg_delta_i, *reference.resonance(m),
+            reference.heat_exp_correction(sys, unit).j,
         )
         assert [repr(float(x)) for x in values] == [repr(float(x)) for x in want]
 

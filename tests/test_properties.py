@@ -3,7 +3,11 @@ the property selection."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +239,19 @@ def test_empty_or_repeated_selection_exits_1(selection, message, capsys):
     assert captured.err == f"error: {message}\n" and captured.out == ""
     with pytest.raises(ValueError, match=re.escape(message)):
         properties.run_property_suite(n_trials=2, names=[s.strip() for s in selection.split(",") if s.strip()])
+
+
+def test_an_unknown_property_exits_1_naming_the_valid_ones(capsys):
+    assert cli_main(["check", "--trials", "2", "--properties", "dephase,no-such"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown properties: ['no-such']; valid: {', '.join(properties.PROPERTIES)}\n"
+    assert captured.out == ""
+
+
+def test_the_cli_imports_the_property_suite_only_to_run_it():
+    code = "import sys, qheatflow.cli; print('qheatflow.properties' in sys.modules)"
+    src = str(Path(properties.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

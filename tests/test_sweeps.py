@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qheatflow as qh
 import qheatflow.fluctuations as fluct
 import qheatflow.properties as properties
 import qheatflow.sweeps as sweeps
@@ -560,6 +561,7 @@ def test_a_state_gap_axis_equals_the_scalar_reference(state, unitary):
 
 # the kernels a sweep runs only for the columns that read them
 DEMAND_KERNELS = (
+    "resonance_stack",
     "xft_average_stack",
     "xft_coherence_stack",
     "heat_exp_j_stack",
@@ -586,10 +588,14 @@ def test_sweep_runs_only_the_kernels_its_outputs_read(monkeypatch):
     assert result.metadata["cells"] == 2501
     assert called == []
     # each kernel runs once a column that reads it is asked for
-    outputs = ("chi_bar", "j_term", "t4_lower_bound", "Q_back", "min_pt_eig")
+    outputs = ("chi_bar", "j_term", "t4_lower_bound", "Q_back", "min_pt_eig", "t3_violated")
     spec = dataclasses.replace(_with_points(CONFIG_DIR / "qubit_grid.cfg", 3), outputs=outputs)
     run_sweep(spec)
     assert set(called) == set(DEMAND_KERNELS)
+    # I4 reads J and the tables' resonance, not the XFT average
+    called.clear()
+    run_sweep(dataclasses.replace(spec, outputs=("i4_violated",)))
+    assert set(called) == {"heat_exp_j_stack", "resonance_stack"}
 
 
 def test_sweep_rows_hold_the_csv_columns():
@@ -739,6 +745,84 @@ def test_evaluate_cell_equals_scalar_reference_on_qudits(d):
         got = _reprs(evaluate_cell(sys_, u, {}))
         assert got == _reprs(reference.evaluate_cell(sys_, u, {}))
         assert {"chi_bar", "t4_lower_bound", "i4_bound"} <= got.keys()
+
+
+def _public_verdicts(sys, u, extras):
+    """{witness: (flag, bound repr or None)} of the public single-cell
+    witnesses on one cell with unequal betas, for each witness that
+    ``evaluate_cell`` evaluates there: T1 on equal qubit spectra, T2 with
+    an ``eps_actual``, T4 on equal Bohr-nondegenerate spectra.  A
+    DivergenceError reads -2 with no bound."""
+    bc, bh = sys.beta_c, sys.beta_h
+    mh, tpm = qh.mh_distribution(sys, u), qh.tpm_distribution(sys, u)
+    q, q_tpm = qh.table_heat(mh), qh.table_heat(tpm)
+    gap, gap_h = sys.spectrum_c.levels[1], sys.spectrum_h.levels[1]
+    equal = sys.spectrum_c == sys.spectrum_h
+    calls = [
+        (("t3",), lambda: qh.xft_flow_witness(q, qh.xft_average(mh, sys).with_chi(qh.xft_coherence_term(sys, u)), bc, bh)),
+        (("i4",), lambda: qh.correlation_flow_witness(q, qh.heat_exp_correction(sys, u).j, mh, bc, bh)),
+        (("strong_backflow",), lambda: qh.strong_backflow_witness(q, bc, bh, sys.d_c)),
+    ]
+    if equal and sys.dims == (2, 2):
+        calls.append((("t1",), lambda: qh.two_qubit_flow_witness(q, q_tpm, bc, bh, gap, u.commutator_norm)))
+    if "eps_actual" in extras:
+        calls.append((("t2",), lambda: qh.nonideal_flow_witness(q, q_tpm, bc, bh, gap, gap_h, extras["eps_actual"])))
+    if equal and sys.spectrum_c.bohr_nondegenerate():
+        calls.append((("t4_lower", "t4_upper"), lambda: qh.tpm_band_witness(q, tpm)))
+    out = {}
+    for names, call in calls:
+        try:
+            verdicts = call()
+        except qh.DivergenceError:
+            out.update((name, (-2, None)) for name in names)
+            continue
+        for name, v in zip(names, verdicts if isinstance(verdicts, tuple) else (verdicts,)):
+            out[name] = (-1 if not v.preconditions_ok else int(v.violated), repr(v.bound))
+    return out
+
+
+def _differential_cells():
+    """(system, unitary, extras) of cells with detuned spectra or vanishing populations."""
+    cells = []
+    # a detuned grid: the H gap on and off the exchange's
+    for gamma, gap_h, theta in itertools.product((-0.15, 0.0, 0.1), (1.0, 1.3), (0.0, 0.4, 1.3)):
+        sys_ = qh.gamma_correlated_state(gamma, 1.13, 0.9618, gap_h=gap_h)
+        cells.append((sys_, qh.two_qubit_exchange_unitary(theta), {}))
+    # gamma states with gap_h != gap under the XY coupling and its perturbed form
+    for gamma, gap_h, t in itertools.product((-0.15, 0.05), (1.0, 1.2), (6e-4, 0.004)):
+        sys_ = qh.gamma_correlated_state(gamma, 1.13, 0.9618, gap_h=gap_h)
+        cells.append((sys_, qh.xy_exchange_unitary(215.1, t), {}))
+        u = qh.perturbed_xy_unitary(220.0, 30.0, t, gap=1.0, gap_h=gap_h)
+        cells.append((sys_, u, {"eps_actual": u.epsilon}))
+    # two qubits at P00 = 1/z_H: the population of |1 0> vanishes, so the
+    # XFT average diverges while J stays finite
+    for beta_c, beta_h in ((1.13, 0.9618), (1.3, 0.3)):
+        sys_ = qh.two_qubit_state(qh.TwoQubitParams(beta_c, beta_h, p00=1.0 / (1.0 + np.exp(-beta_h)), eta=0.0))
+        cells += [(sys_, qh.two_qubit_exchange_unitary(theta), {}) for theta in (0.3, 0.7, 1.2, 2.0)]
+    # a hot marginal population below 1e-12: J diverges too
+    cells.append((qh.gamma_correlated_state(0.0, 40.0, 30.0), qh.two_qubit_exchange_unitary(0.4), {}))
+    return cells
+
+
+def test_public_witnesses_equal_evaluate_cell_flag_for_flag():
+    seen = set()
+    for sys_, u, extras in _differential_cells():
+        row = evaluate_cell(sys_, u, extras)
+        want = _public_verdicts(sys_, u, extras)
+        for w in sweeps.WITNESS_NAMES:
+            bound = row.get(f"{w}_bound")
+            got = (row[f"{w}_violated"], None if bound is None else repr(bound))
+            assert got == want.get(w, (-1, None)), (w, sys_.spectrum_h.levels, extras)
+            seen.add((w, got[0]))
+    assert seen >= {("t1", 1), ("t2", 0), ("t3", -2), ("i4", -2), ("i4", -1), ("i4", 0), ("t4_lower", 1)}
+    # the case where the scalar I4 could not be reached: T3 diverges, I4 reads the table's resonance
+    sys_ = qh.two_qubit_state(qh.TwoQubitParams(1.13, 0.9618, p00=1.0 / (1.0 + np.exp(-0.9618)), eta=0.0))
+    u = qh.two_qubit_exchange_unitary(0.7)
+    mh = qh.mh_distribution(sys_, u)
+    with pytest.raises(qh.DivergenceError):
+        qh.xft_average(mh, sys_)
+    v = qh.correlation_flow_witness(qh.table_heat(mh), qh.heat_exp_correction(sys_, u).j, mh, 1.13, 0.9618)
+    assert not v.violated and v.bound == -0.012372885648769243 == evaluate_cell(sys_, u)["i4_bound"]
 
 
 # ---------------------------------------------------------------------------

@@ -208,35 +208,41 @@ def test_t3_nonideal_variant_slackens_and_tolerates_mismatch():
 # correlation witness
 # ---------------------------------------------------------------------------
 
-RESONANT = XftReport(lhs=1.0, avg_delta_i=0.0, resonance_ok=True, max_energy_mismatch=0.0)
+def _exchange_mh(gap_h: float = 1.0) -> TransitionTable:
+    """The MH table of a product Gibbs pair under a qubit exchange, resonant unless ``gap_h`` != 1."""
+    return mh_distribution(gamma_correlated_state(0.0, 1.13, 0.96, gap_h=gap_h), two_qubit_exchange_unitary(0.4))
+
+
+RESONANT_MH, DETUNED_MH = _exchange_mh(), _exchange_mh(1.3)
 
 
 def test_i4_product_state_reduces_to_second_law():
-    v = correlation_flow_witness(-0.1, 0.0, RESONANT, BC, BH)
+    v = correlation_flow_witness(-0.1, 0.0, RESONANT_MH, BC, BH)
     assert v.bound == 0.0
     assert not v.violated
-    assert correlation_flow_witness(0.1, 0.0, RESONANT, BC, BH).violated
+    assert correlation_flow_witness(0.1, 0.0, RESONANT_MH, BC, BH).violated
 
 
 def test_i4_log_domain_error():
     with pytest.raises(DivergenceError):
-        correlation_flow_witness(0.0, -1.2, RESONANT, BC, BH)
+        correlation_flow_witness(0.0, -1.2, RESONANT_MH, BC, BH)
 
 
-def test_i4_reads_resonance_from_the_tables_xft_report():
+def test_i4_reads_resonance_from_its_mh_table():
     # a detuned H qubit under a resonant-gap exchange: energy is not
     # conserved, and the nonnegative table must not read as violated
     sys = gamma_correlated_state(0.0, 1.13, 0.96, gap_h=1.3)
     u = two_qubit_exchange_unitary(0.4)
     mh = mh_distribution(sys, u)
     assert mh.min_entry() == 0.0
-    rep = xft_average(mh, sys)
-    assert not rep.resonance_ok and rep.max_energy_mismatch == pytest.approx(0.3)
+    assert mh.resonance() == (False, pytest.approx(0.3))
     j = fluctuations.heat_exp_correction(sys, u).j
-    v = correlation_flow_witness(table_heat(mh), j, rep, sys.beta_c, sys.beta_h)
+    v = correlation_flow_witness(table_heat(mh), j, mh, sys.beta_c, sys.beta_h)
     assert not v.violated and not v.precondition("resonance") and not v.preconditions_ok
-    # the same observables with a resonant report are violated: the report decides
-    assert correlation_flow_witness(table_heat(mh), j, RESONANT, sys.beta_c, sys.beta_h).violated
+    # the same observables with a resonant table are violated: the table decides
+    assert correlation_flow_witness(table_heat(mh), j, RESONANT_MH, sys.beta_c, sys.beta_h).violated
+    with pytest.raises(ValueError, match="MH table"):
+        correlation_flow_witness(table_heat(mh), j, tpm_distribution(sys, u), sys.beta_c, sys.beta_h)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +337,7 @@ def test_soundness_on_nonnegative_tables(dim, qubit_ensemble, qutrit_ensemble):
 
         verdicts.append(
             correlation_flow_witness(
-                q, heat_exp_correction(sys, u).j, rep, sys.beta_c, sys.beta_h
+                q, heat_exp_correction(sys, u).j, mh, sys.beta_c, sys.beta_h
             )
         )
         verdicts.extend(tpm_band_witness(q, tpm))
@@ -410,7 +416,7 @@ def test_witness_stacks_equal_single_cell_verdicts(beta_c, beta_h):
     )
     _assert_stack_matches(
         correlation_flow_stack(q, other, resonant, beta_c, beta_h),
-        [reference.correlation_flow_witness(a, b, XftReport(1.0, 0.0, b >= 0, 0.0), beta_c, beta_h) for a, b in pairs],
+        [reference.correlation_flow_witness(a, b, RESONANT_MH if b >= 0 else DETUNED_MH, beta_c, beta_h) for a, b in pairs],
     )
     _assert_stack_matches(
         strong_backflow_stack(q, beta_c, beta_h, 3),
@@ -511,7 +517,7 @@ def _single_cell_calls(d: int) -> list[tuple[str, tuple]]:
             ("two_qubit_flow_witness", (q, q_tpm, bh, bc, 1.1, 1e-3)),
             ("xft_flow_witness", (q, xft, bc, bh)),
             ("xft_flow_witness", (q, xft, bh, bc, 1e-3)),
-            ("correlation_flow_witness", (q, j, xft, bc, bh)),
+            ("correlation_flow_witness", (q, j, mh, bc, bh)),
             ("tpm_band_witness", (q, tpm)),
             ("strong_backflow_witness", (q, bc, bh, d)),
             ("strong_backflow_witness", (q, bh, bc, d)),
@@ -537,8 +543,9 @@ def _single_cell_calls(d: int) -> list[tuple[str, tuple]]:
         ("xft_flow_witness", (q, XftReport(1.0, 0.0, True, 0.0), bc, bh)),
         ("xft_flow_witness", (q, xft, bc, bc)),
         ("xft_flow_witness", (q, xft.with_chi(-1.5), bc, bh)),
-        ("correlation_flow_witness", (q, j, xft, bh, bh)),
-        ("correlation_flow_witness", (q, -1.0, xft, bc, bh)),
+        ("correlation_flow_witness", (q, j, mh, bh, bh)),
+        ("correlation_flow_witness", (q, -1.0, mh, bc, bh)),
+        ("correlation_flow_witness", (q, j, tpm, bc, bh)),
         ("tpm_band_witness", (q, mh)),
     ]
     if d > 2:  # equally spaced levels repeat a gap
