@@ -629,7 +629,7 @@ def xft_coherence_stack(states: StateStack, u: np.ndarray, uh: np.ndarray):
 def resonance_stack(values: np.ndarray, levels_c, levels_h):
     """(resonance_ok, max_energy_mismatch) of each table of a stack, on one pair of spectra or one
     per cell: whether every entry with |p| > 1e-12 has |dE_C + dE_H| <= 1e-9 * max(1, max |level|),
-    and the largest |dE_C + dE_H| of those entries.  It takes no log, so no population can void it."""
+    and the largest |dE_C + dE_H| of those entries.  It takes no log: a vanishing population leaves it defined."""
     de_c, de_h = energy_changes(levels_c, levels_h)
     mask = np.abs(values) > NEGLIGIBLE_WEIGHT
     max_mismatch = np.where(mask, np.abs(de_c + de_h), 0.0).reshape(len(values), -1).max(axis=-1)
