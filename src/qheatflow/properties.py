@@ -4,7 +4,9 @@ Each property draws its own deterministic random stream from the suite
 seed, evaluates ``n_trials`` instances (or a grid of comparable size)
 and reports the failure count plus the worst deviation seen.  The same
 generators back the pytest property tests, so `qheatflow check` is the
-packaged, CI-friendly way to re-run them.
+packaged, CI-friendly way to re-run them.  The witness-soundness
+properties scale each drawn state's coherences in closed form to the edge
+of a nonnegative MH table (``_edge_rho``), so nothing is redrawn.
 
 A property maps ``(rng, n)`` to ``(failures, max_dev, note)``.  Most are
 one trial ``(rng, k) -> (deviation, failures)`` that ``_trials`` runs for
@@ -15,16 +17,16 @@ floored at 0.0.  The others set their own trial count, start or note.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, fluctuations, linalg, probe, states, witnesses
+from . import dynamics, fluctuations, linalg, probe, states, sweeps, witnesses
 from .dynamics import ManifoldRotation
 
 MIN_POPULATION = 1e-3  # the least joint population of a drawn two-qubit or two-qutrit state
 QUDIT_MIN_POPULATION = 5e-4  # ... and of a drawn d x d state
-NONNEG_MAX_DRAWS = 200  # draws ``_nonneg_instance`` makes before it gives up
 STACK_TRIALS = 64  # trials drawn and evaluated as one stack; even, so each stack starts on an even trial
 
 
@@ -424,59 +426,55 @@ def _prop_j_identity(rng, n):
     return dev, bad
 
 
-def _nonneg_instance(rng, dim: int):
-    for _ in range(NONNEG_MAX_DRAWS):
-        sys, u, rots = random_system_and_unitary(rng, dim)
-        mh = fluctuations.mh_distribution(sys, u)
-        if mh.min_entry() >= 0.0:
-            return sys, u, rots, mh
-    raise RuntimeError("could not draw a nonnegative MH instance")
+def _edge_rho(rho, mh, tpm):
+    """``rho`` (n, D, D) with each row's coherences scaled by s so that its
+    MH table ``mh`` is nonnegative.  MH is linear in rho and is the TPM
+    table ``tpm`` on diag rho, so MH(s) = TPM + s (MH - TPM) first reaches
+    0 at s* = min TPM / (TPM - MH) over MH < TPM.  s = 1 (rho bit for bit)
+    where MH >= 0 already, else s* (1 - 1e-9); rho(s) mixes rho with its
+    diagonal, so it keeps rho's marginals and stays PSD."""
+    mh, tpm = (t.reshape(len(rho), -1) for t in (mh, tpm))
+    edge = np.divide(tpm, tpm - mh, out=np.full_like(tpm, np.inf), where=mh < tpm).min(axis=-1)
+    s = np.where(mh.min(axis=-1) >= 0.0, 1.0, edge * (1.0 - 1e-9))
+    return np.where(np.eye(rho.shape[-1], dtype=bool), rho, s[:, None, None] * rho)
+
+
+def _nonneg_instance(rng, dims):
+    """``_groups`` of one ``_draw`` of ``dims``, as a list, each state scaled by ``_edge_rho``."""
+    systems, rotations = _draw(rng, dims)
+    groups = _groups(systems, rotations)
+    return [(at, _with_rho(st, [systems[k] for k in at], _edge_rho(st.rho, *_tables(st, u))), u) for at, st, u in groups]
+
+
+@_in_stacks
+def _soundness_trials(rng, n, dim):
+    """Per nonnegative instance at local dimension ``dim``: the witness
+    flags of the sweeps' evaluator that read 1 (T2 at eps = 0 on qubits)."""
+    ((_, st, u),) = _nonneg_instance(rng, [dim] * n)
+    u = u._replace(epsilon=np.zeros(n)) if dim == 2 else u  # the evaluator gates T2 on epsilon alone
+    columns = sweeps._evaluate_stack(st, u, {}, sweeps.FLAG_COLUMNS)[0]
+    return (np.sum([flags == 1 for flags, _ in columns.values()], axis=0),)
 
 
 def _prop_witness_soundness(rng, n):
-    failures, worst, per_dim = 0, 0.0, max(1, n // 2)
-    for dim in (2, 3):
-        for _ in range(per_dim):
-            sys, u, rots, mh = _nonneg_instance(rng, dim)
-            tpm = fluctuations.tpm_distribution(sys, u)
-            q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(tpm)
-            bc, bh = sys.beta_c, sys.beta_h
-            verdicts = [
-                witnesses.two_qubit_flow_witness(q, q_tpm, bc, bh, commutator_norm=u.commutator_norm),
-                witnesses.nonideal_flow_witness(q, q_tpm, bc, bh, 1.0, 1.0, 0.0),
-            ] if dim == 2 else []
-            rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
-            verdicts.append(witnesses.xft_flow_witness(q, rep, bc, bh))
-            verdicts.append(witnesses.correlation_flow_witness(q, fluctuations.heat_exp_correction(sys, u).j, mh, bc, bh))
-            verdicts.extend(witnesses.tpm_band_witness(q, tpm))
-            verdicts.append(witnesses.strong_backflow_witness(q, bc, bh, dim))
-            bad = sum(v.violated for v in verdicts)
-            failures += bad
-            worst = max(worst, float(bad))
-    return failures, worst, "no violation on fully nonnegative MH tables"
+    bad = np.concatenate([_soundness_trials(rng, max(1, n // 2), dim)[0] for dim in (2, 3)])
+    return int(bad.sum()), float(bad.max()), "no violation on fully nonnegative MH tables"
 
 
 def _prop_witness_soundness_nonideal(rng, n):
-    failures, worst, kept = 0, 0.0, 0
-    while kept < n:
+    failures = 0
+    for _ in range(n):
         sys, _ = random_two_qubit_system(rng)
         j_hz, t, jx = rng.uniform(100.0, 400.0), rng.uniform(0.0, 6e-3), rng.uniform(0.0, 60.0)
         u = dynamics.perturbed_xy_unitary(j_hz, jx, t)
-        mh = fluctuations.mh_distribution(sys, u)
-        if mh.min_entry() < 0.0:
-            continue
-        kept += 1
-        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
+        sys = sys.with_rho(_edge_rho(sys.rho[None], *_tables(sys.stack, u.stack))[0])
+        mh, tpm = fluctuations.mh_distribution(sys, u), fluctuations.tpm_distribution(sys, u)
+        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(tpm)
         failures += witnesses.nonideal_flow_witness(q, q_tpm, sys.beta_c, sys.beta_h, 1.0, 1.0, u.epsilon).violated
-        try:
+        with suppress(fluctuations.DivergenceError):
             rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
-            failures += witnesses.xft_flow_witness(
-                q, rep, sys.beta_c, sys.beta_h, epsilon_work=rep.max_energy_mismatch
-            ).violated
-        except fluctuations.DivergenceError:
-            pass
-        worst = max(worst, float(failures))
-    return failures, worst, "perturbed dynamics: T2 / nonideal T3 stay sound"
+            failures += witnesses.xft_flow_witness(q, rep, sys.beta_c, sys.beta_h, epsilon_work=rep.max_energy_mismatch).violated
+    return failures, float(failures), "perturbed dynamics: T2 / nonideal T3 stay sound"
 
 
 @_in_stacks
@@ -684,7 +682,5 @@ def run_property_suite(
         rng = np.random.default_rng(streams[order[name]])
         trials = max(1, int(n_trials * TRIAL_SCALE.get(name, 1.0)))
         failures, max_dev, note = PROPERTIES[name](rng, trials)
-        results.append(
-            PropertyResult(name=name, trials=trials, failures=int(failures), max_dev=float(max_dev), note=note)
-        )
+        results.append(PropertyResult(name=name, trials=trials, failures=int(failures), max_dev=float(max_dev), note=note))
     return results

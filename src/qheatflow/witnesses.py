@@ -35,6 +35,7 @@ from .states import bohr_nondegenerate
 
 VIOLATION_MARGIN = 1e-12
 ENERGY_PRESERVING_TOL = 1e-10
+EXP_SHIFT_ABOVE = 700.0  # a Boltzmann exponent past this is divided out, as e^{709.8} overflows
 
 
 @dataclass(frozen=True)
@@ -237,16 +238,23 @@ def _resolve_stack(bound, preconditions, exceeds, extras=()) -> StackVerdict:
     return StackVerdict(bound, ok, ok & exceeds, tuple(preconditions), tuple(extras))
 
 
+def _shifted_exps(x, y):
+    """(e^-s, e^(x-s), e^(y-s)): s is the larger of x and y where it passes
+    EXP_SHIFT_ABOVE, else 0.0, which gives 1.0, e^x and e^y bit for bit."""
+    top = np.maximum(x, y)
+    s = np.where(top > EXP_SHIFT_ABOVE, top, 0.0)
+    return np.exp(-s), np.exp(x - s), np.exp(y - s)
+
+
 def two_qubit_flow_stack(q, q_tpm, beta_c, beta_h, gap=1.0, commutator_norm=None) -> StackVerdict:
     """``two_qubit_flow_witness`` per cell; the energy-preserving
     precondition is checked when ``commutator_norm`` is given."""
-    a = np.exp(beta_h * gap)
-    b = np.exp(beta_c * gap)
+    one, a, b = _shifted_exps(beta_h * gap, beta_c * gap)
     ordered = beta_c > beta_h
     pre = [("beta_order", ordered)]
     if commutator_norm is not None:
         pre.append(("energy_preserving", commutator_norm < ENERGY_PRESERVING_TOL))
-    bound = np.where(ordered, (2.0 + a + b) / (b - a) * np.abs(q_tpm), np.inf)
+    bound = np.where(ordered, (2.0 * one + a + b) / (b - a) * np.abs(q_tpm), np.inf)
     observed = np.abs(q)
     return _resolve_stack(bound, pre, observed > bound + VIOLATION_MARGIN)
 
@@ -256,7 +264,8 @@ def nonideal_flow_stack(q, q_tpm, beta_c, beta_h, e_c, e_h, epsilon) -> StackVer
     positive gets the infinite bound and no violation."""
     ebar = 0.5 * (e_c + e_h)
     delta = np.abs(e_c - e_h) / (2.0 * ebar)
-    r = (1.0 + np.exp(beta_h * e_h)) / (1.0 + np.exp(beta_c * e_c))
+    one, a, b = _shifted_exps(beta_h * e_h, beta_c * e_c)
+    r = (one + a) / (one + b)
     den = 1.0 - r - delta * (1.0 + r)
     observed = np.abs(q)
     pre = [

@@ -14,7 +14,7 @@ import pytest
 import reference
 
 import qheatflow.states as states
-from qheatflow import dynamics, fluctuations, properties
+from qheatflow import dynamics, fluctuations, properties, witnesses
 from qheatflow.cli import main as cli_main
 from qheatflow.linalg import partial_trace
 from qheatflow.states import (
@@ -182,6 +182,44 @@ def test_average_heat_and_marginal_check_equal_the_scalar_reference_bit_for_bit(
         energies = sys.total_energies()
         want = np.where(np.abs(energies[:, None] - energies[None, :]) <= states.DEGENERACY_TOL, sys.rho, 0.0)
         assert deph.rho.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# nonnegative instances for the soundness properties
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_nonneg_instances_scale_only_the_coherences_of_negative_draws(d):
+    rng, twin = np.random.default_rng(70 + d), np.random.default_rng(70 + d)
+    n = 24
+    ((at, st, u),) = properties._nonneg_instance(rng, [d] * n)
+    ((_, drawn, u_drawn),) = properties._groups(*properties._draw(twin, [d] * n))
+    assert rng.bit_generator.state == twin.bit_generator.state  # one draw per instance
+    assert list(at) == list(range(n)) and u.matrix.tobytes() == u_drawn.matrix.tobytes()
+    kept = fluctuations.table_stack("MH", drawn, u.matrix, u.adjoint).reshape(n, -1).min(axis=-1) >= 0.0
+    mh = fluctuations.table_stack("MH", st, u.matrix, u.adjoint).reshape(n, -1)
+    assert (mh.min(axis=-1) >= 0.0).all()
+    assert (np.where(mh > 0.0, mh, np.inf)[~kept].min(axis=-1) < 1e-8).all()  # a scaled table sits at the edge
+    assert st.rho[kept].tobytes() == drawn.rho[kept].tobytes()
+    assert st.populations.tobytes() == drawn.populations.tobytes()  # so the marginals and the TPM table stay
+    off = ~np.eye(d * d, dtype=bool)
+    scales = []
+    for k in np.flatnonzero(~kept):
+        top = np.argmax(np.abs(drawn.rho[k][off]))
+        s = (st.rho[k][off][top] / drawn.rho[k][off][top]).real
+        assert 0.0 < s < 1.0  # scaled, and not dephased
+        np.testing.assert_allclose(st.rho[k][off], s * drawn.rho[k][off], rtol=1e-12, atol=0.0)
+        scales.append(s)
+    assert len(scales) > 0 and (d > 3 or kept.any())  # both kinds of draw; a nonnegative one is rare past d = 3
+    assert np.median([1.0] * int(kept.sum()) + scales) > 0.01
+
+
+def test_witness_soundness_counts_every_applicable_witness(monkeypatch):
+    monkeypatch.setattr(witnesses, "VIOLATION_MARGIN", -np.inf)  # every applicable witness fires
+    # all seven at d = 2 (T2 at eps = 0), five at d = 3: no T1 or T2
+    assert properties.PROPERTIES["witness-soundness"](np.random.default_rng(0), 20)[:2] == (120, 7.0)
+    rng = np.random.default_rng(0)
+    assert [list(properties._soundness_trials(rng, 10, d)[0]) for d in (2, 3)] == [[7] * 10, [5] * 10]
 
 
 # ---------------------------------------------------------------------------

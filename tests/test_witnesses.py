@@ -28,6 +28,7 @@ from qheatflow.fluctuations import (
     xft_coherence_term,
 )
 from qheatflow.properties import random_system_and_unitary
+from qheatflow.sweeps import evaluate_cell
 from qheatflow.linalg import matrix_exp
 from qheatflow.states import (
     BipartiteSystem,
@@ -147,6 +148,35 @@ def test_t2_one_sided_bounds_are_tighter():
     v = nonideal_flow_witness(-0.15, -0.02, BC, BH, 1.0, 1.02, 5e-4)
     assert v.bound <= v.extra("symmetric_bound") + 1e-15
     assert v.extra("direct_floor") < 0.0
+
+
+def test_t1_t2_bounds_stay_finite_past_the_exponent_range():
+    # beta * E past ~709 overflows e^{beta E}; the kernels divide it out,
+    # so the bounds stay finite and no RuntimeWarning (an error here) fires
+    sys = gamma_correlated_state(0.0, 800.0, 700.0)
+    row = evaluate_cell(sys, two_qubit_exchange_unitary(0.4))
+    one, a = np.exp(-800.0), np.exp(700.0 - 800.0)  # e^{bC E} divided out
+    t1 = (2.0 * one + a + 1.0) / (1.0 - a) * abs(row["Q_tpm"])
+    assert row["t1_bound"] == t1 > 0.0
+    assert two_qubit_flow_witness(row["Q"], row["Q_tpm"], 800.0, 700.0).bound == t1
+
+    sys, u = gamma_correlated_state(0.0, 1200.0, 800.0), perturbed_xy_unitary(220, 5.0, 0.004)
+    row = evaluate_cell(sys, u, {"eps_actual": u.epsilon})
+    assert np.isfinite(row["t1_bound"])
+    v = nonideal_flow_witness(row["Q"], row["Q_tpm"], 1200.0, 800.0, 1.0, 1.0, u.epsilon)
+    r = (np.exp(-1200.0) + np.exp(800.0 - 1200.0)) / (np.exp(-1200.0) + 1.0)
+    assert v.extra("ratio_r") == r > 0.0
+    # no detuning: the symmetric bound, which the direct floor equals at this Q < 0
+    t2 = ((1.0 + r) * abs(row["Q_tpm"]) + 8.0 * u.epsilon) / (1.0 - r)
+    assert row["t2_bound"] == v.bound == pytest.approx(t2, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta_c, beta_h", [(BC, BH), (3.0, -2.0), (700.0, 600.0), (-650.0, -690.0)])
+def test_t1_t2_bounds_below_the_shift_are_the_plain_exponentials_bit_for_bit(beta_c, beta_h):
+    a, b = np.exp(beta_h), np.exp(beta_c)
+    assert two_qubit_flow_stack(0.1, -0.02, beta_c, beta_h).bound == (2.0 + a + b) / (b - a) * 0.02
+    r = (1.0 + np.exp(beta_h * 1.1)) / (1.0 + np.exp(beta_c * 0.9))
+    assert nonideal_flow_stack(0.1, -0.02, beta_c, beta_h, 0.9, 1.1, 1e-3).extras[-1] == ("ratio_r", r)
 
 
 # ---------------------------------------------------------------------------
