@@ -2,9 +2,10 @@
 
 One plain-text file per run: ``key = value`` lines, ``#`` comments,
 dotted namespaces (state.beta_C, unitary.theta, sweep.axis1.name).
-A file may set each key once.  Values are parsed as int, float, bool or
-string; command-line overrides use the same ``key=value`` syntax and take
-precedence over the file.
+A file may set each key once.  Values are parsed as int, float or string,
+so a word such as ``true`` stays a string and a numeric key that gets one
+is a ConfigError; command-line overrides use the same ``key=value`` syntax
+and take precedence over the file.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ class ConfigError(ValueError):
 
 def _parse_value(raw: str):
     text = raw.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
     try:
         return int(text)
     except ValueError:
@@ -34,7 +30,7 @@ def _parse_value(raw: str):
 
 def integer(key: str, value) -> int:
     """An integral config value as an int; ConfigError names ``key`` otherwise."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, int):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)

@@ -517,20 +517,20 @@ def check_tables(kind: str, values: np.ndarray) -> None:
     total = np.add.reduce(flat, axis=-1)
     floor, ceiling = (MH_LOWER_BOUND - 1e-10 if kind == "MH" else -1e-12), 1.0 + 1e-10
     # a screen of every table at once passes when every table does (rounding
-    # is monotone; fmax and fmin skip nan, and a table with a nan passes)
+    # is monotone; maximum and minimum propagate nan, and every check fails on it)
     if (
-        np.fmax.reduce(total, initial=-np.inf) - 1.0 <= 1e-10
-        and 1.0 - np.fmin.reduce(total, initial=np.inf) <= 1e-10
-        and np.fmin.reduce(flat, axis=None, initial=np.inf) >= floor
-        and np.fmax.reduce(flat, axis=None, initial=-np.inf) <= ceiling
+        np.maximum.reduce(total, initial=-np.inf) - 1.0 <= 1e-10
+        and 1.0 - np.minimum.reduce(total, initial=np.inf) <= 1e-10
+        and np.minimum.reduce(flat, axis=None, initial=np.inf) >= floor
+        and np.maximum.reduce(flat, axis=None, initial=-np.inf) <= ceiling
     ):
         return
     for table_total, lo, hi in zip(total, flat.min(axis=-1), flat.max(axis=-1)):
-        if abs(table_total - 1.0) > 1e-10:
+        if not abs(table_total - 1.0) <= 1e-10:
             raise ValueError(f"table sums to {table_total}, expected 1")
-        if lo < floor:
+        if not lo >= floor:
             raise ValueError(f"MH entry {lo} below -1/8" if kind == "MH" else f"TPM entry {lo} below 0")
-        if hi > ceiling:
+        if not hi <= ceiling:
             raise ValueError(f"entry {hi} above 1")
 
 

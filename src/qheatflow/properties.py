@@ -17,7 +17,6 @@ floored at 0.0.  The others set their own trial count, start or note.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +97,10 @@ def random_qudit_system(rng, d: int = 4):
             return sys
 
 
-def random_rotations(rng, spec: states.EnergySpectrum, with_phases: bool = True):
+def random_rotations(rng, spec: states.EnergySpectrum):
     """One rotation per manifold (n, m), n < m: theta, then phi, lam and kappa."""
     return [
-        ManifoldRotation((n, m), rng.uniform(0.0, np.pi), *(rng.uniform(0.0, 2.0 * np.pi) if with_phases else 0.0 for _ in range(3)))
+        ManifoldRotation((n, m), rng.uniform(0.0, np.pi), *(rng.uniform(0.0, 2.0 * np.pi) for _ in range(3)))
         for n in range(spec.dim) for m in range(n + 1, spec.dim)
     ]
 
@@ -461,19 +460,27 @@ def _prop_witness_soundness(rng, n):
     return int(bad.sum()), float(bad.max()), "no violation on fully nonnegative MH tables"
 
 
+@_in_stacks
+def _nonideal_soundness_trials(rng, n):
+    """Per nonnegative two-qubit instance under a drawn perturbed XY unitary: how many of T2 and
+    T3-nonideal read violated, T3 where chi_bar and the XFT average are finite and 1 + chi_bar > 0."""
+    draws = ((random_two_qubit_system(rng)[0], rng.uniform(100.0, 400.0), rng.uniform(0.0, 6e-3), rng.uniform(0.0, 60.0)) for _ in range(n))
+    systems, j_hz, t, jx = zip(*draws)
+    ((_, st, _),) = _groups(systems)
+    u = dynamics.perturbed_xy_unitary_stack(np.array(j_hz), np.array(jx), np.array(t), 1.0, 1.0)
+    st = _with_rho(st, systems, _edge_rho(st.rho, *_tables(st, u)))
+    columns, mh, _ = sweeps._evaluate_stack(st, u, {}, ("Q", "t2_violated"))
+    q, t2 = columns["Q"][0], columns["t2_violated"][0]
+    chi, starved = fluctuations.xft_coherence_stack(st, u.matrix, u.adjoint)
+    lhs, avg_di, vanishing = fluctuations.xft_average_stack(mh, st)
+    finite = (1.0 + chi > 0.0) & ~np.hstack([starved, *(v.reshape(n, -1) for v in vanishing.values())]).any(axis=1)
+    slack = fluctuations.resonance_stack(mh, st.levels_c, st.levels_h)[1]  # the work slack: the table's own energy mismatch
+    t3 = witnesses.xft_flow_stack(q, np.where(finite, chi, 0.0), lhs, avg_di, None, st.beta_c, st.beta_h, slack, slack)
+    return ((t2 == 1).astype(int) + (finite & t3.violated).astype(int),)  # bool + bool would be a logical or
+
+
 def _prop_witness_soundness_nonideal(rng, n):
-    failures = 0
-    for _ in range(n):
-        sys, _ = random_two_qubit_system(rng)
-        j_hz, t, jx = rng.uniform(100.0, 400.0), rng.uniform(0.0, 6e-3), rng.uniform(0.0, 60.0)
-        u = dynamics.perturbed_xy_unitary(j_hz, jx, t)
-        sys = sys.with_rho(_edge_rho(sys.rho[None], *_tables(sys.stack, u.stack))[0])
-        mh, tpm = fluctuations.mh_distribution(sys, u), fluctuations.tpm_distribution(sys, u)
-        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(tpm)
-        failures += witnesses.nonideal_flow_witness(q, q_tpm, sys.beta_c, sys.beta_h, 1.0, 1.0, u.epsilon).violated
-        with suppress(fluctuations.DivergenceError):
-            rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
-            failures += witnesses.xft_flow_witness(q, rep, sys.beta_c, sys.beta_h, epsilon_work=rep.max_energy_mismatch).violated
+    failures = int(_nonideal_soundness_trials(rng, n)[0].sum())
     return failures, float(failures), "perturbed dynamics: T2 / nonideal T3 stay sound"
 
 

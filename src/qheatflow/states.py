@@ -36,6 +36,7 @@ PSD_TOL = 1e-10
 THERMAL_TOL = 1e-9
 BOHR_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
+EXP_SHIFT_ABOVE = 700.0  # a Boltzmann exponent past this is divided out, as e^{709.8} overflows
 EIGVALSH_MAX_SIDE = 16
 
 
@@ -91,10 +92,12 @@ class EnergySpectrum:
 
 
 def thermal_populations(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
-    """Gibbs populations e^(-beta E_n) / Z as a real vector."""
+    """Gibbs populations e^(-beta E_n) / Z as a real vector; the largest exponent,
+    -beta E_max (the levels ascend from 0), is divided out where it passes EXP_SHIFT_ABOVE."""
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
-    w = np.exp(-beta * np.asarray(spectrum.levels, dtype=float))
+    x = -beta * np.asarray(spectrum.levels, dtype=float)
+    w = np.exp(x - x[-1] if x[-1] > EXP_SHIFT_ABOVE else x)
     return w / np.add.reduce(w)
 
 
@@ -144,11 +147,11 @@ def validate_stack(rho: np.ndarray, dims: tuple[int, int], gibbs=(None, None)):
 
     traces = rho.trace(axis1=1, axis2=2)
     for k, tr in enumerate(traces.tolist()):
-        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
+        if not (abs(tr.real - 1.0) <= TRACE_TOL and abs(tr.imag) <= TRACE_TOL):  # nan fails
             errors[k] = InfeasibleStateError("trace", f"tr(rho) = {traces[k]}")
     rows, matrices = passing()
     for k, defect in zip(rows, hermiticity_defects(matrices).tolist()):
-        if defect > HERM_TOL:
+        if not defect <= HERM_TOL:
             errors[k] = InfeasibleStateError("hermiticity", f"defect {defect:.3e}")
     # a bound within half the tolerance settles positivity (nan does not);
     # up to EIGVALSH_MAX_SIDE, eigvalsh costs less than the bound
@@ -226,12 +229,6 @@ class BipartiteSystem:
 
     def populations(self) -> np.ndarray:
         return self.rho.diagonal().real.copy()
-
-    def h_total(self) -> np.ndarray:
-        """H_C (x) I + I (x) H_H on the joint space."""
-        hc = self.spectrum_c.hamiltonian()
-        hh = self.spectrum_h.hamiltonian()
-        return kron(hc, np.eye(self.d_h)) + kron(np.eye(self.d_c), hh)
 
     def total_energies(self) -> np.ndarray:
         ec = np.asarray(self.spectrum_c.levels)
@@ -512,22 +509,22 @@ def qudit_locally_thermal(
     return _locally_thermal(spectrum, beta_c, beta_h, gibbs, free_populations, coherences)
 
 
-def dephase(sys: BipartiteSystem, tol: float = DEGENERACY_TOL) -> BipartiteSystem:
+def dephase(sys: BipartiteSystem) -> BipartiteSystem:
     """Remove coherences between distinct total-energy eigenspaces.
 
     Entries within a degenerate eigenspace of H_C + H_H survive (for a
     resonant pair, the |01>/|10> coherence); everything else is zeroed.
     Idempotent and trace preserving.
     """
-    return sys.with_rho(dephased_rho(sys.rho, np.asarray(sys.spectrum_c.levels), np.asarray(sys.spectrum_h.levels), tol))
+    return sys.with_rho(dephased_rho(sys.rho, np.asarray(sys.spectrum_c.levels), np.asarray(sys.spectrum_h.levels)))
 
 
-def dephased_rho(rho: np.ndarray, levels_c, levels_h, tol: float = DEGENERACY_TOL) -> np.ndarray:
+def dephased_rho(rho: np.ndarray, levels_c, levels_h) -> np.ndarray:
     """The rho of ``dephase``, of one state (levels (d,)) or of each of a
     stack (rho (n, D, D), levels (n, d))."""
     e = levels_c[..., :, None] + levels_h[..., None, :]
     e = e.reshape(*e.shape[:-2], -1)  # the total energies, C-major
-    return np.where(np.abs(e[..., :, None] - e[..., None, :]) <= tol, rho, 0.0)
+    return np.where(np.abs(e[..., :, None] - e[..., None, :]) <= DEGENERACY_TOL, rho, 0.0)
 
 
 def min_partial_transpose_eigenvalue(sys: BipartiteSystem) -> float:

@@ -352,6 +352,8 @@ class SweepSpec:
         if len(set(keys)) < len(keys):
             raise ConfigError(f"axes {self.axes[0].name!r} and {self.axes[1].name!r} both set {keys[0]}")
         _require_known(self.scenario, "output", self.outputs, outputs, noun="output column")
+        if not self.outputs:
+            raise ConfigError("no output columns selected")
         for k, name in enumerate(self.outputs):
             if name in self.outputs[:k]:
                 raise ConfigError(f"output column {name!r} is listed twice in outputs")
@@ -429,12 +431,9 @@ class SweepResult:
 
 def _format_column(values: np.ndarray, has: np.ndarray | None) -> list[str]:
     """The CSV text of one column: floats with 17 significant digits (each
-    distinct value formatted once), ints and bools as integers, strings as
-    they are, and "nan" where ``has`` is False."""
-    kind = values.dtype.kind
-    if kind == "b":
-        values = values.astype(int)
-    if kind == "f":
+    distinct value formatted once), ints and strings as they are, and
+    "nan" where ``has`` is False."""
+    if values.dtype.kind == "f":
         text = _formatted(values).tolist()
     else:  # integers, and the status strings
         text = list(map(str, values.tolist()))

@@ -31,11 +31,10 @@ from .fluctuations import (
     masked_sums,
     table_heat,
 )
-from .states import bohr_nondegenerate
+from .states import EXP_SHIFT_ABOVE, bohr_nondegenerate
 
 VIOLATION_MARGIN = 1e-12
 ENERGY_PRESERVING_TOL = 1e-10
-EXP_SHIFT_ABOVE = 700.0  # a Boltzmann exponent past this is divided out, as e^{709.8} overflows
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ this reference's bit for bit.
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 
 from qheatflow.dynamics import ManifoldRotation, UnitaryReport, _xy_hamiltonian, unwrap
@@ -30,7 +32,13 @@ from qheatflow.fluctuations import (
 from qheatflow.linalg import HERMITICITY_TOL, NOT_A_GENERATOR, SIGMA_X, _square, spectral_norm
 from qheatflow import dynamics, fluctuations, states, witnesses
 from qheatflow import linalg as qlinalg
-from qheatflow.properties import random_system_and_unitary, random_two_qubit_system, random_two_qutrit_system
+from qheatflow.properties import (
+    _edge_rho,
+    _tables,
+    random_system_and_unitary,
+    random_two_qubit_system,
+    random_two_qutrit_system,
+)
 from qheatflow.states import (
     EIGVALSH_MAX_SIDE,
     HERM_TOL,
@@ -839,3 +847,19 @@ def prop_tpm_no_backflow(rng, n):
         worst = max(worst, q_tpm)
         failures += q_tpm > 1e-12 or abs(q - q_tpm) > 1e-12
     return failures, worst, "Q_tpm <= 0 and Q(eta=0) = Q_tpm"
+
+
+def prop_witness_soundness_nonideal(rng, n):
+    failures = 0
+    for _ in range(n):
+        sys, _ = random_two_qubit_system(rng)
+        j_hz, t, jx = rng.uniform(100.0, 400.0), rng.uniform(0.0, 6e-3), rng.uniform(0.0, 60.0)
+        u = dynamics.perturbed_xy_unitary(j_hz, jx, t)
+        sys = sys.with_rho(_edge_rho(sys.rho[None], *_tables(sys.stack, u.stack))[0])
+        mh, tpm = fluctuations.mh_distribution(sys, u), fluctuations.tpm_distribution(sys, u)
+        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(tpm)
+        failures += witnesses.nonideal_flow_witness(q, q_tpm, sys.beta_c, sys.beta_h, 1.0, 1.0, u.epsilon).violated
+        with suppress(fluctuations.DivergenceError):
+            rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
+            failures += witnesses.xft_flow_witness(q, rep, sys.beta_c, sys.beta_h, epsilon_work=rep.max_energy_mismatch).violated
+    return failures, float(failures), "perturbed dynamics: T2 / nonideal T3 stay sound"

@@ -16,6 +16,7 @@ from qheatflow.fluctuations import (
     MH_LOWER_BOUND,
     TransitionTable,
     average_heat,
+    check_tables,
     exchange_heat_shift,
     exchange_manifold_pw,
     exchange_manifold_tpm,
@@ -182,6 +183,18 @@ def test_table_csv_equals_row_loop_byte_for_byte(kind, d_c, d_h):
     table = TransitionTable(kind, values, tuple(energies_c), tuple(energies_h))
     assert np.signbit(table.values.reshape(-1)[0])
     assert table.to_csv() == _row_loop_csv(table)
+
+
+@pytest.mark.parametrize("kind", ["MH", "TPM"])
+def test_a_table_with_a_nan_entry_is_rejected(kind):
+    good = np.full((2, 2, 2, 2), 1.0 / 16.0)
+    bad = good.copy()
+    bad[0, 1, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="table sums to nan"):
+        TransitionTable(kind, bad, (0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ValueError, match="table sums to nan"):
+        check_tables(kind, np.stack([good, bad]))
+    check_tables(kind, np.stack([good, good]))
 
 
 @pytest.mark.parametrize("kind", ["MH", "TPM"])

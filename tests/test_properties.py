@@ -222,6 +222,22 @@ def test_witness_soundness_counts_every_applicable_witness(monkeypatch):
     assert [list(properties._soundness_trials(rng, 10, d)[0]) for d in (2, 3)] == [[7] * 10, [5] * 10]
 
 
+@pytest.mark.parametrize("margin", [-np.inf, -1e-3, 1e-3])
+def test_nonideal_soundness_counts_equal_the_scalar_path_per_instance(monkeypatch, margin):
+    monkeypatch.setattr(witnesses, "VIOLATION_MARGIN", margin)  # so that T2 and T3-nonideal fire
+    seen = 0
+    for seed in (0, 1):
+        for n in (1, 7, properties.STACK_TRIALS + 3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = properties._nonideal_soundness_trials(rng, n)[0]
+            want = [reference.prop_witness_soundness_nonideal(ref_rng, 1)[0] for _ in range(n)]
+            assert got.tolist() == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            seen += sum(want)
+    if margin == -np.inf:
+        assert seen > 0
+
+
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
@@ -231,6 +247,7 @@ WHOLE = {  # stacked without the per-trial form: (rng, n) -> (failures, max_dev,
     "table-norm-range": reference.prop_table_norm_range,
     "t1-strong-flow": reference.prop_t1_violation_implies_strong_flow,
     "tpm-no-backflow": reference.prop_tpm_no_backflow,
+    "witness-soundness-nonideal": reference.prop_witness_soundness_nonideal,
 }
 
 

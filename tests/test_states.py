@@ -56,6 +56,18 @@ def test_thermal_state_gibbs_value():
     assert np.allclose(got, np.diag([1.0 / z, np.exp(-1.13) / z]), atol=1e-15)
 
 
+def test_gibbs_populations_past_the_overflow_of_exp():
+    # -beta E_max = 800 and 1e6: e^x overflows, so the largest weight is divided out
+    spec = EnergySpectrum((0.0, 0.5, 1.0))
+    for beta in (-800.0, -1e6):
+        p = thermal_populations(spec, beta)
+        assert p.tolist() == [np.exp(beta), np.exp(0.5 * beta), 1.0]
+    # below the shift every population is the plain e^(-beta E) / Z, bit for bit
+    for beta in (-699.9, -1.0, 0.0, 1.13, 800.0):
+        w = np.exp(-beta * np.array(spec.levels))
+        assert thermal_populations(spec, beta).tobytes() == (w / np.add.reduce(w)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # two-qubit family
 # ---------------------------------------------------------------------------
@@ -427,12 +439,24 @@ def test_psd_check_falls_back_to_eigvalsh_when_the_bound_does_not_decide():
     assert BipartiteSystem(_spectrum(d), _spectrum(d), rho).rho.tobytes() == rho.tobytes()
 
 
-@pytest.mark.parametrize("entry", [(3, 1), (2, 2)], ids=["off-diagonal", "diagonal"])
-def test_psd_check_of_a_nan_state_fails_as_eigvalsh_does(entry):
+@pytest.mark.parametrize("entries, constraint", [([(0, 0)], "trace"), ([(1, 2)], "hermiticity"), ([(1, 2), (2, 1)], "hermiticity")])
+def test_a_qubit_pair_with_a_nan_entry_is_rejected(entries, constraint):
+    rho = np.eye(4, dtype=complex) / 4
+    for entry in entries:
+        rho[entry] = np.nan
+    with pytest.raises(InfeasibleStateError) as err:
+        BipartiteSystem(EnergySpectrum.two_level(), EnergySpectrum.two_level(), rho)
+    assert err.value.constraint == constraint
+
+
+@pytest.mark.parametrize("entry, constraint", [((3, 1), "hermiticity"), ((2, 2), "trace")], ids=["off-diagonal", "diagonal"])
+def test_psd_check_of_a_nan_state_fails_as_eigvalsh_does(entry, constraint):
+    # a nan fails the trace or hermiticity check before eigvalsh could see it
     rho = np.eye(25, dtype=complex) / 25
     rho[entry] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(InfeasibleStateError) as err:
         BipartiteSystem(_spectrum(5), _spectrum(5), rho)
+    assert err.value.constraint == constraint
 
 
 def test_min_eigenvalue_bound_is_a_lower_bound():

@@ -87,7 +87,7 @@ def _rows(result):
 
 def test_parse_config_types_and_comments():
     cfg = parse_config("a = 1\nb = 2.5 # trailing\n# full comment\nc = hello\nd = true\n")
-    assert cfg == {"a": 1, "b": 2.5, "c": "hello", "d": True}
+    assert cfg == {"a": 1, "b": 2.5, "c": "hello", "d": "true"}
 
 
 def test_parse_config_rejects_bad_lines():
@@ -1486,6 +1486,53 @@ def test_cli_rejects_a_non_numeric_value(capsys, command, config, overrides):
     key = overrides[-1].split("=")[0]
     assert captured.err == f"error: {key} must be a number, got 'abc'\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("word", ["true", "yes", "on", "false", "no", "off", "True", "OFF"])
+def test_boolean_words_stay_strings(word):
+    assert parse_config(f"k = {word}\n") == {"k": word}
+    assert apply_overrides({}, [f"k={word}"]) == {"k": word}
+
+
+@pytest.mark.parametrize(
+    "command, config, override",
+    [("sweep", "experiment_time.cfg", "state.beta_C=true"), ("point", "point_backflow.cfg", "probe.eps=on")],
+)
+def test_a_boolean_word_in_a_numeric_key_exits_1(tmp_path, capsys, command, config, override):
+    argv = [command, str(CONFIG_DIR / config), "--set", override, "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    key, word = override.split("=")
+    assert captured.err == f"error: {key} must be a number, got {word!r}\n" and captured.out == ""
+
+
+def test_delta_no_in_a_config_file_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    axis = "sweep.axis1.name = eps\nsweep.axis1.min = 0.0\nsweep.axis1.max = 0.001\nsweep.axis1.points = 2\n"
+    cfg.write_text("scenario = nonideal-eps-delta\nDelta = no\n" + axis)
+    assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Delta must be a number, got 'no'\n" and captured.out == ""
+
+
+def test_a_large_negative_beta_is_infeasible_not_an_overflow(tmp_path, capsys):
+    # e^(-beta_C E) overflows at beta_C = -800; the state then fails its psd check
+    out = tmp_path / "inverted.csv"
+    assert cli_main(["sweep", str(CONFIG_DIR / "experiment_time.cfg"), "--set", "state.beta_C=-800", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+    assert len(rows) == 187 and {row["status"] for row in rows} == {"infeasible:psd"}
+    capsys.readouterr()
+    assert cli_main(["point", str(CONFIG_DIR / "point_backflow.cfg"), "--set", "state.beta_C=-800"]) == 2
+    assert capsys.readouterr().err == "infeasible configuration: psd\n"
+
+
+def test_an_empty_output_list_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EXPERIMENT_CFG)
+    for outputs in (",", " , ,"):
+        assert cli_main(["sweep", str(cfg), "--set", f"outputs={outputs}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no output columns selected\n" and captured.out == ""
 
 
 def test_integral_counts_are_accepted(tmp_path, capsys):
