@@ -626,6 +626,13 @@ def xft_coherence_stack(states: StateStack, u: np.ndarray, uh: np.ndarray):
     return chi, starved
 
 
+def xft_evaluable(starved: np.ndarray, vanishing: dict) -> np.ndarray:
+    """Per cell of a stack: no ``starved`` population (``xft_coherence_stack``)
+    and no value a log needs ``vanishing`` (``xft_average_stack``), so that
+    chi_bar and the XFT average are both defined."""
+    return ~np.hstack([starved, *(v.reshape(len(starved), -1) for v in vanishing.values())]).any(axis=1)
+
+
 def resonance_stack(values: np.ndarray, levels_c, levels_h):
     """(resonance_ok, max_energy_mismatch) of each table of a stack, on one pair of spectra or one
     per cell: whether every entry with |p| > 1e-12 has |dE_C + dE_H| <= 1e-9 * max(1, max |level|),

@@ -73,9 +73,10 @@ def partial_transpose(m, dims: tuple[int, int], which: str) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending real eigenvalues; rejects non-Hermitian input."""
-    m = _square(m)
-    defect = hermiticity_defects(m[None])[0]
+    """Ascending real eigenvalues of a matrix, or of each of an (n, D, D)
+    stack; rejects non-Hermitian input."""
+    m = np.asarray(m, dtype=complex)
+    defect = hermiticity_defects(_square(m)[None] if m.ndim < 3 else m).max(initial=0.0)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return np.linalg.eigvalsh(m)

@@ -4,7 +4,10 @@ Each property draws its own deterministic random stream from the suite
 seed, evaluates ``n_trials`` instances (or a grid of comparable size)
 and reports the failure count plus the worst deviation seen.  The same
 generators back the pytest property tests, so `qheatflow check` is the
-packaged, CI-friendly way to re-run them.  The witness-soundness
+packaged, CI-friendly way to re-run them.  A generator draws a state's
+parameters and accepts them on its populations (``states.ExchangeState``);
+a stacked property builds the accepted states of its trials at once
+(``states.exchange_stack``).  The witness-soundness
 properties scale each drawn state's coherences in closed form to the edge
 of a nonnegative MH table (``_edge_rho``), so nothing is redrawn.
 
@@ -33,25 +36,25 @@ STACK_TRIALS = 64  # trials drawn and evaluated as one stack; even, so each stac
 # random instance generators
 # ---------------------------------------------------------------------------
 
-def random_two_qubit_system(rng, coherent: bool = True):
-    """Locally thermal two-qubit state with beta_C > beta_H."""
+def _two_qubit_draw(rng, coherent: bool = True):
+    """(``states.ExchangeState``, params) of ``random_two_qubit_system``,
+    accepted on its populations before any rho is built."""
     while True:
         beta_h = rng.uniform(0.1, 1.2)
         beta_c = beta_h + rng.uniform(0.1, 1.5)
-        probe_params = states.TwoQubitParams(beta_c, beta_h, 0.0)
-        lo, hi = probe_params.p00_bounds()
+        lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds()
         p00 = lo + rng.uniform(0.08, 0.92) * (hi - lo)
-        base = states.TwoQubitParams(beta_c, beta_h, p00)
-        eta = rng.uniform(-0.95, 0.95) * base.eta_cap() if coherent else 0.0
+        eta = rng.uniform(-0.95, 0.95) * states.TwoQubitParams(beta_c, beta_h, p00).eta_cap() if coherent else 0.0
         xi = rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0
         params = states.TwoQubitParams(beta_c, beta_h, p00, eta, xi)
-        sys = states.two_qubit_state(params)
-        if sys.populations().min() >= MIN_POPULATION:
-            return sys, params
+        state = states.two_qubit_entries(params)
+        if state.populations.min() >= MIN_POPULATION:
+            return state, params
 
 
-def random_two_qutrit_system(rng, coherent: bool = True):
-    """Feasible two-qutrit instance; free populations jittered around product values."""
+def _two_qutrit_draw(rng, coherent: bool = True):
+    """(``states.ExchangeState``, params) of ``random_two_qutrit_system``:
+    free populations jittered around product values, accepted as above."""
     while True:
         e1 = rng.uniform(0.7, 1.3)
         e2 = e1 + rng.uniform(0.2, 0.8)
@@ -60,21 +63,24 @@ def random_two_qutrit_system(rng, coherent: bool = True):
         beta_h = rng.uniform(0.1, 0.8)
         beta_c = beta_h + rng.uniform(0.2, 1.0)
         spec = states.EnergySpectrum((0.0, e1, e2))
-        prod = np.outer(states.thermal_populations(spec, beta_c), states.thermal_populations(spec, beta_h)).ravel()
+        gibbs = states.thermal_populations(spec, beta_c), states.thermal_populations(spec, beta_h)
+        prod = np.outer(*gibbs).ravel()
         free = [prod[k] * rng.uniform(0.7, 1.3) for k in (0, 5, 7, 8)]  # rho_0, rho_5, rho_7, rho_8
         eta = [rng.uniform(0.2, 0.95) if coherent else 0.0 for _ in range(3)]  # on (1,3), (2,6), (5,7)
         xi = [rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0 for _ in range(3)]
         params = states.QutritStateParams(beta_c, beta_h, e1, e2, *free, *eta, *xi)
-        try:
-            sys = states.two_qutrit_state(params)
+        try:  # ``two_qutrit_state(params)``'s solve, on the spectrum and Gibbs populations drawn here
+            state = states.locally_thermal_entries(
+                spec, beta_c, beta_h, gibbs, dict(zip((0, 5, 7, 8), free)), list(zip(((0, 1), (0, 2), (1, 2)), eta, xi))
+            )
         except states.InfeasibleStateError:
             continue
-        if sys.populations().min() >= MIN_POPULATION:
-            return sys, params
+        if state.populations.min() >= MIN_POPULATION:
+            return state, params
 
 
-def random_qudit_system(rng, d: int = 4):
-    """Locally thermal d x d instance via the general constructor."""
+def _qudit_draw(rng, d: int = 4) -> states.ExchangeState:
+    """The ``states.ExchangeState`` of ``random_qudit_system``, accepted as above."""
     while True:
         levels = [0.0]
         for _ in range(d - 1):
@@ -90,11 +96,34 @@ def random_qudit_system(rng, d: int = 4):
         eta_map = {(n, m): rng.uniform(0.2, 0.95) for n in range(d) for m in range(n + 1, d)}
         xi_map = {pair: rng.uniform(0.0, 2.0 * np.pi) for pair in eta_map}
         try:
-            sys = states.qudit_locally_thermal(spec, beta_c, beta_h, free, eta_map, xi_map)
+            state = states.qudit_entries(spec, beta_c, beta_h, free, eta_map, xi_map)
         except states.InfeasibleStateError:
             continue
-        if sys.populations().min() >= QUDIT_MIN_POPULATION:
-            return sys
+        if state.populations.min() >= QUDIT_MIN_POPULATION:
+            return state
+
+
+def _draw_state(rng, dim: int) -> states.ExchangeState:
+    if dim == 2:
+        return _two_qubit_draw(rng)[0]
+    return _two_qutrit_draw(rng)[0] if dim == 3 else _qudit_draw(rng, dim)
+
+
+def random_two_qubit_system(rng, coherent: bool = True):
+    """Locally thermal two-qubit state with beta_C > beta_H."""
+    state, params = _two_qubit_draw(rng, coherent)
+    return states.exchange_system(state), params
+
+
+def random_two_qutrit_system(rng, coherent: bool = True):
+    """Feasible two-qutrit instance; free populations jittered around product values."""
+    state, params = _two_qutrit_draw(rng, coherent)
+    return states.exchange_system(state), params
+
+
+def random_qudit_system(rng, d: int = 4):
+    """Locally thermal d x d instance via the general constructor."""
+    return states.exchange_system(_qudit_draw(rng, d))
 
 
 def random_rotations(rng, spec: states.EnergySpectrum):
@@ -105,19 +134,14 @@ def random_rotations(rng, spec: states.EnergySpectrum):
     ]
 
 
-def _random_system_and_rotations(rng, dim: int):
-    if dim == 2:
-        sys, _ = random_two_qubit_system(rng)
-    elif dim == 3:
-        sys, _ = random_two_qutrit_system(rng)
-    else:
-        sys = random_qudit_system(rng, dim)
-    return sys, random_rotations(rng, sys.spectrum_c)
+def _state_and_rotations(rng, dim: int):
+    state = _draw_state(rng, dim)
+    return state, random_rotations(rng, state.spectrum)
 
 
 def random_system_and_unitary(rng, dim: int):
-    sys, rots = _random_system_and_rotations(rng, dim)
-    return sys, dynamics.energy_preserving_unitary(sys.spectrum_c, rots), rots
+    state, rots = _state_and_rotations(rng, dim)
+    return states.exchange_system(state), dynamics.energy_preserving_unitary(state.spectrum, rots), rots
 
 
 def _random_complex(rng, n: int) -> np.ndarray:
@@ -174,7 +198,7 @@ def _stacked(note: str):
     def wrap(trials):
         def prop(rng, n):
             dev, bad = prop.trials(rng, n)
-            return int(np.count_nonzero(bad)), float(np.fmax.reduce(dev, initial=0.0)), note
+            return int(np.sum(bad)), float(np.fmax.reduce(dev, initial=0.0)), note
         prop.trials = _in_stacks(trials)
         return prop
     return wrap
@@ -186,15 +210,15 @@ def _pymax(a, b):
 
 
 def _draw(rng, dims):
-    """(systems, rotations) that ``random_system_and_unitary`` draws for each of ``dims`` in turn."""
-    return tuple(zip(*(_random_system_and_rotations(rng, d) for d in dims)))
+    """(states, rotations) that ``random_system_and_unitary`` draws for each of ``dims`` in turn."""
+    return tuple(zip(*(_state_and_rotations(rng, d) for d in dims)))
 
 
-def _groups(systems, rotations=None):
-    """(trial indices, their ``StateStack``, their ``_unitaries`` of ``rotations``) per local dimension."""
-    for d in sorted({sys.d_c for sys in systems}):
-        at = np.array([k for k, sys in enumerate(systems) if sys.d_c == d])
-        st = states.StateStack.of([systems[k] for k in at])
+def _groups(drawn, rotations=None):
+    """(trial indices, their ``states.exchange_stack``, their ``_unitaries`` of ``rotations``) per local dimension."""
+    for d in sorted({state.spectrum.dim for state in drawn}):
+        at = np.array([k for k, state in enumerate(drawn) if state.spectrum.dim == d])
+        st = states.exchange_stack([drawn[k] for k in at])
         yield at, st, None if rotations is None else _unitaries(st, [rotations[k] for k in at])
 
 
@@ -215,15 +239,10 @@ def _tables(st, u):
     return tuple(fluctuations.table_stack(kind, st, u.matrix, u.adjoint) for kind in ("MH", "TPM"))
 
 
-def _with_rho(st, systems, rho):
-    """``sys.with_rho(rho)`` of each row's system."""
-    return st.with_rho(rho, [np.array([sys._gibbs[side] for sys in systems]) for side in (0, 1)])
-
-
-def _raise_first(diverged, systems, rotations, check):
+def _raise_first(diverged, drawn, rotations, check):
     """Run ``check(sys, u)``, the trial-by-trial path, which raises, on the first diverged trial."""
     for k in np.flatnonzero(diverged)[:1]:
-        check(systems[k], dynamics.energy_preserving_unitary(systems[k].spectrum_c, rotations[k]))
+        check(states.exchange_system(drawn[k]), dynamics.energy_preserving_unitary(drawn[k].spectrum, rotations[k]))
 
 
 @_trials("associativity + bilinearity")
@@ -257,9 +276,9 @@ def _prop_partial_ops(rng, k):
 
 @_stacked("unitarity, commutation, manifold confinement")
 def _prop_unitarity(rng, n):
-    systems, rotations = zip(*(_random_system_and_rotations(rng, min(int(rng.integers(2, 5)), 4)) for _ in range(n)))
+    drawn, rotations = zip(*(_state_and_rotations(rng, min(int(rng.integers(2, 5)), 4)) for _ in range(n)))
     dev = np.zeros(n)
-    for at, st, u in _groups(systems, rotations):
+    for at, st, u in _groups(drawn, rotations):
         eye = np.eye(st.rho.shape[-1])
         d = linalg.spectral_norms(u.matrix @ u.adjoint - eye)
         d = _pymax(d, u.commutator_norm)
@@ -274,24 +293,22 @@ def _prop_unitarity(rng, n):
     return dev, dev >= 1e-10
 
 
-@_trials("constructed states stay thermal and positive")
-def _prop_state_validity(rng, k):
-    sys, _ = (random_two_qubit_system if k % 2 == 0 else random_two_qutrit_system)(rng)
-    target_c = states.thermal_populations(sys.spectrum_c, sys.beta_c)
-    target_h = states.thermal_populations(sys.spectrum_h, sys.beta_h)
-    dev = np.max(np.abs(np.diag(sys.marginal_c()).real - target_c))
-    dev = max(dev, np.max(np.abs(np.diag(sys.marginal_h()).real - target_h)))
-    dev = max(dev, abs(np.trace(sys.rho).real - 1.0))
-    dev = max(dev, max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])))
+@_stacked("constructed states stay thermal and positive")
+def _prop_state_validity(rng, n):
+    dev = np.zeros(n)
+    for at, st, _ in _groups([_draw_state(rng, d) for d in ([2, 3] * n)[:n]]):
+        d = np.abs(st.marginal_c - states.gibbs_stack(st.levels_c, st.beta_c)).max(axis=-1)
+        d = _pymax(d, np.abs(st.marginal_h - states.gibbs_stack(st.levels_h, st.beta_h)).max(axis=-1))
+        d = _pymax(d, np.abs(st.rho.trace(axis1=1, axis2=2).real - 1.0))
+        dev[at] = _pymax(d, _pymax(0.0, -np.linalg.eigvalsh(st.rho)[:, 0]))
     return dev, dev >= 1e-9
 
 
 @_stacked("dephasing idempotent, marginal-preserving")
 def _prop_dephase(rng, n):
-    systems = [random_two_qutrit_system(rng)[0] for _ in range(n)]
-    ((_, st, _),) = _groups(systems)
-    deph = _with_rho(st, systems, states.dephased_rho(st.rho, st.levels_c, st.levels_h))
-    twice = _with_rho(deph, systems, states.dephased_rho(deph.rho, deph.levels_c, deph.levels_h))
+    ((_, st, _),) = _groups([_two_qutrit_draw(rng)[0] for _ in range(n)])
+    deph = st.with_rho(states.dephased_rho(st.rho, st.levels_c, st.levels_h))
+    twice = deph.with_rho(states.dephased_rho(deph.rho, deph.levels_c, deph.levels_h))
     dev = np.abs(twice.rho - deph.rho).reshape(n, -1).max(axis=-1)
     shape = (n, *st.dims, *st.dims)
     for trace in ("nijil->njl", "nijkj->nik"):  # ``linalg.partial_trace`` over C, then over H
@@ -304,9 +321,9 @@ def _prop_dephase(rng, n):
 
 @_stacked("both marginal identities")
 def _prop_mh_marginals(rng, n):
-    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
     dev = np.zeros(n)
-    for at, st, u in _groups(systems, rotations):
+    for at, st, u in _groups(drawn, rotations):
         mh, tpm = _tables(st, u)
         dev[at] = _pymax(*(fluctuations.marginal_check_stack(t, st, u.matrix, u.adjoint, dephase) for t, dephase in ((mh, False), (tpm, True))))
     return dev, dev >= 1e-10
@@ -315,9 +332,9 @@ def _prop_mh_marginals(rng, n):
 @_in_stacks
 def _table_norm_trials(rng, n):
     """Per trial: |sum - 1| of the MH and the TPM table, the least MH and TPM entries, the largest MH entry."""
-    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
     out = np.zeros((5, n))
-    for at, st, u in _groups(systems, rotations):
+    for at, st, u in _groups(drawn, rotations):
         mh, tpm = (t.reshape(len(at), -1) for t in _tables(st, u))
         out[:, at] = np.abs(mh.sum(axis=-1) - 1.0), np.abs(tpm.sum(axis=-1) - 1.0), mh.min(axis=-1), tpm.min(axis=-1), mh.max(axis=-1)
     return out
@@ -333,13 +350,13 @@ def _prop_table_norm_range(rng, n):
 
 @_stacked("table heat = operator heat; Q = Qback - Qdirect")
 def _prop_heat_identities(rng, n):
-    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
     dev = np.zeros(n)
-    for at, st, u in _groups(systems, rotations):
+    for at, st, u in _groups(drawn, rotations):
         mh, tpm = _tables(st, u)
         q = fluctuations.table_heat_stack(mh, st.levels_c)
         d = np.abs(q - fluctuations.average_heat_stack(st, u.matrix, u.adjoint))
-        diag = _with_rho(st, [systems[k] for k in at], fluctuations.diagonal_matrices(st.rho.diagonal(axis1=1, axis2=2)))
+        diag = st.with_rho(fluctuations.diagonal_matrices(st.rho.diagonal(axis1=1, axis2=2)))
         d = _pymax(d, np.abs(fluctuations.table_heat_stack(tpm, st.levels_c) - fluctuations.average_heat_stack(diag, u.matrix, u.adjoint)))
         q_back, q_direct = fluctuations.flow_decomposition_stack(mh, st.levels_c, st.levels_h)
         dev[at] = _pymax(d, np.abs(q_back - q_direct - q))
@@ -348,12 +365,11 @@ def _prop_heat_identities(rng, n):
 
 @_stacked("MH = TPM on dephased states")
 def _prop_mh_tpm_dephased(rng, n):
-    systems, rotations = _draw(rng, [2] * n)
-    ((_, st, u),) = _groups(systems, rotations)
-    mh, tpm = _tables(_with_rho(st, systems, fluctuations.diagonal_matrices(st.rho.diagonal(axis1=1, axis2=2))), u)
+    ((_, st, u),) = _groups(*_draw(rng, [2] * n))
+    mh, tpm = _tables(st.with_rho(fluctuations.diagonal_matrices(st.rho.diagonal(axis1=1, axis2=2))), u)
     dev = np.abs(mh - tpm).reshape(n, -1).max(axis=-1)
     # block dephasing never changes either table under energy-preserving U
-    deph = _with_rho(st, systems, states.dephased_rho(st.rho, st.levels_c, st.levels_h))
+    deph = st.with_rho(states.dephased_rho(st.rho, st.levels_c, st.levels_h))
     mh_deph, mh = (fluctuations.table_stack("MH", x, u.matrix, u.adjoint) for x in (deph, st))
     dev = _pymax(dev, np.abs(mh_deph - mh).reshape(n, -1).max(axis=-1))
     return dev, dev >= 1e-12
@@ -361,9 +377,9 @@ def _prop_mh_tpm_dephased(rng, n):
 
 @_stacked("exchange entries, Q, Q_TPM vs matrix route")
 def _prop_two_qubit_closed_forms(rng, n):
-    draws = ((*random_two_qubit_system(rng), rng.uniform(0.0, np.pi), *rng.uniform(0.0, 2.0 * np.pi, size=2)) for _ in range(n))
-    systems, params, theta, phi, lam = zip(*draws)  # phi, lam as drawn together
-    ((_, st, _),) = _groups(systems)
+    draws = ((*_two_qubit_draw(rng), rng.uniform(0.0, np.pi), *rng.uniform(0.0, 2.0 * np.pi, size=2)) for _ in range(n))
+    drawn, params, theta, phi, lam = zip(*draws)  # phi, lam as drawn together
+    ((_, st, _),) = _groups(drawn)
     u = _qubit_exchanges(theta, np.array(phi), np.array(lam))
     mh, tpm = _tables(st, u)
     q, q_tpm = fluctuations.average_heat_stack(st, u.matrix, u.adjoint), fluctuations.table_heat_stack(tpm, st.levels_c)
@@ -389,29 +405,29 @@ def _prop_qudit_closed_forms(rng, k):
 
 @_stacked("<e^{dI+dB dE}> = 1 + chi_bar")
 def _prop_xft_identity(rng, n):
-    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
     dev, diverged = np.zeros(n), np.zeros(n, bool)
-    for at, st, u in _groups(systems, rotations):
+    for at, st, u in _groups(drawn, rotations):
         mh = _tables(st, u)[0]
         lhs, _, vanishing = fluctuations.xft_average_stack(mh, st)
         resonance_ok = fluctuations.resonance_stack(mh, st.levels_c, st.levels_h)[0]
         chi, starved = fluctuations.xft_coherence_stack(st, u.matrix, u.adjoint)
         dev[at] = np.where(resonance_ok, np.abs(lhs - 1.0 - chi), np.inf)
-        diverged[at] = starved.any(axis=1) | np.any([v.reshape(len(at), -1).any(axis=1) for v in vanishing.values()], axis=0)
+        diverged[at] = ~fluctuations.xft_evaluable(starved, vanishing)
 
     def check(sys, u):
         fluctuations.xft_average(fluctuations.mh_distribution(sys, u), sys)
         fluctuations.xft_coherence_term(sys, u)
 
-    _raise_first(diverged, systems, rotations, check)
+    _raise_first(diverged, drawn, rotations, check)
     return dev, dev >= 1e-8
 
 
 @_stacked("1 + J = <e^{dB dE}>; J <= ||c|| + ||q||")
 def _prop_j_identity(rng, n):
-    systems, rotations = _draw(rng, ([2, 3] * n)[:n])
+    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
     dev, bad, diverged = np.zeros(n), np.zeros(n, bool), np.zeros(n, bool)
-    for at, st, u in _groups(systems, rotations):
+    for at, st, u in _groups(drawn, rotations):
         mh = _tables(st, u)[0]
         operators = fluctuations._correction_operators(st)
         j = fluctuations._correction_j(operators, u.matrix, u.adjoint)
@@ -421,7 +437,7 @@ def _prop_j_identity(rng, n):
         dev[at] = np.abs(1.0 + j - direct)
         bad[at] = (dev[at] >= 1e-10) | (j > norm_bound + 1e-10)
         diverged[at] = operators[3]
-    _raise_first(diverged, systems, rotations, fluctuations.heat_exp_correction)
+    _raise_first(diverged, drawn, rotations, fluctuations.heat_exp_correction)
     return dev, bad
 
 
@@ -440,9 +456,7 @@ def _edge_rho(rho, mh, tpm):
 
 def _nonneg_instance(rng, dims):
     """``_groups`` of one ``_draw`` of ``dims``, as a list, each state scaled by ``_edge_rho``."""
-    systems, rotations = _draw(rng, dims)
-    groups = _groups(systems, rotations)
-    return [(at, _with_rho(st, [systems[k] for k in at], _edge_rho(st.rho, *_tables(st, u))), u) for at, st, u in groups]
+    return [(at, st.with_rho(_edge_rho(st.rho, *_tables(st, u))), u) for at, st, u in _groups(*_draw(rng, dims))]
 
 
 @_in_stacks
@@ -464,16 +478,16 @@ def _prop_witness_soundness(rng, n):
 def _nonideal_soundness_trials(rng, n):
     """Per nonnegative two-qubit instance under a drawn perturbed XY unitary: how many of T2 and
     T3-nonideal read violated, T3 where chi_bar and the XFT average are finite and 1 + chi_bar > 0."""
-    draws = ((random_two_qubit_system(rng)[0], rng.uniform(100.0, 400.0), rng.uniform(0.0, 6e-3), rng.uniform(0.0, 60.0)) for _ in range(n))
-    systems, j_hz, t, jx = zip(*draws)
-    ((_, st, _),) = _groups(systems)
+    draws = ((_two_qubit_draw(rng)[0], rng.uniform(100.0, 400.0), rng.uniform(0.0, 6e-3), rng.uniform(0.0, 60.0)) for _ in range(n))
+    drawn, j_hz, t, jx = zip(*draws)
+    ((_, st, _),) = _groups(drawn)
     u = dynamics.perturbed_xy_unitary_stack(np.array(j_hz), np.array(jx), np.array(t), 1.0, 1.0)
-    st = _with_rho(st, systems, _edge_rho(st.rho, *_tables(st, u)))
+    st = st.with_rho(_edge_rho(st.rho, *_tables(st, u)))
     columns, mh, _ = sweeps._evaluate_stack(st, u, {}, ("Q", "t2_violated"))
     q, t2 = columns["Q"][0], columns["t2_violated"][0]
     chi, starved = fluctuations.xft_coherence_stack(st, u.matrix, u.adjoint)
     lhs, avg_di, vanishing = fluctuations.xft_average_stack(mh, st)
-    finite = (1.0 + chi > 0.0) & ~np.hstack([starved, *(v.reshape(n, -1) for v in vanishing.values())]).any(axis=1)
+    finite = (1.0 + chi > 0.0) & fluctuations.xft_evaluable(starved, vanishing)
     slack = fluctuations.resonance_stack(mh, st.levels_c, st.levels_h)[1]  # the work slack: the table's own energy mismatch
     t3 = witnesses.xft_flow_stack(q, np.where(finite, chi, 0.0), lhs, avg_di, None, st.beta_c, st.beta_h, slack, slack)
     return ((t2 == 1).astype(int) + (finite & t3.violated).astype(int),)  # bool + bool would be a logical or
@@ -488,8 +502,8 @@ def _prop_witness_soundness_nonideal(rng, n):
 def _exchange_qubit_trials(rng, n, coherent=True):
     """Per trial of a drawn qubit pair under the exchange by a drawn theta:
     T1 violated, Q of the MH table and the operator, Q_tpm, the least MH entry."""
-    systems, params, theta = zip(*((*random_two_qubit_system(rng, coherent), rng.uniform(0.0, np.pi)) for _ in range(n)))
-    ((_, st, _),) = _groups(systems)
+    drawn, params, theta = zip(*((*_two_qubit_draw(rng, coherent), rng.uniform(0.0, np.pi)) for _ in range(n)))
+    ((_, st, _),) = _groups(drawn)
     u = _qubit_exchanges(theta)
     mh, tpm = _tables(st, u)
     q, q_tpm = (fluctuations.table_heat_stack(t, st.levels_c) for t in (mh, tpm))
@@ -581,17 +595,17 @@ def _prop_probe_exactness(rng, k):
     return worst, failures
 
 
-@_trials("smaller coupling disturbs less")
-def _prop_probe_disturbance(rng, k):
-    sys, _ = random_two_qubit_system(rng)
-    idx = int(rng.integers(0, 4))
-    pi_op = np.zeros((4, 4), dtype=complex)
-    pi_op[idx, idx] = 1.0
+@_stacked("smaller coupling disturbs less")
+def _prop_probe_disturbance(rng, n):
+    drawn, idx = zip(*((_two_qubit_draw(rng)[0], int(rng.integers(0, 4))) for _ in range(n)))
+    ((_, st, _),) = _groups(drawn)
+    pi_op = np.zeros((n, 4, 4), dtype=complex)
+    pi_op[range(n), idx, idx] = 1.0
     flip = 2.0 * pi_op - np.eye(4)
-    failures, prev = 0, np.inf
+    failures, prev = np.zeros(n, int), np.full(n, np.inf)
     for eps in (0.6, 0.3, 0.1, 0.02):
-        post = np.cos(eps) ** 2 * sys.rho + np.sin(eps) ** 2 * (flip @ sys.rho @ flip)
-        tdist = 0.5 * float(np.abs(linalg.hermitian_eigenvalues(sys.rho - post)).sum())
+        post = np.cos(eps) ** 2 * st.rho + np.sin(eps) ** 2 * (flip @ st.rho @ flip)
+        tdist = 0.5 * np.abs(linalg.hermitian_eigenvalues(st.rho - post)).sum(axis=-1)
         failures += tdist > prev + 1e-15
         prev = tdist
     return prev, failures
@@ -613,25 +627,26 @@ def _prop_probe_sampling(rng, n):
     return failures, worst, "deterministic seeding; 5-sigma agreement at 1e5 shots"
 
 
-@_trials("PSD holds iff P00 bounds and eta cap hold")
-def _prop_p00_bounds(rng, k):
-    beta_h = rng.uniform(0.1, 1.2)
-    beta_c = beta_h + rng.uniform(0.1, 1.5)
-    base = states.TwoQubitParams(beta_c, beta_h, 0.0)
-    lo, hi = base.p00_bounds()
-    inside = lo + rng.uniform(0.0, 1.0) * (hi - lo)
-    states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside))
-    cap = states.TwoQubitParams(beta_c, beta_h, inside).eta_cap()
-    failures = 0
-    for outside in ((hi + max(1e-6, 0.05 * (hi - lo)), 0.0), (inside, cap * 1.05 + 1e-6)):  # P00, then eta
-        try:
-            states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, *outside))
-            failures += 1
-        except states.InfeasibleStateError:
-            pass
-    # boundary eta is PSD up to tolerance
-    sys = states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside, eta=cap))
-    return max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])), failures
+@_stacked("PSD holds iff P00 bounds and eta cap hold")
+def _prop_p00_bounds(rng, n):
+    drawn, failures = [], np.zeros(n, int)
+    for k in range(n):
+        beta_h = rng.uniform(0.1, 1.2)
+        beta_c = beta_h + rng.uniform(0.1, 1.5)
+        lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds()
+        inside = lo + rng.uniform(0.0, 1.0) * (hi - lo)
+        cap = states.TwoQubitParams(beta_c, beta_h, inside).eta_cap()
+        drawn.append(states.two_qubit_entries(states.TwoQubitParams(beta_c, beta_h, inside)))
+        for outside in ((hi + max(1e-6, 0.05 * (hi - lo)), 0.0), (inside, cap * 1.05 + 1e-6)):  # P00, then eta
+            try:
+                states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, *outside))
+                failures[k] += 1
+            except states.InfeasibleStateError:
+                pass
+        drawn.append(states.two_qubit_entries(states.TwoQubitParams(beta_c, beta_h, inside, eta=cap)))
+    # each state inside the bounds is valid, and at the boundary eta PSD up to tolerance
+    rho = states.exchange_stack(drawn).rho[1::2]
+    return _pymax(0.0, -np.linalg.eigvalsh(rho)[:, 0]), failures
 
 
 @_trials("threshold log(d)/dBeta behaves")

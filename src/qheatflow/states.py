@@ -101,6 +101,16 @@ def thermal_populations(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
     return w / np.add.reduce(w)
 
 
+def gibbs_stack(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``thermal_populations`` (n, d) of each row of levels (n, d) at its
+    inverse temperature of beta (n,), bit for bit."""
+    if not np.isfinite(beta).all():
+        raise ValueError("beta must be finite")
+    x = -beta[:, None] * levels
+    w = np.exp(np.where(x[:, -1:] > EXP_SHIFT_ABOVE, x - x[:, -1:], x))
+    return w / np.add.reduce(w, axis=-1, keepdims=True)
+
+
 def thermal_state(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
     """Diagonal Gibbs density matrix."""
     return np.diag(thermal_populations(spectrum, beta).astype(complex))
@@ -261,7 +271,7 @@ class StateStack(NamedTuple):
     Each row is a system's own one-row ``BipartiteSystem.stack``, made from
     its arrays and methods, so it holds the values the single-cell
     functions read, bit for bit.  Stack one row per distinct state with
-    ``of`` and gather per-cell rows with ``take``.
+    ``of`` (or ``exchange_stack``) and gather per-cell rows with ``take``.
     A stack has one row per cell, or one row that every cell shares and
     that broadcasts against the cells' arrays.
     """
@@ -295,14 +305,53 @@ class StateStack(NamedTuple):
             index = index[:1]
         return StateStack(*(column[index] for column in self))
 
-    def with_rho(self, rho: np.ndarray, gibbs) -> "StateStack":
+    def with_rho(self, rho: np.ndarray) -> "StateStack":
         """These rows with the states of ``rho`` (n, D, D), checked by
-        ``validate_stack`` against ``gibbs``; raises the first row's error."""
+        ``validate_stack`` against the Gibbs populations of each row's levels
+        and inverse temperatures; raises the first row's error."""
+        gibbs = gibbs_stack(self.levels_c, self.beta_c), gibbs_stack(self.levels_h, self.beta_h)
         errors, (marginal_c, marginal_h) = validate_stack(rho, self.dims, gibbs)
         for error in filter(None, errors):
             raise error
         populations = rho.diagonal(axis1=1, axis2=2).real.copy()
         return self._replace(rho=rho, populations=populations, marginal_c=marginal_c, marginal_h=marginal_h)
+
+
+class ExchangeState(NamedTuple):
+    """A state by its nonzero entries: rho's diagonal ``populations`` (D,) and
+    rho[a, b] = value = conj(rho[b, a]) of each (a, b, value) of ``coherences``."""
+
+    spectrum: EnergySpectrum
+    beta_c: float
+    beta_h: float
+    populations: np.ndarray
+    coherences: list
+
+
+def exchange_system(state: ExchangeState) -> BipartiteSystem:
+    """The ``BipartiteSystem`` of ``state`` (its ``spectrum`` on both sides)."""
+    rho = np.diag(state.populations.astype(complex))
+    for a, b, value in state.coherences:
+        rho[a, b], rho[b, a] = value, np.conj(value)
+    return BipartiteSystem(state.spectrum, state.spectrum, rho, state.beta_c, state.beta_h)
+
+
+def exchange_stack(states) -> StateStack:
+    """One ``StateStack`` row per state of ``states``, which share their
+    dimension, as ``exchange_system`` builds it, bit for bit: rho filled
+    at once and checked by one ``validate_stack`` call, which raises the
+    first failing row's error."""
+    populations, spectra = np.array([s.populations for s in states]), [s.spectrum for s in states]
+    (n, side), levels = populations.shape, np.array([spec.levels for spec in spectra])
+    rho = np.zeros((n, side, side), complex)
+    rho[:, range(side), range(side)] = populations
+    if entries := [(k, a, b, value) for k, s in enumerate(states) for a, b, value in s.coherences]:
+        k, a, b, value = map(np.array, zip(*entries))
+        rho[k, a, b], rho[k, b, a] = value, np.conj(value)
+    beta_c, beta_h = (np.array(betas, dtype=float) for betas in zip(*((s.beta_c, s.beta_h) for s in states)))
+    bohr = {spec: spec.bohr_nondegenerate() for spec in set(spectra)}
+    flags = beta_c != beta_h, np.ones(n, bool), np.array([bohr[spec] for spec in spectra])
+    return StateStack(None, None, None, None, levels, levels, beta_c, beta_h, *flags).with_rho(rho)
 
 
 def _manifold_indices(n: int, m: int, d: int) -> tuple[int, int]:
@@ -352,6 +401,11 @@ def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
     Diagonal (P00, 1/z_C - P00, 1/z_H - P00, 1 - 1/z_C - 1/z_H + P00) and
     coherence eta*e^{i xi} between |01> and |10>.
     """
+    return exchange_system(two_qubit_entries(params))
+
+
+def two_qubit_entries(params: TwoQubitParams) -> ExchangeState:
+    """The state of ``two_qubit_state(params)``, after its parameter checks."""
     z_c, z_h = params.partition_values()
     lower, upper = params.p00_bounds()
     if params.p00 > upper + 1e-12:
@@ -362,13 +416,9 @@ def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
     if abs(params.eta) > cap + 1e-12:
         raise InfeasibleStateError("eta_cap", f"|eta| = {abs(params.eta)} exceeds cap {cap}")
     p00 = params.p00
-    diag = [p00, 1.0 / z_c - p00, 1.0 / z_h - p00, 1.0 - 1.0 / z_c - 1.0 / z_h + p00]
-    rho = np.diag(np.asarray(diag, dtype=complex))
-    coh = params.eta * np.exp(1j * params.xi)
-    rho[1, 2] = coh
-    rho[2, 1] = np.conj(coh)
-    spec = EnergySpectrum.two_level(params.gap)
-    return BipartiteSystem(spec, spec, rho, beta_c=params.beta_c, beta_h=params.beta_h)
+    diag = np.array([p00, 1.0 / z_c - p00, 1.0 / z_h - p00, 1.0 - 1.0 / z_c - 1.0 / z_h + p00])
+    coherence = params.eta * np.exp(1j * params.xi)
+    return ExchangeState(EnergySpectrum.two_level(params.gap), params.beta_c, params.beta_h, diag, [(1, 2, coherence)])
 
 
 def gamma_correlated_state(
@@ -430,10 +480,10 @@ def two_qutrit_state(params: QutritStateParams) -> BipartiteSystem:
     coherences = [
         ((0, 1), params.eta_13, params.xi_13), ((0, 2), params.eta_26, params.xi_26), ((1, 2), params.eta_57, params.xi_57)
     ]
-    return _locally_thermal(spec, params.beta_c, params.beta_h, gibbs, free, coherences)
+    return exchange_system(locally_thermal_entries(spec, params.beta_c, params.beta_h, gibbs, free, coherences))
 
 
-def _locally_thermal(spectrum, beta_c, beta_h, gibbs, free, coherences) -> BipartiteSystem:
+def locally_thermal_entries(spectrum, beta_c, beta_h, gibbs, free, coherences) -> ExchangeState:
     """The d x d state with the populations ``free`` ({joint index: value}
     on {0} and {n*d+m : n, m >= 1, (n, m) != (1, 1)}), the marginals
     ``gibbs`` = (c, h), and the coherence eta e^{i xi} sqrt(p_a p_b) of
@@ -468,14 +518,13 @@ def _locally_thermal(spectrum, beta_c, beta_h, gibbs, free, coherences) -> Bipar
     for idx in solved + sorted(free):
         if p[idx] < -PSD_TOL:
             raise InfeasibleStateError(f"population_{idx}", f"implied population rho_{idx} = {p[idx]:.3e} < 0")
-    rho = np.diag(np.clip(np.array(p), 0.0, None).astype(complex))
+    entries = []
     for (n, m), eta, xi in coherences:
         if not 0.0 <= eta <= 1.0:
             raise InfeasibleStateError(f"eta_{n}{m}", f"eta for manifold ({n},{m}) must lie in [0, 1]")
         a, b = _manifold_indices(n, m, d)
-        rho[a, b] = val = eta * np.exp(1j * xi) * np.sqrt(max(p[a], 0.0) * max(p[b], 0.0))
-        rho[b, a] = np.conj(val)
-    return BipartiteSystem._with_gibbs(spectrum, spectrum, rho, beta_c, beta_h, gibbs)
+        entries.append((a, b, eta * np.exp(1j * xi) * np.sqrt(max(p[a], 0.0) * max(p[b], 0.0))))
+    return ExchangeState(spectrum, beta_c, beta_h, np.maximum(np.array(p), 0.0), entries)
 
 
 def qudit_locally_thermal(
@@ -492,6 +541,11 @@ def qudit_locally_thermal(
     spectrum so that exchange manifolds are the only coherence carriers
     compatible with energy-preserving dynamics.
     """
+    return exchange_system(qudit_entries(spectrum, beta_c, beta_h, free_populations, eta_map, xi_map))
+
+
+def qudit_entries(spectrum, beta_c, beta_h, free_populations, eta_map=None, xi_map=None) -> ExchangeState:
+    """The state of ``qudit_locally_thermal``, after its parameter checks."""
     if not spectrum.bohr_nondegenerate():
         raise InfeasibleStateError("bohr_degenerate", "spectrum has degenerate gaps")
     d = spectrum.dim
@@ -506,7 +560,7 @@ def qudit_locally_thermal(
     xi_map = xi_map or {}
     pairs = [((min(n, m), max(n, m)), eta) for (n, m), eta in (eta_map or {}).items()]
     coherences = [(pair, eta, xi_map.get(pair, xi_map.get(pair[::-1], 0.0))) for pair, eta in pairs]
-    return _locally_thermal(spectrum, beta_c, beta_h, gibbs, free_populations, coherences)
+    return locally_thermal_entries(spectrum, beta_c, beta_h, gibbs, free_populations, coherences)
 
 
 def dephase(sys: BipartiteSystem) -> BipartiteSystem:

@@ -74,6 +74,7 @@ from .fluctuations import (
     transition_csv,
     xft_average_stack,
     xft_coherence_stack,
+    xft_evaluable,
 )
 from .probe import probe_statistics, reconstruct_quasiprobability, sampled_reconstruction
 from .states import (
@@ -726,9 +727,7 @@ def _evaluate_stack(states: StateStack, u: UnitaryStack, extras: dict, outputs):
     if "xft" in need and (at := cells(unequal)) is not None:
         chi, starved = xft_coherence_stack(states.take(at), u.matrix[at], adjoint(at))
         lhs, avg_di, vanishing = xft_average_stack(mh[at], states.take(at))
-        has_xft = ~starved.any(axis=1)
-        for bad in vanishing.values():
-            has_xft &= ~bad.reshape(len(bad), -1).any(axis=1)
+        has_xft = xft_evaluable(starved, vanishing)
         for name, values in (("chi_bar", chi), ("xft_lhs", lhs), ("avg_delta_I", avg_di)):
             value(name, values, at, has_xft)
         if "t3" in need:

@@ -32,13 +32,7 @@ from qheatflow.fluctuations import (
 from qheatflow.linalg import HERMITICITY_TOL, NOT_A_GENERATOR, SIGMA_X, _square, spectral_norm
 from qheatflow import dynamics, fluctuations, states, witnesses
 from qheatflow import linalg as qlinalg
-from qheatflow.properties import (
-    _edge_rho,
-    _tables,
-    random_system_and_unitary,
-    random_two_qubit_system,
-    random_two_qutrit_system,
-)
+from qheatflow.properties import MIN_POPULATION, QUDIT_MIN_POPULATION, _edge_rho, _tables, random_rotations
 from qheatflow.states import (
     EIGVALSH_MAX_SIDE,
     HERM_TOL,
@@ -560,9 +554,9 @@ def validation_failure(spectrum_c, spectrum_h, rho, beta_c=None, beta_h=None):
     if rho.shape != (d, d):
         return "dimension"
     tr = np.trace(rho)
-    if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
+    if not (abs(tr.real - 1.0) <= TRACE_TOL and abs(tr.imag) <= TRACE_TOL):  # nan fails
         return "trace"
-    if hermiticity_defect(rho) > HERM_TOL:
+    if not hermiticity_defect(rho) <= HERM_TOL:
         return "hermiticity"
     if d <= EIGVALSH_MAX_SIDE or not _min_eigenvalue_bound(rho) >= -0.5 * PSD_TOL:
         if float(np.linalg.eigvalsh(rho)[0]) < -PSD_TOL:
@@ -657,6 +651,85 @@ def _exchange_state(spectrum, p, order, coherences, beta_c, beta_h) -> Bipartite
         rho[b, a] = np.conj(val)
     return BipartiteSystem(spectrum, spectrum, rho, beta_c, beta_h)
 
+# --- the random instance generators, one system per attempt -------------
+# Each attempt builds and checks its system, and a constructor that raises
+# or a population under the floor draws again; ``properties`` draws the
+# same parameters in the same order and builds only the accepted states.
+
+def random_two_qubit_system(rng, coherent=True):
+    while True:
+        beta_h = rng.uniform(0.1, 1.2)
+        beta_c = beta_h + rng.uniform(0.1, 1.5)
+        probe_params = states.TwoQubitParams(beta_c, beta_h, 0.0)
+        lo, hi = probe_params.p00_bounds()
+        p00 = lo + rng.uniform(0.08, 0.92) * (hi - lo)
+        base = states.TwoQubitParams(beta_c, beta_h, p00)
+        eta = rng.uniform(-0.95, 0.95) * base.eta_cap() if coherent else 0.0
+        xi = rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0
+        params = states.TwoQubitParams(beta_c, beta_h, p00, eta, xi)
+        sys = states.two_qubit_state(params)
+        if sys.populations().min() >= MIN_POPULATION:
+            return sys, params
+
+
+def random_two_qutrit_system(rng, coherent=True):
+    while True:
+        e1 = rng.uniform(0.7, 1.3)
+        e2 = e1 + rng.uniform(0.2, 0.8)
+        if abs(e2 - 2.0 * e1) < 5e-3:
+            continue
+        beta_h = rng.uniform(0.1, 0.8)
+        beta_c = beta_h + rng.uniform(0.2, 1.0)
+        spec = EnergySpectrum((0.0, e1, e2))
+        prod = np.outer(thermal_populations(spec, beta_c), thermal_populations(spec, beta_h)).ravel()
+        free = [prod[k] * rng.uniform(0.7, 1.3) for k in (0, 5, 7, 8)]
+        eta = [rng.uniform(0.2, 0.95) if coherent else 0.0 for _ in range(3)]
+        xi = [rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0 for _ in range(3)]
+        params = states.QutritStateParams(beta_c, beta_h, e1, e2, *free, *eta, *xi)
+        try:
+            sys = states.two_qutrit_state(params)
+        except states.InfeasibleStateError:
+            continue
+        if sys.populations().min() >= MIN_POPULATION:
+            return sys, params
+
+
+def random_qudit_system(rng, d=4):
+    while True:
+        levels = [0.0]
+        for _ in range(d - 1):
+            levels.append(levels[-1] + rng.uniform(0.5, 1.7))
+        spec = EnergySpectrum(tuple(levels))
+        if not spec.bohr_nondegenerate(1e-3):
+            continue
+        beta_h = rng.uniform(0.1, 0.6)
+        beta_c = beta_h + rng.uniform(0.2, 0.8)
+        prod = np.outer(thermal_populations(spec, beta_c), thermal_populations(spec, beta_h)).ravel()
+        keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
+        free = {k: prod[k] * rng.uniform(0.8, 1.2) for k in keys}
+        eta_map = {(n, m): rng.uniform(0.2, 0.95) for n in range(d) for m in range(n + 1, d)}
+        xi_map = {pair: rng.uniform(0.0, 2.0 * np.pi) for pair in eta_map}
+        try:
+            sys = states.qudit_locally_thermal(spec, beta_c, beta_h, free, eta_map, xi_map)
+        except states.InfeasibleStateError:
+            continue
+        if sys.populations().min() >= QUDIT_MIN_POPULATION:
+            return sys
+
+
+def random_system(rng, dim, coherent=True):
+    """The system ``properties`` draws at local dimension ``dim``; every qudit draw is coherent."""
+    if dim == 2:
+        return random_two_qubit_system(rng, coherent)[0]
+    return random_two_qutrit_system(rng, coherent)[0] if dim == 3 else random_qudit_system(rng, dim)
+
+
+def random_system_and_unitary(rng, dim):
+    sys = random_system(rng, dim)
+    rots = random_rotations(rng, sys.spectrum_c)
+    return sys, dynamics.energy_preserving_unitary(sys.spectrum_c, rots), rots
+
+
 # --- properties: the trial-by-trial bodies of the stacked ones ------------
 # A body of the form (rng, k) -> (deviation, failures) is one trial; the
 # others take (rng, n) -> (failures, max_dev, note).
@@ -677,6 +750,52 @@ def prop_unitarity(rng, k):
     off = np.abs(mat - np.eye(d * d))[mask].max()
     dev = max(dev, off)
     return dev, dev >= 1e-10
+
+
+def prop_state_validity(rng, k):
+    sys, _ = (random_two_qubit_system if k % 2 == 0 else random_two_qutrit_system)(rng)
+    target_c = states.thermal_populations(sys.spectrum_c, sys.beta_c)
+    target_h = states.thermal_populations(sys.spectrum_h, sys.beta_h)
+    dev = np.max(np.abs(np.diag(sys.marginal_c()).real - target_c))
+    dev = max(dev, np.max(np.abs(np.diag(sys.marginal_h()).real - target_h)))
+    dev = max(dev, abs(np.trace(sys.rho).real - 1.0))
+    dev = max(dev, max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])))
+    return dev, dev >= 1e-9
+
+
+def prop_probe_disturbance(rng, k):
+    sys, _ = random_two_qubit_system(rng)
+    idx = int(rng.integers(0, 4))
+    pi_op = np.zeros((4, 4), dtype=complex)
+    pi_op[idx, idx] = 1.0
+    flip = 2.0 * pi_op - np.eye(4)
+    failures, prev = 0, np.inf
+    for eps in (0.6, 0.3, 0.1, 0.02):
+        post = np.cos(eps) ** 2 * sys.rho + np.sin(eps) ** 2 * (flip @ sys.rho @ flip)
+        tdist = 0.5 * float(np.abs(qlinalg.hermitian_eigenvalues(sys.rho - post)).sum())
+        failures += tdist > prev + 1e-15
+        prev = tdist
+    return prev, failures
+
+
+def prop_p00_bounds(rng, k):
+    beta_h = rng.uniform(0.1, 1.2)
+    beta_c = beta_h + rng.uniform(0.1, 1.5)
+    base = states.TwoQubitParams(beta_c, beta_h, 0.0)
+    lo, hi = base.p00_bounds()
+    inside = lo + rng.uniform(0.0, 1.0) * (hi - lo)
+    states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside))
+    cap = states.TwoQubitParams(beta_c, beta_h, inside).eta_cap()
+    failures = 0
+    for outside in ((hi + max(1e-6, 0.05 * (hi - lo)), 0.0), (inside, cap * 1.05 + 1e-6)):  # P00, then eta
+        try:
+            states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, *outside))
+            failures += 1
+        except states.InfeasibleStateError:
+            pass
+    # boundary eta is PSD up to tolerance
+    sys = states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside, eta=cap))
+    return max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])), failures
 
 
 def prop_dephase(rng, k):

@@ -149,6 +149,69 @@ def test_with_rho_checks_against_the_systems_gibbs_populations():
     assert sys.with_rho(swapped, keep_betas=False).beta_c is None
 
 
+def test_a_nan_entry_fails_the_kernel_and_the_reference_alike():
+    good = _valid_qubit_state()
+    for at, constraint in (((0, 0), "trace"), ((1, 2), "hermiticity")):
+        rho = good.rho.copy()
+        rho[at] = np.nan
+        (error,), _ = validate_stack(rho[None], (2, 2), good._gibbs)
+        assert error.constraint == constraint
+        assert reference.validation_failure(QUBIT, QUBIT, rho, good.beta_c, good.beta_h) == constraint
+
+
+# ---------------------------------------------------------------------------
+# drawn states: parameters first, then one stack
+# ---------------------------------------------------------------------------
+
+def _drawn(rng, d, coherent):
+    if d == 2:
+        return properties._two_qubit_draw(rng, coherent)[0]
+    return properties._two_qutrit_draw(rng, coherent)[0] if d == 3 else properties._qudit_draw(rng, d)
+
+
+DRAWS = [(2, True), (2, False), (3, True), (3, False), (4, True), (8, True)]  # every qudit draw is coherent
+
+
+@pytest.mark.parametrize("d, coherent", DRAWS)
+def test_drawn_stacks_equal_the_scalar_generators_bit_for_bit(d, coherent):
+    n = properties.STACK_TRIALS + 3 if d < 8 else 9
+    for seed in (0, 3, 11):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [_drawn(rng, d, coherent) for _ in range(n)]
+        want = [reference.random_system(ref_rng, d, coherent) for _ in range(n)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same attempts accepted
+        st = states.exchange_stack(drawn)
+        gibbs = states.gibbs_stack(st.levels_c, st.beta_c), states.gibbs_stack(st.levels_h, st.beta_h)
+        for k, (state, sys) in enumerate(zip(drawn, want)):
+            one = states.exchange_system(state)
+            for name, got, alone, ref in zip(StateStack._fields, st.take(slice(k, k + 1)), one.stack, reference.eager_state_row(sys)):
+                assert got.tobytes() == alone.tobytes() == ref.tobytes(), (seed, k, name)
+            for side in (0, 1):
+                assert gibbs[side][k].tobytes() == one._gibbs[side].tobytes() == sys._gibbs[side].tobytes()
+            assert (one.spectrum_c, one.beta_c, one.beta_h) == (sys.spectrum_c, sys.beta_c, sys.beta_h)
+            assert reference.validation_failure(sys.spectrum_c, sys.spectrum_h, st.rho[k], sys.beta_c, sys.beta_h) is None
+
+
+def test_a_failing_row_raises_its_first_failed_check_and_is_never_skipped():
+    rng = np.random.default_rng(4)
+    drawn = [properties._two_qutrit_draw(rng)[0] for _ in range(12)]
+    swollen = drawn[5]._replace(populations=drawn[5].populations * 1.01)  # trace
+    a, b, value = drawn[9].coherences[0]
+    loose = drawn[9]._replace(coherences=[(a, b, value / abs(value)), *drawn[9].coherences[1:]])  # |rho_ab| = 1: psd
+    for rows, constraint in (([*drawn[:5], swollen, *drawn[6:9], loose, *drawn[10:]], "trace"), ([*drawn[:9], loose, *drawn[10:]], "psd")):
+        with pytest.raises(InfeasibleStateError) as err:
+            states.exchange_stack(rows)
+        assert err.value.constraint == constraint
+        bad = rows[5] if constraint == "trace" else rows[9]
+        with pytest.raises(InfeasibleStateError) as alone:
+            states.exchange_system(bad)
+        assert alone.value.constraint == constraint
+        rho = np.diag(bad.populations.astype(complex))
+        for i, j, v in bad.coherences:
+            rho[i, j], rho[j, i] = v, np.conj(v)
+        assert reference.validation_failure(bad.spectrum, bad.spectrum, rho, bad.beta_c, bad.beta_h) == constraint
+
+
 # ---------------------------------------------------------------------------
 # unitaries
 # ---------------------------------------------------------------------------
@@ -272,6 +335,43 @@ def test_stacked_properties_equal_the_trial_by_trial_path(name, n):
         got, want = properties.PROPERTIES[name](rng, n), WHOLE[name](ref_rng, n)
         assert (got[0], repr(float(got[1])), got[2]) == (want[0], repr(float(want[1])), want[2])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# (trials, failures, repr(max_dev)) of each property at (seed, --trials): a
+# change to how the suite draws or evaluates its trials must not move them
+PINNED = {
+    'kron-algebra': {(0, 37): (37, 0, '3.66205343881779e-15'), (0, 1): (1, 0, '6.280369834735101e-16'), (3, 37): (37, 0, '3.66205343881779e-15'), (3, 1): (1, 0, '9.930136612989092e-16'), (7, 37): (37, 0, '2.5121479338940403e-15'), (7, 1): (1, 0, '1.9860273225978185e-15')},
+    'partial-ops': {(0, 37): (37, 0, '1.831026719408895e-15'), (0, 1): (1, 0, '9.155133597044475e-16'), (3, 37): (37, 0, '1.9860273225978185e-15'), (3, 1): (1, 0, '1.8041124150158794e-16'), (7, 37): (37, 0, '3.552713678800501e-15'), (7, 1): (1, 0, '8.95090418262362e-16')},
+    'unitarity': {(0, 37): (37, 0, '7.800410757982074e-16'), (0, 1): (1, 0, '4.577566798522237e-16'), (3, 37): (37, 0, '6.866350197783356e-16'), (3, 1): (1, 0, '3.7572684881917124e-16'), (7, 37): (37, 0, '7.224329682229049e-16'), (7, 1): (1, 0, '2.220479930051231e-16')},
+    'state-validity': {(0, 37): (37, 0, '2.220446049250313e-16'), (0, 1): (1, 0, '5.551115123125783e-17'), (3, 37): (37, 0, '2.220446049250313e-16'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '2.220446049250313e-16'), (7, 1): (1, 0, '8.326672684688674e-17')},
+    'dephase': {(0, 37): (37, 0, '0.0'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '0.0'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '0.0'), (7, 1): (1, 0, '0.0')},
+    'mh-marginals': {(0, 37): (37, 0, '1.1102230246251565e-16'), (0, 1): (1, 0, '1.1102230246251565e-16'), (3, 37): (37, 0, '1.1102230246251565e-16'), (3, 1): (1, 0, '5.551115123125783e-17'), (7, 37): (37, 0, '8.326672684688674e-17'), (7, 1): (1, 0, '2.7755575615628914e-17')},
+    'table-norm-range': {(0, 37): (37, 0, '2.220446049250313e-16'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '2.220446049250313e-16'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '2.220446049250313e-16'), (7, 1): (1, 0, '0.0')},
+    'heat-identities': {(0, 37): (37, 0, '1.6653345369377348e-16'), (0, 1): (1, 0, '5.204170427930421e-17'), (3, 37): (37, 0, '2.220446049250313e-16'), (3, 1): (1, 0, '8.326672684688674e-17'), (7, 37): (37, 0, '1.942890293094024e-16'), (7, 1): (1, 0, '2.7755575615628914e-17')},
+    'mh-tpm-dephased': {(0, 37): (37, 0, '8.326672684688674e-17'), (0, 1): (1, 0, '2.7755575615628914e-17'), (3, 37): (37, 0, '1.1102230246251565e-16'), (3, 1): (1, 0, '2.7755575615628914e-17'), (7, 37): (37, 0, '8.326672684688674e-17'), (7, 1): (1, 0, '5.551115123125783e-17')},
+    'two-qubit-closed-forms': {(0, 37): (37, 0, '1.1102230246251565e-16'), (0, 1): (1, 0, '2.7755575615628914e-17'), (3, 37): (37, 0, '1.6653345369377348e-16'), (3, 1): (1, 0, '5.551115123125783e-17'), (7, 37): (37, 0, '1.249000902703301e-16'), (7, 1): (1, 0, '2.7755575615628914e-17')},
+    'qudit-closed-forms': {(0, 37): (11, 0, '5.551115123125783e-17'), (0, 1): (1, 0, '1.3877787807814457e-17'), (3, 37): (11, 0, '5.551115123125783e-17'), (3, 1): (1, 0, '2.0816681711721685e-17'), (7, 37): (11, 0, '5.551115123125783e-17'), (7, 1): (1, 0, '1.3877787807814457e-17')},
+    'xft-identity': {(0, 37): (22, 0, '3.469446951953614e-16'), (0, 1): (1, 0, '9.302454639925628e-17'), (3, 37): (22, 0, '3.191891195797325e-16'), (3, 1): (1, 0, '2.0122792321330962e-16'), (7, 37): (22, 0, '4.891920202254596e-16'), (7, 1): (1, 0, '9.020562075079397e-17')},
+    'j-identity': {(0, 37): (37, 0, '4.440892098500626e-16'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '4.440892098500626e-16'), (3, 1): (1, 0, '1.1102230246251565e-16'), (7, 37): (37, 0, '4.440892098500626e-16'), (7, 1): (1, 0, '0.0')},
+    'witness-soundness': {(0, 37): (18, 0, '0.0'), (0, 1): (1, 0, '0.0'), (3, 37): (18, 0, '0.0'), (3, 1): (1, 0, '0.0'), (7, 37): (18, 0, '0.0'), (7, 1): (1, 0, '0.0')},
+    'witness-soundness-nonideal': {(0, 37): (7, 0, '0.0'), (0, 1): (1, 0, '0.0'), (3, 37): (7, 0, '0.0'), (3, 1): (1, 0, '0.0'), (7, 37): (7, 0, '0.0'), (7, 1): (1, 0, '0.0')},
+    't1-strong-flow': {(0, 37): (37, 0, '5.0'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '1.0'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '2.0'), (7, 1): (1, 0, '0.0')},
+    'tpm-no-backflow': {(0, 37): (37, 0, '-0.00010864518653141552'), (0, 1): (1, 0, '-0.025302372349894107'), (3, 37): (37, 0, '-0.00011044971079457417'), (3, 1): (1, 0, '-0.006243833074276911'), (7, 37): (37, 0, '-1.9493632419046993e-05'), (7, 1): (1, 0, '-0.12030871037613568')},
+    'all-negative-direction': {(0, 37): (11, 0, '11.0'), (0, 1): (1, 0, '1.0'), (3, 37): (11, 0, '11.0'), (3, 1): (1, 0, '1.0'), (7, 37): (11, 0, '11.0'), (7, 1): (1, 0, '1.0')},
+    'delta-q-max': {(0, 37): (11, 0, '2.220446049250313e-16'), (0, 1): (1, 0, '8.326672684688674e-17'), (3, 37): (11, 0, '1.249000902703301e-16'), (3, 1): (1, 0, '5.551115123125783e-17'), (7, 37): (11, 0, '2.220446049250313e-16'), (7, 1): (1, 0, '5.551115123125783e-17')},
+    'probe-exactness': {(0, 37): (7, 0, '3.3306690738754696e-16'), (0, 1): (1, 0, '1.1102230246251565e-16'), (3, 37): (7, 0, '2.498001805406602e-16'), (3, 1): (1, 0, '1.942890293094024e-16'), (7, 37): (7, 0, '3.3306690738754696e-16'), (7, 1): (1, 0, '1.1102230246251565e-16')},
+    'probe-disturbance': {(0, 37): (37, 0, '0.00016062238070795675'), (0, 1): (1, 0, '5.170221244637994e-06'), (3, 37): (37, 0, '0.00013805793945778088'), (3, 1): (1, 0, '6.938893903907228e-18'), (7, 37): (37, 0, '0.00014273614597236375'), (7, 1): (1, 0, '2.7755575615628914e-17')},
+    'probe-sampling': {(0, 37): (1, 0, '1.0585080828802103'), (0, 1): (1, 0, '1.0585080828802103'), (3, 37): (1, 0, '2.305100914005738'), (3, 1): (1, 0, '2.305100914005738'), (7, 37): (1, 0, '1.9193355620479522'), (7, 1): (1, 0, '1.9193355620479522')},
+    'p00-bounds': {(0, 37): (37, 0, '2.7755575615628914e-17'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '2.7755575615628914e-17'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '5.551115123125783e-17'), (7, 1): (1, 0, '1.3877787807814457e-17')},
+    'strong-backflow-threshold': {(0, 37): (37, 0, '0.0'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '0.0'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '0.0'), (7, 1): (1, 0, '0.0')},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("trials", [37, 1])
+def test_each_propertys_result_is_pinned(seed, trials):
+    for r in properties.run_property_suite(seed=seed, n_trials=trials, names=list(PINNED)):
+        assert (r.trials, r.failures, repr(r.max_dev)) == PINNED[r.name][(seed, trials)], r.name
 
 
 def test_the_suite_repeats_in_one_process_and_a_subset_matches_the_full_run():
