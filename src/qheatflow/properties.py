@@ -502,15 +502,14 @@ def _prop_witness_soundness_nonideal(rng, n):
 def _exchange_qubit_trials(rng, n, coherent=True):
     """Per trial of a drawn qubit pair under the exchange by a drawn theta:
     T1 violated, Q of the MH table and the operator, Q_tpm, the least MH entry."""
-    drawn, params, theta = zip(*((*_two_qubit_draw(rng, coherent), rng.uniform(0.0, np.pi)) for _ in range(n)))
+    drawn, _, theta = zip(*((*_two_qubit_draw(rng, coherent), rng.uniform(0.0, np.pi)) for _ in range(n)))
     ((_, st, _),) = _groups(drawn)
     u = _qubit_exchanges(theta)
     mh, tpm = _tables(st, u)
     q, q_tpm = (fluctuations.table_heat_stack(t, st.levels_c) for t in (mh, tpm))
-    t1 = [  # read for coherent pairs only
-        witnesses.two_qubit_flow_witness(a, b, p.beta_c, p.beta_h).violated for a, b, p in zip(q.tolist(), q_tpm.tolist(), params)
-    ] if coherent else [False] * n
-    return np.array(t1, bool), q, fluctuations.average_heat_stack(st, u.matrix, u.adjoint), q_tpm, mh.reshape(n, -1).min(axis=-1)
+    # read for coherent pairs only
+    t1 = witnesses.two_qubit_flow_stack(q, q_tpm, st.beta_c, st.beta_h).violated if coherent else np.zeros(n, bool)
+    return t1, q, fluctuations.average_heat_stack(st, u.matrix, u.adjoint), q_tpm, mh.reshape(n, -1).min(axis=-1)
 
 
 def _prop_t1_violation_implies_strong_flow(rng, n):

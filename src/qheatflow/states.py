@@ -17,7 +17,6 @@ gap for a two-level system with E = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,9 +85,6 @@ class EnergySpectrum:
     def bohr_nondegenerate(self, tol: float = BOHR_TOL) -> bool:
         """True when all pairwise gaps are distinct within tol."""
         return bohr_nondegenerate(self.levels, tol)
-
-    def hamiltonian(self) -> np.ndarray:
-        return np.diag(np.asarray(self.levels, dtype=complex))
 
 
 def thermal_populations(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
@@ -179,14 +175,32 @@ def validate_stack(rho: np.ndarray, dims: tuple[int, int], gibbs=(None, None)):
     return errors, marginals
 
 
+def state_rows(levels_c, levels_h, beta_c, beta_h, rho: np.ndarray, gibbs) -> "StateStack":
+    """The ``StateStack`` of the states rho (n, D, D), with local levels
+    (n, d) and inverse temperatures (n,), nan for a side without one: every
+    row checked by one ``validate_stack`` call against ``gibbs``, which
+    raises the first failing row's error, and every column filled here."""
+    errors, (marginal_c, marginal_h) = validate_stack(rho, (levels_c.shape[-1], levels_h.shape[-1]), gibbs)
+    for error in filter(None, errors):
+        raise error
+    rows_c, rows_h = levels_c.tolist(), levels_h.tolist()
+    bohr = {row: bohr_nondegenerate(row) for row in set(map(tuple, rows_c))}
+    return StateStack(
+        rho, rho.diagonal(axis1=1, axis2=2).real.copy(), marginal_c, marginal_h, levels_c, levels_h, beta_c, beta_h,
+        (beta_c < beta_h) | (beta_c > beta_h),  # both set (a nan compares false) and different
+        np.array([c == h for c, h in zip(rows_c, rows_h)], bool), np.array([bohr[tuple(row)] for row in rows_c], bool),
+    )
+
+
 @dataclass(frozen=True)
 class BipartiteSystem:
     """A joint density matrix together with the two local spectra.
 
     Construction validates trace, Hermiticity and positivity, and (when
     the inverse temperatures are given) that both marginals are the
-    corresponding Gibbs states (``validate_stack`` at n = 1).  Instances
-    are immutable; ``rho`` is marked read-only.
+    corresponding Gibbs states, and builds ``stack``, the system as a
+    one-row ``StateStack`` (``state_rows`` at n = 1).  Instances are
+    immutable; ``rho`` is marked read-only.
     """
 
     spectrum_c: EnergySpectrum
@@ -197,27 +211,15 @@ class BipartiteSystem:
 
     def __post_init__(self):
         pairs = ((self.spectrum_c, self.beta_c), (self.spectrum_h, self.beta_h))
-        self._validate(tuple(None if beta is None else thermal_populations(s, beta) for s, beta in pairs))
-
-    @classmethod
-    def _with_gibbs(cls, spectrum_c, spectrum_h, rho, beta_c, beta_h, gibbs) -> "BipartiteSystem":
-        """The system of these fields, checked against the Gibbs populations (C, H) the caller holds."""
-        sys = object.__new__(cls)
-        sys.__dict__.update(spectrum_c=spectrum_c, spectrum_h=spectrum_h, rho=rho, beta_c=beta_c, beta_h=beta_h)
-        sys._validate(gibbs)
-        return sys
-
-    def _validate(self, gibbs) -> None:
+        gibbs = tuple(None if beta is None else thermal_populations(s, beta) for s, beta in pairs)
         rho = np.array(self.rho, dtype=complex)
         d = self.spectrum_c.dim * self.spectrum_h.dim
         if rho.shape != (d, d):
             raise InfeasibleStateError("dimension", f"rho has shape {rho.shape}, expected {(d, d)}")
-        (error,), marginals = validate_stack(rho[None], self.dims, gibbs)
-        if error is not None:
-            raise error
         rho.setflags(write=False)
-        # the real diagonals of the C and H marginals and the Gibbs targets, read by ``stack`` and ``with_rho``
-        self.__dict__.update(rho=rho, _marginal_populations=marginals, _gibbs=gibbs)
+        levels = (np.array([s.levels]) for s, _ in pairs)
+        betas = (np.array([np.nan if beta is None else beta]) for _, beta in pairs)
+        self.__dict__.update(rho=rho, stack=state_rows(*levels, *betas, rho[None], gibbs))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -240,27 +242,9 @@ class BipartiteSystem:
     def populations(self) -> np.ndarray:
         return self.rho.diagonal().real.copy()
 
-    def total_energies(self) -> np.ndarray:
-        ec = np.asarray(self.spectrum_c.levels)
-        eh = np.asarray(self.spectrum_h.levels)
-        return (ec[:, None] + eh[None, :]).reshape(-1)
-
-    @cached_property
-    def stack(self) -> "StateStack":
-        """This system as a one-row ``StateStack``, built on first use from
-        its own arrays and methods."""
-        (b_c, b_h), (marginal_c, marginal_h) = (self.beta_c, self.beta_h), self._marginal_populations
-        return StateStack(
-            self.rho[None], self.populations()[None], marginal_c, marginal_h,
-            np.array([self.spectrum_c.levels]), np.array([self.spectrum_h.levels]),
-            np.array([np.nan if b_c is None else b_c]), np.array([np.nan if b_h is None else b_h]),
-            np.array([b_c is not None and b_h is not None and b_c != b_h]),
-            np.array([self.spectrum_c == self.spectrum_h]), np.array([self.spectrum_c.bohr_nondegenerate()]),
-        )
-
-    def with_rho(self, rho: np.ndarray, keep_betas: bool = True) -> "BipartiteSystem":
-        betas, gibbs = ((self.beta_c, self.beta_h), self._gibbs) if keep_betas else ((None, None), (None, None))
-        return self._with_gibbs(self.spectrum_c, self.spectrum_h, rho, *betas, gibbs)
+    def with_rho(self, rho: np.ndarray) -> "BipartiteSystem":
+        """This system with the state ``rho``, checked against the same inverse temperatures."""
+        return BipartiteSystem(self.spectrum_c, self.spectrum_h, rho, self.beta_c, self.beta_h)
 
 
 class StateStack(NamedTuple):
@@ -268,8 +252,8 @@ class StateStack(NamedTuple):
     stacked kernels read where a single-cell function reads a
     ``BipartiteSystem``.
 
-    Each row is a system's own one-row ``BipartiteSystem.stack``, made from
-    its arrays and methods, so it holds the values the single-cell
+    Every stack is checked and filled by ``state_rows``, so a system's own
+    one-row ``BipartiteSystem.stack`` holds the values the single-cell
     functions read, bit for bit.  Stack one row per distinct state with
     ``of`` (or ``exchange_stack``) and gather per-cell rows with ``take``.
     A stack has one row per cell, or one row that every cell shares and
@@ -306,15 +290,10 @@ class StateStack(NamedTuple):
         return StateStack(*(column[index] for column in self))
 
     def with_rho(self, rho: np.ndarray) -> "StateStack":
-        """These rows with the states of ``rho`` (n, D, D), checked by
-        ``validate_stack`` against the Gibbs populations of each row's levels
-        and inverse temperatures; raises the first row's error."""
+        """These rows with the states of ``rho`` (n, D, D), checked against
+        the Gibbs populations of each row's levels and inverse temperatures."""
         gibbs = gibbs_stack(self.levels_c, self.beta_c), gibbs_stack(self.levels_h, self.beta_h)
-        errors, (marginal_c, marginal_h) = validate_stack(rho, self.dims, gibbs)
-        for error in filter(None, errors):
-            raise error
-        populations = rho.diagonal(axis1=1, axis2=2).real.copy()
-        return self._replace(rho=rho, populations=populations, marginal_c=marginal_c, marginal_h=marginal_h)
+        return state_rows(self.levels_c, self.levels_h, self.beta_c, self.beta_h, rho, gibbs)
 
 
 class ExchangeState(NamedTuple):
@@ -339,19 +318,16 @@ def exchange_system(state: ExchangeState) -> BipartiteSystem:
 def exchange_stack(states) -> StateStack:
     """One ``StateStack`` row per state of ``states``, which share their
     dimension, as ``exchange_system`` builds it, bit for bit: rho filled
-    at once and checked by one ``validate_stack`` call, which raises the
-    first failing row's error."""
-    populations, spectra = np.array([s.populations for s in states]), [s.spectrum for s in states]
-    (n, side), levels = populations.shape, np.array([spec.levels for spec in spectra])
+    at once and checked by one ``state_rows`` call."""
+    populations = np.array([s.populations for s in states])
+    (n, side), levels = populations.shape, np.array([s.spectrum.levels for s in states])
     rho = np.zeros((n, side, side), complex)
     rho[:, range(side), range(side)] = populations
     if entries := [(k, a, b, value) for k, s in enumerate(states) for a, b, value in s.coherences]:
         k, a, b, value = map(np.array, zip(*entries))
         rho[k, a, b], rho[k, b, a] = value, np.conj(value)
     beta_c, beta_h = (np.array(betas, dtype=float) for betas in zip(*((s.beta_c, s.beta_h) for s in states)))
-    bohr = {spec: spec.bohr_nondegenerate() for spec in set(spectra)}
-    flags = beta_c != beta_h, np.ones(n, bool), np.array([bohr[spec] for spec in spectra])
-    return StateStack(None, None, None, None, levels, levels, beta_c, beta_h, *flags).with_rho(rho)
+    return state_rows(levels, levels, beta_c, beta_h, rho, (gibbs_stack(levels, beta_c), gibbs_stack(levels, beta_h)))
 
 
 def _manifold_indices(n: int, m: int, d: int) -> tuple[int, int]:
@@ -438,7 +414,7 @@ def gamma_correlated_state(
     rho = kron(np.diag(pc), np.diag(ph)).astype(complex)
     rho[2, 1] += gamma
     rho[1, 2] += np.conj(gamma)
-    return BipartiteSystem._with_gibbs(spec_c, spec_h, rho, beta_c, beta_h, (pc, ph))
+    return BipartiteSystem(spec_c, spec_h, rho, beta_c, beta_h)
 
 
 @dataclass(frozen=True)

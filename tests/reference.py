@@ -195,9 +195,14 @@ def marginal_check(table, sys, u, against_dephased=None) -> float:
     return float(max(dev_i, dev_f))
 
 
+def hamiltonian(levels) -> np.ndarray:
+    """The local Hamiltonian diag(levels), complex."""
+    return np.diag(np.asarray(levels, dtype=complex))
+
+
 def average_heat(sys, u) -> float:
     u = unwrap(u)
-    h_c = np.kron(sys.spectrum_c.hamiltonian(), np.eye(sys.d_h))
+    h_c = np.kron(hamiltonian(sys.spectrum_c.levels), np.eye(sys.d_h))
     rho_t = u @ sys.rho @ u.conj().T
     return float(np.real(np.trace(sys.rho @ h_c) - np.trace(rho_t @ h_c)))
 

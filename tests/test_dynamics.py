@@ -116,7 +116,7 @@ def test_commutator_norm_positive_for_hadamard():
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     u = kron(h, np.eye(2))
     spec = EnergySpectrum.two_level()
-    h_tot = kron(spec.hamiltonian(), np.eye(2)) + kron(np.eye(2), spec.hamiltonian())
+    h_tot = kron(reference.hamiltonian(spec.levels), np.eye(2)) + kron(np.eye(2), reference.hamiltonian(spec.levels))
     assert commutator_norm(u, h_tot) > 0.1
 
 
@@ -245,10 +245,10 @@ def test_total_hamiltonian_is_the_kron_sum_bit_for_bit():
     cases.append((EnergySpectrum((-0.0, 1.0)), EnergySpectrum((0.0, 1.3))))  # a -0.0 ground level
     for spec_c, spec_h in cases:
         d_c, d_h = spec_c.dim, spec_h.dim
-        kron_sum = kron(spec_c.hamiltonian(), np.eye(d_h)) + kron(np.eye(d_c), spec_h.hamiltonian())
+        kron_sum = kron(reference.hamiltonian(spec_c.levels), np.eye(d_h)) + kron(np.eye(d_c), reference.hamiltonian(spec_h.levels))
         assert _total_hamiltonian(spec_c.levels, spec_h.levels).tobytes() == kron_sum.tobytes()
         if d_c == d_h:
-            same = kron(spec_c.hamiltonian(), np.eye(d_c)) + kron(np.eye(d_c), spec_c.hamiltonian())
+            same = kron(reference.hamiltonian(spec_c.levels), np.eye(d_c)) + kron(np.eye(d_c), reference.hamiltonian(spec_c.levels))
             assert _total_hamiltonian(spec_c.levels).tobytes() == same.tobytes()
     # one H per cell: each equals its own cell's
     specs = [_random_spectrum(rng, 3) for _ in range(4)]

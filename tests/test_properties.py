@@ -24,6 +24,8 @@ from qheatflow.states import (
     StateStack,
     gamma_correlated_state,
     qudit_locally_thermal,
+    thermal_populations,
+    thermal_state,
     validate_stack,
 )
 
@@ -36,6 +38,11 @@ QUBIT = EnergySpectrum.two_level()
 
 def _valid_qubit_state():
     return gamma_correlated_state(0.1 - 0.05j, 1.13, 0.9618)
+
+
+def _gibbs(sys):
+    """The Gibbs populations (C, H) a system's marginals are checked against."""
+    return thermal_populations(sys.spectrum_c, sys.beta_c), thermal_populations(sys.spectrum_h, sys.beta_h)
 
 
 def _bad_rows():
@@ -86,7 +93,7 @@ def test_each_constraint_keeps_its_name():
 
 def test_a_mixed_stack_reports_each_rows_first_failure_as_one_row_does():
     rows = _bad_rows()
-    gibbs = _valid_qubit_state()._gibbs
+    gibbs = _gibbs(_valid_qubit_state())
     rho = np.stack([r[1] for r in rows])
     # per-row targets: the rows without a C temperature skip that check
     for targets in (gibbs, (None, gibbs[1])):
@@ -123,15 +130,15 @@ def _systems():
         properties.random_system_and_unitary(rng, 4)[0],
         qutrit,
         BipartiteSystem(QUBIT, EnergySpectrum.two_level(1.3), np.eye(4) / 4),  # no betas, unequal spectra
-        _valid_qubit_state().with_rho(np.eye(4) / 4, keep_betas=False),
+        BipartiteSystem(QUBIT, QUBIT, np.eye(4) / 4),  # no betas, equal spectra
     ]
 
 
-def test_a_systems_lazy_row_equals_the_eager_one_column_by_column():
+def test_a_systems_row_equals_the_eager_one_column_by_column():
     for sys in _systems():
-        lazy, eager = tuple(sys.stack), reference.eager_state_row(sys)
-        assert len(lazy) == len(eager) == len(StateStack._fields)
-        for name, got, want in zip(StateStack._fields, lazy, eager):
+        row, eager = tuple(sys.stack), reference.eager_state_row(sys)
+        assert len(row) == len(eager) == len(StateStack._fields)
+        for name, got, want in zip(StateStack._fields, row, eager):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
         assert sys.stack.dims == sys.dims
     stacked = StateStack.of(_systems()[:1] * 3)
@@ -141,12 +148,35 @@ def test_a_systems_lazy_row_equals_the_eager_one_column_by_column():
 def test_with_rho_checks_against_the_systems_gibbs_populations():
     sys = _valid_qubit_state()
     diag = sys.with_rho(np.diag(np.diag(sys.rho)))
-    assert diag._gibbs is sys._gibbs and (diag.beta_c, diag.beta_h) == (sys.beta_c, sys.beta_h)
+    assert (diag.spectrum_c, diag.spectrum_h, diag.beta_c, diag.beta_h) == (sys.spectrum_c, sys.spectrum_h, sys.beta_c, sys.beta_h)
+    for got, target in zip((diag.stack.marginal_c[0], diag.stack.marginal_h[0]), _gibbs(sys)):
+        assert np.abs(got - target).max() <= states.THERMAL_TOL
     swapped = np.diag(np.diag(sys.rho)[[0, 2, 1, 3]])
     with pytest.raises(InfeasibleStateError) as err:
         sys.with_rho(swapped)
     assert err.value.constraint == "thermal_marginal_C"
-    assert sys.with_rho(swapped, keep_betas=False).beta_c is None
+    assert BipartiteSystem(sys.spectrum_c, sys.spectrum_h, swapped).beta_c is None
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_beta_on_either_side_is_refused(beta):
+    rho = _valid_qubit_state().rho
+    for betas in ((beta, 0.9618), (1.13, beta), (beta, None), (None, beta)):
+        with pytest.raises(ValueError, match="^beta must be finite$"):
+            BipartiteSystem(QUBIT, QUBIT, rho, *betas)
+
+
+def test_a_system_with_one_beta_checks_only_that_sides_marginal():
+    flat = np.full(2, 0.5)
+    cold_only = np.kron(thermal_state(QUBIT, 1.13), np.diag(flat))  # thermal C marginal, flat H marginal
+    hot_only = np.kron(np.diag(flat), thermal_state(QUBIT, 0.9618))
+    for rho, betas, side in ((cold_only, (1.13, None), "H"), (hot_only, (None, 0.9618), "C")):
+        sys = BipartiteSystem(QUBIT, QUBIT, rho, *betas)
+        assert sys.stack.unequal_betas.tolist() == [False]
+        assert [np.isnan(b) for b in (sys.stack.beta_c[0], sys.stack.beta_h[0])] == [b is None for b in betas]
+        with pytest.raises(InfeasibleStateError) as err:
+            BipartiteSystem(QUBIT, QUBIT, rho, 1.13, 0.9618)  # both set: the flat side fails
+        assert err.value.constraint == f"thermal_marginal_{side}"
 
 
 def test_a_nan_entry_fails_the_kernel_and_the_reference_alike():
@@ -154,7 +184,7 @@ def test_a_nan_entry_fails_the_kernel_and_the_reference_alike():
     for at, constraint in (((0, 0), "trace"), ((1, 2), "hermiticity")):
         rho = good.rho.copy()
         rho[at] = np.nan
-        (error,), _ = validate_stack(rho[None], (2, 2), good._gibbs)
+        (error,), _ = validate_stack(rho[None], (2, 2), _gibbs(good))
         assert error.constraint == constraint
         assert reference.validation_failure(QUBIT, QUBIT, rho, good.beta_c, good.beta_h) == constraint
 
@@ -187,7 +217,7 @@ def test_drawn_stacks_equal_the_scalar_generators_bit_for_bit(d, coherent):
             for name, got, alone, ref in zip(StateStack._fields, st.take(slice(k, k + 1)), one.stack, reference.eager_state_row(sys)):
                 assert got.tobytes() == alone.tobytes() == ref.tobytes(), (seed, k, name)
             for side in (0, 1):
-                assert gibbs[side][k].tobytes() == one._gibbs[side].tobytes() == sys._gibbs[side].tobytes()
+                assert gibbs[side][k].tobytes() == _gibbs(one)[side].tobytes() == _gibbs(sys)[side].tobytes()
             assert (one.spectrum_c, one.beta_c, one.beta_h) == (sys.spectrum_c, sys.beta_c, sys.beta_h)
             assert reference.validation_failure(sys.spectrum_c, sys.spectrum_h, st.rho[k], sys.beta_c, sys.beta_h) is None
 
@@ -242,7 +272,7 @@ def test_average_heat_and_marginal_check_equal_the_scalar_reference_bit_for_bit(
                     got = fluctuations.marginal_check(table, sys, unitary, dephased)
                     assert repr(got) == repr(reference.marginal_check(table, sys, unitary, dephased))
         deph = states.dephase(sys)
-        energies = sys.total_energies()
+        energies = (np.asarray(sys.spectrum_c.levels)[:, None] + np.asarray(sys.spectrum_h.levels)[None, :]).reshape(-1)
         want = np.where(np.abs(energies[:, None] - energies[None, :]) <= states.DEGENERACY_TOL, sys.rho, 0.0)
         assert deph.rho.tobytes() == want.tobytes()
 

@@ -1102,7 +1102,7 @@ def test_perturbed_cell_commutator_uses_the_state_gaps():
         "unitary.J": 220.0, "unitary.Jx": 30.0, "unitary.t": 0.004,
     }
     sys, u, _ = _build_cell("custom", ("gamma", "perturbed-xy"), params)
-    h_c, h_h = sys.spectrum_c.hamiltonian(), sys.spectrum_h.hamiltonian()
+    h_c, h_h = reference.hamiltonian(sys.spectrum_c.levels), reference.hamiltonian(sys.spectrum_h.levels)
     h = np.kron(h_c, np.eye(2)) + np.kron(np.eye(2), h_h)
     explicit = np.linalg.norm(u.matrix[0] @ h - h @ u.matrix[0], 2)
     assert u.commutator_norm[0] == pytest.approx(explicit, rel=1e-12)
@@ -1116,7 +1116,7 @@ def test_t1_does_not_read_a_detuned_cells_cold_gap_norm(unitary, keys):
     # is not this cell's H_C + H_H; T1, the norm's only reader, does not apply
     params = {"state.gamma": 0.0, "state.beta_C": 1.13, "state.beta_H": 0.96, "state.E_H": 1.3, **keys}
     sys, u, extras = _build_cell("custom", ("gamma", unitary), params)
-    h = np.kron(sys.spectrum_c.hamiltonian(), np.eye(2)) + np.kron(np.eye(2), sys.spectrum_h.hamiltonian())
+    h = np.kron(reference.hamiltonian(sys.spectrum_c.levels), np.eye(2)) + np.kron(np.eye(2), reference.hamiltonian(sys.spectrum_h.levels))
     assert u.commutator_norm[0] == 0.0
     assert spectral_norm(u.matrix[0] @ h - h @ u.matrix[0]) > 0.1
     row = _evaluate_one(sys, u, extras)[0]

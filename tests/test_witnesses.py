@@ -566,7 +566,7 @@ def _single_cell_calls(d: int) -> list[tuple[str, tuple]]:
         ("xft_coherence_term", (starved, rotation)),
         ("xft_average", (mh_distribution(flush, rotation), flush)),
         ("xft_average", (tpm, sys)),
-        ("xft_average", (mh, sys.with_rho(sys.rho, keep_betas=False))),
+        ("xft_average", (mh, BipartiteSystem(sys.spectrum_c, sys.spectrum_h, sys.rho))),
         ("heat_exp_correction", (flush, rotation)),
         ("two_qubit_flow_witness", (q, q_tpm, bc, bc)),
         ("nonideal_flow_witness", (q, q_tpm, bc, bc, 1.0, 1.0, 0.0)),
