@@ -136,12 +136,12 @@ def random_rotations(rng, spec: states.EnergySpectrum):
 
 def _state_and_rotations(rng, dim: int):
     state = _draw_state(rng, dim)
-    return state, random_rotations(rng, state.spectrum)
+    return state, random_rotations(rng, state.spectrum_c)
 
 
 def random_system_and_unitary(rng, dim: int):
     state, rots = _state_and_rotations(rng, dim)
-    return states.exchange_system(state), dynamics.energy_preserving_unitary(state.spectrum, rots), rots
+    return states.exchange_system(state), dynamics.energy_preserving_unitary(state.spectrum_c, rots), rots
 
 
 def _random_complex(rng, n: int) -> np.ndarray:
@@ -216,9 +216,9 @@ def _draw(rng, dims):
 
 def _groups(drawn, rotations=None):
     """(trial indices, their ``states.exchange_stack``, their ``_unitaries`` of ``rotations``) per local dimension."""
-    for d in sorted({state.spectrum.dim for state in drawn}):
-        at = np.array([k for k, state in enumerate(drawn) if state.spectrum.dim == d])
-        st = states.exchange_stack([drawn[k] for k in at])
+    for d in sorted({state.spectrum_c.dim for state in drawn}):
+        at = np.array([k for k, state in enumerate(drawn) if state.spectrum_c.dim == d])
+        st = states.valid_stack(states.exchange_stack([drawn[k] for k in at]))
         yield at, st, None if rotations is None else _unitaries(st, [rotations[k] for k in at])
 
 
@@ -242,7 +242,7 @@ def _tables(st, u):
 def _raise_first(diverged, drawn, rotations, check):
     """Run ``check(sys, u)``, the trial-by-trial path, which raises, on the first diverged trial."""
     for k in np.flatnonzero(diverged)[:1]:
-        check(states.exchange_system(drawn[k]), dynamics.energy_preserving_unitary(drawn[k].spectrum, rotations[k]))
+        check(states.exchange_system(drawn[k]), dynamics.energy_preserving_unitary(drawn[k].spectrum_c, rotations[k]))
 
 
 @_trials("associativity + bilinearity")
@@ -644,7 +644,7 @@ def _prop_p00_bounds(rng, n):
                 pass
         drawn.append(states.two_qubit_entries(states.TwoQubitParams(beta_c, beta_h, inside, eta=cap)))
     # each state inside the bounds is valid, and at the boundary eta PSD up to tolerance
-    rho = states.exchange_stack(drawn).rho[1::2]
+    rho = states.valid_stack(states.exchange_stack(drawn)).rho[1::2]
     return _pymax(0.0, -np.linalg.eigvalsh(rho)[:, 0]), failures
 
 

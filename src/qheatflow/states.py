@@ -21,13 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    hermitian_eigenvalues,
-    hermiticity_defects,
-    kron,
-    partial_trace,
-    partial_transpose,
-)
+from .linalg import hermitian_eigenvalues, hermiticity_defects, partial_trace
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -175,21 +169,28 @@ def validate_stack(rho: np.ndarray, dims: tuple[int, int], gibbs=(None, None)):
     return errors, marginals
 
 
-def state_rows(levels_c, levels_h, beta_c, beta_h, rho: np.ndarray, gibbs) -> "StateStack":
-    """The ``StateStack`` of the states rho (n, D, D), with local levels
-    (n, d) and inverse temperatures (n,), nan for a side without one: every
-    row checked by one ``validate_stack`` call against ``gibbs``, which
-    raises the first failing row's error, and every column filled here."""
+def state_rows(levels_c, levels_h, beta_c, beta_h, rho: np.ndarray, gibbs) -> tuple[list, "StateStack"]:
+    """(each row's first failure or None, the ``StateStack``) of the states
+    rho (n, D, D), with local levels (n, d) and inverse temperatures (n,),
+    nan for a side without one: every row checked by one ``validate_stack``
+    call against ``gibbs``, and every column filled here, a failing row's
+    too.  ``valid_stack`` raises the first failure."""
     errors, (marginal_c, marginal_h) = validate_stack(rho, (levels_c.shape[-1], levels_h.shape[-1]), gibbs)
-    for error in filter(None, errors):
-        raise error
     rows_c, rows_h = levels_c.tolist(), levels_h.tolist()
     bohr = {row: bohr_nondegenerate(row) for row in set(map(tuple, rows_c))}
-    return StateStack(
+    return errors, StateStack(
         rho, rho.diagonal(axis1=1, axis2=2).real.copy(), marginal_c, marginal_h, levels_c, levels_h, beta_c, beta_h,
         (beta_c < beta_h) | (beta_c > beta_h),  # both set (a nan compares false) and different
         np.array([c == h for c, h in zip(rows_c, rows_h)], bool), np.array([bohr[tuple(row)] for row in rows_c], bool),
     )
+
+
+def valid_stack(rows) -> "StateStack":
+    """The stack of ``state_rows``' ``(errors, stack)``; the first error is raised."""
+    errors, stack = rows
+    for error in filter(None, errors):
+        raise error
+    return stack
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ class BipartiteSystem:
         rho.setflags(write=False)
         levels = (np.array([s.levels]) for s, _ in pairs)
         betas = (np.array([np.nan if beta is None else beta]) for _, beta in pairs)
-        self.__dict__.update(rho=rho, stack=state_rows(*levels, *betas, rho[None], gibbs))
+        self.__dict__.update(rho=rho, stack=valid_stack(state_rows(*levels, *betas, rho[None], gibbs)))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -255,9 +256,9 @@ class StateStack(NamedTuple):
     Every stack is checked and filled by ``state_rows``, so a system's own
     one-row ``BipartiteSystem.stack`` holds the values the single-cell
     functions read, bit for bit.  Stack one row per distinct state with
-    ``of`` (or ``exchange_stack``) and gather per-cell rows with ``take``.
-    A stack has one row per cell, or one row that every cell shares and
-    that broadcasts against the cells' arrays.
+    ``exchange_stack`` and gather per-cell rows with ``take``.  A stack has
+    one row per cell, or one row that every cell shares and that
+    broadcasts against the cells' arrays.
     """
 
     rho: np.ndarray  # (n, D, D)
@@ -271,12 +272,6 @@ class StateStack(NamedTuple):
     unequal_betas: np.ndarray  # (n,) bool: both betas set and different
     equal_spectra: np.ndarray  # (n,) bool
     bohr_nondegenerate: np.ndarray  # (n,) bool, of the C spectrum
-
-    @classmethod
-    def of(cls, systems) -> "StateStack":
-        """One row per system, each system's ``stack``; the systems share
-        their dimensions."""
-        return cls(*map(np.concatenate, zip(*(s.stack for s in systems))))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -293,14 +288,17 @@ class StateStack(NamedTuple):
         """These rows with the states of ``rho`` (n, D, D), checked against
         the Gibbs populations of each row's levels and inverse temperatures."""
         gibbs = gibbs_stack(self.levels_c, self.beta_c), gibbs_stack(self.levels_h, self.beta_h)
-        return state_rows(self.levels_c, self.levels_h, self.beta_c, self.beta_h, rho, gibbs)
+        return valid_stack(state_rows(self.levels_c, self.levels_h, self.beta_c, self.beta_h, rho, gibbs))
 
 
 class ExchangeState(NamedTuple):
-    """A state by its nonzero entries: rho's diagonal ``populations`` (D,) and
-    rho[a, b] = value = conj(rho[b, a]) of each (a, b, value) of ``coherences``."""
+    """A state by its nonzero entries, as each constructor builds it after its
+    parameter checks: rho's diagonal ``populations`` (D,) and rho[a, b] =
+    value = conj(rho[b, a]) of each (a, b, value) of ``coherences``.  A sweep
+    checks its states' entries as one ``exchange_stack``, a point as one ``exchange_system``."""
 
-    spectrum: EnergySpectrum
+    spectrum_c: EnergySpectrum
+    spectrum_h: EnergySpectrum
     beta_c: float
     beta_h: float
     populations: np.ndarray
@@ -308,26 +306,28 @@ class ExchangeState(NamedTuple):
 
 
 def exchange_system(state: ExchangeState) -> BipartiteSystem:
-    """The ``BipartiteSystem`` of ``state`` (its ``spectrum`` on both sides)."""
+    """The ``BipartiteSystem`` of ``state``."""
     rho = np.diag(state.populations.astype(complex))
     for a, b, value in state.coherences:
         rho[a, b], rho[b, a] = value, np.conj(value)
-    return BipartiteSystem(state.spectrum, state.spectrum, rho, state.beta_c, state.beta_h)
+    return BipartiteSystem(state.spectrum_c, state.spectrum_h, rho, state.beta_c, state.beta_h)
 
 
-def exchange_stack(states) -> StateStack:
-    """One ``StateStack`` row per state of ``states``, which share their
-    dimension, as ``exchange_system`` builds it, bit for bit: rho filled
-    at once and checked by one ``state_rows`` call."""
+def exchange_stack(states) -> tuple[list, StateStack]:
+    """(each state's first failure or None, the ``StateStack`` with one row
+    per state) of ``states``, which share their dimensions: each row as
+    ``exchange_system`` builds it, bit for bit, rho filled at once and
+    checked by one ``state_rows`` call, which raises nothing."""
     populations = np.array([s.populations for s in states])
-    (n, side), levels = populations.shape, np.array([s.spectrum.levels for s in states])
+    n, side = populations.shape
     rho = np.zeros((n, side, side), complex)
     rho[:, range(side), range(side)] = populations
     if entries := [(k, a, b, value) for k, s in enumerate(states) for a, b, value in s.coherences]:
         k, a, b, value = map(np.array, zip(*entries))
         rho[k, a, b], rho[k, b, a] = value, np.conj(value)
-    beta_c, beta_h = (np.array(betas, dtype=float) for betas in zip(*((s.beta_c, s.beta_h) for s in states)))
-    return state_rows(levels, levels, beta_c, beta_h, rho, (gibbs_stack(levels, beta_c), gibbs_stack(levels, beta_h)))
+    columns = zip(*((s.spectrum_c.levels, s.spectrum_h.levels, s.beta_c, s.beta_h) for s in states))
+    levels_c, levels_h, beta_c, beta_h = (np.array(column, dtype=float) for column in columns)
+    return state_rows(levels_c, levels_h, beta_c, beta_h, rho, (gibbs_stack(levels_c, beta_c), gibbs_stack(levels_h, beta_h)))
 
 
 def _manifold_indices(n: int, m: int, d: int) -> tuple[int, int]:
@@ -394,7 +394,8 @@ def two_qubit_entries(params: TwoQubitParams) -> ExchangeState:
     p00 = params.p00
     diag = np.array([p00, 1.0 / z_c - p00, 1.0 / z_h - p00, 1.0 - 1.0 / z_c - 1.0 / z_h + p00])
     coherence = params.eta * np.exp(1j * params.xi)
-    return ExchangeState(EnergySpectrum.two_level(params.gap), params.beta_c, params.beta_h, diag, [(1, 2, coherence)])
+    spectrum = EnergySpectrum.two_level(params.gap)
+    return ExchangeState(spectrum, spectrum, params.beta_c, params.beta_h, diag, [(1, 2, coherence)])
 
 
 def gamma_correlated_state(
@@ -407,14 +408,16 @@ def gamma_correlated_state(
     rho[2, 1] = gamma and rho[1, 2] = conj(gamma).  Marginals are thermal
     for any admissible gamma.  ``gap_h`` detunes the H qubit.
     """
+    return exchange_system(gamma_entries(gamma, beta_c, beta_h, gap, gap_h))
+
+
+def gamma_entries(gamma, beta_c, beta_h, gap=1.0, gap_h=None) -> ExchangeState:
+    """The state of ``gamma_correlated_state``; it has no parameter checks."""
     spec_c = EnergySpectrum.two_level(gap)
     spec_h = EnergySpectrum.two_level(gap if gap_h is None else gap_h)
-    pc = thermal_populations(spec_c, beta_c)
-    ph = thermal_populations(spec_h, beta_h)
-    rho = kron(np.diag(pc), np.diag(ph)).astype(complex)
-    rho[2, 1] += gamma
-    rho[1, 2] += np.conj(gamma)
-    return BipartiteSystem(spec_c, spec_h, rho, beta_c, beta_h)
+    populations = np.outer(thermal_populations(spec_c, beta_c), thermal_populations(spec_h, beta_h)).reshape(-1)
+    # + 0.0: a gamma of -0.0 is stored as 0.0, the product state's zero plus gamma
+    return ExchangeState(spec_c, spec_h, beta_c, beta_h, populations, [(2, 1, gamma + 0.0)])
 
 
 @dataclass(frozen=True)
@@ -450,13 +453,18 @@ def two_qutrit_state(params: QutritStateParams) -> BipartiteSystem:
     """Two-qutrit state: the closed-form solve of ``qudit_locally_thermal``
     at d = 3, five equations with the nonnegativity checks in the order
     (6, 3, 4, 1, 2, 0, 5, 7, 8)."""
+    return exchange_system(two_qutrit_entries(params))
+
+
+def two_qutrit_entries(params: QutritStateParams) -> ExchangeState:
+    """The state of ``two_qutrit_state(params)``, after its parameter checks."""
     spec = params.spectrum()
     gibbs = thermal_populations(spec, params.beta_c), thermal_populations(spec, params.beta_h)
     free = {0: params.rho_0, 5: params.rho_5, 7: params.rho_7, 8: params.rho_8}
     coherences = [
         ((0, 1), params.eta_13, params.xi_13), ((0, 2), params.eta_26, params.xi_26), ((1, 2), params.eta_57, params.xi_57)
     ]
-    return exchange_system(locally_thermal_entries(spec, params.beta_c, params.beta_h, gibbs, free, coherences))
+    return locally_thermal_entries(spec, params.beta_c, params.beta_h, gibbs, free, coherences)
 
 
 def locally_thermal_entries(spectrum, beta_c, beta_h, gibbs, free, coherences) -> ExchangeState:
@@ -500,7 +508,7 @@ def locally_thermal_entries(spectrum, beta_c, beta_h, gibbs, free, coherences) -
             raise InfeasibleStateError(f"eta_{n}{m}", f"eta for manifold ({n},{m}) must lie in [0, 1]")
         a, b = _manifold_indices(n, m, d)
         entries.append((a, b, eta * np.exp(1j * xi) * np.sqrt(max(p[a], 0.0) * max(p[b], 0.0))))
-    return ExchangeState(spectrum, beta_c, beta_h, np.maximum(np.array(p), 0.0), entries)
+    return ExchangeState(spectrum, spectrum, beta_c, beta_h, np.maximum(np.array(p), 0.0), entries)
 
 
 def qudit_locally_thermal(
@@ -557,11 +565,13 @@ def dephased_rho(rho: np.ndarray, levels_c, levels_h) -> np.ndarray:
     return np.where(np.abs(e[..., :, None] - e[..., None, :]) <= DEGENERACY_TOL, rho, 0.0)
 
 
-def min_partial_transpose_eigenvalue(sys: BipartiteSystem) -> float:
-    """Smallest eigenvalue of rho^(T_H).
+def min_partial_transpose_eigenvalue(sys):
+    """Smallest eigenvalue of rho^(T_H) of a ``BipartiteSystem``, or of each
+    row of a ``StateStack`` (an (n,) array), by one stacked eigvalsh.
 
     A nonnegative value certifies separability only for 2x2 and 2x3
     systems (positive partial transpose is conclusive there).
     """
-    pt = partial_transpose(sys.rho, sys.dims, "H")
-    return float(hermitian_eigenvalues(pt)[0])
+    (d_c, d_h), side = sys.dims, sys.rho.shape[-1]
+    low = hermitian_eigenvalues(sys.rho.reshape(-1, d_c, d_h, d_c, d_h).swapaxes(2, 4).reshape(-1, side, side))[:, 0]
+    return low if sys.rho.ndim == 3 else float(low[0])

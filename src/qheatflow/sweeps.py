@@ -2,12 +2,15 @@
 
 A sweep is a scenario name, fixed parameters, one or two axes and a list
 of output columns.  ``run_sweep`` carries the params as columns (a scalar
-per fixed key, a per-cell array per axis key), builds and validates each
-distinct state once, solves each distinct J_x once, and evaluates all
-feasible cells as (n, D, D) stacks in byte-bounded chunks, each cell with
-its own state's data (``StateStack``).  There is one unitary builder and
-one evaluator: ``evaluate_cell`` and ``analyze_point`` run them at n = 1
-and ask for every column, while a sweep runs only the kernel groups
+per fixed key, a per-cell array per axis key), builds the entries of each
+distinct state once and checks them all as one stack, solves each
+distinct J_x once, and evaluates all feasible cells as (n, D, D) stacks
+in byte-bounded chunks, each cell with its own state's data
+(``StateStack``).  There is one state builder (``_build_state``, whose
+entries a sweep checks as one stack and ``_build_cell`` as one
+``exchange_system``), one unitary builder and one evaluator:
+``evaluate_cell`` and ``analyze_point`` run them at n = 1 and ask for
+every column, while a sweep runs only the kernel groups
 (``COLUMN_GROUPS``) that its requested outputs read; both tables, with
 their checks, are built for every cell.  A ``SweepResult`` holds the CSV's
 columns (the axes, the requested outputs, ``status``) as per-cell arrays,
@@ -79,14 +82,17 @@ from .fluctuations import (
 from .probe import probe_statistics, reconstruct_quasiprobability, sampled_reconstruction
 from .states import (
     BipartiteSystem,
+    ExchangeState,
     InfeasibleStateError,
     QutritStateParams,
     StateStack,
     TwoQubitParams,
-    gamma_correlated_state,
+    exchange_stack,
+    exchange_system,
+    gamma_entries,
     min_partial_transpose_eigenvalue,
-    two_qubit_state,
-    two_qutrit_state,
+    two_qubit_entries,
+    two_qutrit_entries,
 )
 from .witnesses import (
     correlation_flow_stack,
@@ -555,61 +561,37 @@ class _KindParams(dict):
         raise ConfigError(f"{key} is not set; the {self.kind} needs it")
 
 
-def _build_state(kind: str, params: dict) -> BipartiteSystem:
-    """The state of one kind; unset optional keys take the defaults below."""
+def _build_state(kind: str, params: dict) -> ExchangeState:
+    """The entries of the state of one kind, after its parameter checks;
+    unset optional keys take the defaults below."""
     params = _KindParams(f"{kind} state", params)
     if kind == "gamma":
-        return gamma_correlated_state(
-            params["state.gamma"], params["state.beta_C"], params["state.beta_H"],
-            gap=params.get("state.E", 1.0), gap_h=params.get("state.E_H"),
-        )
-    eta = params.get("state.eta", 0.0)
-    xi = params.get("state.xi", 0.0)
+        keys = ("state.gamma", "state.beta_C", "state.beta_H")
+        return gamma_entries(*(params[key] for key in keys), params.get("state.E", 1.0), params.get("state.E_H"))
+    betas = params["state.beta_C"], params["state.beta_H"]
+    eta, xi = params.get("state.eta", 0.0), params.get("state.xi", 0.0)
     if kind == "two-qubit":
-        return two_qubit_state(
-            TwoQubitParams(
-                beta_c=params["state.beta_C"],
-                beta_h=params["state.beta_H"],
-                p00=params["state.P00"],
-                eta=eta,
-                xi=xi,
-                gap=params.get("state.E", 1.0),
-            )
-        )
-    return two_qutrit_state(
-        QutritStateParams(
-            beta_c=params["state.beta_C"],
-            beta_h=params["state.beta_H"],
-            e1=params.get("state.E1", 1.0),
-            e2=params.get("state.E2", 1.15),
-            rho_0=params["state.rho_0"],
-            rho_5=params["state.rho_5"],
-            rho_7=params["state.rho_7"],
-            rho_8=params["state.rho_8"],
-            eta_13=params.get("state.eta_13", eta),
-            eta_26=params.get("state.eta_26", eta),
-            eta_57=params.get("state.eta_57", eta),
-            xi_13=params.get("state.xi_13", xi),
-            xi_26=params.get("state.xi_26", xi),
-            xi_57=params.get("state.xi_57", xi),
-        )
-    )
+        return two_qubit_entries(TwoQubitParams(*betas, params["state.P00"], eta, xi, params.get("state.E", 1.0)))
+    levels = params.get("state.E1", 1.0), params.get("state.E2", 1.15)
+    manifolds = ("13", "26", "57")
+    return two_qutrit_entries(QutritStateParams(
+        *betas, *levels, *(params[f"state.rho_{k}"] for k in (0, 5, 7, 8)),
+        *(params.get(f"state.eta_{m}", eta) for m in manifolds), *(params.get(f"state.xi_{m}", xi) for m in manifolds),
+    ))
 
 
 def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
-    """Construct (system, unitary stack, cell_extras) for one grid point.
-
-    The sweep's path on all-scalar params: the unitary is the one-cell
-    stack of ``_build_unitary_stack``.
-    """
+    """Construct (system, unitary stack, cell_extras) for one grid point:
+    the sweep's state entries, checked at n = 1 by ``exchange_system``, and
+    its unitary builder on one cell."""
     row = SCENARIOS[scenario]
     state, unitary = kinds
     params = dict(params)
     _derive(row, params, "state.")
-    sys = _build_state(state, params)
+    sys = exchange_system(_build_state(state, params))
     # after the state: infeasible cells skip the J_x solve
     _derive(row, params, "unitary.")
-    u, extras = _build_unitary_stack(unitary, params, 1, [sys.spectrum_c.levels], [sys.spectrum_h.levels])
+    u, extras = _build_unitary_stack(unitary, params, 1, sys.stack.levels_c, sys.stack.levels_h)
     extras = {column: values.tolist()[0] for column, values in extras.items()}
     extras.update((column, params[key]) for column, key in row.columns.items())
     return sys, u, extras
@@ -757,7 +739,7 @@ def _evaluate_one(sys: BipartiteSystem, u: UnitaryStack, extras: dict):
     """``_evaluate_stack`` on a one-cell stack, every column: (row, MH
     values, TPM values) of one cell."""
     cells = {name: np.array([value]) for name, value in extras.items()}
-    cells["min_pt_eig"] = np.array([min_partial_transpose_eigenvalue(sys)])
+    cells["min_pt_eig"] = min_partial_transpose_eigenvalue(sys.stack)
     columns, mh, tpm = _evaluate_stack(sys.stack, u, cells, (*extras, *CELL_OUTPUTS))
     row = {name: values.tolist()[0] for name, (values, has) in columns.items() if has is None or has[0]}
     return row, mh[0], tpm[0]
@@ -795,16 +777,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     The params are columns: a scalar per fixed key, a per-cell array per
     axis key (in ``itertools.product`` order).  Cells are grouped by the
-    value bits of their varying state keys; each distinct state is built
-    and validated once, and an infeasible one marks its cells
-    ``infeasible:<constraint>`` and skips their J_x solves.  The feasible
-    cells' unitary keys are then derived together (one J_x solve per
-    sweep), and the feasible cells, whatever their state, are evaluated in
-    grid order as chunks of at most STACK_BYTES per (n, D, D) stack.  A
-    chunk gathers each cell's state data (``StateStack.take``) by the
-    cell's state index, and per-state results (``min_pt_eig``) are
-    computed once per distinct state.  Only the requested outputs are
-    computed.
+    value bits of their varying state keys.  Each distinct state's entries
+    are built once, in group order, by ``_build_state``, whose parameter
+    checks (``p00_*``, ``eta_cap``, ``population_*``, ``eta_*``) mark a
+    state there; the states that pass are then checked and filled as one
+    stack by one ``exchange_stack`` call, which reports each row's first
+    failure (``trace``, ``hermiticity``, ``psd``, ``thermal_marginal_*``).
+    An infeasible state marks its cells ``infeasible:<constraint>`` and
+    skips their J_x solves.  The feasible cells' unitary keys are then
+    derived together (one J_x solve per sweep), and the feasible cells,
+    whatever their state, are evaluated in grid order as chunks of at most
+    STACK_BYTES per (n, D, D) stack.  A chunk gathers each cell's state
+    data (``StateStack.take``) by the cell's state index, and per-state
+    results (``min_pt_eig``) are computed once, over the stack of the
+    feasible states.  Only the requested outputs are computed.
     """
     scenario = SCENARIOS[spec.scenario]
     params_base = {**scenario.defaults, **spec.fixed}
@@ -817,12 +803,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     varying = [key for key in STATE_KEYS[state] if isinstance(params.get(key), np.ndarray)]
     first, group = _distinct([params[key] for key in varying], n)
     group_status = np.full(len(first), "ok", dtype=object)
-    systems = []  # the feasible distinct states, in group order
+    built = {}  # group -> the entries of its state, for the states that pass their parameter checks
     for g, k in enumerate(first.tolist()):
         try:
-            systems.append(_build_state(state, {**params, **{key: params[key][k].item() for key in varying}}))
+            built[g] = _build_state(state, {**params, **{key: params[key][k].item() for key in varying}})
         except InfeasibleStateError as exc:
             group_status[g] = f"infeasible:{exc.constraint}"
+    errors, states = exchange_stack(list(built.values())) if built else ([], None)  # one check, nothing raised
+    for g, error in zip(built, errors):
+        group_status[g] = f"infeasible:{error.constraint}" if error else "ok"
     feasible = group_status == "ok"
     status = group_status[group]
     ok = np.flatnonzero(feasible[group])
@@ -830,11 +819,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if ok.size:
         cells = _take(params, ok)
         _derive(scenario, cells, "unitary.")
-        state_of = (np.cumsum(feasible) - 1)[group[ok]]  # each feasible cell's index into ``systems``
-        states = StateStack.of(systems)
+        states = states.take(np.flatnonzero(feasible[list(built)]))  # the feasible states, in group order
+        state_of = (np.cumsum(feasible) - 1)[group[ok]]  # each feasible cell's row of ``states``
         per_state = {}
         if "min_pt_eig" in spec.outputs:
-            per_state["min_pt_eig"] = np.array([min_partial_transpose_eigenvalue(s) for s in systems])
+            per_state["min_pt_eig"] = min_partial_transpose_eigenvalue(states)
         size = _chunk_cells(states.rho.shape[-1])
         for start in range(0, ok.size, size):
             at = slice(start, start + size)  # positions in ``cells``

@@ -6,11 +6,15 @@ computes each of those quantities once, as a kernel over stacks of cells
 (``dynamics.*_stack``, ``linalg.matrix_exp_stack``,
 ``fluctuations.*_stack``, ``witnesses.*_stack``), and its single-cell
 names run that kernel on one cell; these are the scalar bodies they
-replaced.  ``qheatflow.sweeps`` has one unitary builder and one
-evaluator, both on (n, D, D) stacks; a sweep runs them
-on chunks of cells, and ``_build_cell``, ``evaluate_cell`` and
-``analyze_point`` run them at n = 1.  Every value they produce equals
-this reference's bit for bit.
+replaced.  ``qheatflow.sweeps`` has one state builder, one unitary
+builder and one evaluator, all on (n, D, D) stacks; a sweep checks its
+distinct states as one stack and runs the others on chunks of cells,
+and ``_build_cell``, ``evaluate_cell`` and ``analyze_point`` run them at
+n = 1.  Every value they produce equals this reference's bit for bit.
+The reference builds each cell's state alone (``build_state``) with the
+public scalar constructors, each checked by its own ``BipartiteSystem``,
+and the gamma state as the product of Gibbs matrices plus gamma, the
+body that ``states.gamma_correlated_state`` had before its entries.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from qheatflow.sweeps import (
     NEGATIVITY_THRESHOLD,
     QUTRIT_ANGLES,
     SCENARIOS,
-    _build_state,
     _derive,
     _KindParams,
 )
@@ -458,6 +461,59 @@ def build_unitary(kind: str, params: dict, sys: BipartiteSystem):
     return energy_preserving_unitary(sys.spectrum_c, rots), {}
 
 
+def build_state(kind: str, params: dict) -> BipartiteSystem:
+    """The state of one kind, built and checked alone by its public scalar
+    constructor; unset optional keys take the defaults of ``sweeps._build_state``."""
+    params = _KindParams(f"{kind} state", params)
+    if kind == "gamma":
+        return gamma_correlated_state(
+            params["state.gamma"], params["state.beta_C"], params["state.beta_H"],
+            gap=params.get("state.E", 1.0), gap_h=params.get("state.E_H"),
+        )
+    eta = params.get("state.eta", 0.0)
+    xi = params.get("state.xi", 0.0)
+    if kind == "two-qubit":
+        return states.two_qubit_state(
+            states.TwoQubitParams(
+                beta_c=params["state.beta_C"],
+                beta_h=params["state.beta_H"],
+                p00=params["state.P00"],
+                eta=eta,
+                xi=xi,
+                gap=params.get("state.E", 1.0),
+            )
+        )
+    return states.two_qutrit_state(
+        states.QutritStateParams(
+            beta_c=params["state.beta_C"],
+            beta_h=params["state.beta_H"],
+            e1=params.get("state.E1", 1.0),
+            e2=params.get("state.E2", 1.15),
+            rho_0=params["state.rho_0"],
+            rho_5=params["state.rho_5"],
+            rho_7=params["state.rho_7"],
+            rho_8=params["state.rho_8"],
+            eta_13=params.get("state.eta_13", eta),
+            eta_26=params.get("state.eta_26", eta),
+            eta_57=params.get("state.eta_57", eta),
+            xi_13=params.get("state.xi_13", xi),
+            xi_26=params.get("state.xi_26", xi),
+            xi_57=params.get("state.xi_57", xi),
+        )
+    )
+
+
+def gamma_correlated_state(gamma, beta_c, beta_h, gap=1.0, gap_h=None) -> BipartiteSystem:
+    """The gamma state as a product of Gibbs matrices with gamma added to
+    its two exchange entries, in place of its entries' fill."""
+    spec_c = EnergySpectrum.two_level(gap)
+    spec_h = EnergySpectrum.two_level(gap if gap_h is None else gap_h)
+    rho = qlinalg.kron(np.diag(thermal_populations(spec_c, beta_c)), np.diag(thermal_populations(spec_h, beta_h)))
+    rho[2, 1] += gamma
+    rho[1, 2] += np.conj(gamma)
+    return BipartiteSystem(spec_c, spec_h, rho, beta_c, beta_h)
+
+
 def build_cell(scenario: str, kinds: tuple[str, str], params: dict):
     """(system, unitary report, cell extras) of one grid point; J_x is
     solved for this cell alone, by the scalar call."""
@@ -465,7 +521,7 @@ def build_cell(scenario: str, kinds: tuple[str, str], params: dict):
     state, unitary = kinds
     params = dict(params)
     _derive(row, params, "state.")
-    sys = _build_state(state, params)
+    sys = build_state(state, params)
     _derive(row, params, "unitary.")
     u, extras = build_unitary(unitary, params, sys)
     extras.update((column, params[key]) for column, key in row.columns.items())

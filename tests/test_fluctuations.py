@@ -43,6 +43,7 @@ from qheatflow.fluctuations import (
 )
 from qheatflow.probe import probe_statistics, reconstruct_quasiprobability, sampled_reconstruction
 from qheatflow.properties import (
+    _state_and_rotations,
     random_rotations,
     random_system_and_unitary,
     random_two_qubit_system,
@@ -50,11 +51,14 @@ from qheatflow.properties import (
 )
 from qheatflow.states import (
     EnergySpectrum,
-    StateStack,
     TwoQubitParams,
     dephase,
+    exchange_stack,
+    exchange_system,
     gamma_correlated_state,
+    gamma_entries,
     two_qubit_state,
+    valid_stack,
 )
 from qheatflow.sweeps import probe_row_csv
 
@@ -578,7 +582,8 @@ def test_j_term_divergence_for_vanishing_marginal():
 def test_stacks_equal_single_cell_functions_bit_for_bit(d):
     # three states with their own spectra, cells of each interleaved in one stack
     rng = np.random.default_rng(40 + d)
-    systems = [random_system_and_unitary(rng, d)[0] for _ in range(3)]
+    drawn = [_state_and_rotations(rng, d)[0] for _ in range(3)]  # the states of random_system_and_unitary
+    systems = [exchange_system(state) for state in drawn]
     state_of = np.array([0, 1, 2, 0, 0, 2, 1])
     draws = [random_rotations(rng, systems[i].spectrum_c) for i in state_of]
     fields = ("theta", "phi", "lam", "kappa")
@@ -586,7 +591,7 @@ def test_stacks_equal_single_cell_functions_bit_for_bit(d):
         rot.level_pair: tuple(np.array([getattr(rots[i], f) for rots in draws]) for f in fields)
         for i, rot in enumerate(draws[0])
     }
-    states = StateStack.of(systems).take(state_of)
+    states = valid_stack(exchange_stack(drawn)).take(state_of)
     stack = exchange_unitary_stack(states.levels_c, len(draws), angles.items())
     u = stack.matrix
     levels = (states.levels_c, states.levels_h)
@@ -620,9 +625,9 @@ def test_stacks_equal_single_cell_functions_bit_for_bit(d):
 
 def test_stacks_mark_the_cells_where_the_single_cell_function_diverges():
     # a state whose hot marginal is flush to (1, 0) beside a regular one
-    flush = gamma_correlated_state(0.0, 800.0, 700.0)
-    regular = gamma_correlated_state(-0.1, 1.13, 0.9618)
-    states = StateStack.of([regular, flush]).take(np.array([0, 1, 0]))
+    entries = [gamma_entries(-0.1, 1.13, 0.9618), gamma_entries(0.0, 800.0, 700.0)]
+    regular, flush = map(exchange_system, entries)
+    states = valid_stack(exchange_stack(entries)).take(np.array([0, 1, 0]))
     stack = exchange_unitary_stack(states.levels_c, 3, [((0, 1), (np.array([0.4, 0.4, 0.9]), *np.zeros((3, 3))))])
     j, divergent = heat_exp_j_stack(states, stack.matrix, stack.adjoint)
     assert divergent.tolist() == [False, True, False]

@@ -141,8 +141,11 @@ def test_a_systems_row_equals_the_eager_one_column_by_column():
         for name, got, want in zip(StateStack._fields, row, eager):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
         assert sys.stack.dims == sys.dims
-    stacked = StateStack.of(_systems()[:1] * 3)
-    assert all(len(column) == 3 for column in stacked)
+    state = properties._state_and_rotations(np.random.default_rng(5), 2)[0]  # the state of _systems()[0]
+    errors, stacked = states.exchange_stack([state] * 3)
+    assert errors == [None] * 3
+    for name, got, want in zip(StateStack._fields, stacked, _systems()[0].stack):
+        assert got.tobytes() == np.concatenate([want] * 3).tobytes(), name
 
 
 def test_with_rho_checks_against_the_systems_gibbs_populations():
@@ -210,7 +213,8 @@ def test_drawn_stacks_equal_the_scalar_generators_bit_for_bit(d, coherent):
         drawn = [_drawn(rng, d, coherent) for _ in range(n)]
         want = [reference.random_system(ref_rng, d, coherent) for _ in range(n)]
         assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same attempts accepted
-        st = states.exchange_stack(drawn)
+        errors, st = states.exchange_stack(drawn)
+        assert errors == [None] * n
         gibbs = states.gibbs_stack(st.levels_c, st.beta_c), states.gibbs_stack(st.levels_h, st.beta_h)
         for k, (state, sys) in enumerate(zip(drawn, want)):
             one = states.exchange_system(state)
@@ -229,8 +233,11 @@ def test_a_failing_row_raises_its_first_failed_check_and_is_never_skipped():
     a, b, value = drawn[9].coherences[0]
     loose = drawn[9]._replace(coherences=[(a, b, value / abs(value)), *drawn[9].coherences[1:]])  # |rho_ab| = 1: psd
     for rows, constraint in (([*drawn[:5], swollen, *drawn[6:9], loose, *drawn[10:]], "trace"), ([*drawn[:9], loose, *drawn[10:]], "psd")):
+        errors, _ = states.exchange_stack(rows)  # each row's first failure, none raised
+        failed = {5: "trace", 9: "psd"} if constraint == "trace" else {9: "psd"}
+        assert [error and error.constraint for error in errors] == [failed.get(k) for k in range(12)]
         with pytest.raises(InfeasibleStateError) as err:
-            states.exchange_stack(rows)
+            states.valid_stack(states.exchange_stack(rows))
         assert err.value.constraint == constraint
         bad = rows[5] if constraint == "trace" else rows[9]
         with pytest.raises(InfeasibleStateError) as alone:
@@ -239,7 +246,7 @@ def test_a_failing_row_raises_its_first_failed_check_and_is_never_skipped():
         rho = np.diag(bad.populations.astype(complex))
         for i, j, v in bad.coherences:
             rho[i, j], rho[j, i] = v, np.conj(v)
-        assert reference.validation_failure(bad.spectrum, bad.spectrum, rho, bad.beta_c, bad.beta_h) == constraint
+        assert reference.validation_failure(bad.spectrum_c, bad.spectrum_h, rho, bad.beta_c, bad.beta_h) == constraint
 
 
 # ---------------------------------------------------------------------------

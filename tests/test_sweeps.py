@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from qheatflow.linalg import SIGMA_X, SIGMA_Y, matrix_exp, spectral_norm
 from qheatflow.states import (
     EnergySpectrum,
     InfeasibleStateError,
+    StateStack,
     min_partial_transpose_eigenvalue,
     qudit_locally_thermal,
     thermal_populations,
@@ -500,22 +502,42 @@ def _count_calls(monkeypatch, *names) -> dict[str, int]:
     return counts
 
 
+def _count_validations(monkeypatch) -> list[int]:
+    """The rows of each ``states.validate_stack`` call, the one check of every state."""
+    rows, validate = [], qh.states.validate_stack
+
+    def counting(rho, *args):
+        rows.append(len(rho))
+        return validate(rho, *args)
+
+    monkeypatch.setattr(qh.states, "validate_stack", counting)
+    return rows
+
+
 def test_a_sweep_evaluates_chunks_that_span_states(monkeypatch):
-    counts = _count_calls(monkeypatch, "_build_unitary_stack", "_evaluate_stack", "_build_state")
+    counts = _count_calls(monkeypatch, "_build_unitary_stack", "_evaluate_stack", "_build_state", "exchange_stack")
+    validations = _count_validations(monkeypatch)
     nonideal = run_sweep(SweepSpec.from_config(load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg"))))
     assert sum(r["status"] == "ok" for r in nonideal.rows) == 160
-    assert counts == {"_build_unitary_stack": 1, "_evaluate_stack": 1, "_build_state": 13}
+    assert counts == {"_build_unitary_stack": 1, "_evaluate_stack": 1, "_build_state": 13, "exchange_stack": 1}
+    assert validations == [13]  # every state in one stack, the psd failures among them
     counts.update(dict.fromkeys(counts, 0))
+    validations.clear()
     run_sweep(SweepSpec.from_config(load_config(str(CONFIG_DIR / "qubit_grid.cfg"))))  # 41 states of 61 cells
-    assert counts == {"_build_unitary_stack": 4, "_evaluate_stack": 4, "_build_state": 41}
+    assert counts == {"_build_unitary_stack": 4, "_evaluate_stack": 4, "_build_state": 41, "exchange_stack": 1}
+    assert validations == [41]
 
 
 def test_per_state_kernels_run_once_per_distinct_feasible_state(monkeypatch):
-    counts = _count_calls(monkeypatch, "min_partial_transpose_eigenvalue", "_build_state")
+    counts = _count_calls(monkeypatch, "_build_state", "exchange_stack")
+    validations = _count_validations(monkeypatch)
+    stacked, kernel = [], sweeps.min_partial_transpose_eigenvalue
+    monkeypatch.setattr(sweeps, "min_partial_transpose_eigenvalue", lambda st: stacked.append(len(st.rho)) or kernel(st))
     rows = run_sweep(_spec(ETA_CFG + "outputs = Q,min_pt_eig,t1_violated\n")).rows
     feasible = {r["eta"] for r in rows if r["status"] == "ok"}
     assert 1 < len(feasible) < len({r["eta"] for r in rows})
-    assert counts == {"min_partial_transpose_eigenvalue": len(feasible), "_build_state": 5}
+    assert counts == {"_build_state": 5, "exchange_stack": 1}
+    assert stacked == validations == [len(feasible)]  # one call over the feasible states; eta_cap fails before the stack
     for r in rows:  # each cell carries its own state's value
         if r["status"] == "ok":
             params = {**sweeps.SCENARIOS["qubit-theta-eta"].defaults, "state.eta": r["eta"]}
@@ -627,6 +649,7 @@ def test_sweep_builds_each_distinct_state_once(monkeypatch):
         return build_state(kind, params)
 
     monkeypatch.setattr(sweeps, "_build_state", counting)
+    validations = _count_validations(monkeypatch)
     spec = _spec(
         "scenario = qubit-theta-eta\n"
         "sweep.axis1.name = theta\nsweep.axis1.min = 0.5\nsweep.axis1.max = 1.0\nsweep.axis1.points = 4\n"
@@ -635,6 +658,116 @@ def test_sweep_builds_each_distinct_state_once(monkeypatch):
     rows = run_sweep(spec).rows
     assert len(rows) == 20
     assert sorted(built) == sorted(set(r["eta"] for r in rows))  # infeasible ones too
+    assert validations == [len({r["eta"] for r in rows if r["status"] == "ok"})]  # one stack, no state checked alone
+
+
+def _axes(*axes) -> dict:
+    """The config keys of (name, min, max, points) axes."""
+    keys = ("name", "min", "max", "points")
+    return {f"sweep.axis{k}.{key}": value for k, axis in enumerate(axes, start=1) for key, value in zip(keys, axis)}
+
+
+QUBIT_STATE = {"scenario": "custom", "state.kind": "two-qubit", "unitary.kind": "exchange", "unitary.theta": 0.7}
+QUBIT_STATE.update(CUSTOM_STATES["two-qubit"][0])
+QUTRIT_STATE = {"scenario": "custom", "state.kind": "two-qutrit", "unitary.kind": "exchange", "unitary.theta01": 0.4}
+QUTRIT_STATE.update((k, v) for k, v in sweeps.SCENARIOS["qutrit-theta-grid"].defaults.items() if k.startswith("state."))
+# grids whose cells cross every constraint of each state kind, with the statuses they reach
+CONSTRAINT_GRIDS = {
+    "two-qubit P00 x eta": (
+        {**QUBIT_STATE, **_axes(("state.P00", 0.4, 0.8, 9), ("state.eta", -0.3, 0.3, 7))},
+        {"ok", "infeasible:p00_upper", "infeasible:p00_lower", "infeasible:eta_cap"},
+    ),
+    "two-qutrit rho_8 x rho_5": (
+        {**QUTRIT_STATE, **_axes(("state.rho_8", -0.05, 0.6, 14), ("state.rho_5", -0.05, 0.4, 10))},
+        {"ok", *(f"infeasible:population_{k}" for k in (3, 4, 5, 6))},
+    ),
+    "two-qutrit rho_7 x eta_57": (
+        {**QUTRIT_STATE, **_axes(("state.rho_7", -0.05, 0.5, 12), ("state.eta_57", 0.0, 1.5, 4))},
+        {"ok", "infeasible:population_3", "infeasible:population_6", "infeasible:eta_12"},
+    ),
+    "two-qutrit eta_13 x eta_26": (
+        {**QUTRIT_STATE, **_axes(("state.eta_13", 0.5, 1.5, 3), ("state.eta_26", 0.5, 1.5, 3))},
+        {"ok", "infeasible:eta_01", "infeasible:eta_02"},
+    ),
+    "gamma = -0.5": ({**load_config(str(CONFIG_DIR / "experiment_time.cfg")), "state.gamma": -0.5}, {"infeasible:psd"}),
+    "beta_C = -800": ({**load_config(str(CONFIG_DIR / "experiment_time.cfg")), "state.beta_C": -800.0}, {"infeasible:psd"}),
+    "nonideal_tolerance.cfg": (load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg")), {"ok", "infeasible:psd"}),
+}
+
+
+def _state_params(spec: SweepSpec, params: dict) -> dict:
+    params = dict(params)
+    sweeps._derive(sweeps.SCENARIOS[spec.scenario], params, "state.")
+    return params
+
+
+def _reference_status(spec: SweepSpec, kinds, params) -> str:
+    """The status of one cell whose state the reference builds and checks alone."""
+    try:
+        reference.build_state(kinds[0], _state_params(spec, params))
+    except InfeasibleStateError as exc:
+        return f"infeasible:{exc.constraint}"
+    return "ok"
+
+
+@pytest.mark.parametrize("name", CONSTRAINT_GRIDS)
+def test_stacked_statuses_equal_the_one_at_a_time_reference(name):
+    cfg, reached = CONSTRAINT_GRIDS[name]
+    spec = SweepSpec.from_config(cfg)
+    got = run_sweep(spec).values["status"][0].tolist()
+    want = [_reference_status(spec, kinds, params) for kinds, params, _ in _spec_cells(spec)]
+    assert got == want
+    assert set(got) == reached
+
+
+@pytest.mark.parametrize("name", CONSTRAINT_GRIDS)
+def test_stacked_state_rows_equal_the_one_at_a_time_build_bit_for_bit(name):
+    # every cell's entries in one stack, failing rows among them: each
+    # passing row is the reference's system, column by column
+    spec = SweepSpec.from_config(CONSTRAINT_GRIDS[name][0])
+    entries, want = [], []
+    for (kind, _), params, _ in _spec_cells(spec):
+        params = _state_params(spec, params)
+        with suppress(InfeasibleStateError):  # a parameter check: the cell has no row
+            entries.append(sweeps._build_state(kind, params))
+            try:
+                want.append(reference.build_state(kind, params).stack)
+            except InfeasibleStateError as exc:
+                want.append(exc.constraint)
+    errors, stack = qh.states.exchange_stack(entries)
+    assert [error and error.constraint for error in errors] == [None if isinstance(w, tuple) else w for w in want]
+    for k, row in enumerate(want):
+        if isinstance(row, tuple):
+            for field, got, alone in zip(StateStack._fields, stack.take(slice(k, k + 1)), row):
+                assert got.tobytes() == alone.tobytes(), (k, field)
+
+
+@pytest.mark.parametrize("gamma", [-0.19, 0.1, 0.0, -0.0, 0, 0.05 + 0.02j, 0.1 + 0j, -0.1 - 0j])
+def test_a_gamma_states_rho_is_the_product_plus_gamma_bit_for_bit(gamma):
+    # the entries' fill writes conj(gamma) where the product state added it:
+    # the two differ only in the sign of an exact-zero imaginary part
+    got = qh.states.gamma_correlated_state(gamma, 1.13, 0.9618, gap_h=1.02).rho
+    want = reference.gamma_correlated_state(gamma, 1.13, 0.9618, gap_h=1.02).rho
+    if isinstance(gamma, complex) and gamma.imag == 0.0:
+        assert np.signbit(got[1, 2].imag) and not np.signbit(want[1, 2].imag)
+        want = want.copy()
+        want[1, 2] = np.conj(want[1, 2])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cfg, error", [
+    ({**QUTRIT_STATE, **_axes(("state.E2", 0.9, 1.3, 5))}, ValueError),  # E2 crosses E1 = 1.0
+    ({**QUTRIT_STATE, **_axes(("state.rho_8", -0.05, 0.6, 4), ("state.E1", 0.5, 1.3, 5))}, ValueError),  # E1 crosses E2
+    ({k: v for k, v in QUBIT_STATE.items() if k != "state.P00"} | _axes(("state.eta", -0.1, 0.1, 3)), ConfigError),
+])
+def test_a_sweep_raises_the_first_state_error_in_group_order_as_the_reference(cfg, error):
+    spec = SweepSpec.from_config(cfg)
+    with pytest.raises(error) as got:
+        run_sweep(spec)
+    with pytest.raises(error) as want:
+        for kinds, params, _ in _spec_cells(spec):
+            _reference_status(spec, kinds, params)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 # a shipped config of each named scenario, then every custom kind pair
