@@ -8,9 +8,9 @@ computes each of those quantities once, as a kernel over stacks of cells
 names run that kernel on one cell; these are the scalar bodies they
 replaced.  ``qheatflow.sweeps`` has one state builder, one unitary
 builder and one evaluator, all on (n, D, D) stacks; a sweep checks its
-distinct states as one stack and runs the others on chunks of cells,
-and ``_build_cell``, ``evaluate_cell`` and ``analyze_point`` run them at
-n = 1.  Every value they produce equals this reference's bit for bit.
+distinct states as one stack and builds and evaluates its unitaries on
+chunks of cells, and ``_build_cell``, ``evaluate_cell`` and
+``analyze_point`` run them at n = 1.  Every value they produce equals this reference's bit for bit.
 The reference builds each cell's state alone (``build_state``) with the
 public scalar constructors, each checked by its own ``BipartiteSystem``,
 and the gamma state as the product of Gibbs matrices plus gamma, the
