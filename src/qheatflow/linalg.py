@@ -60,16 +60,16 @@ def partial_trace(m, dims: tuple[int, int], which: str) -> np.ndarray:
 
 
 def partial_transpose(m, dims: tuple[int, int], which: str) -> np.ndarray:
-    """Transpose the indices of one subsystem only."""
-    r = _reshape4(m, dims)
-    if which == "H":
-        out = r.transpose(0, 3, 2, 1)
-    elif which == "C":
-        out = r.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem tag must be 'C' or 'H', got {which!r}")
+    """Transpose the indices of one subsystem only, of a matrix or of each
+    matrix of an (n, D, D) stack."""
+    m = np.asarray(m, dtype=complex)
     d = dims[0] * dims[1]
-    return out.reshape(d, d)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
+        raise ValueError(f"expected ({d}, {d}) matrices for dims {dims}, got shape {m.shape}")
+    if which not in ("C", "H"):
+        raise ValueError(f"subsystem tag must be 'C' or 'H', got {which!r}")
+    r = m.reshape(-1, *dims, *dims)  # (n, i_C, i_H, j_C, j_H)
+    return (r.swapaxes(2, 4) if which == "H" else r.swapaxes(1, 3)).reshape(m.shape)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

@@ -263,6 +263,8 @@ def _prop_partial_ops(rng, k):
     dev = max(dev, np.max(np.abs(linalg.partial_trace(m, (d_c, d_h), "C") - np.trace(a) * b)))
     pt = linalg.partial_transpose(m, (d_c, d_h), "H")
     dev = max(dev, np.max(np.abs(linalg.partial_transpose(pt, (d_c, d_h), "H") - m)))
+    # a stack is transposed matrix by matrix (the path of min_pt_eig)
+    dev = max(dev, np.max(np.abs(linalg.partial_transpose(np.stack([m, pt]), (d_c, d_h), "H") - [pt, m])))
     # spectrum of a product state is preserved under partial transposition
     rho, sig = a @ a.conj().T, b @ b.conj().T
     rho /= np.trace(rho).real

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, hermiticity_defects, partial_trace
+from .linalg import hermitian_eigenvalues, hermiticity_defects, partial_trace, partial_transpose
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -572,6 +572,5 @@ def min_partial_transpose_eigenvalue(sys):
     A nonnegative value certifies separability only for 2x2 and 2x3
     systems (positive partial transpose is conclusive there).
     """
-    (d_c, d_h), side = sys.dims, sys.rho.shape[-1]
-    low = hermitian_eigenvalues(sys.rho.reshape(-1, d_c, d_h, d_c, d_h).swapaxes(2, 4).reshape(-1, side, side))[:, 0]
-    return low if sys.rho.ndim == 3 else float(low[0])
+    low = hermitian_eigenvalues(partial_transpose(sys.rho, sys.dims, "H"))[..., 0]
+    return low if sys.rho.ndim == 3 else float(low)

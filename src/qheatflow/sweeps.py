@@ -2,23 +2,21 @@
 
 A sweep is a scenario name, fixed parameters, one or two axes and a list
 of output columns.  ``run_sweep`` carries the params as columns (a scalar
-per fixed key, a per-cell array per axis key), builds the entries of each
-distinct state once and checks them all as one stack, solves each
-distinct J_x once, and evaluates all feasible cells as (n, D, D) stacks
-in byte-bounded chunks, each cell with its own state's data
-(``StateStack``).  There is one state builder (``_build_state``, whose
-entries a sweep checks as one stack and ``_build_cell`` as one
-``exchange_system``), one unitary builder and one evaluator:
-``evaluate_cell`` and ``analyze_point`` run them at n = 1 and ask for
-every column, while a sweep runs only the kernel groups
-(``COLUMN_GROUPS``) that its requested outputs read; both tables, with
-their checks, are built for every cell.  A ``SweepResult`` holds the CSV's
-columns (the axes, the requested outputs, ``status``) as per-cell arrays,
-formatted one column at a time; its ``rows`` are those columns, one dict
-per cell.  The scalar reference that every value is checked against, bit
-for bit, lives in the tests.  No cell is dropped: cells whose state
-construction fails carry a status code ``infeasible:<constraint>``;
-witness columns use the encoding
+per fixed key, a per-cell array per axis key), builds each distinct
+state's entries once and checks them as one stack, solves each distinct
+J_x once, and evaluates all feasible cells as (n, D, D) stacks in
+byte-bounded chunks, each cell with its own state's data (``StateStack``).
+There is one state builder, one unitary builder and one evaluator:
+``evaluate_cell`` and ``analyze_point`` run them at n = 1 (the state
+checked as an ``exchange_system``) and ask for every column, while a
+sweep runs only the kernel groups (``COLUMN_GROUPS``) that its requested
+outputs read; both tables, with their checks, are built for every cell.
+A ``SweepResult`` holds the CSV's columns (the axes, the requested
+outputs, ``status``) as per-cell arrays, formatted one column at a time;
+its ``rows`` are those columns, one dict per cell.  The scalar reference
+that every value is checked against, bit for bit, lives in the tests.
+No cell is dropped: cells whose state construction fails carry a status
+code ``infeasible:<constraint>``; witness columns use the encoding
 
     1  violated        0  not violated
    -1  witness not applicable or a precondition failed
@@ -566,73 +564,114 @@ def _build_state(kind: str, params: dict) -> ExchangeState:
     unset optional keys take the defaults below."""
     params = _KindParams(f"{kind} state", params)
     if kind == "gamma":
-        keys = ("state.gamma", "state.beta_C", "state.beta_H")
-        return gamma_entries(*(params[key] for key in keys), params.get("state.E", 1.0), params.get("state.E_H"))
-    betas = params["state.beta_C"], params["state.beta_H"]
-    eta, xi = params.get("state.eta", 0.0), params.get("state.xi", 0.0)
+        return gamma_entries(
+            params["state.gamma"], params["state.beta_C"], params["state.beta_H"],
+            gap=params.get("state.E", 1.0), gap_h=params.get("state.E_H"),
+        )
+    eta = params.get("state.eta", 0.0)
+    xi = params.get("state.xi", 0.0)
     if kind == "two-qubit":
-        return two_qubit_entries(TwoQubitParams(*betas, params["state.P00"], eta, xi, params.get("state.E", 1.0)))
-    levels = params.get("state.E1", 1.0), params.get("state.E2", 1.15)
-    manifolds = ("13", "26", "57")
-    return two_qutrit_entries(QutritStateParams(
-        *betas, *levels, *(params[f"state.rho_{k}"] for k in (0, 5, 7, 8)),
-        *(params.get(f"state.eta_{m}", eta) for m in manifolds), *(params.get(f"state.xi_{m}", xi) for m in manifolds),
-    ))
+        return two_qubit_entries(
+            TwoQubitParams(
+                beta_c=params["state.beta_C"],
+                beta_h=params["state.beta_H"],
+                p00=params["state.P00"],
+                eta=eta,
+                xi=xi,
+                gap=params.get("state.E", 1.0),
+            )
+        )
+    return two_qutrit_entries(
+        QutritStateParams(
+            beta_c=params["state.beta_C"],
+            beta_h=params["state.beta_H"],
+            e1=params.get("state.E1", 1.0),
+            e2=params.get("state.E2", 1.15),
+            rho_0=params["state.rho_0"],
+            rho_5=params["state.rho_5"],
+            rho_7=params["state.rho_7"],
+            rho_8=params["state.rho_8"],
+            eta_13=params.get("state.eta_13", eta),
+            eta_26=params.get("state.eta_26", eta),
+            eta_57=params.get("state.eta_57", eta),
+            xi_13=params.get("state.xi_13", xi),
+            xi_26=params.get("state.xi_26", xi),
+            xi_57=params.get("state.xi_57", xi),
+        )
+    )
+
+
+def _distinct_states(scenario: Scenario, kind: str, params: dict, n: int):
+    """The state keys of n cells' ``params`` (a scalar or an n-array per
+    key) derived in place, and the entries of each distinct state built
+    once, in group order, by ``_build_state``: (each cell's group, each
+    group's ``InfeasibleStateError`` from a parameter check or None, the
+    entries of the other groups by group).  Cells are grouped by the value
+    bits of their varying state keys."""
+    _derive(scenario, params, "state.")
+    varying = [key for key in STATE_KEYS[kind] if isinstance(params.get(key), np.ndarray)]
+    first, group = _distinct([params[key] for key in varying], n)
+    errors, built = [None] * len(first), {}
+    for g, k in enumerate(first.tolist()):
+        try:
+            built[g] = _build_state(kind, {**params, **{key: params[key][k].item() for key in varying}})
+        except InfeasibleStateError as exc:
+            errors[g] = exc
+    return group, errors, built
 
 
 def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
     """Construct (system, unitary stack, cell_extras) for one grid point:
-    the sweep's state entries, checked at n = 1 by ``exchange_system``, and
-    its unitary builder on one cell."""
+    a sweep's steps on one cell, its state checked by ``exchange_system``."""
     row = SCENARIOS[scenario]
-    state, unitary = kinds
     params = dict(params)
-    _derive(row, params, "state.")
-    sys = exchange_system(_build_state(state, params))
+    _, (error,), built = _distinct_states(row, kinds[0], params, 1)
+    if error:
+        raise error
+    sys = exchange_system(built[0])
     # after the state: infeasible cells skip the J_x solve
     _derive(row, params, "unitary.")
-    u, extras = _build_unitary_stack(unitary, params, 1, sys.stack.levels_c, sys.stack.levels_h)
-    extras = {column: values.tolist()[0] for column, values in extras.items()}
-    extras.update((column, params[key]) for column, key in row.columns.items())
-    return sys, u, extras
+    u, extras = _build_unitary_stack(row, kinds[1], params, sys.stack, [0])
+    return sys, u, {column: values.tolist()[0] for column, values in extras.items()}
 
 
-def _build_unitary_stack(kind: str, cells: dict, n: int, levels_c, levels_h):
-    """The unitaries of one kind for n cells, as one stack.
+def _build_unitary_stack(scenario: Scenario, kind: str, cells: dict, states: StateStack, index):
+    """The unitaries of one kind for the cells whose states are the rows
+    ``index`` of ``states``, as one stack.
 
-    ``cells`` maps each key to a scalar or an n-array, and ``levels_c``,
-    ``levels_h`` are the cells' local levels, (n, d) or one (1, d) row for
-    all.  The perturbed-XY kind takes each commutator norm against its
-    cell's own H_C + H_H; the XY and exchange kinds take it against the
-    cell's cold levels on both sides, as their single-cell constructors
-    do.  T1 is the norm's only reader, and it applies only where a cell's
-    two spectra are equal, so every norm it reads is the cell's own.
-    Returns the stack and the extra output columns as n-arrays (a copied
-    one keeps its dtype).
+    ``cells`` maps each key to a scalar or a per-cell array.  The
+    perturbed-XY kind takes each commutator norm against its cell's own
+    H_C + H_H; the XY and exchange kinds take it against the cell's cold
+    levels on both sides, as their single-cell constructors do.  T1 is the
+    norm's only reader, and it applies only where a cell's two spectra are
+    equal, so every norm it reads is the cell's own.  Returns the stack and
+    the extra output columns, the kind's and then the scenario's copied
+    keys, as per-cell arrays (a copied one keeps its dtype).
     """
-    cells = _KindParams(f"{kind} unitary", cells)
+    cells, n = _KindParams(f"{kind} unitary", cells), len(index)
+    copied = {column: np.full(n, cells[key]) for column, key in scenario.columns.items()}
 
     def values(key, default=None):
         return np.full(n, cells[key] if default is None else cells.get(key, default), float)
 
-    levels_c, levels_h = np.asarray(levels_c, dtype=float), np.asarray(levels_h, dtype=float)
+    levels_c, levels_h = states.levels_c[index], states.levels_h[index]
     gap = levels_c[:, 1]
     if kind == "xy":
         u = xy_unitary_stack(values("unitary.J"), values("unitary.t"), gap=gap)
-        return u, {"theta": rotation_angles(u.matrix)}
+        return u, {"theta": rotation_angles(u.matrix), **copied}
     if kind == "perturbed-xy":
         u = perturbed_xy_unitary_stack(
             values("unitary.J"), values("unitary.Jx", 0.0), values("unitary.t"),
             gap=gap, gap_h=levels_h[:, 1],
         )
-        return u, {"eps_actual": u.epsilon}
+        return u, {"eps_actual": u.epsilon, **copied}
     if levels_c.shape[-1] == 2:
         phases = [values(f"unitary.{k}", 0.0) for k in ("phi", "lam", "kappa")]
         u = exchange_unitary_stack(levels_c, n, [((0, 1), (values("unitary.theta"), *phases))])
-        return u, {"theta": np.full(n, cells["unitary.theta"])}
+        return u, {"theta": np.full(n, cells["unitary.theta"]), **copied}
     zero = np.zeros(n)
     blocks = [(pair, (values(key), zero, zero, zero)) for pair, key in QUTRIT_ANGLES.items() if key in cells]
-    return exchange_unitary_stack(levels_c, n, blocks), {}
+    return exchange_unitary_stack(levels_c, n, blocks), copied
 
 
 def _chunk_cells(side: int) -> int:
@@ -765,9 +804,7 @@ def _evaluate_chunk(
     evaluated as one stack.  The cells' state rows are gathered after the
     unitaries are built, and every stack is freed on return, before the
     next chunk's is built."""
-    n = len(index)
-    u, extras = _build_unitary_stack(unitary, cells, n, states.levels_c[index], states.levels_h[index])
-    extras.update((column, np.full(n, cells[key])) for column, key in SCENARIOS[spec.scenario].columns.items())
+    u, extras = _build_unitary_stack(SCENARIOS[spec.scenario], unitary, cells, states, index)
     extras.update((name, values[index]) for name, values in per_state.items())
     return _evaluate_stack(states.take(index), u, extras, spec.outputs)[0]
 
@@ -776,21 +813,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid cell; the result's columns are in grid order.
 
     The params are columns: a scalar per fixed key, a per-cell array per
-    axis key (in ``itertools.product`` order).  Cells are grouped by the
-    value bits of their varying state keys.  Each distinct state's entries
-    are built once, in group order, by ``_build_state``, whose parameter
-    checks (``p00_*``, ``eta_cap``, ``population_*``, ``eta_*``) mark a
-    state there; the states that pass are then checked and filled as one
-    stack by one ``exchange_stack`` call, which reports each row's first
-    failure (``trace``, ``hermiticity``, ``psd``, ``thermal_marginal_*``).
-    An infeasible state marks its cells ``infeasible:<constraint>`` and
-    skips their J_x solves.  The feasible cells' unitary keys are then
-    derived together (one J_x solve per sweep), and the feasible cells,
-    whatever their state, are evaluated in grid order as chunks of at most
-    STACK_BYTES per (n, D, D) stack.  A chunk gathers each cell's state
-    data (``StateStack.take``) by the cell's state index, and per-state
-    results (``min_pt_eig``) are computed once, over the stack of the
-    feasible states.  Only the requested outputs are computed.
+    axis key (in ``itertools.product`` order).  ``_distinct_states`` builds
+    each distinct state's entries once, and those past their parameter
+    checks (``p00_*``, ``eta_cap``, ``population_*``, ``eta_*``) are
+    checked and filled by one ``exchange_stack`` call, which returns each
+    row's first failure (``trace``, ``hermiticity``, ``psd``,
+    ``thermal_marginal_*``).  An infeasible state marks its cells
+    ``infeasible:<constraint>`` and skips their J_x solves.  The feasible
+    cells' unitary keys are then derived together (one J_x solve per
+    sweep), and the feasible cells, whatever their state, are evaluated in
+    grid order as chunks of at most STACK_BYTES per (n, D, D) stack.  A
+    chunk gathers each cell's state data (``StateStack.take``) by the
+    cell's state index, and per-state results (``min_pt_eig``) are computed
+    once, over the stack of the feasible states.  Only the requested
+    outputs are computed.
     """
     scenario = SCENARIOS[spec.scenario]
     params_base = {**scenario.defaults, **spec.fixed}
@@ -799,19 +835,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     axes = {axis.name: column.reshape(-1) for axis, column in zip(spec.axes, grid)}
     n = grid[0].size
     params = {**params_base, **{scenario.axes.get(name, name): column for name, column in axes.items()}}
-    _derive(scenario, params, "state.")
-    varying = [key for key in STATE_KEYS[state] if isinstance(params.get(key), np.ndarray)]
-    first, group = _distinct([params[key] for key in varying], n)
-    group_status = np.full(len(first), "ok", dtype=object)
-    built = {}  # group -> the entries of its state, for the states that pass their parameter checks
-    for g, k in enumerate(first.tolist()):
-        try:
-            built[g] = _build_state(state, {**params, **{key: params[key][k].item() for key in varying}})
-        except InfeasibleStateError as exc:
-            group_status[g] = f"infeasible:{exc.constraint}"
-    errors, states = exchange_stack(list(built.values())) if built else ([], None)  # one check, nothing raised
-    for g, error in zip(built, errors):
-        group_status[g] = f"infeasible:{error.constraint}" if error else "ok"
+    group, errors, built = _distinct_states(scenario, state, params, n)
+    checked, states = exchange_stack(list(built.values())) if built else ([], None)  # one check, nothing raised
+    for g, error in zip(built, checked):
+        if error:
+            errors[g] = error
+    group_status = np.array(["ok" if error is None else f"infeasible:{error.constraint}" for error in errors], object)
     feasible = group_status == "ok"
     status = group_status[group]
     ok = np.flatnonzero(feasible[group])

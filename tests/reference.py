@@ -10,11 +10,13 @@ replaced.  ``qheatflow.sweeps`` has one state builder, one unitary
 builder and one evaluator, all on (n, D, D) stacks; a sweep checks its
 distinct states as one stack and builds and evaluates its unitaries on
 chunks of cells, and ``_build_cell``, ``evaluate_cell`` and
-``analyze_point`` run them at n = 1.  Every value they produce equals this reference's bit for bit.
-The reference builds each cell's state alone (``build_state``) with the
-public scalar constructors, each checked by its own ``BipartiteSystem``,
-and the gamma state as the product of Gibbs matrices plus gamma, the
-body that ``states.gamma_correlated_state`` had before its entries.
+``analyze_point`` run the same steps at n = 1.  Every value they produce
+equals this reference's bit for bit.  The reference builds each cell's
+state alone (``build_state``) with the public scalar constructors, each
+checked by its own ``BipartiteSystem``, the gamma state as the product
+of Gibbs matrices plus gamma, the body that
+``states.gamma_correlated_state`` had before its entries, and
+``min_pt_eig`` from one matrix's partial transpose.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from qheatflow.states import (
     EnergySpectrum,
     _min_eigenvalue_bound,
     bohr_nondegenerate,
-    min_partial_transpose_eigenvalue,
     thermal_populations,
 )
 from qheatflow.sweeps import (
@@ -459,6 +460,14 @@ def build_unitary(kind: str, params: dict, sys: BipartiteSystem):
         ManifoldRotation(pair, params[key]) for pair, key in QUTRIT_ANGLES.items() if key in params
     ]
     return energy_preserving_unitary(sys.spectrum_c, rots), {}
+
+
+def min_partial_transpose_eigenvalue(sys: BipartiteSystem) -> float:
+    """The smallest eigenvalue of rho^(T_H), of the one matrix transposed
+    index by index (``states.min_partial_transpose_eigenvalue`` runs the
+    stacked ``linalg.partial_transpose``)."""
+    (d_c, d_h), side = sys.dims, len(sys.rho)
+    return float(np.linalg.eigvalsh(sys.rho.reshape(d_c, d_h, d_c, d_h).transpose(0, 3, 2, 1).reshape(side, side))[0])
 
 
 def build_state(kind: str, params: dict) -> BipartiteSystem:

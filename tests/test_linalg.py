@@ -147,6 +147,19 @@ def test_partial_transpose_product_and_involution():
     assert np.max(np.abs(partial_transpose(pt, (2, 3), "H") - m)) < 1e-12
 
 
+@pytest.mark.parametrize("which", ["C", "H"])
+def test_partial_transpose_of_a_stack_is_each_matrixs_bit_for_bit(which):
+    rng = np.random.default_rng(7)
+    stack = np.stack([_rand_complex(rng, 6) for _ in range(3)])
+    want = np.stack([stack[k].reshape(2, 3, 2, 3) for k in range(3)])
+    want = want.transpose(0, 1, 4, 3, 2) if which == "H" else want.transpose(0, 3, 2, 1, 4)
+    got = partial_transpose(stack, (2, 3), which)
+    assert got.shape == stack.shape and got.tobytes() == want.reshape(3, 6, 6).tobytes()
+    assert all(got[k].tobytes() == partial_transpose(stack[k], (2, 3), which).tobytes() for k in range(3))
+    with pytest.raises(ValueError):
+        partial_transpose(stack, (3, 3), which)
+
+
 def test_partial_transpose_spectrum_of_product_states():
     rng = np.random.default_rng(6)
     a = _rand_complex(rng, 2)

@@ -1341,6 +1341,24 @@ def test_point_analysis_builds_each_table_once(monkeypatch):
     assert report.mh_csv.count("\n") == report.tpm_csv.count("\n") == 3**4 + 1
 
 
+@pytest.mark.parametrize("gamma", [-0.19, -0.5])
+def test_a_point_builds_its_cell_with_the_sweeps_steps(monkeypatch, gamma):
+    steps = ("_distinct_states", "_build_state", "_build_unitary_stack", "exchange_system", "exchange_stack")
+    counts = _count_calls(monkeypatch, *steps)
+    validations = _count_validations(monkeypatch)
+    cfg = {**load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg")), "state.gamma": gamma, "eps": 0.01}
+    with pytest.raises(InfeasibleStateError) if gamma == -0.5 else suppress() as raised:
+        report = analyze_point(cfg)
+    # one state built and checked at n = 1, and the unitary built only for a feasible state
+    assert counts == {**dict.fromkeys(steps[:4], 1), "_build_unitary_stack": int(raised is None), "exchange_stack": 0}
+    assert validations == [1]
+    if raised is None:
+        assert report.row["jx"] > 0 and report.row["Delta"] == 0.0
+    else:  # the sweep's status of the same cell
+        row = run_sweep(SweepSpec.from_config({**cfg, "sweep.axis1.max": 0.01, "sweep.axis2.max": 0.5})).rows[0]
+        assert (row["eps"], row["Delta"], row["status"]) == (0.0, 0.0, f"infeasible:{raised.value.constraint}")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
