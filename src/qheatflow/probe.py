@@ -10,9 +10,10 @@ finite coupling:
 
     p_W[f] = (q_plus[f] - q_minus[f]) / (2 sin 2eps) + p_free[f] / 2.
 
-Sampling uses a counter-based generator (Philox), so outcome k of a run
-depends only on (seed, k) and results are reproducible under any
-evaluation order.
+Sampling draws each run's outcome counts with one multinomial call on a
+counter-based generator (Philox) seeded from (seed, run), so the counts
+are a function of (seed, probabilities, n_shots) alone, reproducible
+under any evaluation order, and cost O(d) time and memory at any n_shots.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .states import BipartiteSystem
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 _MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+MAX_SHOTS = np.iinfo(np.int64).max  # the multinomial counts are int64
 
 
 @dataclass(frozen=True)
@@ -134,12 +136,17 @@ def reconstruct_quasiprobability(stats: ProbeOutcomeStats) -> np.ndarray:
 
 
 def _counts(probs: np.ndarray, n_shots: int, bit_gen) -> np.ndarray:
-    """Inverse-CDF multinomial draw; outcome k depends only on uniform k."""
-    rng = np.random.Generator(bit_gen)
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0  # guard against rounding at the top
-    draws = np.searchsorted(edges, rng.random(n_shots), side="right")
-    return np.bincount(draws, minlength=probs.size)
+    """Multinomial counts of ``n_shots`` outcomes, by one ``multinomial`` call.
+
+    The entries in [-1e-12, 0) that ``ProbeOutcomeStats`` admits count as
+    0, and only the outcomes of positive probability are drawn, normalised
+    to sum to 1, so an outcome of probability 0 is never drawn.
+    """
+    probs = np.clip(probs, 0.0, None)
+    drawn = probs > 0.0
+    counts = np.zeros(probs.size, dtype=np.int64)
+    counts[drawn] = np.random.Generator(bit_gen).multinomial(n_shots, probs[drawn] / probs[drawn].sum())
+    return counts
 
 
 @dataclass(frozen=True)
@@ -165,8 +172,8 @@ def sampled_reconstruction(
     combine the multinomial variances of both runs and shrink as
     n_shots^(-1/2).
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be at least 1")
+    if not 1 <= n_shots <= MAX_SHOTS:
+        raise ValueError(f"n_shots must lie in [1, {MAX_SHOTS}], got {n_shots}")
     shape = stats.q_plus.shape
     dim = stats.q_plus.size
     probe_probs = np.concatenate([stats.q_plus.ravel(), stats.q_minus.ravel()])

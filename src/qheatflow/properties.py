@@ -12,10 +12,12 @@ properties scale each drawn state's coherences in closed form to the edge
 of a nonnegative MH table (``_edge_rho``), so nothing is redrawn.
 
 A property maps ``(rng, n)`` to ``(failures, max_dev, note)``.  Most are
-one trial ``(rng, k) -> (deviation, failures)`` that ``_trials`` runs for
-k = 0..n-1 in order, or all n trials ``(rng, n) -> (deviations, failures)``
-that ``_stacked`` runs: the failures summed, max_dev the largest deviation
-floored at 0.0.  The others set their own trial count, start or note.
+all n trials ``(rng, n) -> (deviations, failures)`` that ``_stacked`` runs,
+or, where no state is drawn, one trial ``(rng, k) -> (deviation, failures)``
+that ``_trials`` runs for k = 0..n-1 in order: the failures summed, max_dev
+the largest deviation floored at 0.0.  The others set their own trial
+count, start or note.  No property checks a state alone: a one-cell
+function gets a stacked row as a system (``StateStack.system``).
 """
 
 from __future__ import annotations
@@ -396,12 +398,15 @@ def _prop_two_qubit_closed_forms(rng, n):
     return dev, dev >= 1e-12
 
 
-@_trials("manifold closed forms, d = 3 and 4")
-def _prop_qudit_closed_forms(rng, k):
-    sys, u, rots = random_system_and_unitary(rng, 3 + k % 2)
-    mh, tpm = fluctuations.mh_distribution(sys, u), fluctuations.tpm_distribution(sys, u)
-    pw, tp = fluctuations.exchange_manifold_pw(sys, rots), fluctuations.exchange_manifold_tpm(sys, rots)
-    dev = max([0.0, *(abs(v - mh.entry(*key)) for key, v in pw.items()), *(abs(v - tpm.entry(*key)) for key, v in tp.items())])
+@_stacked("manifold closed forms, d = 3 and 4")
+def _prop_qudit_closed_forms(rng, n):
+    drawn, rotations = _draw(rng, ([3, 4] * n)[:n])
+    dev = np.zeros(n)
+    for at, st, u in _groups(drawn, rotations):
+        for j, (k, mh, tpm) in enumerate(zip(at, *_tables(st, u))):
+            sys, rots = st.system(j), rotations[k]
+            pw, tp = fluctuations.exchange_manifold_pw(sys, rots), fluctuations.exchange_manifold_tpm(sys, rots)
+            dev[k] = max([0.0, *(abs(v - float(mh[key])) for key, v in pw.items()), *(abs(v - float(tpm[key])) for key, v in tp.items())])
     return dev, dev >= 1e-12
 
 
@@ -527,68 +532,82 @@ def _prop_tpm_no_backflow(rng, n):
     return int(failures), np.fmax.reduce(q_tpm, initial=-np.inf), "Q_tpm <= 0 and Q(eta=0) = Q_tpm"
 
 
+def _coherent_pairs(state):
+    """(manifold (n, m), rho[a, b], rho[a, a]) of each coherence (a, b) of a drawn state, in its order."""
+    d = state.spectrum_c.dim
+    return [((a // d, a % d), value, state.populations[a]) for a, _, value in state.coherences]
+
+
+@_in_stacks
+def _all_negative_trials(rng, n):
+    """Per drawn two-qutrit state under the rotations that aim to make each
+    MH entry (n, m) -> (m, n) negative: whether all three are and the state's
+    coherences reach 1e-6 (the trial is checked), and whether |Q| > |Q_tpm| then fails."""
+    drawn = [_two_qutrit_draw(rng)[0] for _ in range(n)]
+    pairs = [_coherent_pairs(state) for state in drawn]
+    # pick each angle so the coherence term defeats the population term
+    rotations = [
+        [ManifoldRotation(pair, theta=np.pi - 0.5 * np.arctan(abs(c) / max(pop, 1e-12)), phi=0.0, lam=-float(np.angle(c))) for pair, c, pop in p]
+        for p in pairs
+    ]
+    ((_, st, u),) = _groups(drawn, rotations)
+    mh, tpm = _tables(st, u)
+    checked = np.array([not min(abs(c) for _, c, _ in p) < 1e-6 for p in pairs])
+    checked &= np.all([mh[:, lo, hi, hi, lo] < 0.0 for lo, hi in ((0, 1), (0, 2), (1, 2))], axis=0)
+    q, q_tpm = (fluctuations.table_heat_stack(t, st.levels_c) for t in (mh, tpm))
+    return checked, checked & ~(np.abs(q) > np.abs(q_tpm))
+
+
 def _prop_all_negative_direction(rng, n):
-    failures = checked = 0
-    pairs = ((0, 1), (0, 2), (1, 2))
-    for _ in range(n):
-        sys, _ = random_two_qutrit_system(rng)
-        pops = sys.populations()
-        coh = [sys.rho[3 * lo + hi, 3 * hi + lo] for lo, hi in pairs]
-        if min(map(abs, coh)) < 1e-6:
-            continue
-        # pick each angle so the coherence term defeats the population term
-        rots = [
-            ManifoldRotation(pair, theta=np.pi - 0.5 * np.arctan(abs(c) / max(pops[3 * pair[0] + pair[1]], 1e-12)),
-                             phi=0.0, lam=-float(np.angle(c)))
-            for pair, c in zip(pairs, coh)
-        ]
-        u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
-        mh = fluctuations.mh_distribution(sys, u)
-        if not all(mh.entry(lo, hi, hi, lo) < 0.0 for lo, hi in pairs):
-            continue
-        checked += 1
-        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
-        failures += not abs(q) > abs(q_tpm)
-    note = f"all-negative direction => |Q| > |Q_tpm| ({checked} instances)"
-    if checked == 0:
+    checked, failed = _all_negative_trials(rng, n)
+    seen, failures = int(checked.sum()), int(failed.sum())
+    note = f"all-negative direction => |Q| > |Q_tpm| ({seen} instances)"
+    if seen == 0:
         failures += 1
         note += " [generator produced none]"
-    return failures, float(checked), note
+    return failures, float(seen), note
 
 
-@_trials("max |Q - Q_tpm| attained at quarter rotations")
-def _prop_delta_q_max(rng, k):
-    sys, _ = random_two_qutrit_system(rng)
-    target = fluctuations.max_heat_coherence_shift(sys)
+@_stacked("max |Q - Q_tpm| attained at quarter rotations")
+def _prop_delta_q_max(rng, n):
+    drawn = [_two_qutrit_draw(rng)[0] for _ in range(n)]
     # phases tuned so cos(xi + phi + lam) = 1, theta = pi/4 on all manifolds
-    rots = [
-        ManifoldRotation((lo, hi), theta=np.pi / 4.0, phi=0.0, lam=-float(np.angle(sys.rho[lo * 3 + hi, hi * 3 + lo])))
-        for lo, hi in ((0, 1), (0, 2), (1, 2))
-    ]
-    u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
-    q = fluctuations.average_heat(sys, u)
-    q_tpm = fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
-    dev = abs(abs(q - q_tpm) - target)
+    rotations = [[ManifoldRotation(pair, theta=np.pi / 4.0, phi=0.0, lam=-float(np.angle(c))) for pair, c, _ in _coherent_pairs(state)] for state in drawn]
+    ((_, st, u),) = _groups(drawn, rotations)
+    q = fluctuations.average_heat_stack(st, u.matrix, u.adjoint)
+    q_tpm = fluctuations.table_heat_stack(_tables(st, u)[1], st.levels_c)
+    target = np.array([fluctuations.max_heat_coherence_shift(st.system(k)) for k in range(n)])
+    dev = np.abs(np.abs(q - q_tpm) - target)
     return dev, dev >= 1e-12
 
 
-@_trials("reconstruction exact for eps in {0.05, 0.2, pi/4}")
-def _prop_probe_exactness(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-    mh = fluctuations.mh_distribution(sys, u)
-    i_c, i_h = int(rng.integers(0, sys.d_c)), int(rng.integers(0, sys.d_h))
+@_stacked("reconstruction exact for eps in {0.05, 0.2, pi/4}")
+def _prop_probe_exactness(rng, n):
+    # each trial draws its target row (i_C, i_H) after its state and rotations
+    draws = ((*_state_and_rotations(rng, d), (int(rng.integers(0, d)), int(rng.integers(0, d)))) for d in ([2, 3] * n)[:n])
+    drawn, rotations, targets = zip(*draws)
+    dev, failures = np.zeros(n), np.zeros(n, int)
+    for at, st, u in _groups(drawn, rotations):
+        for j, (k, mh) in enumerate(zip(at, fluctuations.table_stack("MH", st, u.matrix, u.adjoint))):
+            dev[k], failures[k] = _probe_exactness_trial(st.system(j), u.matrix[j], mh, targets[k])
+    return dev, failures
+
+
+def _probe_exactness_trial(sys, u, mh, target):
+    """(deviation, failures) of the probe reconstruction of MH row ``target`` of one cell."""
+    i_c, i_h = target
     failures, worst, recs = 0, 0.0, []
     for eps in (0.05, 0.2, np.pi / 4.0):
         stats = probe.probe_statistics(sys, u, (i_c, i_h), eps)
         rec = probe.reconstruct_quasiprobability(stats)
         recs.append(rec)
-        dev = float(np.max(np.abs(rec - mh.values[i_c, i_h])))
+        dev = float(np.max(np.abs(rec - mh[i_c, i_h])))
         worst = max(worst, dev)
         failures += dev >= 1e-10
         e_plus, e_minus = probe.probe_effects(eps, sys.d_c * sys.d_h, i_c * sys.d_h + i_h)
         pov = np.max(np.abs(e_plus + e_minus - np.eye(sys.d_c * sys.d_h)))
         dq = stats.q_plus - stats.q_minus
-        ident = np.sin(2 * eps) * (2 * mh.values[i_c, i_h] - stats.p_undisturbed)
+        ident = np.sin(2 * eps) * (2 * mh[i_c, i_h] - stats.p_undisturbed)
         dev2 = max(pov, float(np.max(np.abs(dq - ident))))
         worst = max(worst, dev2)
         failures += dev2 >= 1e-12
@@ -613,11 +632,11 @@ def _prop_probe_disturbance(rng, n):
 
 
 def _prop_probe_sampling(rng, n):
+    drawn, rotations, seeds = zip(*((*_state_and_rotations(rng, 2), int(rng.integers(0, 2**31))) for _ in range(max(1, min(n, 20)))))
+    ((_, st, u),) = _groups(drawn, rotations)
     failures, worst = 0, 0.0
-    for _ in range(max(1, min(n, 20))):
-        sys, u, _ = random_system_and_unitary(rng, 2)
-        stats = probe.probe_statistics(sys, u, (0, 1), 0.2)
-        seed = int(rng.integers(0, 2**31))
+    for k, seed in enumerate(seeds):
+        stats = probe.probe_statistics(st.system(k), u.matrix[k], (0, 1), 0.2)
         s1 = probe.sampled_reconstruction(stats, 10**5, seed)
         s2 = probe.sampled_reconstruction(stats, 10**5, seed)
         failures += not (np.array_equal(s1.values, s2.values) and np.array_equal(s1.stderr, s2.stderr))

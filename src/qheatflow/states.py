@@ -284,6 +284,18 @@ class StateStack(NamedTuple):
             index = index[:1]
         return StateStack(*(column[index] for column in self))
 
+    def system(self, k: int) -> BipartiteSystem:
+        """Row k as the ``BipartiteSystem`` it holds, not checked again: its
+        ``stack`` is that row, and its read-only rho a view of the row's."""
+        row = self.take(slice(k, k + 1))
+        rho = row.rho[0]
+        rho.flags.writeable = False
+        spectra = (EnergySpectrum(tuple(levels[0].tolist())) for levels in (row.levels_c, row.levels_h))
+        betas = (None if np.isnan(beta) else beta for beta in (row.beta_c[0].item(), row.beta_h[0].item()))
+        sys = object.__new__(BipartiteSystem)
+        sys.__dict__.update(zip(("spectrum_c", "spectrum_h", "beta_c", "beta_h"), (*spectra, *betas)), rho=rho, stack=row)
+        return sys
+
     def with_rho(self, rho: np.ndarray) -> "StateStack":
         """These rows with the states of ``rho`` (n, D, D), checked against
         the Gibbs populations of each row's levels and inverse temperatures."""
@@ -358,14 +370,16 @@ class TwoQubitParams:
         z_h = 1.0 + np.exp(-self.beta_h * self.gap)
         return float(z_c), float(z_h)
 
-    def p00_bounds(self) -> tuple[float, float]:
-        z_c, z_h = self.partition_values()
+    def p00_bounds(self, z=None) -> tuple[float, float]:
+        """(lower, upper) bound on P00, of ``partition_values()`` or the given ``z``."""
+        z_c, z_h = z or self.partition_values()
         lower = max(0.0, 1.0 / z_c + 1.0 / z_h - 1.0)
         upper = min(1.0 / z_c, 1.0 / z_h)
         return lower, upper
 
-    def eta_cap(self) -> float:
-        z_c, z_h = self.partition_values()
+    def eta_cap(self, z=None) -> float:
+        """The largest |eta| at this P00, of ``partition_values()`` or the given ``z``."""
+        z_c, z_h = z or self.partition_values()
         a = 1.0 / z_c - self.p00
         b = 1.0 / z_h - self.p00
         return float(np.sqrt(max(a, 0.0) * max(b, 0.0)))
@@ -382,13 +396,13 @@ def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
 
 def two_qubit_entries(params: TwoQubitParams) -> ExchangeState:
     """The state of ``two_qubit_state(params)``, after its parameter checks."""
-    z_c, z_h = params.partition_values()
-    lower, upper = params.p00_bounds()
+    z = z_c, z_h = params.partition_values()
+    lower, upper = params.p00_bounds(z)
     if params.p00 > upper + 1e-12:
         raise InfeasibleStateError("p00_upper", f"P00 = {params.p00} exceeds upper bound {upper}")
     if params.p00 < lower - 1e-12:
         raise InfeasibleStateError("p00_lower", f"P00 = {params.p00} below lower bound {lower}")
-    cap = params.eta_cap()
+    cap = params.eta_cap(z)
     if abs(params.eta) > cap + 1e-12:
         raise InfeasibleStateError("eta_cap", f"|eta| = {abs(params.eta)} exceeds cap {cap}")
     p00 = params.p00

@@ -36,7 +36,7 @@ from qheatflow.fluctuations import (
     XftReport,
 )
 from qheatflow.linalg import HERMITICITY_TOL, NOT_A_GENERATOR, SIGMA_X, _square, spectral_norm
-from qheatflow import dynamics, fluctuations, states, witnesses
+from qheatflow import dynamics, fluctuations, probe, states, witnesses
 from qheatflow import linalg as qlinalg
 from qheatflow.properties import MIN_POPULATION, QUDIT_MIN_POPULATION, _edge_rho, _tables, random_rotations
 from qheatflow.states import (
@@ -984,6 +984,97 @@ def prop_two_qubit_closed_forms(rng, k):
         ),
     )
     return dev, dev >= 1e-12
+
+
+def prop_qudit_closed_forms(rng, k):
+    sys, u, rots = random_system_and_unitary(rng, 3 + k % 2)
+    mh, tpm = fluctuations.mh_distribution(sys, u), fluctuations.tpm_distribution(sys, u)
+    pw, tp = fluctuations.exchange_manifold_pw(sys, rots), fluctuations.exchange_manifold_tpm(sys, rots)
+    dev = max([0.0, *(abs(v - mh.entry(*key)) for key, v in pw.items()), *(abs(v - tpm.entry(*key)) for key, v in tp.items())])
+    return dev, dev >= 1e-12
+
+
+def prop_all_negative_direction(rng, n):
+    failures = checked = 0
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for _ in range(n):
+        sys, _ = random_two_qutrit_system(rng)
+        pops = sys.populations()
+        coh = [sys.rho[3 * lo + hi, 3 * hi + lo] for lo, hi in pairs]
+        if min(map(abs, coh)) < 1e-6:
+            continue
+        # pick each angle so the coherence term defeats the population term
+        rots = [
+            ManifoldRotation(pair, theta=np.pi - 0.5 * np.arctan(abs(c) / max(pops[3 * pair[0] + pair[1]], 1e-12)),
+                             phi=0.0, lam=-float(np.angle(c)))
+            for pair, c in zip(pairs, coh)
+        ]
+        u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
+        mh = fluctuations.mh_distribution(sys, u)
+        if not all(mh.entry(lo, hi, hi, lo) < 0.0 for lo, hi in pairs):
+            continue
+        checked += 1
+        q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
+        failures += not abs(q) > abs(q_tpm)
+    note = f"all-negative direction => |Q| > |Q_tpm| ({checked} instances)"
+    if checked == 0:
+        failures += 1
+        note += " [generator produced none]"
+    return failures, float(checked), note
+
+
+def prop_delta_q_max(rng, k):
+    sys, _ = random_two_qutrit_system(rng)
+    target = fluctuations.max_heat_coherence_shift(sys)
+    # phases tuned so cos(xi + phi + lam) = 1, theta = pi/4 on all manifolds
+    rots = [
+        ManifoldRotation((lo, hi), theta=np.pi / 4.0, phi=0.0, lam=-float(np.angle(sys.rho[lo * 3 + hi, hi * 3 + lo])))
+        for lo, hi in ((0, 1), (0, 2), (1, 2))
+    ]
+    u = dynamics.energy_preserving_unitary(sys.spectrum_c, rots)
+    q = average_heat(sys, u)
+    q_tpm = fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
+    dev = abs(abs(q - q_tpm) - target)
+    return dev, dev >= 1e-12
+
+
+def prop_probe_exactness(rng, k):
+    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+    mh = fluctuations.mh_distribution(sys, u)
+    i_c, i_h = int(rng.integers(0, sys.d_c)), int(rng.integers(0, sys.d_h))
+    failures, worst, recs = 0, 0.0, []
+    for eps in (0.05, 0.2, np.pi / 4.0):
+        stats = probe.probe_statistics(sys, u, (i_c, i_h), eps)
+        rec = probe.reconstruct_quasiprobability(stats)
+        recs.append(rec)
+        dev = float(np.max(np.abs(rec - mh.values[i_c, i_h])))
+        worst = max(worst, dev)
+        failures += dev >= 1e-10
+        e_plus, e_minus = probe.probe_effects(eps, sys.d_c * sys.d_h, i_c * sys.d_h + i_h)
+        pov = np.max(np.abs(e_plus + e_minus - np.eye(sys.d_c * sys.d_h)))
+        dq = stats.q_plus - stats.q_minus
+        ident = np.sin(2 * eps) * (2 * mh.values[i_c, i_h] - stats.p_undisturbed)
+        dev2 = max(pov, float(np.max(np.abs(dq - ident))))
+        worst = max(worst, dev2)
+        failures += dev2 >= 1e-12
+    failures += float(np.max(np.abs(recs[0] - recs[2]))) >= 1e-10
+    return worst, failures
+
+
+def prop_probe_sampling(rng, n):
+    failures, worst = 0, 0.0
+    for _ in range(max(1, min(n, 20))):
+        sys, u, _ = random_system_and_unitary(rng, 2)
+        stats = probe.probe_statistics(sys, u, (0, 1), 0.2)
+        seed = int(rng.integers(0, 2**31))
+        s1 = probe.sampled_reconstruction(stats, 10**5, seed)
+        s2 = probe.sampled_reconstruction(stats, 10**5, seed)
+        failures += not (np.array_equal(s1.values, s2.values) and np.array_equal(s1.stderr, s2.stderr))
+        exact = probe.reconstruct_quasiprobability(stats)
+        dev = np.abs(s1.values - exact)
+        failures += not bool((dev <= 5.0 * s1.stderr + 1e-12).all())
+        worst = max(worst, float(np.max(dev / np.maximum(s1.stderr, 1e-15))))
+    return failures, worst, "deterministic seeding; 5-sigma agreement at 1e5 shots"
 
 
 def prop_xft_identity(rng, k):

@@ -1,10 +1,16 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qheatflow import probe
+from qheatflow.cli import main as cli_main
 from qheatflow.dynamics import ManifoldRotation, energy_preserving_unitary, xy_exchange_unitary
 from qheatflow.fluctuations import mh_distribution, tpm_distribution
 from qheatflow.linalg import SIGMA_Z, kron
 from qheatflow.probe import (
+    ProbeOutcomeStats,
     probe_effects,
     probe_statistics,
     reconstruct_quasiprobability,
@@ -14,6 +20,7 @@ from qheatflow.properties import random_system_and_unitary
 from qheatflow.states import QutritStateParams, gamma_correlated_state, two_qutrit_state
 
 BC, BH = 1.13, 0.9618
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _negativity_pair():
@@ -201,3 +208,54 @@ def test_sampling_validates_shot_count():
     stats = probe_statistics(sys, u, (0, 1), 0.2)
     with pytest.raises(ValueError):
         sampled_reconstruction(stats, 0, seed=1)
+
+
+def _stats_with_empty_outcomes():
+    """Outcome statistics whose probe and probe-free runs each hold an exact
+    zero and a -1e-13 entry, the last outcome of each run among them."""
+    q_plus = np.array([[0.3, 0.0], [0.1, 0.05]])
+    q_minus = np.array([[0.2, 0.25], [0.1, -1e-13]])
+    p_free = np.array([[0.5, -1e-13], [0.5, 0.0]])
+    return ProbeOutcomeStats((0, 1), 0.2, q_plus, q_minus, p_free, (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("n_shots", [1, 7, 10**5, 10**12, probe.MAX_SHOTS])
+def test_counts_sum_to_the_shot_count_exactly(n_shots):
+    stats = _stats_with_empty_outcomes()
+    probs = np.concatenate([stats.q_plus.ravel(), stats.q_minus.ravel()])
+    for seed in range(5):
+        counts = probe._counts(probs, n_shots, np.random.Philox(seed))
+        assert counts.dtype == np.int64 and counts.shape == probs.shape
+        assert int(counts.sum()) == n_shots and (counts >= 0).all()
+
+
+def test_an_outcome_of_zero_or_clipped_probability_is_never_drawn():
+    stats = _stats_with_empty_outcomes()
+    for seed in range(50):
+        s = sampled_reconstruction(stats, 10**12, seed)
+        assert s.f_plus[0, 1] == 0.0 and s.f_minus[1, 1] == 0.0
+        assert s.f_free[0, 1] == 0.0 and s.f_free[1, 1] == 0.0
+        assert (s.f_plus[[0, 1, 1], [0, 0, 1]] > 0).all() and (s.f_free[:, 0] > 0).all()
+
+
+def test_sampling_runs_in_time_and_memory_independent_of_the_shot_count():
+    sys, u = _negativity_pair()
+    stats = probe_statistics(sys, u, (0, 1), 0.2)
+    start = time.perf_counter()
+    s = sampled_reconstruction(stats, 10**12, seed=3)
+    assert time.perf_counter() - start < 0.5
+    exact = reconstruct_quasiprobability(stats)
+    assert np.all(np.abs(s.values - exact) <= 5.0 * s.stderr + 1e-12)
+
+
+@pytest.mark.parametrize("n_shots", [probe.MAX_SHOTS + 1, 2**64, 10**30])
+def test_a_shot_count_past_int64_fails_loudly(n_shots):
+    stats = _stats_with_empty_outcomes()
+    with pytest.raises(ValueError, match="n_shots must lie in"):
+        sampled_reconstruction(stats, n_shots, seed=1)
+
+
+def test_a_shot_count_past_int64_exits_1_from_the_point_cli(capsys):
+    code = cli_main(["point", str(CONFIGS / "point_backflow.cfg"), "--set", f"probe.shots={2**63}"])
+    captured = capsys.readouterr()
+    assert code == 1 and "n_shots must lie in" in captured.err

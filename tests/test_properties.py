@@ -348,6 +348,8 @@ WHOLE = {  # stacked without the per-trial form: (rng, n) -> (failures, max_dev,
     "t1-strong-flow": reference.prop_t1_violation_implies_strong_flow,
     "tpm-no-backflow": reference.prop_tpm_no_backflow,
     "witness-soundness-nonideal": reference.prop_witness_soundness_nonideal,
+    "all-negative-direction": reference.prop_all_negative_direction,
+    "probe-sampling": reference.prop_probe_sampling,
 }
 
 
@@ -398,7 +400,7 @@ PINNED = {
     'delta-q-max': {(0, 37): (11, 0, '2.220446049250313e-16'), (0, 1): (1, 0, '8.326672684688674e-17'), (3, 37): (11, 0, '1.249000902703301e-16'), (3, 1): (1, 0, '5.551115123125783e-17'), (7, 37): (11, 0, '2.220446049250313e-16'), (7, 1): (1, 0, '5.551115123125783e-17')},
     'probe-exactness': {(0, 37): (7, 0, '3.3306690738754696e-16'), (0, 1): (1, 0, '1.1102230246251565e-16'), (3, 37): (7, 0, '2.498001805406602e-16'), (3, 1): (1, 0, '1.942890293094024e-16'), (7, 37): (7, 0, '3.3306690738754696e-16'), (7, 1): (1, 0, '1.1102230246251565e-16')},
     'probe-disturbance': {(0, 37): (37, 0, '0.00016062238070795675'), (0, 1): (1, 0, '5.170221244637994e-06'), (3, 37): (37, 0, '0.00013805793945778088'), (3, 1): (1, 0, '6.938893903907228e-18'), (7, 37): (37, 0, '0.00014273614597236375'), (7, 1): (1, 0, '2.7755575615628914e-17')},
-    'probe-sampling': {(0, 37): (1, 0, '1.0585080828802103'), (0, 1): (1, 0, '1.0585080828802103'), (3, 37): (1, 0, '2.305100914005738'), (3, 1): (1, 0, '2.305100914005738'), (7, 37): (1, 0, '1.9193355620479522'), (7, 1): (1, 0, '1.9193355620479522')},
+    'probe-sampling': {(0, 37): (1, 0, '1.3645895569775774'), (0, 1): (1, 0, '1.3645895569775774'), (3, 37): (1, 0, '1.4709657979386332'), (3, 1): (1, 0, '1.4709657979386332'), (7, 37): (1, 0, '1.5031189902647848'), (7, 1): (1, 0, '1.5031189902647848')},
     'p00-bounds': {(0, 37): (37, 0, '2.7755575615628914e-17'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '2.7755575615628914e-17'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '5.551115123125783e-17'), (7, 1): (1, 0, '1.3877787807814457e-17')},
     'strong-backflow-threshold': {(0, 37): (37, 0, '0.0'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '0.0'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '0.0'), (7, 1): (1, 0, '0.0')},
 }
@@ -409,6 +411,39 @@ PINNED = {
 def test_each_propertys_result_is_pinned(seed, trials):
     for r in properties.run_property_suite(seed=seed, n_trials=trials, names=list(PINNED)):
         assert (r.trials, r.failures, repr(r.max_dev)) == PINNED[r.name][(seed, trials)], r.name
+
+
+def test_no_property_builds_or_checks_a_system_per_trial(monkeypatch):
+    """A 500-trial suite checks its states in stacks: no ``exchange_system``
+    call and no ``BipartiteSystem`` check; ``p00-bounds``' out-of-bounds probes
+    raise on their parameters, before any system is built."""
+    calls = {"exchange_system": 0, "BipartiteSystem": 0, "random": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(states, "exchange_system", counted("exchange_system", states.exchange_system))
+    monkeypatch.setattr(BipartiteSystem, "__post_init__", counted("BipartiteSystem", BipartiteSystem.__post_init__))
+    for name in ("random_two_qubit_system", "random_two_qutrit_system", "random_qudit_system", "random_system_and_unitary"):
+        monkeypatch.setattr(properties, name, counted("random", getattr(properties, name)))
+    results = properties.run_property_suite(seed=7, n_trials=500)
+    assert all(r.passed for r in results) and len(results) == len(properties.PROPERTIES)
+    assert calls == {"exchange_system": 0, "BipartiteSystem": 0, "random": 0}
+
+
+def test_a_stack_rows_system_is_the_checked_systems_bit_for_bit():
+    rng = np.random.default_rng(5)
+    drawn = [properties._draw_state(rng, d) for d in (3, 3, 3)]
+    st = states.valid_stack(states.exchange_stack(drawn))
+    for k, state in enumerate(drawn):
+        got, want = st.system(k), states.exchange_system(state)
+        assert (got.spectrum_c, got.spectrum_h, got.beta_c, got.beta_h) == (want.spectrum_c, want.spectrum_h, want.beta_c, want.beta_h)
+        assert got.rho.tobytes() == want.rho.tobytes() and not got.rho.flags.writeable
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.stack, want.stack))
+    assert st.rho.flags.writeable  # the stack's own rows stay as they were
 
 
 def test_the_suite_repeats_in_one_process_and_a_subset_matches_the_full_run():
