@@ -128,13 +128,19 @@ def matrix_exp_stack(m) -> np.ndarray:
     ``eigh`` and matmul make the same LAPACK/BLAS call per matrix, so every
     result equals ``matrix_exp`` of that matrix alone bit for bit.  A
     matrix that is neither Hermitian nor anti-Hermitian raises ValueError.
+    A branch no matrix takes is skipped, and so is the anti-Hermitian test
+    of a stack of Hermitian matrices.
     """
     m = np.asarray(m, dtype=complex)
     herm = hermiticity_defects(m) <= HERMITICITY_TOL
+    if herm.all():
+        return _eigh_exp(m, 1.0)
     k = 1j * m
     anti = ~herm & (hermiticity_defects(k) <= HERMITICITY_TOL)
     if not (herm | anti).all():
         raise ValueError(NOT_A_GENERATOR)
     out = np.empty_like(m)
-    out[herm], out[anti] = _eigh_exp(m[herm], 1.0), _eigh_exp(k[anti], -1j)
+    if herm.any():
+        out[herm] = _eigh_exp(m[herm], 1.0)
+    out[anti] = _eigh_exp(k[anti], -1j)
     return out

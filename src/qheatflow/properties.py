@@ -4,10 +4,13 @@ Each property draws its own deterministic random stream from the suite
 seed, evaluates ``n_trials`` instances (or a grid of comparable size)
 and reports the failure count plus the worst deviation seen.  The same
 generators back the pytest property tests, so `qheatflow check` is the
-packaged, CI-friendly way to re-run them.  A generator draws a state's
-parameters and accepts them on its populations (``states.ExchangeState``);
-a stacked property builds the accepted states of its trials at once
-(``states.exchange_stack``).  The witness-soundness
+packaged, CI-friendly way to re-run them.  A stacked property draws the
+states of its trials as one block (``_draw``): the attempt that would
+start at every offset of a block of the stream is made at once, a walk
+in whole attempts finds the accepted ones, and the generator is rewound
+and advanced by exactly the words the walk used, so every state is the
+scalar generators', bit for bit.  The accepted states are then checked
+as one stack (``_groups``).  The witness-soundness
 properties scale each drawn state's coherences in closed form to the edge
 of a nonnegative MH table (``_edge_rho``), so nothing is redrawn.
 
@@ -23,11 +26,13 @@ function gets a stacked row as a system (``StateStack.system``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics, fluctuations, linalg, probe, states, sweeps, witnesses
 from .dynamics import ManifoldRotation
+from .states import pymax
 
 MIN_POPULATION = 1e-3  # the least joint population of a drawn two-qubit or two-qutrit state
 QUDIT_MIN_POPULATION = 5e-4  # ... and of a drawn d x d state
@@ -38,111 +43,228 @@ STACK_TRIALS = 64  # trials drawn and evaluated as one stack; even, so each stac
 # random instance generators
 # ---------------------------------------------------------------------------
 
-def _two_qubit_draw(rng, coherent: bool = True):
-    """(``states.ExchangeState``, params) of ``random_two_qubit_system``,
-    accepted on its populations before any rho is built."""
+TAU = 2.0 * np.pi
+ANGLE_HIGH = np.array([np.pi, TAU, TAU, TAU])  # a rotation's theta, then phi, lam and kappa, are uniform on [0, high)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """``rng.random()`` of each 64-bit word: its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _uniform(u, lo, hi):
+    """``rng.uniform(lo, hi)`` of each double u of ``rng.random()``, bit for bit."""
+    return lo + (hi - lo) * u
+
+
+def _manifolds(d: int) -> list:
+    """The exchange manifolds (n, m), n < m, in the order every generator draws them."""
+    return [(n, m) for n in range(d) for m in range(n + 1, d)]
+
+
+def _pairs(d: int) -> list:
+    """The joint indices (n*d + m, m*d + n) of each manifold's coherence."""
+    return [(n * d + m, m * d + n) for n, m in _manifolds(d)]
+
+
+def _attempt_size(d: int, coherent: bool = True) -> int:
+    """The doubles of one attempt: beta_H, beta_C and P00 at d = 2, else the levels, betas and free populations; then etas, xis."""
+    return (3 if d == 2 else d + 1 + (d - 1) ** 2) + (2 * len(_manifolds(d)) if coherent else 0)
+
+
+def _attempts(x, d: int, coherent: bool):
+    """(steps, accepted, columns) of the attempt of ``random_two_qubit_system``
+    (d = 2), ``random_two_qutrit_system`` (d = 3) or ``random_qudit_system``
+    that draws each row of x (m, size) as its doubles, all made at once with
+    the generator's and the constructor's float operations: its length
+    (short on a near-degenerate spectrum) and whether it is accepted, as
+    lists, and its levels (m, d), beta_c, beta_h (m,), populations (m, d*d),
+    eta and xi (m, manifolds)."""
+    pos, none = 0, np.zeros((len(x), len(_manifolds(d))))
+
+    def take(lo, hi, width=None):  # the next uniform of every attempt, or the next ``width``
+        nonlocal pos
+        pos += width or 1
+        return _uniform(x[:, pos - 1] if width is None else x[:, pos - width: pos], lo, hi)
+
+    if d == 2:
+        beta_h = take(0.1, 1.2)
+        beta_c = beta_h + take(0.1, 1.5)
+        z = states.TwoQubitParams(beta_c, beta_h, 0.0).partition_values()
+        lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds(z)
+        params = states.TwoQubitParams(beta_c, beta_h, lo + take(0.08, 0.92) * (hi - lo))
+        eta = take(-0.95, 0.95, 1) * params.eta_cap(z)[:, None] if coherent else none
+        p = params.populations(z)
+        columns = np.tile([0.0, 1.0], (len(x), 1)), beta_c, beta_h, p, eta, take(0.0, TAU, 1) if coherent else none
+        return [x.shape[1]] * len(x), (p.min(axis=-1) >= MIN_POPULATION).tolist(), columns
+    if d == 3:
+        e1 = take(0.7, 1.3)
+        e2 = e1 + take(0.2, 0.8)
+        levels, skip = np.stack([np.zeros(len(x)), e1, e2], axis=-1), np.abs(e2 - 2.0 * e1) < 5e-3
+        beta_h = take(0.1, 0.8)
+        beta_c, jitter, floor = beta_h + take(0.2, 1.0), (0.7, 1.3), MIN_POPULATION
+    else:
+        levels = np.concatenate([np.zeros((len(x), 1)), np.add.accumulate(take(0.5, 1.7, d - 1), axis=-1)], axis=-1)
+        skip = ~states.bohr_nondegenerate(levels, 1e-3)
+        beta_h = take(0.1, 0.6)
+        beta_c, jitter, floor = beta_h + take(0.2, 0.8), (0.8, 1.2), QUDIT_MIN_POPULATION
+    c, h = states.gibbs_stack(levels, beta_c), states.gibbs_stack(levels, beta_h)
+    keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
+    p = states.solve_populations(c, h, {k: c[:, k // d] * h[:, k % d] * take(*jitter) for k in keys})[0]
+    ok = ~skip & (p.min(axis=-1) >= floor)
+    if d > 3:  # ``qudit_entries`` also checks that the marginals agree
+        ok &= ~(states.marginal_residual(c, h) > 1e-9)
+    eta, xi = (take(0.2, 0.95, none.shape[1]), take(0.0, TAU, none.shape[1])) if coherent else (none, none)
+    return np.where(skip, d - 1, x.shape[1]).tolist(), ok.tolist(), (levels, beta_c, beta_h, p, eta, xi)
+
+
+def _integer(words, i: int, stash: tuple, lo: int, hi: int):
+    """(``rng.integers(lo, hi)``, the next word, the stash) as numpy draws a
+    bounded integer below 2**32 from the 64-bit words at i: Lemire's method
+    on a 32-bit half, the low half of a fresh word first and its high half
+    kept in the stash (has, half) for the next such integer."""
+    span = hi - lo
     while True:
-        beta_h = rng.uniform(0.1, 1.2)
-        beta_c = beta_h + rng.uniform(0.1, 1.5)
-        lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds()
-        p00 = lo + rng.uniform(0.08, 0.92) * (hi - lo)
-        eta = rng.uniform(-0.95, 0.95) * states.TwoQubitParams(beta_c, beta_h, p00).eta_cap() if coherent else 0.0
-        xi = rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0
-        params = states.TwoQubitParams(beta_c, beta_h, p00, eta, xi)
-        state = states.two_qubit_entries(params)
-        if state.populations.min() >= MIN_POPULATION:
-            return state, params
+        if stash[0]:
+            half, stash = stash[1], (0, stash[1])
+        else:
+            word = int(words[i])
+            i, half, stash = i + 1, word & 0xFFFFFFFF, (1, word >> 32)
+        if (half * span) & 0xFFFFFFFF >= (2**32 - span) % span:  # else a biased draw: redrawn
+            return lo + (half * span >> 32), i, stash
 
 
-def _two_qutrit_draw(rng, coherent: bool = True):
-    """(``states.ExchangeState``, params) of ``random_two_qutrit_system``:
-    free populations jittered around product values, accepted as above."""
-    while True:
-        e1 = rng.uniform(0.7, 1.3)
-        e2 = e1 + rng.uniform(0.2, 0.8)
-        if abs(e2 - 2.0 * e1) < 5e-3:  # keep the Bohr spectrum nondegenerate
-            continue
-        beta_h = rng.uniform(0.1, 0.8)
-        beta_c = beta_h + rng.uniform(0.2, 1.0)
-        spec = states.EnergySpectrum((0.0, e1, e2))
-        gibbs = states.thermal_populations(spec, beta_c), states.thermal_populations(spec, beta_h)
-        prod = np.outer(*gibbs).ravel()
-        free = [prod[k] * rng.uniform(0.7, 1.3) for k in (0, 5, 7, 8)]  # rho_0, rho_5, rho_7, rho_8
-        eta = [rng.uniform(0.2, 0.95) if coherent else 0.0 for _ in range(3)]  # on (1,3), (2,6), (5,7)
-        xi = [rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0 for _ in range(3)]
-        params = states.QutritStateParams(beta_c, beta_h, e1, e2, *free, *eta, *xi)
-        try:  # ``two_qutrit_state(params)``'s solve, on the spectrum and Gibbs populations drawn here
-            state = states.locally_thermal_entries(
-                spec, beta_c, beta_h, gibbs, dict(zip((0, 5, 7, 8), free)), list(zip(((0, 1), (0, 2), (1, 2)), eta, xi))
-            )
-        except states.InfeasibleStateError:
-            continue
-        if state.populations.min() >= MIN_POPULATION:
-            return state, params
+class _Group(NamedTuple):
+    """The accepted draws of the trials ``at`` of one local dimension d: levels (k, d), betas (k,), populations
+    (k, d*d), eta, xi and coherences (k, manifolds) in the order of ``_manifolds``, angles (k, manifolds, 4) or None."""
+
+    at: np.ndarray
+    levels: np.ndarray
+    beta_c: np.ndarray
+    beta_h: np.ndarray
+    populations: np.ndarray
+    eta: np.ndarray
+    xi: np.ndarray
+    coherences: np.ndarray
+    angles: np.ndarray | None
 
 
-def _qudit_draw(rng, d: int = 4) -> states.ExchangeState:
-    """The ``states.ExchangeState`` of ``random_qudit_system``, accepted as above."""
-    while True:
-        levels = [0.0]
-        for _ in range(d - 1):
-            levels.append(levels[-1] + rng.uniform(0.5, 1.7))
-        spec = states.EnergySpectrum(tuple(levels))
-        if not spec.bohr_nondegenerate(1e-3):
-            continue
-        beta_h = rng.uniform(0.1, 0.6)
-        beta_c = beta_h + rng.uniform(0.2, 0.8)
-        prod = np.outer(states.thermal_populations(spec, beta_c), states.thermal_populations(spec, beta_h)).ravel()
-        keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
-        free = {k: prod[k] * rng.uniform(0.8, 1.2) for k in keys}
-        eta_map = {(n, m): rng.uniform(0.2, 0.95) for n in range(d) for m in range(n + 1, d)}
-        xi_map = {pair: rng.uniform(0.0, 2.0 * np.pi) for pair in eta_map}
+class _Draws(NamedTuple):
+    groups: list  # a ``_Group`` per local dimension, ascending
+    uniforms: tuple  # a column (n,) per trailing uniform
+    integers: np.ndarray  # (n, trailing integers)
+
+
+def _draw(rng, dims, coherent: bool = True, rotations: bool = True, uniforms=(), integers=()) -> _Draws:
+    """The draws of trials as the scalar generators make them, one after
+    another: trial k draws a state at local dimension dims[k] (drawn first
+    by ``rng.integers(*dims[k])`` for a (lo, hi) pair), then its rotations
+    when ``rotations``, ``rng.uniform(lo, hi)`` of each (lo, hi) of
+    ``uniforms`` and ``rng.integers(0, hi)`` of each hi of ``integers``
+    (None: the trial's d).  The stream is read in blocks of 64-bit words
+    (~8 MB of columns at most): ``_attempts`` makes the attempt at every
+    offset at once, and a walk in whole attempts, modelling numpy's 32-bit
+    stash for the integers, finds the accepted ones.  The generator is then
+    rewound and advanced by the words the walk used, so every value and the
+    generator's state afterwards are the scalar generators', bit for bit."""
+    bits = rng.bit_generator
+    saved = bits.state
+    if "has_uint32" not in saved:
+        raise TypeError(f"the block draw reads 64-bit words; {saved['bit_generator']} draws 32-bit ones")
+    kinds = sorted({d for spec in dims for d in ([spec] if isinstance(spec, int) else range(*spec))})
+    size = {d: _attempt_size(d, coherent) for d in kinds}
+    span = {d: size[d] + 4 * len(_manifolds(d)) * rotations + len(uniforms) for d in kinds}  # a state, rotations, uniforms
+    per_trial = sum(span[d] + size[d] // 2 for d in kinds) / len(kinds) + len(integers) + 1
+    most = max(2**18 // kinds[-1] ** 2, 4 * max(span.values()))  # words in a block
+    words, used, i, stash = np.zeros(0, np.uint64), 0, 0, (saved["has_uint32"], saved["uinteger"])
+    walked, drawn, steps, k, d, ask, started = [], [], None, 0, None, 0, -1
+    while k < len(dims):
+        if steps is None:  # the next block, from the current trial or attempt on, its every attempt made at once
+            ask = min(most, 2 * ask if k == started else 64 + (len(dims) - k) * per_trial)  # twice as long when no trial ended
+            words, used, i, started = np.concatenate([words[i:], bits.random_raw(int(ask))]), used + i, 0, k
+            u = _doubles(words)
+            steps = {dim: _attempts(np.lib.stride_tricks.sliding_window_view(u, size[dim]), dim, coherent)[:2] for dim in kinds}
         try:
-            state = states.qudit_entries(spec, beta_c, beta_h, free, eta_map, xi_map)
-        except states.InfeasibleStateError:
+            if d is None:
+                d, i, stash = (dims[k], i, stash) if isinstance(dims[k], int) else _integer(words, i, stash, *dims[k])
+            step, accepted = steps[d]
+            while not accepted[i]:
+                i += step[i]
+            end, after, values = i + span[d], stash, []
+            for hi in integers:
+                value, end, after = _integer(words, end, after, 0, hi or d)
+                values.append(value)
+            if end > len(words):
+                raise IndexError
+        except IndexError:  # past the block's end
+            steps = None
             continue
-        if state.populations.min() >= QUDIT_MIN_POPULATION:
-            return state
+        walked.append((k, d, words[i: i + span[d]].copy()))
+        drawn += values
+        i, stash, k, d = end, after, k + 1, None
+    bits.state = {**saved, "has_uint32": stash[0], "uinteger": stash[1]}
+    bits.random_raw(used + i)
+    groups, tails = [], np.zeros((len(uniforms), len(dims)))
+    for d in kinds:
+        if mine := [(trial, w) for trial, dim, w in walked if dim == d]:
+            at, u = np.array([trial for trial, _ in mine]), _doubles(np.array([w for _, w in mine]))
+            levels, beta_c, beta_h, p, eta, xi = _attempts(u[:, : size[d]], d, coherent)[2]  # the accepted attempts, again
+            if d == 2:
+                coherences = states.TwoQubitParams(beta_c, beta_h, p[:, 0], eta, xi).coherence()
+            else:
+                coherences = np.stack([states.exchange_coherence(eta[:, j], xi[:, j], p[:, a], p[:, b]) for j, (a, b) in enumerate(_pairs(d))], -1)
+            tails[:, at] = u[:, span[d] - len(uniforms):].T
+            angles = _angles(u[:, size[d]: span[d] - len(uniforms)]) if rotations else None
+            groups.append(_Group(at, levels, beta_c, beta_h, p, eta, xi, coherences, angles))
+    columns = tuple(_uniform(tail, lo, hi) for tail, (lo, hi) in zip(tails, uniforms))
+    return _Draws(groups, columns, np.array(drawn, dtype=int).reshape(len(dims), len(integers)))
 
 
-def _draw_state(rng, dim: int) -> states.ExchangeState:
-    if dim == 2:
-        return _two_qubit_draw(rng)[0]
-    return _two_qutrit_draw(rng)[0] if dim == 3 else _qudit_draw(rng, dim)
+def _angles(u) -> np.ndarray:
+    """The rotation angles (..., manifolds, 4) of the doubles u (..., 4 * manifolds)."""
+    return _uniform(u.reshape(*u.shape[:-1], -1, 4), 0.0, ANGLE_HIGH)
+
+
+def _exchange_state(g: _Group, j: int) -> states.ExchangeState:
+    """Row j of a group as the ``states.ExchangeState`` its generator builds."""
+    spec = states.EnergySpectrum(tuple(g.levels[j].tolist()))
+    entries = [(a, b, value) for (a, b), value in zip(_pairs(spec.dim), g.coherences[j])]
+    return states.ExchangeState(spec, spec, g.beta_c[j].item(), g.beta_h[j].item(), g.populations[j], entries)
+
+
+def _rotation_list(g: _Group, j: int) -> list:
+    """Row j's rotations, as ``random_rotations`` returns them."""
+    return [ManifoldRotation(pair, *angles) for pair, angles in zip(_manifolds(g.levels.shape[-1]), g.angles[j].tolist())]
 
 
 def random_two_qubit_system(rng, coherent: bool = True):
     """Locally thermal two-qubit state with beta_C > beta_H."""
-    state, params = _two_qubit_draw(rng, coherent)
-    return states.exchange_system(state), params
+    (g,) = _draw(rng, [2], coherent, rotations=False).groups
+    params = states.TwoQubitParams(*(x.item() for x in (g.beta_c[0], g.beta_h[0], g.populations[0, 0], g.eta[0, 0], g.xi[0, 0])))
+    return states.exchange_system(_exchange_state(g, 0)), params
 
 
 def random_two_qutrit_system(rng, coherent: bool = True):
     """Feasible two-qutrit instance; free populations jittered around product values."""
-    state, params = _two_qutrit_draw(rng, coherent)
-    return states.exchange_system(state), params
+    (g,) = _draw(rng, [3], coherent, rotations=False).groups
+    values = g.beta_c[0], g.beta_h[0], *g.levels[0, 1:], *g.populations[0, [0, 5, 7, 8]], *g.eta[0], *g.xi[0]
+    return states.exchange_system(_exchange_state(g, 0)), states.QutritStateParams(*(x.item() for x in values))
 
 
 def random_qudit_system(rng, d: int = 4):
     """Locally thermal d x d instance via the general constructor."""
-    return states.exchange_system(_qudit_draw(rng, d))
+    return states.exchange_system(_exchange_state(_draw(rng, [d], rotations=False).groups[0], 0))
 
 
 def random_rotations(rng, spec: states.EnergySpectrum):
     """One rotation per manifold (n, m), n < m: theta, then phi, lam and kappa."""
-    return [
-        ManifoldRotation((n, m), rng.uniform(0.0, np.pi), *(rng.uniform(0.0, 2.0 * np.pi) for _ in range(3)))
-        for n in range(spec.dim) for m in range(n + 1, spec.dim)
-    ]
-
-
-def _state_and_rotations(rng, dim: int):
-    state = _draw_state(rng, dim)
-    return state, random_rotations(rng, state.spectrum_c)
+    angles = _angles(rng.random(4 * len(_manifolds(spec.dim))))
+    return [ManifoldRotation(pair, *a) for pair, a in zip(_manifolds(spec.dim), angles.tolist())]
 
 
 def random_system_and_unitary(rng, dim: int):
-    state, rots = _state_and_rotations(rng, dim)
+    (g,) = _draw(rng, [dim]).groups
+    state, rots = _exchange_state(g, 0), _rotation_list(g, 0)
     return states.exchange_system(state), dynamics.energy_preserving_unitary(state.spectrum_c, rots), rots
 
 
@@ -206,29 +328,19 @@ def _stacked(note: str):
     return wrap
 
 
-def _pymax(a, b):
-    """Elementwise Python ``max(a, b)``: b where b > a, else a."""
-    return np.where(b > a, b, a)
+def _groups(draws: _Draws):
+    """(trial indices, their checked ``StateStack``, the ``_unitaries`` of their drawn rotations or None) per local dimension."""
+    for g in draws.groups:
+        n, (a, b) = len(g.at), np.array(_pairs(g.levels.shape[-1])).T
+        entries = np.arange(n).repeat(len(a)), np.tile(a, n), np.tile(b, n), g.coherences.ravel()
+        st = states.valid_stack(states.entry_stack(g.levels, g.levels, g.beta_c, g.beta_h, g.populations, entries))
+        yield g.at, st, None if g.angles is None else _unitaries(st, g.angles)
 
 
-def _draw(rng, dims):
-    """(states, rotations) that ``random_system_and_unitary`` draws for each of ``dims`` in turn."""
-    return tuple(zip(*(_state_and_rotations(rng, d) for d in dims)))
-
-
-def _groups(drawn, rotations=None):
-    """(trial indices, their ``states.exchange_stack``, their ``_unitaries`` of ``rotations``) per local dimension."""
-    for d in sorted({state.spectrum_c.dim for state in drawn}):
-        at = np.array([k for k, state in enumerate(drawn) if state.spectrum_c.dim == d])
-        st = states.valid_stack(states.exchange_stack([drawn[k] for k in at]))
-        yield at, st, None if rotations is None else _unitaries(st, [rotations[k] for k in at])
-
-
-def _unitaries(st, rotations):
-    """``energy_preserving_unitary`` of each row's spectrum and rotations, as one stack."""
-    angles = np.array([[(r.theta, r.phi, r.lam, r.kappa) for r in rots] for rots in rotations])  # (n, manifold, 4)
-    blocks = [(rot.level_pair, tuple(angles[:, j].T)) for j, rot in enumerate(rotations[0])]
-    return dynamics.exchange_unitary_stack(st.levels_c, len(rotations), blocks)
+def _unitaries(st, angles):
+    """``energy_preserving_unitary`` of each row's spectrum and rotation angles (n, manifold, 4), as one stack."""
+    blocks = [(pair, tuple(angles[:, j].T)) for j, pair in enumerate(_manifolds(st.dims[0]))]
+    return dynamics.exchange_unitary_stack(st.levels_c, len(angles), blocks)
 
 
 def _qubit_exchanges(theta, phi=0.0, lam=0.0):
@@ -241,10 +353,13 @@ def _tables(st, u):
     return tuple(fluctuations.table_stack(kind, st, u.matrix, u.adjoint) for kind in ("MH", "TPM"))
 
 
-def _raise_first(diverged, drawn, rotations, check):
+def _raise_first(diverged, draws: _Draws, check):
     """Run ``check(sys, u)``, the trial-by-trial path, which raises, on the first diverged trial."""
     for k in np.flatnonzero(diverged)[:1]:
-        check(states.exchange_system(drawn[k]), dynamics.energy_preserving_unitary(drawn[k].spectrum_c, rotations[k]))
+        g = next(g for g in draws.groups if k in g.at)
+        j = int(np.flatnonzero(g.at == k)[0])
+        state = _exchange_state(g, j)
+        check(states.exchange_system(state), dynamics.energy_preserving_unitary(state.spectrum_c, _rotation_list(g, j)))
 
 
 @_trials("associativity + bilinearity")
@@ -280,37 +395,35 @@ def _prop_partial_ops(rng, k):
 
 @_stacked("unitarity, commutation, manifold confinement")
 def _prop_unitarity(rng, n):
-    drawn, rotations = zip(*(_state_and_rotations(rng, min(int(rng.integers(2, 5)), 4)) for _ in range(n)))
     dev = np.zeros(n)
-    for at, st, u in _groups(drawn, rotations):
+    for at, st, u in _groups(_draw(rng, [(2, 5)] * n)):
         eye = np.eye(st.rho.shape[-1])
         d = linalg.spectral_norms(u.matrix @ u.adjoint - eye)
-        d = _pymax(d, u.commutator_norm)
-        d = _pymax(d, np.abs(linalg.spectral_norms(u.matrix) - 1.0))
+        d = pymax(d, u.commutator_norm)
+        d = pymax(d, np.abs(linalg.spectral_norms(u.matrix) - 1.0))
         # identity outside the declared manifolds
         side = st.dims[0]
         mask = np.eye(side * side, dtype=bool)
-        for rot in rotations[at[0]]:
-            a, b = rot.level_pair[0] * side + rot.level_pair[1], rot.level_pair[1] * side + rot.level_pair[0]
+        for a, b in _pairs(side):
             mask[a, a] = mask[b, b] = mask[a, b] = mask[b, a] = False
-        dev[at] = _pymax(d, np.abs(u.matrix - eye)[:, mask].max(axis=-1))
+        dev[at] = pymax(d, np.abs(u.matrix - eye)[:, mask].max(axis=-1))
     return dev, dev >= 1e-10
 
 
 @_stacked("constructed states stay thermal and positive")
 def _prop_state_validity(rng, n):
     dev = np.zeros(n)
-    for at, st, _ in _groups([_draw_state(rng, d) for d in ([2, 3] * n)[:n]]):
+    for at, st, _ in _groups(_draw(rng, ([2, 3] * n)[:n], rotations=False)):
         d = np.abs(st.marginal_c - states.gibbs_stack(st.levels_c, st.beta_c)).max(axis=-1)
-        d = _pymax(d, np.abs(st.marginal_h - states.gibbs_stack(st.levels_h, st.beta_h)).max(axis=-1))
-        d = _pymax(d, np.abs(st.rho.trace(axis1=1, axis2=2).real - 1.0))
-        dev[at] = _pymax(d, _pymax(0.0, -np.linalg.eigvalsh(st.rho)[:, 0]))
+        d = pymax(d, np.abs(st.marginal_h - states.gibbs_stack(st.levels_h, st.beta_h)).max(axis=-1))
+        d = pymax(d, np.abs(st.rho.trace(axis1=1, axis2=2).real - 1.0))
+        dev[at] = pymax(d, pymax(0.0, -np.linalg.eigvalsh(st.rho)[:, 0]))
     return dev, dev >= 1e-9
 
 
 @_stacked("dephasing idempotent, marginal-preserving")
 def _prop_dephase(rng, n):
-    ((_, st, _),) = _groups([_two_qutrit_draw(rng)[0] for _ in range(n)])
+    ((_, st, _),) = _groups(_draw(rng, [3] * n, rotations=False))
     deph = st.with_rho(states.dephased_rho(st.rho, st.levels_c, st.levels_h))
     twice = deph.with_rho(states.dephased_rho(deph.rho, deph.levels_c, deph.levels_h))
     dev = np.abs(twice.rho - deph.rho).reshape(n, -1).max(axis=-1)
@@ -319,26 +432,24 @@ def _prop_dephase(rng, n):
         lhs, rhs = (np.einsum(trace, x.rho.reshape(shape)) for x in (deph, st))
         # local spectra are nondegenerate, so dephasing the joint state
         # cannot move the marginals
-        dev = _pymax(dev, np.abs(lhs - rhs).reshape(n, -1).max(axis=-1))
+        dev = pymax(dev, np.abs(lhs - rhs).reshape(n, -1).max(axis=-1))
     return dev, dev >= 1e-12
 
 
 @_stacked("both marginal identities")
 def _prop_mh_marginals(rng, n):
-    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
     dev = np.zeros(n)
-    for at, st, u in _groups(drawn, rotations):
+    for at, st, u in _groups(_draw(rng, ([2, 3] * n)[:n])):
         mh, tpm = _tables(st, u)
-        dev[at] = _pymax(*(fluctuations.marginal_check_stack(t, st, u.matrix, u.adjoint, dephase) for t, dephase in ((mh, False), (tpm, True))))
+        dev[at] = pymax(*(fluctuations.marginal_check_stack(t, st, u.matrix, u.adjoint, dephase) for t, dephase in ((mh, False), (tpm, True))))
     return dev, dev >= 1e-10
 
 
 @_in_stacks
 def _table_norm_trials(rng, n):
     """Per trial: |sum - 1| of the MH and the TPM table, the least MH and TPM entries, the largest MH entry."""
-    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
     out = np.zeros((5, n))
-    for at, st, u in _groups(drawn, rotations):
+    for at, st, u in _groups(_draw(rng, ([2, 3] * n)[:n])):
         mh, tpm = (t.reshape(len(at), -1) for t in _tables(st, u))
         out[:, at] = np.abs(mh.sum(axis=-1) - 1.0), np.abs(tpm.sum(axis=-1) - 1.0), mh.min(axis=-1), tpm.min(axis=-1), mh.max(axis=-1)
     return out
@@ -346,7 +457,7 @@ def _table_norm_trials(rng, n):
 
 def _prop_table_norm_range(rng, n):
     sum_mh, sum_tpm, mh_min, tpm_min, mh_max = _table_norm_trials(rng, n)
-    bad = (_pymax(sum_mh, sum_tpm) >= 1e-10) | (mh_min < fluctuations.MH_LOWER_BOUND - 1e-10) | (tpm_min < -1e-12)
+    bad = (pymax(sum_mh, sum_tpm) >= 1e-10) | (mh_min < fluctuations.MH_LOWER_BOUND - 1e-10) | (tpm_min < -1e-12)
     failures = np.count_nonzero(bad | (mh_max > 1 + 1e-10))
     note = f"sum=1; min MH entry seen {np.fmin.reduce(mh_min, initial=0.0):.4f} >= -1/8"
     return int(failures), float(np.fmax.reduce([sum_mh, sum_tpm], axis=None, initial=0.0)), note
@@ -354,57 +465,55 @@ def _prop_table_norm_range(rng, n):
 
 @_stacked("table heat = operator heat; Q = Qback - Qdirect")
 def _prop_heat_identities(rng, n):
-    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
     dev = np.zeros(n)
-    for at, st, u in _groups(drawn, rotations):
+    for at, st, u in _groups(_draw(rng, ([2, 3] * n)[:n])):
         mh, tpm = _tables(st, u)
         q = fluctuations.table_heat_stack(mh, st.levels_c)
         d = np.abs(q - fluctuations.average_heat_stack(st, u.matrix, u.adjoint))
         diag = st.with_rho(fluctuations.diagonal_matrices(st.rho.diagonal(axis1=1, axis2=2)))
-        d = _pymax(d, np.abs(fluctuations.table_heat_stack(tpm, st.levels_c) - fluctuations.average_heat_stack(diag, u.matrix, u.adjoint)))
+        d = pymax(d, np.abs(fluctuations.table_heat_stack(tpm, st.levels_c) - fluctuations.average_heat_stack(diag, u.matrix, u.adjoint)))
         q_back, q_direct = fluctuations.flow_decomposition_stack(mh, st.levels_c, st.levels_h)
-        dev[at] = _pymax(d, np.abs(q_back - q_direct - q))
+        dev[at] = pymax(d, np.abs(q_back - q_direct - q))
     return dev, dev >= 1e-10
 
 
 @_stacked("MH = TPM on dephased states")
 def _prop_mh_tpm_dephased(rng, n):
-    ((_, st, u),) = _groups(*_draw(rng, [2] * n))
+    ((_, st, u),) = _groups(_draw(rng, [2] * n))
     mh, tpm = _tables(st.with_rho(fluctuations.diagonal_matrices(st.rho.diagonal(axis1=1, axis2=2))), u)
     dev = np.abs(mh - tpm).reshape(n, -1).max(axis=-1)
     # block dephasing never changes either table under energy-preserving U
     deph = st.with_rho(states.dephased_rho(st.rho, st.levels_c, st.levels_h))
     mh_deph, mh = (fluctuations.table_stack("MH", x, u.matrix, u.adjoint) for x in (deph, st))
-    dev = _pymax(dev, np.abs(mh_deph - mh).reshape(n, -1).max(axis=-1))
+    dev = pymax(dev, np.abs(mh_deph - mh).reshape(n, -1).max(axis=-1))
     return dev, dev >= 1e-12
 
 
 @_stacked("exchange entries, Q, Q_TPM vs matrix route")
 def _prop_two_qubit_closed_forms(rng, n):
-    draws = ((*_two_qubit_draw(rng), rng.uniform(0.0, np.pi), *rng.uniform(0.0, 2.0 * np.pi, size=2)) for _ in range(n))
-    drawn, params, theta, phi, lam = zip(*draws)  # phi, lam as drawn together
-    ((_, st, _),) = _groups(drawn)
-    u = _qubit_exchanges(theta, np.array(phi), np.array(lam))
+    draws = _draw(rng, [2] * n, rotations=False, uniforms=((0.0, np.pi), (0.0, TAU), (0.0, TAU)))
+    ((_, st, _),), (g,), (theta, phi, lam) = _groups(draws), draws.groups, draws.uniforms
+    u = _qubit_exchanges(theta, phi, lam)
     mh, tpm = _tables(st, u)
     q, q_tpm = fluctuations.average_heat_stack(st, u.matrix, u.adjoint), fluctuations.table_heat_stack(tpm, st.levels_c)
     dev = np.zeros(n)
-    for k, p in enumerate(params):
-        cf = fluctuations.two_qubit_exchange_probs(theta[k], p.eta, p.xi, p.beta_c, p.beta_h, p.p00, phi=phi[k], lam=lam[k])
+    params = (column.tolist() for column in (theta, g.eta[:, 0], g.xi[:, 0], g.beta_c, g.beta_h, g.populations[:, 0]))
+    for k, (th, eta, xi, beta_c, beta_h, p00) in enumerate(zip(*params)):  # floats, as drawn; phi and lam numpy's
+        cf = fluctuations.two_qubit_exchange_probs(th, eta, xi, beta_c, beta_h, p00, phi=phi[k], lam=lam[k])
         # the MH, then the TPM entries 01 -> 10 and 10 -> 01
         d = max(abs(cf[f"{name}_{a}{b}_{b}{a}"] - float(t[k, a, b, b, a])) for name, t in (("mh", mh), ("tpm", tpm)) for a, b in ((0, 1), (1, 0)))
-        closed = fluctuations.two_qubit_heat(theta[k], p.eta, p.xi, p.beta_c, p.beta_h, phi=phi[k], lam=lam[k])
-        d = max(d, abs(closed - float(q[k])))
-        dev[k] = max(d, abs(fluctuations.two_qubit_tpm_heat(theta[k], p.beta_c, p.beta_h) - float(q_tpm[k])))
+        d = max(d, abs(fluctuations.two_qubit_heat(th, eta, xi, beta_c, beta_h, phi=phi[k], lam=lam[k]) - float(q[k])))
+        dev[k] = max(d, abs(fluctuations.two_qubit_tpm_heat(th, beta_c, beta_h) - float(q_tpm[k])))
     return dev, dev >= 1e-12
 
 
 @_stacked("manifold closed forms, d = 3 and 4")
 def _prop_qudit_closed_forms(rng, n):
-    drawn, rotations = _draw(rng, ([3, 4] * n)[:n])
+    draws = _draw(rng, ([3, 4] * n)[:n])
     dev = np.zeros(n)
-    for at, st, u in _groups(drawn, rotations):
+    for g, (at, st, u) in zip(draws.groups, _groups(draws)):
         for j, (k, mh, tpm) in enumerate(zip(at, *_tables(st, u))):
-            sys, rots = st.system(j), rotations[k]
+            sys, rots = st.system(j), _rotation_list(g, j)
             pw, tp = fluctuations.exchange_manifold_pw(sys, rots), fluctuations.exchange_manifold_tpm(sys, rots)
             dev[k] = max([0.0, *(abs(v - float(mh[key])) for key, v in pw.items()), *(abs(v - float(tpm[key])) for key, v in tp.items())])
     return dev, dev >= 1e-12
@@ -412,9 +521,9 @@ def _prop_qudit_closed_forms(rng, n):
 
 @_stacked("<e^{dI+dB dE}> = 1 + chi_bar")
 def _prop_xft_identity(rng, n):
-    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
+    draws = _draw(rng, ([2, 3] * n)[:n])
     dev, diverged = np.zeros(n), np.zeros(n, bool)
-    for at, st, u in _groups(drawn, rotations):
+    for at, st, u in _groups(draws):
         mh = _tables(st, u)[0]
         lhs, _, vanishing = fluctuations.xft_average_stack(mh, st)
         resonance_ok = fluctuations.resonance_stack(mh, st.levels_c, st.levels_h)[0]
@@ -426,15 +535,15 @@ def _prop_xft_identity(rng, n):
         fluctuations.xft_average(fluctuations.mh_distribution(sys, u), sys)
         fluctuations.xft_coherence_term(sys, u)
 
-    _raise_first(diverged, drawn, rotations, check)
+    _raise_first(diverged, draws, check)
     return dev, dev >= 1e-8
 
 
 @_stacked("1 + J = <e^{dB dE}>; J <= ||c|| + ||q||")
 def _prop_j_identity(rng, n):
-    drawn, rotations = _draw(rng, ([2, 3] * n)[:n])
+    draws = _draw(rng, ([2, 3] * n)[:n])
     dev, bad, diverged = np.zeros(n), np.zeros(n, bool), np.zeros(n, bool)
-    for at, st, u in _groups(drawn, rotations):
+    for at, st, u in _groups(draws):
         mh = _tables(st, u)[0]
         operators = fluctuations._correction_operators(st)
         j = fluctuations._correction_j(operators, u.matrix, u.adjoint)
@@ -444,7 +553,7 @@ def _prop_j_identity(rng, n):
         dev[at] = np.abs(1.0 + j - direct)
         bad[at] = (dev[at] >= 1e-10) | (j > norm_bound + 1e-10)
         diverged[at] = operators[3]
-    _raise_first(diverged, drawn, rotations, fluctuations.heat_exp_correction)
+    _raise_first(diverged, draws, fluctuations.heat_exp_correction)
     return dev, bad
 
 
@@ -463,7 +572,7 @@ def _edge_rho(rho, mh, tpm):
 
 def _nonneg_instance(rng, dims):
     """``_groups`` of one ``_draw`` of ``dims``, as a list, each state scaled by ``_edge_rho``."""
-    return [(at, st.with_rho(_edge_rho(st.rho, *_tables(st, u))), u) for at, st, u in _groups(*_draw(rng, dims))]
+    return [(at, st.with_rho(_edge_rho(st.rho, *_tables(st, u))), u) for at, st, u in _groups(_draw(rng, dims))]
 
 
 @_in_stacks
@@ -485,10 +594,9 @@ def _prop_witness_soundness(rng, n):
 def _nonideal_soundness_trials(rng, n):
     """Per nonnegative two-qubit instance under a drawn perturbed XY unitary: how many of T2 and
     T3-nonideal read violated, T3 where chi_bar and the XFT average are finite and 1 + chi_bar > 0."""
-    draws = ((_two_qubit_draw(rng)[0], rng.uniform(100.0, 400.0), rng.uniform(0.0, 6e-3), rng.uniform(0.0, 60.0)) for _ in range(n))
-    drawn, j_hz, t, jx = zip(*draws)
-    ((_, st, _),) = _groups(drawn)
-    u = dynamics.perturbed_xy_unitary_stack(np.array(j_hz), np.array(jx), np.array(t), 1.0, 1.0)
+    draws = _draw(rng, [2] * n, rotations=False, uniforms=((100.0, 400.0), (0.0, 6e-3), (0.0, 60.0)))
+    ((_, st, _),), (j_hz, t, jx) = _groups(draws), draws.uniforms
+    u = dynamics.perturbed_xy_unitary_stack(j_hz, jx, t, 1.0, 1.0)
     st = st.with_rho(_edge_rho(st.rho, *_tables(st, u)))
     columns, mh, _ = sweeps._evaluate_stack(st, u, {}, ("Q", "t2_violated"))
     q, t2 = columns["Q"][0], columns["t2_violated"][0]
@@ -509,9 +617,9 @@ def _prop_witness_soundness_nonideal(rng, n):
 def _exchange_qubit_trials(rng, n, coherent=True):
     """Per trial of a drawn qubit pair under the exchange by a drawn theta:
     T1 violated, Q of the MH table and the operator, Q_tpm, the least MH entry."""
-    drawn, _, theta = zip(*((*_two_qubit_draw(rng, coherent), rng.uniform(0.0, np.pi)) for _ in range(n)))
-    ((_, st, _),) = _groups(drawn)
-    u = _qubit_exchanges(theta)
+    draws = _draw(rng, [2] * n, coherent, rotations=False, uniforms=((0.0, np.pi),))
+    ((_, st, _),) = _groups(draws)
+    u = _qubit_exchanges(draws.uniforms[0])
     mh, tpm = _tables(st, u)
     q, q_tpm = (fluctuations.table_heat_stack(t, st.levels_c) for t in (mh, tpm))
     # read for coherent pairs only
@@ -532,27 +640,21 @@ def _prop_tpm_no_backflow(rng, n):
     return int(failures), np.fmax.reduce(q_tpm, initial=-np.inf), "Q_tpm <= 0 and Q(eta=0) = Q_tpm"
 
 
-def _coherent_pairs(state):
-    """(manifold (n, m), rho[a, b], rho[a, a]) of each coherence (a, b) of a drawn state, in its order."""
-    d = state.spectrum_c.dim
-    return [((a // d, a % d), value, state.populations[a]) for a, _, value in state.coherences]
-
-
 @_in_stacks
 def _all_negative_trials(rng, n):
     """Per drawn two-qutrit state under the rotations that aim to make each
     MH entry (n, m) -> (m, n) negative: whether all three are and the state's
     coherences reach 1e-6 (the trial is checked), and whether |Q| > |Q_tpm| then fails."""
-    drawn = [_two_qutrit_draw(rng)[0] for _ in range(n)]
-    pairs = [_coherent_pairs(state) for state in drawn]
+    draws = _draw(rng, [3] * n, rotations=False)
+    ((_, st, _),), (g,) = _groups(draws), draws.groups
+    populations = g.populations[:, [a for a, _ in _pairs(3)]]
     # pick each angle so the coherence term defeats the population term
-    rotations = [
-        [ManifoldRotation(pair, theta=np.pi - 0.5 * np.arctan(abs(c) / max(pop, 1e-12)), phi=0.0, lam=-float(np.angle(c))) for pair, c, pop in p]
-        for p in pairs
+    angles = [
+        [(np.pi - 0.5 * np.arctan(abs(c) / max(pop, 1e-12)), 0.0, -float(np.angle(c)), 0.0) for c, pop in zip(*row)]
+        for row in zip(g.coherences, populations)
     ]
-    ((_, st, u),) = _groups(drawn, rotations)
-    mh, tpm = _tables(st, u)
-    checked = np.array([not min(abs(c) for _, c, _ in p) < 1e-6 for p in pairs])
+    mh, tpm = _tables(st, _unitaries(st, np.array(angles)))
+    checked = np.array([not min(abs(c) for c in row) < 1e-6 for row in g.coherences])
     checked &= np.all([mh[:, lo, hi, hi, lo] < 0.0 for lo, hi in ((0, 1), (0, 2), (1, 2))], axis=0)
     q, q_tpm = (fluctuations.table_heat_stack(t, st.levels_c) for t in (mh, tpm))
     return checked, checked & ~(np.abs(q) > np.abs(q_tpm))
@@ -570,10 +672,10 @@ def _prop_all_negative_direction(rng, n):
 
 @_stacked("max |Q - Q_tpm| attained at quarter rotations")
 def _prop_delta_q_max(rng, n):
-    drawn = [_two_qutrit_draw(rng)[0] for _ in range(n)]
+    draws = _draw(rng, [3] * n, rotations=False)
+    ((_, st, _),), (g,) = _groups(draws), draws.groups
     # phases tuned so cos(xi + phi + lam) = 1, theta = pi/4 on all manifolds
-    rotations = [[ManifoldRotation(pair, theta=np.pi / 4.0, phi=0.0, lam=-float(np.angle(c))) for pair, c, _ in _coherent_pairs(state)] for state in drawn]
-    ((_, st, u),) = _groups(drawn, rotations)
+    u = _unitaries(st, np.stack(np.broadcast_arrays(np.pi / 4.0, 0.0, -np.angle(g.coherences), 0.0), axis=-1))
     q = fluctuations.average_heat_stack(st, u.matrix, u.adjoint)
     q_tpm = fluctuations.table_heat_stack(_tables(st, u)[1], st.levels_c)
     target = np.array([fluctuations.max_heat_coherence_shift(st.system(k)) for k in range(n)])
@@ -583,13 +685,11 @@ def _prop_delta_q_max(rng, n):
 
 @_stacked("reconstruction exact for eps in {0.05, 0.2, pi/4}")
 def _prop_probe_exactness(rng, n):
-    # each trial draws its target row (i_C, i_H) after its state and rotations
-    draws = ((*_state_and_rotations(rng, d), (int(rng.integers(0, d)), int(rng.integers(0, d)))) for d in ([2, 3] * n)[:n])
-    drawn, rotations, targets = zip(*draws)
+    draws = _draw(rng, ([2, 3] * n)[:n], integers=(None, None))  # each trial's target row (i_C, i_H) after its rotations
     dev, failures = np.zeros(n), np.zeros(n, int)
-    for at, st, u in _groups(drawn, rotations):
+    for at, st, u in _groups(draws):
         for j, (k, mh) in enumerate(zip(at, fluctuations.table_stack("MH", st, u.matrix, u.adjoint))):
-            dev[k], failures[k] = _probe_exactness_trial(st.system(j), u.matrix[j], mh, targets[k])
+            dev[k], failures[k] = _probe_exactness_trial(st.system(j), u.matrix[j], mh, draws.integers[k].tolist())
     return dev, failures
 
 
@@ -617,8 +717,8 @@ def _probe_exactness_trial(sys, u, mh, target):
 
 @_stacked("smaller coupling disturbs less")
 def _prop_probe_disturbance(rng, n):
-    drawn, idx = zip(*((_two_qubit_draw(rng)[0], int(rng.integers(0, 4))) for _ in range(n)))
-    ((_, st, _),) = _groups(drawn)
+    draws = _draw(rng, [2] * n, rotations=False, integers=(4,))
+    ((_, st, _),), idx = _groups(draws), draws.integers[:, 0]
     pi_op = np.zeros((n, 4, 4), dtype=complex)
     pi_op[range(n), idx, idx] = 1.0
     flip = 2.0 * pi_op - np.eye(4)
@@ -632,10 +732,10 @@ def _prop_probe_disturbance(rng, n):
 
 
 def _prop_probe_sampling(rng, n):
-    drawn, rotations, seeds = zip(*((*_state_and_rotations(rng, 2), int(rng.integers(0, 2**31))) for _ in range(max(1, min(n, 20)))))
-    ((_, st, u),) = _groups(drawn, rotations)
+    draws = _draw(rng, [2] * max(1, min(n, 20)), integers=(2**31,))
+    ((_, st, u),) = _groups(draws)
     failures, worst = 0, 0.0
-    for k, seed in enumerate(seeds):
+    for k, seed in enumerate(draws.integers[:, 0].tolist()):
         stats = probe.probe_statistics(st.system(k), u.matrix[k], (0, 1), 0.2)
         s1 = probe.sampled_reconstruction(stats, 10**5, seed)
         s2 = probe.sampled_reconstruction(stats, 10**5, seed)
@@ -666,7 +766,7 @@ def _prop_p00_bounds(rng, n):
         drawn.append(states.two_qubit_entries(states.TwoQubitParams(beta_c, beta_h, inside, eta=cap)))
     # each state inside the bounds is valid, and at the boundary eta PSD up to tolerance
     rho = states.valid_stack(states.exchange_stack(drawn)).rho[1::2]
-    return _pymax(0.0, -np.linalg.eigvalsh(rho)[:, 0]), failures
+    return pymax(0.0, -np.linalg.eigvalsh(rho)[:, 0]), failures
 
 
 @_trials("threshold log(d)/dBeta behaves")

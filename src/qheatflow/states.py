@@ -16,6 +16,7 @@ gap for a two-level system with E = 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,11 +34,29 @@ EXP_SHIFT_ABOVE = 700.0  # a Boltzmann exponent past this is divided out, as e^{
 EIGVALSH_MAX_SIDE = 16
 
 
-def bohr_nondegenerate(levels, tol: float = BOHR_TOL) -> bool:
+def bohr_nondegenerate(levels, tol: float = BOHR_TOL):
     """True when the gaps |E_n - E_m| of the levels, n > m, are distinct
-    within tol; the levels may come in any order."""
-    gaps = sorted(abs(a - b) for i, a in enumerate(levels) for b in levels[:i])
-    return all(b - a > tol for a, b in zip(gaps, gaps[1:]))
+    within tol; the levels may come in any order.  Of levels (..., d) given
+    as columns, one answer per row."""
+    levels = np.asarray(levels, dtype=float)
+    n, m = _lower_triangle(levels.shape[-1])
+    gaps = np.sort(np.abs(levels[..., n] - levels[..., m]), axis=-1)
+    return (gaps[..., 1:] - gaps[..., :-1] > tol).all(axis=-1)
+
+
+@functools.cache
+def _lower_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.tril_indices(d, -1)
+
+
+def pymax(a, b):
+    """Python's ``max(a, b)``, elementwise on arrays: b where b > a, else a (so a nan a is kept)."""
+    return np.where(b > a, b, a) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else max(a, b)
+
+
+def pymin(a, b):
+    """Python's ``min(a, b)``, elementwise on arrays: b where b < a, else a."""
+    return np.where(b < a, b, a) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else min(a, b)
 
 
 class InfeasibleStateError(ValueError):
@@ -176,12 +195,11 @@ def state_rows(levels_c, levels_h, beta_c, beta_h, rho: np.ndarray, gibbs) -> tu
     call against ``gibbs``, and every column filled here, a failing row's
     too.  ``valid_stack`` raises the first failure."""
     errors, (marginal_c, marginal_h) = validate_stack(rho, (levels_c.shape[-1], levels_h.shape[-1]), gibbs)
-    rows_c, rows_h = levels_c.tolist(), levels_h.tolist()
-    bohr = {row: bohr_nondegenerate(row) for row in set(map(tuple, rows_c))}
+    equal = (levels_c == levels_h).all(axis=-1) if levels_c.shape == levels_h.shape else np.zeros(len(rho), bool)
     return errors, StateStack(
         rho, rho.diagonal(axis1=1, axis2=2).real.copy(), marginal_c, marginal_h, levels_c, levels_h, beta_c, beta_h,
         (beta_c < beta_h) | (beta_c > beta_h),  # both set (a nan compares false) and different
-        np.array([c == h for c, h in zip(rows_c, rows_h)], bool), np.array([bohr[tuple(row)] for row in rows_c], bool),
+        equal, bohr_nondegenerate(levels_c),
     )
 
 
@@ -327,18 +345,27 @@ def exchange_system(state: ExchangeState) -> BipartiteSystem:
 
 def exchange_stack(states) -> tuple[list, StateStack]:
     """(each state's first failure or None, the ``StateStack`` with one row
-    per state) of ``states``, which share their dimensions: each row as
-    ``exchange_system`` builds it, bit for bit, rho filled at once and
-    checked by one ``state_rows`` call, which raises nothing."""
+    per state) of ``states``, which share their dimensions: the
+    ``entry_stack`` of their entries."""
+    entries = [(k, a, b, value) for k, s in enumerate(states) for a, b, value in s.coherences]
+    columns = zip(*((s.spectrum_c.levels, s.spectrum_h.levels, s.beta_c, s.beta_h) for s in states))
+    levels_c, levels_h, beta_c, beta_h = (np.array(column, dtype=float) for column in columns)
     populations = np.array([s.populations for s in states])
+    return entry_stack(levels_c, levels_h, beta_c, beta_h, populations, tuple(map(np.array, zip(*entries))))
+
+
+def entry_stack(levels_c, levels_h, beta_c, beta_h, populations, coherences=()) -> tuple[list, StateStack]:
+    """(each row's first failure or None, the ``StateStack``) of the states
+    with the diagonals ``populations`` (n, D) and rho[k, a, b] = value =
+    conj(rho[k, b, a]) of each (k, a, b, value) of the ``coherences``
+    columns: each row as ``exchange_system`` builds it, bit for bit, rho
+    filled at once and checked by one ``state_rows`` call, which raises nothing."""
     n, side = populations.shape
     rho = np.zeros((n, side, side), complex)
     rho[:, range(side), range(side)] = populations
-    if entries := [(k, a, b, value) for k, s in enumerate(states) for a, b, value in s.coherences]:
-        k, a, b, value = map(np.array, zip(*entries))
+    if coherences:
+        k, a, b, value = coherences
         rho[k, a, b], rho[k, b, a] = value, np.conj(value)
-    columns = zip(*((s.spectrum_c.levels, s.spectrum_h.levels, s.beta_c, s.beta_h) for s in states))
-    levels_c, levels_h, beta_c, beta_h = (np.array(column, dtype=float) for column in columns)
     return state_rows(levels_c, levels_h, beta_c, beta_h, rho, (gibbs_stack(levels_c, beta_c), gibbs_stack(levels_h, beta_h)))
 
 
@@ -355,7 +382,9 @@ class TwoQubitParams:
 
     eta may be negative (the sign can always be absorbed into the
     rotation angle of the protocol, but keeping it signed makes the
-    comparison with measured coherences direct).
+    comparison with measured coherences direct).  The fields may be
+    columns of equal length: the methods then give one value per row,
+    each bit for bit the one-state value.
     """
 
     beta_c: float
@@ -366,23 +395,27 @@ class TwoQubitParams:
     gap: float = 1.0
 
     def partition_values(self) -> tuple[float, float]:
-        z_c = 1.0 + np.exp(-self.beta_c * self.gap)
-        z_h = 1.0 + np.exp(-self.beta_h * self.gap)
-        return float(z_c), float(z_h)
+        return 1.0 + np.exp(-self.beta_c * self.gap), 1.0 + np.exp(-self.beta_h * self.gap)
 
     def p00_bounds(self, z=None) -> tuple[float, float]:
         """(lower, upper) bound on P00, of ``partition_values()`` or the given ``z``."""
         z_c, z_h = z or self.partition_values()
-        lower = max(0.0, 1.0 / z_c + 1.0 / z_h - 1.0)
-        upper = min(1.0 / z_c, 1.0 / z_h)
-        return lower, upper
+        return pymax(0.0, 1.0 / z_c + 1.0 / z_h - 1.0), pymin(1.0 / z_c, 1.0 / z_h)
 
     def eta_cap(self, z=None) -> float:
         """The largest |eta| at this P00, of ``partition_values()`` or the given ``z``."""
         z_c, z_h = z or self.partition_values()
-        a = 1.0 / z_c - self.p00
-        b = 1.0 / z_h - self.p00
-        return float(np.sqrt(max(a, 0.0) * max(b, 0.0)))
+        return np.sqrt(pymax(1.0 / z_c - self.p00, 0.0) * pymax(1.0 / z_h - self.p00, 0.0))
+
+    def populations(self, z=None) -> np.ndarray:
+        """The diagonal (P00, 1/z_C - P00, 1/z_H - P00, 1 - 1/z_C - 1/z_H + P00), (..., 4)."""
+        z_c, z_h = z or self.partition_values()
+        p00 = self.p00
+        return np.array([p00, 1.0 / z_c - p00, 1.0 / z_h - p00, 1.0 - 1.0 / z_c - 1.0 / z_h + p00]).T
+
+    def coherence(self):
+        """rho[1, 2] = eta e^{i xi}."""
+        return self.eta * np.exp(1j * self.xi)
 
 
 def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
@@ -396,7 +429,7 @@ def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
 
 def two_qubit_entries(params: TwoQubitParams) -> ExchangeState:
     """The state of ``two_qubit_state(params)``, after its parameter checks."""
-    z = z_c, z_h = params.partition_values()
+    z = params.partition_values()
     lower, upper = params.p00_bounds(z)
     if params.p00 > upper + 1e-12:
         raise InfeasibleStateError("p00_upper", f"P00 = {params.p00} exceeds upper bound {upper}")
@@ -405,11 +438,8 @@ def two_qubit_entries(params: TwoQubitParams) -> ExchangeState:
     cap = params.eta_cap(z)
     if abs(params.eta) > cap + 1e-12:
         raise InfeasibleStateError("eta_cap", f"|eta| = {abs(params.eta)} exceeds cap {cap}")
-    p00 = params.p00
-    diag = np.array([p00, 1.0 / z_c - p00, 1.0 / z_h - p00, 1.0 - 1.0 / z_c - 1.0 / z_h + p00])
-    coherence = params.eta * np.exp(1j * params.xi)
     spectrum = EnergySpectrum.two_level(params.gap)
-    return ExchangeState(spectrum, spectrum, params.beta_c, params.beta_h, diag, [(1, 2, coherence)])
+    return ExchangeState(spectrum, spectrum, params.beta_c, params.beta_h, params.populations(z), [(1, 2, params.coherence())])
 
 
 def gamma_correlated_state(
@@ -484,45 +514,62 @@ def two_qutrit_entries(params: QutritStateParams) -> ExchangeState:
 def locally_thermal_entries(spectrum, beta_c, beta_h, gibbs, free, coherences) -> ExchangeState:
     """The d x d state with the populations ``free`` ({joint index: value}
     on {0} and {n*d+m : n, m >= 1, (n, m) != (1, 1)}), the marginals
-    ``gibbs`` = (c, h), and the coherence eta e^{i xi} sqrt(p_a p_b) of
-    each (manifold, eta, xi) of ``coherences``.
-
-    The other 2d - 1 populations follow by back-substitution, each a
-    left-to-right chain of subtractions on floats: rows n >= 2 give
-    p[n, 0] = c_n - p[n, 1] - ... - p[n, d-1], column 0 gives p[1, 0],
-    row 1 gives p[1, 1] and columns m >= 1 give p[0, m].  Row 0 is the
-    equation left out.  Each solved population is checked >= 0 in that
-    order, then the free ones by index.
-    """
+    ``gibbs`` = (c, h), the other populations of ``solve_populations``,
+    and the ``exchange_coherence`` of each (manifold, eta, xi) of
+    ``coherences``, eta checked in [0, 1]."""
     d = spectrum.dim
-    c, h = (g.tolist() for g in gibbs)
-    p = [0.0] * (d * d)
-    for idx, value in free.items():
-        p[idx] = float(value)
-    solved = []
-
-    def solve(idx, total, others):
-        for k in others:
-            total -= p[k]
-        p[idx] = total
-        solved.append(idx)
-
-    for n in range(2, d):
-        solve(n * d, c[n], range(n * d + 1, n * d + d))
-    solve(d, h[0], [0, *range(2 * d, d * d, d)])
-    solve(d + 1, c[1], [d, *range(d + 2, 2 * d)])
-    for m in range(1, d):
-        solve(m, h[m], range(d + m, d * d, d))
-    for idx in solved + sorted(free):
-        if p[idx] < -PSD_TOL:
-            raise InfeasibleStateError(f"population_{idx}", f"implied population rho_{idx} = {p[idx]:.3e} < 0")
+    p, first = solve_populations(*gibbs, free)
+    if first >= 0:
+        raise InfeasibleStateError(f"population_{first}", f"implied population rho_{first} = {p[first]:.3e} < 0")
     entries = []
     for (n, m), eta, xi in coherences:
         if not 0.0 <= eta <= 1.0:
             raise InfeasibleStateError(f"eta_{n}{m}", f"eta for manifold ({n},{m}) must lie in [0, 1]")
         a, b = _manifold_indices(n, m, d)
-        entries.append((a, b, eta * np.exp(1j * xi) * np.sqrt(max(p[a], 0.0) * max(p[b], 0.0))))
-    return ExchangeState(spectrum, spectrum, beta_c, beta_h, np.maximum(np.array(p), 0.0), entries)
+        entries.append((a, b, exchange_coherence(eta, xi, p[a], p[b])))
+    return ExchangeState(spectrum, spectrum, beta_c, beta_h, np.maximum(p, 0.0), entries)
+
+
+def solve_populations(c, h, free):
+    """(p, first): the populations p (..., d*d) of the d x d states with the
+    marginals c, h (..., d) and the populations ``free`` ({joint index:
+    value}, a value or a column per index), and the joint index of each
+    state's first population below -PSD_TOL in the order checked, or -1.
+
+    The other 2d - 1 populations follow by back-substitution, each a
+    left-to-right chain of subtractions on floats: rows n >= 2 give
+    p[n, 0] = c_n - p[n, 1] - ... - p[n, d-1], column 0 gives p[1, 0],
+    row 1 gives p[1, 1] and columns m >= 1 give p[0, m].  Row 0 is the
+    equation left out.  Each solved population is checked in that order,
+    then the free ones by index.
+    """
+    d = c.shape[-1]
+    p = [0.0] * (d * d)
+    for idx, value in free.items():
+        p[idx] = np.asarray(value, dtype=float)
+    solved = []
+
+    def solve(idx, total, others):
+        for k in others:
+            total = total - p[k]
+        p[idx] = total
+        solved.append(idx)
+
+    for n in range(2, d):
+        solve(n * d, c[..., n], range(n * d + 1, n * d + d))
+    solve(d, h[..., 0], [0, *range(2 * d, d * d, d)])
+    solve(d + 1, c[..., 1], [d, *range(d + 2, 2 * d)])
+    for m in range(1, d):
+        solve(m, h[..., m], range(d + m, d * d, d))
+    p = np.stack(p, axis=-1)
+    order = solved + sorted(free)
+    low = p[..., order] < -PSD_TOL
+    return p, np.where(low.any(axis=-1), np.array(order)[low.argmax(axis=-1)], -1)[()]
+
+
+def exchange_coherence(eta, xi, p_a, p_b):
+    """rho[a, b] = eta e^{i xi} sqrt(p_a p_b) of a manifold (a, b), a negative population read as 0."""
+    return eta * np.exp(1j * xi) * np.sqrt(pymax(p_a, 0.0) * pymax(p_b, 0.0))
 
 
 def qudit_locally_thermal(
@@ -542,6 +589,12 @@ def qudit_locally_thermal(
     return exchange_system(qudit_entries(spectrum, beta_c, beta_h, free_populations, eta_map, xi_map))
 
 
+def marginal_residual(c, h):
+    """|sum(h) - sum(c)| of marginals (..., d): the solve meets every row n >= 1
+    and every column, so row 0 then reads c_0 + sum(h) - sum(c)."""
+    return np.abs(h.sum(axis=-1) - c.sum(axis=-1))
+
+
 def qudit_entries(spectrum, beta_c, beta_h, free_populations, eta_map=None, xi_map=None) -> ExchangeState:
     """The state of ``qudit_locally_thermal``, after its parameter checks."""
     if not spectrum.bohr_nondegenerate():
@@ -551,8 +604,7 @@ def qudit_entries(spectrum, beta_c, beta_h, free_populations, eta_map=None, xi_m
     if set(free_populations) != expected_free:
         raise ValueError(f"free populations must be exactly indices {sorted(expected_free)}")
     gibbs = c, h = thermal_populations(spectrum, beta_c), thermal_populations(spectrum, beta_h)
-    # the solve meets every row n >= 1 and every column; row 0 then reads c_0 + sum(h) - sum(c)
-    resid = abs(h.sum() - c.sum())
+    resid = marginal_residual(c, h)
     if resid > 1e-9:
         raise InfeasibleStateError("marginal_consistency", f"residual {resid:.3e}")
     xi_map = xi_map or {}

@@ -38,7 +38,7 @@ from qheatflow.fluctuations import (
 from qheatflow.linalg import HERMITICITY_TOL, NOT_A_GENERATOR, SIGMA_X, _square, spectral_norm
 from qheatflow import dynamics, fluctuations, probe, states, witnesses
 from qheatflow import linalg as qlinalg
-from qheatflow.properties import MIN_POPULATION, QUDIT_MIN_POPULATION, _edge_rho, _tables, random_rotations
+from qheatflow.properties import MIN_POPULATION, QUDIT_MIN_POPULATION, _edge_rho, _tables
 from qheatflow.states import (
     EIGVALSH_MAX_SIDE,
     HERM_TOL,
@@ -785,6 +785,13 @@ def random_qudit_system(rng, d=4):
             continue
         if sys.populations().min() >= QUDIT_MIN_POPULATION:
             return sys
+
+
+def random_rotations(rng, spec):
+    return [
+        ManifoldRotation((n, m), rng.uniform(0.0, np.pi), *(rng.uniform(0.0, 2.0 * np.pi) for _ in range(3)))
+        for n in range(spec.dim) for m in range(n + 1, spec.dim)
+    ]
 
 
 def random_system(rng, dim, coherent=True):

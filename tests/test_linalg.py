@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import qheatflow
 import reference
 from qheatflow.linalg import (
+    NOT_A_GENERATOR,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -301,6 +303,20 @@ def test_matrix_exp_stack_equals_matrix_exp_per_matrix():
     out = matrix_exp_stack(stack)
     for m, got in zip(stack, out):
         assert got.tobytes() == reference.matrix_exp(m).tobytes()
+
+
+@pytest.mark.parametrize("kinds", ["HHH", "AAA", "HAH", "AHA"])
+def test_a_stack_of_one_branch_or_both_equals_the_reference_bit_for_bit(kinds):
+    """All Hermitian (one branch, no anti-Hermitian test), all anti-Hermitian
+    and mixed stacks: each matrix's bits are the one-matrix reference's."""
+    rng = np.random.default_rng(len(kinds) + kinds.count("A"))
+    h = [a + a.conj().T for a in (_rand_complex(rng, 3) for _ in kinds)]
+    stack = np.array([x if kind == "H" else -0.7j * x for kind, x in zip(kinds, h)])
+    for got, m in zip(matrix_exp_stack(stack), stack):
+        assert got.tobytes() == reference.matrix_exp(m).tobytes()
+    jordan = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=re.escape(NOT_A_GENERATOR)):
+        matrix_exp_stack(np.concatenate([stack, jordan[None]]))
 
 
 def test_hermiticity_defect_and_matrix_exp_equal_the_scalar_reference():

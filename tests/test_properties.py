@@ -141,7 +141,7 @@ def test_a_systems_row_equals_the_eager_one_column_by_column():
         for name, got, want in zip(StateStack._fields, row, eager):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
         assert sys.stack.dims == sys.dims
-    state = properties._state_and_rotations(np.random.default_rng(5), 2)[0]  # the state of _systems()[0]
+    state = properties._exchange_state(properties._draw(np.random.default_rng(5), [2]).groups[0], 0)  # the state of _systems()[0]
     errors, stacked = states.exchange_stack([state] * 3)
     assert errors == [None] * 3
     for name, got, want in zip(StateStack._fields, stacked, _systems()[0].stack):
@@ -196,10 +196,38 @@ def test_a_nan_entry_fails_the_kernel_and_the_reference_alike():
 # drawn states: parameters first, then one stack
 # ---------------------------------------------------------------------------
 
-def _drawn(rng, d, coherent):
-    if d == 2:
-        return properties._two_qubit_draw(rng, coherent)[0]
-    return properties._two_qutrit_draw(rng, coherent)[0] if d == 3 else properties._qudit_draw(rng, d)
+def _reference_draws(rng, dims, coherent=True, rotations=True, uniforms=(), integers=()):
+    """(system, rotations or None, uniforms, integers) of each trial, drawn
+    by the reference generators one attempt at a time in ``_draw``'s order."""
+    out = []
+    for spec in dims:
+        d = spec if isinstance(spec, int) else int(rng.integers(*spec))
+        sys = reference.random_system(rng, d, coherent)
+        rots = reference.random_rotations(rng, sys.spectrum_c) if rotations else None
+        tail = [rng.uniform(lo, hi) for lo, hi in uniforms]
+        out.append((sys, rots, tail, [int(rng.integers(0, hi or d)) for hi in integers]))
+    return out
+
+
+def _assert_draws_equal_the_scalar_generators(seed, dims, **pattern):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng.integers(0, 4)  # a 32-bit half waits in the stash: the first bounded integer of a trial takes it
+    ref_rng.integers(0, 4)
+    draws, want = properties._draw(rng, dims, **pattern), _reference_draws(ref_rng, dims, **pattern)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same attempts accepted, the same words used
+    assert sorted(k for g in draws.groups for k in g.at) == list(range(len(dims)))
+    for g, (at, st, _) in zip(draws.groups, properties._groups(draws)):
+        for j, k in enumerate(at):
+            sys, rots, _, _ = want[k]
+            one = states.exchange_system(properties._exchange_state(g, j))
+            for name, got, alone, ref in zip(StateStack._fields, st.take(slice(j, j + 1)), one.stack, reference.eager_state_row(sys)):
+                assert got.tobytes() == alone.tobytes() == ref.tobytes(), (seed, k, name)
+            assert (one.spectrum_c, one.beta_c, one.beta_h) == (sys.spectrum_c, sys.beta_c, sys.beta_h)
+            if rots is not None:
+                assert properties._rotation_list(g, j) == rots, (seed, k)
+    for column, values in zip(draws.uniforms, zip(*(tail for _, _, tail, _ in want))):
+        assert column.tobytes() == np.array(values).tobytes()
+    assert draws.integers.tolist() == [ints for _, _, _, ints in want]
 
 
 DRAWS = [(2, True), (2, False), (3, True), (3, False), (4, True), (8, True)]  # every qudit draw is coherent
@@ -207,28 +235,95 @@ DRAWS = [(2, True), (2, False), (3, True), (3, False), (4, True), (8, True)]  # 
 
 @pytest.mark.parametrize("d, coherent", DRAWS)
 def test_drawn_stacks_equal_the_scalar_generators_bit_for_bit(d, coherent):
-    n = properties.STACK_TRIALS + 3 if d < 8 else 9
-    for seed in (0, 3, 11):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = [_drawn(rng, d, coherent) for _ in range(n)]
-        want = [reference.random_system(ref_rng, d, coherent) for _ in range(n)]
-        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same attempts accepted
-        errors, st = states.exchange_stack(drawn)
-        assert errors == [None] * n
-        gibbs = states.gibbs_stack(st.levels_c, st.beta_c), states.gibbs_stack(st.levels_h, st.beta_h)
-        for k, (state, sys) in enumerate(zip(drawn, want)):
-            one = states.exchange_system(state)
-            for name, got, alone, ref in zip(StateStack._fields, st.take(slice(k, k + 1)), one.stack, reference.eager_state_row(sys)):
-                assert got.tobytes() == alone.tobytes() == ref.tobytes(), (seed, k, name)
-            for side in (0, 1):
-                assert gibbs[side][k].tobytes() == _gibbs(one)[side].tobytes() == _gibbs(sys)[side].tobytes()
-            assert (one.spectrum_c, one.beta_c, one.beta_h) == (sys.spectrum_c, sys.beta_c, sys.beta_h)
-            assert reference.validation_failure(sys.spectrum_c, sys.spectrum_h, st.rho[k], sys.beta_c, sys.beta_h) is None
+    for n in (1, properties.STACK_TRIALS - 1, properties.STACK_TRIALS, properties.STACK_TRIALS + 1):
+        for seed in (0, 3, 11) if d < 8 else (0,):
+            for rotations in (False, True):
+                _assert_draws_equal_the_scalar_generators(seed, [d] * n, coherent=coherent, rotations=rotations)
+
+
+PATTERNS = {  # the draw of each property, by the dimensions of its n trials and what each trial draws after its state
+    "mixed-2-3": (lambda n: ([2, 3] * n)[:n], {}),
+    "mixed-3-4": (lambda n: ([3, 4] * n)[:n], {}),
+    "picked-dims": (lambda n: [(2, 5)] * n, {}),  # unitarity: d = rng.integers(2, 5) first
+    "closed-form-angles": (lambda n: [2] * n, {"rotations": False, "uniforms": ((0.0, np.pi), (0.0, properties.TAU), (0.0, properties.TAU))}),
+    "exchange-angle": (lambda n: [2] * n, {"rotations": False, "uniforms": ((0.0, np.pi),)}),
+    "incoherent-exchange-angle": (lambda n: [2] * n, {"coherent": False, "rotations": False, "uniforms": ((0.0, np.pi),)}),
+    "perturbed-xy": (lambda n: [2] * n, {"rotations": False, "uniforms": ((100.0, 400.0), (0.0, 6e-3), (0.0, 60.0))}),
+    "probe-targets": (lambda n: ([2, 3] * n)[:n], {"integers": (None, None)}),
+    "probe-index": (lambda n: [2] * n, {"rotations": False, "integers": (4,)}),
+    "probe-seed": (lambda n: [2] * n, {"integers": (2**31,)}),
+}
+
+
+@pytest.mark.parametrize("name", PATTERNS)
+def test_block_draws_of_every_pattern_equal_the_scalar_generators_bit_for_bit(name):
+    dims, pattern = PATTERNS[name]
+    for n in (1, properties.STACK_TRIALS - 1, properties.STACK_TRIALS, properties.STACK_TRIALS + 1):
+        for seed in (0, 3):
+            _assert_draws_equal_the_scalar_generators(seed, dims(n), **pattern)
+
+
+@pytest.mark.parametrize("hi", [2, 3, 4, 5, 2**31, 3 * 2**30, 2**32 - 1])
+def test_a_bounded_integer_takes_numpys_words_and_stash(hi):
+    """``_integer`` against ``rng.integers(0, hi)``, doubles drawn between:
+    hi = 3 * 2**30 redraws a quarter of its halves, 2**32 - 1 all but none."""
+    rng, twin = np.random.default_rng(hi), np.random.default_rng(hi)
+    state = twin.bit_generator.state
+    words, i, stash = twin.bit_generator.random_raw(4000), 0, (state["has_uint32"], state["uinteger"])
+    for k in range(1000):
+        if k % 3 == 0:  # a double between: one word, the stash left as it is
+            rng.random()
+            i += 1
+        value, i, stash = properties._integer(words, i, stash, 0, hi)
+        assert value == rng.integers(0, hi), k
+    replay = np.random.default_rng(hi).bit_generator
+    replay.random_raw(i)
+    assert rng.bit_generator.state == {**replay.state, "has_uint32": stash[0], "uinteger": stash[1]}
+
+
+def test_the_first_diverged_trial_is_rerun_on_its_own_system_and_unitary():
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    draws = properties._draw(rng, [2, 3] * 4)
+    want = [reference.random_system_and_unitary(ref_rng, d) for d in [2, 3] * 4]
+    diverged, seen = np.isin(np.arange(8), [3, 6]), []
+    properties._raise_first(diverged, draws, lambda sys, u: seen.append((sys, u)))
+    ((sys, u),) = seen  # trial 3: row 1 of the d = 3 group
+    assert (sys.rho.tobytes(), u.matrix.tobytes()) == (want[3][0].rho.tobytes(), want[3][1].matrix.tobytes())
+
+
+def test_a_32_bit_generator_is_refused():
+    with pytest.raises(TypeError, match="MT19937"):
+        properties._draw(np.random.Generator(np.random.MT19937(0)), [2])
+
+
+def test_the_numpy_identities_the_block_draw_relies_on_hold():
+    """The block draw makes each attempt's uniforms, Boltzmann weights and
+    coherences as arrays; the scalar generators made them one call at a
+    time.  Where an identity fails, numpy on this platform rounds some array
+    path differently from its scalar one, and every drawn state would
+    differ from the scalar generators' in its last bits."""
+    rng = np.random.default_rng(2024)
+    for seed, (lo, hi) in enumerate(((0.1, 1.2), (-0.95, 0.95), (0.0, np.pi), (0.0, 2.0 * np.pi), (0.7, 1.3), (100.0, 400.0), (0.0, 6e-3))):
+        one, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        scalar = np.array([one.uniform(lo, hi) for _ in range(2000)])
+        assert scalar.tobytes() == properties._uniform(block.random(2000), lo, hi).tobytes(), f"Generator.uniform({lo}, {hi}) is not lo + (hi - lo) * random()"
+    raw, twin = np.random.default_rng(1).bit_generator.random_raw(2000), np.random.default_rng(1)
+    assert properties._doubles(raw).tobytes() == twin.random(2000).tobytes(), "random() is not the top 53 bits of a 64-bit word"
+    x, eta = rng.uniform(-40.0, 40.0, 5000), rng.uniform(-1.0, 1.0, 5000)
+    for name, array, scalar in (
+        ("np.exp", np.exp(x), [np.exp(v) for v in x.tolist()]),
+        ("np.sqrt", np.sqrt(np.abs(x)), [np.sqrt(abs(v)) for v in x.tolist()]),
+        ("complex np.exp", np.exp(1j * x), [np.exp(1j * v) for v in x.tolist()]),
+        ("eta e^{i xi} sqrt(p)", eta * np.exp(1j * x) * np.sqrt(np.abs(x)), [e * np.exp(1j * v) * np.sqrt(abs(v)) for e, v in zip(eta.tolist(), x.tolist())]),
+        ("np.angle", np.angle(np.exp(1j * x)), [float(np.angle(np.exp(1j * v))) for v in x.tolist()]),
+    ):
+        assert array.tobytes() == np.array(scalar).tobytes(), f"array {name} differs from scalar {name}"
 
 
 def test_a_failing_row_raises_its_first_failed_check_and_is_never_skipped():
     rng = np.random.default_rng(4)
-    drawn = [properties._two_qutrit_draw(rng)[0] for _ in range(12)]
+    (g,) = properties._draw(rng, [3] * 12, rotations=False).groups
+    drawn = [properties._exchange_state(g, k) for k in range(12)]
     swollen = drawn[5]._replace(populations=drawn[5].populations * 1.01)  # trace
     a, b, value = drawn[9].coherences[0]
     loose = drawn[9]._replace(coherences=[(a, b, value / abs(value)), *drawn[9].coherences[1:]])  # |rho_ab| = 1: psd
@@ -293,7 +388,7 @@ def test_nonneg_instances_scale_only_the_coherences_of_negative_draws(d):
     rng, twin = np.random.default_rng(70 + d), np.random.default_rng(70 + d)
     n = 24
     ((at, st, u),) = properties._nonneg_instance(rng, [d] * n)
-    ((_, drawn, u_drawn),) = properties._groups(*properties._draw(twin, [d] * n))
+    ((_, drawn, u_drawn),) = properties._groups(properties._draw(twin, [d] * n))
     assert rng.bit_generator.state == twin.bit_generator.state  # one draw per instance
     assert list(at) == list(range(n)) and u.matrix.tobytes() == u_drawn.matrix.tobytes()
     kept = fluctuations.table_stack("MH", drawn, u.matrix, u.adjoint).reshape(n, -1).min(axis=-1) >= 0.0
@@ -436,7 +531,8 @@ def test_no_property_builds_or_checks_a_system_per_trial(monkeypatch):
 
 def test_a_stack_rows_system_is_the_checked_systems_bit_for_bit():
     rng = np.random.default_rng(5)
-    drawn = [properties._draw_state(rng, d) for d in (3, 3, 3)]
+    (g,) = properties._draw(rng, [3] * 3, rotations=False).groups
+    drawn = [properties._exchange_state(g, k) for k in range(3)]
     st = states.valid_stack(states.exchange_stack(drawn))
     for k, state in enumerate(drawn):
         got, want = st.system(k), states.exchange_system(state)
