@@ -289,7 +289,7 @@ def exchange_unitary_stack(levels, n: int, blocks) -> UnitaryStack:
     levels = np.asarray(levels, dtype=float)
     if levels.ndim == 2 and (levels == levels[:1]).all():
         levels = levels[0]  # one spectrum: one H for the stack
-    if not bohr_nondegenerate(levels).all():
+    if not np.all(bohr_nondegenerate(levels)):
         raise ValueError("spectrum has degenerate gaps; manifolds are not independent")
     d = levels.shape[-1]
     u = np.zeros((n, d * d, d * d), dtype=complex)

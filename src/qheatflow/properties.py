@@ -9,8 +9,7 @@ states of its trials as one block (``_draw``): the attempt that would
 start at every offset of a block of the stream is made at once, a walk
 in whole attempts finds the accepted ones, and the generator is rewound
 and advanced by exactly the words the walk used, so every state is the
-scalar generators', bit for bit.  The accepted states are then checked
-as one stack (``_groups``).  The witness-soundness
+scalar generators', bit for bit, checked as one stack.  The witness-soundness
 properties scale each drawn state's coherences in closed form to the edge
 of a nonnegative MH table (``_edge_rho``), so nothing is redrawn.
 
@@ -67,19 +66,12 @@ def _pairs(d: int) -> list:
     return [(n * d + m, m * d + n) for n, m in _manifolds(d)]
 
 
-def _attempt_size(d: int, coherent: bool = True) -> int:
-    """The doubles of one attempt: beta_H, beta_C and P00 at d = 2, else the levels, betas and free populations; then etas, xis."""
-    return (3 if d == 2 else d + 1 + (d - 1) ** 2) + (2 * len(_manifolds(d)) if coherent else 0)
-
-
 def _attempts(x, d: int, coherent: bool):
-    """(steps, accepted, columns) of the attempt of ``random_two_qubit_system``
-    (d = 2), ``random_two_qutrit_system`` (d = 3) or ``random_qudit_system``
-    that draws each row of x (m, size) as its doubles, all made at once with
-    the generator's and the constructor's float operations: its length
-    (short on a near-degenerate spectrum) and whether it is accepted, as
-    lists, and its levels (m, d), beta_c, beta_h (m,), populations (m, d*d),
-    eta and xi (m, manifolds)."""
+    """(steps, accepted, columns) of the attempt at local dimension d that
+    draws each row of x (m, size) as its doubles, made at once with the
+    generator's and the constructor's float operations: its length (short
+    on a near-degenerate spectrum) and acceptance, as lists, and its levels
+    (m, d), beta_c, beta_h (m,), populations (m, d*d), eta and xi (m, manifolds)."""
     pos, none = 0, np.zeros((len(x), len(_manifolds(d))))
 
     def take(lo, hi, width=None):  # the next uniform of every attempt, or the next ``width``
@@ -119,10 +111,8 @@ def _attempts(x, d: int, coherent: bool):
 
 
 def _integer(words, i: int, stash: tuple, lo: int, hi: int):
-    """(``rng.integers(lo, hi)``, the next word, the stash) as numpy draws a
-    bounded integer below 2**32 from the 64-bit words at i: Lemire's method
-    on a 32-bit half, the low half of a fresh word first and its high half
-    kept in the stash (has, half) for the next such integer."""
+    """(``rng.integers(lo, hi)``, the next word, the stash (has, half)) as numpy draws a bounded integer
+    below 2**32 from the words at i: Lemire's method on the low half of a fresh word, its high half stashed."""
     span = hi - lo
     while True:
         if stash[0]:
@@ -135,14 +125,11 @@ def _integer(words, i: int, stash: tuple, lo: int, hi: int):
 
 
 class _Group(NamedTuple):
-    """The accepted draws of the trials ``at`` of one local dimension d: levels (k, d), betas (k,), populations
-    (k, d*d), eta, xi and coherences (k, manifolds) in the order of ``_manifolds``, angles (k, manifolds, 4) or None."""
+    """The accepted draws of the trials ``at`` of one local dimension: their checked ``StateStack``, eta, xi and
+    coherences (k, manifolds) in the order of ``_manifolds``, rotation angles (k, manifolds, 4) or None."""
 
     at: np.ndarray
-    levels: np.ndarray
-    beta_c: np.ndarray
-    beta_h: np.ndarray
-    populations: np.ndarray
+    st: states.StateStack
     eta: np.ndarray
     xi: np.ndarray
     coherences: np.ndarray
@@ -161,27 +148,26 @@ def _draw(rng, dims, coherent: bool = True, rotations: bool = True, uniforms=(),
     by ``rng.integers(*dims[k])`` for a (lo, hi) pair), then its rotations
     when ``rotations``, ``rng.uniform(lo, hi)`` of each (lo, hi) of
     ``uniforms`` and ``rng.integers(0, hi)`` of each hi of ``integers``
-    (None: the trial's d).  The stream is read in blocks of 64-bit words
-    (~8 MB of columns at most): ``_attempts`` makes the attempt at every
-    offset at once, and a walk in whole attempts, modelling numpy's 32-bit
-    stash for the integers, finds the accepted ones.  The generator is then
-    rewound and advanced by the words the walk used, so every value and the
-    generator's state afterwards are the scalar generators', bit for bit."""
+    (None: the trial's d).  A block of the stream's 64-bit words has the
+    attempt at every offset made at once; a walk in whole attempts, with
+    numpy's 32-bit stash for the integers, finds the accepted ones.  The
+    generator is then rewound and advanced by the words the walk used."""
     bits = rng.bit_generator
     saved = bits.state
     if "has_uint32" not in saved:
         raise TypeError(f"the block draw reads 64-bit words; {saved['bit_generator']} draws 32-bit ones")
     kinds = sorted({d for spec in dims for d in ([spec] if isinstance(spec, int) else range(*spec))})
-    size = {d: _attempt_size(d, coherent) for d in kinds}
+    # the doubles of one attempt: beta_H, beta_C and P00 at d = 2, else the levels, betas and free populations; then etas, xis
+    size = {d: (3 if d == 2 else d + 1 + (d - 1) ** 2) + 2 * len(_manifolds(d)) * coherent for d in kinds}
     span = {d: size[d] + 4 * len(_manifolds(d)) * rotations + len(uniforms) for d in kinds}  # a state, rotations, uniforms
-    per_trial = sum(span[d] + size[d] // 2 for d in kinds) / len(kinds) + len(integers) + 1
-    most = max(2**18 // kinds[-1] ** 2, 4 * max(span.values()))  # words in a block
+    per_trial = sum(span[d] + size[d] // 2 for d in kinds) / len(kinds) + len(integers) + 1  # words, rejects included
+    most = max(2**18 // kinds[-1] ** 2, 4 * max(span.values()))  # words in a block: ~8 MB of columns at most
     words, used, i, stash = np.zeros(0, np.uint64), 0, 0, (saved["has_uint32"], saved["uinteger"])
-    walked, drawn, steps, k, d, ask, started = [], [], None, 0, None, 0, -1
+    walked, drawn, steps, k, d = [], [], None, 0, None
     while k < len(dims):
-        if steps is None:  # the next block, from the current trial or attempt on, its every attempt made at once
-            ask = min(most, 2 * ask if k == started else 64 + (len(dims) - k) * per_trial)  # twice as long when no trial ended
-            words, used, i, started = np.concatenate([words[i:], bits.random_raw(int(ask))]), used + i, 0, k
+        if steps is None:  # the next block, from the current attempt on
+            ask = min(most, 64 + (len(dims) - k) * per_trial)
+            words, used, i = np.concatenate([words[i:], bits.random_raw(int(ask))]), used + i, 0
             u = _doubles(words)
             steps = {dim: _attempts(np.lib.stride_tricks.sliding_window_view(u, size[dim]), dim, coherent)[:2] for dim in kinds}
         try:
@@ -209,13 +195,13 @@ def _draw(rng, dims, coherent: bool = True, rotations: bool = True, uniforms=(),
         if mine := [(trial, w) for trial, dim, w in walked if dim == d]:
             at, u = np.array([trial for trial, _ in mine]), _doubles(np.array([w for _, w in mine]))
             levels, beta_c, beta_h, p, eta, xi = _attempts(u[:, : size[d]], d, coherent)[2]  # the accepted attempts, again
-            if d == 2:
-                coherences = states.TwoQubitParams(beta_c, beta_h, p[:, 0], eta, xi).coherence()
-            else:
-                coherences = np.stack([states.exchange_coherence(eta[:, j], xi[:, j], p[:, a], p[:, b]) for j, (a, b) in enumerate(_pairs(d))], -1)
+            (a, b), n = np.array(_pairs(d)).T, len(at)
+            coherences = eta * np.exp(1j * xi) if d == 2 else states.exchange_coherence(eta, xi, p[:, a], p[:, b])
+            entries = np.arange(n).repeat(len(a)), np.tile(a, n), np.tile(b, n), coherences.ravel()
+            st = states.valid_stack(states.entry_stack(levels, levels, beta_c, beta_h, p, entries))
             tails[:, at] = u[:, span[d] - len(uniforms):].T
             angles = _angles(u[:, size[d]: span[d] - len(uniforms)]) if rotations else None
-            groups.append(_Group(at, levels, beta_c, beta_h, p, eta, xi, coherences, angles))
+            groups.append(_Group(at, st, eta, xi, coherences, angles))
     columns = tuple(_uniform(tail, lo, hi) for tail, (lo, hi) in zip(tails, uniforms))
     return _Draws(groups, columns, np.array(drawn, dtype=int).reshape(len(dims), len(integers)))
 
@@ -225,35 +211,28 @@ def _angles(u) -> np.ndarray:
     return _uniform(u.reshape(*u.shape[:-1], -1, 4), 0.0, ANGLE_HIGH)
 
 
-def _exchange_state(g: _Group, j: int) -> states.ExchangeState:
-    """Row j of a group as the ``states.ExchangeState`` its generator builds."""
-    spec = states.EnergySpectrum(tuple(g.levels[j].tolist()))
-    entries = [(a, b, value) for (a, b), value in zip(_pairs(spec.dim), g.coherences[j])]
-    return states.ExchangeState(spec, spec, g.beta_c[j].item(), g.beta_h[j].item(), g.populations[j], entries)
-
-
 def _rotation_list(g: _Group, j: int) -> list:
     """Row j's rotations, as ``random_rotations`` returns them."""
-    return [ManifoldRotation(pair, *angles) for pair, angles in zip(_manifolds(g.levels.shape[-1]), g.angles[j].tolist())]
+    return [ManifoldRotation(pair, *angles) for pair, angles in zip(_manifolds(g.st.dims[0]), g.angles[j].tolist())]
 
 
 def random_two_qubit_system(rng, coherent: bool = True):
     """Locally thermal two-qubit state with beta_C > beta_H."""
-    (g,) = _draw(rng, [2], coherent, rotations=False).groups
-    params = states.TwoQubitParams(*(x.item() for x in (g.beta_c[0], g.beta_h[0], g.populations[0, 0], g.eta[0, 0], g.xi[0, 0])))
-    return states.exchange_system(_exchange_state(g, 0)), params
+    ((_, st, eta, xi, _, _),) = _draw(rng, [2], coherent, rotations=False).groups
+    params = states.TwoQubitParams(*(x.item() for x in (st.beta_c[0], st.beta_h[0], st.populations[0, 0], eta[0, 0], xi[0, 0])))
+    return st.system(0), params
 
 
 def random_two_qutrit_system(rng, coherent: bool = True):
     """Feasible two-qutrit instance; free populations jittered around product values."""
-    (g,) = _draw(rng, [3], coherent, rotations=False).groups
-    values = g.beta_c[0], g.beta_h[0], *g.levels[0, 1:], *g.populations[0, [0, 5, 7, 8]], *g.eta[0], *g.xi[0]
-    return states.exchange_system(_exchange_state(g, 0)), states.QutritStateParams(*(x.item() for x in values))
+    ((_, st, eta, xi, _, _),) = _draw(rng, [3], coherent, rotations=False).groups
+    values = st.beta_c[0], st.beta_h[0], *st.levels_c[0, 1:], *st.populations[0, [0, 5, 7, 8]], *eta[0], *xi[0]
+    return st.system(0), states.QutritStateParams(*(x.item() for x in values))
 
 
 def random_qudit_system(rng, d: int = 4):
     """Locally thermal d x d instance via the general constructor."""
-    return states.exchange_system(_exchange_state(_draw(rng, [d], rotations=False).groups[0], 0))
+    return _draw(rng, [d], rotations=False).groups[0].st.system(0)
 
 
 def random_rotations(rng, spec: states.EnergySpectrum):
@@ -264,8 +243,8 @@ def random_rotations(rng, spec: states.EnergySpectrum):
 
 def random_system_and_unitary(rng, dim: int):
     (g,) = _draw(rng, [dim]).groups
-    state, rots = _exchange_state(g, 0), _rotation_list(g, 0)
-    return states.exchange_system(state), dynamics.energy_preserving_unitary(state.spectrum_c, rots), rots
+    sys, rots = g.st.system(0), _rotation_list(g, 0)
+    return sys, dynamics.energy_preserving_unitary(sys.spectrum_c, rots), rots
 
 
 def _random_complex(rng, n: int) -> np.ndarray:
@@ -330,11 +309,7 @@ def _stacked(note: str):
 
 def _groups(draws: _Draws):
     """(trial indices, their checked ``StateStack``, the ``_unitaries`` of their drawn rotations or None) per local dimension."""
-    for g in draws.groups:
-        n, (a, b) = len(g.at), np.array(_pairs(g.levels.shape[-1])).T
-        entries = np.arange(n).repeat(len(a)), np.tile(a, n), np.tile(b, n), g.coherences.ravel()
-        st = states.valid_stack(states.entry_stack(g.levels, g.levels, g.beta_c, g.beta_h, g.populations, entries))
-        yield g.at, st, None if g.angles is None else _unitaries(st, g.angles)
+    return [(g.at, g.st, None if g.angles is None else _unitaries(g.st, g.angles)) for g in draws.groups]
 
 
 def _unitaries(st, angles):
@@ -358,8 +333,8 @@ def _raise_first(diverged, draws: _Draws, check):
     for k in np.flatnonzero(diverged)[:1]:
         g = next(g for g in draws.groups if k in g.at)
         j = int(np.flatnonzero(g.at == k)[0])
-        state = _exchange_state(g, j)
-        check(states.exchange_system(state), dynamics.energy_preserving_unitary(state.spectrum_c, _rotation_list(g, j)))
+        sys = g.st.system(j)
+        check(sys, dynamics.energy_preserving_unitary(sys.spectrum_c, _rotation_list(g, j)))
 
 
 @_trials("associativity + bilinearity")
@@ -497,7 +472,7 @@ def _prop_two_qubit_closed_forms(rng, n):
     mh, tpm = _tables(st, u)
     q, q_tpm = fluctuations.average_heat_stack(st, u.matrix, u.adjoint), fluctuations.table_heat_stack(tpm, st.levels_c)
     dev = np.zeros(n)
-    params = (column.tolist() for column in (theta, g.eta[:, 0], g.xi[:, 0], g.beta_c, g.beta_h, g.populations[:, 0]))
+    params = (column.tolist() for column in (theta, g.eta[:, 0], g.xi[:, 0], st.beta_c, st.beta_h, st.populations[:, 0]))
     for k, (th, eta, xi, beta_c, beta_h, p00) in enumerate(zip(*params)):  # floats, as drawn; phi and lam numpy's
         cf = fluctuations.two_qubit_exchange_probs(th, eta, xi, beta_c, beta_h, p00, phi=phi[k], lam=lam[k])
         # the MH, then the TPM entries 01 -> 10 and 10 -> 01
@@ -647,7 +622,7 @@ def _all_negative_trials(rng, n):
     coherences reach 1e-6 (the trial is checked), and whether |Q| > |Q_tpm| then fails."""
     draws = _draw(rng, [3] * n, rotations=False)
     ((_, st, _),), (g,) = _groups(draws), draws.groups
-    populations = g.populations[:, [a for a, _ in _pairs(3)]]
+    populations = st.populations[:, [a for a, _ in _pairs(3)]]
     # pick each angle so the coherence term defeats the population term
     angles = [
         [(np.pi - 0.5 * np.arctan(abs(c) / max(pop, 1e-12)), 0.0, -float(np.angle(c)), 0.0) for c, pop in zip(*row)]

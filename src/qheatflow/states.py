@@ -41,12 +41,17 @@ def bohr_nondegenerate(levels, tol: float = BOHR_TOL):
     levels = np.asarray(levels, dtype=float)
     n, m = _lower_triangle(levels.shape[-1])
     gaps = np.sort(np.abs(levels[..., n] - levels[..., m]), axis=-1)
-    return (gaps[..., 1:] - gaps[..., :-1] > tol).all(axis=-1)
+    return _py((gaps[..., 1:] - gaps[..., :-1] > tol).all(axis=-1))
 
 
 @functools.cache
 def _lower_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(d, -1)
+
+
+def _py(x):
+    """x as a Python scalar where it is one numpy scalar (the one-state case), else as it is."""
+    return x.item() if isinstance(x, np.generic) else x
 
 
 def pymax(a, b):
@@ -395,7 +400,7 @@ class TwoQubitParams:
     gap: float = 1.0
 
     def partition_values(self) -> tuple[float, float]:
-        return 1.0 + np.exp(-self.beta_c * self.gap), 1.0 + np.exp(-self.beta_h * self.gap)
+        return _py(1.0 + np.exp(-self.beta_c * self.gap)), _py(1.0 + np.exp(-self.beta_h * self.gap))
 
     def p00_bounds(self, z=None) -> tuple[float, float]:
         """(lower, upper) bound on P00, of ``partition_values()`` or the given ``z``."""
@@ -405,17 +410,13 @@ class TwoQubitParams:
     def eta_cap(self, z=None) -> float:
         """The largest |eta| at this P00, of ``partition_values()`` or the given ``z``."""
         z_c, z_h = z or self.partition_values()
-        return np.sqrt(pymax(1.0 / z_c - self.p00, 0.0) * pymax(1.0 / z_h - self.p00, 0.0))
+        return _py(np.sqrt(pymax(1.0 / z_c - self.p00, 0.0) * pymax(1.0 / z_h - self.p00, 0.0)))
 
     def populations(self, z=None) -> np.ndarray:
         """The diagonal (P00, 1/z_C - P00, 1/z_H - P00, 1 - 1/z_C - 1/z_H + P00), (..., 4)."""
         z_c, z_h = z or self.partition_values()
         p00 = self.p00
         return np.array([p00, 1.0 / z_c - p00, 1.0 / z_h - p00, 1.0 - 1.0 / z_c - 1.0 / z_h + p00]).T
-
-    def coherence(self):
-        """rho[1, 2] = eta e^{i xi}."""
-        return self.eta * np.exp(1j * self.xi)
 
 
 def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
@@ -438,8 +439,8 @@ def two_qubit_entries(params: TwoQubitParams) -> ExchangeState:
     cap = params.eta_cap(z)
     if abs(params.eta) > cap + 1e-12:
         raise InfeasibleStateError("eta_cap", f"|eta| = {abs(params.eta)} exceeds cap {cap}")
-    spectrum = EnergySpectrum.two_level(params.gap)
-    return ExchangeState(spectrum, spectrum, params.beta_c, params.beta_h, params.populations(z), [(1, 2, params.coherence())])
+    spectrum, coherence = EnergySpectrum.two_level(params.gap), params.eta * np.exp(1j * params.xi)
+    return ExchangeState(spectrum, spectrum, params.beta_c, params.beta_h, params.populations(z), [(1, 2, coherence)])
 
 
 def gamma_correlated_state(
@@ -590,8 +591,7 @@ def qudit_locally_thermal(
 
 
 def marginal_residual(c, h):
-    """|sum(h) - sum(c)| of marginals (..., d): the solve meets every row n >= 1
-    and every column, so row 0 then reads c_0 + sum(h) - sum(c)."""
+    """|sum(h) - sum(c)| of marginals (..., d): the residual of row 0, which the solve leaves out."""
     return np.abs(h.sum(axis=-1) - c.sum(axis=-1))
 
 

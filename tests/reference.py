@@ -721,6 +721,19 @@ def _exchange_state(spectrum, p, order, coherences, beta_c, beta_h) -> Bipartite
         rho[b, a] = np.conj(val)
     return BipartiteSystem(spectrum, spectrum, rho, beta_c, beta_h)
 
+def exchange_states(st) -> list:
+    """Each row of a stack of exchange states (every manifold's coherence
+    stored) as the ``states.ExchangeState`` its constructor builds."""
+    d = st.dims[0]
+    pairs = [(n * d + m, m * d + n) for n in range(d) for m in range(n + 1, d)]
+    out = []
+    for k, rho in enumerate(st.rho):
+        spec = EnergySpectrum(tuple(st.levels_c[k].tolist()))
+        coherences = [(a, b, rho[a, b]) for a, b in pairs]
+        out.append(states.ExchangeState(spec, spec, st.beta_c[k].item(), st.beta_h[k].item(), st.populations[k], coherences))
+    return out
+
+
 # --- the random instance generators, one system per attempt -------------
 # Each attempt builds and checks its system, and a constructor that raises
 # or a population under the floor draws again; ``properties`` draws the

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import exchange_states
 
 from qheatflow.dynamics import (
     ManifoldRotation,
@@ -44,7 +45,6 @@ from qheatflow.fluctuations import (
 from qheatflow.probe import probe_statistics, reconstruct_quasiprobability, sampled_reconstruction
 from qheatflow.properties import (
     _draw,
-    _exchange_state,
     random_rotations,
     random_system_and_unitary,
     random_two_qubit_system,
@@ -583,8 +583,7 @@ def test_j_term_divergence_for_vanishing_marginal():
 def test_stacks_equal_single_cell_functions_bit_for_bit(d):
     # three states with their own spectra, cells of each interleaved in one stack
     rng = np.random.default_rng(40 + d)
-    (group,) = _draw(rng, [d] * 3).groups  # the states of random_system_and_unitary
-    drawn = [_exchange_state(group, k) for k in range(3)]
+    drawn = exchange_states(_draw(rng, [d] * 3).groups[0].st)  # the states of random_system_and_unitary
     systems = [exchange_system(state) for state in drawn]
     state_of = np.array([0, 1, 2, 0, 0, 2, 1])
     draws = [random_rotations(rng, systems[i].spectrum_c) for i in state_of]

@@ -141,7 +141,7 @@ def test_a_systems_row_equals_the_eager_one_column_by_column():
         for name, got, want in zip(StateStack._fields, row, eager):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
         assert sys.stack.dims == sys.dims
-    state = properties._exchange_state(properties._draw(np.random.default_rng(5), [2]).groups[0], 0)  # the state of _systems()[0]
+    (state,) = reference.exchange_states(properties._draw(np.random.default_rng(5), [2]).groups[0].st)  # the state of _systems()[0]
     errors, stacked = states.exchange_stack([state] * 3)
     assert errors == [None] * 3
     for name, got, want in zip(StateStack._fields, stacked, _systems()[0].stack):
@@ -216,13 +216,19 @@ def _assert_draws_equal_the_scalar_generators(seed, dims, **pattern):
     draws, want = properties._draw(rng, dims, **pattern), _reference_draws(ref_rng, dims, **pattern)
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same attempts accepted, the same words used
     assert sorted(k for g in draws.groups for k in g.at) == list(range(len(dims)))
-    for g, (at, st, _) in zip(draws.groups, properties._groups(draws)):
-        for j, k in enumerate(at):
+    for g in draws.groups:
+        st = g.st
+        gibbs = states.gibbs_stack(st.levels_c, st.beta_c), states.gibbs_stack(st.levels_h, st.beta_h)
+        for j, k in enumerate(g.at):
             sys, rots, _, _ = want[k]
-            one = states.exchange_system(properties._exchange_state(g, j))
+            drawn = st.system(j)
+            one = BipartiteSystem(drawn.spectrum_c, drawn.spectrum_h, drawn.rho, drawn.beta_c, drawn.beta_h)  # checked alone
             for name, got, alone, ref in zip(StateStack._fields, st.take(slice(j, j + 1)), one.stack, reference.eager_state_row(sys)):
                 assert got.tobytes() == alone.tobytes() == ref.tobytes(), (seed, k, name)
-            assert (one.spectrum_c, one.beta_c, one.beta_h) == (sys.spectrum_c, sys.beta_c, sys.beta_h)
+            for side in (0, 1):
+                assert gibbs[side][j].tobytes() == _gibbs(one)[side].tobytes() == _gibbs(sys)[side].tobytes(), (seed, k, side)
+            assert (drawn.spectrum_c, drawn.beta_c, drawn.beta_h) == (sys.spectrum_c, sys.beta_c, sys.beta_h)
+            assert reference.validation_failure(sys.spectrum_c, sys.spectrum_h, st.rho[j], sys.beta_c, sys.beta_h) is None
             if rots is not None:
                 assert properties._rotation_list(g, j) == rots, (seed, k)
     for column, values in zip(draws.uniforms, zip(*(tail for _, _, tail, _ in want))):
@@ -322,8 +328,7 @@ def test_the_numpy_identities_the_block_draw_relies_on_hold():
 
 def test_a_failing_row_raises_its_first_failed_check_and_is_never_skipped():
     rng = np.random.default_rng(4)
-    (g,) = properties._draw(rng, [3] * 12, rotations=False).groups
-    drawn = [properties._exchange_state(g, k) for k in range(12)]
+    drawn = reference.exchange_states(properties._draw(rng, [3] * 12, rotations=False).groups[0].st)
     swollen = drawn[5]._replace(populations=drawn[5].populations * 1.01)  # trace
     a, b, value = drawn[9].coherences[0]
     loose = drawn[9]._replace(coherences=[(a, b, value / abs(value)), *drawn[9].coherences[1:]])  # |rho_ab| = 1: psd
@@ -531,8 +536,7 @@ def test_no_property_builds_or_checks_a_system_per_trial(monkeypatch):
 
 def test_a_stack_rows_system_is_the_checked_systems_bit_for_bit():
     rng = np.random.default_rng(5)
-    (g,) = properties._draw(rng, [3] * 3, rotations=False).groups
-    drawn = [properties._exchange_state(g, k) for k in range(3)]
+    drawn = reference.exchange_states(properties._draw(rng, [3] * 3, rotations=False).groups[0].st)
     st = states.valid_stack(states.exchange_stack(drawn))
     for k, state in enumerate(drawn):
         got, want = st.system(k), states.exchange_system(state)

@@ -38,6 +38,15 @@ def test_spectrum_validation():
     spec = EnergySpectrum((0.0, 1.0, 1.15))
     assert spec.bohr_nondegenerate()
     assert not EnergySpectrum((0.0, 1.0, 2.0)).bohr_nondegenerate()
+    assert type(spec.bohr_nondegenerate()) is bool  # one spectrum: a Python bool, as before rows were taken
+
+
+def test_one_states_partition_values_bounds_and_cap_are_python_floats():
+    params = TwoQubitParams(BC, BH, 0.5)
+    values = (*params.partition_values(), *params.p00_bounds(), params.eta_cap())
+    assert [type(v) for v in values] == [float] * 5
+    rows = TwoQubitParams(np.array([BC, 1.4]), np.array([BH, 0.5]), np.array([0.5, 0.4]))
+    assert [v.shape for v in (*rows.partition_values(), *rows.p00_bounds(), rows.eta_cap())] == [(2,)] * 5
 
 
 def test_thermal_state_infinite_temperature():
