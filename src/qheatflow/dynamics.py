@@ -28,7 +28,7 @@ from .linalg import (  # noqa: F401
     spectral_norm,
     spectral_norms,
 )
-from .states import EnergySpectrum, bohr_nondegenerate
+from .states import EnergySpectrum, bohr_nondegenerate, spectrum_levels
 
 UNITARITY_TOL = 1e-10
 
@@ -127,12 +127,6 @@ def _commutator_norms(u: np.ndarray, h_total: np.ndarray) -> np.ndarray:
 def commutator_norm(u, h_total: np.ndarray) -> float:
     """|| U H - H U ||."""
     return float(_commutator_norms(unwrap(u), h_total))
-
-
-def _two_level(gap) -> np.ndarray:
-    """The levels (0, gap) of ``EnergySpectrum.two_level``, per cell for an array of gaps."""
-    gap = np.asarray(gap, dtype=float)
-    return np.stack([np.zeros_like(gap), gap], axis=-1)
 
 
 def _total_hamiltonian(levels_c, levels_h=None) -> np.ndarray:
@@ -328,14 +322,14 @@ def xy_unitary_stack(j_hz: np.ndarray, t: np.ndarray, gap=1.0) -> UnitaryStack:
     gap or one per cell."""
     h_xy, t = _xy_generators(j_hz, t)
     u = matrix_exp_stack(-1j * h_xy * t)
-    return _stack_report(u, _total_hamiltonian(_two_level(gap)))
+    return _stack_report(u, _total_hamiltonian(spectrum_levels(gap)))
 
 
 def perturbed_xy_unitary_stack(j_hz: np.ndarray, j_x: np.ndarray, t: np.ndarray, gap, gap_h) -> UnitaryStack:
     """``perturbed_xy_unitary`` for per-cell arrays of J, J_x and t; each gap
     is one value or one per cell."""
     u, epsilon = _xy_perturbation(j_hz, t)(j_x)
-    h_total = _total_hamiltonian(_two_level(gap), _two_level(gap_h))
+    h_total = _total_hamiltonian(spectrum_levels(gap), spectrum_levels(gap_h))
     return _stack_report(u, h_total, epsilon=epsilon)
 
 

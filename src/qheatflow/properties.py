@@ -35,6 +35,9 @@ from .states import pymax
 
 MIN_POPULATION = 1e-3  # the least joint population of a drawn two-qubit or two-qutrit state
 QUDIT_MIN_POPULATION = 5e-4  # ... and of a drawn d x d state
+# the largest local dimension drawn: at d = 11 one state takes ~0.6 s, and at
+# d = 12 no attempt in 10**6 words has every population above the floor
+MAX_DRAWN_DIM = 11
 STACK_TRIALS = 64  # trials drawn and evaluated as one stack; even, so each stack starts on an even trial
 
 
@@ -104,7 +107,7 @@ def _attempts(x, d: int, coherent: bool):
     keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
     p = states.solve_populations(c, h, {k: c[:, k // d] * h[:, k % d] * take(*jitter) for k in keys})[0]
     ok = ~skip & (p.min(axis=-1) >= floor)
-    if d > 3:  # ``qudit_entries`` also checks that the marginals agree
+    if d > 3:  # ``qudit_locally_thermal`` also checks that the marginals agree
         ok &= ~(states.marginal_residual(c, h) > 1e-9)
     eta, xi = (take(0.2, 0.95, none.shape[1]), take(0.0, TAU, none.shape[1])) if coherent else (none, none)
     return np.where(skip, d - 1, x.shape[1]).tolist(), ok.tolist(), (levels, beta_c, beta_h, p, eta, xi)
@@ -152,11 +155,13 @@ def _draw(rng, dims, coherent: bool = True, rotations: bool = True, uniforms=(),
     attempt at every offset made at once; a walk in whole attempts, with
     numpy's 32-bit stash for the integers, finds the accepted ones.  The
     generator is then rewound and advanced by the words the walk used."""
+    kinds = sorted({d for spec in dims for d in ([spec] if isinstance(spec, int) else range(*spec))})
+    if kinds[-1] > MAX_DRAWN_DIM:  # before the stream is read, which stays where it was
+        raise ValueError(f"no state is drawn at local dimension d = {kinds[-1]}: the draw accepts none above d = {MAX_DRAWN_DIM}")
     bits = rng.bit_generator
     saved = bits.state
     if "has_uint32" not in saved:
         raise TypeError(f"the block draw reads 64-bit words; {saved['bit_generator']} draws 32-bit ones")
-    kinds = sorted({d for spec in dims for d in ([spec] if isinstance(spec, int) else range(*spec))})
     # the doubles of one attempt: beta_H, beta_C and P00 at d = 2, else the levels, betas and free populations; then etas, xis
     size = {d: (3 if d == 2 else d + 1 + (d - 1) ** 2) + 2 * len(_manifolds(d)) * coherent for d in kinds}
     span = {d: size[d] + 4 * len(_manifolds(d)) * rotations + len(uniforms) for d in kinds}  # a state, rotations, uniforms
@@ -195,10 +200,9 @@ def _draw(rng, dims, coherent: bool = True, rotations: bool = True, uniforms=(),
         if mine := [(trial, w) for trial, dim, w in walked if dim == d]:
             at, u = np.array([trial for trial, _ in mine]), _doubles(np.array([w for _, w in mine]))
             levels, beta_c, beta_h, p, eta, xi = _attempts(u[:, : size[d]], d, coherent)[2]  # the accepted attempts, again
-            (a, b), n = np.array(_pairs(d)).T, len(at)
+            a, b = np.array(_pairs(d)).T
             coherences = eta * np.exp(1j * xi) if d == 2 else states.exchange_coherence(eta, xi, p[:, a], p[:, b])
-            entries = np.arange(n).repeat(len(a)), np.tile(a, n), np.tile(b, n), coherences.ravel()
-            st = states.valid_stack(states.entry_stack(levels, levels, beta_c, beta_h, p, entries))
+            st = states.valid_stack(states.entry_stack(levels, levels, beta_c, beta_h, p, (a, b, coherences)))
             tails[:, at] = u[:, span[d] - len(uniforms):].T
             angles = _angles(u[:, size[d]: span[d] - len(uniforms)]) if rotations else None
             groups.append(_Group(at, st, eta, xi, coherences, angles))
@@ -724,24 +728,19 @@ def _prop_probe_sampling(rng, n):
 
 @_stacked("PSD holds iff P00 bounds and eta cap hold")
 def _prop_p00_bounds(rng, n):
-    drawn, failures = [], np.zeros(n, int)
-    for k in range(n):
-        beta_h = rng.uniform(0.1, 1.2)
-        beta_c = beta_h + rng.uniform(0.1, 1.5)
-        lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds()
-        inside = lo + rng.uniform(0.0, 1.0) * (hi - lo)
-        cap = states.TwoQubitParams(beta_c, beta_h, inside).eta_cap()
-        drawn.append(states.two_qubit_entries(states.TwoQubitParams(beta_c, beta_h, inside)))
-        for outside in ((hi + max(1e-6, 0.05 * (hi - lo)), 0.0), (inside, cap * 1.05 + 1e-6)):  # P00, then eta
-            try:
-                states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, *outside))
-                failures[k] += 1
-            except states.InfeasibleStateError:
-                pass
-        drawn.append(states.two_qubit_entries(states.TwoQubitParams(beta_c, beta_h, inside, eta=cap)))
+    beta_h, gap, u = np.array([[rng.uniform(0.1, 1.2), rng.uniform(0.1, 1.5), rng.uniform(0.0, 1.0)] for _ in range(n)]).T
+    beta_c = beta_h + gap
+    lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds()
+    inside = lo + u * (hi - lo)
+    cap = states.TwoQubitParams(beta_c, beta_h, inside).eta_cap()
+    # four blocks of n rows: inside the bounds, at the eta cap, then P00 and eta past their bounds
+    p00 = np.concatenate([inside, inside, hi + pymax(1e-6, 0.05 * (hi - lo)), inside])
+    eta = np.concatenate([np.zeros(n), cap, np.zeros(n), cap * 1.05 + 1e-6])
+    errors, st = states.two_qubit_rows(states.TwoQubitParams(*np.tile([beta_c, beta_h], 4), p00, eta, np.zeros(4 * n), np.ones(4 * n)))
+    states.valid_stack((errors[: 2 * n], None))
+    failures = np.array([error is None for error in errors[2 * n:]]).reshape(2, n).sum(axis=0)
     # each state inside the bounds is valid, and at the boundary eta PSD up to tolerance
-    rho = states.valid_stack(states.exchange_stack(drawn)).rho[1::2]
-    return pymax(0.0, -np.linalg.eigvalsh(rho)[:, 0]), failures
+    return pymax(0.0, -np.linalg.eigvalsh(st.rho[n: 2 * n])[:, 0]), failures
 
 
 @_trials("threshold log(d)/dBeta behaves")

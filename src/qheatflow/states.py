@@ -2,7 +2,13 @@
 
 Constructors for the state families used throughout the package: a pair
 of Gibbs marginals plus correlations confined to the exchange manifolds
-{|n m>, |m n>}.  All joint matrices are C-major (see linalg).
+{|n m>, |m n>}.  All joint matrices are C-major (see linalg).  Each kind
+has one columnar builder (``two_qubit_rows``, ``gamma_rows``,
+``two_qutrit_rows``, ``locally_thermal_rows``): it takes parameter
+columns (n,), runs the kind's parameter checks as masks, and builds and
+checks every row in one ``entry_stack`` call, returning each row's first
+failure and the ``StateStack``.  A one-state constructor is its kind's
+builder on one row, the failure raised.
 
 Coherence convention: for a manifold pair n < m with joint indices
 a = n*d + m and b = m*d + n, the upper-triangle entry is stored as
@@ -17,6 +23,7 @@ gap for a two-level system with E = 1).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,10 +125,12 @@ def thermal_populations(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
 def gibbs_stack(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """``thermal_populations`` (n, d) of each row of levels (n, d) at its
     inverse temperature of beta (n,), bit for bit."""
-    if not np.isfinite(beta).all():
+    if not all(map(math.isfinite, beta.tolist())):  # Python checks cost less than numpy ones on the usual one-row stack
         raise ValueError("beta must be finite")
     x = -beta[:, None] * levels
-    w = np.exp(np.where(x[:, -1:] > EXP_SHIFT_ABOVE, x - x[:, -1:], x))
+    if True in (shift := x[:, -1:] > EXP_SHIFT_ABOVE).ravel().tolist():
+        x = np.where(shift, x - x[:, -1:], x)
+    w = np.exp(x)
     return w / np.add.reduce(w, axis=-1, keepdims=True)
 
 
@@ -155,15 +164,16 @@ def _min_eigenvalue_bound(rho: np.ndarray) -> float:
     return float(np.minimum(alone, np.minimum(mu, 0.0) * h.max(initial=0.0)))
 
 
-def validate_stack(rho: np.ndarray, dims: tuple[int, int], gibbs=(None, None)):
+def validate_stack(rho: np.ndarray, dims: tuple[int, int], gibbs=(None, None), errors=None):
     """The checks of ``BipartiteSystem`` on each rho of an (n, D, D) stack, in
     the order trace, hermiticity, psd, thermal_marginal_C, thermal_marginal_H:
     (each row's first failure, an ``InfeasibleStateError``, or None; the real
     diagonals of the C and H marginals, bit for bit those of ``partial_trace``).
     ``gibbs`` holds the Gibbs populations, (d,) or (n, d), that each marginal
-    must match, or None for a side without a temperature."""
+    must match, or None for a side without a temperature.  A row failed in
+    ``errors`` keeps that failure and is not checked."""
     n, side = len(rho), rho.shape[-1]
-    errors = [None] * n
+    errors = [None] * n if errors is None else list(errors)
 
     def passing(keep=lambda k: True):  # the rows without a failure yet that ``keep``, and their matrices
         rows = [k for k in range(n) if errors[k] is None and keep(k)]
@@ -171,7 +181,7 @@ def validate_stack(rho: np.ndarray, dims: tuple[int, int], gibbs=(None, None)):
 
     traces = rho.trace(axis1=1, axis2=2)
     for k, tr in enumerate(traces.tolist()):
-        if not (abs(tr.real - 1.0) <= TRACE_TOL and abs(tr.imag) <= TRACE_TOL):  # nan fails
+        if errors[k] is None and not (abs(tr.real - 1.0) <= TRACE_TOL and abs(tr.imag) <= TRACE_TOL):  # nan fails
             errors[k] = InfeasibleStateError("trace", f"tr(rho) = {traces[k]}")
     rows, matrices = passing()
     for k, defect in zip(rows, hermiticity_defects(matrices).tolist()):
@@ -193,13 +203,12 @@ def validate_stack(rho: np.ndarray, dims: tuple[int, int], gibbs=(None, None)):
     return errors, marginals
 
 
-def state_rows(levels_c, levels_h, beta_c, beta_h, rho: np.ndarray, gibbs) -> tuple[list, "StateStack"]:
+def state_rows(levels_c, levels_h, beta_c, beta_h, rho: np.ndarray, gibbs, errors=None) -> tuple[list, "StateStack"]:
     """(each row's first failure or None, the ``StateStack``) of the states
     rho (n, D, D), with local levels (n, d) and inverse temperatures (n,),
-    nan for a side without one: every row checked by one ``validate_stack``
-    call against ``gibbs``, and every column filled here, a failing row's
-    too.  ``valid_stack`` raises the first failure."""
-    errors, (marginal_c, marginal_h) = validate_stack(rho, (levels_c.shape[-1], levels_h.shape[-1]), gibbs)
+    nan for a side without one: one ``validate_stack`` call against ``gibbs``
+    and ``errors``, and every column filled, a failing row's too."""
+    errors, (marginal_c, marginal_h) = validate_stack(rho, (levels_c.shape[-1], levels_h.shape[-1]), gibbs, errors)
     equal = (levels_c == levels_h).all(axis=-1) if levels_c.shape == levels_h.shape else np.zeros(len(rho), bool)
     return errors, StateStack(
         rho, rho.diagonal(axis1=1, axis2=2).real.copy(), marginal_c, marginal_h, levels_c, levels_h, beta_c, beta_h,
@@ -278,9 +287,9 @@ class StateStack(NamedTuple):
 
     Every stack is checked and filled by ``state_rows``, so a system's own
     one-row ``BipartiteSystem.stack`` holds the values the single-cell
-    functions read, bit for bit.  Stack one row per distinct state with
-    ``exchange_stack`` and gather per-cell rows with ``take``.  A stack has
-    one row per cell, or one row that every cell shares and that
+    functions read, bit for bit.  Build one row per distinct state with its
+    kind's columnar builder and gather per-cell rows with ``take``.  A stack
+    has one row per cell, or one row that every cell shares and that
     broadcasts against the cells' arrays.
     """
 
@@ -310,11 +319,12 @@ class StateStack(NamedTuple):
     def system(self, k: int) -> BipartiteSystem:
         """Row k as the ``BipartiteSystem`` it holds, not checked again: its
         ``stack`` is that row, and its read-only rho a view of the row's."""
-        row = self.take(slice(k, k + 1))
+        row = self if (len(self.rho), k) == (1, 0) else self.take(slice(k, k + 1))
         rho = row.rho[0]
         rho.flags.writeable = False
-        spectra = (EnergySpectrum(tuple(levels[0].tolist())) for levels in (row.levels_c, row.levels_h))
-        betas = (None if np.isnan(beta) else beta for beta in (row.beta_c[0].item(), row.beta_h[0].item()))
+        spectra = [EnergySpectrum(tuple(row.levels_c[0].tolist()))]
+        spectra.append(spectra[0] if row.equal_spectra[0] else EnergySpectrum(tuple(row.levels_h[0].tolist())))
+        betas = (None if math.isnan(beta) else beta for beta in (row.beta_c[0].item(), row.beta_h[0].item()))
         sys = object.__new__(BipartiteSystem)
         sys.__dict__.update(zip(("spectrum_c", "spectrum_h", "beta_c", "beta_h"), (*spectra, *betas)), rho=rho, stack=row)
         return sys
@@ -326,59 +336,48 @@ class StateStack(NamedTuple):
         return valid_stack(state_rows(self.levels_c, self.levels_h, self.beta_c, self.beta_h, rho, gibbs))
 
 
-class ExchangeState(NamedTuple):
-    """A state by its nonzero entries, as each constructor builds it after its
-    parameter checks: rho's diagonal ``populations`` (D,) and rho[a, b] =
-    value = conj(rho[b, a]) of each (a, b, value) of ``coherences``.  A sweep
-    checks its states' entries as one ``exchange_stack``, a point as one ``exchange_system``."""
-
-    spectrum_c: EnergySpectrum
-    spectrum_h: EnergySpectrum
-    beta_c: float
-    beta_h: float
-    populations: np.ndarray
-    coherences: list
-
-
-def exchange_system(state: ExchangeState) -> BipartiteSystem:
-    """The ``BipartiteSystem`` of ``state``."""
-    rho = np.diag(state.populations.astype(complex))
-    for a, b, value in state.coherences:
-        rho[a, b], rho[b, a] = value, np.conj(value)
-    return BipartiteSystem(state.spectrum_c, state.spectrum_h, rho, state.beta_c, state.beta_h)
-
-
-def exchange_stack(states) -> tuple[list, StateStack]:
-    """(each state's first failure or None, the ``StateStack`` with one row
-    per state) of ``states``, which share their dimensions: the
-    ``entry_stack`` of their entries."""
-    entries = [(k, a, b, value) for k, s in enumerate(states) for a, b, value in s.coherences]
-    columns = zip(*((s.spectrum_c.levels, s.spectrum_h.levels, s.beta_c, s.beta_h) for s in states))
-    levels_c, levels_h, beta_c, beta_h = (np.array(column, dtype=float) for column in columns)
-    populations = np.array([s.populations for s in states])
-    return entry_stack(levels_c, levels_h, beta_c, beta_h, populations, tuple(map(np.array, zip(*entries))))
-
-
-def entry_stack(levels_c, levels_h, beta_c, beta_h, populations, coherences=()) -> tuple[list, StateStack]:
-    """(each row's first failure or None, the ``StateStack``) of the states
-    with the diagonals ``populations`` (n, D) and rho[k, a, b] = value =
-    conj(rho[k, b, a]) of each (k, a, b, value) of the ``coherences``
-    columns: each row as ``exchange_system`` builds it, bit for bit, rho
-    filled at once and checked by one ``state_rows`` call, which raises nothing."""
+def entry_stack(levels_c, levels_h, beta_c, beta_h, populations, coherences=(), errors=None, gibbs=None):
+    """(each row's first failure or None, the ``StateStack``) of the states with
+    the diagonals ``populations`` (n, D) and rho[k, a, b] = conj(rho[k, b, a])
+    = values[k] of the ``coherences`` (a, b (M,), values (n, M)), checked by
+    one ``state_rows`` call against ``gibbs`` (each side's ``gibbs_stack``
+    when None).  A row that ``errors`` fails keeps its parameter failure and
+    is not checked; when every row has failed, nothing is built (no stack)."""
+    if errors is not None and None not in errors:
+        return errors, None
     n, side = populations.shape
     rho = np.zeros((n, side, side), complex)
-    rho[:, range(side), range(side)] = populations
+    rho.reshape(n, -1)[:, :: side + 1] = populations
     if coherences:
-        k, a, b, value = coherences
-        rho[k, a, b], rho[k, b, a] = value, np.conj(value)
-    return state_rows(levels_c, levels_h, beta_c, beta_h, rho, (gibbs_stack(levels_c, beta_c), gibbs_stack(levels_h, beta_h)))
+        a, b, values = coherences
+        rho[:, a, b], rho[:, b, a] = values, np.conj(values)
+    gibbs = gibbs or (gibbs_stack(levels_c, beta_c), gibbs_stack(levels_h, beta_h))
+    return state_rows(levels_c, levels_h, beta_c, beta_h, rho, gibbs, errors)
 
 
-def _manifold_indices(n: int, m: int, d: int) -> tuple[int, int]:
-    """Joint indices (a, b) of the exchange pair |n m>, |m n>, n < m."""
-    if not 0 <= n < m < d:
-        raise ValueError(f"invalid manifold pair ({n}, {m}) for dimension {d}")
-    return n * d + m, m * d + n
+def _failures(n: int, checks) -> list:
+    """Each of n rows' first failure or None: the checks (failed (n,),
+    the ``InfeasibleStateError`` of row k) in order."""
+    errors = [None] * n
+    for failed, error in checks:
+        for k in np.flatnonzero(failed).tolist() if True in failed.tolist() else ():
+            if errors[k] is None:
+                errors[k] = error(k)
+    return errors
+
+
+def _require_spectra(*levels, errors=None) -> None:
+    """Raise ``EnergySpectrum``'s ValueError for the first row without a failure
+    in ``errors`` whose levels (n, d), each of ``levels`` in turn, do not ascend."""
+    bad = sum((x[:, 1:] - x[:, :-1] <= 0).any(axis=-1) for x in levels).tolist()
+    for k in (k for k, b in enumerate(bad) if b and (errors is None or errors[k] is None)):
+        for x in levels:
+            EnergySpectrum(tuple(x[k].tolist()))
+
+
+def spectrum_levels(*upper) -> np.ndarray:
+    """The levels (0, *upper): (1 + k,) of scalars, or (n, 1 + k) of columns (n,)."""
+    return np.array([np.zeros_like(upper[0]), *upper], float).T
 
 
 @dataclass(frozen=True)
@@ -404,19 +403,24 @@ class TwoQubitParams:
 
     def p00_bounds(self, z=None) -> tuple[float, float]:
         """(lower, upper) bound on P00, of ``partition_values()`` or the given ``z``."""
-        z_c, z_h = z or self.partition_values()
-        return pymax(0.0, 1.0 / z_c + 1.0 / z_h - 1.0), pymin(1.0 / z_c, 1.0 / z_h)
+        q_c, q_h = (1.0 / x for x in z or self.partition_values())
+        return pymax(0.0, q_c + q_h - 1.0), pymin(q_c, q_h)
 
     def eta_cap(self, z=None) -> float:
         """The largest |eta| at this P00, of ``partition_values()`` or the given ``z``."""
-        z_c, z_h = z or self.partition_values()
-        return _py(np.sqrt(pymax(1.0 / z_c - self.p00, 0.0) * pymax(1.0 / z_h - self.p00, 0.0)))
+        q_c, q_h = (1.0 / x for x in z or self.partition_values())
+        return _py(np.sqrt(pymax(q_c - self.p00, 0.0) * pymax(q_h - self.p00, 0.0)))
 
     def populations(self, z=None) -> np.ndarray:
         """The diagonal (P00, 1/z_C - P00, 1/z_H - P00, 1 - 1/z_C - 1/z_H + P00), (..., 4)."""
-        z_c, z_h = z or self.partition_values()
+        q_c, q_h = (1.0 / x for x in z or self.partition_values())
         p00 = self.p00
-        return np.array([p00, 1.0 / z_c - p00, 1.0 / z_h - p00, 1.0 - 1.0 / z_c - 1.0 / z_h + p00]).T
+        return np.array([p00, q_c - p00, q_h - p00, 1.0 - q_c - q_h + p00]).T
+
+
+def _one_row(params):
+    """``params``, a dataclass of state parameters, with each field a column of one row."""
+    return type(params)(*(np.array([value]) for value in vars(params).values()))
 
 
 def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
@@ -425,27 +429,29 @@ def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
     Diagonal (P00, 1/z_C - P00, 1/z_H - P00, 1 - 1/z_C - 1/z_H + P00) and
     coherence eta*e^{i xi} between |01> and |10>.
     """
-    return exchange_system(two_qubit_entries(params))
+    return valid_stack(two_qubit_rows(_one_row(params))).system(0)
 
 
-def two_qubit_entries(params: TwoQubitParams) -> ExchangeState:
-    """The state of ``two_qubit_state(params)``, after its parameter checks."""
+def two_qubit_rows(params: TwoQubitParams) -> tuple[list, StateStack | None]:
+    """(each row's first failure or None, the ``StateStack``) of the states of
+    ``two_qubit_state`` at the columns (n,) of ``params``: the checks p00_upper,
+    p00_lower and eta_cap as masks; a gap <= 0 of a row that passes them is a ValueError."""
     z = params.partition_values()
     lower, upper = params.p00_bounds(z)
-    if params.p00 > upper + 1e-12:
-        raise InfeasibleStateError("p00_upper", f"P00 = {params.p00} exceeds upper bound {upper}")
-    if params.p00 < lower - 1e-12:
-        raise InfeasibleStateError("p00_lower", f"P00 = {params.p00} below lower bound {lower}")
-    cap = params.eta_cap(z)
-    if abs(params.eta) > cap + 1e-12:
-        raise InfeasibleStateError("eta_cap", f"|eta| = {abs(params.eta)} exceeds cap {cap}")
-    spectrum, coherence = EnergySpectrum.two_level(params.gap), params.eta * np.exp(1j * params.xi)
-    return ExchangeState(spectrum, spectrum, params.beta_c, params.beta_h, params.populations(z), [(1, 2, coherence)])
+    cap, p00, eta = params.eta_cap(z), params.p00, np.abs(params.eta)
+    errors = _failures(len(p00), [
+        (p00 > upper + 1e-12, lambda k: InfeasibleStateError("p00_upper", f"P00 = {p00[k]} exceeds upper bound {upper[k]}")),
+        (p00 < lower - 1e-12, lambda k: InfeasibleStateError("p00_lower", f"P00 = {p00[k]} below lower bound {lower[k]}")),
+        (eta > cap + 1e-12, lambda k: InfeasibleStateError("eta_cap", f"|eta| = {eta[k]} exceeds cap {cap[k]}")),
+    ])
+    levels = spectrum_levels(params.gap)
+    _require_spectra(levels, errors=errors)
+    coherence = params.eta * np.exp(1j * params.xi)
+    betas = (np.asarray(beta, float) for beta in (params.beta_c, params.beta_h))
+    return entry_stack(levels, levels, *betas, params.populations(z), ([1], [2], coherence[:, None]), errors)
 
 
-def gamma_correlated_state(
-    gamma: complex, beta_c: float, beta_h: float, gap: float = 1.0, gap_h: float | None = None
-) -> BipartiteSystem:
+def gamma_correlated_state(gamma: complex, beta_c: float, beta_h: float, gap: float = 1.0, gap_h: float | None = None) -> BipartiteSystem:
     """Product of local Gibbs states plus a single exchange coherence.
 
     gamma multiplies the |0_H 1_C><1_H 0_C| element when the two qubits
@@ -453,16 +459,19 @@ def gamma_correlated_state(
     rho[2, 1] = gamma and rho[1, 2] = conj(gamma).  Marginals are thermal
     for any admissible gamma.  ``gap_h`` detunes the H qubit.
     """
-    return exchange_system(gamma_entries(gamma, beta_c, beta_h, gap, gap_h))
+    return valid_stack(gamma_rows(*(np.array([x]) for x in (gamma, beta_c, beta_h, gap, gap if gap_h is None else gap_h)))).system(0)
 
 
-def gamma_entries(gamma, beta_c, beta_h, gap=1.0, gap_h=None) -> ExchangeState:
-    """The state of ``gamma_correlated_state``; it has no parameter checks."""
-    spec_c = EnergySpectrum.two_level(gap)
-    spec_h = EnergySpectrum.two_level(gap if gap_h is None else gap_h)
-    populations = np.outer(thermal_populations(spec_c, beta_c), thermal_populations(spec_h, beta_h)).reshape(-1)
+def gamma_rows(gamma, beta_c, beta_h, gap, gap_h) -> tuple[list, StateStack]:
+    """(each row's first failure or None, the ``StateStack``) of the states of
+    ``gamma_correlated_state`` at columns (n,); a gap <= 0 is a ValueError."""
+    levels_c, levels_h = spectrum_levels(gap), spectrum_levels(gap_h)
+    _require_spectra(levels_c, levels_h)
+    beta_c, beta_h = np.asarray(beta_c, float), np.asarray(beta_h, float)
+    c, h = gibbs_stack(levels_c, beta_c), gibbs_stack(levels_h, beta_h)
+    populations = (c[:, :, None] * h[:, None, :]).reshape(len(c), -1)
     # + 0.0: a gamma of -0.0 is stored as 0.0, the product state's zero plus gamma
-    return ExchangeState(spec_c, spec_h, beta_c, beta_h, populations, [(2, 1, gamma + 0.0)])
+    return entry_stack(levels_c, levels_h, beta_c, beta_h, populations, ([2], [1], (gamma + 0.0)[:, None]), gibbs=(c, h))
 
 
 @dataclass(frozen=True)
@@ -498,37 +507,50 @@ def two_qutrit_state(params: QutritStateParams) -> BipartiteSystem:
     """Two-qutrit state: the closed-form solve of ``qudit_locally_thermal``
     at d = 3, five equations with the nonnegativity checks in the order
     (6, 3, 4, 1, 2, 0, 5, 7, 8)."""
-    return exchange_system(two_qutrit_entries(params))
+    return valid_stack(two_qutrit_rows(_one_row(params))).system(0)
 
 
-def two_qutrit_entries(params: QutritStateParams) -> ExchangeState:
-    """The state of ``two_qutrit_state(params)``, after its parameter checks."""
-    spec = params.spectrum()
-    gibbs = thermal_populations(spec, params.beta_c), thermal_populations(spec, params.beta_h)
+def two_qutrit_rows(params: QutritStateParams) -> tuple[list, StateStack | None]:
+    """``locally_thermal_rows`` of the states of ``two_qutrit_state`` at the columns
+    (n,) of ``params``; levels that do not ascend are a ValueError."""
+    levels = spectrum_levels(params.e1, params.e2)
+    _require_spectra(levels)
     free = {0: params.rho_0, 5: params.rho_5, 7: params.rho_7, 8: params.rho_8}
-    coherences = [
-        ((0, 1), params.eta_13, params.xi_13), ((0, 2), params.eta_26, params.xi_26), ((1, 2), params.eta_57, params.xi_57)
+    eta = np.array([params.eta_13, params.eta_26, params.eta_57], float).T
+    xi = np.array([params.xi_13, params.xi_26, params.xi_57], float).T
+    return locally_thermal_rows(levels, params.beta_c, params.beta_h, free, [(0, 1), (0, 2), (1, 2)], eta, xi)
+
+
+def locally_thermal_rows(levels, beta_c, beta_h, free, pairs, eta, xi, qudit=False) -> tuple[list, StateStack | None]:
+    """(each row's first failure or None, the ``StateStack``) of the d x d
+    states with the levels (n, d) and the Gibbs marginals at beta_c and
+    beta_h (n,), the populations ``free`` ({joint index: column (n,)} on
+    {0} and {n*d+m : n, m >= 1, (n, m) != (1, 1)}) and the others of
+    ``solve_populations``, and the ``exchange_coherence`` of each manifold
+    (n, m) of ``pairs`` at eta and xi (n, pairs).  The checks, as masks:
+    with ``qudit``, bohr_degenerate and marginal_consistency; then
+    population_<index>, and eta_<n><m> of the first eta outside [0, 1]."""
+    d = levels.shape[-1]
+    beta_c, beta_h = np.asarray(beta_c, float), np.asarray(beta_h, float)
+    c, h = gibbs_stack(levels, beta_c), gibbs_stack(levels, beta_h)
+    p, first = solve_populations(c, h, free)
+    resid, outside = marginal_residual(c, h), ~((0.0 <= eta) & (eta <= 1.0))
+    checks = [
+        (~bohr_nondegenerate(levels), lambda k: InfeasibleStateError("bohr_degenerate", "spectrum has degenerate gaps")),
+        (resid > 1e-9, lambda k: InfeasibleStateError("marginal_consistency", f"residual {resid[k]:.3e}")),
+    ] if qudit else []
+    checks += [
+        (first >= 0, lambda k: InfeasibleStateError(f"population_{first[k]}", f"implied population rho_{first[k]} = {p[k, first[k]]:.3e} < 0")),
+        (outside.any(axis=-1), lambda k: _eta_error(*pairs[outside[k].argmax()])),
     ]
-    return locally_thermal_entries(spec, params.beta_c, params.beta_h, gibbs, free, coherences)
+    a, b = (np.array([[n * d + m, m * d + n] for n, m in pairs], np.intp).reshape(-1, 2)).T
+    coherences = exchange_coherence(eta, xi, p[:, a], p[:, b])
+    errors = _failures(len(p), checks)
+    return entry_stack(levels, levels, beta_c, beta_h, np.maximum(p, 0.0), (a, b, coherences), errors, (c, h))
 
 
-def locally_thermal_entries(spectrum, beta_c, beta_h, gibbs, free, coherences) -> ExchangeState:
-    """The d x d state with the populations ``free`` ({joint index: value}
-    on {0} and {n*d+m : n, m >= 1, (n, m) != (1, 1)}), the marginals
-    ``gibbs`` = (c, h), the other populations of ``solve_populations``,
-    and the ``exchange_coherence`` of each (manifold, eta, xi) of
-    ``coherences``, eta checked in [0, 1]."""
-    d = spectrum.dim
-    p, first = solve_populations(*gibbs, free)
-    if first >= 0:
-        raise InfeasibleStateError(f"population_{first}", f"implied population rho_{first} = {p[first]:.3e} < 0")
-    entries = []
-    for (n, m), eta, xi in coherences:
-        if not 0.0 <= eta <= 1.0:
-            raise InfeasibleStateError(f"eta_{n}{m}", f"eta for manifold ({n},{m}) must lie in [0, 1]")
-        a, b = _manifold_indices(n, m, d)
-        entries.append((a, b, exchange_coherence(eta, xi, p[a], p[b])))
-    return ExchangeState(spectrum, spectrum, beta_c, beta_h, np.maximum(p, 0.0), entries)
+def _eta_error(n: int, m: int) -> InfeasibleStateError:
+    return InfeasibleStateError(f"eta_{n}{m}", f"eta for manifold ({n},{m}) must lie in [0, 1]")
 
 
 def solve_populations(c, h, free):
@@ -585,32 +607,27 @@ def qudit_locally_thermal(
     solved from the marginal constraints in closed form, the solve that
     ``two_qutrit_state`` runs at d = 3.  Requires a nondegenerate Bohr
     spectrum so that exchange manifolds are the only coherence carriers
-    compatible with energy-preserving dynamics.
+    compatible with energy-preserving dynamics.  Wrong free indices or a
+    manifold outside the spectrum are a ValueError.
     """
-    return exchange_system(qudit_entries(spectrum, beta_c, beta_h, free_populations, eta_map, xi_map))
+    d = spectrum.dim
+    expected_free = {0} | {n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)}
+    if set(free_populations) != expected_free:
+        raise ValueError(f"free populations must be exactly indices {sorted(expected_free)}")
+    eta_map, xi_map = eta_map or {}, xi_map or {}
+    pairs = [(min(n, m), max(n, m)) for n, m in eta_map]
+    for n, m in pairs:
+        if not 0 <= n < m < d:
+            raise ValueError(f"invalid manifold pair ({n}, {m}) for dimension {d}")
+    eta = np.array([list(eta_map.values())], float).reshape(1, -1)
+    xi = np.array([[xi_map.get(pair, xi_map.get(pair[::-1], 0.0)) for pair in pairs]], float).reshape(1, -1)
+    free = {k: np.array([value]) for k, value in free_populations.items()}
+    return valid_stack(locally_thermal_rows(np.array([spectrum.levels]), [beta_c], [beta_h], free, pairs, eta, xi, True)).system(0)
 
 
 def marginal_residual(c, h):
     """|sum(h) - sum(c)| of marginals (..., d): the residual of row 0, which the solve leaves out."""
     return np.abs(h.sum(axis=-1) - c.sum(axis=-1))
-
-
-def qudit_entries(spectrum, beta_c, beta_h, free_populations, eta_map=None, xi_map=None) -> ExchangeState:
-    """The state of ``qudit_locally_thermal``, after its parameter checks."""
-    if not spectrum.bohr_nondegenerate():
-        raise InfeasibleStateError("bohr_degenerate", "spectrum has degenerate gaps")
-    d = spectrum.dim
-    expected_free = {0} | {n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)}
-    if set(free_populations) != expected_free:
-        raise ValueError(f"free populations must be exactly indices {sorted(expected_free)}")
-    gibbs = c, h = thermal_populations(spectrum, beta_c), thermal_populations(spectrum, beta_h)
-    resid = marginal_residual(c, h)
-    if resid > 1e-9:
-        raise InfeasibleStateError("marginal_consistency", f"residual {resid:.3e}")
-    xi_map = xi_map or {}
-    pairs = [((min(n, m), max(n, m)), eta) for (n, m), eta in (eta_map or {}).items()]
-    coherences = [(pair, eta, xi_map.get(pair, xi_map.get(pair[::-1], 0.0))) for pair, eta in pairs]
-    return locally_thermal_entries(spectrum, beta_c, beta_h, gibbs, free_populations, coherences)
 
 
 def dephase(sys: BipartiteSystem) -> BipartiteSystem:

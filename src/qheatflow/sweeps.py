@@ -2,13 +2,13 @@
 
 A sweep is a scenario name, fixed parameters, one or two axes and a list
 of output columns.  ``run_sweep`` carries the params as columns (a scalar
-per fixed key, a per-cell array per axis key), builds each distinct
-state's entries once and checks them as one stack, solves each distinct
-J_x once, and evaluates all feasible cells as (n, D, D) stacks in
-byte-bounded chunks, each cell with its own state's data (``StateStack``).
-There is one state builder, one unitary builder and one evaluator:
-``evaluate_cell`` and ``analyze_point`` run them at n = 1 (the state
-checked as an ``exchange_system``) and ask for every column, while a
+per fixed key, a per-cell array per axis key), builds and checks every
+distinct state in one call of its kind's columnar builder, solves each
+distinct J_x once, and evaluates all feasible cells as (n, D, D) stacks
+in byte-bounded chunks, each cell with its own state's data
+(``StateStack``).  There is one state builder, one unitary builder and
+one evaluator: ``evaluate_cell`` and ``analyze_point`` run them at n = 1
+and ask for every column, while a
 sweep runs only the kernel groups (``COLUMN_GROUPS``) that its requested
 outputs read; both tables, with their checks, are built for every cell.
 A ``SweepResult`` holds the CSV's columns (the axes, the requested
@@ -80,17 +80,14 @@ from .fluctuations import (
 from .probe import probe_statistics, reconstruct_quasiprobability, sampled_reconstruction
 from .states import (
     BipartiteSystem,
-    ExchangeState,
-    InfeasibleStateError,
     QutritStateParams,
     StateStack,
     TwoQubitParams,
-    exchange_stack,
-    exchange_system,
-    gamma_entries,
+    gamma_rows,
     min_partial_transpose_eigenvalue,
-    two_qubit_entries,
-    two_qutrit_entries,
+    two_qubit_rows,
+    two_qutrit_rows,
+    valid_stack,
 )
 from .witnesses import (
     correlation_flow_stack,
@@ -113,6 +110,7 @@ NEGATIVITY_THRESHOLD = -1e-12
 STACK_BYTES = 128 * 9**2 * 16
 # the upper end of the J_x bisection: a target eps above eps(JX_HI) is a ConfigError
 JX_HI = 4000.0
+MAX_CELLS = 10**6  # the most cells a sweep takes: 1000 x 1000, 400 times qubit_grid
 
 # Config keys each state kind reads (see _build_state for the defaults).
 STATE_KEYS: dict[str, tuple[str, ...]] = {
@@ -351,6 +349,8 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ConfigError("a sweep needs one or two axes")
+        if (cells := math.prod(a.points for a in self.axes)) > MAX_CELLS:
+            raise ConfigError(f"a sweep of {cells} cells exceeds the limit of {MAX_CELLS}")
         axes, outputs = _check_keys(self.scenario, self.fixed)
         _require_known(self.scenario, "axis", [a.name for a in self.axes], axes)
         keys = [axes[a.name] for a in self.axes]
@@ -559,76 +559,47 @@ class _KindParams(dict):
         raise ConfigError(f"{key} is not set; the {self.kind} needs it")
 
 
-def _build_state(kind: str, params: dict) -> ExchangeState:
-    """The entries of the state of one kind, after its parameter checks;
-    unset optional keys take the defaults below."""
-    params = _KindParams(f"{kind} state", params)
+def _build_state(kind: str, columns: dict, n: int):
+    """(each row's first failure or None, the ``StateStack``, None when every
+    row failed) of n states of one kind, ``columns`` holding a scalar or an
+    (n,) array per key: one call of the kind's columnar builder.  Unset
+    optional keys take the defaults below."""
+    params = _KindParams(f"{kind} state", columns)
+
+    def column(key, default=None):
+        value = params[key] if default is None else params.get(key, default)
+        return value if isinstance(value, np.ndarray) else np.full(n, value)
+
     if kind == "gamma":
-        return gamma_entries(
-            params["state.gamma"], params["state.beta_C"], params["state.beta_H"],
-            gap=params.get("state.E", 1.0), gap_h=params.get("state.E_H"),
-        )
-    eta = params.get("state.eta", 0.0)
-    xi = params.get("state.xi", 0.0)
+        gap = column("state.E", 1.0)
+        return gamma_rows(column("state.gamma"), column("state.beta_C"), column("state.beta_H"), gap, column("state.E_H", gap))
+    eta, xi = column("state.eta", 0.0), column("state.xi", 0.0)
+    betas = column("state.beta_C"), column("state.beta_H")
     if kind == "two-qubit":
-        return two_qubit_entries(
-            TwoQubitParams(
-                beta_c=params["state.beta_C"],
-                beta_h=params["state.beta_H"],
-                p00=params["state.P00"],
-                eta=eta,
-                xi=xi,
-                gap=params.get("state.E", 1.0),
-            )
-        )
-    return two_qutrit_entries(
-        QutritStateParams(
-            beta_c=params["state.beta_C"],
-            beta_h=params["state.beta_H"],
-            e1=params.get("state.E1", 1.0),
-            e2=params.get("state.E2", 1.15),
-            rho_0=params["state.rho_0"],
-            rho_5=params["state.rho_5"],
-            rho_7=params["state.rho_7"],
-            rho_8=params["state.rho_8"],
-            eta_13=params.get("state.eta_13", eta),
-            eta_26=params.get("state.eta_26", eta),
-            eta_57=params.get("state.eta_57", eta),
-            xi_13=params.get("state.xi_13", xi),
-            xi_26=params.get("state.xi_26", xi),
-            xi_57=params.get("state.xi_57", xi),
-        )
-    )
+        return two_qubit_rows(TwoQubitParams(*betas, column("state.P00"), eta, xi, column("state.E", 1.0)))
+    return two_qutrit_rows(QutritStateParams(
+        *betas, column("state.E1", 1.0), column("state.E2", 1.15), *(column(f"state.rho_{k}") for k in (0, 5, 7, 8)),
+        *(column(f"state.eta_{k}", eta) for k in (13, 26, 57)), *(column(f"state.xi_{k}", xi) for k in (13, 26, 57)),
+    ))
 
 
 def _distinct_states(scenario: Scenario, kind: str, params: dict, n: int):
-    """The state keys of n cells' ``params`` (a scalar or an n-array per
-    key) derived in place, and the entries of each distinct state built
-    once, in group order, by ``_build_state``: (each cell's group, each
-    group's ``InfeasibleStateError`` from a parameter check or None, the
-    entries of the other groups by group).  Cells are grouped by the value
-    bits of their varying state keys."""
+    """The state keys of n cells' ``params`` (a scalar or an n-array per key)
+    derived in place, and the ``_build_state`` of the distinct states, in the
+    order of their first cells, grouped by the value bits of their varying
+    state keys: (each cell's state, each state's first failure or None, the
+    ``StateStack``, None when every state failed)."""
     _derive(scenario, params, "state.")
-    varying = [key for key in STATE_KEYS[kind] if isinstance(params.get(key), np.ndarray)]
-    first, group = _distinct([params[key] for key in varying], n)
-    errors, built = [None] * len(first), {}
-    for g, k in enumerate(first.tolist()):
-        try:
-            built[g] = _build_state(kind, {**params, **{key: params[key][k].item() for key in varying}})
-        except InfeasibleStateError as exc:
-            errors[g] = exc
-    return group, errors, built
+    first, group = _distinct([params[key] for key in STATE_KEYS[kind] if isinstance(params.get(key), np.ndarray)], n)
+    return (group, *_build_state(kind, _take(params, first), len(first)))
 
 
 def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
     """Construct (system, unitary stack, cell_extras) for one grid point:
-    a sweep's steps on one cell, its state checked by ``exchange_system``."""
+    a sweep's steps on one cell."""
     row = SCENARIOS[scenario]
     params = dict(params)
-    _, (error,), built = _distinct_states(row, kinds[0], params, 1)
-    if error:
-        raise error
-    sys = exchange_system(built[0])
+    sys = valid_stack(_distinct_states(row, kinds[0], params, 1)[1:]).system(0)
     # after the state: infeasible cells skip the J_x solve
     _derive(row, params, "unitary.")
     u, extras = _build_unitary_stack(row, kinds[1], params, sys.stack, [0])
@@ -814,11 +785,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     The params are columns: a scalar per fixed key, a per-cell array per
     axis key (in ``itertools.product`` order).  ``_distinct_states`` builds
-    each distinct state's entries once, and those past their parameter
-    checks (``p00_*``, ``eta_cap``, ``population_*``, ``eta_*``) are
-    checked and filled by one ``exchange_stack`` call, which returns each
-    row's first failure (``trace``, ``hermiticity``, ``psd``,
-    ``thermal_marginal_*``).  An infeasible state marks its cells
+    and checks the distinct states in one ``_build_state`` call, which
+    gives each its first failure: a parameter check (``p00_*``,
+    ``eta_cap``, ``population_*``, ``eta_*``), else ``trace``,
+    ``hermiticity``, ``psd`` or ``thermal_marginal_*``, the checks of the
+    states built as one stack.  An infeasible state marks its cells
     ``infeasible:<constraint>`` and skips their J_x solves.  The feasible
     cells' unitary keys are then derived together (one J_x solve per
     sweep), and the feasible cells, whatever their state, are evaluated in
@@ -835,11 +806,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     axes = {axis.name: column.reshape(-1) for axis, column in zip(spec.axes, grid)}
     n = grid[0].size
     params = {**params_base, **{scenario.axes.get(name, name): column for name, column in axes.items()}}
-    group, errors, built = _distinct_states(scenario, state, params, n)
-    checked, states = exchange_stack(list(built.values())) if built else ([], None)  # one check, nothing raised
-    for g, error in zip(built, checked):
-        if error:
-            errors[g] = error
+    group, errors, states = _distinct_states(scenario, state, params, n)
     group_status = np.array(["ok" if error is None else f"infeasible:{error.constraint}" for error in errors], object)
     feasible = group_status == "ok"
     status = group_status[group]
@@ -848,7 +815,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if ok.size:
         cells = _take(params, ok)
         _derive(scenario, cells, "unitary.")
-        states = states.take(np.flatnonzero(feasible[list(built)]))  # the feasible states, in group order
+        states = states.take(np.flatnonzero(feasible))  # the feasible states, in group order
         state_of = (np.cumsum(feasible) - 1)[group[ok]]  # each feasible cell's row of ``states``
         per_state = {}
         if "min_pt_eig" in spec.outputs:

@@ -721,17 +721,18 @@ def _exchange_state(spectrum, p, order, coherences, beta_c, beta_h) -> Bipartite
         rho[b, a] = np.conj(val)
     return BipartiteSystem(spectrum, spectrum, rho, beta_c, beta_h)
 
-def exchange_states(st) -> list:
-    """Each row of a stack of exchange states (every manifold's coherence
-    stored) as the ``states.ExchangeState`` its constructor builds."""
+def entry_columns(st, rows: np.ndarray) -> tuple:
+    """The ``states.entry_stack`` arguments, copied, of the rows ``rows`` (an
+    index array) of a stack of exchange states, every manifold's coherence stored."""
     d = st.dims[0]
-    pairs = [(n * d + m, m * d + n) for n in range(d) for m in range(n + 1, d)]
-    out = []
-    for k, rho in enumerate(st.rho):
-        spec = EnergySpectrum(tuple(st.levels_c[k].tolist()))
-        coherences = [(a, b, rho[a, b]) for a, b in pairs]
-        out.append(states.ExchangeState(spec, spec, st.beta_c[k].item(), st.beta_h[k].item(), st.populations[k], coherences))
-    return out
+    a, b = np.array([(n * d + m, m * d + n) for n in range(d) for m in range(n + 1, d)]).T
+    return (*(column[rows] for column in (st.levels_c, st.levels_h, st.beta_c, st.beta_h, st.populations)), (a, b, st.rho[rows][:, a, b]))
+
+
+def checked_system(st, k: int) -> BipartiteSystem:
+    """Row k of a stack as the ``BipartiteSystem`` of its rho, built and checked alone."""
+    spectra = (EnergySpectrum(tuple(levels[k].tolist())) for levels in (st.levels_c, st.levels_h))
+    return BipartiteSystem(*spectra, st.rho[k], st.beta_c[k].item(), st.beta_h[k].item())
 
 
 # --- the random instance generators, one system per attempt -------------

@@ -3,7 +3,6 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import exchange_states
 
 from qheatflow.dynamics import (
     ManifoldRotation,
@@ -54,10 +53,9 @@ from qheatflow.states import (
     EnergySpectrum,
     TwoQubitParams,
     dephase,
-    exchange_stack,
-    exchange_system,
+    entry_stack,
     gamma_correlated_state,
-    gamma_entries,
+    gamma_rows,
     two_qubit_state,
     valid_stack,
 )
@@ -583,8 +581,8 @@ def test_j_term_divergence_for_vanishing_marginal():
 def test_stacks_equal_single_cell_functions_bit_for_bit(d):
     # three states with their own spectra, cells of each interleaved in one stack
     rng = np.random.default_rng(40 + d)
-    drawn = exchange_states(_draw(rng, [d] * 3).groups[0].st)  # the states of random_system_and_unitary
-    systems = [exchange_system(state) for state in drawn]
+    drawn = _draw(rng, [d] * 3).groups[0].st  # the states of random_system_and_unitary
+    systems = [reference.checked_system(drawn, k) for k in range(3)]
     state_of = np.array([0, 1, 2, 0, 0, 2, 1])
     draws = [random_rotations(rng, systems[i].spectrum_c) for i in state_of]
     fields = ("theta", "phi", "lam", "kappa")
@@ -592,7 +590,7 @@ def test_stacks_equal_single_cell_functions_bit_for_bit(d):
         rot.level_pair: tuple(np.array([getattr(rots[i], f) for rots in draws]) for f in fields)
         for i, rot in enumerate(draws[0])
     }
-    states = valid_stack(exchange_stack(drawn)).take(state_of)
+    states = valid_stack(entry_stack(*reference.entry_columns(drawn, np.arange(3)))).take(state_of)
     stack = exchange_unitary_stack(states.levels_c, len(draws), angles.items())
     u = stack.matrix
     levels = (states.levels_c, states.levels_h)
@@ -626,9 +624,9 @@ def test_stacks_equal_single_cell_functions_bit_for_bit(d):
 
 def test_stacks_mark_the_cells_where_the_single_cell_function_diverges():
     # a state whose hot marginal is flush to (1, 0) beside a regular one
-    entries = [gamma_entries(-0.1, 1.13, 0.9618), gamma_entries(0.0, 800.0, 700.0)]
-    regular, flush = map(exchange_system, entries)
-    states = valid_stack(exchange_stack(entries)).take(np.array([0, 1, 0]))
+    regular, flush = gamma_correlated_state(-0.1, 1.13, 0.9618), gamma_correlated_state(0.0, 800.0, 700.0)
+    states = valid_stack(gamma_rows(np.array([-0.1, 0.0]), np.array([1.13, 800.0]), np.array([0.9618, 700.0]), np.ones(2), np.ones(2)))
+    states = states.take(np.array([0, 1, 0]))
     stack = exchange_unitary_stack(states.levels_c, 3, [((0, 1), (np.array([0.4, 0.4, 0.9]), *np.zeros((3, 3))))])
     j, divergent = heat_exp_j_stack(states, stack.matrix, stack.adjoint)
     assert divergent.tolist() == [False, True, False]

@@ -141,8 +141,8 @@ def test_a_systems_row_equals_the_eager_one_column_by_column():
         for name, got, want in zip(StateStack._fields, row, eager):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
         assert sys.stack.dims == sys.dims
-    (state,) = reference.exchange_states(properties._draw(np.random.default_rng(5), [2]).groups[0].st)  # the state of _systems()[0]
-    errors, stacked = states.exchange_stack([state] * 3)
+    st = properties._draw(np.random.default_rng(5), [2]).groups[0].st  # the state of _systems()[0]
+    errors, stacked = states.entry_stack(*reference.entry_columns(st, np.zeros(3, int)))
     assert errors == [None] * 3
     for name, got, want in zip(StateStack._fields, stacked, _systems()[0].stack):
         assert got.tobytes() == np.concatenate([want] * 3).tobytes(), name
@@ -328,25 +328,33 @@ def test_the_numpy_identities_the_block_draw_relies_on_hold():
 
 def test_a_failing_row_raises_its_first_failed_check_and_is_never_skipped():
     rng = np.random.default_rng(4)
-    drawn = reference.exchange_states(properties._draw(rng, [3] * 12, rotations=False).groups[0].st)
-    swollen = drawn[5]._replace(populations=drawn[5].populations * 1.01)  # trace
-    a, b, value = drawn[9].coherences[0]
-    loose = drawn[9]._replace(coherences=[(a, b, value / abs(value)), *drawn[9].coherences[1:]])  # |rho_ab| = 1: psd
-    for rows, constraint in (([*drawn[:5], swollen, *drawn[6:9], loose, *drawn[10:]], "trace"), ([*drawn[:9], loose, *drawn[10:]], "psd")):
-        errors, _ = states.exchange_stack(rows)  # each row's first failure, none raised
+    levels, _, beta_c, beta_h, populations, (a, b, values) = reference.entry_columns(
+        properties._draw(rng, [3] * 12, rotations=False).groups[0].st, np.arange(12)
+    )
+    swollen = populations.copy()
+    swollen[5] *= 1.01  # trace
+    loose = values.copy()
+    loose[9, 0] /= abs(loose[9, 0])  # |rho_ab| = 1: psd
+
+    def rows(pops, coherences, k=slice(None)):  # the entry_stack arguments of rows k
+        return levels[k], levels[k], beta_c[k], beta_h[k], pops[k], (a, b, coherences[k])
+
+    for pops, constraint in ((swollen, "trace"), (populations, "psd")):
+        errors, _ = states.entry_stack(*rows(pops, loose))  # each row's first failure, none raised
         failed = {5: "trace", 9: "psd"} if constraint == "trace" else {9: "psd"}
         assert [error and error.constraint for error in errors] == [failed.get(k) for k in range(12)]
         with pytest.raises(InfeasibleStateError) as err:
-            states.valid_stack(states.exchange_stack(rows))
+            states.valid_stack(states.entry_stack(*rows(pops, loose)))
         assert err.value.constraint == constraint
-        bad = rows[5] if constraint == "trace" else rows[9]
+        bad = 5 if constraint == "trace" else 9
         with pytest.raises(InfeasibleStateError) as alone:
-            states.exchange_system(bad)
+            states.valid_stack(states.entry_stack(*rows(pops, loose, [bad])))
         assert alone.value.constraint == constraint
-        rho = np.diag(bad.populations.astype(complex))
-        for i, j, v in bad.coherences:
+        rho = np.diag(pops[bad].astype(complex))
+        for i, j, v in zip(a, b, loose[bad]):
             rho[i, j], rho[j, i] = v, np.conj(v)
-        assert reference.validation_failure(bad.spectrum_c, bad.spectrum_h, rho, bad.beta_c, bad.beta_h) == constraint
+        spec = states.EnergySpectrum(tuple(levels[bad].tolist()))
+        assert reference.validation_failure(spec, spec, rho, beta_c[bad].item(), beta_h[bad].item()) == constraint
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +522,10 @@ def test_each_propertys_result_is_pinned(seed, trials):
 
 
 def test_no_property_builds_or_checks_a_system_per_trial(monkeypatch):
-    """A 500-trial suite checks its states in stacks: no ``exchange_system``
-    call and no ``BipartiteSystem`` check; ``p00-bounds``' out-of-bounds probes
-    raise on their parameters, before any system is built."""
-    calls = {"exchange_system": 0, "BipartiteSystem": 0, "random": 0}
+    """A 500-trial suite checks its states in stacks: no one-state constructor
+    call and no ``BipartiteSystem`` check; ``p00-bounds`` builds its probes,
+    out-of-bounds ones among them, in one ``two_qubit_rows`` call per stack."""
+    calls = {"one state": 0, "BipartiteSystem": 0, "random": 0, "two_qubit_rows": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -525,21 +533,33 @@ def test_no_property_builds_or_checks_a_system_per_trial(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(states, "exchange_system", counted("exchange_system", states.exchange_system))
+    for name in ("two_qubit_state", "gamma_correlated_state", "two_qutrit_state", "qudit_locally_thermal"):
+        monkeypatch.setattr(states, name, counted("one state", getattr(states, name)))
+    monkeypatch.setattr(states, "two_qubit_rows", counted("two_qubit_rows", states.two_qubit_rows))
     monkeypatch.setattr(BipartiteSystem, "__post_init__", counted("BipartiteSystem", BipartiteSystem.__post_init__))
     for name in ("random_two_qubit_system", "random_two_qutrit_system", "random_qudit_system", "random_system_and_unitary"):
         monkeypatch.setattr(properties, name, counted("random", getattr(properties, name)))
     results = properties.run_property_suite(seed=7, n_trials=500)
     assert all(r.passed for r in results) and len(results) == len(properties.PROPERTIES)
-    assert calls == {"exchange_system": 0, "BipartiteSystem": 0, "random": 0}
+    assert calls == {"one state": 0, "BipartiteSystem": 0, "random": 0, "two_qubit_rows": -(-500 // properties.STACK_TRIALS)}
+
+
+def test_a_qudit_draw_past_d_11_raises_and_leaves_the_stream_alone():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for draw in (lambda: properties.random_qudit_system(rng, 12), lambda: properties._draw(rng, [4, (2, 17)])):
+        with pytest.raises(ValueError) as err:
+            draw()
+        assert "d = " in str(err.value) and rng.bit_generator.state == before
+    assert str(err.value).startswith("no state is drawn at local dimension d = 16")
 
 
 def test_a_stack_rows_system_is_the_checked_systems_bit_for_bit():
     rng = np.random.default_rng(5)
-    drawn = reference.exchange_states(properties._draw(rng, [3] * 3, rotations=False).groups[0].st)
-    st = states.valid_stack(states.exchange_stack(drawn))
-    for k, state in enumerate(drawn):
-        got, want = st.system(k), states.exchange_system(state)
+    drawn = properties._draw(rng, [3] * 3, rotations=False).groups[0].st
+    st = states.valid_stack(states.entry_stack(*reference.entry_columns(drawn, np.arange(3))))
+    for k in range(3):
+        got, want = st.system(k), reference.checked_system(drawn, k)
         assert (got.spectrum_c, got.spectrum_h, got.beta_c, got.beta_h) == (want.spectrum_c, want.spectrum_h, want.beta_c, want.beta_h)
         assert got.rho.tobytes() == want.rho.tobytes() and not got.rho.flags.writeable
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.stack, want.stack))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference
+from qheatflow import states
 from qheatflow.linalg import kron, partial_trace
 from qheatflow.properties import random_two_qubit_system, random_two_qutrit_system
 from qheatflow.states import (
@@ -14,11 +15,14 @@ from qheatflow.states import (
     TwoQubitParams,
     dephase,
     gamma_correlated_state,
+    gamma_rows,
     min_partial_transpose_eigenvalue,
     qudit_locally_thermal,
     thermal_populations,
     thermal_state,
+    two_qubit_rows,
     two_qubit_state,
+    two_qutrit_rows,
     two_qutrit_state,
     _min_eigenvalue_bound,
 )
@@ -140,6 +144,76 @@ def test_gamma_state_rejects_too_large_gamma():
     with pytest.raises(InfeasibleStateError) as err:
         gamma_correlated_state(-0.5, BC, BH)
     assert err.value.constraint == "psd"
+
+
+QUTRIT = dict(beta_c=1.3, beta_h=0.3, e1=1.0, e2=1.15, rho_0=0.3, rho_5=0.03, rho_7=0.07, rho_8=0.06)
+QUTRIT_FREE = {0: 0.3, 5: 0.03, 7: 0.07, 8: 0.06}
+# each constraint through its public constructor, with the message it has always had
+CONSTRAINT_MESSAGES = [
+    (two_qubit_state, (TwoQubitParams(BC, BH, 0.75),), "p00_upper", "P00 = 0.75 exceeds upper bound 0.7234820503338535"),
+    (two_qubit_state, (TwoQubitParams(BC, BH, 1, eta=0.3),), "p00_upper", "P00 = 1 exceeds upper bound 0.7234820503338535"),
+    (two_qubit_state, (TwoQubitParams(BC, BH, 0.4),), "p00_lower", "P00 = 0.4 below lower bound 0.47932094942865056"),
+    (two_qubit_state, (TwoQubitParams(BC, BH, 0.6, eta=-0.2),), "eta_cap", "|eta| = 0.2 exceeds cap 0.13872024647468031"),
+    (two_qubit_state, (TwoQubitParams(BC, BH, 0.9, gap=-1),), "p00_upper", "P00 = 0.9 exceeds upper bound 0.24416110090520296"),
+    (two_qutrit_state, (QutritStateParams(**{**QUTRIT, "rho_7": 0.14}),), "population_6", "implied population rho_6 = -5.018e-02 < 0"),
+    (two_qutrit_state, (QutritStateParams(**{**QUTRIT, "eta_26": 1.2}),), "eta_02", "eta for manifold (0,2) must lie in [0, 1]"),
+    (two_qutrit_state, (QutritStateParams(**{**QUTRIT, "eta_57": -0.1}),), "eta_12", "eta for manifold (1,2) must lie in [0, 1]"),
+    (qudit_locally_thermal, (EnergySpectrum((0.0, 1.0, 2.0)), 1.0, 0.5, QUTRIT_FREE), "bohr_degenerate", "spectrum has degenerate gaps"),
+    (qudit_locally_thermal, (EnergySpectrum((0.0, 1.0, 1.15)), 1.3, 0.3, QUTRIT_FREE, {(1, 0): 1.5}), "eta_01", "eta for manifold (0,1) must lie in [0, 1]"),
+    (gamma_correlated_state, (-0.5, BC, BH), "psd", "min eigenvalue -3.074e-01"),
+]
+
+
+@pytest.mark.parametrize("build, args, constraint, message", CONSTRAINT_MESSAGES, ids=[c[2] for c in CONSTRAINT_MESSAGES])
+def test_each_constraint_keeps_its_name_and_message(build, args, constraint, message):
+    with pytest.raises(InfeasibleStateError) as err:
+        build(*args)
+    assert (err.value.constraint, str(err.value)) == (constraint, message)
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (two_qubit_state, (TwoQubitParams(BC, BH, 0.2, gap=-1),), "levels must be strictly ascending, got (0.0, -1.0)"),
+    (two_qutrit_state, (QutritStateParams(**{**QUTRIT, "e2": 0.5}),), "levels must be strictly ascending, got (0.0, 1.0, 0.5)"),
+    (gamma_correlated_state, (-0.1, BC, BH, 0), "levels must be strictly ascending, got (0.0, 0.0)"),
+    (gamma_correlated_state, (-0.1, BC, BH, 1.0, -0.5), "levels must be strictly ascending, got (0.0, -0.5)"),
+])
+def test_a_spectrum_that_does_not_ascend_is_a_value_error(build, args, message):
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_a_column_mixing_failures_gives_each_row_its_first_failure():
+    cap = TwoQubitParams(BC, BH, 0.6).eta_cap()
+    rows = [(0.6, 0.0, None), (0.75, 0.0, "p00_upper"), (0.4, 0.0, "p00_lower"), (0.6, 0.2, "eta_cap"),
+            (0.75, 0.5, "p00_upper"), (0.4, 0.5, "p00_lower"), (0.6, cap, None), (0.6, -0.2, "eta_cap")]
+    p00, eta, want = zip(*rows)
+    n = len(rows)
+    errors, stack = two_qubit_rows(TwoQubitParams(np.full(n, BC), np.full(n, BH), np.array(p00), np.array(eta), np.zeros(n), np.ones(n)))
+    assert [error and error.constraint for error in errors] == list(want)
+    for k, (p, e, constraint) in enumerate(rows):
+        if constraint is None:
+            assert stack.rho[k].tobytes() == two_qubit_state(TwoQubitParams(BC, BH, p, e)).rho.tobytes()
+        else:
+            with pytest.raises(InfeasibleStateError) as alone:
+                two_qubit_state(TwoQubitParams(BC, BH, p, e))
+            assert str(alone.value) == str(errors[k])
+    # a population before an eta, an eta before the stack's own checks
+    fields = {key: np.full(4, value) for key, value in vars(QutritStateParams(**QUTRIT)).items()}
+    fields.update(rho_7=np.array([0.07, 0.14, 0.14, 0.07]), eta_26=np.array([0.5, 1.2, 0.5, 1.2]))
+    errors, _ = two_qutrit_rows(QutritStateParams(**fields))
+    assert [error and error.constraint for error in errors] == [None, "population_6", "population_6", "eta_02"]
+    errors, _ = gamma_rows(np.array([-0.1, -0.5]), np.full(2, BC), np.full(2, BH), np.ones(2), np.ones(2))
+    assert [error and error.constraint for error in errors] == [None, "psd"]
+
+
+@pytest.mark.parametrize("build, args", [(build, args) for build, args, constraint, _ in CONSTRAINT_MESSAGES if constraint != "psd"])
+def test_a_parameter_failure_raises_before_any_state_is_built(monkeypatch, build, args):
+    checked = []
+    monkeypatch.setattr(states, "validate_stack", lambda *a: checked.append(a))
+    with pytest.raises(InfeasibleStateError):
+        build(*args)
+    assert checked == []
 
 
 # ---------------------------------------------------------------------------

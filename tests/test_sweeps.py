@@ -119,6 +119,33 @@ def test_spec_requires_scenario_and_known_axes():
         )
 
 
+def test_a_grid_past_a_million_cells_is_refused_before_anything_is_allocated(monkeypatch):
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("an axis was allocated"))
+    monkeypatch.setattr(np, "meshgrid", lambda *a, **k: pytest.fail("a grid was allocated"))
+    cfg = load_config(str(CONFIG_DIR / "qubit_grid.cfg"))  # 61 x 41 cells
+    for points, cells in ((24391, 1000031), (10**12, 41 * 10**12)):
+        with pytest.raises(ConfigError) as err:
+            SweepSpec.from_config({**cfg, "sweep.axis1.points": points})
+        assert str(err.value) == f"a sweep of {cells} cells exceeds the limit of 1000000"
+    SweepSpec.from_config({**cfg, "sweep.axis1.points": 1000, "sweep.axis2.points": 1000})  # 10**6 cells are taken
+    with pytest.raises(ConfigError):
+        SweepSpec.from_config({**cfg, "sweep.axis1.points": 1001, "sweep.axis2.points": 1000})
+    assert cli_main(["sweep", str(CONFIG_DIR / "qubit_grid.cfg"), "--set", "sweep.axis1.points=1000000"]) == 1
+
+
+@pytest.mark.parametrize("cfg, settings, message", [
+    ("experiment_time.cfg", ["state.E=-1"], "levels must be strictly ascending, got (0.0, -1.0)"),
+    # a two-qubit gap is checked after P00 and eta, which at E = -1 need a small P00
+    ("qubit_grid.cfg", ["state.E=-1", "state.P00=0.2"], "levels must be strictly ascending, got (0.0, -1.0)"),
+    ("qutrit_bounds.cfg", ["state.E2=0.5"], "levels must be strictly ascending, got (0.0, 1.0, 0.5)"),
+])
+@pytest.mark.parametrize("command", ["sweep", "point"])
+def test_a_spectrum_that_does_not_ascend_exits_1(capsys, cfg, settings, message, command):
+    assert cli_main([command, str(CONFIG_DIR / cfg), *(arg for setting in settings for arg in ("--set", setting))]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # sweep behaviour
 # ---------------------------------------------------------------------------
@@ -503,41 +530,42 @@ def _count_calls(monkeypatch, *names) -> dict[str, int]:
 
 
 def _count_validations(monkeypatch) -> list[int]:
-    """The rows of each ``states.validate_stack`` call, the one check of every state."""
+    """The rows that each ``states.validate_stack`` call checks, the one check
+    of every state: those without a parameter failure."""
     rows, validate = [], qh.states.validate_stack
 
-    def counting(rho, *args):
-        rows.append(len(rho))
-        return validate(rho, *args)
+    def counting(rho, dims, gibbs, errors=None):
+        rows.append(len(rho) if errors is None else errors.count(None))
+        return validate(rho, dims, gibbs, errors)
 
     monkeypatch.setattr(qh.states, "validate_stack", counting)
     return rows
 
 
 def test_a_sweep_evaluates_chunks_that_span_states(monkeypatch):
-    counts = _count_calls(monkeypatch, "_build_unitary_stack", "_evaluate_stack", "_build_state", "exchange_stack")
+    counts = _count_calls(monkeypatch, "_build_unitary_stack", "_evaluate_stack", "_build_state")
     validations = _count_validations(monkeypatch)
     nonideal = run_sweep(SweepSpec.from_config(load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg"))))
     assert sum(r["status"] == "ok" for r in nonideal.rows) == 160
-    assert counts == {"_build_unitary_stack": 1, "_evaluate_stack": 1, "_build_state": 13, "exchange_stack": 1}
+    assert counts == {"_build_unitary_stack": 1, "_evaluate_stack": 1, "_build_state": 1}
     assert validations == [13]  # every state in one stack, the psd failures among them
     counts.update(dict.fromkeys(counts, 0))
     validations.clear()
     run_sweep(SweepSpec.from_config(load_config(str(CONFIG_DIR / "qubit_grid.cfg"))))  # 41 states of 61 cells
-    assert counts == {"_build_unitary_stack": 4, "_evaluate_stack": 4, "_build_state": 41, "exchange_stack": 1}
+    assert counts == {"_build_unitary_stack": 4, "_evaluate_stack": 4, "_build_state": 1}
     assert validations == [41]
 
 
 def test_per_state_kernels_run_once_per_distinct_feasible_state(monkeypatch):
-    counts = _count_calls(monkeypatch, "_build_state", "exchange_stack")
+    counts = _count_calls(monkeypatch, "_build_state")
     validations = _count_validations(monkeypatch)
     stacked, kernel = [], sweeps.min_partial_transpose_eigenvalue
     monkeypatch.setattr(sweeps, "min_partial_transpose_eigenvalue", lambda st: stacked.append(len(st.rho)) or kernel(st))
     rows = run_sweep(_spec(ETA_CFG + "outputs = Q,min_pt_eig,t1_violated\n")).rows
     feasible = {r["eta"] for r in rows if r["status"] == "ok"}
     assert 1 < len(feasible) < len({r["eta"] for r in rows})
-    assert counts == {"_build_state": 5, "exchange_stack": 1}
-    assert stacked == validations == [len(feasible)]  # one call over the feasible states; eta_cap fails before the stack
+    assert counts == {"_build_state": 1}
+    assert stacked == validations == [len(feasible)]  # one call over the feasible states; eta_cap fails before the checks
     for r in rows:  # each cell carries its own state's value
         if r["status"] == "ok":
             params = {**sweeps.SCENARIOS["qubit-theta-eta"].defaults, "state.eta": r["eta"]}
@@ -644,9 +672,9 @@ def test_sweep_builds_each_distinct_state_once(monkeypatch):
     built = []
     build_state = sweeps._build_state
 
-    def counting(kind, params):
-        built.append(params["state.eta"])
-        return build_state(kind, params)
+    def counting(kind, columns, n):
+        built.append(columns["state.eta"].tolist())
+        return build_state(kind, columns, n)
 
     monkeypatch.setattr(sweeps, "_build_state", counting)
     validations = _count_validations(monkeypatch)
@@ -657,7 +685,7 @@ def test_sweep_builds_each_distinct_state_once(monkeypatch):
     )
     rows = run_sweep(spec).rows
     assert len(rows) == 20
-    assert sorted(built) == sorted(set(r["eta"] for r in rows))  # infeasible ones too
+    assert len(built) == 1 and sorted(built[0]) == sorted(set(r["eta"] for r in rows))  # one call, infeasible ones too
     assert validations == [len({r["eta"] for r in rows if r["status"] == "ok"})]  # one stack, no state checked alone
 
 
@@ -722,24 +750,22 @@ def test_stacked_statuses_equal_the_one_at_a_time_reference(name):
 
 @pytest.mark.parametrize("name", CONSTRAINT_GRIDS)
 def test_stacked_state_rows_equal_the_one_at_a_time_build_bit_for_bit(name):
-    # every cell's entries in one stack, failing rows among them: each
-    # passing row is the reference's system, column by column
+    # every cell's state in one columnar build, failing rows among them: each
+    # row fails as the reference's state alone, with the same message, and
+    # each passing row is the reference's system, column by column
     spec = SweepSpec.from_config(CONSTRAINT_GRIDS[name][0])
-    entries, want = [], []
-    for (kind, _), params, _ in _spec_cells(spec):
-        params = _state_params(spec, params)
-        with suppress(InfeasibleStateError):  # a parameter check: the cell has no row
-            entries.append(sweeps._build_state(kind, params))
-            try:
-                want.append(reference.build_state(kind, params).stack)
-            except InfeasibleStateError as exc:
-                want.append(exc.constraint)
-    errors, stack = qh.states.exchange_stack(entries)
-    assert [error and error.constraint for error in errors] == [None if isinstance(w, tuple) else w for w in want]
-    for k, row in enumerate(want):
-        if isinstance(row, tuple):
-            for field, got, alone in zip(StateStack._fields, stack.take(slice(k, k + 1)), row):
-                assert got.tobytes() == alone.tobytes(), (k, field)
+    cells = [(kind, _state_params(spec, params)) for (kind, _), params, _ in _spec_cells(spec)]
+    columns = {key: np.array([params[key] for _, params in cells]) for key in cells[0][1]}
+    errors, stack = sweeps._build_state(cells[0][0], columns, len(cells))
+    for k, (kind, params) in enumerate(cells):
+        try:
+            row = reference.build_state(kind, params).stack
+        except InfeasibleStateError as exc:
+            assert (errors[k].constraint, str(errors[k])) == (exc.constraint, str(exc)), k
+            continue
+        assert errors[k] is None
+        for field, got, alone in zip(StateStack._fields, stack.take(slice(k, k + 1)), row):
+            assert got.tobytes() == alone.tobytes(), (k, field)
 
 
 @pytest.mark.parametrize("gamma", [-0.19, 0.1, 0.0, -0.0, 0, 0.05 + 0.02j, 0.1 + 0j, -0.1 - 0j])
@@ -1343,14 +1369,14 @@ def test_point_analysis_builds_each_table_once(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [-0.19, -0.5])
 def test_a_point_builds_its_cell_with_the_sweeps_steps(monkeypatch, gamma):
-    steps = ("_distinct_states", "_build_state", "_build_unitary_stack", "exchange_system", "exchange_stack")
+    steps = ("_distinct_states", "_build_state", "_build_unitary_stack")
     counts = _count_calls(monkeypatch, *steps)
     validations = _count_validations(monkeypatch)
     cfg = {**load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg")), "state.gamma": gamma, "eps": 0.01}
     with pytest.raises(InfeasibleStateError) if gamma == -0.5 else suppress() as raised:
         report = analyze_point(cfg)
     # one state built and checked at n = 1, and the unitary built only for a feasible state
-    assert counts == {**dict.fromkeys(steps[:4], 1), "_build_unitary_stack": int(raised is None), "exchange_stack": 0}
+    assert counts == {"_distinct_states": 1, "_build_state": 1, "_build_unitary_stack": int(raised is None)}
     assert validations == [1]
     if raised is None:
         assert report.row["jx"] > 0 and report.row["Delta"] == 0.0
