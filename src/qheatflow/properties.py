@@ -85,11 +85,11 @@ def _attempts(x, d: int, coherent: bool):
     if d == 2:
         beta_h = take(0.1, 1.2)
         beta_c = beta_h + take(0.1, 1.5)
-        z = states.TwoQubitParams(beta_c, beta_h, 0.0).partition_values()
-        lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds(z)
+        q = states.TwoQubitParams(beta_c, beta_h, 0.0).ground_populations()
+        lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds(q)
         params = states.TwoQubitParams(beta_c, beta_h, lo + take(0.08, 0.92) * (hi - lo))
-        eta = take(-0.95, 0.95, 1) * params.eta_cap(z)[:, None] if coherent else none
-        p = params.populations(z)
+        eta = take(-0.95, 0.95, 1) * params.eta_cap(q)[:, None] if coherent else none
+        p = params.populations(q)
         columns = np.tile([0.0, 1.0], (len(x), 1)), beta_c, beta_h, p, eta, take(0.0, TAU, 1) if coherent else none
         return [x.shape[1]] * len(x), (p.min(axis=-1) >= MIN_POPULATION).tolist(), columns
     if d == 3:

@@ -4,11 +4,10 @@ Constructors for the state families used throughout the package: a pair
 of Gibbs marginals plus correlations confined to the exchange manifolds
 {|n m>, |m n>}.  All joint matrices are C-major (see linalg).  Each kind
 has one columnar builder (``two_qubit_rows``, ``gamma_rows``,
-``two_qutrit_rows``, ``locally_thermal_rows``): it takes parameter
-columns (n,), runs the kind's parameter checks as masks, and builds and
-checks every row in one ``entry_stack`` call, returning each row's first
-failure and the ``StateStack``.  A one-state constructor is its kind's
-builder on one row, the failure raised.
+``two_qutrit_rows``, ``locally_thermal_rows``) that takes parameter
+columns (n,), runs the kind's parameter checks as masks and builds and
+checks every row in one ``entry_stack`` call; a one-state constructor is
+its kind's builder on one row, its first failure raised.
 
 Coherence convention: for a manifold pair n < m with joint indices
 a = n*d + m and b = m*d + n, the upper-triangle entry is stored as
@@ -46,6 +45,8 @@ def bohr_nondegenerate(levels, tol: float = BOHR_TOL):
     within tol; the levels may come in any order.  Of levels (..., d) given
     as columns, one answer per row."""
     levels = np.asarray(levels, dtype=float)
+    if levels.shape[-1] < 3:  # one gap at most, so none repeats
+        return _py(np.ones(levels.shape[:-1], bool)[()])
     n, m = _lower_triangle(levels.shape[-1])
     gaps = np.sort(np.abs(levels[..., n] - levels[..., m]), axis=-1)
     return _py((gaps[..., 1:] - gaps[..., :-1] > tol).all(axis=-1))
@@ -338,13 +339,14 @@ class StateStack(NamedTuple):
 
 def entry_stack(levels_c, levels_h, beta_c, beta_h, populations, coherences=(), errors=None, gibbs=None):
     """(each row's first failure or None, the ``StateStack``) of the states with
-    the diagonals ``populations`` (n, D) and rho[k, a, b] = conj(rho[k, b, a])
-    = values[k] of the ``coherences`` (a, b (M,), values (n, M)), checked by
-    one ``state_rows`` call against ``gibbs`` (each side's ``gibbs_stack``
-    when None).  A row that ``errors`` fails keeps its parameter failure and
-    is not checked; when every row has failed, nothing is built (no stack)."""
+    the diagonals ``populations`` (n, D) and rho[k, a, b] = conj(rho[k, b, a]) =
+    values[k] of the ``coherences`` (a, b (M,) and values (n, M), or indices and
+    (n,)), checked by one ``state_rows`` call against ``gibbs`` (each side's
+    ``gibbs_stack`` when None).  A row that ``errors`` fails keeps that failure
+    and is not checked; when every row has failed, nothing is built (no stack)."""
     if errors is not None and None not in errors:
         return errors, None
+    beta_c, beta_h = np.asarray(beta_c, float), np.asarray(beta_h, float)
     n, side = populations.shape
     rho = np.zeros((n, side, side), complex)
     rho.reshape(n, -1)[:, :: side + 1] = populations
@@ -401,19 +403,23 @@ class TwoQubitParams:
     def partition_values(self) -> tuple[float, float]:
         return _py(1.0 + np.exp(-self.beta_c * self.gap)), _py(1.0 + np.exp(-self.beta_h * self.gap))
 
-    def p00_bounds(self, z=None) -> tuple[float, float]:
-        """(lower, upper) bound on P00, of ``partition_values()`` or the given ``z``."""
-        q_c, q_h = (1.0 / x for x in z or self.partition_values())
+    def ground_populations(self) -> tuple[float, float]:
+        """(1/z_C, 1/z_H): the ground populations of the two Gibbs marginals."""
+        return tuple(1.0 / z for z in self.partition_values())
+
+    def p00_bounds(self, q=None) -> tuple[float, float]:
+        """(lower, upper) bound on P00, of ``ground_populations()`` or the given ``q``."""
+        q_c, q_h = q or self.ground_populations()
         return pymax(0.0, q_c + q_h - 1.0), pymin(q_c, q_h)
 
-    def eta_cap(self, z=None) -> float:
-        """The largest |eta| at this P00, of ``partition_values()`` or the given ``z``."""
-        q_c, q_h = (1.0 / x for x in z or self.partition_values())
+    def eta_cap(self, q=None) -> float:
+        """The largest |eta| at this P00, of ``ground_populations()`` or the given ``q``."""
+        q_c, q_h = q or self.ground_populations()
         return _py(np.sqrt(pymax(q_c - self.p00, 0.0) * pymax(q_h - self.p00, 0.0)))
 
-    def populations(self, z=None) -> np.ndarray:
+    def populations(self, q=None) -> np.ndarray:
         """The diagonal (P00, 1/z_C - P00, 1/z_H - P00, 1 - 1/z_C - 1/z_H + P00), (..., 4)."""
-        q_c, q_h = (1.0 / x for x in z or self.partition_values())
+        q_c, q_h = q or self.ground_populations()
         p00 = self.p00
         return np.array([p00, q_c - p00, q_h - p00, 1.0 - q_c - q_h + p00]).T
 
@@ -436,9 +442,9 @@ def two_qubit_rows(params: TwoQubitParams) -> tuple[list, StateStack | None]:
     """(each row's first failure or None, the ``StateStack``) of the states of
     ``two_qubit_state`` at the columns (n,) of ``params``: the checks p00_upper,
     p00_lower and eta_cap as masks; a gap <= 0 of a row that passes them is a ValueError."""
-    z = params.partition_values()
-    lower, upper = params.p00_bounds(z)
-    cap, p00, eta = params.eta_cap(z), params.p00, np.abs(params.eta)
+    q = params.ground_populations()
+    lower, upper = params.p00_bounds(q)
+    cap, p00, eta = params.eta_cap(q), params.p00, np.abs(params.eta)
     errors = _failures(len(p00), [
         (p00 > upper + 1e-12, lambda k: InfeasibleStateError("p00_upper", f"P00 = {p00[k]} exceeds upper bound {upper[k]}")),
         (p00 < lower - 1e-12, lambda k: InfeasibleStateError("p00_lower", f"P00 = {p00[k]} below lower bound {lower[k]}")),
@@ -447,8 +453,7 @@ def two_qubit_rows(params: TwoQubitParams) -> tuple[list, StateStack | None]:
     levels = spectrum_levels(params.gap)
     _require_spectra(levels, errors=errors)
     coherence = params.eta * np.exp(1j * params.xi)
-    betas = (np.asarray(beta, float) for beta in (params.beta_c, params.beta_h))
-    return entry_stack(levels, levels, *betas, params.populations(z), ([1], [2], coherence[:, None]), errors)
+    return entry_stack(levels, levels, params.beta_c, params.beta_h, params.populations(q), (1, 2, coherence), errors)
 
 
 def gamma_correlated_state(gamma: complex, beta_c: float, beta_h: float, gap: float = 1.0, gap_h: float | None = None) -> BipartiteSystem:
@@ -467,11 +472,10 @@ def gamma_rows(gamma, beta_c, beta_h, gap, gap_h) -> tuple[list, StateStack]:
     ``gamma_correlated_state`` at columns (n,); a gap <= 0 is a ValueError."""
     levels_c, levels_h = spectrum_levels(gap), spectrum_levels(gap_h)
     _require_spectra(levels_c, levels_h)
-    beta_c, beta_h = np.asarray(beta_c, float), np.asarray(beta_h, float)
     c, h = gibbs_stack(levels_c, beta_c), gibbs_stack(levels_h, beta_h)
     populations = (c[:, :, None] * h[:, None, :]).reshape(len(c), -1)
     # + 0.0: a gamma of -0.0 is stored as 0.0, the product state's zero plus gamma
-    return entry_stack(levels_c, levels_h, beta_c, beta_h, populations, ([2], [1], (gamma + 0.0)[:, None]), gibbs=(c, h))
+    return entry_stack(levels_c, levels_h, beta_c, beta_h, populations, (2, 1, gamma + 0.0), gibbs=(c, h))
 
 
 @dataclass(frozen=True)
@@ -531,7 +535,6 @@ def locally_thermal_rows(levels, beta_c, beta_h, free, pairs, eta, xi, qudit=Fal
     with ``qudit``, bohr_degenerate and marginal_consistency; then
     population_<index>, and eta_<n><m> of the first eta outside [0, 1]."""
     d = levels.shape[-1]
-    beta_c, beta_h = np.asarray(beta_c, float), np.asarray(beta_h, float)
     c, h = gibbs_stack(levels, beta_c), gibbs_stack(levels, beta_h)
     p, first = solve_populations(c, h, free)
     resid, outside = marginal_residual(c, h), ~((0.0 <= eta) & (eta <= 1.0))
@@ -541,16 +544,13 @@ def locally_thermal_rows(levels, beta_c, beta_h, free, pairs, eta, xi, qudit=Fal
     ] if qudit else []
     checks += [
         (first >= 0, lambda k: InfeasibleStateError(f"population_{first[k]}", f"implied population rho_{first[k]} = {p[k, first[k]]:.3e} < 0")),
-        (outside.any(axis=-1), lambda k: _eta_error(*pairs[outside[k].argmax()])),
+        (outside.any(axis=-1), lambda k: InfeasibleStateError(
+            "eta_%s%s" % (pair := pairs[outside[k].argmax()]), "eta for manifold (%s,%s) must lie in [0, 1]" % pair)),
     ]
     a, b = (np.array([[n * d + m, m * d + n] for n, m in pairs], np.intp).reshape(-1, 2)).T
     coherences = exchange_coherence(eta, xi, p[:, a], p[:, b])
     errors = _failures(len(p), checks)
     return entry_stack(levels, levels, beta_c, beta_h, np.maximum(p, 0.0), (a, b, coherences), errors, (c, h))
-
-
-def _eta_error(n: int, m: int) -> InfeasibleStateError:
-    return InfeasibleStateError(f"eta_{n}{m}", f"eta for manifold ({n},{m}) must lie in [0, 1]")
 
 
 def solve_populations(c, h, free):
@@ -622,7 +622,7 @@ def qudit_locally_thermal(
     eta = np.array([list(eta_map.values())], float).reshape(1, -1)
     xi = np.array([[xi_map.get(pair, xi_map.get(pair[::-1], 0.0)) for pair in pairs]], float).reshape(1, -1)
     free = {k: np.array([value]) for k, value in free_populations.items()}
-    return valid_stack(locally_thermal_rows(np.array([spectrum.levels]), [beta_c], [beta_h], free, pairs, eta, xi, True)).system(0)
+    return valid_stack(locally_thermal_rows(np.array([spectrum.levels]), np.array([beta_c]), np.array([beta_h]), free, pairs, eta, xi, True)).system(0)
 
 
 def marginal_residual(c, h):
