@@ -31,31 +31,33 @@ def _square(m) -> np.ndarray:
 
 def _reshape4(m, dims: tuple[int, int]) -> np.ndarray:
     d_c, d_h = dims
-    m = _square(m)
-    if m.shape[0] != d_c * d_h:
-        raise ValueError(f"matrix side {m.shape[0]} does not match dims {dims}")
-    return m.reshape(d_c, d_h, d_c, d_h)
+    m = _square(m) if np.ndim(m) < 3 else np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (d_c * d_h,) * 2:
+        raise ValueError(f"matrix side {m.shape[-1]} does not match dims {dims}")
+    return m.reshape(*m.shape[:-2], d_c, d_h, d_c, d_h)
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices with the C factor first: kron(A_C, B_H).
+    """Kronecker product of two matrices with the C factor first: kron(A_C, B_H),
+    or of each pair of two broadcast (..., rows, columns) stacks.
 
     One broadcast multiply: the products ``np.kron`` takes, bit for bit,
     without its per-call dispatch.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def partial_trace(m, dims: tuple[int, int], which: str) -> np.ndarray:
-    """Trace out one subsystem ('C' or 'H') of a joint-space matrix."""
+    """Trace out one subsystem ('C' or 'H') of a joint-space matrix, or of
+    each matrix of an (n, D, D) stack."""
     r = _reshape4(m, dims)
     if which == "H":
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     if which == "C":
-        return np.einsum("ijil->jl", r)
+        return np.einsum("...ijil->...jl", r)
     raise ValueError(f"subsystem tag must be 'C' or 'H', got {which!r}")
 
 

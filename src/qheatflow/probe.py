@@ -29,6 +29,7 @@ from .states import BipartiteSystem
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 _MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 MAX_SHOTS = np.iinfo(np.int64).max  # the multinomial counts are int64
+OUTCOMES = ("q_plus", "q_minus", "p_undisturbed")  # the outcome probabilities of ``ProbeOutcomeStats``, in order
 
 
 @dataclass(frozen=True)
@@ -44,67 +45,67 @@ class ProbeOutcomeStats:
     energies_h: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("q_plus", "q_minus", "p_undisturbed"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12:
-                raise ValueError(f"{name} entries outside [0, 1]")
+        arrays = [np.array(getattr(self, name), dtype=float) for name in OUTCOMES]
+        _check_outcomes(*(arr.reshape(1, -1) for arr in arrays))
+        for name, arr in zip(OUTCOMES, arrays):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if abs(self.q_plus.sum() + self.q_minus.sum() - 1.0) > 1e-10:
-            raise ValueError("probe-run probabilities do not sum to 1")
-        if abs(self.p_undisturbed.sum() - 1.0) > 1e-10:
-            raise ValueError("probe-free probabilities do not sum to 1")
+
+
+def _check_outcomes(q_plus, q_minus, p_free) -> None:
+    """Raise the first failed check of ``ProbeOutcomeStats``, in its order,
+    of the first row of the outcome probabilities (n, D) that fails one."""
+    failed = [(x.min(axis=-1) < -1e-12) | (x.max(axis=-1) > 1.0 + 1e-12) for x in (q_plus, q_minus, p_free)]
+    failed += [np.abs(q_plus.sum(axis=-1) + q_minus.sum(axis=-1) - 1.0) > 1e-10, np.abs(p_free.sum(axis=-1) - 1.0) > 1e-10]
+    if np.any(failed):
+        messages = [f"{name} entries outside [0, 1]" for name in OUTCOMES] + [f"probe-{run} probabilities do not sum to 1" for run in ("run", "free")]
+        raise ValueError(messages[np.array(failed)[:, np.any(failed, axis=0).argmax()].argmax()])
 
 
 def probe_statistics(
     sys: BipartiteSystem, u, target: tuple[int, int], eps: float
 ) -> ProbeOutcomeStats:
-    """Exact joint outcome statistics from the full system+ancilla evolution."""
+    """Exact joint outcome statistics from the full system+ancilla evolution:
+    ``probe_stack`` on one row."""
     if not 0.0 < eps < 0.5 * np.pi:
         raise ValueError("coupling angle must lie strictly between 0 and pi/2")
-    u = unwrap(u)
     d_c, d_h = sys.dims
-    dim = d_c * d_h
     i_c, i_h = target
     if not (0 <= i_c < d_c and 0 <= i_h < d_h):
         raise ValueError(f"target {target} out of range for dims {sys.dims}")
-    idx = i_c * d_h + i_h
-    p_free = np.real(np.diag(u @ sys.rho @ u.conj().T))
+    rows = (x.reshape(d_c, d_h) for x in probe_stack(sys.rho[None], unwrap(u)[None], i_c * d_h + i_h, eps))
+    return ProbeOutcomeStats((i_c, i_h), float(eps), *rows, sys.spectrum_c.levels, sys.spectrum_h.levels)
 
+
+def probe_stack(rho, u, idx, eps: float):
+    """(q_plus, q_minus, p_free), each (n, D): the outcome probabilities of
+    ``probe_statistics`` for the states rho and unitaries u (n, D, D), the
+    joint target index idx (one, or one per row) and one coupling eps in
+    (0, pi/2), each row its one-row values bit for bit.  Raises the first
+    failed check of ``ProbeOutcomeStats`` of the first row that fails one."""
+    n, dim = rho.shape[:2]
+    p_free = np.real((u @ rho @ u.conj().swapaxes(1, 2)).diagonal(axis1=1, axis2=2))
     ancilla = np.array([np.cos(eps), -np.sin(eps)], dtype=complex)
-    joint = kron(sys.rho, np.outer(ancilla, ancilla.conj()))
+    joint = kron(rho, np.outer(ancilla, ancilla.conj()))
     # V = Pi_perp x I + Pi x sigma_z is diagonal with its one -1 at (target,
     # ancilla |1>), so V joint V^dag flips the sign of that row and column;
     # the result equals the dense products bit for bit
-    flip = 2 * idx + 1
-    joint[flip, :] *= -1.0
-    joint[:, flip] *= -1.0
+    rows, flip = np.arange(n), 2 * np.asarray(idx) + 1
+    joint[rows, flip, :] *= -1.0
+    joint[rows, :, flip] *= -1.0
     u_joint = kron(u, np.eye(2))
     # the 2D x 2D operands are freed or reused as soon as they are spent:
     # U_joint^dag is U_joint conjugated in place and seen transposed, the
-    # same operand (and BLAS call) as u_joint.conj().T
+    # same operand (and BLAS call per matrix) as u_joint.conj().T
     evolved = u_joint @ joint
     del joint
     np.conjugate(u_joint, out=u_joint)
-    evolved = evolved @ u_joint.T
-
-    blocks = evolved.reshape(dim, 2, dim, 2)
-    q_plus = np.empty(dim)
-    q_minus = np.empty(dim)
-    for f in range(dim):
-        block = blocks[f, :, f, :]
-        q_plus[f] = np.real(_PLUS.conj() @ block @ _PLUS)
-        q_minus[f] = np.real(_MINUS.conj() @ block @ _MINUS)
-
-    return ProbeOutcomeStats(
-        target=(i_c, i_h),
-        eps=float(eps),
-        q_plus=q_plus.reshape(d_c, d_h),
-        q_minus=q_minus.reshape(d_c, d_h),
-        p_undisturbed=p_free.reshape(d_c, d_h),
-        energies_c=sys.spectrum_c.levels,
-        energies_h=sys.spectrum_h.levels,
-    )
+    evolved = evolved @ u_joint.swapaxes(1, 2)
+    # the 2 x 2 ancilla block of each outcome f, (n, D, 2, 2), seen in place
+    blocks = evolved.reshape(n, dim, 2, dim, 2).diagonal(axis1=1, axis2=3).transpose(0, 3, 1, 2)
+    q_plus, q_minus = (np.real((v.conj() @ blocks)[..., None, :] @ v[:, None])[..., 0, 0] for v in (_PLUS, _MINUS))
+    _check_outcomes(q_plus, q_minus, p_free)
+    return q_plus, q_minus, p_free
 
 
 def probe_effects(eps: float, dim: int, idx: int) -> tuple[np.ndarray, np.ndarray]:

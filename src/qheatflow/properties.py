@@ -14,12 +14,13 @@ properties scale each drawn state's coherences in closed form to the edge
 of a nonnegative MH table (``_edge_rho``), so nothing is redrawn.
 
 A property maps ``(rng, n)`` to ``(failures, max_dev, note)``.  Most are
-all n trials ``(rng, n) -> (deviations, failures)`` that ``_stacked`` runs,
-or, where no state is drawn, one trial ``(rng, k) -> (deviation, failures)``
-that ``_trials`` runs for k = 0..n-1 in order: the failures summed, max_dev
-the largest deviation floored at 0.0.  The others set their own trial
-count, start or note.  No property checks a state alone: a one-cell
-function gets a stacked row as a system (``StateStack.system``).
+all n trials ``(rng, n) -> (deviations, failures)`` that ``_stacked`` runs
+on stacks of at most STACK_TRIALS trials: the failures summed, max_dev the
+largest deviation floored at 0.0.  Where no state is drawn, the trials keep
+their scalar draws in trial order (or one block of them) and are evaluated
+as one stack per shape.  The others set their own trial count, start or
+note.  No property checks a state alone: a one-cell function gets a
+stacked row as a system (``StateStack.system``).
 """
 
 from __future__ import annotations
@@ -251,10 +252,6 @@ def random_system_and_unitary(rng, dim: int):
     return sys, dynamics.energy_preserving_unitary(sys.spectrum_c, rots), rots
 
 
-def _random_complex(rng, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -272,25 +269,9 @@ class PropertyResult:
         return self.failures == 0
 
 
-def _trials(note: str):
-    """The property ``(rng, n) -> (failures, max_dev, note)`` of a trial
-    ``(rng, k) -> (deviation, failures)``: k = 0..n-1 in order, the failures
-    summed, max_dev the largest deviation from 0.0 (a nan is never kept)."""
-    def wrap(trial):
-        def prop(rng, n):
-            failures, worst = 0, 0.0
-            for k in range(n):
-                dev, bad = trial(rng, k)
-                failures += bad
-                worst = max(worst, dev)
-            return failures, worst, note
-        return prop
-    return wrap
-
-
 def _in_stacks(trials):
     """``trials(rng, n)``, which makes the trial-by-trial draws in order and
-    evaluates them as one stack per local dimension (whose kernels give each
+    evaluates them as one stack per local dimension or shape (whose kernels give each
     trial's values bit for bit) and returns per-trial arrays, run on
     consecutive stacks of at most STACK_TRIALS trials and joined."""
     def run(rng, n, *args):
@@ -301,7 +282,8 @@ def _in_stacks(trials):
 
 def _stacked(note: str):
     """The property of trials ``(rng, n) -> (deviations, failures)``, run
-    by ``_in_stacks`` and reduced as ``_trials`` reduces them."""
+    by ``_in_stacks``: the failures summed, max_dev the largest deviation
+    from 0.0 (a nan or a negative deviation is never kept)."""
     def wrap(trials):
         def prop(rng, n):
             dev, bad = prop.trials(rng, n)
@@ -341,34 +323,50 @@ def _raise_first(diverged, draws: _Draws, check):
         check(sys, dynamics.energy_preserving_unitary(sys.spectrum_c, _rotation_list(g, j)))
 
 
-@_trials("associativity + bilinearity")
-def _prop_kron_algebra(rng, k):
-    a, b, c = (_random_complex(rng, side) for side in (2, 3, 2))
-    dev = np.max(np.abs(linalg.kron(linalg.kron(a, b), c) - linalg.kron(a, linalg.kron(b, c))))
-    s, t = rng.standard_normal(2)
-    dev = max(dev, np.max(np.abs(linalg.kron(s * a + t * c, b) - (s * linalg.kron(a, b) + t * linalg.kron(c, b)))))
+def _largest(x) -> np.ndarray:
+    """The largest |entry| of each row of a stack (n, ...)."""
+    return np.abs(x).reshape(len(x), -1).max(axis=-1)
+
+
+def _complex_columns(x, sides) -> list:
+    """The complex matrices (n, side, side) of the normal draws x (n, 2 * sum(side**2)),
+    each ``rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))``."""
+    parts = np.split(x, np.cumsum([side * side for side in sides for _ in "ri"]), axis=-1)
+    return [(parts[2 * j] + 1j * parts[2 * j + 1]).reshape(-1, side, side) for j, side in enumerate(sides)]
+
+
+@_stacked("associativity + bilinearity")
+def _prop_kron_algebra(rng, n):
+    x = rng.standard_normal((n, 36))  # a, b, c (2, 3 and 2 square), then s and t: each trial's draws in order
+    a, b, c = _complex_columns(x[:, :34], (2, 3, 2))
+    s, t = x[:, 34, None, None], x[:, 35, None, None]
+    dev = _largest(linalg.kron(linalg.kron(a, b), c) - linalg.kron(a, linalg.kron(b, c)))
+    dev = pymax(dev, _largest(linalg.kron(s * a + t * c, b) - (s * linalg.kron(a, b) + t * linalg.kron(c, b))))
     return dev, dev >= 1e-12
 
 
-@_trials("partial trace/transpose identities")
-def _prop_partial_ops(rng, k):
-    d_c, d_h = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-    a, b = _random_complex(rng, d_c), _random_complex(rng, d_h)
-    m = linalg.kron(a, b)
-    dev = np.max(np.abs(linalg.partial_trace(m, (d_c, d_h), "H") - np.trace(b) * a))
-    dev = max(dev, np.max(np.abs(linalg.partial_trace(m, (d_c, d_h), "C") - np.trace(a) * b)))
-    pt = linalg.partial_transpose(m, (d_c, d_h), "H")
-    dev = max(dev, np.max(np.abs(linalg.partial_transpose(pt, (d_c, d_h), "H") - m)))
-    # a stack is transposed matrix by matrix (the path of min_pt_eig)
-    dev = max(dev, np.max(np.abs(linalg.partial_transpose(np.stack([m, pt]), (d_c, d_h), "H") - [pt, m])))
-    # spectrum of a product state is preserved under partial transposition
-    rho, sig = a @ a.conj().T, b @ b.conj().T
-    rho /= np.trace(rho).real
-    sig /= np.trace(sig).real
-    prod = linalg.kron(rho, sig)
-    ev1 = linalg.hermitian_eigenvalues(prod)
-    ev2 = linalg.hermitian_eigenvalues(linalg.partial_transpose(prod, (d_c, d_h), "H"))
-    dev = max(dev, np.max(np.abs(ev1 - ev2)))
+@_stacked("partial trace/transpose identities")
+def _prop_partial_ops(rng, n):
+    dims, draws, dev = [], [], np.zeros(n)
+    for _ in range(n):  # each trial's draws in order: d_C, d_H, then A (d_C square) and B (d_H square)
+        dims.append((int(rng.integers(2, 4)), int(rng.integers(2, 4))))
+        draws.append(np.concatenate([rng.standard_normal(side * side) for side in dims[-1] for _ in "ri"]))
+    for d_c, d_h in sorted(set(dims)):
+        at = [k for k, pair in enumerate(dims) if pair == (d_c, d_h)]
+        a, b = _complex_columns(np.array([draws[k] for k in at]), (d_c, d_h))
+        m = linalg.kron(a, b)
+        trace_a, trace_b = (np.trace(x, axis1=1, axis2=2)[:, None, None] for x in (a, b))
+        d = pymax(_largest(linalg.partial_trace(m, (d_c, d_h), "H") - trace_b * a), _largest(linalg.partial_trace(m, (d_c, d_h), "C") - trace_a * b))
+        pt = linalg.partial_transpose(m, (d_c, d_h), "H")
+        d = pymax(d, _largest(linalg.partial_transpose(pt, (d_c, d_h), "H") - m))
+        # a stack is transposed matrix by matrix (the path of min_pt_eig)
+        both = linalg.partial_transpose(np.concatenate([m, pt]), (d_c, d_h), "H") - np.concatenate([pt, m])
+        d = pymax(d, _largest(both.reshape(2, len(at), -1).swapaxes(0, 1)))
+        # spectrum of a product state is preserved under partial transposition
+        rho, sig = (x / np.trace(x, axis1=1, axis2=2).real[:, None, None] for x in (a @ a.conj().swapaxes(1, 2), b @ b.conj().swapaxes(1, 2)))
+        prod = linalg.kron(rho, sig)
+        ev1, ev2 = (linalg.hermitian_eigenvalues(x) for x in (prod, linalg.partial_transpose(prod, (d_c, d_h), "H")))
+        dev[at] = pymax(d, _largest(ev1 - ev2))
     return dev, dev >= 1e-10
 
 
@@ -405,13 +403,12 @@ def _prop_dephase(rng, n):
     ((_, st, _),) = _groups(_draw(rng, [3] * n, rotations=False))
     deph = st.with_rho(states.dephased_rho(st.rho, st.levels_c, st.levels_h))
     twice = deph.with_rho(states.dephased_rho(deph.rho, deph.levels_c, deph.levels_h))
-    dev = np.abs(twice.rho - deph.rho).reshape(n, -1).max(axis=-1)
-    shape = (n, *st.dims, *st.dims)
-    for trace in ("nijil->njl", "nijkj->nik"):  # ``linalg.partial_trace`` over C, then over H
-        lhs, rhs = (np.einsum(trace, x.rho.reshape(shape)) for x in (deph, st))
+    dev = _largest(twice.rho - deph.rho)
+    for side in ("C", "H"):
+        lhs, rhs = (linalg.partial_trace(x.rho, st.dims, side) for x in (deph, st))
         # local spectra are nondegenerate, so dephasing the joint state
         # cannot move the marginals
-        dev = pymax(dev, np.abs(lhs - rhs).reshape(n, -1).max(axis=-1))
+        dev = pymax(dev, _largest(lhs - rhs))
     return dev, dev >= 1e-12
 
 
@@ -460,11 +457,11 @@ def _prop_heat_identities(rng, n):
 def _prop_mh_tpm_dephased(rng, n):
     ((_, st, u),) = _groups(_draw(rng, [2] * n))
     mh, tpm = _tables(st.with_rho(fluctuations.diagonal_matrices(st.rho.diagonal(axis1=1, axis2=2))), u)
-    dev = np.abs(mh - tpm).reshape(n, -1).max(axis=-1)
+    dev = _largest(mh - tpm)
     # block dephasing never changes either table under energy-preserving U
     deph = st.with_rho(states.dephased_rho(st.rho, st.levels_c, st.levels_h))
     mh_deph, mh = (fluctuations.table_stack("MH", x, u.matrix, u.adjoint) for x in (deph, st))
-    dev = pymax(dev, np.abs(mh_deph - mh).reshape(n, -1).max(axis=-1))
+    dev = pymax(dev, _largest(mh_deph - mh))
     return dev, dev >= 1e-12
 
 
@@ -665,32 +662,23 @@ def _prop_delta_q_max(rng, n):
 @_stacked("reconstruction exact for eps in {0.05, 0.2, pi/4}")
 def _prop_probe_exactness(rng, n):
     draws = _draw(rng, ([2, 3] * n)[:n], integers=(None, None))  # each trial's target row (i_C, i_H) after its rotations
-    dev, failures = np.zeros(n), np.zeros(n, int)
+    worst, failures = np.zeros(n), np.zeros(n, int)
     for at, st, u in _groups(draws):
-        for j, (k, mh) in enumerate(zip(at, fluctuations.table_stack("MH", st, u.matrix, u.adjoint))):
-            dev[k], failures[k] = _probe_exactness_trial(st.system(j), u.matrix[j], mh, draws.integers[k].tolist())
-    return dev, failures
-
-
-def _probe_exactness_trial(sys, u, mh, target):
-    """(deviation, failures) of the probe reconstruction of MH row ``target`` of one cell."""
-    i_c, i_h = target
-    failures, worst, recs = 0, 0.0, []
-    for eps in (0.05, 0.2, np.pi / 4.0):
-        stats = probe.probe_statistics(sys, u, (i_c, i_h), eps)
-        rec = probe.reconstruct_quasiprobability(stats)
-        recs.append(rec)
-        dev = float(np.max(np.abs(rec - mh[i_c, i_h])))
-        worst = max(worst, dev)
-        failures += dev >= 1e-10
-        e_plus, e_minus = probe.probe_effects(eps, sys.d_c * sys.d_h, i_c * sys.d_h + i_h)
-        pov = np.max(np.abs(e_plus + e_minus - np.eye(sys.d_c * sys.d_h)))
-        dq = stats.q_plus - stats.q_minus
-        ident = np.sin(2 * eps) * (2 * mh[i_c, i_h] - stats.p_undisturbed)
-        dev2 = max(pov, float(np.max(np.abs(dq - ident))))
-        worst = max(worst, dev2)
-        failures += dev2 >= 1e-12
-    failures += float(np.max(np.abs(recs[0] - recs[2]))) >= 1e-10
+        side, (i_c, i_h) = st.dims[0], draws.integers[at].T
+        # the MH row (i_C, i_H) of each trial's table, (k, d, d)
+        row = fluctuations.table_stack("MH", st, u.matrix, u.adjoint)[np.arange(len(at)), i_c, i_h].reshape(len(at), -1)
+        idx, recs = i_c * side + i_h, []
+        for eps in (0.05, 0.2, np.pi / 4.0):
+            q_plus, q_minus, p_free = probe.probe_stack(st.rho, u.matrix, idx, eps)
+            recs.append(probe._reconstruction(eps, q_plus, q_minus, p_free)[0])
+            dev = _largest(recs[-1] - row)
+            worst[at] = pymax(worst[at], dev)
+            failures[at] += dev >= 1e-10
+            povm = {i: np.max(np.abs(np.add(*probe.probe_effects(eps, side * side, i)) - np.eye(side * side))) for i in set(idx.tolist())}
+            dev = pymax(np.array([povm[i] for i in idx.tolist()]), _largest(q_plus - q_minus - np.sin(2 * eps) * (2 * row - p_free)))
+            worst[at] = pymax(worst[at], dev)
+            failures[at] += dev >= 1e-12
+        failures[at] += _largest(recs[0] - recs[2]) >= 1e-10
     return worst, failures
 
 
@@ -743,16 +731,14 @@ def _prop_p00_bounds(rng, n):
     return pymax(0.0, -np.linalg.eigvalsh(st.rho[n: 2 * n])[:, 0]), failures
 
 
-@_trials("threshold log(d)/dBeta behaves")
-def _prop_strong_backflow(rng, k):
-    beta_h = rng.uniform(0.1, 1.0)
-    beta_c = beta_h + rng.uniform(0.1, 1.0)
-    d = int(rng.integers(2, 5))
+@_stacked("threshold log(d)/dBeta behaves")
+def _prop_strong_backflow(rng, n):
+    # each trial's draws in order: beta_H, the gap, d
+    beta_h, gap, d = np.array([(rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0), int(rng.integers(2, 5))) for _ in range(n)]).T
+    beta_c, d = beta_h + gap, d.astype(int)
     threshold = np.log(d) / (beta_c - beta_h)
-    above = witnesses.strong_backflow_witness(threshold * 1.001, beta_c, beta_h, d)
-    below = witnesses.strong_backflow_witness(threshold * 0.999, beta_c, beta_h, d)
-    zero = witnesses.strong_backflow_witness(0.0, beta_c, beta_h, d)
-    return 0.0, (not above.violated) + below.violated + zero.violated
+    above, below, zero = (witnesses.strong_backflow_stack(q, beta_c, beta_h, d).violated for q in (threshold * 1.001, threshold * 0.999, 0.0))
+    return np.zeros(n), np.sum([~above, below, zero], axis=0)
 
 
 PROPERTIES = {

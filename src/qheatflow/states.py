@@ -441,7 +441,8 @@ def two_qubit_state(params: TwoQubitParams) -> BipartiteSystem:
 def two_qubit_rows(params: TwoQubitParams) -> tuple[list, StateStack | None]:
     """(each row's first failure or None, the ``StateStack``) of the states of
     ``two_qubit_state`` at the columns (n,) of ``params``: the checks p00_upper,
-    p00_lower and eta_cap as masks; a gap <= 0 of a row that passes them is a ValueError."""
+    p00_lower and eta_cap as masks (all failed: nothing more is built); a gap <= 0 of
+    a row that passes them is a ValueError."""
     q = params.ground_populations()
     lower, upper = params.p00_bounds(q)
     cap, p00, eta = params.eta_cap(q), params.p00, np.abs(params.eta)
@@ -450,6 +451,8 @@ def two_qubit_rows(params: TwoQubitParams) -> tuple[list, StateStack | None]:
         (p00 < lower - 1e-12, lambda k: InfeasibleStateError("p00_lower", f"P00 = {p00[k]} below lower bound {lower[k]}")),
         (eta > cap + 1e-12, lambda k: InfeasibleStateError("eta_cap", f"|eta| = {eta[k]} exceeds cap {cap[k]}")),
     ])
+    if None not in errors:
+        return errors, None
     levels = spectrum_levels(params.gap)
     _require_spectra(levels, errors=errors)
     coherence = params.eta * np.exp(1j * params.xi)
@@ -533,7 +536,7 @@ def locally_thermal_rows(levels, beta_c, beta_h, free, pairs, eta, xi, qudit=Fal
     ``solve_populations``, and the ``exchange_coherence`` of each manifold
     (n, m) of ``pairs`` at eta and xi (n, pairs).  The checks, as masks:
     with ``qudit``, bohr_degenerate and marginal_consistency; then
-    population_<index>, and eta_<n><m> of the first eta outside [0, 1]."""
+    population_<index>, and eta_<n><m> of the first eta outside [0, 1] (all failed: no coherence)."""
     d = levels.shape[-1]
     c, h = gibbs_stack(levels, beta_c), gibbs_stack(levels, beta_h)
     p, first = solve_populations(c, h, free)
@@ -547,9 +550,11 @@ def locally_thermal_rows(levels, beta_c, beta_h, free, pairs, eta, xi, qudit=Fal
         (outside.any(axis=-1), lambda k: InfeasibleStateError(
             "eta_%s%s" % (pair := pairs[outside[k].argmax()]), "eta for manifold (%s,%s) must lie in [0, 1]" % pair)),
     ]
+    errors = _failures(len(p), checks)
+    if None not in errors:
+        return errors, None
     a, b = (np.array([[n * d + m, m * d + n] for n, m in pairs], np.intp).reshape(-1, 2)).T
     coherences = exchange_coherence(eta, xi, p[:, a], p[:, b])
-    errors = _failures(len(p), checks)
     return entry_stack(levels, levels, beta_c, beta_h, np.maximum(p, 0.0), (a, b, coherences), errors, (c, h))
 
 

@@ -353,8 +353,8 @@ def tpm_band_stack(q, q_tpm, tpm_values, energies_c, energies_h):
     )
 
 
-def strong_backflow_stack(q, beta_c, beta_h, d: int) -> StackVerdict:
-    """``strong_backflow_witness`` per cell."""
+def strong_backflow_stack(q, beta_c, beta_h, d) -> StackVerdict:
+    """``strong_backflow_witness`` per cell, at one local dimension d or one per cell."""
     delta_beta = beta_c - beta_h
     ordered = delta_beta > 0
     bound = np.where(ordered, np.log(d) / np.where(ordered, delta_beta, 1.0), np.inf)

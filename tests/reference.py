@@ -735,6 +735,53 @@ def checked_system(st, k: int) -> BipartiteSystem:
     return BipartiteSystem(*spectra, st.rho[k], st.beta_c[k].item(), st.beta_h[k].item())
 
 
+# --- the qubit probe, one row at a time --------------------------------
+
+_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def probe_statistics(sys, u, target, eps) -> probe.ProbeOutcomeStats:
+    """The dense one-row probe: the system+ancilla state and the 2D x 2D
+    products of one cell, and each outcome's 2 x 2 ancilla block read alone."""
+    if not 0.0 < eps < 0.5 * np.pi:
+        raise ValueError("coupling angle must lie strictly between 0 and pi/2")
+    u = unwrap(u)
+    d_c, d_h = sys.dims
+    dim = d_c * d_h
+    i_c, i_h = target
+    if not (0 <= i_c < d_c and 0 <= i_h < d_h):
+        raise ValueError(f"target {target} out of range for dims {sys.dims}")
+    idx = i_c * d_h + i_h
+    p_free = np.real(np.diag(u @ sys.rho @ u.conj().T))
+    ancilla = np.array([np.cos(eps), -np.sin(eps)], dtype=complex)
+    joint = qlinalg.kron(sys.rho, np.outer(ancilla, ancilla.conj()))
+    # V = Pi_perp x I + Pi x sigma_z flips the sign of row and column (target, ancilla |1>)
+    flip = 2 * idx + 1
+    joint[flip, :] *= -1.0
+    joint[:, flip] *= -1.0
+    u_joint = qlinalg.kron(u, np.eye(2))
+    evolved = u_joint @ joint
+    np.conjugate(u_joint, out=u_joint)
+    evolved = evolved @ u_joint.T
+    blocks = evolved.reshape(dim, 2, dim, 2)
+    q_plus = np.empty(dim)
+    q_minus = np.empty(dim)
+    for f in range(dim):
+        block = blocks[f, :, f, :]
+        q_plus[f] = np.real(_PLUS.conj() @ block @ _PLUS)
+        q_minus[f] = np.real(_MINUS.conj() @ block @ _MINUS)
+    return probe.ProbeOutcomeStats(
+        target=(i_c, i_h),
+        eps=float(eps),
+        q_plus=q_plus.reshape(d_c, d_h),
+        q_minus=q_minus.reshape(d_c, d_h),
+        p_undisturbed=p_free.reshape(d_c, d_h),
+        energies_c=sys.spectrum_c.levels,
+        energies_h=sys.spectrum_h.levels,
+    )
+
+
 # --- the random instance generators, one system per attempt -------------
 # Each attempt builds and checks its system, and a constructor that raises
 # or a population under the floor draws again; ``properties`` draws the
@@ -1065,7 +1112,7 @@ def prop_probe_exactness(rng, k):
     i_c, i_h = int(rng.integers(0, sys.d_c)), int(rng.integers(0, sys.d_h))
     failures, worst, recs = 0, 0.0, []
     for eps in (0.05, 0.2, np.pi / 4.0):
-        stats = probe.probe_statistics(sys, u, (i_c, i_h), eps)
+        stats = probe_statistics(sys, u, (i_c, i_h), eps)
         rec = probe.reconstruct_quasiprobability(stats)
         recs.append(rec)
         dev = float(np.max(np.abs(rec - mh.values[i_c, i_h])))
@@ -1086,7 +1133,7 @@ def prop_probe_sampling(rng, n):
     failures, worst = 0, 0.0
     for _ in range(max(1, min(n, 20))):
         sys, u, _ = random_system_and_unitary(rng, 2)
-        stats = probe.probe_statistics(sys, u, (0, 1), 0.2)
+        stats = probe_statistics(sys, u, (0, 1), 0.2)
         seed = int(rng.integers(0, 2**31))
         s1 = probe.sampled_reconstruction(stats, 10**5, seed)
         s2 = probe.sampled_reconstruction(stats, 10**5, seed)
@@ -1164,3 +1211,47 @@ def prop_witness_soundness_nonideal(rng, n):
             rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
             failures += witnesses.xft_flow_witness(q, rep, sys.beta_c, sys.beta_h, epsilon_work=rep.max_energy_mismatch).violated
     return failures, float(failures), "perturbed dynamics: T2 / nonideal T3 stay sound"
+
+
+def _random_complex(rng, n: int) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def prop_kron_algebra(rng, k):
+    a, b, c = (_random_complex(rng, side) for side in (2, 3, 2))
+    dev = np.max(np.abs(qlinalg.kron(qlinalg.kron(a, b), c) - qlinalg.kron(a, qlinalg.kron(b, c))))
+    s, t = rng.standard_normal(2)
+    dev = max(dev, np.max(np.abs(qlinalg.kron(s * a + t * c, b) - (s * qlinalg.kron(a, b) + t * qlinalg.kron(c, b)))))
+    return dev, dev >= 1e-12
+
+
+def prop_partial_ops(rng, k):
+    d_c, d_h = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    a, b = _random_complex(rng, d_c), _random_complex(rng, d_h)
+    m = qlinalg.kron(a, b)
+    dev = np.max(np.abs(qlinalg.partial_trace(m, (d_c, d_h), "H") - np.trace(b) * a))
+    dev = max(dev, np.max(np.abs(qlinalg.partial_trace(m, (d_c, d_h), "C") - np.trace(a) * b)))
+    pt = qlinalg.partial_transpose(m, (d_c, d_h), "H")
+    dev = max(dev, np.max(np.abs(qlinalg.partial_transpose(pt, (d_c, d_h), "H") - m)))
+    # a stack is transposed matrix by matrix (the path of min_pt_eig)
+    dev = max(dev, np.max(np.abs(qlinalg.partial_transpose(np.stack([m, pt]), (d_c, d_h), "H") - [pt, m])))
+    # spectrum of a product state is preserved under partial transposition
+    rho, sig = a @ a.conj().T, b @ b.conj().T
+    rho /= np.trace(rho).real
+    sig /= np.trace(sig).real
+    prod = qlinalg.kron(rho, sig)
+    ev1 = qlinalg.hermitian_eigenvalues(prod)
+    ev2 = qlinalg.hermitian_eigenvalues(qlinalg.partial_transpose(prod, (d_c, d_h), "H"))
+    dev = max(dev, np.max(np.abs(ev1 - ev2)))
+    return dev, dev >= 1e-10
+
+
+def prop_strong_backflow_threshold(rng, k):
+    beta_h = rng.uniform(0.1, 1.0)
+    beta_c = beta_h + rng.uniform(0.1, 1.0)
+    d = int(rng.integers(2, 5))
+    threshold = np.log(d) / (beta_c - beta_h)
+    above = strong_backflow_witness(threshold * 1.001, beta_c, beta_h, d)
+    below = strong_backflow_witness(threshold * 0.999, beta_c, beta_h, d)
+    zero = strong_backflow_witness(0.0, beta_c, beta_h, d)
+    return 0.0, (not above.violated) + below.violated + zero.violated

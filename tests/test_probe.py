@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qheatflow import probe
+import reference
+from qheatflow import probe, properties
 from qheatflow.cli import main as cli_main
 from qheatflow.dynamics import ManifoldRotation, energy_preserving_unitary, xy_exchange_unitary
 from qheatflow.fluctuations import mh_distribution, tpm_distribution
@@ -17,7 +18,7 @@ from qheatflow.probe import (
     sampled_reconstruction,
 )
 from qheatflow.properties import random_system_and_unitary
-from qheatflow.states import QutritStateParams, gamma_correlated_state, two_qutrit_state
+from qheatflow.states import BipartiteSystem, EnergySpectrum, QutritStateParams, gamma_correlated_state, two_qutrit_state
 
 BC, BH = 1.13, 0.9618
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -150,6 +151,49 @@ def test_sign_flip_coupling_keeps_the_signs_of_zero_outcomes(rng):
                 assert a.ravel().tobytes() == b.tobytes()
                 zeros += int(np.count_nonzero(a == 0.0))
     assert zeros > 0
+
+
+def _random_state(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 64), (3, 1), (3, 2), (3, 64), *((d, 1) for d in range(4, 17))])
+def test_stacked_probe_rows_equal_the_dense_one_row_probe_bit_for_bit(d, n):
+    """``probe_stack`` against the dense one-row reference: drawn states under
+    their energy-preserving unitaries at d = 2, 3 (what probe-exactness runs),
+    a dense state and unitary of each larger d (what a point runs)."""
+    rng = np.random.default_rng(100 * d + n)
+    if d <= 3:
+        ((_, st, u),) = properties._groups(properties._draw(rng, [d] * n))
+        rho, unitaries = st.rho, u.matrix
+    else:
+        rho, unitaries = _random_state(rng, d * d)[None], _random_dense_unitary(rng, d * d)[None]
+    spec = EnergySpectrum(tuple(float(x) for x in range(d)))
+    for eps in (0.05, float(rng.uniform(0.02, np.pi / 2 - 0.02))):
+        idx = rng.integers(0, d * d, n)
+        got = probe.probe_stack(rho, unitaries, idx, eps)
+        for k in range(n):
+            sys = BipartiteSystem(spec, spec, rho[k])
+            want = reference.probe_statistics(sys, unitaries[k], divmod(int(idx[k]), d), eps)
+            one = probe.probe_statistics(sys, unitaries[k], divmod(int(idx[k]), d), eps)
+            for name, row in zip(probe.OUTCOMES, got):
+                assert row[k].tobytes() == getattr(want, name).tobytes() == getattr(one, name).tobytes(), (d, k, name)
+
+
+def test_a_stack_raises_the_first_failed_check_of_its_first_failing_row():
+    q_plus, q_minus, p_free = (np.full((4, 2), 0.25), np.full((4, 2), 0.25), np.full((4, 2), 0.5))
+    q_plus[3, 0] = 1.5  # q_plus outside [0, 1]: the first check, of a later row
+    p_free[1, 1] = 0.6  # the probe-free sum: the last check, of the first failing row
+    with pytest.raises(ValueError, match="^probe-free probabilities do not sum to 1$"):
+        probe._check_outcomes(q_plus, q_minus, p_free)
+    q_minus[1, 0] = -0.1  # row 1 now fails q_minus and both sums: the first of them is raised
+    with pytest.raises(ValueError, match=r"^q_minus entries outside \[0, 1\]$"):
+        probe._check_outcomes(q_plus, q_minus, p_free)
+    with pytest.raises(ValueError, match=r"^q_plus entries outside \[0, 1\]$"):
+        ProbeOutcomeStats((0, 0), 0.2, q_plus[3], q_minus[3], p_free[3], (0.0, 1.0), (0.0,))
+    probe._check_outcomes(q_plus[[0, 2]], q_minus[[0, 2]], p_free[[0, 2]])  # the rows that pass
 
 
 def test_probe_statistics_normalization():

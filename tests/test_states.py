@@ -216,6 +216,20 @@ def test_a_parameter_failure_raises_before_any_state_is_built(monkeypatch, build
     assert checked == []
 
 
+@pytest.mark.parametrize("build, args, constraint, message", [c for c in CONSTRAINT_MESSAGES if c[2] != "psd"], ids=[c[2] for c in CONSTRAINT_MESSAGES if c[2] != "psd"])
+def test_a_state_every_mask_fails_stops_at_its_masks_with_the_same_error(monkeypatch, build, args, constraint, message):
+    """No populations, coherences or stack past the parameter masks when
+    every row failed one (nor, for qubits, levels or a spectrum check)."""
+    calls = []
+    watched = ["exchange_coherence", "entry_stack"] + (["spectrum_levels", "_require_spectra"] if build is two_qubit_state else [])
+    for name in watched:
+        monkeypatch.setattr(states, name, lambda *a, _name=name, **k: calls.append(_name))
+    monkeypatch.setattr(TwoQubitParams, "populations", lambda *a: calls.append("populations"))
+    with pytest.raises(InfeasibleStateError) as err:
+        build(*args)
+    assert (err.value.constraint, str(err.value), calls) == (constraint, message, [])
+
+
 # ---------------------------------------------------------------------------
 # qutrit and qudit families
 # ---------------------------------------------------------------------------

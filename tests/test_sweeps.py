@@ -1791,18 +1791,26 @@ def test_table_norm_range_counts_only_the_trial_that_fails(monkeypatch):
 
 
 def test_trials_sums_failures_and_keeps_the_largest_deviation_in_trial_order():
-    seen = []
-    devs, fails = [np.nan, -1.0, 3e-3, np.nan, 2e-3], [0, True, 0, np.True_, 2]
+    """``_stacked`` runs the trials as consecutive stacks of at most
+    STACK_TRIALS, in order, sums their failures (counts or masks) and keeps
+    the largest deviation from 0.0."""
+    n, seen = properties.STACK_TRIALS + 5, []
+    devs, fails = np.full(n, np.nan), np.zeros(n, int)
+    devs[[1, 4, n - 3]] = -1.0, 2e-3, 3e-3  # the largest in the second stack
+    fails[[1, 3, 4, n - 1]] = 1, 1, 2, 1
 
-    @properties._trials("a note")
-    def prop(rng, k):
-        seen.append((rng, k))
-        return devs[k], fails[k]
+    @properties._stacked("a note")
+    def prop(rng, m):
+        start = sum(size for _, size in seen)
+        seen.append((rng, m))
+        bad = fails[start: start + m]
+        return devs[start: start + m], bad if start == 0 else bad.astype(bool)  # counts, then a mask
 
     rng = object()
-    assert prop(rng, 5) == (4, 3e-3, "a note")
-    assert seen == [(rng, k) for k in range(5)]
+    assert prop(rng, n) == (5, 3e-3, "a note")
+    assert seen == [(rng, properties.STACK_TRIALS), (rng, 5)]
     # max_dev starts at 0.0: negative and nan deviations never show
+    seen.clear()
     assert prop(rng, 2) == (1, 0.0, "a note")
 
 

@@ -476,6 +476,11 @@ def test_witness_stacks_take_per_cell_betas_and_gaps():
         strong_backflow_stack(q, beta_c, beta_h, 3),
         [reference.strong_backflow_witness(a, bc, bh, 3) for (a, _), bc, bh, _ in cells],
     )
+    d = [2, 3, 4] * (n // 3) + [2, 3, 4][: n % 3]  # a local dimension per cell
+    _assert_stack_matches(
+        strong_backflow_stack(q, beta_c, beta_h, np.array(d)),
+        [reference.strong_backflow_witness(a, bc, bh, side) for ((a, _), bc, bh, _), side in zip(cells, d)],
+    )
 
 
 def test_tpm_band_stack_equals_single_cell_verdicts():
