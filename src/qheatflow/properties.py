@@ -4,12 +4,11 @@ Each property draws its own deterministic random stream from the suite
 seed, evaluates ``n_trials`` instances (or a grid of comparable size)
 and reports the failure count plus the worst deviation seen.  The same
 generators back the pytest property tests, so `qheatflow check` is the
-packaged, CI-friendly way to re-run them.  A stacked property draws the
-states of its trials as one block (``_draw``): the attempt that would
-start at every offset of a block of the stream is made at once, a walk
-in whole attempts finds the accepted ones, and the generator is rewound
-and advanced by exactly the words the walk used, so every state is the
-scalar generators', bit for bit, checked as one stack.  The witness-soundness
+packaged, CI-friendly way to re-run them.  A stacked property draws its
+trials phase by phase with public ``Generator`` calls (``_draw``): the
+states of each local dimension from blocks of candidate rows, checked as
+one stack, then the rotations, then its other columns.  Above d = 3 every
+candidate is accepted, so d up to 16 takes one block.  The witness-soundness
 properties scale each drawn state's coherences in closed form to the edge
 of a nonnegative MH table (``_edge_rho``), so nothing is redrawn.
 
@@ -25,6 +24,7 @@ stacked row as a system (``StateStack.system``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,10 +35,7 @@ from .dynamics import ManifoldRotation
 from .states import pymax
 
 MIN_POPULATION = 1e-3  # the least joint population of a drawn two-qubit or two-qutrit state
-QUDIT_MIN_POPULATION = 5e-4  # ... and of a drawn d x d state
-# the largest local dimension drawn: at d = 11 one state takes ~0.6 s, and at
-# d = 12 no attempt in 10**6 words has every population above the floor
-MAX_DRAWN_DIM = 11
+QUDIT_MIN_POPULATION = 5e-4  # ... and of a drawn d x d state, d >= 4
 STACK_TRIALS = 64  # trials drawn and evaluated as one stack; even, so each stack starts on an even trial
 
 
@@ -48,11 +45,6 @@ STACK_TRIALS = 64  # trials drawn and evaluated as one stack; even, so each stac
 
 TAU = 2.0 * np.pi
 ANGLE_HIGH = np.array([np.pi, TAU, TAU, TAU])  # a rotation's theta, then phi, lam and kappa, are uniform on [0, high)
-
-
-def _doubles(words: np.ndarray) -> np.ndarray:
-    """``rng.random()`` of each 64-bit word: its top 53 bits times 2**-53."""
-    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _uniform(u, lo, hi):
@@ -70,18 +62,18 @@ def _pairs(d: int) -> list:
     return [(n * d + m, m * d + n) for n, m in _manifolds(d)]
 
 
-def _attempts(x, d: int, coherent: bool):
-    """(steps, accepted, columns) of the attempt at local dimension d that
-    draws each row of x (m, size) as its doubles, made at once with the
-    generator's and the constructor's float operations: its length (short
-    on a near-degenerate spectrum) and acceptance, as lists, and its levels
-    (m, d), beta_c, beta_h (m,), populations (m, d*d), eta and xi (m, manifolds)."""
-    pos, none = 0, np.zeros((len(x), len(_manifolds(d))))
+def _candidates(u, d: int, coherent: bool):
+    """(accepted (m,), levels (m, d), beta_c, beta_h (m,), populations (m, d*d), eta and xi (m, manifolds)) of the
+    candidates whose doubles are the rows of u (m, size), made at once with the constructors' float operations.
+    Above d = 3: Golomb-ruler levels scaled to a drawn span; (beta_C + beta_H) E_max < log(1 / (2 d**2 floor)), so
+    every Gibbs product is over twice the floor; and free populations jittered by at most the least product less
+    the floor, which no solved population can move past."""
+    pos, none = 0, np.zeros((len(u), len(_manifolds(d))))
 
-    def take(lo, hi, width=None):  # the next uniform of every attempt, or the next ``width``
+    def take(lo, hi, width=None):  # the next uniform of every row, or the next ``width``
         nonlocal pos
         pos += width or 1
-        return _uniform(x[:, pos - 1] if width is None else x[:, pos - width: pos], lo, hi)
+        return _uniform(u[:, pos - 1] if width is None else u[:, pos - width: pos], lo, hi)
 
     if d == 2:
         beta_h = take(0.1, 1.2)
@@ -91,124 +83,66 @@ def _attempts(x, d: int, coherent: bool):
         params = states.TwoQubitParams(beta_c, beta_h, lo + take(0.08, 0.92) * (hi - lo))
         eta = take(-0.95, 0.95, 1) * params.eta_cap(q)[:, None] if coherent else none
         p = params.populations(q)
-        columns = np.tile([0.0, 1.0], (len(x), 1)), beta_c, beta_h, p, eta, take(0.0, TAU, 1) if coherent else none
-        return [x.shape[1]] * len(x), (p.min(axis=-1) >= MIN_POPULATION).tolist(), columns
+        xi = take(0.0, TAU, 1) if coherent else none
+        return p.min(axis=-1) >= MIN_POPULATION, np.tile([0.0, 1.0], (len(u), 1)), beta_c, beta_h, p, eta, xi
     if d == 3:
         e1 = take(0.7, 1.3)
         e2 = e1 + take(0.2, 0.8)
-        levels, skip = np.stack([np.zeros(len(x)), e1, e2], axis=-1), np.abs(e2 - 2.0 * e1) < 5e-3
+        levels, ok = np.stack([np.zeros(len(u)), e1, e2], axis=-1), ~(np.abs(e2 - 2.0 * e1) < 5e-3)
         beta_h = take(0.1, 0.8)
-        beta_c, jitter, floor = beta_h + take(0.2, 1.0), (0.7, 1.3), MIN_POPULATION
+        beta_c, floor = beta_h + take(0.2, 1.0), MIN_POPULATION
     else:
-        levels = np.concatenate([np.zeros((len(x), 1)), np.add.accumulate(take(0.5, 1.7, d - 1), axis=-1)], axis=-1)
-        skip = ~states.bohr_nondegenerate(levels, 1e-3)
-        beta_h = take(0.1, 0.6)
-        beta_c, jitter, floor = beta_h + take(0.2, 0.8), (0.8, 1.2), QUDIT_MIN_POPULATION
+        marks, span = states.RULERS[d], take(0.5, 1.7) * (d - 1)
+        levels, ok, floor = span[:, None] * np.array(marks) / marks[-1], True, QUDIT_MIN_POPULATION
+        budget = math.log(0.5 / (d * d * floor))
+        beta_h = take(0.05, 0.25) * budget / span
+        beta_c = beta_h + take(0.1, 0.45) * budget / span
     c, h = states.gibbs_stack(levels, beta_c), states.gibbs_stack(levels, beta_h)
+    spread = 0.3 if d == 3 else c.min(axis=-1) * h.min(axis=-1) - floor
     keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
-    p = states.solve_populations(c, h, {k: c[:, k // d] * h[:, k % d] * take(*jitter) for k in keys})[0]
-    ok = ~skip & (p.min(axis=-1) >= floor)
-    if d > 3:  # ``qudit_locally_thermal`` also checks that the marginals agree
-        ok &= ~(states.marginal_residual(c, h) > 1e-9)
+    p = states.solve_populations(c, h, {k: c[:, k // d] * h[:, k % d] * take(1.0 - spread, 1.0 + spread) for k in keys})[0]
     eta, xi = (take(0.2, 0.95, none.shape[1]), take(0.0, TAU, none.shape[1])) if coherent else (none, none)
-    return np.where(skip, d - 1, x.shape[1]).tolist(), ok.tolist(), (levels, beta_c, beta_h, p, eta, xi)
-
-
-def _integer(words, i: int, stash: tuple, lo: int, hi: int):
-    """(``rng.integers(lo, hi)``, the next word, the stash (has, half)) as numpy draws a bounded integer
-    below 2**32 from the words at i: Lemire's method on the low half of a fresh word, its high half stashed."""
-    span = hi - lo
-    while True:
-        if stash[0]:
-            half, stash = stash[1], (0, stash[1])
-        else:
-            word = int(words[i])
-            i, half, stash = i + 1, word & 0xFFFFFFFF, (1, word >> 32)
-        if (half * span) & 0xFFFFFFFF >= (2**32 - span) % span:  # else a biased draw: redrawn
-            return lo + (half * span >> 32), i, stash
+    return ok & (p.min(axis=-1) >= floor), levels, beta_c, beta_h, p, eta, xi
 
 
 class _Group(NamedTuple):
-    """The accepted draws of the trials ``at`` of one local dimension: their checked ``StateStack``, eta, xi and
-    coherences (k, manifolds) in the order of ``_manifolds``, rotation angles (k, manifolds, 4) or None."""
+    """The accepted draws of the trials ``at`` of one local dimension: their checked ``StateStack``,
+    eta and xi (k, manifolds) in the order of ``_manifolds``, rotation angles (k, manifolds, 4) or None."""
 
     at: np.ndarray
     st: states.StateStack
     eta: np.ndarray
     xi: np.ndarray
-    coherences: np.ndarray
-    angles: np.ndarray | None
+    angles: np.ndarray | None = None
 
 
-class _Draws(NamedTuple):
-    groups: list  # a ``_Group`` per local dimension, ascending
-    uniforms: tuple  # a column (n,) per trailing uniform
-    integers: np.ndarray  # (n, trailing integers)
-
-
-def _draw(rng, dims, coherent: bool = True, rotations: bool = True, uniforms=(), integers=()) -> _Draws:
-    """The draws of trials as the scalar generators make them, one after
-    another: trial k draws a state at local dimension dims[k] (drawn first
-    by ``rng.integers(*dims[k])`` for a (lo, hi) pair), then its rotations
-    when ``rotations``, ``rng.uniform(lo, hi)`` of each (lo, hi) of
-    ``uniforms`` and ``rng.integers(0, hi)`` of each hi of ``integers``
-    (None: the trial's d).  A block of the stream's 64-bit words has the
-    attempt at every offset made at once; a walk in whole attempts, with
-    numpy's 32-bit stash for the integers, finds the accepted ones.  The
-    generator is then rewound and advanced by the words the walk used."""
-    kinds = sorted({d for spec in dims for d in ([spec] if isinstance(spec, int) else range(*spec))})
-    if kinds[-1] > MAX_DRAWN_DIM:  # before the stream is read, which stays where it was
-        raise ValueError(f"no state is drawn at local dimension d = {kinds[-1]}: the draw accepts none above d = {MAX_DRAWN_DIM}")
-    bits = rng.bit_generator
-    saved = bits.state
-    if "has_uint32" not in saved:
-        raise TypeError(f"the block draw reads 64-bit words; {saved['bit_generator']} draws 32-bit ones")
-    # the doubles of one attempt: beta_H, beta_C and P00 at d = 2, else the levels, betas and free populations; then etas, xis
-    size = {d: (3 if d == 2 else d + 1 + (d - 1) ** 2) + 2 * len(_manifolds(d)) * coherent for d in kinds}
-    span = {d: size[d] + 4 * len(_manifolds(d)) * rotations + len(uniforms) for d in kinds}  # a state, rotations, uniforms
-    per_trial = sum(span[d] + size[d] // 2 for d in kinds) / len(kinds) + len(integers) + 1  # words, rejects included
-    most = max(2**18 // kinds[-1] ** 2, 4 * max(span.values()))  # words in a block: ~8 MB of columns at most
-    words, used, i, stash = np.zeros(0, np.uint64), 0, 0, (saved["has_uint32"], saved["uinteger"])
-    walked, drawn, steps, k, d = [], [], None, 0, None
-    while k < len(dims):
-        if steps is None:  # the next block, from the current attempt on
-            ask = min(most, 64 + (len(dims) - k) * per_trial)
-            words, used, i = np.concatenate([words[i:], bits.random_raw(int(ask))]), used + i, 0
-            u = _doubles(words)
-            steps = {dim: _attempts(np.lib.stride_tricks.sliding_window_view(u, size[dim]), dim, coherent)[:2] for dim in kinds}
-        try:
-            if d is None:
-                d, i, stash = (dims[k], i, stash) if isinstance(dims[k], int) else _integer(words, i, stash, *dims[k])
-            step, accepted = steps[d]
-            while not accepted[i]:
-                i += step[i]
-            end, after, values = i + span[d], stash, []
-            for hi in integers:
-                value, end, after = _integer(words, end, after, 0, hi or d)
-                values.append(value)
-            if end > len(words):
-                raise IndexError
-        except IndexError:  # past the block's end
-            steps = None
-            continue
-        walked.append((k, d, words[i: i + span[d]].copy()))
-        drawn += values
-        i, stash, k, d = end, after, k + 1, None
-    bits.state = {**saved, "has_uint32": stash[0], "uinteger": stash[1]}
-    bits.random_raw(used + i)
-    groups, tails = [], np.zeros((len(uniforms), len(dims)))
+def _draw(rng, dims, coherent: bool = True, rotations: bool = True) -> list:
+    """A ``_Group`` per local dimension of ``dims`` (n,), ascending, drawn phase by phase: for each d, candidate rows
+    ``rng.random((m, size))``, m the states still wanted, until that d's trials have the first accepted, in trial
+    order, checked as one stack; then, when ``rotations``, each d's angles as one block.  A property draws its
+    other columns after these.  A d outside 2 to 16 is a ValueError before the stream is read."""
+    dims = np.asarray(dims)
+    kinds = sorted(set(dims.tolist()))
+    if unsupported := [d for d in kinds if not 2 <= d <= max(states.RULERS)]:
+        raise ValueError(f"no state is drawn at local dimension d = {unsupported[0]}: the draw covers d = 2 to {max(states.RULERS)}")
+    groups = []
     for d in kinds:
-        if mine := [(trial, w) for trial, dim, w in walked if dim == d]:
-            at, u = np.array([trial for trial, _ in mine]), _doubles(np.array([w for _, w in mine]))
-            levels, beta_c, beta_h, p, eta, xi = _attempts(u[:, : size[d]], d, coherent)[2]  # the accepted attempts, again
-            a, b = np.array(_pairs(d)).T
-            coherences = eta * np.exp(1j * xi) if d == 2 else states.exchange_coherence(eta, xi, p[:, a], p[:, b])
-            st = states.valid_stack(states.entry_stack(levels, levels, beta_c, beta_h, p, (a, b, coherences)))
-            tails[:, at] = u[:, span[d] - len(uniforms):].T
-            angles = _angles(u[:, size[d]: span[d] - len(uniforms)]) if rotations else None
-            groups.append(_Group(at, st, eta, xi, coherences, angles))
-    columns = tuple(_uniform(tail, lo, hi) for tail, (lo, hi) in zip(tails, uniforms))
-    return _Draws(groups, columns, np.array(drawn, dtype=int).reshape(len(dims), len(integers)))
+        at, parts, wanted = np.flatnonzero(dims == d), [], np.count_nonzero(dims == d)
+        # a candidate's doubles: 3 at d = 2, 8 at d = 3, 3 + (d - 1)**2 above; then, when coherent, eta and xi per manifold
+        size = {2: 3, 3: 8}.get(d, 3 + (d - 1) ** 2) + 2 * len(_manifolds(d)) * coherent
+        while wanted:
+            ok, *columns = _candidates(rng.random((wanted, size)), d, coherent)
+            keep = np.flatnonzero(ok)[:wanted]
+            parts.append([column[keep] for column in columns])
+            wanted -= len(keep)
+        levels, beta_c, beta_h, p, eta, xi = (np.concatenate(column) for column in zip(*parts))
+        a, b = np.array(_pairs(d)).T
+        coherences = eta * np.exp(1j * xi) if d == 2 else states.exchange_coherence(eta, xi, p[:, a], p[:, b])
+        st = states.valid_stack(states.entry_stack(levels, levels, beta_c, beta_h, p, (a, b, coherences)))
+        groups.append(_Group(at, st, eta, xi))
+    if rotations:
+        groups = [g._replace(angles=_angles(rng.random((len(g.at), 4 * len(_manifolds(d)))))) for g, d in zip(groups, kinds)]
+    return groups
 
 
 def _angles(u) -> np.ndarray:
@@ -223,21 +157,21 @@ def _rotation_list(g: _Group, j: int) -> list:
 
 def random_two_qubit_system(rng, coherent: bool = True):
     """Locally thermal two-qubit state with beta_C > beta_H."""
-    ((_, st, eta, xi, _, _),) = _draw(rng, [2], coherent, rotations=False).groups
+    ((_, st, eta, xi, _),) = _draw(rng, [2], coherent, rotations=False)
     params = states.TwoQubitParams(*(x.item() for x in (st.beta_c[0], st.beta_h[0], st.populations[0, 0], eta[0, 0], xi[0, 0])))
     return st.system(0), params
 
 
 def random_two_qutrit_system(rng, coherent: bool = True):
     """Feasible two-qutrit instance; free populations jittered around product values."""
-    ((_, st, eta, xi, _, _),) = _draw(rng, [3], coherent, rotations=False).groups
+    ((_, st, eta, xi, _),) = _draw(rng, [3], coherent, rotations=False)
     values = st.beta_c[0], st.beta_h[0], *st.levels_c[0, 1:], *st.populations[0, [0, 5, 7, 8]], *eta[0], *xi[0]
     return st.system(0), states.QutritStateParams(*(x.item() for x in values))
 
 
 def random_qudit_system(rng, d: int = 4):
-    """Locally thermal d x d instance via the general constructor."""
-    return _draw(rng, [d], rotations=False).groups[0].st.system(0)
+    """Locally thermal d x d instance, 2 <= d <= 16."""
+    return _draw(rng, [d], rotations=False)[0].st.system(0)
 
 
 def random_rotations(rng, spec: states.EnergySpectrum):
@@ -247,7 +181,7 @@ def random_rotations(rng, spec: states.EnergySpectrum):
 
 
 def random_system_and_unitary(rng, dim: int):
-    (g,) = _draw(rng, [dim]).groups
+    (g,) = _draw(rng, [dim])
     sys, rots = g.st.system(0), _rotation_list(g, 0)
     return sys, dynamics.energy_preserving_unitary(sys.spectrum_c, rots), rots
 
@@ -293,9 +227,9 @@ def _stacked(note: str):
     return wrap
 
 
-def _groups(draws: _Draws):
-    """(trial indices, their checked ``StateStack``, the ``_unitaries`` of their drawn rotations or None) per local dimension."""
-    return [(g.at, g.st, None if g.angles is None else _unitaries(g.st, g.angles)) for g in draws.groups]
+def _groups(groups: list):
+    """(trial indices, their checked ``StateStack``, the ``_unitaries`` of their drawn rotations or None) per ``_Group``."""
+    return [(g.at, g.st, None if g.angles is None else _unitaries(g.st, g.angles)) for g in groups]
 
 
 def _unitaries(st, angles):
@@ -314,10 +248,10 @@ def _tables(st, u):
     return tuple(fluctuations.table_stack(kind, st, u.matrix, u.adjoint) for kind in ("MH", "TPM"))
 
 
-def _raise_first(diverged, draws: _Draws, check):
+def _raise_first(diverged, groups: list, check):
     """Run ``check(sys, u)``, the trial-by-trial path, which raises, on the first diverged trial."""
     for k in np.flatnonzero(diverged)[:1]:
-        g = next(g for g in draws.groups if k in g.at)
+        g = next(g for g in groups if k in g.at)
         j = int(np.flatnonzero(g.at == k)[0])
         sys = g.st.system(j)
         check(sys, dynamics.energy_preserving_unitary(sys.spectrum_c, _rotation_list(g, j)))
@@ -347,13 +281,10 @@ def _prop_kron_algebra(rng, n):
 
 @_stacked("partial trace/transpose identities")
 def _prop_partial_ops(rng, n):
-    dims, draws, dev = [], [], np.zeros(n)
-    for _ in range(n):  # each trial's draws in order: d_C, d_H, then A (d_C square) and B (d_H square)
-        dims.append((int(rng.integers(2, 4)), int(rng.integers(2, 4))))
-        draws.append(np.concatenate([rng.standard_normal(side * side) for side in dims[-1] for _ in "ri"]))
-    for d_c, d_h in sorted(set(dims)):
-        at = [k for k, pair in enumerate(dims) if pair == (d_c, d_h)]
-        a, b = _complex_columns(np.array([draws[k] for k in at]), (d_c, d_h))
+    dims, dev = rng.integers(2, 4, (n, 2)), np.zeros(n)  # each trial's (d_C, d_H), then A and B of each pair's trials
+    for d_c, d_h in sorted(set(map(tuple, dims.tolist()))):
+        at = np.flatnonzero((dims == (d_c, d_h)).all(axis=-1))
+        a, b = _complex_columns(rng.standard_normal((len(at), 2 * (d_c * d_c + d_h * d_h))), (d_c, d_h))
         m = linalg.kron(a, b)
         trace_a, trace_b = (np.trace(x, axis1=1, axis2=2)[:, None, None] for x in (a, b))
         d = pymax(_largest(linalg.partial_trace(m, (d_c, d_h), "H") - trace_b * a), _largest(linalg.partial_trace(m, (d_c, d_h), "C") - trace_a * b))
@@ -373,7 +304,7 @@ def _prop_partial_ops(rng, n):
 @_stacked("unitarity, commutation, manifold confinement")
 def _prop_unitarity(rng, n):
     dev = np.zeros(n)
-    for at, st, u in _groups(_draw(rng, [(2, 5)] * n)):
+    for at, st, u in _groups(_draw(rng, rng.integers(2, 5, n))):
         eye = np.eye(st.rho.shape[-1])
         d = linalg.spectral_norms(u.matrix @ u.adjoint - eye)
         d = pymax(d, u.commutator_norm)
@@ -426,8 +357,9 @@ def _table_norm_trials(rng, n):
     """Per trial: |sum - 1| of the MH and the TPM table, the least MH and TPM entries, the largest MH entry."""
     out = np.zeros((5, n))
     for at, st, u in _groups(_draw(rng, ([2, 3] * n)[:n])):
-        mh, tpm = (t.reshape(len(at), -1) for t in _tables(st, u))
-        out[:, at] = np.abs(mh.sum(axis=-1) - 1.0), np.abs(tpm.sum(axis=-1) - 1.0), mh.min(axis=-1), tpm.min(axis=-1), mh.max(axis=-1)
+        mh, tpm = _tables(st, u)
+        axes = (1, 2, 3, 4)  # each table summed in its own memory order, as its one-cell ``values.sum()`` is (TPM's is strided)
+        out[:, at] = np.abs(mh.sum(axes) - 1.0), np.abs(tpm.sum(axes) - 1.0), mh.min(axes), tpm.min(axes), mh.max(axes)
     return out
 
 
@@ -467,8 +399,8 @@ def _prop_mh_tpm_dephased(rng, n):
 
 @_stacked("exchange entries, Q, Q_TPM vs matrix route")
 def _prop_two_qubit_closed_forms(rng, n):
-    draws = _draw(rng, [2] * n, rotations=False, uniforms=((0.0, np.pi), (0.0, TAU), (0.0, TAU)))
-    ((_, st, _),), (g,), (theta, phi, lam) = _groups(draws), draws.groups, draws.uniforms
+    (g,) = _draw(rng, [2] * n, rotations=False)
+    st, (theta, phi, lam) = g.st, (rng.uniform(0.0, hi, n) for hi in (np.pi, TAU, TAU))
     u = _qubit_exchanges(theta, phi, lam)
     mh, tpm = _tables(st, u)
     q, q_tpm = fluctuations.average_heat_stack(st, u.matrix, u.adjoint), fluctuations.table_heat_stack(tpm, st.levels_c)
@@ -485,9 +417,9 @@ def _prop_two_qubit_closed_forms(rng, n):
 
 @_stacked("manifold closed forms, d = 3 and 4")
 def _prop_qudit_closed_forms(rng, n):
-    draws = _draw(rng, ([3, 4] * n)[:n])
+    groups = _draw(rng, ([3, 4] * n)[:n])
     dev = np.zeros(n)
-    for g, (at, st, u) in zip(draws.groups, _groups(draws)):
+    for g, (at, st, u) in zip(groups, _groups(groups)):
         for j, (k, mh, tpm) in enumerate(zip(at, *_tables(st, u))):
             sys, rots = st.system(j), _rotation_list(g, j)
             pw, tp = fluctuations.exchange_manifold_pw(sys, rots), fluctuations.exchange_manifold_tpm(sys, rots)
@@ -497,9 +429,9 @@ def _prop_qudit_closed_forms(rng, n):
 
 @_stacked("<e^{dI+dB dE}> = 1 + chi_bar")
 def _prop_xft_identity(rng, n):
-    draws = _draw(rng, ([2, 3] * n)[:n])
+    groups = _draw(rng, ([2, 3] * n)[:n])
     dev, diverged = np.zeros(n), np.zeros(n, bool)
-    for at, st, u in _groups(draws):
+    for at, st, u in _groups(groups):
         mh = _tables(st, u)[0]
         lhs, _, vanishing = fluctuations.xft_average_stack(mh, st)
         resonance_ok = fluctuations.resonance_stack(mh, st.levels_c, st.levels_h)[0]
@@ -511,15 +443,15 @@ def _prop_xft_identity(rng, n):
         fluctuations.xft_average(fluctuations.mh_distribution(sys, u), sys)
         fluctuations.xft_coherence_term(sys, u)
 
-    _raise_first(diverged, draws, check)
+    _raise_first(diverged, groups, check)
     return dev, dev >= 1e-8
 
 
 @_stacked("1 + J = <e^{dB dE}>; J <= ||c|| + ||q||")
 def _prop_j_identity(rng, n):
-    draws = _draw(rng, ([2, 3] * n)[:n])
+    groups = _draw(rng, ([2, 3] * n)[:n])
     dev, bad, diverged = np.zeros(n), np.zeros(n, bool), np.zeros(n, bool)
-    for at, st, u in _groups(draws):
+    for at, st, u in _groups(groups):
         mh = _tables(st, u)[0]
         operators = fluctuations._correction_operators(st)
         j = fluctuations._correction_j(operators, u.matrix, u.adjoint)
@@ -529,7 +461,7 @@ def _prop_j_identity(rng, n):
         dev[at] = np.abs(1.0 + j - direct)
         bad[at] = (dev[at] >= 1e-10) | (j > norm_bound + 1e-10)
         diverged[at] = operators[3]
-    _raise_first(diverged, draws, fluctuations.heat_exp_correction)
+    _raise_first(diverged, groups, fluctuations.heat_exp_correction)
     return dev, bad
 
 
@@ -570,8 +502,8 @@ def _prop_witness_soundness(rng, n):
 def _nonideal_soundness_trials(rng, n):
     """Per nonnegative two-qubit instance under a drawn perturbed XY unitary: how many of T2 and
     T3-nonideal read violated, T3 where chi_bar and the XFT average are finite and 1 + chi_bar > 0."""
-    draws = _draw(rng, [2] * n, rotations=False, uniforms=((100.0, 400.0), (0.0, 6e-3), (0.0, 60.0)))
-    ((_, st, _),), (j_hz, t, jx) = _groups(draws), draws.uniforms
+    ((_, st, _),) = _groups(_draw(rng, [2] * n, rotations=False))
+    j_hz, t, jx = (rng.uniform(lo, hi, n) for lo, hi in ((100.0, 400.0), (0.0, 6e-3), (0.0, 60.0)))
     u = dynamics.perturbed_xy_unitary_stack(j_hz, jx, t, 1.0, 1.0)
     st = st.with_rho(_edge_rho(st.rho, *_tables(st, u)))
     columns, mh, _ = sweeps._evaluate_stack(st, u, {}, ("Q", "t2_violated"))
@@ -593,9 +525,8 @@ def _prop_witness_soundness_nonideal(rng, n):
 def _exchange_qubit_trials(rng, n, coherent=True):
     """Per trial of a drawn qubit pair under the exchange by a drawn theta:
     T1 violated, Q of the MH table and the operator, Q_tpm, the least MH entry."""
-    draws = _draw(rng, [2] * n, coherent, rotations=False, uniforms=((0.0, np.pi),))
-    ((_, st, _),) = _groups(draws)
-    u = _qubit_exchanges(draws.uniforms[0])
+    ((_, st, _),) = _groups(_draw(rng, [2] * n, coherent, rotations=False))
+    u = _qubit_exchanges(rng.uniform(0.0, np.pi, n))
     mh, tpm = _tables(st, u)
     q, q_tpm = (fluctuations.table_heat_stack(t, st.levels_c) for t in (mh, tpm))
     # read for coherent pairs only
@@ -621,16 +552,16 @@ def _all_negative_trials(rng, n):
     """Per drawn two-qutrit state under the rotations that aim to make each
     MH entry (n, m) -> (m, n) negative: whether all three are and the state's
     coherences reach 1e-6 (the trial is checked), and whether |Q| > |Q_tpm| then fails."""
-    draws = _draw(rng, [3] * n, rotations=False)
-    ((_, st, _),), (g,) = _groups(draws), draws.groups
-    populations = st.populations[:, [a for a, _ in _pairs(3)]]
+    ((_, st, _),) = _groups(_draw(rng, [3] * n, rotations=False))
+    a, b = np.array(_pairs(3)).T
+    coherences, populations = st.rho[:, a, b], st.populations[:, a]
     # pick each angle so the coherence term defeats the population term
     angles = [
         [(np.pi - 0.5 * np.arctan(abs(c) / max(pop, 1e-12)), 0.0, -float(np.angle(c)), 0.0) for c, pop in zip(*row)]
-        for row in zip(g.coherences, populations)
+        for row in zip(coherences, populations)
     ]
     mh, tpm = _tables(st, _unitaries(st, np.array(angles)))
-    checked = np.array([not min(abs(c) for c in row) < 1e-6 for row in g.coherences])
+    checked = np.array([not min(abs(c) for c in row) < 1e-6 for row in coherences])
     checked &= np.all([mh[:, lo, hi, hi, lo] < 0.0 for lo, hi in ((0, 1), (0, 2), (1, 2))], axis=0)
     q, q_tpm = (fluctuations.table_heat_stack(t, st.levels_c) for t in (mh, tpm))
     return checked, checked & ~(np.abs(q) > np.abs(q_tpm))
@@ -648,10 +579,10 @@ def _prop_all_negative_direction(rng, n):
 
 @_stacked("max |Q - Q_tpm| attained at quarter rotations")
 def _prop_delta_q_max(rng, n):
-    draws = _draw(rng, [3] * n, rotations=False)
-    ((_, st, _),), (g,) = _groups(draws), draws.groups
+    ((_, st, _),) = _groups(_draw(rng, [3] * n, rotations=False))
+    a, b = np.array(_pairs(3)).T
     # phases tuned so cos(xi + phi + lam) = 1, theta = pi/4 on all manifolds
-    u = _unitaries(st, np.stack(np.broadcast_arrays(np.pi / 4.0, 0.0, -np.angle(g.coherences), 0.0), axis=-1))
+    u = _unitaries(st, np.stack(np.broadcast_arrays(np.pi / 4.0, 0.0, -np.angle(st.rho[:, a, b]), 0.0), axis=-1))
     q = fluctuations.average_heat_stack(st, u.matrix, u.adjoint)
     q_tpm = fluctuations.table_heat_stack(_tables(st, u)[1], st.levels_c)
     target = np.array([fluctuations.max_heat_coherence_shift(st.system(k)) for k in range(n)])
@@ -661,10 +592,12 @@ def _prop_delta_q_max(rng, n):
 
 @_stacked("reconstruction exact for eps in {0.05, 0.2, pi/4}")
 def _prop_probe_exactness(rng, n):
-    draws = _draw(rng, ([2, 3] * n)[:n], integers=(None, None))  # each trial's target row (i_C, i_H) after its rotations
+    dims = np.array(([2, 3] * n)[:n])
+    groups = _groups(_draw(rng, dims))
+    targets = rng.integers(0, dims, (2, n))  # each trial's target row (i_C, i_H), after the rotations
     worst, failures = np.zeros(n), np.zeros(n, int)
-    for at, st, u in _groups(draws):
-        side, (i_c, i_h) = st.dims[0], draws.integers[at].T
+    for at, st, u in groups:
+        side, (i_c, i_h) = st.dims[0], targets[:, at]
         # the MH row (i_C, i_H) of each trial's table, (k, d, d)
         row = fluctuations.table_stack("MH", st, u.matrix, u.adjoint)[np.arange(len(at)), i_c, i_h].reshape(len(at), -1)
         idx, recs = i_c * side + i_h, []
@@ -684,8 +617,8 @@ def _prop_probe_exactness(rng, n):
 
 @_stacked("smaller coupling disturbs less")
 def _prop_probe_disturbance(rng, n):
-    draws = _draw(rng, [2] * n, rotations=False, integers=(4,))
-    ((_, st, _),), idx = _groups(draws), draws.integers[:, 0]
+    ((_, st, _),) = _groups(_draw(rng, [2] * n, rotations=False))
+    idx = rng.integers(0, 4, n)
     pi_op = np.zeros((n, 4, 4), dtype=complex)
     pi_op[range(n), idx, idx] = 1.0
     flip = 2.0 * pi_op - np.eye(4)
@@ -699,10 +632,9 @@ def _prop_probe_disturbance(rng, n):
 
 
 def _prop_probe_sampling(rng, n):
-    draws = _draw(rng, [2] * max(1, min(n, 20)), integers=(2**31,))
-    ((_, st, u),) = _groups(draws)
+    ((_, st, u),) = _groups(_draw(rng, [2] * max(1, min(n, 20))))
     failures, worst = 0, 0.0
-    for k, seed in enumerate(draws.integers[:, 0].tolist()):
+    for k, seed in enumerate(rng.integers(0, 2**31, len(st.rho)).tolist()):
         stats = probe.probe_statistics(st.system(k), u.matrix[k], (0, 1), 0.2)
         s1 = probe.sampled_reconstruction(stats, 10**5, seed)
         s2 = probe.sampled_reconstruction(stats, 10**5, seed)
@@ -716,7 +648,7 @@ def _prop_probe_sampling(rng, n):
 
 @_stacked("PSD holds iff P00 bounds and eta cap hold")
 def _prop_p00_bounds(rng, n):
-    beta_h, gap, u = np.array([[rng.uniform(0.1, 1.2), rng.uniform(0.1, 1.5), rng.uniform(0.0, 1.0)] for _ in range(n)]).T
+    beta_h, gap, u = (rng.uniform(lo, hi, n) for lo, hi in ((0.1, 1.2), (0.1, 1.5), (0.0, 1.0)))
     beta_c = beta_h + gap
     lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds()
     inside = lo + u * (hi - lo)
@@ -733,9 +665,8 @@ def _prop_p00_bounds(rng, n):
 
 @_stacked("threshold log(d)/dBeta behaves")
 def _prop_strong_backflow(rng, n):
-    # each trial's draws in order: beta_H, the gap, d
-    beta_h, gap, d = np.array([(rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0), int(rng.integers(2, 5))) for _ in range(n)]).T
-    beta_c, d = beta_h + gap, d.astype(int)
+    beta_h, gap = rng.uniform(0.1, 1.0, (2, n))
+    beta_c, d = beta_h + gap, rng.integers(2, 5, n)
     threshold = np.log(d) / (beta_c - beta_h)
     above, below, zero = (witnesses.strong_backflow_stack(q, beta_c, beta_h, d).violated for q in (threshold * 1.001, threshold * 0.999, 0.0))
     return np.zeros(n), np.sum([~above, below, zero], axis=0)

@@ -38,6 +38,15 @@ BOHR_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
 EXP_SHIFT_ABOVE = 700.0  # a Boltzmann exponent past this is divided out, as e^{709.8} overflows
 EIGVALSH_MAX_SIDE = 16
+# the shortest Golomb ruler of d marks: its pairwise differences are distinct, so levels at the marks are Bohr-nondegenerate
+RULERS = {
+    4: (0, 1, 4, 6), 5: (0, 1, 4, 9, 11), 6: (0, 1, 4, 10, 12, 17), 7: (0, 1, 4, 10, 18, 23, 25),
+    8: (0, 1, 4, 9, 15, 22, 32, 34), 9: (0, 1, 5, 12, 25, 27, 35, 41, 44), 10: (0, 1, 6, 10, 23, 26, 34, 41, 53, 55),
+    11: (0, 1, 4, 13, 28, 33, 47, 54, 64, 70, 72), 12: (0, 2, 6, 24, 29, 40, 43, 55, 68, 75, 76, 85),
+    13: (0, 2, 5, 25, 37, 43, 59, 70, 85, 89, 98, 99, 106), 14: (0, 4, 6, 20, 35, 52, 59, 77, 78, 86, 89, 99, 122, 127),
+    15: (0, 4, 20, 30, 57, 59, 62, 76, 100, 111, 123, 136, 144, 145, 151),
+    16: (0, 1, 4, 11, 26, 32, 56, 68, 76, 115, 117, 134, 150, 163, 168, 177),
+}
 
 
 def bohr_nondegenerate(levels, tol: float = BOHR_TOL):

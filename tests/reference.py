@@ -21,7 +21,9 @@ of Gibbs matrices plus gamma, the body that
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from qheatflow.fluctuations import (
 from qheatflow.linalg import HERMITICITY_TOL, NOT_A_GENERATOR, SIGMA_X, _square, spectral_norm
 from qheatflow import dynamics, fluctuations, probe, states, witnesses
 from qheatflow import linalg as qlinalg
-from qheatflow.properties import MIN_POPULATION, QUDIT_MIN_POPULATION, _edge_rho, _tables
+from qheatflow.properties import MIN_POPULATION, QUDIT_MIN_POPULATION, STACK_TRIALS, _edge_rho, _tables
 from qheatflow.states import (
     EIGVALSH_MAX_SIDE,
     HERM_TOL,
@@ -782,99 +784,217 @@ def probe_statistics(sys, u, target, eps) -> probe.ProbeOutcomeStats:
     )
 
 
-# --- the random instance generators, one system per attempt -------------
-# Each attempt builds and checks its system, and a constructor that raises
-# or a population under the floor draws again; ``properties`` draws the
-# same parameters in the same order and builds only the accepted states.
+# --- the phase draw, one candidate row at a time --------------------------
+# ``properties._draw`` draws a stack's trials phase by phase: for each local
+# dimension d, ascending, rounds of candidate rows, one ``rng.random(size)``
+# call per candidate here, until d's trials have their states; the first
+# accepted candidates are theirs, in trial order.  A candidate reads its
+# doubles in order as ``rng.uniform`` values and builds its system with the
+# public one-state constructor; one that raises, or a population under the
+# floor, rejects it.  Then each d's rotations, and the trailing uniforms and
+# integers, one scalar call per trial.
 
-def random_two_qubit_system(rng, coherent=True):
-    while True:
-        beta_h = rng.uniform(0.1, 1.2)
-        beta_c = beta_h + rng.uniform(0.1, 1.5)
-        probe_params = states.TwoQubitParams(beta_c, beta_h, 0.0)
-        lo, hi = probe_params.p00_bounds()
-        p00 = lo + rng.uniform(0.08, 0.92) * (hi - lo)
-        base = states.TwoQubitParams(beta_c, beta_h, p00)
-        eta = rng.uniform(-0.95, 0.95) * base.eta_cap() if coherent else 0.0
-        xi = rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0
-        params = states.TwoQubitParams(beta_c, beta_h, p00, eta, xi)
-        sys = states.two_qubit_state(params)
-        if sys.populations().min() >= MIN_POPULATION:
-            return sys, params
+TAU = 2.0 * np.pi
 
 
-def random_two_qutrit_system(rng, coherent=True):
-    while True:
-        e1 = rng.uniform(0.7, 1.3)
-        e2 = e1 + rng.uniform(0.2, 0.8)
-        if abs(e2 - 2.0 * e1) < 5e-3:
-            continue
-        beta_h = rng.uniform(0.1, 0.8)
-        beta_c = beta_h + rng.uniform(0.2, 1.0)
-        spec = EnergySpectrum((0.0, e1, e2))
-        prod = np.outer(thermal_populations(spec, beta_c), thermal_populations(spec, beta_h)).ravel()
-        free = [prod[k] * rng.uniform(0.7, 1.3) for k in (0, 5, 7, 8)]
-        eta = [rng.uniform(0.2, 0.95) if coherent else 0.0 for _ in range(3)]
-        xi = [rng.uniform(0.0, 2.0 * np.pi) if coherent else 0.0 for _ in range(3)]
-        params = states.QutritStateParams(beta_c, beta_h, e1, e2, *free, *eta, *xi)
-        try:
-            sys = states.two_qutrit_state(params)
-        except states.InfeasibleStateError:
-            continue
-        if sys.populations().min() >= MIN_POPULATION:
-            return sys, params
+def _reader(row):
+    """``uniform(lo, hi)``: lo + (hi - lo) times the next double of the candidate row."""
+    doubles = iter(row.tolist())
+    return lambda lo, hi: lo + (hi - lo) * next(doubles)
 
 
-def random_qudit_system(rng, d=4):
-    while True:
-        levels = [0.0]
-        for _ in range(d - 1):
-            levels.append(levels[-1] + rng.uniform(0.5, 1.7))
-        spec = EnergySpectrum(tuple(levels))
-        if not spec.bohr_nondegenerate(1e-3):
-            continue
-        beta_h = rng.uniform(0.1, 0.6)
-        beta_c = beta_h + rng.uniform(0.2, 0.8)
-        prod = np.outer(thermal_populations(spec, beta_c), thermal_populations(spec, beta_h)).ravel()
-        keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
-        free = {k: prod[k] * rng.uniform(0.8, 1.2) for k in keys}
-        eta_map = {(n, m): rng.uniform(0.2, 0.95) for n in range(d) for m in range(n + 1, d)}
-        xi_map = {pair: rng.uniform(0.0, 2.0 * np.pi) for pair in eta_map}
-        try:
-            sys = states.qudit_locally_thermal(spec, beta_c, beta_h, free, eta_map, xi_map)
-        except states.InfeasibleStateError:
-            continue
-        if sys.populations().min() >= QUDIT_MIN_POPULATION:
-            return sys
+def two_qubit_candidate(uniform, coherent=True):
+    beta_h = uniform(0.1, 1.2)
+    beta_c = beta_h + uniform(0.1, 1.5)
+    lo, hi = states.TwoQubitParams(beta_c, beta_h, 0.0).p00_bounds()
+    p00 = lo + uniform(0.08, 0.92) * (hi - lo)
+    eta = uniform(-0.95, 0.95) * states.TwoQubitParams(beta_c, beta_h, p00).eta_cap() if coherent else 0.0
+    xi = uniform(0.0, TAU) if coherent else 0.0
+    params = states.TwoQubitParams(beta_c, beta_h, p00, eta, xi)
+    sys = states.two_qubit_state(params)
+    return (sys, params) if sys.populations().min() >= MIN_POPULATION else None
+
+
+def two_qutrit_candidate(uniform, coherent=True):
+    e1 = uniform(0.7, 1.3)
+    e2 = e1 + uniform(0.2, 0.8)
+    beta_h = uniform(0.1, 0.8)
+    beta_c = beta_h + uniform(0.2, 1.0)
+    if abs(e2 - 2.0 * e1) < 5e-3:
+        return None
+    spec = EnergySpectrum((0.0, e1, e2))
+    prod = np.outer(thermal_populations(spec, beta_c), thermal_populations(spec, beta_h)).ravel()
+    free = [prod[k] * uniform(0.7, 1.3) for k in (0, 5, 7, 8)]
+    eta = [uniform(0.2, 0.95) if coherent else 0.0 for _ in range(3)]
+    xi = [uniform(0.0, TAU) if coherent else 0.0 for _ in range(3)]
+    params = states.QutritStateParams(beta_c, beta_h, e1, e2, *free, *eta, *xi)
+    try:
+        sys = states.two_qutrit_state(params)
+    except states.InfeasibleStateError:
+        return None
+    return (sys, params) if sys.populations().min() >= MIN_POPULATION else None
+
+
+def qudit_candidate(uniform, d):
+    """Golomb-ruler levels scaled to a drawn span, betas under the population
+    budget, free populations jittered by at most the least Gibbs product less the floor."""
+    marks = states.RULERS[d]
+    span = uniform(0.5, 1.7) * (d - 1)
+    spec = EnergySpectrum(tuple(span * m / marks[-1] for m in marks))
+    budget = math.log(0.5 / (d * d * QUDIT_MIN_POPULATION))
+    beta_h = uniform(0.05, 0.25) * budget / span
+    beta_c = beta_h + uniform(0.1, 0.45) * budget / span
+    c, h = thermal_populations(spec, beta_c), thermal_populations(spec, beta_h)
+    spread = c.min() * h.min() - QUDIT_MIN_POPULATION
+    prod = np.outer(c, h).ravel()
+    keys = [0] + [n * d + m for n in range(1, d) for m in range(1, d) if (n, m) != (1, 1)]
+    free = {k: prod[k] * uniform(1.0 - spread, 1.0 + spread) for k in keys}
+    eta_map = {(n, m): uniform(0.2, 0.95) for n in range(d) for m in range(n + 1, d)}
+    xi_map = {pair: uniform(0.0, TAU) for pair in eta_map}
+    try:
+        sys = states.qudit_locally_thermal(spec, beta_c, beta_h, free, eta_map, xi_map)
+    except states.InfeasibleStateError:
+        return None
+    return (sys, None) if sys.populations().min() >= QUDIT_MIN_POPULATION else None
+
+
+def candidate_size(d, coherent=True):
+    """The doubles one candidate reads: 3 at d = 2, 8 at d = 3, 3 + (d - 1)**2 above, then eta and xi per manifold."""
+    return (3 if d == 2 else 8 if d == 3 else 3 + (d - 1) ** 2) + (d * (d - 1) if coherent else 0)
+
+
+def candidate(row, d, coherent=True):
+    """(system, parameters or None) of the candidate whose doubles are ``row``, or None when it is rejected."""
+    uniform = _reader(row)
+    if d == 2:
+        return two_qubit_candidate(uniform, coherent)
+    return two_qutrit_candidate(uniform, coherent) if d == 3 else qudit_candidate(uniform, d)
 
 
 def random_rotations(rng, spec):
     return [
-        ManifoldRotation((n, m), rng.uniform(0.0, np.pi), *(rng.uniform(0.0, 2.0 * np.pi) for _ in range(3)))
+        ManifoldRotation((n, m), rng.uniform(0.0, np.pi), *(rng.uniform(0.0, TAU) for _ in range(3)))
         for n in range(spec.dim) for m in range(n + 1, spec.dim)
     ]
 
 
-def random_system(rng, dim, coherent=True):
-    """The system ``properties`` draws at local dimension ``dim``; every qudit draw is coherent."""
-    if dim == 2:
-        return random_two_qubit_system(rng, coherent)[0]
-    return random_two_qutrit_system(rng, coherent)[0] if dim == 3 else random_qudit_system(rng, dim)
+class Trial(NamedTuple):
+    """One drawn trial: its system and parameters, its rotations and unitary (or None), its trailing uniforms and integers."""
+
+    sys: BipartiteSystem
+    params: object
+    rots: list | None
+    u: UnitaryReport | None
+    uniforms: list
+    integers: list
+
+
+def draw(rng, dims, coherent=True, rotations=True, uniforms=(), integers=()) -> list:
+    """The ``Trial`` of each local dimension of ``dims``, drawn as ``properties._draw`` draws one stack."""
+    drawn = {}
+    for d in sorted(set(dims)):
+        accepted = []
+        while (wanted := dims.count(d) - len(accepted)):  # a round of one candidate per state still wanted
+            rows = [rng.random(candidate_size(d, coherent)) for _ in range(wanted)]
+            accepted += [c for c in (candidate(row, d, coherent) for row in rows) if c is not None][:wanted]
+        drawn[d] = accepted
+    picked = [drawn[d].pop(0) for d in dims]  # the accepted states of each d in trial order
+    order = sorted(range(len(dims)), key=lambda k: dims[k])  # stable: each d's trials in trial order
+    rots = {k: random_rotations(rng, picked[k][0].spectrum_c) for k in order} if rotations else {}
+    tails = [[rng.uniform(lo, hi) for _ in dims] for lo, hi in uniforms]
+    ints = [[int(rng.integers(0, hi or d)) for d in dims] for hi in integers]
+    return [
+        Trial(sys, params, rots.get(k), dynamics.energy_preserving_unitary(sys.spectrum_c, rots[k]) if rotations else None,
+              [tail[k] for tail in tails], [column[k] for column in ints])
+        for k, (sys, params) in enumerate(picked)
+    ]
 
 
 def random_system_and_unitary(rng, dim):
-    sys = random_system(rng, dim)
-    rots = random_rotations(rng, sys.spectrum_c)
-    return sys, dynamics.energy_preserving_unitary(sys.spectrum_c, rots), rots
+    (t,) = draw(rng, [dim])
+    return t.sys, t.u, t.rots
 
 
 # --- properties: the trial-by-trial bodies of the stacked ones ------------
-# A body of the form (rng, k) -> (deviation, failures) is one trial; the
-# others take (rng, n) -> (failures, max_dev, note).
+# Each stacked property draws its trials a stack of STACK_TRIALS at a time
+# (``trials``), phase by phase: ``DRAWS`` gives, for a stack of k trials,
+# its k trials' draws, made one scalar call or one candidate row at a time.
+# A body of the form (trial, k) -> (deviation, failures) is one drawn trial
+# (``kron-algebra``'s, of the form (rng, k), draws its own normals, each
+# trial's as one row of the property's block); the others take
+# (rng, n) -> (failures, max_dev, note).
 
-def prop_unitarity(rng, k):
-    dim = int(rng.integers(2, 5))
-    sys, u, rots = random_system_and_unitary(rng, dim if dim <= 3 else 4)
+
+def _states(dims, **pattern):
+    """A stack's ``Trial``s at the local dimensions ``dims(rng, k)`` of its k trials."""
+    return lambda rng, k: draw(rng, dims(rng, k), **pattern)
+
+
+def _columns(*draws):
+    """A stack's trials of scalars: each of ``draws`` (rng -> value) made for every trial, one column after another."""
+    return lambda rng, k: list(zip(*([one(rng) for _ in range(k)] for one in draws)))
+
+
+def _uniform(lo, hi):
+    return lambda rng: rng.uniform(lo, hi)
+
+
+def _partial_ops_trials(rng, k):
+    """(d_C, d_H, A, B) of each trial: every trial's (d_C, d_H), then A and B of each pair's trials, pairs ascending."""
+    dims = [(int(rng.integers(2, 4)), int(rng.integers(2, 4))) for _ in range(k)]
+    pairs = {j: tuple(_random_complex(rng, side) for side in pair) for pair in sorted(set(dims)) for j in range(k) if dims[j] == pair}
+    return [(*dims[j], *pairs[j]) for j in range(k)]
+
+
+def _mixed(rng, n):
+    return ([2, 3] * n)[:n]
+
+
+def _only(d):
+    return lambda rng, n: [d] * n
+
+
+DRAWS = {
+    "partial-ops": _partial_ops_trials,
+    "unitarity": _states(lambda rng, n: [int(rng.integers(2, 5)) for _ in range(n)]),
+    "state-validity": _states(_mixed, rotations=False),
+    "dephase": _states(_only(3), rotations=False),
+    "mh-marginals": _states(_mixed),
+    "table-norm-range": _states(_mixed),
+    "heat-identities": _states(_mixed),
+    "mh-tpm-dephased": _states(_only(2)),
+    "two-qubit-closed-forms": _states(_only(2), rotations=False, uniforms=((0.0, np.pi), (0.0, TAU), (0.0, TAU))),
+    "qudit-closed-forms": _states(lambda rng, n: ([3, 4] * n)[:n]),
+    "xft-identity": _states(_mixed),
+    "j-identity": _states(_mixed),
+    "witness-soundness-nonideal": _states(_only(2), rotations=False, uniforms=((100.0, 400.0), (0.0, 6e-3), (0.0, 60.0))),
+    "t1-strong-flow": _states(_only(2), rotations=False, uniforms=((0.0, np.pi),)),
+    "tpm-no-backflow": _states(_only(2), coherent=False, rotations=False, uniforms=((0.0, np.pi),)),
+    "all-negative-direction": _states(_only(3), rotations=False),
+    "delta-q-max": _states(_only(3), rotations=False),
+    "probe-exactness": _states(_mixed, integers=(None, None)),
+    "probe-disturbance": _states(_only(2), rotations=False, integers=(4,)),
+    "probe-sampling": _states(_only(2), integers=(2**31,)),
+    "p00-bounds": _columns(_uniform(0.1, 1.2), _uniform(0.1, 1.5), _uniform(0.0, 1.0)),
+    "strong-backflow-threshold": _columns(_uniform(0.1, 1.0), _uniform(0.1, 1.0), lambda rng: int(rng.integers(2, 5))),
+}
+
+
+def trials(rng, n, name) -> list:
+    """The n trials of property ``name``, drawn a stack at a time."""
+    return [t for start in range(0, n, STACK_TRIALS) for t in DRAWS[name](rng, min(STACK_TRIALS, n - start))]
+
+
+def trial_by_trial(name, rng, n) -> list:
+    """[(deviation, failures)] of the n trials of stacked property ``name``, one at a time."""
+    body = globals()["prop_" + name.replace("-", "_")]
+    if name in DRAWS:
+        return [body(t, k) for k, t in enumerate(trials(rng, n, name))]
+    return [body(rng, k) for k in range(n)]
+
+
+def prop_unitarity(t, k):
+    sys, u, rots = t.sys, t.u, t.rots
     mat = u.matrix
     dev = qlinalg.spectral_norm(mat @ mat.conj().T - np.eye(mat.shape[0]))
     dev = max(dev, u.commutator_norm)
@@ -890,8 +1010,8 @@ def prop_unitarity(rng, k):
     return dev, dev >= 1e-10
 
 
-def prop_state_validity(rng, k):
-    sys, _ = (random_two_qubit_system if k % 2 == 0 else random_two_qutrit_system)(rng)
+def prop_state_validity(t, k):
+    sys = t.sys
     target_c = states.thermal_populations(sys.spectrum_c, sys.beta_c)
     target_h = states.thermal_populations(sys.spectrum_h, sys.beta_h)
     dev = np.max(np.abs(np.diag(sys.marginal_c()).real - target_c))
@@ -901,9 +1021,8 @@ def prop_state_validity(rng, k):
     return dev, dev >= 1e-9
 
 
-def prop_probe_disturbance(rng, k):
-    sys, _ = random_two_qubit_system(rng)
-    idx = int(rng.integers(0, 4))
+def prop_probe_disturbance(t, k):
+    sys, (idx,) = t.sys, t.integers
     pi_op = np.zeros((4, 4), dtype=complex)
     pi_op[idx, idx] = 1.0
     flip = 2.0 * pi_op - np.eye(4)
@@ -916,12 +1035,12 @@ def prop_probe_disturbance(rng, k):
     return prev, failures
 
 
-def prop_p00_bounds(rng, k):
-    beta_h = rng.uniform(0.1, 1.2)
-    beta_c = beta_h + rng.uniform(0.1, 1.5)
+def prop_p00_bounds(t, k):
+    beta_h, gap, fraction = t
+    beta_c = beta_h + gap
     base = states.TwoQubitParams(beta_c, beta_h, 0.0)
     lo, hi = base.p00_bounds()
-    inside = lo + rng.uniform(0.0, 1.0) * (hi - lo)
+    inside = lo + fraction * (hi - lo)
     states.two_qubit_state(states.TwoQubitParams(beta_c, beta_h, inside))
     cap = states.TwoQubitParams(beta_c, beta_h, inside).eta_cap()
     failures = 0
@@ -936,8 +1055,10 @@ def prop_p00_bounds(rng, k):
     return max(0.0, -float(np.linalg.eigvalsh(sys.rho)[0])), failures
 
 
-def prop_dephase(rng, k):
-    sys, _ = random_two_qutrit_system(rng)
+
+
+def prop_dephase(t, k):
+    sys = t.sys
     deph = states.dephase(sys)
     twice = states.dephase(deph)
     dev = np.max(np.abs(twice.rho - deph.rho))
@@ -951,8 +1072,8 @@ def prop_dephase(rng, k):
     return dev, dev >= 1e-12
 
 
-def prop_mh_marginals(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+def prop_mh_marginals(t, k):
+    sys, u = t.sys, t.u
     mh = fluctuations.mh_distribution(sys, u)
     dev = marginal_check(mh, sys, u)
     tpm = fluctuations.tpm_distribution(sys, u)
@@ -964,10 +1085,9 @@ def prop_table_norm_range(rng, n):
     failures = 0
     worst_sum = 0.0
     lowest = 0.0
-    for k in range(n):
-        sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
-        mh = fluctuations.mh_distribution(sys, u)
-        tpm = fluctuations.tpm_distribution(sys, u)
+    for t in trials(rng, n, "table-norm-range"):
+        mh = fluctuations.mh_distribution(t.sys, t.u)
+        tpm = fluctuations.tpm_distribution(t.sys, t.u)
         sums = (abs(mh.values.sum() - 1.0), abs(tpm.values.sum() - 1.0))
         worst_sum = max(worst_sum, *sums)
         lowest = min(lowest, mh.min_entry())
@@ -981,8 +1101,8 @@ def prop_table_norm_range(rng, n):
     return failures, worst_sum, f"sum=1; min MH entry seen {lowest:.4f} >= -1/8"
 
 
-def prop_heat_identities(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+def prop_heat_identities(t, k):
+    sys, u = t.sys, t.u
     mh = fluctuations.mh_distribution(sys, u)
     tpm = fluctuations.tpm_distribution(sys, u)
     q = average_heat(sys, u)
@@ -994,8 +1114,8 @@ def prop_heat_identities(rng, k):
     return dev, dev >= 1e-10
 
 
-def prop_mh_tpm_dephased(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2)
+def prop_mh_tpm_dephased(t, k):
+    sys, u = t.sys, t.u
     diag = sys.with_rho(np.diag(np.diag(sys.rho)))
     dev = np.max(
         np.abs(
@@ -1017,10 +1137,8 @@ def prop_mh_tpm_dephased(rng, k):
     return dev, dev >= 1e-12
 
 
-def prop_two_qubit_closed_forms(rng, k):
-    sys, params = random_two_qubit_system(rng)
-    theta = rng.uniform(0.0, np.pi)
-    phi, lam = rng.uniform(0.0, 2.0 * np.pi, size=2)
+def prop_two_qubit_closed_forms(t, k):
+    sys, params, (theta, phi, lam) = t.sys, t.params, t.uniforms
     u = dynamics.two_qubit_exchange_unitary(theta, lam=lam, phi=phi)
     mh = fluctuations.mh_distribution(sys, u)
     tpm = fluctuations.tpm_distribution(sys, u)
@@ -1054,8 +1172,8 @@ def prop_two_qubit_closed_forms(rng, k):
     return dev, dev >= 1e-12
 
 
-def prop_qudit_closed_forms(rng, k):
-    sys, u, rots = random_system_and_unitary(rng, 3 + k % 2)
+def prop_qudit_closed_forms(t, k):
+    sys, u, rots = t.sys, t.u, t.rots
     mh, tpm = fluctuations.mh_distribution(sys, u), fluctuations.tpm_distribution(sys, u)
     pw, tp = fluctuations.exchange_manifold_pw(sys, rots), fluctuations.exchange_manifold_tpm(sys, rots)
     dev = max([0.0, *(abs(v - mh.entry(*key)) for key, v in pw.items()), *(abs(v - tpm.entry(*key)) for key, v in tp.items())])
@@ -1065,8 +1183,8 @@ def prop_qudit_closed_forms(rng, k):
 def prop_all_negative_direction(rng, n):
     failures = checked = 0
     pairs = ((0, 1), (0, 2), (1, 2))
-    for _ in range(n):
-        sys, _ = random_two_qutrit_system(rng)
+    for t in trials(rng, n, "all-negative-direction"):
+        sys = t.sys
         pops = sys.populations()
         coh = [sys.rho[3 * lo + hi, 3 * hi + lo] for lo, hi in pairs]
         if min(map(abs, coh)) < 1e-6:
@@ -1091,8 +1209,8 @@ def prop_all_negative_direction(rng, n):
     return failures, float(checked), note
 
 
-def prop_delta_q_max(rng, k):
-    sys, _ = random_two_qutrit_system(rng)
+def prop_delta_q_max(t, k):
+    sys = t.sys
     target = fluctuations.max_heat_coherence_shift(sys)
     # phases tuned so cos(xi + phi + lam) = 1, theta = pi/4 on all manifolds
     rots = [
@@ -1106,10 +1224,9 @@ def prop_delta_q_max(rng, k):
     return dev, dev >= 1e-12
 
 
-def prop_probe_exactness(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+def prop_probe_exactness(t, k):
+    sys, u, (i_c, i_h) = t.sys, t.u, t.integers
     mh = fluctuations.mh_distribution(sys, u)
-    i_c, i_h = int(rng.integers(0, sys.d_c)), int(rng.integers(0, sys.d_h))
     failures, worst, recs = 0, 0.0, []
     for eps in (0.05, 0.2, np.pi / 4.0):
         stats = probe_statistics(sys, u, (i_c, i_h), eps)
@@ -1131,10 +1248,9 @@ def prop_probe_exactness(rng, k):
 
 def prop_probe_sampling(rng, n):
     failures, worst = 0, 0.0
-    for _ in range(max(1, min(n, 20))):
-        sys, u, _ = random_system_and_unitary(rng, 2)
-        stats = probe_statistics(sys, u, (0, 1), 0.2)
-        seed = int(rng.integers(0, 2**31))
+    for t in trials(rng, max(1, min(n, 20)), "probe-sampling"):
+        stats = probe_statistics(t.sys, t.u, (0, 1), 0.2)
+        (seed,) = t.integers
         s1 = probe.sampled_reconstruction(stats, 10**5, seed)
         s2 = probe.sampled_reconstruction(stats, 10**5, seed)
         failures += not (np.array_equal(s1.values, s2.values) and np.array_equal(s1.stderr, s2.stderr))
@@ -1145,8 +1261,8 @@ def prop_probe_sampling(rng, n):
     return failures, worst, "deterministic seeding; 5-sigma agreement at 1e5 shots"
 
 
-def prop_xft_identity(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+def prop_xft_identity(t, k):
+    sys, u = t.sys, t.u
     mh = fluctuations.mh_distribution(sys, u)
     rep = fluctuations.xft_average(mh, sys).with_chi(
         fluctuations.xft_coherence_term(sys, u)
@@ -1155,8 +1271,8 @@ def prop_xft_identity(rng, k):
     return dev, dev >= 1e-8
 
 
-def prop_j_identity(rng, k):
-    sys, u, _ = random_system_and_unitary(rng, 2 if k % 2 == 0 else 3)
+def prop_j_identity(t, k):
+    sys, u = t.sys, t.u
     mh = fluctuations.mh_distribution(sys, u)
     corr = fluctuations.heat_exp_correction(sys, u)
     dbeta = sys.beta_c - sys.beta_h
@@ -1168,9 +1284,8 @@ def prop_j_identity(rng, k):
 def prop_t1_violation_implies_strong_flow(rng, n):
     failures = 0
     seen = 0
-    for _ in range(n):
-        sys, params = random_two_qubit_system(rng)
-        theta = rng.uniform(0.0, np.pi)
+    for t in trials(rng, n, "t1-strong-flow"):
+        sys, params, (theta,) = t.sys, t.params, t.uniforms
         u = dynamics.two_qubit_exchange_unitary(theta)
         mh = fluctuations.mh_distribution(sys, u)
         tpm = fluctuations.tpm_distribution(sys, u)
@@ -1186,9 +1301,8 @@ def prop_t1_violation_implies_strong_flow(rng, n):
 def prop_tpm_no_backflow(rng, n):
     failures = 0
     worst = -np.inf
-    for _ in range(n):
-        sys, params = random_two_qubit_system(rng, coherent=False)
-        theta = rng.uniform(0.0, np.pi)
+    for t in trials(rng, n, "tpm-no-backflow"):
+        sys, (theta,) = t.sys, t.uniforms
         u = dynamics.two_qubit_exchange_unitary(theta)
         q_tpm = fluctuations.table_heat(fluctuations.tpm_distribution(sys, u))
         q = average_heat(sys, u)
@@ -1197,19 +1311,25 @@ def prop_tpm_no_backflow(rng, n):
     return failures, worst, "Q_tpm <= 0 and Q(eta=0) = Q_tpm"
 
 
-def prop_witness_soundness_nonideal(rng, n):
-    failures = 0
-    for _ in range(n):
-        sys, _ = random_two_qubit_system(rng)
-        j_hz, t, jx = rng.uniform(100.0, 400.0), rng.uniform(0.0, 6e-3), rng.uniform(0.0, 60.0)
-        u = dynamics.perturbed_xy_unitary(j_hz, jx, t)
-        sys = sys.with_rho(_edge_rho(sys.rho[None], *_tables(sys.stack, u.stack))[0])
+def nonideal_soundness_counts(rng, n) -> list:
+    """Per nonnegative two-qubit instance under its drawn perturbed XY unitary: how many of T2 and T3-nonideal read violated."""
+    counts = []
+    for t in trials(rng, n, "witness-soundness-nonideal"):
+        j_hz, t_int, jx = t.uniforms
+        u = dynamics.perturbed_xy_unitary(j_hz, jx, t_int)
+        sys = t.sys.with_rho(_edge_rho(t.sys.rho[None], *_tables(t.sys.stack, u.stack))[0])
         mh, tpm = fluctuations.mh_distribution(sys, u), fluctuations.tpm_distribution(sys, u)
         q, q_tpm = fluctuations.table_heat(mh), fluctuations.table_heat(tpm)
-        failures += witnesses.nonideal_flow_witness(q, q_tpm, sys.beta_c, sys.beta_h, 1.0, 1.0, u.epsilon).violated
+        count = witnesses.nonideal_flow_witness(q, q_tpm, sys.beta_c, sys.beta_h, 1.0, 1.0, u.epsilon).violated
         with suppress(fluctuations.DivergenceError):
             rep = fluctuations.xft_average(mh, sys).with_chi(fluctuations.xft_coherence_term(sys, u))
-            failures += witnesses.xft_flow_witness(q, rep, sys.beta_c, sys.beta_h, epsilon_work=rep.max_energy_mismatch).violated
+            count += witnesses.xft_flow_witness(q, rep, sys.beta_c, sys.beta_h, epsilon_work=rep.max_energy_mismatch).violated
+        counts.append(int(count))
+    return counts
+
+
+def prop_witness_soundness_nonideal(rng, n):
+    failures = sum(nonideal_soundness_counts(rng, n))
     return failures, float(failures), "perturbed dynamics: T2 / nonideal T3 stay sound"
 
 
@@ -1225,9 +1345,8 @@ def prop_kron_algebra(rng, k):
     return dev, dev >= 1e-12
 
 
-def prop_partial_ops(rng, k):
-    d_c, d_h = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-    a, b = _random_complex(rng, d_c), _random_complex(rng, d_h)
+def prop_partial_ops(t, k):
+    d_c, d_h, a, b = t
     m = qlinalg.kron(a, b)
     dev = np.max(np.abs(qlinalg.partial_trace(m, (d_c, d_h), "H") - np.trace(b) * a))
     dev = max(dev, np.max(np.abs(qlinalg.partial_trace(m, (d_c, d_h), "C") - np.trace(a) * b)))
@@ -1246,10 +1365,9 @@ def prop_partial_ops(rng, k):
     return dev, dev >= 1e-10
 
 
-def prop_strong_backflow_threshold(rng, k):
-    beta_h = rng.uniform(0.1, 1.0)
-    beta_c = beta_h + rng.uniform(0.1, 1.0)
-    d = int(rng.integers(2, 5))
+def prop_strong_backflow_threshold(t, k):
+    beta_h, gap, d = t
+    beta_c = beta_h + gap
     threshold = np.log(d) / (beta_c - beta_h)
     above = strong_backflow_witness(threshold * 1.001, beta_c, beta_h, d)
     below = strong_backflow_witness(threshold * 0.999, beta_c, beta_h, d)

@@ -581,7 +581,7 @@ def test_j_term_divergence_for_vanishing_marginal():
 def test_stacks_equal_single_cell_functions_bit_for_bit(d):
     # three states with their own spectra, cells of each interleaved in one stack
     rng = np.random.default_rng(40 + d)
-    drawn = _draw(rng, [d] * 3).groups[0].st  # the states of random_system_and_unitary
+    drawn = _draw(rng, [d] * 3)[0].st  # the states of random_system_and_unitary
     systems = [reference.checked_system(drawn, k) for k in range(3)]
     state_of = np.array([0, 1, 2, 0, 0, 2, 1])
     draws = [random_rotations(rng, systems[i].spectrum_c) for i in state_of]

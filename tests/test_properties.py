@@ -141,7 +141,7 @@ def test_a_systems_row_equals_the_eager_one_column_by_column():
         for name, got, want in zip(StateStack._fields, row, eager):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
         assert sys.stack.dims == sys.dims
-    st = properties._draw(np.random.default_rng(5), [2]).groups[0].st  # the state of _systems()[0]
+    st = properties._draw(np.random.default_rng(5), [2])[0].st  # the state of _systems()[0]
     errors, stacked = states.entry_stack(*reference.entry_columns(st, np.zeros(3, int)))
     assert errors == [None] * 3
     for name, got, want in zip(StateStack._fields, stacked, _systems()[0].stack):
@@ -196,31 +196,24 @@ def test_a_nan_entry_fails_the_kernel_and_the_reference_alike():
 # drawn states: parameters first, then one stack
 # ---------------------------------------------------------------------------
 
-def _reference_draws(rng, dims, coherent=True, rotations=True, uniforms=(), integers=()):
-    """(system, rotations or None, uniforms, integers) of each trial, drawn
-    by the reference generators one attempt at a time in ``_draw``'s order."""
-    out = []
-    for spec in dims:
-        d = spec if isinstance(spec, int) else int(rng.integers(*spec))
-        sys = reference.random_system(rng, d, coherent)
-        rots = reference.random_rotations(rng, sys.spectrum_c) if rotations else None
-        tail = [rng.uniform(lo, hi) for lo, hi in uniforms]
-        out.append((sys, rots, tail, [int(rng.integers(0, hi or d)) for hi in integers]))
-    return out
-
-
 def _assert_draws_equal_the_scalar_generators(seed, dims, **pattern):
+    """``properties._draw`` against the reference's row-at-a-time draw: every state, angle, uniform
+    and integer, each state also checked alone, and the generator state afterwards."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    rng.integers(0, 4)  # a 32-bit half waits in the stash: the first bounded integer of a trial takes it
+    rng.integers(0, 4)  # a 32-bit half waits in the stash: the first bounded integer drawn takes it
     ref_rng.integers(0, 4)
-    draws, want = properties._draw(rng, dims, **pattern), _reference_draws(ref_rng, dims, **pattern)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same attempts accepted, the same words used
-    assert sorted(k for g in draws.groups for k in g.at) == list(range(len(dims)))
-    for g in draws.groups:
+    groups = properties._draw(rng, dims, pattern.get("coherent", True), pattern.get("rotations", True))
+    # what a property draws after the states, each column as one call
+    tails = [rng.uniform(lo, hi, len(dims)) for lo, hi in pattern.get("uniforms", ())]
+    ints = [rng.integers(0, hi or np.array(dims), len(dims)) for hi in pattern.get("integers", ())]
+    want = reference.draw(ref_rng, list(dims), **pattern)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same candidates accepted, the same calls made
+    assert sorted(k for g in groups for k in g.at) == list(range(len(dims)))
+    for g in groups:
         st = g.st
         gibbs = states.gibbs_stack(st.levels_c, st.beta_c), states.gibbs_stack(st.levels_h, st.beta_h)
         for j, k in enumerate(g.at):
-            sys, rots, _, _ = want[k]
+            sys, rots = want[k].sys, want[k].rots
             drawn = st.system(j)
             one = BipartiteSystem(drawn.spectrum_c, drawn.spectrum_h, drawn.rho, drawn.beta_c, drawn.beta_h)  # checked alone
             for name, got, alone, ref in zip(StateStack._fields, st.take(slice(j, j + 1)), one.stack, reference.eager_state_row(sys)):
@@ -231,9 +224,8 @@ def _assert_draws_equal_the_scalar_generators(seed, dims, **pattern):
             assert reference.validation_failure(sys.spectrum_c, sys.spectrum_h, st.rho[j], sys.beta_c, sys.beta_h) is None
             if rots is not None:
                 assert properties._rotation_list(g, j) == rots, (seed, k)
-    for column, values in zip(draws.uniforms, zip(*(tail for _, _, tail, _ in want))):
-        assert column.tobytes() == np.array(values).tobytes()
-    assert draws.integers.tolist() == [ints for _, _, _, ints in want]
+    assert [column.tobytes() for column in tails] == [np.array(values).tobytes() for values in zip(*(t.uniforms for t in want))]
+    assert [column.tolist() for column in ints] == [list(values) for values in zip(*(t.integers for t in want))]
 
 
 DRAWS = [(2, True), (2, False), (3, True), (3, False), (4, True), (8, True)]  # every qudit draw is coherent
@@ -247,17 +239,23 @@ def test_drawn_stacks_equal_the_scalar_generators_bit_for_bit(d, coherent):
                 _assert_draws_equal_the_scalar_generators(seed, [d] * n, coherent=coherent, rotations=rotations)
 
 
-PATTERNS = {  # the draw of each property, by the dimensions of its n trials and what each trial draws after its state
-    "mixed-2-3": (lambda n: ([2, 3] * n)[:n], {}),
-    "mixed-3-4": (lambda n: ([3, 4] * n)[:n], {}),
-    "picked-dims": (lambda n: [(2, 5)] * n, {}),  # unitarity: d = rng.integers(2, 5) first
-    "closed-form-angles": (lambda n: [2] * n, {"rotations": False, "uniforms": ((0.0, np.pi), (0.0, properties.TAU), (0.0, properties.TAU))}),
-    "exchange-angle": (lambda n: [2] * n, {"rotations": False, "uniforms": ((0.0, np.pi),)}),
-    "incoherent-exchange-angle": (lambda n: [2] * n, {"coherent": False, "rotations": False, "uniforms": ((0.0, np.pi),)}),
-    "perturbed-xy": (lambda n: [2] * n, {"rotations": False, "uniforms": ((100.0, 400.0), (0.0, 6e-3), (0.0, 60.0))}),
-    "probe-targets": (lambda n: ([2, 3] * n)[:n], {"integers": (None, None)}),
-    "probe-index": (lambda n: [2] * n, {"rotations": False, "integers": (4,)}),
-    "probe-seed": (lambda n: [2] * n, {"integers": (2**31,)}),
+@pytest.mark.parametrize("d", [12, 16])
+def test_drawn_qudit_stacks_at_d_12_and_16_equal_the_reference_bit_for_bit(d):
+    for n in (1, 3):
+        _assert_draws_equal_the_scalar_generators(0, [d] * n, rotations=n > 1)
+
+
+PATTERNS = {  # the draw of each property, by the dimensions of a stack of n trials and what each trial draws after its state
+    "mixed-2-3": (lambda rng, n: ([2, 3] * n)[:n], {}),
+    "mixed-3-4": (lambda rng, n: ([3, 4] * n)[:n], {}),
+    "picked-dims": (lambda rng, n: rng.integers(2, 5, n).tolist(), {}),  # unitarity: the stack's dimensions drawn first
+    "closed-form-angles": (lambda rng, n: [2] * n, {"rotations": False, "uniforms": ((0.0, np.pi), (0.0, properties.TAU), (0.0, properties.TAU))}),
+    "exchange-angle": (lambda rng, n: [2] * n, {"rotations": False, "uniforms": ((0.0, np.pi),)}),
+    "incoherent-exchange-angle": (lambda rng, n: [2] * n, {"coherent": False, "rotations": False, "uniforms": ((0.0, np.pi),)}),
+    "perturbed-xy": (lambda rng, n: [2] * n, {"rotations": False, "uniforms": ((100.0, 400.0), (0.0, 6e-3), (0.0, 60.0))}),
+    "probe-targets": (lambda rng, n: ([2, 3] * n)[:n], {"integers": (None, None)}),
+    "probe-index": (lambda rng, n: [2] * n, {"rotations": False, "integers": (4,)}),
+    "probe-seed": (lambda rng, n: [2] * n, {"integers": (2**31,)}),
 }
 
 
@@ -266,55 +264,42 @@ def test_block_draws_of_every_pattern_equal_the_scalar_generators_bit_for_bit(na
     dims, pattern = PATTERNS[name]
     for n in (1, properties.STACK_TRIALS - 1, properties.STACK_TRIALS, properties.STACK_TRIALS + 1):
         for seed in (0, 3):
-            _assert_draws_equal_the_scalar_generators(seed, dims(n), **pattern)
-
-
-@pytest.mark.parametrize("hi", [2, 3, 4, 5, 2**31, 3 * 2**30, 2**32 - 1])
-def test_a_bounded_integer_takes_numpys_words_and_stash(hi):
-    """``_integer`` against ``rng.integers(0, hi)``, doubles drawn between:
-    hi = 3 * 2**30 redraws a quarter of its halves, 2**32 - 1 all but none."""
-    rng, twin = np.random.default_rng(hi), np.random.default_rng(hi)
-    state = twin.bit_generator.state
-    words, i, stash = twin.bit_generator.random_raw(4000), 0, (state["has_uint32"], state["uinteger"])
-    for k in range(1000):
-        if k % 3 == 0:  # a double between: one word, the stash left as it is
-            rng.random()
-            i += 1
-        value, i, stash = properties._integer(words, i, stash, 0, hi)
-        assert value == rng.integers(0, hi), k
-    replay = np.random.default_rng(hi).bit_generator
-    replay.random_raw(i)
-    assert rng.bit_generator.state == {**replay.state, "has_uint32": stash[0], "uinteger": stash[1]}
+            _assert_draws_equal_the_scalar_generators(seed, dims(np.random.default_rng(seed + 100), n), **pattern)
 
 
 def test_the_first_diverged_trial_is_rerun_on_its_own_system_and_unitary():
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    draws = properties._draw(rng, [2, 3] * 4)
-    want = [reference.random_system_and_unitary(ref_rng, d) for d in [2, 3] * 4]
+    groups = properties._draw(rng, [2, 3] * 4)
+    want = reference.draw(ref_rng, [2, 3] * 4)
     diverged, seen = np.isin(np.arange(8), [3, 6]), []
-    properties._raise_first(diverged, draws, lambda sys, u: seen.append((sys, u)))
+    properties._raise_first(diverged, groups, lambda sys, u: seen.append((sys, u)))
     ((sys, u),) = seen  # trial 3: row 1 of the d = 3 group
-    assert (sys.rho.tobytes(), u.matrix.tobytes()) == (want[3][0].rho.tobytes(), want[3][1].matrix.tobytes())
+    assert (sys.rho.tobytes(), u.matrix.tobytes()) == (want[3].sys.rho.tobytes(), want[3].u.matrix.tobytes())
 
 
-def test_a_32_bit_generator_is_refused():
-    with pytest.raises(TypeError, match="MT19937"):
-        properties._draw(np.random.Generator(np.random.MT19937(0)), [2])
+def test_an_mt19937_generator_draws_a_checked_state():
+    """The draw makes public ``Generator`` calls only, so a 32-bit bit generator draws as PCG64 does."""
+    rng, ref_rng = np.random.Generator(np.random.MT19937(0)), np.random.Generator(np.random.MT19937(0))
+    sys, u, rots = properties.random_system_and_unitary(rng, 3)
+    (want,) = reference.draw(ref_rng, [3])
+    assert (sys.rho.tobytes(), u.matrix.tobytes(), rots) == (want.sys.rho.tobytes(), want.u.matrix.tobytes(), want.rots)
+    assert rng.integers(0, 2**40, 8).tolist() == ref_rng.integers(0, 2**40, 8).tolist()  # the streams go on alike
+    assert reference.validation_failure(sys.spectrum_c, sys.spectrum_h, sys.rho, sys.beta_c, sys.beta_h) is None
 
 
 def test_the_numpy_identities_the_block_draw_relies_on_hold():
-    """The block draw makes each attempt's uniforms, Boltzmann weights and
-    coherences as arrays; the scalar generators made them one call at a
-    time.  Where an identity fails, numpy on this platform rounds some array
-    path differently from its scalar one, and every drawn state would
-    differ from the scalar generators' in its last bits."""
+    """The phase draw makes each candidate's uniforms, Boltzmann weights and
+    coherences as arrays; the reference makes them one call at a time.
+    Where an identity fails, numpy on this platform rounds some array path
+    differently from its scalar one, and every drawn state would differ
+    from the reference's in its last bits."""
     rng = np.random.default_rng(2024)
     for seed, (lo, hi) in enumerate(((0.1, 1.2), (-0.95, 0.95), (0.0, np.pi), (0.0, 2.0 * np.pi), (0.7, 1.3), (100.0, 400.0), (0.0, 6e-3))):
         one, block = np.random.default_rng(seed), np.random.default_rng(seed)
         scalar = np.array([one.uniform(lo, hi) for _ in range(2000)])
         assert scalar.tobytes() == properties._uniform(block.random(2000), lo, hi).tobytes(), f"Generator.uniform({lo}, {hi}) is not lo + (hi - lo) * random()"
-    raw, twin = np.random.default_rng(1).bit_generator.random_raw(2000), np.random.default_rng(1)
-    assert properties._doubles(raw).tobytes() == twin.random(2000).tobytes(), "random() is not the top 53 bits of a 64-bit word"
+    block, one = np.random.default_rng(1).random((300, 14)), np.random.default_rng(1)
+    assert block.tobytes() == np.array([one.random(14) for _ in range(300)]).tobytes(), "random((m, k)) is not m random(k) calls"
     x, eta = rng.uniform(-40.0, 40.0, 5000), rng.uniform(-1.0, 1.0, 5000)
     for name, array, scalar in (
         ("np.exp", np.exp(x), [np.exp(v) for v in x.tolist()]),
@@ -342,7 +327,7 @@ def test_the_numpy_identities_the_block_draw_relies_on_hold():
 def test_a_failing_row_raises_its_first_failed_check_and_is_never_skipped():
     rng = np.random.default_rng(4)
     levels, _, beta_c, beta_h, populations, (a, b, values) = reference.entry_columns(
-        properties._draw(rng, [3] * 12, rotations=False).groups[0].st, np.arange(12)
+        properties._draw(rng, [3] * 12, rotations=False)[0].st, np.arange(12)
     )
     swollen = populations.copy()
     swollen[5] *= 1.01  # trace
@@ -451,7 +436,7 @@ def test_nonideal_soundness_counts_equal_the_scalar_path_per_instance(monkeypatc
         for n in (1, 7, properties.STACK_TRIALS + 3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = properties._nonideal_soundness_trials(rng, n)[0]
-            want = [reference.prop_witness_soundness_nonideal(ref_rng, 1)[0] for _ in range(n)]
+            want = reference.nonideal_soundness_counts(ref_rng, n)
             assert got.tolist() == want
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             seen += sum(want)
@@ -477,11 +462,10 @@ WHOLE = {  # stacked without the per-trial form: (rng, n) -> (failures, max_dev,
 @pytest.mark.parametrize("name", STACKED)
 @pytest.mark.parametrize("n", [1, 2, 9, 2 * properties.STACK_TRIALS + 3])
 def test_stacked_trials_equal_the_trial_by_trial_path_bit_for_bit(name, n):
-    one = getattr(reference, "prop_" + name.replace("-", "_"))
     for seed in (0, 3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         dev, bad = properties.PROPERTIES[name].trials(rng, n)
-        want = [one(ref_rng, k) for k in range(n)]
+        want = reference.trial_by_trial(name, ref_rng, n)
         assert [repr(float(x)) for x in dev] == [repr(float(d)) for d, _ in want]
         assert [int(x) for x in bad] == [int(b) for _, b in want]
         assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws, in order
@@ -503,27 +487,27 @@ def test_stacked_properties_equal_the_trial_by_trial_path(name, n):
 PINNED = {
     'kron-algebra': {(0, 500): (500, 0, '7.119291619286993e-15'), (0, 37): (37, 0, '3.66205343881779e-15'), (0, 1): (1, 0, '6.280369834735101e-16'), (3, 37): (37, 0, '3.66205343881779e-15'), (3, 1): (1, 0, '9.930136612989092e-16'), (7, 37): (37, 0, '2.5121479338940403e-15'), (7, 1): (1, 0, '1.9860273225978185e-15')},
     'partial-ops': {(0, 500): (500, 0, '2.5121479338940403e-15'), (0, 37): (37, 0, '1.831026719408895e-15'), (0, 1): (1, 0, '9.155133597044475e-16'), (3, 37): (37, 0, '1.9860273225978185e-15'), (3, 1): (1, 0, '1.8041124150158794e-16'), (7, 37): (37, 0, '3.552713678800501e-15'), (7, 1): (1, 0, '8.95090418262362e-16')},
-    'unitarity': {(0, 500): (500, 0, '1.019884972588033e-15'), (0, 37): (37, 0, '7.800410757982074e-16'), (0, 1): (1, 0, '4.577566798522237e-16'), (3, 37): (37, 0, '6.866350197783356e-16'), (3, 1): (1, 0, '3.7572684881917124e-16'), (7, 37): (37, 0, '7.224329682229049e-16'), (7, 1): (1, 0, '2.220479930051231e-16')},
-    'state-validity': {(0, 500): (500, 0, '3.3306690738754696e-16'), (0, 37): (37, 0, '2.220446049250313e-16'), (0, 1): (1, 0, '5.551115123125783e-17'), (3, 37): (37, 0, '2.220446049250313e-16'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '2.220446049250313e-16'), (7, 1): (1, 0, '8.326672684688674e-17')},
+    'unitarity': {(0, 500): (500, 0, '9.652674990707984e-16'), (0, 37): (37, 0, '9.796243851643118e-16'), (0, 1): (1, 0, '4.577566798522237e-16'), (3, 37): (37, 0, '9.123451461219917e-16'), (3, 1): (1, 0, '5.551115123125782e-16'), (7, 37): (37, 0, '6.78158481431228e-16'), (7, 1): (1, 0, '2.220479930051231e-16')},
+    'state-validity': {(0, 500): (500, 0, '4.440892098500626e-16'), (0, 37): (37, 0, '2.220446049250313e-16'), (0, 1): (1, 0, '5.551115123125783e-17'), (3, 37): (37, 0, '2.220446049250313e-16'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '2.220446049250313e-16'), (7, 1): (1, 0, '8.326672684688674e-17')},
     'dephase': {(0, 500): (500, 0, '0.0'), (0, 37): (37, 0, '0.0'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '0.0'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '0.0'), (7, 1): (1, 0, '0.0')},
-    'mh-marginals': {(0, 500): (500, 0, '1.6653345369377348e-16'), (0, 37): (37, 0, '1.1102230246251565e-16'), (0, 1): (1, 0, '1.1102230246251565e-16'), (3, 37): (37, 0, '1.1102230246251565e-16'), (3, 1): (1, 0, '5.551115123125783e-17'), (7, 37): (37, 0, '8.326672684688674e-17'), (7, 1): (1, 0, '2.7755575615628914e-17')},
-    'table-norm-range': {(0, 500): (500, 0, '4.440892098500626e-16'), (0, 37): (37, 0, '2.220446049250313e-16'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '2.220446049250313e-16'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '2.220446049250313e-16'), (7, 1): (1, 0, '0.0')},
-    'heat-identities': {(0, 500): (500, 0, '2.220446049250313e-16'), (0, 37): (37, 0, '1.6653345369377348e-16'), (0, 1): (1, 0, '5.204170427930421e-17'), (3, 37): (37, 0, '2.220446049250313e-16'), (3, 1): (1, 0, '8.326672684688674e-17'), (7, 37): (37, 0, '1.942890293094024e-16'), (7, 1): (1, 0, '2.7755575615628914e-17')},
-    'mh-tpm-dephased': {(0, 500): (500, 0, '1.6653345369377348e-16'), (0, 37): (37, 0, '8.326672684688674e-17'), (0, 1): (1, 0, '2.7755575615628914e-17'), (3, 37): (37, 0, '1.1102230246251565e-16'), (3, 1): (1, 0, '2.7755575615628914e-17'), (7, 37): (37, 0, '8.326672684688674e-17'), (7, 1): (1, 0, '5.551115123125783e-17')},
-    'two-qubit-closed-forms': {(0, 500): (500, 0, '2.8102520310824275e-16'), (0, 37): (37, 0, '1.1102230246251565e-16'), (0, 1): (1, 0, '2.7755575615628914e-17'), (3, 37): (37, 0, '1.6653345369377348e-16'), (3, 1): (1, 0, '5.551115123125783e-17'), (7, 37): (37, 0, '1.249000902703301e-16'), (7, 1): (1, 0, '2.7755575615628914e-17')},
-    'qudit-closed-forms': {(0, 500): (150, 0, '1.1102230246251565e-16'), (0, 37): (11, 0, '5.551115123125783e-17'), (0, 1): (1, 0, '1.3877787807814457e-17'), (3, 37): (11, 0, '5.551115123125783e-17'), (3, 1): (1, 0, '2.0816681711721685e-17'), (7, 37): (11, 0, '5.551115123125783e-17'), (7, 1): (1, 0, '1.3877787807814457e-17')},
-    'xft-identity': {(0, 500): (300, 0, '4.440892098500626e-16'), (0, 37): (22, 0, '3.469446951953614e-16'), (0, 1): (1, 0, '9.302454639925628e-17'), (3, 37): (22, 0, '3.191891195797325e-16'), (3, 1): (1, 0, '2.0122792321330962e-16'), (7, 37): (22, 0, '4.891920202254596e-16'), (7, 1): (1, 0, '9.020562075079397e-17')},
+    'mh-marginals': {(0, 500): (500, 0, '1.6653345369377348e-16'), (0, 37): (37, 0, '1.1102230246251565e-16'), (0, 1): (1, 0, '1.1102230246251565e-16'), (3, 37): (37, 0, '1.1102230246251565e-16'), (3, 1): (1, 0, '5.551115123125783e-17'), (7, 37): (37, 0, '1.1102230246251565e-16'), (7, 1): (1, 0, '2.7755575615628914e-17')},
+    'table-norm-range': {(0, 500): (500, 0, '4.440892098500626e-16'), (0, 37): (37, 0, '2.220446049250313e-16'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '2.220446049250313e-16'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '3.3306690738754696e-16'), (7, 1): (1, 0, '0.0')},
+    'heat-identities': {(0, 500): (500, 0, '2.7755575615628914e-16'), (0, 37): (37, 0, '1.3877787807814457e-16'), (0, 1): (1, 0, '5.204170427930421e-17'), (3, 37): (37, 0, '1.6306400674181987e-16'), (3, 1): (1, 0, '8.326672684688674e-17'), (7, 37): (37, 0, '1.6653345369377348e-16'), (7, 1): (1, 0, '2.7755575615628914e-17')},
+    'mh-tpm-dephased': {(0, 500): (500, 0, '1.1102230246251565e-16'), (0, 37): (37, 0, '8.326672684688674e-17'), (0, 1): (1, 0, '2.7755575615628914e-17'), (3, 37): (37, 0, '1.1102230246251565e-16'), (3, 1): (1, 0, '2.7755575615628914e-17'), (7, 37): (37, 0, '1.1102230246251565e-16'), (7, 1): (1, 0, '5.551115123125783e-17')},
+    'two-qubit-closed-forms': {(0, 500): (500, 0, '2.498001805406602e-16'), (0, 37): (37, 0, '1.6653345369377348e-16'), (0, 1): (1, 0, '2.7755575615628914e-17'), (3, 37): (37, 0, '2.7755575615628914e-16'), (3, 1): (1, 0, '5.551115123125783e-17'), (7, 37): (37, 0, '2.0816681711721685e-16'), (7, 1): (1, 0, '2.7755575615628914e-17')},
+    'qudit-closed-forms': {(0, 500): (150, 0, '1.1102230246251565e-16'), (0, 37): (11, 0, '5.551115123125783e-17'), (0, 1): (1, 0, '1.3877787807814457e-17'), (3, 37): (11, 0, '3.469446951953614e-17'), (3, 1): (1, 0, '2.0816681711721685e-17'), (7, 37): (11, 0, '2.7755575615628914e-17'), (7, 1): (1, 0, '1.3877787807814457e-17')},
+    'xft-identity': {(0, 500): (300, 0, '7.216449660063518e-16'), (0, 37): (22, 0, '4.579669976578771e-16'), (0, 1): (1, 0, '9.302454639925628e-17'), (3, 37): (22, 0, '3.157196726277789e-16'), (3, 1): (1, 0, '2.0122792321330962e-16'), (7, 37): (22, 0, '2.7755575615628914e-16'), (7, 1): (1, 0, '9.020562075079397e-17')},
     'j-identity': {(0, 500): (500, 0, '4.440892098500626e-16'), (0, 37): (37, 0, '4.440892098500626e-16'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '4.440892098500626e-16'), (3, 1): (1, 0, '1.1102230246251565e-16'), (7, 37): (37, 0, '4.440892098500626e-16'), (7, 1): (1, 0, '0.0')},
     'witness-soundness': {(0, 500): (250, 0, '0.0'), (0, 37): (18, 0, '0.0'), (0, 1): (1, 0, '0.0'), (3, 37): (18, 0, '0.0'), (3, 1): (1, 0, '0.0'), (7, 37): (18, 0, '0.0'), (7, 1): (1, 0, '0.0')},
     'witness-soundness-nonideal': {(0, 500): (100, 0, '0.0'), (0, 37): (7, 0, '0.0'), (0, 1): (1, 0, '0.0'), (3, 37): (7, 0, '0.0'), (3, 1): (1, 0, '0.0'), (7, 37): (7, 0, '0.0'), (7, 1): (1, 0, '0.0')},
-    't1-strong-flow': {(0, 500): (500, 0, '58.0'), (0, 37): (37, 0, '5.0'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '1.0'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '2.0'), (7, 1): (1, 0, '0.0')},
-    'tpm-no-backflow': {(0, 500): (500, 0, '-7.373666000737574e-06'), (0, 37): (37, 0, '-0.00010864518653141552'), (0, 1): (1, 0, '-0.025302372349894107'), (3, 37): (37, 0, '-0.00011044971079457417'), (3, 1): (1, 0, '-0.006243833074276911'), (7, 37): (37, 0, '-1.9493632419046993e-05'), (7, 1): (1, 0, '-0.12030871037613568')},
+    't1-strong-flow': {(0, 500): (500, 0, '49.0'), (0, 37): (37, 0, '5.0'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '4.0'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '3.0'), (7, 1): (1, 0, '0.0')},
+    'tpm-no-backflow': {(0, 500): (500, 0, '-6.419015886435809e-08'), (0, 37): (37, 0, '-2.6671184284186173e-05'), (0, 1): (1, 0, '-0.025302372349894107'), (3, 37): (37, 0, '-2.4051054249058025e-06'), (3, 1): (1, 0, '-0.006243833074276911'), (7, 37): (37, 0, '-5.158220200528549e-05'), (7, 1): (1, 0, '-0.12030871037613568')},
     'all-negative-direction': {(0, 500): (150, 0, '150.0'), (0, 37): (11, 0, '11.0'), (0, 1): (1, 0, '1.0'), (3, 37): (11, 0, '11.0'), (3, 1): (1, 0, '1.0'), (7, 37): (11, 0, '11.0'), (7, 1): (1, 0, '1.0')},
     'delta-q-max': {(0, 500): (150, 0, '3.3306690738754696e-16'), (0, 37): (11, 0, '2.220446049250313e-16'), (0, 1): (1, 0, '8.326672684688674e-17'), (3, 37): (11, 0, '1.249000902703301e-16'), (3, 1): (1, 0, '5.551115123125783e-17'), (7, 37): (11, 0, '2.220446049250313e-16'), (7, 1): (1, 0, '5.551115123125783e-17')},
-    'probe-exactness': {(0, 500): (100, 0, '4.440892098500626e-16'), (0, 37): (7, 0, '3.3306690738754696e-16'), (0, 1): (1, 0, '1.1102230246251565e-16'), (3, 37): (7, 0, '2.498001805406602e-16'), (3, 1): (1, 0, '1.942890293094024e-16'), (7, 37): (7, 0, '3.3306690738754696e-16'), (7, 1): (1, 0, '1.1102230246251565e-16')},
-    'probe-disturbance': {(0, 500): (500, 0, '0.00022436486324326456'), (0, 37): (37, 0, '0.00016062238070795675'), (0, 1): (1, 0, '5.170221244637994e-06'), (3, 37): (37, 0, '0.00013805793945778088'), (3, 1): (1, 0, '6.938893903907228e-18'), (7, 37): (37, 0, '0.00014273614597236375'), (7, 1): (1, 0, '2.7755575615628914e-17')},
-    'probe-sampling': {(0, 500): (20, 0, '3.10012921697286'), (0, 37): (1, 0, '1.3645895569775774'), (0, 1): (1, 0, '1.3645895569775774'), (3, 37): (1, 0, '1.4709657979386332'), (3, 1): (1, 0, '1.4709657979386332'), (7, 37): (1, 0, '1.5031189902647848'), (7, 1): (1, 0, '1.5031189902647848')},
-    'p00-bounds': {(0, 500): (500, 0, '2.7755575615628914e-17'), (0, 37): (37, 0, '2.7755575615628914e-17'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '2.7755575615628914e-17'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '5.551115123125783e-17'), (7, 1): (1, 0, '1.3877787807814457e-17')},
+    'probe-exactness': {(0, 500): (100, 0, '4.440892098500626e-16'), (0, 37): (7, 0, '1.6653345369377348e-16'), (0, 1): (1, 0, '1.1102230246251565e-16'), (3, 37): (7, 0, '2.220446049250313e-16'), (3, 1): (1, 0, '1.942890293094024e-16'), (7, 37): (7, 0, '2.220446049250313e-16'), (7, 1): (1, 0, '1.1102230246251565e-16')},
+    'probe-disturbance': {(0, 500): (500, 0, '0.00016165619891943841'), (0, 37): (37, 0, '0.00018066682191766287'), (0, 1): (1, 0, '5.170221244637994e-06'), (3, 37): (37, 0, '0.00019120396676380237'), (3, 1): (1, 0, '6.938893903907228e-18'), (7, 37): (37, 0, '0.00015007682880854018'), (7, 1): (1, 0, '2.7755575615628914e-17')},
+    'probe-sampling': {(0, 500): (20, 0, '2.8415658005008715'), (0, 37): (1, 0, '1.3645895569775774'), (0, 1): (1, 0, '1.3645895569775774'), (3, 37): (1, 0, '1.4709657979386332'), (3, 1): (1, 0, '1.4709657979386332'), (7, 37): (1, 0, '1.5031189902647848'), (7, 1): (1, 0, '1.5031189902647848')},
+    'p00-bounds': {(0, 500): (500, 0, '2.7755575615628914e-17'), (0, 37): (37, 0, '2.7755575615628914e-17'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '1.3877787807814457e-17'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '1.3877787807814457e-17'), (7, 1): (1, 0, '1.3877787807814457e-17')},
     'strong-backflow-threshold': {(0, 500): (500, 0, '0.0'), (0, 37): (37, 0, '0.0'), (0, 1): (1, 0, '0.0'), (3, 37): (37, 0, '0.0'), (3, 1): (1, 0, '0.0'), (7, 37): (37, 0, '0.0'), (7, 1): (1, 0, '0.0')},
 }
 
@@ -563,19 +547,43 @@ def test_no_property_builds_or_checks_a_system_per_trial(monkeypatch):
     assert calls == {"one state": 0, "BipartiteSystem": 0, "random": 0, "two_qubit_rows": -(-500 // properties.STACK_TRIALS)}
 
 
-def test_a_qudit_draw_past_d_11_raises_and_leaves_the_stream_alone():
+def test_a_qudit_draw_at_d_12_and_16_is_checked_and_bohr_nondegenerate():
+    for d in (12, 16):
+        for seed in range(12):
+            sys = properties.random_qudit_system(np.random.default_rng(seed), d)
+            assert sys.dims == (d, d) and sys.stack.bohr_nondegenerate[0] and sys.spectrum_c.bohr_nondegenerate(1e-3)
+            assert reference.validation_failure(sys.spectrum_c, sys.spectrum_h, sys.rho, sys.beta_c, sys.beta_h) is None
+            assert sys.populations().min() >= properties.QUDIT_MIN_POPULATION
+
+
+def test_a_qudit_draw_past_d_16_raises_and_leaves_the_stream_alone():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    for draw in (lambda: properties.random_qudit_system(rng, 12), lambda: properties._draw(rng, [4, (2, 17)])):
+    for draw in (lambda: properties.random_qudit_system(rng, 17), lambda: properties._draw(rng, [4, 1, 17, 18])):
         with pytest.raises(ValueError) as err:
             draw()
         assert "d = " in str(err.value) and rng.bit_generator.state == before
-    assert str(err.value).startswith("no state is drawn at local dimension d = 16")
+    assert str(err.value) == "no state is drawn at local dimension d = 1: the draw covers d = 2 to 16"
+
+
+@pytest.mark.parametrize("d", range(4, 17))
+def test_a_ruler_draw_has_distinct_level_differences_and_every_population_over_the_floor(d):
+    """Above d = 3 every candidate is accepted: its levels are a scaled Golomb ruler and its jitter
+    cannot move a solved population under the floor, so a stack is drawn in one round."""
+    marks = states.RULERS[d]
+    differences = [b - a for k, a in enumerate(marks) for b in marks[k + 1:]]
+    assert len(marks) == d and len(set(differences)) == len(differences)
+    rng = np.random.default_rng(d)
+    accepted, levels, _, _, populations, _, _ = properties._candidates(rng.random((200, reference.candidate_size(d))), d, True)
+    assert accepted.all() and populations.min() >= properties.QUDIT_MIN_POPULATION
+    assert np.all(states.bohr_nondegenerate(levels, 1e-3))
+    st = properties._draw(rng, [d] * 3, rotations=False)[0].st
+    assert st.bohr_nondegenerate.all() and st.populations.min() >= properties.QUDIT_MIN_POPULATION
 
 
 def test_a_stack_rows_system_is_the_checked_systems_bit_for_bit():
     rng = np.random.default_rng(5)
-    drawn = properties._draw(rng, [3] * 3, rotations=False).groups[0].st
+    drawn = properties._draw(rng, [3] * 3, rotations=False)[0].st
     st = states.valid_stack(states.entry_stack(*reference.entry_columns(drawn, np.arange(3))))
     for k in range(3):
         got, want = st.system(k), reference.checked_system(drawn, k)
