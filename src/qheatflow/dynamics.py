@@ -84,9 +84,9 @@ class UnitaryReport:
         return report
 
 
-def _check_unitary(u: np.ndarray, adjoint: np.ndarray | None = None) -> None:
+def _check_unitary(u: np.ndarray, adjoint: np.ndarray) -> None:
     """Raise unless ||U U^dag - I|| <= UNITARITY_TOL, for U or each matrix of
-    an (n, D, D) stack; ``adjoint`` is U^dag when the caller has it.
+    an (n, D, D) stack; ``adjoint`` is U^dag.
 
     The Frobenius norm bounds the spectral norm from above, so a Frobenius
     defect within half the tolerance settles the check; only the other
@@ -94,8 +94,6 @@ def _check_unitary(u: np.ndarray, adjoint: np.ndarray | None = None) -> None:
     Frobenius norm is summed over a real view of the defect, with no
     temporary arrays.
     """
-    if adjoint is None:
-        adjoint = u.conj().swapaxes(-1, -2)
     r = u @ adjoint
     _diagonal(r)[...] -= 1.0
     x = r.view(float)
@@ -260,14 +258,19 @@ class UnitaryStack(NamedTuple):
     adjoint: np.ndarray
     epsilon: np.ndarray | None = None
 
+    def take(self, index) -> "UnitaryStack":
+        """The matrices at ``index`` with their records; each U^dag keeps the stack's layout, and so its BLAS calls."""
+        epsilon = None if self.epsilon is None else self.epsilon[index]
+        return UnitaryStack(self.matrix[index], self.commutator_norm[index], self.adjoint.swapaxes(-1, -2)[index].swapaxes(-1, -2), epsilon)
 
-def _stack_report(u: np.ndarray, h_total: np.ndarray | None, epsilon=None) -> UnitaryStack:
+
+def _stack_report(u: np.ndarray, h_total, epsilon=None) -> UnitaryStack:
     """Check each matrix as ``UnitaryReport`` does and take its commutator
-    norm (``_commutator_norms``); ``h_total`` is one H or one per matrix,
-    or None when every matrix is known to commute exactly (norm 0.0)."""
+    norm (``_commutator_norms``) against ``h_total``, one H or one per matrix,
+    or set it to a float: 0.0 where each commutes exactly, nan if not taken."""
     adjoint = u.conj().swapaxes(-1, -2)
     _check_unitary(u, adjoint)
-    cnorm = np.zeros(len(u)) if h_total is None else _commutator_norms(u, h_total)
+    cnorm = np.full(len(u), h_total) if isinstance(h_total, float) else _commutator_norms(u, h_total)
     return UnitaryStack(u, cnorm, adjoint, epsilon)
 
 
@@ -307,7 +310,7 @@ def exchange_unitary_stack(levels, n: int, blocks) -> UnitaryStack:
     # H is built, and the dense norm taken, only when one is not
     energies = levels[..., :, None] + levels[..., None, :]
     exact = np.isfinite(np.maximum.reduce(np.abs(u), axis=(-2, -1)) * np.abs(energies).max(axis=(-2, -1))).all()
-    return _stack_report(u, None if exact else _total_hamiltonian(levels))
+    return _stack_report(u, 0.0 if exact else _total_hamiltonian(levels))
 
 
 def _xy_generators(j_hz: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,17 +322,17 @@ def _xy_generators(j_hz: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def xy_unitary_stack(j_hz: np.ndarray, t: np.ndarray, gap=1.0) -> UnitaryStack:
     """``xy_exchange_unitary`` for per-cell arrays of J and t; ``gap`` is one
-    gap or one per cell."""
+    gap or one per cell, or None to take no commutator norm (nan)."""
     h_xy, t = _xy_generators(j_hz, t)
     u = matrix_exp_stack(-1j * h_xy * t)
-    return _stack_report(u, _total_hamiltonian(spectrum_levels(gap)))
+    return _stack_report(u, np.nan if gap is None else _total_hamiltonian(spectrum_levels(gap)))
 
 
 def perturbed_xy_unitary_stack(j_hz: np.ndarray, j_x: np.ndarray, t: np.ndarray, gap, gap_h) -> UnitaryStack:
     """``perturbed_xy_unitary`` for per-cell arrays of J, J_x and t; each gap
-    is one value or one per cell."""
+    is one value or one per cell, and a ``gap`` of None takes no norm (nan)."""
     u, epsilon = _xy_perturbation(j_hz, t)(j_x)
-    h_total = _total_hamiltonian(spectrum_levels(gap), spectrum_levels(gap_h))
+    h_total = np.nan if gap is None else _total_hamiltonian(spectrum_levels(gap), spectrum_levels(gap_h))
     return _stack_report(u, h_total, epsilon=epsilon)
 
 

@@ -18,7 +18,7 @@ under any evaluation order, and cost O(d) time and memory at any n_shots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +51,15 @@ class ProbeOutcomeStats:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _checked(cls, *values) -> "ProbeOutcomeStats":
+        """The stats of field ``values`` whose outcomes ``_check_outcomes`` passed, built without checking again."""
+        stats = object.__new__(cls)
+        stats.__dict__.update(zip((f.name for f in fields(cls)), values))
+        for name in OUTCOMES:
+            getattr(stats, name).setflags(write=False)
+        return stats
+
 
 def _check_outcomes(q_plus, q_minus, p_free) -> None:
     """Raise the first failed check of ``ProbeOutcomeStats``, in its order,
@@ -74,7 +83,7 @@ def probe_statistics(
     if not (0 <= i_c < d_c and 0 <= i_h < d_h):
         raise ValueError(f"target {target} out of range for dims {sys.dims}")
     rows = (x.reshape(d_c, d_h) for x in probe_stack(sys.rho[None], unwrap(u)[None], i_c * d_h + i_h, eps))
-    return ProbeOutcomeStats((i_c, i_h), float(eps), *rows, sys.spectrum_c.levels, sys.spectrum_h.levels)
+    return ProbeOutcomeStats._checked((i_c, i_h), float(eps), *rows, sys.spectrum_c.levels, sys.spectrum_h.levels)
 
 
 def probe_stack(rho, u, idx, eps: float):

@@ -216,12 +216,12 @@ def _in_stacks(trials):
 
 def _stacked(note: str):
     """The property of trials ``(rng, n) -> (deviations, failures)``, run
-    by ``_in_stacks``: the failures summed, max_dev the largest deviation
-    from 0.0 (a nan or a negative deviation is never kept)."""
+    by ``_in_stacks``: the failures summed (a nan deviation is one), max_dev
+    the largest deviation from 0.0 (a nan or a negative one is never kept)."""
     def wrap(trials):
         def prop(rng, n):
             dev, bad = prop.trials(rng, n)
-            return int(np.sum(bad)), float(np.fmax.reduce(dev, initial=0.0)), note
+            return int(np.sum(pymax(bad, np.isnan(dev)))), float(np.fmax.reduce(dev, initial=0.0)), note
         prop.trials = _in_stacks(trials)
         return prop
     return wrap
@@ -365,8 +365,8 @@ def _table_norm_trials(rng, n):
 
 def _prop_table_norm_range(rng, n):
     sum_mh, sum_tpm, mh_min, tpm_min, mh_max = _table_norm_trials(rng, n)
-    bad = (pymax(sum_mh, sum_tpm) >= 1e-10) | (mh_min < fluctuations.MH_LOWER_BOUND - 1e-10) | (tpm_min < -1e-12)
-    failures = np.count_nonzero(bad | (mh_max > 1 + 1e-10))
+    ok = (sum_mh < 1e-10) & (sum_tpm < 1e-10) & (mh_min >= fluctuations.MH_LOWER_BOUND - 1e-10) & (tpm_min >= -1e-12)
+    failures = np.count_nonzero(~(ok & (mh_max <= 1 + 1e-10)))
     note = f"sum=1; min MH entry seen {np.fmin.reduce(mh_min, initial=0.0):.4f} >= -1/8"
     return int(failures), float(np.fmax.reduce([sum_mh, sum_tpm], axis=None, initial=0.0)), note
 

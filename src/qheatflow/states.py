@@ -352,9 +352,7 @@ def entry_stack(levels_c, levels_h, beta_c, beta_h, populations, coherences=(), 
     values[k] of the ``coherences`` (a, b (M,) and values (n, M), or indices and
     (n,)), checked by one ``state_rows`` call against ``gibbs`` (each side's
     ``gibbs_stack`` when None).  A row that ``errors`` fails keeps that failure
-    and is not checked; when every row has failed, nothing is built (no stack)."""
-    if errors is not None and None not in errors:
-        return errors, None
+    and is not checked."""
     beta_c, beta_h = np.asarray(beta_c, float), np.asarray(beta_h, float)
     n, side = populations.shape
     rho = np.zeros((n, side, side), complex)

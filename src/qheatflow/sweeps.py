@@ -507,10 +507,14 @@ def _distinct(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
     order, and each cell's index into ``first``; no columns make one row."""
     if not columns:
         return np.zeros(1, np.intp), np.zeros(n, np.intp)
-    bits = np.stack([np.asarray(c, float) for c in columns], axis=1).view(np.int64)
-    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.reshape(-1)]  # the inverse's shape varies across numpy versions
+    bits = np.stack([np.asarray(c, float) for c in columns]).view(np.int64)
+    order = np.lexsort(bits)  # stable: a run of equal rows starts at its first cell
+    rows = bits[:, order]
+    new = np.concatenate(([True], (rows[:, 1:] != rows[:, :-1]).any(axis=0)))
+    by_cell = np.argsort(order[new])
+    inverse = np.empty(n, np.intp)
+    inverse[order] = np.argsort(by_cell)[np.cumsum(new) - 1]
+    return order[new][by_cell], inverse
 
 
 def _take(params: dict, index: np.ndarray) -> dict:
@@ -523,8 +527,8 @@ def _derive(scenario: Scenario, params: dict, prefix: str) -> None:
 
     Each value is a scalar or a per-cell array, elementwise.  A Delta
     outside [0, 1) names the first bad cell's value as given.  J_x takes one
-    ``_solve_jx_for_eps`` call, over each distinct (J, t, eps) in cell order
-    (so an error names the first cell's target); nothing is memoised.
+    ``_solve_jx_for_eps`` call over the cells' (J, t, eps) in cell order (so
+    an error names the first cell's target); nothing is memoised.
     """
     for key, source in scenario.derived.items():
         if not key.startswith(prefix) or key in params:
@@ -539,11 +543,7 @@ def _derive(scenario: Scenario, params: dict, prefix: str) -> None:
         elif key == "unitary.Jx":  # unitary distance -> perturbation strength
             args = (params["unitary.J"], params["unitary.t"], value)
             columns = np.broadcast_arrays(*args)
-            if columns[0].ndim:
-                first, inverse = _distinct(columns, columns[0].size)
-                value = _solve_jx_for_eps(*(c[first] for c in columns))[inverse]
-            else:
-                value = _solve_jx_for_eps(*args)
+            value = _solve_jx_for_eps(*(columns if columns[0].ndim else args))
         params[key] = value
 
 
@@ -602,47 +602,46 @@ def _build_cell(scenario: str, kinds: tuple[str, str], params: dict):
     sys = valid_stack(_distinct_states(row, kinds[0], params, 1)[1:]).system(0)
     # after the state: infeasible cells skip the J_x solve
     _derive(row, params, "unitary.")
-    u, extras = _build_unitary_stack(row, kinds[1], params, sys.stack, [0])
+    u, extras = _build_unitary_stack(kinds[1], params, sys.stack, [0], norm=True)
+    extras.update((column, np.full(1, params[key])) for column, key in row.columns.items())
     return sys, u, {column: values.tolist()[0] for column, values in extras.items()}
 
 
-def _build_unitary_stack(scenario: Scenario, kind: str, cells: dict, states: StateStack, index):
-    """The unitaries of one kind for the cells whose states are the rows
-    ``index`` of ``states``, as one stack.
+def _build_unitary_stack(kind: str, cells: dict, states: StateStack, index, norm: bool):
+    """The unitaries of one kind for the cells whose levels are those of the
+    rows ``index`` of ``states``, as one stack.
 
     ``cells`` maps each key to a scalar or a per-cell array.  The
     perturbed-XY kind takes each commutator norm against its cell's own
     H_C + H_H; the XY and exchange kinds take it against the cell's cold
     levels on both sides, as their single-cell constructors do.  T1 is the
     norm's only reader, and it applies only where a cell's two spectra are
-    equal, so every norm it reads is the cell's own.  Returns the stack and
-    the extra output columns, the kind's and then the scenario's copied
-    keys, as per-cell arrays (a copied one keeps its dtype).
+    equal, so every norm it reads is the cell's own; without ``norm`` the XY
+    kinds take none (nan).  Returns the stack and the kind's extra columns.
     """
     cells, n = _KindParams(f"{kind} unitary", cells), len(index)
-    copied = {column: np.full(n, cells[key]) for column, key in scenario.columns.items()}
 
     def values(key, default=None):
         return np.full(n, cells[key] if default is None else cells.get(key, default), float)
 
     levels_c, levels_h = states.levels_c[index], states.levels_h[index]
-    gap = levels_c[:, 1]
+    gap = levels_c[:, 1] if norm else None
     if kind == "xy":
         u = xy_unitary_stack(values("unitary.J"), values("unitary.t"), gap=gap)
-        return u, {"theta": rotation_angles(u.matrix), **copied}
+        return u, {"theta": rotation_angles(u.matrix)}
     if kind == "perturbed-xy":
         u = perturbed_xy_unitary_stack(
             values("unitary.J"), values("unitary.Jx", 0.0), values("unitary.t"),
             gap=gap, gap_h=levels_h[:, 1],
         )
-        return u, {"eps_actual": u.epsilon, **copied}
+        return u, {"eps_actual": u.epsilon}
     if levels_c.shape[-1] == 2:
         phases = [values(f"unitary.{k}", 0.0) for k in ("phi", "lam", "kappa")]
         u = exchange_unitary_stack(levels_c, n, [((0, 1), (values("unitary.theta"), *phases))])
-        return u, {"theta": np.full(n, cells["unitary.theta"]), **copied}
+        return u, {"theta": np.full(n, cells["unitary.theta"])}
     zero = np.zeros(n)
     blocks = [(pair, (values(key), zero, zero, zero)) for pair, key in QUTRIT_ANGLES.items() if key in cells]
-    return exchange_unitary_stack(levels_c, n, blocks), copied
+    return exchange_unitary_stack(levels_c, n, blocks), {}
 
 
 def _chunk_cells(side: int) -> int:
@@ -692,11 +691,6 @@ def _evaluate_stack(states: StateStack, u: UnitaryStack, extras: dict, outputs):
         col[name][at] = values
         present[name][at] = True if has is None else has
 
-    def adjoint(at):
-        """U^dag of the cells ``at``, laid out as the stack's (a transposed
-        view of a conjugated copy), so each product makes the same BLAS call."""
-        return u.adjoint.swapaxes(-1, -2)[at].swapaxes(-1, -2)
-
     def put(name, verdict, at, finite=None):
         """A witness's flags and bounds on the cells ``at``; where ``finite``
         is False the flag is -2 and there is no bound."""
@@ -717,7 +711,8 @@ def _evaluate_stack(states: StateStack, u: UnitaryStack, extras: dict, outputs):
         resonance_ok = resonance_stack(mh[at], e_c[at], e_h[at])[0]
 
     if "xft" in need and (at := cells(unequal)) is not None:
-        chi, starved = xft_coherence_stack(states.take(at), u.matrix[at], adjoint(at))
+        taken = u.take(at)
+        chi, starved = xft_coherence_stack(states.take(at), taken.matrix, taken.adjoint)
         lhs, avg_di, vanishing = xft_average_stack(mh[at], states.take(at))
         has_xft = xft_evaluable(starved, vanishing)
         for name, values in (("chi_bar", chi), ("xft_lhs", lhs), ("avg_delta_I", avg_di)):
@@ -728,7 +723,8 @@ def _evaluate_stack(states: StateStack, u: UnitaryStack, extras: dict, outputs):
             put("t3", xft_flow_stack(q[at], chi, lhs, avg_di, resonance_ok, beta_c[at], beta_h[at]), at, finite)
 
     if "j" in need and (at := cells(unequal)) is not None:
-        j, divergent = heat_exp_j_stack(states.take(at), u.matrix[at], adjoint(at))
+        taken = u.take(at)
+        j, divergent = heat_exp_j_stack(states.take(at), taken.matrix, taken.adjoint)
         value("j_term", j, at, ~divergent)
         if "i4" in need:
             finite = ~divergent & (1.0 + j > 0.0)  # else J diverges or 1 + J <= 0: -2
@@ -767,17 +763,17 @@ def evaluate_cell(sys: BipartiteSystem, u: UnitaryReport, extras: dict | None = 
     return _evaluate_one(sys, u.stack._replace(epsilon=epsilon), extras)[0]
 
 
-def _evaluate_chunk(
-    spec: SweepSpec, unitary: str, cells: dict, states: StateStack, index: np.ndarray, per_state: dict
-) -> dict:
-    """The requested columns of one chunk of feasible cells, ``index``
-    naming each cell's row of ``states``: their unitaries built and
-    evaluated as one stack.  The cells' state rows are gathered after the
-    unitaries are built, and every stack is freed on return, before the
-    next chunk's is built."""
-    u, extras = _build_unitary_stack(SCENARIOS[spec.scenario], unitary, cells, states, index)
-    extras.update((name, values[index]) for name, values in per_state.items())
-    return _evaluate_stack(states.take(index), u, extras, spec.outputs)[0]
+def _evaluate_chunk(spec: SweepSpec, build, unitary_of: np.ndarray, states: StateStack, index: np.ndarray, extras: dict) -> dict:
+    """The requested columns of one chunk of feasible cells, ``unitary_of``
+    naming each cell's distinct unitary, ``index`` its row of ``states`` and
+    ``extras`` its extra columns: ``build`` makes the distinct unitaries the
+    cells use as one stack, copied to the cells that share one, before their
+    state rows are gathered; every stack is freed before the next chunk's."""
+    first, local = _distinct([unitary_of], len(unitary_of))
+    u, built = build(unitary_of[first])
+    if len(first) < len(local):
+        u, built = u.take(local), {name: values[local] for name, values in built.items()}
+    return _evaluate_stack(states.take(index), u, {**built, **extras}, spec.outputs)[0]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -791,13 +787,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     ``hermiticity``, ``psd`` or ``thermal_marginal_*``, the checks of the
     states built as one stack.  An infeasible state marks its cells
     ``infeasible:<constraint>`` and skips their J_x solves.  The feasible
-    cells' unitary keys are then derived together (one J_x solve per
-    sweep), and the feasible cells, whatever their state, are evaluated in
-    grid order as chunks of at most STACK_BYTES per (n, D, D) stack.  A
-    chunk gathers each cell's state data (``StateStack.take``) by the
-    cell's state index, and per-state results (``min_pt_eig``) are computed
-    once, over the stack of the feasible states.  Only the requested
-    outputs are computed.
+    cells' distinct unitary keys (a derived key's source in its place) are
+    derived together (one J_x solve per sweep); a distinct unitary is one
+    of these rows with, where its builder reads them, its cells' levels
+    (an exchange's, or those of a commutator norm, taken only for T1).
+    The feasible cells, whatever their state, are evaluated in grid order
+    as chunks of at most STACK_BYTES per (n, D, D) stack.  A chunk builds
+    and checks the distinct unitaries its cells use and gathers a copy per
+    cell, and each cell's state data (``StateStack.take``) by its state
+    index; per-state results (``min_pt_eig``) are computed once, over the
+    stack of the feasible states.  Only the requested outputs are computed.
     """
     scenario = SCENARIOS[spec.scenario]
     params_base = {**scenario.defaults, **spec.fixed}
@@ -814,16 +813,31 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     outputs: dict[str, tuple] = {}  # column -> (values, has) over the grid
     if ok.size:
         cells = _take(params, ok)
-        _derive(scenario, cells, "unitary.")
         states = states.take(np.flatnonzero(feasible))  # the feasible states, in group order
         state_of = (np.cumsum(feasible) - 1)[group[ok]]  # each feasible cell's row of ``states``
-        per_state = {}
+        norm = any("t1" in COLUMN_GROUPS.get(name, ()) for name in spec.outputs)
+        keys = [key for key in cells if key.startswith("unitary.")]
+        keys += [source for key, source in scenario.derived.items() if key.startswith("unitary.") and key not in cells]
+        first, unitary_of = _distinct([cells[key] for key in keys if isinstance(cells[key], np.ndarray)], ok.size)
+        rows = _take(cells, first)
+        _derive(scenario, rows, "unitary.")  # over the distinct unitary keys: one J_x solve
+        cells.update(_take({key: rows[key] for key in rows.keys() - cells.keys()}, unitary_of))  # derived, per cell
+        levels = [states.levels_c] if unitary == "exchange" or norm else []
+        levels += [states.levels_h] if unitary == "perturbed-xy" and norm else []
+        level_of = _distinct([c for side in levels for c in side.T], len(states.rho))[1][state_of]
+        first, unitary_of = _distinct([unitary_of, level_of], ok.size)  # a key row's cells of other levels split off
+        rows = _take(cells, first)
+
+        def build(used):  # the distinct unitaries ``used``, each with its first cell's levels
+            return _build_unitary_stack(unitary, _take(rows, used), states, state_of[first[used]], norm)
+
+        extras = {column: np.full(ok.size, cells[key]) for column, key in scenario.columns.items()}
         if "min_pt_eig" in spec.outputs:
-            per_state["min_pt_eig"] = min_partial_transpose_eigenvalue(states)
+            extras["min_pt_eig"] = min_partial_transpose_eigenvalue(states)[state_of]
         size = _chunk_cells(states.rho.shape[-1])
         for start in range(0, ok.size, size):
             at = slice(start, start + size)  # positions in ``cells``
-            chunk = _evaluate_chunk(spec, unitary, _take(cells, at), states, state_of[at], per_state)
+            chunk = _evaluate_chunk(spec, build, unitary_of[at], states, state_of[at], _take(extras, at))
             for name, (chunk_values, has) in chunk.items():
                 if name not in outputs:
                     outputs[name] = (np.zeros(n, chunk_values.dtype), np.zeros(n, bool))

@@ -317,6 +317,11 @@ def test_non_exchange_commutator_norms_take_the_dense_path():
         u = reference.perturbed_xy_unitary(j_hz[k], j_x[k], t[k], gap=gap[k], gap_h=gap_h[k])
         assert per_cell.matrix[k].tobytes() == u.matrix.tobytes()
         assert per_cell.commutator_norm[k].tobytes() == np.float64(u.commutator_norm).tobytes()
+    # a gap of None takes no norm: nan, never the 0.0 of exact commutation, and the same matrices
+    for untaken, taken in ((xy_unitary_stack(j_hz, t, None), xy_unitary_stack(j_hz, t)), (perturbed_xy_unitary_stack(j_hz, j_x, t, None, None), per_cell)):
+        assert np.isnan(untaken.commutator_norm).all()
+        assert untaken.matrix.tobytes() == taken.matrix.tobytes()
+        assert untaken.epsilon is taken.epsilon is None or untaken.epsilon.tobytes() == taken.epsilon.tobytes()
 
 
 def _near_unitary(size: int, defects: list[float]) -> np.ndarray:

@@ -303,3 +303,16 @@ def test_a_shot_count_past_int64_exits_1_from_the_point_cli(capsys):
     code = cli_main(["point", str(CONFIGS / "point_backflow.cfg"), "--set", f"probe.shots={2**63}"])
     captured = capsys.readouterr()
     assert code == 1 and "n_shots must lie in" in captured.err
+
+
+def test_probe_statistics_checks_its_outcome_row_once(monkeypatch):
+    calls, check = [], probe._check_outcomes
+    monkeypatch.setattr(probe, "_check_outcomes", lambda *rows: calls.append(len(rows[0])) or check(*rows))
+    sys, u = _negativity_pair()
+    stats = probe_statistics(sys, u, (0, 1), 0.2)
+    assert calls == [1]  # in probe_stack, not again when the result is built
+    assert all(not getattr(stats, name).flags.writeable for name in probe.OUTCOMES)
+    want = reference.probe_statistics(sys, u, (0, 1), 0.2)  # built directly: checked again
+    assert calls == [1, 1]
+    assert all(getattr(stats, name).tobytes() == getattr(want, name).tobytes() for name in probe.OUTCOMES)
+    assert (stats.target, stats.eps, stats.energies_c, stats.energies_h) == (want.target, want.eps, want.energies_c, want.energies_h)

@@ -629,3 +629,22 @@ def test_the_cli_imports_the_property_suite_only_to_run_it():
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("name,column", [("dephase", None), *(("table-norm-range", k) for k in range(5))])
+def test_a_nan_deviation_fails_its_trial(monkeypatch, capsys, name, column):
+    # every bound holds except that one trial's kernel returns nan: a stacked
+    # property's deviation, or one of table-norm-range's five per-trial values
+    def values(n):
+        x = np.zeros(n)
+        x[n // 2] = np.nan
+        return x
+
+    if column is None:
+        monkeypatch.setattr(properties.PROPERTIES[name], "trials", lambda rng, n: (values(n), np.zeros(n, bool)))
+    else:
+        monkeypatch.setattr(properties, "_table_norm_trials", lambda rng, n: [values(n) if k == column else np.zeros(n) for k in range(5)])
+    assert cli_main(["check", "--trials", "4", "--properties", name]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith(f"[FAIL] {name}: trials=4 failures=1 max_dev=0 ")
+    assert out.endswith("FAILED: 1 properties, 1 failures\n")

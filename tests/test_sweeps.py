@@ -556,6 +556,37 @@ def test_a_sweep_evaluates_chunks_that_span_states(monkeypatch):
     assert validations == [41]
 
 
+def _count_unitaries(monkeypatch) -> tuple[list, set, list]:
+    """The rows of each ``_build_unitary_stack`` call, the bytes of every
+    matrix ``_check_unitary`` passes, and of each evaluated cell's matrix."""
+    built, checked, used = [], set(), []
+    build, check, evaluate = sweeps._build_unitary_stack, qh.dynamics._check_unitary, sweeps._evaluate_stack
+
+    def checking(u, adjoint):
+        check(u, adjoint)
+        checked.update(m.tobytes() for m in u)
+
+    monkeypatch.setattr(sweeps, "_build_unitary_stack", lambda *args: built.append(len(args[3])) or build(*args))
+    monkeypatch.setattr(qh.dynamics, "_check_unitary", checking)
+    monkeypatch.setattr(sweeps, "_evaluate_stack", lambda st, u, *args: used.extend(m.tobytes() for m in u.matrix) or evaluate(st, u, *args))
+    return built, checked, used
+
+
+@pytest.mark.parametrize("name,distinct,most", [("nonideal_tolerance.cfg", 16, 16), ("qubit_grid.cfg", 61, 64)])
+def test_a_sweep_builds_and_checks_each_distinct_unitary_once(monkeypatch, name, distinct, most):
+    # nonideal: 160 feasible cells, a perturbed-XY unitary per eps; the qubit
+    # grid: 2,501 cells, an exchange per theta, built again only where a
+    # theta's cells span two chunks
+    built, checked, used = _count_unitaries(monkeypatch)
+    batches = []
+    _count_solves(monkeypatch, batches)
+    rows = run_sweep(SweepSpec.from_config(load_config(str(CONFIG_DIR / name)))).rows
+    assert len(used) == sum(r["status"] == "ok" for r in rows) >= 10 * distinct
+    assert len(set(used)) == distinct <= sum(built) <= most
+    assert set(used) <= checked  # each cell's matrix is a copy of a checked one
+    assert len(batches) == (name == "nonideal_tolerance.cfg")  # the one J_x solve of the sweep
+
+
 def test_per_state_kernels_run_once_per_distinct_feasible_state(monkeypatch):
     counts = _count_calls(monkeypatch, "_build_state")
     validations = _count_validations(monkeypatch)
@@ -721,6 +752,28 @@ CONSTRAINT_GRIDS = {
     "beta_C = -800": ({**load_config(str(CONFIG_DIR / "experiment_time.cfg")), "state.beta_C": -800.0}, {"infeasible:psd"}),
     "nonideal_tolerance.cfg": (load_config(str(CONFIG_DIR / "nonideal_tolerance.cfg")), {"ok", "infeasible:psd"}),
 }
+
+
+@pytest.mark.parametrize("name,overrides,split", [
+    # T1 reads the perturbed norm against each cell's own detuned levels: one unitary per (eps, Delta)
+    ("nonideal_tolerance.cfg", {"sweep.axis1.points": 4, "sweep.axis2.points": 6, "outputs": "Q,Q_tpm,eps_actual,jx,t1_violated,t1_bound,t2_violated"}, "Delta"),
+    # an exchange reads the gap: one unitary per state.E, shared by its eta cells
+    ("qubit_grid.cfg", {"unitary.theta": 0.7, **_axes(("state.E", 0.8, 1.2, 5), ("eta", -0.1, 0.1, 4))}, "state.E"),
+])
+def test_cells_of_one_unitary_key_at_other_levels_equal_the_scalar_reference(monkeypatch, name, overrides, split):
+    spec = SweepSpec.from_config({**load_config(str(CONFIG_DIR / name)), **overrides})
+    _assert_rows_equal_reference(spec)
+    built, _, used = _count_unitaries(monkeypatch)
+    batches = []
+    _count_solves(monkeypatch, batches)
+    rows = [r for r in run_sweep(spec).rows if r["status"] == "ok"]
+    keys = {(r.get("eps"), r[split]) for r in rows}
+    assert sum(built) == len(keys)
+    assert len(set(used)) == len({r.get("eps") for r in rows})  # the levels change a norm or a check, not the matrix
+    if split == "Delta":  # the J_x solve still takes each distinct eps once
+        assert [sorted(b) for b in batches] == [sorted({(220.0, 0.004, r["eps"]) for r in rows})]
+    else:  # the cells of one gap share its unitary
+        assert not batches and len(keys) < len(rows)
 
 
 def _state_params(spec: SweepSpec, params: dict) -> dict:
@@ -1430,6 +1483,16 @@ def test_cli_point_writes_tables(tmp_path, capsys):
     assert probe_lines[0] == "i_C,i_H,f_C,f_H,value,dE_C,dE_H,stderr"
 
 
+def test_cli_point_with_shots_reports_and_writes_its_stderr(tmp_path, capsys):
+    out = tmp_path / "pb"
+    argv = ["point", str(CONFIG_DIR / "point_backflow.cfg"), "--set", "probe.shots=1000", "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert "\n  stderr [[" in capsys.readouterr().out
+    header, *lines = (tmp_path / "pb_probe.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 4 and all(float(r["stderr"]) > 0 for r in rows if float(r["value"]) != 0)
+
+
 CUSTOM_CFG = """
 scenario = custom
 state.kind = two-qubit
@@ -1527,6 +1590,33 @@ def test_cli_names_a_missing_required_key(tmp_path, capsys, command, text, key, 
     captured = capsys.readouterr()
     assert captured.err == f"error: {key} is not set; the {kind} needs it\n"
     assert "Traceback" not in captured.out
+
+
+AXIS_T = "scenario = experiment-time\nsweep.axis1.name = t\nsweep.axis1.min = 0.0\nsweep.axis1.max = 0.01\nsweep.axis1.points = 3\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (POINT_CFG + " = 5\n", ["point"], "line 3: empty key"),
+        (POINT_CFG, ["point", "--set", "unitary.t"], "override 'unitary.t' is not of the form key=value"),
+        (POINT_CFG, ["point", "--set", " =0.1"], "override ' =0.1' has an empty key"),
+        (AXIS_T, ["sweep", "--set", "sweep.axis1.max=0.0"], "axis 't' needs max > min"),
+        (POINT_CFG, ["sweep"], "a sweep needs one or two axes"),
+        *((AXIS_T.replace(f"sweep.axis1.{field} =", "# "), ["sweep"], f"sweep.axis1 is missing 'sweep.axis1.{field}'") for field in ("min", "max", "points")),
+        (POINT_CFG, ["point", "--set", "probe.i_C=2"], "target (2, 1) out of range for dims (2, 2)"),
+        (POINT_CFG, ["point", "--set", "probe.eps=1e-10"], "sin(2 eps) too small; reconstruction ill-conditioned"),
+        (None, ["check", "--trials", "0"], "n_trials must be >= 1"),
+    ],
+)
+def test_cli_rejects_bad_input_with_exit_1_and_its_message(tmp_path, capsys, text, argv, message):
+    if text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv = [argv[0], str(cfg), *argv[1:]]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -1795,7 +1885,7 @@ def test_trials_sums_failures_and_keeps_the_largest_deviation_in_trial_order():
     STACK_TRIALS, in order, sums their failures (counts or masks) and keeps
     the largest deviation from 0.0."""
     n, seen = properties.STACK_TRIALS + 5, []
-    devs, fails = np.full(n, np.nan), np.zeros(n, int)
+    devs, fails = np.zeros(n), np.zeros(n, int)
     devs[[1, 4, n - 3]] = -1.0, 2e-3, 3e-3  # the largest in the second stack
     fails[[1, 3, 4, n - 1]] = 1, 1, 2, 1
 
@@ -1809,7 +1899,7 @@ def test_trials_sums_failures_and_keeps_the_largest_deviation_in_trial_order():
     rng = object()
     assert prop(rng, n) == (5, 3e-3, "a note")
     assert seen == [(rng, properties.STACK_TRIALS), (rng, 5)]
-    # max_dev starts at 0.0: negative and nan deviations never show
+    # max_dev starts at 0.0: a negative deviation never shows
     seen.clear()
     assert prop(rng, 2) == (1, 0.0, "a note")
 
