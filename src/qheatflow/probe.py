@@ -53,7 +53,8 @@ class ProbeOutcomeStats:
 
     @classmethod
     def _checked(cls, *values) -> "ProbeOutcomeStats":
-        """The stats of field ``values`` whose outcomes ``_check_outcomes`` passed, built without checking again."""
+        """The stats of the field ``values``, in order, whose outcome arrays ``_check_outcomes``
+        passed, built without checking or copying them again."""
         stats = object.__new__(cls)
         stats.__dict__.update(zip((f.name for f in fields(cls)), values))
         for name in OUTCOMES:
